@@ -75,8 +75,9 @@ pub struct PriorityLoader<'s> {
     /// edge (deduplicates `E`-seeded edges against cursor loads).
     seeded: Vec<Vec<HashSet<u32>>>,
     /// Per query node: distinct source labels of its incoming closure
-    /// tables (cached once — cursor opens are hot).
-    src_labels: Vec<Vec<ktpm_graph::LabelId>>,
+    /// tables — the setup's, shared (cursor opens are hot, and a loader
+    /// must not ask the store for them again).
+    src_labels: Arc<Vec<Vec<ktpm_graph::LabelId>>>,
     root_final: Vec<bool>,
     /// `(lb, u, i, version)` min-heap with lazy deletion.
     qg: BinaryHeap<Reverse<(Score, u32, u32, u32)>>,
@@ -166,7 +167,6 @@ impl<'s> PriorityLoader<'s> {
     ) -> Self {
         let tree = query.tree();
         let n_t = tree.len();
-        let src = source.get();
         let cands = Arc::clone(&setup.cands);
         *lists = SlotLists::empty_shaped(
             tree,
@@ -181,21 +181,6 @@ impl<'s> PriorityLoader<'s> {
         let remaining_edges: Vec<Score> =
             tree.node_ids().map(|u| tree.remaining_edges(u)).collect();
         let sizes: Vec<usize> = (0..n_t).map(|u| cands.len(QNodeId(u as u32))).collect();
-        let src_labels: Vec<Vec<ktpm_graph::LabelId>> = tree
-            .node_ids()
-            .map(|u| match tree.parent(u) {
-                Some(p) => {
-                    let mut ls: Vec<_> = ktpm_runtime_label_pairs(query, src, p, u)
-                        .into_iter()
-                        .map(|(a, _)| a)
-                        .collect();
-                    ls.sort_unstable();
-                    ls.dedup();
-                    ls
-                }
-                None => Vec::new(),
-            })
-            .collect();
         let mut loader = PriorityLoader {
             source,
             query: query.clone(),
@@ -213,7 +198,7 @@ impl<'s> PriorityLoader<'s> {
                 .map(|&n| (0..n).map(|_| CursorState::Unopened).collect())
                 .collect(),
             seeded: sizes.iter().map(|&n| vec![HashSet::new(); n]).collect(),
-            src_labels,
+            src_labels: Arc::clone(&setup.src_labels),
             root_final: vec![false; sizes[0]],
             qg: BinaryHeap::new(),
             dirty: Vec::new(),
@@ -525,8 +510,6 @@ impl EdgeCursor for VecCursor {
         self.entries.len() - self.pos
     }
 }
-
-use ktpm_runtime::label_pairs as ktpm_runtime_label_pairs;
 
 #[cfg(test)]
 mod tests {

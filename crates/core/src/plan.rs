@@ -36,9 +36,9 @@
 use crate::bs::BsData;
 use crate::decompose::decompose;
 use crate::lawler::SlotTemplates;
-use ktpm_graph::{Dist, LabelInterner, NodeId, Score};
+use ktpm_graph::{Dist, LabelId, LabelInterner, NodeId, Score};
 use ktpm_query::{EdgeKind, GraphQuery, QNodeId, QueryLabel, ResolvedQuery};
-use ktpm_runtime::{label_pairs, CandidateSets, RuntimeGraph};
+use ktpm_runtime::{edge_label_pairs, CandidateSets, RuntimeGraph};
 use ktpm_storage::{ClosureSource, ShardSpec, SharedSource};
 use std::collections::HashSet;
 use std::fmt;
@@ -211,6 +211,26 @@ pub(crate) struct LazySetup {
     pub(crate) evs: Vec<Vec<Dist>>,
     /// `E`-seed edges for `//` leaves, in replay order.
     pub(crate) eseed: Arc<Vec<SeedEdge>>,
+    /// Per query node: the distinct source labels of its incoming
+    /// closure tables, ascending — the cursors a loader opens for one
+    /// of its candidates. Resolved with the rest of the half, so
+    /// building a loader from a warm plan asks the store nothing.
+    pub(crate) src_labels: Arc<Vec<Vec<LabelId>>>,
+}
+
+/// [`LazySetup::src_labels`] from a query's resolved edge pairs.
+fn src_labels_of(pairs: &[Vec<(LabelId, LabelId)>]) -> Arc<Vec<Vec<LabelId>>> {
+    Arc::new(
+        pairs
+            .iter()
+            .map(|edge| {
+                let mut ls: Vec<LabelId> = edge.iter().map(|&(a, _)| a).collect();
+                ls.sort_unstable();
+                ls.dedup();
+                ls
+            })
+            .collect(),
+    )
 }
 
 impl QueryPlan {
@@ -488,7 +508,10 @@ impl LazySetup {
         source: &dyn ClosureSource,
         shard: ShardSpec,
     ) -> LazySetup {
-        let (cands, evs) = CandidateSets::from_d_tables_sharded(query, source, shard);
+        // Every edge's label pairs, resolved once for all three reads
+        // below (`D` candidates, `E` seeds, the loader's cursor labels).
+        let pairs = edge_label_pairs(query, source);
+        let (cands, evs) = CandidateSets::from_d_tables_sharded(query, source, &pairs, shard);
         let tree = query.tree();
         let mut eseed = Vec::new();
         let mut seen: HashSet<(u32, NodeId, NodeId)> = HashSet::new();
@@ -496,8 +519,7 @@ impl LazySetup {
             if !tree.is_leaf(u) || tree.edge_kind(u) != EdgeKind::Descendant {
                 continue;
             }
-            let p = tree.parent(u).expect("non-root");
-            for (a, b) in label_pairs(query, source, p, u) {
+            for &(a, b) in &pairs[u.index()] {
                 for (parent, child, dist) in source.load_e(a, b) {
                     if seen.insert((u.0, parent, child)) {
                         eseed.push(SeedEdge {
@@ -514,14 +536,16 @@ impl LazySetup {
             cands: Arc::new(cands),
             evs,
             eseed: Arc::new(eseed),
+            src_labels: src_labels_of(&pairs),
         }
     }
 
-    /// The same setup, derived from a loaded run-time graph with zero
-    /// storage access: `D` entries are per-candidate minima over the
+    /// The same setup, derived from a loaded run-time graph with no
+    /// table reads: `D` entries are per-candidate minima over the
     /// loaded edge groups, `E` seeds are per-`(parent, child label)`
-    /// minima (`source` is consulted for node labels only — an
-    /// in-memory accessor on every backend). Equal-distance ties may
+    /// minima (`source` is consulted for node labels and the pair
+    /// index only — in-memory accessors on every backend).
+    /// Equal-distance ties may
     /// pick a different seed *witness* than the stored `E` table
     /// would, which only permutes raw tie order — the canonical
     /// `(score, assignment)` stream is unaffected.
@@ -583,6 +607,9 @@ impl LazySetup {
             cands: Arc::new(CandidateSets::from_lists(cands)),
             evs,
             eseed: Arc::new(eseed),
+            // The half's one label-pair resolution: index probes, plus
+            // one key enumeration if the query has a wildcard edge.
+            src_labels: src_labels_of(&edge_label_pairs(query, source)),
         }
     }
 
@@ -594,6 +621,7 @@ impl LazySetup {
                 cands: Arc::clone(&self.cands),
                 evs: self.evs.clone(),
                 eseed: Arc::clone(&self.eseed),
+                src_labels: Arc::clone(&self.src_labels),
             };
         }
         let cands = Arc::new(self.cands.restrict_root(shard));
@@ -603,6 +631,7 @@ impl LazySetup {
             cands,
             evs,
             eseed: Arc::clone(&self.eseed),
+            src_labels: Arc::clone(&self.src_labels),
         }
     }
 }
@@ -664,6 +693,7 @@ mod tests {
             let discovered = LazySetup::discover(&q, store.as_ref(), ShardSpec::full());
             let rg = RuntimeGraph::load(&q, store.as_ref());
             let derived = LazySetup::derive(&rg, store.as_ref());
+            assert_eq!(discovered.src_labels, derived.src_labels, "query {query:?}");
             for u in q.tree().node_ids() {
                 assert_eq!(
                     discovered.cands.of(u),
@@ -795,6 +825,127 @@ mod tests {
             "enumeration itself streams edges through block cursors"
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A [`MemStore`] that counts `pair_keys()` enumerations — the
+    /// O(P) call plan building must not make per query edge. Every
+    /// other method (the `has_pair` probe included) passes through.
+    struct CountingSource {
+        inner: MemStore,
+        pair_keys_calls: AtomicU64,
+    }
+
+    impl CountingSource {
+        fn calls(&self) -> u64 {
+            self.pair_keys_calls.load(Ordering::Relaxed)
+        }
+    }
+
+    impl ClosureSource for CountingSource {
+        fn num_nodes(&self) -> usize {
+            self.inner.num_nodes()
+        }
+        fn node_label(&self, v: NodeId) -> LabelId {
+            self.inner.node_label(v)
+        }
+        fn pair_keys(&self) -> Vec<(LabelId, LabelId)> {
+            self.pair_keys_calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.pair_keys()
+        }
+        fn has_pair(&self, a: LabelId, b: LabelId) -> bool {
+            self.inner.has_pair(a, b)
+        }
+        fn load_d(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, Dist)> {
+            self.inner.load_d(a, b)
+        }
+        fn load_e(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, NodeId, Dist)> {
+            self.inner.load_e(a, b)
+        }
+        fn load_pair(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, NodeId, Dist)> {
+            self.inner.load_pair(a, b)
+        }
+        fn incoming_cursor(
+            &self,
+            a: LabelId,
+            v: NodeId,
+        ) -> Box<dyn ktpm_storage::EdgeCursor + Send> {
+            self.inner.incoming_cursor(a, v)
+        }
+        fn lookup_dist(&self, u: NodeId, v: NodeId) -> Option<Dist> {
+            self.inner.lookup_dist(u, v)
+        }
+        fn io(&self) -> ktpm_storage::IoSnapshot {
+            self.inner.io()
+        }
+        fn reset_io(&self) {
+            self.inner.reset_io()
+        }
+    }
+
+    #[test]
+    fn plan_halves_resolve_label_pairs_by_lookup_not_key_enumeration() {
+        // Pins the complexity, not the clock: a concrete-label query
+        // never enumerates the store's pair keys, a wildcard query at
+        // most once per plan half, and a warm plan never again.
+        let mut b = ktpm_graph::GraphBuilder::new();
+        let nodes: Vec<NodeId> = (0..40)
+            .map(|i| b.add_node(&format!("L{}", i % 10)))
+            .collect();
+        for i in 0..nodes.len() {
+            for step in [1, 3] {
+                if let Some(&to) = nodes.get(i + step) {
+                    b.add_edge(nodes[i], to, 1 + (i % 3) as u32);
+                }
+            }
+        }
+        let g = b.build().unwrap();
+        let tables = ClosureTables::compute(&g);
+        let counted = Arc::new(CountingSource {
+            inner: MemStore::new(tables.clone()),
+            pair_keys_calls: AtomicU64::new(0),
+        });
+        let concrete = "L0 -> L1\nL0 -> L2\nL1 -> L3\nL1 -> L4\nL2 -> L5\nL2 -> L6\n\
+                        L3 -> L7\nL4 -> L8\nL5 -> L9";
+        let wild = "L0 -> L1\nL0 -> *#1\nL1 -> L3\n*#1 -> L5\nL3 -> *#2\nL5 -> L9";
+        let unmatchable = "L0 -> L1\nL1 -> nosuchlabel\nL0 -> L2";
+        for (text, n_t, per_half) in [(concrete, 10, 0), (wild, 7, 1), (unmatchable, 4, 0)] {
+            let q = TreeQuery::parse(text).unwrap().resolve(g.interner());
+            assert_eq!(q.len(), n_t, "query {text:?}");
+            let want = topk_full(&q, &MemStore::new(tables.clone()), usize::MAX);
+            assert_eq!(want.is_empty(), text == unmatchable, "query {text:?}");
+            let mut src_labels = Vec::new();
+            for lazy_first in [true, false] {
+                let plan = QueryPlan::new(q.clone(), Arc::clone(&counted) as SharedSource);
+                let build = |lazy: bool| {
+                    let before = counted.calls();
+                    if lazy {
+                        plan.lazy();
+                    } else {
+                        plan.full();
+                    }
+                    counted.calls() - before
+                };
+                let (first, second) = (build(lazy_first), build(!lazy_first));
+                assert_eq!(plan.builds(), 2, "both halves built, query {text:?}");
+                assert!(
+                    first <= per_half && second <= per_half,
+                    "query {text:?} (lazy first: {lazy_first}): {first} + {second} \
+                     pair_keys() calls, at most {per_half} per half allowed"
+                );
+                // Warm: enumerators built from the plan ask nothing.
+                let built = counted.calls();
+                let en: Vec<_> = canonical(TopkEnEnumerator::from_plan(&plan)).collect();
+                let full: Vec<_> = canonical(TopkEnumerator::from_plan(&plan)).collect();
+                assert_eq!(counted.calls(), built, "warm plan, query {text:?}");
+                assert_eq!(en, want, "Topk-EN stream, query {text:?}");
+                assert_eq!(full, want, "Topk stream, query {text:?}");
+                src_labels.push(Arc::clone(&plan.lazy().src_labels));
+            }
+            assert_eq!(
+                src_labels[0], src_labels[1],
+                "discovered vs derived cursor labels, query {text:?}"
+            );
+        }
     }
 
     #[test]

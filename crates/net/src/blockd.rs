@@ -30,20 +30,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// CRC-32 (IEEE, reflected — identical to the store format's) over
-/// `bytes`, computed locally so the server does not need access to
-/// storage-crate internals beyond the public protocol.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            crc = (crc >> 1) ^ (0xEDB8_8320 & (!(crc & 1)).wrapping_add(1));
-        }
-    }
-    !crc
-}
-
 /// Server-side counters, reported by the `STATS` op.
 #[derive(Default)]
 struct Counters {
@@ -355,7 +341,7 @@ fn handle_request(payload: &[u8], served: &mut Served, flip: &AtomicU32) -> Vec<
                 .fetch_add(u64::from(len), Ordering::Relaxed);
             let mut resp = Vec::with_capacity(5 + data.len());
             resp.push(blockproto::STATUS_OK);
-            resp.extend_from_slice(&crc32(&data).to_le_bytes());
+            resp.extend_from_slice(&blockproto::crc32(&data).to_le_bytes());
             resp.extend_from_slice(&data);
             resp
         }

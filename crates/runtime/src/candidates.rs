@@ -10,7 +10,7 @@
 //!   incoming closure edge from the parent label can ever be matched),
 //!   which is both what §4.1 loads at initialization and a useful pruning.
 
-use ktpm_graph::{Dist, NodeId};
+use ktpm_graph::{Dist, LabelId, NodeId};
 use ktpm_query::{EdgeKind, QNodeId, QueryLabel, ResolvedQuery};
 use ktpm_storage::{ClosureSource, ShardSpec};
 use std::collections::HashMap;
@@ -51,15 +51,20 @@ impl CandidateSets {
         query: &ResolvedQuery,
         source: &dyn ClosureSource,
     ) -> (Self, Vec<Vec<Dist>>) {
-        Self::from_d_tables_sharded(query, source, ShardSpec::full())
+        let pairs = edge_label_pairs(query, source);
+        Self::from_d_tables_sharded(query, source, &pairs, ShardSpec::full())
     }
 
     /// As [`Self::from_d_tables`] with the *root* bucket restricted to
     /// `shard`. Non-root sets are untouched: a shard owns every match
     /// whose root lies in it, and subtree nodes are unconstrained.
+    /// `pairs` is the query's [`edge_label_pairs`] over `source`, which
+    /// the caller resolves once and reuses for everything else it reads
+    /// per edge.
     pub fn from_d_tables_sharded(
         query: &ResolvedQuery,
         source: &dyn ClosureSource,
+        pairs: &[Vec<(LabelId, LabelId)>],
         shard: ShardSpec,
     ) -> (Self, Vec<Vec<Dist>>) {
         let n_t = query.len();
@@ -82,10 +87,9 @@ impl CandidateSets {
         evs[0] = vec![0; cands[0].len()];
         // Non-root: D-table driven.
         for u in query.tree().node_ids().skip(1) {
-            let p = query.tree().parent(u).expect("non-root");
             let direct_only = query.tree().edge_kind(u) == EdgeKind::Child;
             let mut merged: HashMap<NodeId, Dist> = HashMap::new();
-            for (a, b) in label_pairs(query, source, p, u) {
+            for &(a, b) in &pairs[u.index()] {
                 for (v, d) in source.load_d(a, b) {
                     merged
                         .entry(v)
@@ -178,29 +182,72 @@ impl CandidateSets {
 
 /// The closure label pairs feeding query edge `(p, u)`: the cross product
 /// of the endpoint label sets, restricted to non-empty tables. Wildcards
-/// expand to every label present in the store.
+/// expand to every label present in the store; an
+/// [`QueryLabel::Unmatchable`] endpoint yields nothing.
+///
+/// Cost: an edge between two concrete labels is one
+/// [`ClosureSource::has_pair`] probe — O(log P) or O(1) in the store's
+/// pair count P on every indexed backend — and only an edge with a
+/// wildcard endpoint enumerates [`ClosureSource::pair_keys`] (O(P)).
+/// Callers that need every edge of a query use [`edge_label_pairs`],
+/// which shares that one enumeration among all wildcard edges.
 pub fn label_pairs(
     query: &ResolvedQuery,
     source: &dyn ClosureSource,
     p: QNodeId,
     u: QNodeId,
-) -> Vec<(ktpm_graph::LabelId, ktpm_graph::LabelId)> {
-    let keys = source.pair_keys();
-    keys.into_iter()
-        .filter(|&(a, b)| {
-            let src_ok = match query.label(p) {
-                QueryLabel::Label(l) => l == a,
-                QueryLabel::Wildcard => true,
-                QueryLabel::Unmatchable => false,
-            };
-            let dst_ok = match query.label(u) {
-                QueryLabel::Label(l) => l == b,
-                QueryLabel::Wildcard => true,
-                QueryLabel::Unmatchable => false,
-            };
-            src_ok && dst_ok
+) -> Vec<(LabelId, LabelId)> {
+    resolve_pairs(query.label(p), query.label(u), source, &mut None)
+}
+
+/// [`label_pairs`] of every query edge at once: entry `u` holds the
+/// pairs of edge `(parent(u), u)` (the root's entry is empty). The
+/// store's pair keys are enumerated at most once, and only if some edge
+/// has a wildcard endpoint — plan halves resolve their edges through
+/// this, once, and carry the result.
+pub fn edge_label_pairs(
+    query: &ResolvedQuery,
+    source: &dyn ClosureSource,
+) -> Vec<Vec<(LabelId, LabelId)>> {
+    let tree = query.tree();
+    let mut keys = None;
+    tree.node_ids()
+        .map(|u| match tree.parent(u) {
+            Some(p) => resolve_pairs(query.label(p), query.label(u), source, &mut keys),
+            None => Vec::new(),
         })
         .collect()
+}
+
+/// One edge's pairs; `keys` memoizes the store's pair keys across the
+/// wildcard edges of one query.
+fn resolve_pairs(
+    src: QueryLabel,
+    dst: QueryLabel,
+    source: &dyn ClosureSource,
+    keys: &mut Option<Vec<(LabelId, LabelId)>>,
+) -> Vec<(LabelId, LabelId)> {
+    let admits = |ql: QueryLabel, l: LabelId| match ql {
+        QueryLabel::Label(have) => have == l,
+        QueryLabel::Wildcard => true,
+        QueryLabel::Unmatchable => false,
+    };
+    match (src, dst) {
+        (QueryLabel::Unmatchable, _) | (_, QueryLabel::Unmatchable) => Vec::new(),
+        (QueryLabel::Label(a), QueryLabel::Label(b)) => {
+            if source.has_pair(a, b) {
+                vec![(a, b)]
+            } else {
+                Vec::new()
+            }
+        }
+        _ => keys
+            .get_or_insert_with(|| source.pair_keys())
+            .iter()
+            .copied()
+            .filter(|&(a, b)| admits(src, a) && admits(dst, b))
+            .collect(),
+    }
 }
 
 #[cfg(test)]
@@ -262,7 +309,8 @@ mod tests {
         let shards = ShardSpec::split(3);
         let mut roots_seen = Vec::new();
         for &s in &shards {
-            let (part, evs) = CandidateSets::from_d_tables_sharded(&q, &store, s);
+            let pairs = edge_label_pairs(&q, &store);
+            let (part, evs) = CandidateSets::from_d_tables_sharded(&q, &store, &pairs, s);
             // Root bucket: exactly the full bucket's members in this shard.
             let want: Vec<NodeId> = full
                 .of(QNodeId(0))

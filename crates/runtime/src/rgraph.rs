@@ -1,6 +1,6 @@
 //! The fully-loaded run-time graph.
 
-use crate::candidates::{label_pairs, CandidateSets};
+use crate::candidates::{edge_label_pairs, CandidateSets};
 use ktpm_graph::{Dist, NodeId};
 use ktpm_query::{EdgeKind, QNodeId, ResolvedQuery};
 use ktpm_storage::ClosureSource;
@@ -79,11 +79,12 @@ impl RuntimeGraph {
                 None => adj.push(Vec::new()),
             }
         }
+        let pairs = edge_label_pairs(query, source);
         let mut edges = 0;
         for u in query.tree().node_ids().skip(1) {
             let p = query.tree().parent(u).expect("non-root");
             let direct_only = query.tree().edge_kind(u) == EdgeKind::Child;
-            for (a, b) in label_pairs(query, source, p, u) {
+            for &(a, b) in &pairs[u.index()] {
                 for (src, dst, dist) in source.load_pair(a, b) {
                     if direct_only && dist != 1 {
                         continue;
@@ -97,7 +98,7 @@ impl RuntimeGraph {
                 }
             }
         }
-        // Deterministic group order (ascending child index).
+        // Deterministic group order: ascending `(dist, child index)`.
         for groups in &mut adj {
             for g in groups {
                 g.sort_unstable_by_key(|&(ci, d)| (d, ci));

@@ -40,8 +40,22 @@
 //!                 block zero-padded) + u32 crc32 over the full padded
 //!                 payload. Every group starts on a fresh block — no
 //!                 block ever mixes two destination nodes.
-//! index + footer: as v2, with the v3 magic
+//! index + footer: as v2, with the v3 magic; index entries strictly
+//!                 ascending by (a, b), the index running exactly up
+//!                 to the footer
 //! ```
+//!
+//! **Index order.** The per-pair sections and the index entries are
+//! written in ascending `(a, b)` key order — every writer this crate
+//! has shipped does so — and in v3 that order is part of the format:
+//! [`crate::PagedStore`] keeps the verified index array as its lookup
+//! structure and binary-searches it, so it checks the order while
+//! parsing, at every open. An index whose checksum is valid but whose
+//! entries are out of order or repeat a key is refused with a pointed
+//! [`StorageError::BadFormat`] (a writer that ignores the format, not
+//! bit rot — a damaged index fails its CRC first and is
+//! [`StorageError::Corrupt`]); it is never opened into a store that
+//! would miss lookups.
 //!
 //! The per-block CRC closes v2's last verification gap: block cursors
 //! can now verify each fragment as it is fetched without reading the
@@ -108,7 +122,6 @@
 //! from [`crate::FileStore::open`] rather than aborting the process.
 
 use crate::source::StorageError;
-use std::sync::OnceLock;
 
 /// Version-2 magic (per-section checksums, packed groups).
 pub const MAGIC: &[u8; 8] = b"KTPMCLO2";
@@ -164,32 +177,64 @@ impl FormatVersion {
     }
 }
 
-fn crc_table() -> &'static [u32; 256] {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *slot = c;
+/// Slicing-by-8 lookup tables for the reflected IEEE polynomial:
+/// `CRC_TABLES[0]` is the classic byte table, and `CRC_TABLES[k][i]`
+/// is the CRC state after byte `i` followed by `k` zero bytes — so
+/// eight input bytes fold into the state with eight independent
+/// lookups instead of eight dependent ones.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        table
-    })
-}
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
 
 /// Streaming CRC-32 (IEEE 802.3) update; start from
-/// [`CRC_INIT`], finish with [`crc32_finish`].
+/// [`CRC_INIT`], finish with [`crc32_finish`]. Slicing-by-8: eight
+/// bytes per step, the sub-word tail one byte at a time — the values
+/// are those of the textbook bytewise loop, so every stored checksum
+/// keeps verifying.
 pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
-    let table = crc_table();
+    let t = &CRC_TABLES;
     let mut c = state;
-    for &b in bytes {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c
 }
@@ -329,6 +374,55 @@ mod tests {
         let s = crc32_update(CRC_INIT, b"1234");
         let s = crc32_update(s, b"56789");
         assert_eq!(crc32_finish(s), 0xCBF4_3926);
+    }
+
+    /// The retained reference: the polynomial applied a bit at a time,
+    /// sharing nothing with [`CRC_TABLES`].
+    fn crc32_bitwise(state: u32, bytes: &[u8]) -> u32 {
+        let mut c = state;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bitwise_oracle() {
+        // SplitMix64: deterministic bytes, lengths and split points.
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        // Every length through eight words, then random ones to 8 KiB.
+        let mut lens: Vec<usize> = (0..=64).collect();
+        lens.extend((0..200).map(|_| (next() % 8193) as usize));
+        for len in lens {
+            let buf: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            let want = crc32_finish(crc32_bitwise(CRC_INIT, &buf));
+            assert_eq!(crc32(&buf), want, "one-shot, {len} bytes");
+            // Streaming over random split points (empty pieces included)
+            // lands every alignment of the 8-byte step.
+            let mut cuts: Vec<usize> = (0..3).map(|_| (next() as usize) % (len + 1)).collect();
+            cuts.sort_unstable();
+            let mut s = CRC_INIT;
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([len]) {
+                s = crc32_update(s, &buf[from..cut]);
+                from = cut;
+            }
+            assert_eq!(crc32_finish(s), want, "streamed, {len} bytes");
+        }
     }
 
     #[test]

@@ -102,6 +102,11 @@ impl ClosureSource for LiveStore {
         keys
     }
 
+    fn has_pair(&self, a: LabelId, b: LabelId) -> bool {
+        let inner = self.inner.read().expect("live store poisoned");
+        inner.tables.pair(a, b).is_some()
+    }
+
     fn load_d(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, Dist)> {
         let inner = self.inner.read().expect("live store poisoned");
         let Some(t) = inner.tables.pair(a, b) else {

@@ -73,6 +73,10 @@ impl ClosureSource for MemStore {
         keys
     }
 
+    fn has_pair(&self, a: LabelId, b: LabelId) -> bool {
+        self.tables.pair(a, b).is_some()
+    }
+
     fn load_d(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, Dist)> {
         let Some(t) = self.tables.pair(a, b) else {
             return Vec::new();

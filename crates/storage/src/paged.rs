@@ -57,6 +57,20 @@ pub const DEFAULT_BLOCK_CACHE_BYTES: u64 = 8 * 1024 * 1024;
 /// first block, entry count)`.
 type DirEntry = (NodeId, u64, u32);
 
+/// On-disk size of one index entry: `(u32 a, u32 b, u64 d_off,
+/// u64 e_off, u64 dir_off)`.
+const INDEX_ENTRY_BYTES: usize = 4 + 4 + 8 + 8 + 8;
+
+/// One verified index entry: a label pair and the absolute offsets of
+/// its `D`, `E` and `L`-directory sections.
+#[derive(Clone, Copy)]
+struct IndexEntry {
+    key: (LabelId, LabelId),
+    d_off: u64,
+    e_off: u64,
+    dir_off: u64,
+}
+
 type DirCache = HashMap<(LabelId, LabelId), Arc<Vec<DirEntry>>>;
 
 /// A positioned byte source over one sealed v3 store file — the seam
@@ -88,7 +102,12 @@ pub(crate) struct LocalFile {
 
 impl LocalFile {
     pub(crate) fn open(path: &Path) -> Result<Self, StorageError> {
-        let file = std::fs::File::open(path)?;
+        Self::from_file(std::fs::File::open(path)?)
+    }
+
+    /// Wraps an already-open handle (wherever its cursor stands — every
+    /// read seeks first).
+    pub(crate) fn from_file(file: std::fs::File) -> Result<Self, StorageError> {
         let len = file.metadata()?.len();
         Ok(LocalFile {
             file: Mutex::new(file),
@@ -99,10 +118,18 @@ impl LocalFile {
 
 impl BlockSource for LocalFile {
     fn read_at(&self, off: u64, bytes: usize) -> Result<Vec<u8>, StorageError> {
-        let mut buf = vec![0u8; bytes];
+        // `take` + `read_to_end` fills the reserved capacity directly:
+        // no zero-fill of a buffer that is about to be overwritten.
+        let mut buf = Vec::with_capacity(bytes);
         let mut f = self.file.lock().expect("store file lock");
         f.seek(SeekFrom::Start(off))?;
-        f.read_exact(&mut buf).map_err(|e| map_eof(e, off, bytes))?;
+        let got = f.by_ref().take(bytes as u64).read_to_end(&mut buf)?;
+        if got < bytes {
+            return Err(StorageError::Corrupt {
+                offset: off,
+                needed: bytes,
+            });
+        }
         Ok(buf)
     }
 
@@ -226,22 +253,15 @@ impl PagedShared {
     }
 }
 
-/// Maps a short read onto [`StorageError::Corrupt`].
-fn map_eof(e: std::io::Error, offset: u64, needed: usize) -> StorageError {
-    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-        StorageError::Corrupt { offset, needed }
-    } else {
-        StorageError::Io(e)
-    }
-}
-
 /// A format-v3 closure store opened from disk: group regions are
 /// fixed-size CRC-checked blocks, fetched lazily through an LRU block
 /// cache. See the module docs.
 pub struct PagedStore {
     shared: Arc<PagedShared>,
     labels: Vec<LabelId>,
-    index: HashMap<(LabelId, LabelId), (u64, u64, u64)>,
+    /// The on-disk index, verified at open: strictly ascending by
+    /// label pair, so lookups binary-search it as is.
+    index: Vec<IndexEntry>,
     dirs: Mutex<DirCache>,
     /// The data graph, when attached ([`PagedStore::with_graph`]) —
     /// enables the lazily-built undirected mirror for graph patterns.
@@ -254,9 +274,11 @@ impl PagedStore {
     /// ([`DEFAULT_BLOCK_CACHE_BYTES`]).
     ///
     /// Errors: [`StorageError::BadFormat`] when the file is not a
-    /// closure store or is a v1/v2 store (open those with
+    /// closure store, is a v1/v2 store (open those with
     /// [`crate::FileStore`], or dispatch via
-    /// [`crate::open_store_auto`]); [`StorageError::Corrupt`] when it
+    /// [`crate::open_store_auto`]), or carries a checksum-valid index
+    /// that is not strictly ascending by label pair (see the `format`
+    /// docs); [`StorageError::Corrupt`] when it
     /// is a v3 store but truncated or damaged (header and index
     /// checksums are verified eagerly here; group blocks verify on
     /// first fetch).
@@ -267,8 +289,14 @@ impl PagedStore {
     /// Opens with an explicit block-cache byte budget. `0` means
     /// unlimited (no block is ever evicted).
     pub fn open_with_cache_bytes(path: &Path, cache_bytes: u64) -> Result<Self, StorageError> {
+        Self::from_file(std::fs::File::open(path)?, cache_bytes)
+    }
+
+    /// A standalone store over an already-open file: its own cache,
+    /// counters and error slot.
+    fn from_file(file: std::fs::File, cache_bytes: u64) -> Result<Self, StorageError> {
         Self::from_source(
-            Box::new(LocalFile::open(path)?),
+            Box::new(LocalFile::from_file(file)?),
             Arc::new(Mutex::new(BlockCache::new(cache_bytes))),
             IoStats::new(),
             0,
@@ -362,47 +390,58 @@ impl PagedStore {
         }
         let mut pos = 0;
         let index_off = get_u64(&foot, &mut pos)?;
-        // Index (bounds-check the count before trusting it).
-        if index_off
-            .checked_add(4)
-            .is_none_or(|end| end > len - FOOTER_LEN)
-        {
-            return Err(StorageError::Corrupt {
+        // The index is everything between `index_off` and the footer —
+        // count, entries, CRC — so one read (one round trip on a remote
+        // source) fetches it whole.
+        let region_len = (len - FOOTER_LEN)
+            .checked_sub(index_off)
+            .filter(|&n| n >= 8)
+            .ok_or(StorageError::Corrupt {
                 offset: index_off,
-                needed: 4,
-            });
-        }
-        let count_buf = source.read_at(index_off, 4)?;
-        let num_pairs = u32::from_le_bytes(count_buf[..].try_into().expect("read 4")) as usize;
-        let idx_bytes = num_pairs
-            .checked_mul(4 + 4 + 8 + 8 + 8)
-            .filter(|&b| index_off + 4 + b as u64 + 4 <= len - FOOTER_LEN)
+                needed: 8,
+            })?;
+        let region = source.read_at(index_off, region_len as usize)?;
+        let num_pairs = u32::from_le_bytes(region[..4].try_into().expect("sliced 4")) as usize;
+        // Bounds-check the count before trusting it.
+        let crc_at = num_pairs
+            .checked_mul(INDEX_ENTRY_BYTES)
+            .and_then(|b| b.checked_add(4))
+            .filter(|&end| end + 4 <= region.len())
             .ok_or(StorageError::Corrupt {
                 offset: index_off + 4,
-                needed: num_pairs.saturating_mul(32),
+                needed: num_pairs.saturating_mul(INDEX_ENTRY_BYTES),
             })?;
-        // Index entries + their trailing CRC in one read; verify
-        // eagerly.
-        let idx_tail = source.read_at(index_off + 4, idx_bytes + 4)?;
-        let idx_buf = &idx_tail[..idx_bytes];
-        let state = crc32_update(CRC_INIT, &count_buf);
-        let state = crc32_update(state, idx_buf);
-        let stored = u32::from_le_bytes(idx_tail[idx_bytes..].try_into().expect("4-byte tail"));
-        if crc32_finish(state) != stored {
+        // Verify eagerly: count + entries against the trailing CRC.
+        let stored = u32::from_le_bytes(region[crc_at..crc_at + 4].try_into().expect("sliced 4"));
+        if crc32(&region[..crc_at]) != stored {
             return Err(StorageError::Corrupt {
                 offset: index_off,
-                needed: idx_bytes + 4,
+                needed: crc_at + 4,
             });
         }
-        let mut index = HashMap::with_capacity(num_pairs);
-        let mut pos = 0;
-        for _ in 0..num_pairs {
-            let a = LabelId(get_u32(idx_buf, &mut pos)?);
-            let b = LabelId(get_u32(idx_buf, &mut pos)?);
-            let d = get_u64(idx_buf, &mut pos)?;
-            let e = get_u64(idx_buf, &mut pos)?;
-            let dir = get_u64(idx_buf, &mut pos)?;
-            index.insert((a, b), (d, e, dir));
+        // The writer emits pairs in ascending key order and the format
+        // requires it (see the `format` docs): check it while parsing,
+        // and the array is its own lookup structure.
+        let mut index: Vec<IndexEntry> = Vec::with_capacity(num_pairs);
+        let mut pos = 4;
+        for i in 0..num_pairs {
+            let key = (
+                LabelId(get_u32(&region, &mut pos)?),
+                LabelId(get_u32(&region, &mut pos)?),
+            );
+            if let Some(prev) = index.last().filter(|prev| prev.key >= key) {
+                return Err(StorageError::BadFormat(format!(
+                    "v3 index entry {i} is pair ({}, {}) after ({}, {}): entries must be \
+                     strictly ascending by label pair (out-of-order or duplicate key)",
+                    key.0 .0, key.1 .0, prev.key.0 .0, prev.key.1 .0
+                )));
+            }
+            index.push(IndexEntry {
+                key,
+                d_off: get_u64(&region, &mut pos)?,
+                e_off: get_u64(&region, &mut pos)?,
+                dir_off: get_u64(&region, &mut pos)?,
+            });
         }
         Ok(PagedStore {
             shared: Arc::new(PagedShared {
@@ -490,14 +529,13 @@ impl PagedStore {
     /// header and index were already verified at open. Returns the
     /// first mismatch as [`StorageError::Corrupt`].
     pub fn verify(&self) -> Result<(), StorageError> {
-        let mut keys: Vec<_> = self.index.iter().map(|(&k, &v)| (k, v)).collect();
-        keys.sort_unstable_by_key(|&(k, _)| k);
         let bb = self.shared.block_bytes() as u64;
-        for ((a, b), (d_off, e_off, _)) in keys {
-            let count = self.read_count(d_off)?;
-            self.read_body(d_off, count, 8)?;
-            let count = self.read_count(e_off)?;
-            self.read_body(e_off, count, 12)?;
+        for entry in &self.index {
+            let (a, b) = entry.key;
+            let count = self.read_count(entry.d_off)?;
+            self.read_body(entry.d_off, count, 8)?;
+            let count = self.read_count(entry.e_off)?;
+            self.read_body(entry.e_off, count, 12)?;
             let dir = self.directory(a, b)?.expect("pair key came from the index");
             for &(_, off, len) in dir.iter() {
                 let blocks = v3_group_blocks(len as usize, self.shared.block_entries) as u64;
@@ -507,6 +545,15 @@ impl PagedStore {
             }
         }
         Ok(())
+    }
+
+    /// The index entry of `(a, b)`, if the pair is non-empty: a binary
+    /// search of the verified on-disk array.
+    fn entry(&self, a: LabelId, b: LabelId) -> Option<&IndexEntry> {
+        self.index
+            .binary_search_by_key(&(a, b), |e| e.key)
+            .ok()
+            .map(|i| &self.index[i])
     }
 
     /// Reads the 4-byte count at `off`, bounds-validated.
@@ -597,7 +644,7 @@ impl PagedStore {
         if let Some(dir) = self.dirs.lock().expect("dir cache").get(&(a, b)) {
             return Ok(Some(dir.clone()));
         }
-        let Some(&(_, _, dir_off)) = self.index.get(&(a, b)) else {
+        let Some(&IndexEntry { dir_off, .. }) = self.entry(a, b) else {
             return Ok(None);
         };
         let count = self.read_count(dir_off)?;
@@ -668,13 +715,15 @@ impl ClosureSource for PagedStore {
     }
 
     fn pair_keys(&self) -> Vec<(LabelId, LabelId)> {
-        let mut keys: Vec<_> = self.index.keys().copied().collect();
-        keys.sort_unstable();
-        keys
+        self.index.iter().map(|e| e.key).collect()
+    }
+
+    fn has_pair(&self, a: LabelId, b: LabelId) -> bool {
+        self.entry(a, b).is_some()
     }
 
     fn load_d(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, Dist)> {
-        let Some(&(d_off, _, _)) = self.index.get(&(a, b)) else {
+        let Some(&IndexEntry { d_off, .. }) = self.entry(a, b) else {
             return Vec::new();
         };
         let inner = || -> Result<Vec<(NodeId, Dist)>, StorageError> {
@@ -697,7 +746,7 @@ impl ClosureSource for PagedStore {
     }
 
     fn load_e(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, NodeId, Dist)> {
-        let Some(&(_, e_off, _)) = self.index.get(&(a, b)) else {
+        let Some(&IndexEntry { e_off, .. }) = self.entry(a, b) else {
             return Vec::new();
         };
         let inner = || -> Result<Vec<(NodeId, NodeId, Dist)>, StorageError> {
@@ -878,22 +927,14 @@ pub fn open_store_auto(
             path.display()
         )));
     }
+    // Sniff the magic on the handle the v3 reader then keeps.
+    let mut file = std::fs::File::open(path)?;
     let mut head = [0u8; 8];
-    let known = {
-        let mut f = std::fs::File::open(path)?;
-        if f.read_exact(&mut head).is_ok() {
-            Some(head)
-        } else {
-            None
-        }
-    };
-    match known {
-        Some(h) if &h == MAGIC_V4 => {
+    match file.read_exact(&mut head).is_ok().then_some(&head) {
+        Some(MAGIC_V4) => {
             Ok(crate::ShardedStore::open_with_cache_bytes(path, budget)?.into_shared())
         }
-        Some(h) if &h == MAGIC_V3 => {
-            Ok(PagedStore::open_with_cache_bytes(path, budget)?.into_shared())
-        }
+        Some(MAGIC_V3) => Ok(PagedStore::from_file(file, budget)?.into_shared()),
         _ => Ok(crate::FileStore::open(path)?.into_shared()),
     }
 }

@@ -56,6 +56,10 @@ use std::time::Duration;
 pub mod blockproto {
     use std::io::{self, Read, Write};
 
+    /// The CRC-32 (IEEE) that seals a `FETCH` OK body — the store
+    /// format's own, so server and client share one implementation.
+    pub use crate::format::crc32;
+
     /// Opcode: read a byte range of one shard file.
     pub const OP_FETCH: u8 = 1;
     /// Opcode: fetch the snapshot's encoded v4 `MANIFEST`.
@@ -403,6 +407,10 @@ impl ClosureSource for RemoteStore {
 
     fn pair_keys(&self) -> Vec<(LabelId, LabelId)> {
         self.inner.manifest.pair_keys()
+    }
+
+    fn has_pair(&self, a: LabelId, b: LabelId) -> bool {
+        self.inner.manifest.shard_of(a, b).is_some()
     }
 
     fn load_d(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, Dist)> {

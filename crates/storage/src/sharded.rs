@@ -266,6 +266,10 @@ impl ClosureSource for ShardedStore {
         self.inner.manifest.pair_keys()
     }
 
+    fn has_pair(&self, a: LabelId, b: LabelId) -> bool {
+        self.inner.manifest.shard_of(a, b).is_some()
+    }
+
     fn load_d(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, Dist)> {
         self.inner.load_d(a, b)
     }

@@ -191,6 +191,29 @@ pub trait ClosureSource: Send + Sync {
     /// All non-empty label pairs `(src label, dst label)`.
     fn pair_keys(&self) -> Vec<(LabelId, LabelId)>;
 
+    /// Whether the `(src label, dst label)` table is non-empty — an
+    /// existence probe against the backend's own pair index.
+    ///
+    /// Contract: `has_pair(a, b) == pair_keys().contains(&(a, b))`, at
+    /// every graph version. A query edge with two concrete labels
+    /// resolves its closure table through this probe
+    /// (`ktpm_runtime::label_pairs`), so plan building costs what the
+    /// query touches, not the size of the store's pair index; only
+    /// wildcard edges enumerate [`Self::pair_keys`].
+    ///
+    /// Default: that very scan of `pair_keys()` — correct on every
+    /// backend, O(P) a call. [`crate::FileStore`] (legacy v1/v2 files)
+    /// and [`crate::OnDemandStore`] (whose keys are an over-approximation
+    /// it cannot index without computing) keep it. The backends with an
+    /// index override it with a lookup: [`crate::MemStore`] and
+    /// [`crate::LiveStore`] probe their table map (the latter under its
+    /// read lock), [`crate::PagedStore`] binary-searches its verified
+    /// on-disk index, [`crate::ShardedStore`] and [`crate::RemoteStore`]
+    /// probe the manifest's routing table.
+    fn has_pair(&self, src_label: LabelId, dst_label: LabelId) -> bool {
+        self.pair_keys().contains(&(src_label, dst_label))
+    }
+
     /// `Dᵅᵦ`: per β-labeled destination node, the minimum incoming
     /// distance from any α-labeled node. Ascending node order.
     fn load_d(&self, src_label: LabelId, dst_label: LabelId) -> Vec<(NodeId, Dist)>;

@@ -47,6 +47,17 @@ fn check_equivalent(mem: &MemStore, paged: &PagedStore) {
         assert_eq!(mem.node_label(v), paged.node_label(v));
     }
     assert_eq!(mem.pair_keys(), paged.pair_keys());
+    // The existence probe agrees with the key list on both backends,
+    // for present and absent pairs alike.
+    let keys = mem.pair_keys();
+    let labels: std::collections::BTreeSet<_> = keys.iter().flat_map(|&(a, b)| [a, b]).collect();
+    for &a in &labels {
+        for &b in &labels {
+            let want = keys.contains(&(a, b));
+            assert_eq!(mem.has_pair(a, b), want, "mem has_pair {a:?}->{b:?}");
+            assert_eq!(paged.has_pair(a, b), want, "paged has_pair {a:?}->{b:?}");
+        }
+    }
     for (a, b) in mem.pair_keys() {
         assert_eq!(mem.load_d(a, b), paged.load_d(a, b), "D table {a:?}->{b:?}");
         assert_eq!(mem.load_e(a, b), paged.load_e(a, b), "E table {a:?}->{b:?}");
@@ -305,6 +316,68 @@ fn truncation_at_every_byte_errors_never_panics() {
             );
         }
     }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn misordered_or_duplicate_index_entries_are_refused_at_open() {
+    // The v3 index must be strictly ascending by label pair (the reader
+    // binary-searches it as stored). Hand-build files that break the
+    // order but carry a VALID index checksum — so this is a writer that
+    // ignores the format, not bit rot — and expect a pointed BadFormat
+    // from every open path, never a store that misses lookups.
+    const ENTRY: usize = 32;
+    let tables = ClosureTables::compute(&paper_graph());
+    let src = tempfile("index-order-src");
+    write_store(&tables, &src).unwrap();
+    let bytes = std::fs::read(&src).unwrap();
+    std::fs::remove_file(&src).ok();
+    let footer = bytes.len() - 16;
+    let index_off = u64::from_le_bytes(bytes[footer..footer + 8].try_into().unwrap()) as usize;
+    let count = u32::from_le_bytes(bytes[index_off..index_off + 4].try_into().unwrap()) as usize;
+    assert!(count >= 3, "fixture needs a few pairs");
+    let entries = index_off + 4;
+    let crc_at = entries + count * ENTRY;
+    assert_eq!(crc_at + 4, footer, "the index runs up to the footer");
+    let reseal = |mut file: Vec<u8>| {
+        let sum = ktpm_storage::blockproto::crc32(&file[index_off..crc_at]);
+        file[crc_at..crc_at + 4].copy_from_slice(&sum.to_le_bytes());
+        file
+    };
+
+    // Entries 0 and 2 swapped: every offset still points at the right
+    // sections, only the order is wrong.
+    let mut swapped = bytes.clone();
+    let (e0, e2) = (entries, entries + 2 * ENTRY);
+    let first = swapped[e0..e0 + ENTRY].to_vec();
+    swapped.copy_within(e2..e2 + ENTRY, e0);
+    swapped[e2..e2 + ENTRY].copy_from_slice(&first);
+    // Entry 1 re-keyed to entry 0's pair: a duplicate key.
+    let mut duplicate = bytes.clone();
+    duplicate.copy_within(entries..entries + 8, entries + ENTRY);
+
+    let path = tempfile("index-order");
+    for (what, file) in [("swapped", swapped), ("duplicate", duplicate)] {
+        // Without the reseal it is plain corruption, caught by the CRC.
+        std::fs::write(&path, &file).unwrap();
+        assert!(
+            matches!(PagedStore::open(&path), Err(StorageError::Corrupt { .. })),
+            "{what}: a stale index checksum is Corrupt"
+        );
+        std::fs::write(&path, reseal(file)).unwrap();
+        for res in [
+            PagedStore::open(&path).map(|_| ()),
+            open_store_auto(&path, None).map(|_| ()),
+        ] {
+            assert!(
+                matches!(&res, Err(StorageError::BadFormat(m)) if m.contains("ascending")),
+                "{what}: expected a pointed BadFormat, got {res:?}"
+            );
+        }
+    }
+    // The untouched bytes still open: the harness itself is sound.
+    std::fs::write(&path, reseal(bytes)).unwrap();
+    PagedStore::open(&path).unwrap().verify().unwrap();
     std::fs::remove_file(&path).ok();
 }
 

@@ -36,7 +36,12 @@
 //!                     blocks/bytes/edges read, D/E entries, the
 //!                     block-cache hit/miss/eviction/resident-bytes set,
 //!                     files opened (sharded backend) and the remote
-//!                     fetch/bytes/retry/error counters (remote backend)
+//!                     fetch/bytes/retry/error counters (remote backend);
+//!                     then one `# timing:` line splitting the wall time:
+//!                     open= the store open (or the in-memory closure
+//!                     build), plan+stream= plan and stream construction,
+//!                     first= the first match, rest= the remaining k-1
+//!                     (of the last run under --repeat)
 //!   --algo <name>     any name in the shared `Algo` registry:
 //!                     topk | topk-en | par | brute | dp-b | dp-p | kgpm
 //!                     (default topk-en). `kgpm` reads the query as an
@@ -199,6 +204,7 @@ fn main() -> ExitCode {
                 "usage: ktpm closure <graph.txt> <store.tc|dir> [--shards n] [--block-entries n]"
             );
             eprintln!("       ktpm query <graph.txt> <query.txt> [-k n] [--store p|tcp://host:port] [--algo a] [--parallel n] [--repeat n] [--on-demand] [--block-cache-bytes n] [--iostats]");
+            eprintln!("         (--iostats prints the store's I/O counters and a `# timing: open= plan+stream= first= rest=` line)");
             eprintln!("       ktpm serve <graph.txt> [--addr host:port] [--store p|tcp://host:port] [--on-demand] [--block-cache-bytes n] [--workers n] [--parallel n] [--ttl secs] [--plan-cache n] [--plan-cache-bytes n] [--warm file] [--invalidation policy] [--event-loop] [--net-workers n] [--pipeline n] [--write-buf bytes] [--idle-timeout secs] [--sweep-interval-ms n]");
             eprintln!("       ktpm blockd --store <path> [--listen host:port]");
             eprintln!("       ktpm store verify <store.tc|MANIFEST|dir>");
@@ -383,7 +389,9 @@ fn cmd_query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let g = load_graph(graph_path)?;
     let query_text = std::fs::read_to_string(query_path)?;
 
+    let t = std::time::Instant::now();
     let store: SharedSource = open_store(&g, &store_path, on_demand, block_cache_bytes)?;
+    let open = t.elapsed();
 
     // Every algorithm runs behind the facade's single `MatchStream`
     // surface — no per-algorithm construction here. With `--repeat n`
@@ -395,6 +403,8 @@ fn cmd_query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let plans = Mutex::new(PlanCache::new(4));
     let mut matches: Vec<ScoredMatch> = Vec::new();
     let mut dt = std::time::Duration::ZERO;
+    // The last run's split for `--iostats`: stream built, first match out.
+    let (mut built, mut first) = (dt, dt);
     for run in 1..=repeat {
         let t = std::time::Instant::now();
         // Facade streams emit the canonical `(score, assignment)`
@@ -404,7 +414,11 @@ fn cmd_query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         if let Some(n) = parallel {
             b = b.shards(n);
         }
-        matches = b.topk()?;
+        let mut stream = b.stream()?;
+        built = t.elapsed();
+        matches = stream.next().into_iter().collect();
+        first = t.elapsed();
+        while !stream.next_batch(k.max(1), &mut matches).is_done() {}
         dt = t.elapsed();
         if repeat > 1 {
             println!(
@@ -447,6 +461,11 @@ fn cmd_query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             io.remote_bytes,
             io.remote_retries,
             io.remote_errors
+        );
+        println!(
+            "# timing: open={open:?} plan+stream={built:?} first={:?} rest={:?}",
+            first - built,
+            dt - first
         );
     }
     // Column labels per assignment slot: pattern nodes for kgpm rows,

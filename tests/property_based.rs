@@ -16,7 +16,12 @@
 //!   as `Err`, never a panic, and corrupted reads degrade gracefully;
 //! * random graph-delta sequences applied to a `LiveStore` leave every
 //!   algorithm's stream element-for-element identical to a cold rebuild
-//!   of the mutated graph, after every single delta.
+//!   of the mutated graph, after every single delta;
+//! * a query edge's label pairs, resolved by `has_pair` lookup, equal
+//!   the reference definition (`pair_keys()` filtered by the endpoint
+//!   labels) on every backend, wildcards and unmatchable labels
+//!   included, and on a `LiveStore` across deltas that empty and
+//!   create pair tables.
 
 use ktpm::prelude::*;
 use proptest::prelude::*;
@@ -47,8 +52,15 @@ fn graph_strategy(
 /// Strategy: a rooted tree query over the same alphabet; `parents[i] < i`
 /// makes an arbitrary tree shape.
 fn query_strategy(labels: usize) -> impl Strategy<Value = TreeQuery> {
+    query_strategy_with(labels, 0)
+}
+
+/// As [`query_strategy`] with `specials` extra node kinds past the
+/// alphabet: the first is a wildcard, the second a label no generated
+/// graph carries (it resolves to `QueryLabel::Unmatchable`).
+fn query_strategy_with(labels: usize, specials: usize) -> impl Strategy<Value = TreeQuery> {
     (1..5usize).prop_flat_map(move |n| {
-        let node_labels = proptest::collection::vec(0..labels, n);
+        let node_labels = proptest::collection::vec(0..labels + specials, n);
         let parents: Vec<BoxedStrategy<usize>> = (0..n)
             .map(|i| {
                 if i == 0 {
@@ -58,9 +70,16 @@ fn query_strategy(labels: usize) -> impl Strategy<Value = TreeQuery> {
                 }
             })
             .collect();
-        (node_labels, parents).prop_map(|(ls, ps)| {
+        (node_labels, parents).prop_map(move |(ls, ps)| {
             let mut b = TreeQueryBuilder::new();
-            let nodes: Vec<_> = ls.iter().map(|l| b.node(&format!("L{l}"))).collect();
+            let nodes: Vec<_> = ls
+                .iter()
+                .map(|&l| match l.checked_sub(labels) {
+                    None => b.node(&format!("L{l}")),
+                    Some(0) => b.wildcard(),
+                    Some(_) => b.node("absent"),
+                })
+                .collect();
             for i in 1..nodes.len() {
                 b.edge(nodes[ps[i]], nodes[i], EdgeKind::Descendant);
             }
@@ -69,8 +88,105 @@ fn query_strategy(labels: usize) -> impl Strategy<Value = TreeQuery> {
     })
 }
 
+/// Checks `source`'s label-pair resolution against the reference
+/// definition — the store's pair keys filtered by the edge's endpoint
+/// labels — for every edge of `q`, and `has_pair` against the key list
+/// for every pair of the first `num_labels` labels.
+fn assert_label_pairs_match_reference(
+    what: &str,
+    q: &ResolvedQuery,
+    source: &dyn ClosureSource,
+    num_labels: usize,
+) {
+    use ktpm::query::QueryLabel;
+    let keys = source.pair_keys();
+    for a in (0..num_labels as u32).map(LabelId) {
+        for b in (0..num_labels as u32).map(LabelId) {
+            assert_eq!(
+                source.has_pair(a, b),
+                keys.contains(&(a, b)),
+                "{what}: has_pair({a:?}, {b:?})"
+            );
+        }
+    }
+    let admits = |ql: QueryLabel, l: LabelId| match ql {
+        QueryLabel::Label(have) => have == l,
+        QueryLabel::Wildcard => true,
+        QueryLabel::Unmatchable => false,
+    };
+    let all_edges = ktpm::runtime::edge_label_pairs(q, source);
+    assert_eq!(all_edges.len(), q.len());
+    assert!(all_edges[0].is_empty(), "{what}: the root has no edge");
+    for (p, u, _) in q.tree().edges() {
+        let want: Vec<(LabelId, LabelId)> = keys
+            .iter()
+            .copied()
+            .filter(|&(a, b)| admits(q.label(p), a) && admits(q.label(u), b))
+            .collect();
+        assert_eq!(
+            ktpm::runtime::label_pairs(q, source, p, u),
+            want,
+            "{what}: label_pairs of edge {p:?} -> {u:?}"
+        );
+        assert_eq!(
+            all_edges[u.index()],
+            want,
+            "{what}: edge_label_pairs of edge {p:?} -> {u:?}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn label_pair_resolution_equals_filtered_pair_keys_on_every_backend(
+        g in graph_strategy(12, 4, 3),
+        q in query_strategy_with(4, 2),
+        store_shards in 1..4u32,
+        block_entries in 1..5usize,
+        case in 0..u64::MAX,
+    ) {
+        let q = q.resolve(g.interner());
+        let n_labels = g.num_labels();
+        let tables = ClosureTables::compute(&g);
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("ktpm-prop-pairs-{}-{case:x}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        write_store_sharded(&tables, &dir, &ShardSpec::new(0, store_shards), block_entries)
+            .unwrap();
+        let file = dir.join("single.tc");
+        write_store_v3(&tables, &file, block_entries).unwrap();
+        let sharded = ShardedStore::open(&dir.join("MANIFEST")).unwrap();
+        assert_label_pairs_match_reference("sharded", &q, &sharded, n_labels);
+        let paged = PagedStore::open(&file).unwrap();
+        assert_label_pairs_match_reference("paged", &q, &paged, n_labels);
+        // OnDemandStore keeps the default probe over its (deliberately
+        // over-approximate) key list.
+        let on_demand = OnDemandStore::new(g.clone());
+        assert_label_pairs_match_reference("on-demand", &q, &on_demand, n_labels);
+        let mem = MemStore::new(tables);
+        assert_label_pairs_match_reference("mem", &q, &mem, n_labels);
+        std::fs::remove_dir_all(&dir).ok();
+
+        // LiveStore: at version 0, after a delta that empties every
+        // pair table, and after one that creates a table again.
+        let live = LiveStore::new(g.clone());
+        assert_label_pairs_match_reference("live v0", &q, &live, n_labels);
+        prop_assert_eq!(live.pair_keys(), mem.pair_keys());
+        let delete_all = g
+            .edges()
+            .fold(GraphDelta::new(), |d, e| d.delete_edge(e.from, e.to));
+        if !delete_all.ops().is_empty() {
+            live.apply_delta(&delete_all).unwrap();
+            prop_assert!(live.pair_keys().is_empty(), "every table emptied");
+            assert_label_pairs_match_reference("live emptied", &q, &live, n_labels);
+        }
+        let (u, v) = (NodeId(0), NodeId(1));
+        live.apply_delta(&GraphDelta::new().insert_edge(u, v, 2)).unwrap();
+        prop_assert_eq!(live.pair_keys(), vec![(g.label(u), g.label(v))]);
+        assert_label_pairs_match_reference("live re-created", &q, &live, n_labels);
+    }
 
     #[test]
     fn closure_satisfies_triangle_inequality(g in graph_strategy(12, 4, 4)) {
