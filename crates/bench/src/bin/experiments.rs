@@ -1100,12 +1100,7 @@ fn sharded_store_smoke(ds: &Dataset, q: &ktpm_query::ResolvedQuery) -> ShardedSt
 
     // Laziness: one routed pair opens exactly one shard file.
     let probe = ktpm_storage::ShardedStore::open(&manifest_path).expect("open sharded store");
-    let (&(a, b), _) = probe
-        .manifest()
-        .routing
-        .iter()
-        .next()
-        .expect("a routed pair");
+    let &((a, b), _) = probe.manifest().routing.first().expect("a routed pair");
     probe.load_d(a, b);
     let probe_files_opened = probe.io().files_opened;
     assert_eq!(

@@ -1,31 +1,11 @@
-//! Binary layout of the closure store file.
+//! Binary layout of the closure store files.
 //!
-//! ```text
-//! magic "KTPMCLO2"
-//! u32 num_nodes, u32 num_labels
-//! labels: num_nodes * u32
-//! u32 crc32 over [num_nodes .. labels]                  (v2 only)
-//! per pair (in index order):
-//!   D section:    u32 count, count * (u32 node, u32 dist), u32 crc32†
-//!   E section:    u32 count, count * (u32 src, u32 dst, u32 dist), u32 crc32†
-//!   L directory:  u32 group_count, group_count * (u32 dst, u64 abs_off, u32 len), u32 crc32†
-//!   L groups:     per group: len * (u32 src, u32 dist), ascending dist,
-//!                 then u32 crc32 over all of the pair's groups†
-//! index: u32 num_pairs, num_pairs * (u32 a, u32 b, u64 d_off, u64 e_off, u64 dir_off), u32 crc32†
-//! footer: u64 index_offset, magic "KTPMCLO2"
-//! ```
+//! One closure-file layout is written and read — **version 3** — plus
+//! the **version 4** `MANIFEST` that routes a sharded snapshot over a
+//! set of v3 files. All integers are little-endian; every checksum is
+//! CRC-32 (IEEE).
 //!
-//! († = format versions 2 and 3.)
-//!
-//! All integers little-endian. The `L` layout mirrors §4.1: incoming
-//! edges of each node, grouped exclusively per (source label, node),
-//! sorted by distance, addressable without scanning the table.
-//!
-//! ## Version 3: paged group blocks
-//!
-//! Version 3 (magic `KTPMCLO3`, read by [`crate::PagedStore`]) keeps
-//! the v2 header/D/E/directory/index shape but re-lays the `L` group
-//! regions as fixed-size, individually checksummed blocks:
+//! ## Version 3: the closure file
 //!
 //! ```text
 //! magic "KTPMCLO3"
@@ -33,38 +13,62 @@
 //! labels: num_nodes * u32
 //! u32 crc32 over [num_nodes .. labels]
 //! per pair (in index order):
-//!   D / E / L directory: exactly as v2 (directory offsets point at a
-//!                        group's FIRST block)
+//!   D section:    u32 count, count * (u32 node, u32 dist), u32 crc32
+//!   E section:    u32 count, count * (u32 src, u32 dst, u32 dist), u32 crc32
+//!   L directory:  u32 group_count,
+//!                 group_count * (u32 dst, u64 abs_off, u32 len), u32 crc32
+//!                 (abs_off = absolute offset of the group's FIRST block)
 //!   L blocks:     per group: ceil(len / block_entries) blocks; each
-//!                 block = block_entries * 8 payload bytes (the final
-//!                 block zero-padded) + u32 crc32 over the full padded
-//!                 payload. Every group starts on a fresh block — no
-//!                 block ever mixes two destination nodes.
-//! index + footer: as v2, with the v3 magic; index entries strictly
-//!                 ascending by (a, b), the index running exactly up
-//!                 to the footer
+//!                 block = block_entries * (u32 src, u32 dist) payload
+//!                 bytes, ascending dist (the final block zero-padded),
+//!                 + u32 crc32 over the full padded payload. Every
+//!                 group starts on a fresh block — no block ever mixes
+//!                 two destination nodes.
+//! index:  u32 num_pairs,
+//!         num_pairs * (u32 a, u32 b, u64 d_off, u64 e_off, u64 dir_off),
+//!         u32 crc32 — entries strictly ascending by (a, b), the index
+//!         running exactly up to the footer
+//! footer: u64 index_offset, magic "KTPMCLO3"
 //! ```
 //!
-//! **Index order.** The per-pair sections and the index entries are
-//! written in ascending `(a, b)` key order — every writer this crate
-//! has shipped does so — and in v3 that order is part of the format:
-//! [`crate::PagedStore`] keeps the verified index array as its lookup
-//! structure and binary-searches it, so it checks the order while
-//! parsing, at every open. An index whose checksum is valid but whose
-//! entries are out of order or repeat a key is refused with a pointed
-//! [`StorageError::BadFormat`] (a writer that ignores the format, not
-//! bit rot — a damaged index fails its CRC first and is
-//! [`StorageError::Corrupt`]); it is never opened into a store that
-//! would miss lookups.
+//! A section's checksum covers its count prefix and its payload. The
+//! `L` layout mirrors §4.1: incoming edges of each node, grouped
+//! exclusively per (source label, node), sorted by distance,
+//! addressable without scanning the table.
 //!
-//! The per-block CRC closes v2's last verification gap: block cursors
-//! can now verify each fragment as it is fetched without reading the
-//! whole group. Because a block holds entries of exactly one
-//! destination node, any [`crate::ShardSpec`] partition of the root
-//! candidates touches *disjoint* block sets — parallel shards never
-//! contend for (or falsely share) a cached block. The `block_entries`
-//! header field makes files self-describing; writers choose it at
-//! serialization time ([`crate::write_store_v3`]).
+//! **Blocks.** Group regions are fixed-size, individually checksummed
+//! blocks, so a block cursor verifies each fragment as it is fetched
+//! without reading the whole group. Because a block holds entries of
+//! exactly one destination node, any [`crate::ShardSpec`] partition of
+//! the root candidates touches *disjoint* block sets — parallel shards
+//! never contend for (or falsely share) a cached block. The
+//! `block_entries` header field makes files self-describing; writers
+//! choose it at serialization time ([`crate::write_store_v3`]).
+//!
+//! **Verification.** [`crate::PagedStore`] checks the header and index
+//! checksums **eagerly at open**, every `D`/`E`/directory checksum on
+//! the read that first touches the section, and every group block on
+//! its first fetch — so bit rot is detected the moment damaged bytes
+//! are read, as [`StorageError::Corrupt`], not merely bounds-checked.
+//! The `get_*` readers are **fallible**: a buffer too short for the
+//! requested integer yields [`StorageError::Corrupt`] instead of a
+//! panic, so a truncated snapshot surfaces as an `Err` from
+//! [`crate::PagedStore::open`] rather than aborting the process.
+//!
+//! **Index order.** The per-pair sections and the index entries are
+//! written in ascending `(a, b)` key order, and that order is part of
+//! the format: [`crate::PagedStore`] keeps the verified index array as
+//! its lookup structure and binary-searches it, so it checks the order
+//! while parsing, at every open. An index whose checksum is valid but
+//! whose entries are out of order or repeat a key is refused with a
+//! pointed [`StorageError::BadFormat`] (a writer that ignores the
+//! format, not bit rot — a damaged index fails its CRC first); it is
+//! never opened into a store that would miss lookups. The same
+//! decision holds for the v4 manifest's routing table below:
+//! [`crate::Manifest`] keeps the decoded array and
+//! [`crate::Manifest::shard_of`] binary-searches it, so
+//! [`crate::Manifest::decode`] refuses a checksum-valid routing table
+//! that is not strictly ascending by `(a, b)`.
 //!
 //! ## Version 4: the sharded-snapshot `MANIFEST`
 //!
@@ -86,7 +90,7 @@
 //!   u32 name_len, name_len bytes (UTF-8 file name, no path),
 //!   u64 file_len, u32 content_crc32 (over the whole shard file)
 //! routing: u32 pair_count, pair_count * (u32 a, u32 b, u32 shard),
-//!          ascending (a, b)
+//!          strictly ascending (a, b)
 //! u32 crc32 over everything past the magic
 //! ```
 //!
@@ -99,36 +103,20 @@
 //! **file id** is its position in the manifest's shard list — the id
 //! the remote `FETCH` protocol and the shared block-cache key use.
 //!
-//! ## Versions and checksums
+//! ## Versions 1 and 2: recognised, refused
 //!
-//! Version 2 (magic `KTPMCLO2`) appends a CRC-32 (IEEE) to every
-//! section, covering the section's payload bytes (including its count
-//! prefix). The reader verifies the header and index checksums
-//! **eagerly at open**, every `D`/`E`/directory checksum on the read
-//! that first touches the section, and a pair's group-region checksum
-//! on whole-pair loads — so bit rot is detected the moment damaged
-//! bytes are read, as [`StorageError::Corrupt`], not merely
-//! bounds-checked. On v2, block cursors ([`crate::EdgeCursor`]) stream
-//! group fragments and stay bounds-checked only (verifying would force
-//! reading the whole group, defeating lazy loading); v3's per-block
-//! checksums close that gap.
-//!
-//! Version 1 files (magic `KTPMCLO1`, no checksums) still open and
-//! read — verification is simply skipped.
-//!
-//! The `get_*` readers are **fallible**: a buffer too short for the
-//! requested integer yields [`StorageError::Corrupt`] instead of a
-//! panic, so a truncated or bit-rotted snapshot surfaces as an `Err`
-//! from [`crate::FileStore::open`] rather than aborting the process.
+//! The magics `KTPMCLO1` (no checksums) and `KTPMCLO2` (per-section
+//! checksums, packed group regions) belong to layouts this crate wrote
+//! before v3 and no longer reads or writes. Every open path recognises
+//! them only to refuse them with one pointed
+//! [`StorageError::BadFormat`] ([`refuse_legacy_magic`]): a closure
+//! file is derived data, so the upgrade is to re-run `ktpm closure`.
 
 use crate::source::StorageError;
+use ktpm_graph::LabelId;
 
-/// Version-2 magic (per-section checksums, packed groups).
-pub const MAGIC: &[u8; 8] = b"KTPMCLO2";
-/// Version-1 magic (no checksums); still readable.
-pub const MAGIC_V1: &[u8; 8] = b"KTPMCLO1";
-/// Version-3 magic (paged, per-block checksummed groups — the default
-/// the writer emits, read by [`crate::PagedStore`]).
+/// Version-3 magic: the closure file ([`crate::write_store`] writes
+/// it, [`crate::PagedStore`] reads it).
 pub const MAGIC_V3: &[u8; 8] = b"KTPMCLO3";
 /// Version-4 magic: the `MANIFEST` of a sharded snapshot (routing +
 /// integrity metadata over a set of v3 shard files; see the module
@@ -136,45 +124,35 @@ pub const MAGIC_V3: &[u8; 8] = b"KTPMCLO3";
 pub const MAGIC_V4: &[u8; 8] = b"KTPMCLO4";
 pub const FOOTER_LEN: u64 = 8 + 8;
 
-/// On-disk format versions the writer can emit and the readers accept.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FormatVersion {
-    /// Magic `KTPMCLO1`: no checksums.
-    V1,
-    /// Magic `KTPMCLO2`: CRC-32 per section, packed group regions.
-    V2,
-    /// Magic `KTPMCLO3`: paged group blocks, CRC-32 per block (the
-    /// default the writer emits).
-    V3,
+/// Refuses the retired v1/v2 layouts by their magic (`KTPMCLO1`,
+/// `KTPMCLO2`) — the one error every open path gives them; any other
+/// magic is the caller's to judge.
+pub fn refuse_legacy_magic(magic: &[u8]) -> Result<(), StorageError> {
+    if magic == b"KTPMCLO1" || magic == b"KTPMCLO2" {
+        return Err(StorageError::BadFormat(
+            "format v1/v2 store: no longer readable — re-run `ktpm closure`".into(),
+        ));
+    }
+    Ok(())
 }
 
-impl FormatVersion {
-    /// The magic bytes of this version.
-    pub fn magic(self) -> &'static [u8; 8] {
-        match self {
-            FormatVersion::V1 => MAGIC_V1,
-            FormatVersion::V2 => MAGIC,
-            FormatVersion::V3 => MAGIC_V3,
-        }
-    }
-
-    /// Detects the version from magic bytes.
-    pub fn from_magic(bytes: &[u8]) -> Option<FormatVersion> {
-        if bytes == MAGIC {
-            Some(FormatVersion::V2)
-        } else if bytes == MAGIC_V1 {
-            Some(FormatVersion::V1)
-        } else if bytes == MAGIC_V3 {
-            Some(FormatVersion::V3)
-        } else {
-            None
-        }
-    }
-
-    /// Whether sections carry a trailing CRC-32.
-    pub fn has_crc(self) -> bool {
-        !matches!(self, FormatVersion::V1)
-    }
+/// The refusal both on-disk pair arrays share — the v3 index and the
+/// v4 routing table (see "Index order" in the module docs): entry `i`'s
+/// `key` does not sort strictly above its predecessor's. The
+/// comparison stays in each parser's loop (it runs per entry, at every
+/// open); only the error is built here.
+#[cold]
+pub fn pair_order_error(
+    array: &str,
+    i: usize,
+    prev: (LabelId, LabelId),
+    key: (LabelId, LabelId),
+) -> StorageError {
+    StorageError::BadFormat(format!(
+        "{array} entry {i} is pair ({}, {}) after ({}, {}): entries must be strictly \
+         ascending by label pair (out-of-order or duplicate key)",
+        key.0 .0, key.1 .0, prev.0 .0, prev.1 .0
+    ))
 }
 
 /// Slicing-by-8 lookup tables for the reflected IEEE polynomial:
@@ -426,14 +404,17 @@ mod tests {
     }
 
     #[test]
-    fn version_magic_roundtrip() {
-        assert_eq!(FormatVersion::from_magic(MAGIC), Some(FormatVersion::V2));
-        assert_eq!(FormatVersion::from_magic(MAGIC_V1), Some(FormatVersion::V1));
-        assert_eq!(FormatVersion::from_magic(MAGIC_V3), Some(FormatVersion::V3));
-        assert_eq!(FormatVersion::from_magic(b"KTPMXXX9"), None);
-        assert!(FormatVersion::V2.has_crc());
-        assert!(FormatVersion::V3.has_crc());
-        assert!(!FormatVersion::V1.has_crc());
+    fn legacy_magics_are_refused_and_only_those() {
+        for legacy in [b"KTPMCLO1", b"KTPMCLO2"] {
+            let err = refuse_legacy_magic(legacy).unwrap_err();
+            assert!(
+                matches!(&err, StorageError::BadFormat(m) if m.contains("ktpm closure")),
+                "{err}"
+            );
+        }
+        for other in [&MAGIC_V3[..], &MAGIC_V4[..], b"KTPMXXX9", b"KTPM", b""] {
+            refuse_legacy_magic(other).unwrap();
+        }
     }
 
     #[test]

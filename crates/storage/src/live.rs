@@ -3,17 +3,18 @@
 //!
 //! [`LiveStore`] pairs the data graph with its closure tables behind one
 //! `RwLock`. Reads (the whole [`ClosureSource`] surface) take the shared
-//! lock and snapshot what they need eagerly — cursors copy their entry
-//! run up front, exactly like [`crate::MemStore`] — so an update can
+//! lock and answer through the shared table read path (`table.rs`),
+//! whose cursors copy their entry run up front — so an update can
 //! never tear an in-flight block stream. [`LiveStore::apply_delta`]
 //! takes the exclusive lock, validates and applies the delta to the
 //! graph, repairs the closure incrementally
 //! ([`ktpm_closure::ClosureTables::repair`]), and bumps the monotonic
 //! graph version the serving layer stamps into plans and cache entries.
 
-use crate::format::{DEFAULT_BLOCK_EDGES, L_ENTRY_BYTES};
+use crate::format::DEFAULT_BLOCK_EDGES;
 use crate::iostats::{IoSnapshot, IoStats};
 use crate::source::{ClosureSource, DeltaReport, EdgeCursor, StorageError};
+use crate::table;
 use ktpm_closure::ClosureTables;
 use ktpm_graph::{undirect, Dist, GraphDelta, LabelId, LabeledGraph, NodeId};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -109,56 +110,26 @@ impl ClosureSource for LiveStore {
 
     fn load_d(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, Dist)> {
         let inner = self.inner.read().expect("live store poisoned");
-        let Some(t) = inner.tables.pair(a, b) else {
-            return Vec::new();
-        };
-        let out: Vec<(NodeId, Dist)> = t
-            .dst_nodes()
-            .iter()
-            .map(|&v| (v, t.min_incoming_dist(v).expect("non-empty group")))
-            .collect();
-        self.io.add_block((out.len() * 8 + 4) as u64);
-        self.io.add_d_entries(out.len() as u64);
-        out
+        table::load_d(inner.tables.pair(a, b), &self.io)
     }
 
     fn load_e(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, NodeId, Dist)> {
         let inner = self.inner.read().expect("live store poisoned");
-        let Some(t) = inner.tables.pair(a, b) else {
-            return Vec::new();
-        };
-        let out = t.min_out().to_vec();
-        self.io.add_block((out.len() * 12 + 4) as u64);
-        self.io.add_e_entries(out.len() as u64);
-        out
+        table::load_e(inner.tables.pair(a, b), &self.io)
     }
 
     fn load_pair(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, NodeId, Dist)> {
         let inner = self.inner.read().expect("live store poisoned");
-        let Some(t) = inner.tables.pair(a, b) else {
-            return Vec::new();
-        };
-        let out: Vec<_> = t.iter_edges().collect();
-        self.io.add_block((out.len() * L_ENTRY_BYTES) as u64);
-        self.io.add_edges(out.len() as u64);
-        out
+        table::load_pair(inner.tables.pair(a, b), &self.io)
     }
 
     fn incoming_cursor(&self, a: LabelId, v: NodeId) -> Box<dyn EdgeCursor + Send> {
         let inner = self.inner.read().expect("live store poisoned");
-        // Snapshot eagerly: the cursor stays coherent with the graph
-        // version it was opened against even if a delta lands mid-stream.
-        let entries = inner
-            .tables
-            .pair(a, inner.tables.label(v))
-            .map(|t| t.incoming(v).to_vec())
-            .unwrap_or_default();
-        Box::new(LiveCursor {
-            io: self.io.clone(),
-            entries,
-            pos: 0,
-            block_edges: self.block_edges,
-        })
+        // `v`'s label comes from the guard already held: a second
+        // `self.node_label(v)` would re-enter `RwLock::read` and can
+        // deadlock behind a waiting writer.
+        let t = inner.tables.pair(a, inner.tables.label(v));
+        table::incoming_cursor(t, v, &self.io, self.block_edges)
     }
 
     fn lookup_dist(&self, u: NodeId, v: NodeId) -> Option<Dist> {
@@ -269,31 +240,6 @@ fn undirected_delta(old: &LabeledGraph, new: &LabeledGraph, delta: &GraphDelta) 
         }
     }
     out
-}
-
-struct LiveCursor {
-    io: IoStats,
-    entries: Vec<(NodeId, Dist)>,
-    pos: usize,
-    block_edges: usize,
-}
-
-impl EdgeCursor for LiveCursor {
-    fn next_block(&mut self) -> Vec<(NodeId, Dist)> {
-        if self.pos >= self.entries.len() {
-            return Vec::new();
-        }
-        let take = (self.entries.len() - self.pos).min(self.block_edges);
-        let out = self.entries[self.pos..self.pos + take].to_vec();
-        self.pos += take;
-        self.io.add_block((take * L_ENTRY_BYTES) as u64);
-        self.io.add_edges(take as u64);
-        out
-    }
-
-    fn remaining(&self) -> usize {
-        self.entries.len() - self.pos
-    }
 }
 
 #[cfg(test)]

@@ -4,10 +4,9 @@
 //! and verify shard files without opening any of them. See the
 //! `format` module docs for the byte layout.
 
-use crate::format::{crc32, get_u32, get_u64, put_u32, put_u64, MAGIC_V4};
+use crate::format::{crc32, get_u32, get_u64, pair_order_error, put_u32, put_u64, MAGIC_V4};
 use crate::source::StorageError;
 use ktpm_graph::{LabelId, NodeId};
-use std::collections::BTreeMap;
 
 /// One shard file as recorded in the manifest, in file-id order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,8 +33,12 @@ pub struct Manifest {
     pub labels: Vec<LabelId>,
     /// The shard files, indexed by file id.
     pub shards: Vec<ShardFileMeta>,
-    /// Label pair → owning file id, ascending `(a, b)`.
-    pub routing: BTreeMap<(LabelId, LabelId), u32>,
+    /// Label pair → owning file id, strictly ascending by `(a, b)` —
+    /// the on-disk array as decoded (and order-checked) by
+    /// [`Manifest::decode`], binary-searched by [`Manifest::shard_of`].
+    /// [`Manifest::encode`] writes it as is, so a hand-built manifest
+    /// must keep the order or its own `decode` refuses it.
+    pub routing: Vec<((LabelId, LabelId), u32)>,
 }
 
 impl Manifest {
@@ -52,12 +55,15 @@ impl Manifest {
 
     /// The file id owning `(a, b)`, or `None` when the pair is empty.
     pub fn shard_of(&self, a: LabelId, b: LabelId) -> Option<u32> {
-        self.routing.get(&(a, b)).copied()
+        self.routing
+            .binary_search_by_key(&(a, b), |&(key, _)| key)
+            .ok()
+            .map(|i| self.routing[i].1)
     }
 
     /// All non-empty label pairs, ascending.
     pub fn pair_keys(&self) -> Vec<(LabelId, LabelId)> {
-        self.routing.keys().copied().collect()
+        self.routing.iter().map(|&(key, _)| key).collect()
     }
 
     /// Serializes to the on-disk v4 layout, trailing CRC included.
@@ -78,7 +84,7 @@ impl Manifest {
             put_u32(&mut buf, s.content_crc);
         }
         put_u32(&mut buf, self.routing.len() as u32);
-        for (&(a, b), &shard) in &self.routing {
+        for &((a, b), shard) in &self.routing {
             put_u32(&mut buf, a.0);
             put_u32(&mut buf, b.0);
             put_u32(&mut buf, shard);
@@ -90,7 +96,8 @@ impl Manifest {
 
     /// Parses and validates a v4 manifest. Any truncation, bit flip,
     /// or inconsistency (CRC mismatch, routing to a nonexistent shard,
-    /// non-UTF-8 file name) is an error — never a panic.
+    /// routing entries out of order or repeating a pair, non-UTF-8 file
+    /// name) is an error — never a panic.
     pub fn decode(bytes: &[u8]) -> Result<Manifest, StorageError> {
         if bytes.len() < MAGIC_V4.len() || &bytes[..MAGIC_V4.len()] != MAGIC_V4 {
             return Err(StorageError::BadFormat(
@@ -151,19 +158,32 @@ impl Manifest {
                 content_crc,
             });
         }
-        let pair_count = get_u32(bytes, &mut pos)?;
-        let mut routing = BTreeMap::new();
-        for _ in 0..pair_count {
+        let pair_count = get_u32(bytes, &mut pos)? as usize;
+        // Bound the count by the bytes left before allocating for it.
+        if pair_count > (bytes.len() - 4).saturating_sub(pos) / 12 {
+            return Err(StorageError::Corrupt {
+                offset: pos as u64,
+                needed: pair_count.saturating_mul(12),
+            });
+        }
+        // The writer emits pairs in ascending key order and the format
+        // requires it (see the `format` docs): check it while parsing,
+        // and the array is its own lookup structure.
+        let mut routing: Vec<((LabelId, LabelId), u32)> = Vec::with_capacity(pair_count);
+        for i in 0..pair_count {
             let a = LabelId(get_u32(bytes, &mut pos)?);
             let b = LabelId(get_u32(bytes, &mut pos)?);
             let shard = get_u32(bytes, &mut pos)?;
+            if let Some(&(prev, _)) = routing.last().filter(|&&(prev, _)| prev >= (a, b)) {
+                return Err(pair_order_error("MANIFEST routing", i, prev, (a, b)));
+            }
             if shard >= shard_count {
                 return Err(StorageError::BadFormat(format!(
                     "MANIFEST routes pair ({}, {}) to shard {shard} of {shard_count}",
                     a.0, b.0
                 )));
             }
-            routing.insert((a, b), shard);
+            routing.push(((a, b), shard));
         }
         Ok(Manifest {
             block_entries,
@@ -180,10 +200,11 @@ mod tests {
     use super::*;
 
     fn sample() -> Manifest {
-        let mut routing = BTreeMap::new();
-        routing.insert((LabelId(0), LabelId(1)), 0);
-        routing.insert((LabelId(1), LabelId(0)), 1);
-        routing.insert((LabelId(1), LabelId(2)), 0);
+        let routing = vec![
+            ((LabelId(0), LabelId(1)), 0),
+            ((LabelId(1), LabelId(0)), 1),
+            ((LabelId(1), LabelId(2)), 0),
+        ];
         Manifest {
             block_entries: 64,
             num_labels: 3,
@@ -244,9 +265,28 @@ mod tests {
     #[test]
     fn routing_to_missing_shard_is_rejected() {
         let mut m = sample();
-        m.routing.insert((LabelId(2), LabelId(2)), 9);
+        m.routing.push(((LabelId(2), LabelId(2)), 9));
         let err = Manifest::decode(&m.encode()).unwrap_err();
         assert!(matches!(err, StorageError::BadFormat(_)), "{err}");
+    }
+
+    #[test]
+    fn misordered_or_duplicate_routing_is_refused_with_a_valid_checksum() {
+        // `encode` seals whatever order it is handed, so these carry a
+        // VALID trailing CRC: a writer that ignores the format, not bit
+        // rot. `shard_of` binary-searches the array as stored — decoding
+        // it would miss lookups — so `decode` must refuse it, pointedly.
+        let mut swapped = sample();
+        swapped.routing.swap(0, 2);
+        let mut duplicate = sample();
+        duplicate.routing[1].0 = duplicate.routing[0].0;
+        for (what, m) in [("swapped", swapped), ("duplicate", duplicate)] {
+            let err = Manifest::decode(&m.encode()).unwrap_err();
+            assert!(
+                matches!(&err, StorageError::BadFormat(msg) if msg.contains("ascending")),
+                "{what}: expected a pointed BadFormat, got {err}"
+            );
+        }
     }
 
     #[test]

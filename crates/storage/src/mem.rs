@@ -1,12 +1,14 @@
 //! The in-memory [`ClosureSource`] used for tests and CPU-only benches.
 //!
-//! Wraps a [`ClosureTables`] and *logically* counts the same I/O a
-//! [`crate::FileStore`] would perform, so algorithm comparisons that
-//! report "edges loaded" work identically on both backends.
+//! Wraps a [`ClosureTables`] and answers every read through the shared
+//! table read path (`table.rs`), which *logically* counts the I/O the
+//! same read would cost on disk — so algorithm comparisons that report
+//! "edges loaded" work identically on every backend.
 
-use crate::format::{DEFAULT_BLOCK_EDGES, L_ENTRY_BYTES};
+use crate::format::DEFAULT_BLOCK_EDGES;
 use crate::iostats::{IoSnapshot, IoStats};
 use crate::source::{ClosureSource, EdgeCursor};
+use crate::table;
 use ktpm_closure::ClosureTables;
 use ktpm_graph::{undirect, Dist, LabelId, LabeledGraph, NodeId};
 use std::sync::OnceLock;
@@ -78,51 +80,20 @@ impl ClosureSource for MemStore {
     }
 
     fn load_d(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, Dist)> {
-        let Some(t) = self.tables.pair(a, b) else {
-            return Vec::new();
-        };
-        let out: Vec<(NodeId, Dist)> = t
-            .dst_nodes()
-            .iter()
-            .map(|&v| (v, t.min_incoming_dist(v).expect("non-empty group")))
-            .collect();
-        self.io.add_block((out.len() * 8 + 4) as u64);
-        self.io.add_d_entries(out.len() as u64);
-        out
+        table::load_d(self.tables.pair(a, b), &self.io)
     }
 
     fn load_e(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, NodeId, Dist)> {
-        let Some(t) = self.tables.pair(a, b) else {
-            return Vec::new();
-        };
-        let out = t.min_out().to_vec();
-        self.io.add_block((out.len() * 12 + 4) as u64);
-        self.io.add_e_entries(out.len() as u64);
-        out
+        table::load_e(self.tables.pair(a, b), &self.io)
     }
 
     fn load_pair(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, NodeId, Dist)> {
-        let Some(t) = self.tables.pair(a, b) else {
-            return Vec::new();
-        };
-        let out: Vec<_> = t.iter_edges().collect();
-        self.io.add_block((out.len() * L_ENTRY_BYTES) as u64);
-        self.io.add_edges(out.len() as u64);
-        out
+        table::load_pair(self.tables.pair(a, b), &self.io)
     }
 
     fn incoming_cursor(&self, a: LabelId, v: NodeId) -> Box<dyn EdgeCursor + Send> {
-        let entries = self
-            .tables
-            .pair(a, self.node_label(v))
-            .map(|t| t.incoming(v).to_vec())
-            .unwrap_or_default();
-        Box::new(MemCursor {
-            io: self.io.clone(),
-            entries,
-            pos: 0,
-            block_edges: self.block_edges,
-        })
+        let t = self.tables.pair(a, self.tables.label(v));
+        table::incoming_cursor(t, v, &self.io, self.block_edges)
     }
 
     fn lookup_dist(&self, u: NodeId, v: NodeId) -> Option<Dist> {
@@ -142,31 +113,6 @@ impl ClosureSource for MemStore {
         Some(std::sync::Arc::clone(self.mirror.get_or_init(|| {
             MemStore::new(ClosureTables::compute(&undirect(g))).into_shared()
         })))
-    }
-}
-
-struct MemCursor {
-    io: IoStats,
-    entries: Vec<(NodeId, Dist)>,
-    pos: usize,
-    block_edges: usize,
-}
-
-impl EdgeCursor for MemCursor {
-    fn next_block(&mut self) -> Vec<(NodeId, Dist)> {
-        if self.pos >= self.entries.len() {
-            return Vec::new();
-        }
-        let take = (self.entries.len() - self.pos).min(self.block_edges);
-        let out = self.entries[self.pos..self.pos + take].to_vec();
-        self.pos += take;
-        self.io.add_block((take * L_ENTRY_BYTES) as u64);
-        self.io.add_edges(take as u64);
-        out
-    }
-
-    fn remaining(&self) -> usize {
-        self.entries.len() - self.pos
     }
 }
 

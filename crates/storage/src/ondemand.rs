@@ -8,16 +8,18 @@
 //! by running SSSP from the α-labeled nodes the first time any table
 //! with source label α is requested. Tables are cached, so a query
 //! workload touching few label pairs never pays for the rest of the
-//! closure.
+//! closure; a materialized table is read through the shared table read
+//! path (`table.rs`), like every in-memory tier.
 //!
 //! Trade-off: the first query touching label α pays O(|Vα| · m) SSSP
 //! time instead of a table read; wildcard query nodes touch every label
 //! and therefore degrade to a full closure computation (as §5 predicts
 //! for wildcards).
 
-use crate::format::{DEFAULT_BLOCK_EDGES, L_ENTRY_BYTES};
+use crate::format::DEFAULT_BLOCK_EDGES;
 use crate::iostats::{IoSnapshot, IoStats};
 use crate::source::{ClosureSource, EdgeCursor};
+use crate::table;
 use ktpm_closure::{sssp, PairTable};
 use ktpm_graph::{Dist, LabelId, LabeledGraph, NodeId, INF_DIST};
 use std::collections::HashMap;
@@ -136,50 +138,20 @@ impl ClosureSource for OnDemandStore {
     }
 
     fn load_d(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, Dist)> {
-        let Some(t) = self.table(a, b) else {
-            return Vec::new();
-        };
-        let out: Vec<(NodeId, Dist)> = t
-            .dst_nodes()
-            .iter()
-            .map(|&v| (v, t.min_incoming_dist(v).expect("non-empty group")))
-            .collect();
-        self.io.add_block((out.len() * 8 + 4) as u64);
-        self.io.add_d_entries(out.len() as u64);
-        out
+        table::load_d(self.table(a, b).as_deref(), &self.io)
     }
 
     fn load_e(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, NodeId, Dist)> {
-        let Some(t) = self.table(a, b) else {
-            return Vec::new();
-        };
-        let out = t.min_out().to_vec();
-        self.io.add_block((out.len() * 12 + 4) as u64);
-        self.io.add_e_entries(out.len() as u64);
-        out
+        table::load_e(self.table(a, b).as_deref(), &self.io)
     }
 
     fn load_pair(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, NodeId, Dist)> {
-        let Some(t) = self.table(a, b) else {
-            return Vec::new();
-        };
-        let out: Vec<_> = t.iter_edges().collect();
-        self.io.add_block((out.len() * L_ENTRY_BYTES) as u64);
-        self.io.add_edges(out.len() as u64);
-        out
+        table::load_pair(self.table(a, b).as_deref(), &self.io)
     }
 
     fn incoming_cursor(&self, a: LabelId, v: NodeId) -> Box<dyn EdgeCursor + Send> {
-        let entries = self
-            .table(a, self.node_label(v))
-            .map(|t| t.incoming(v).to_vec())
-            .unwrap_or_default();
-        Box::new(OnDemandCursor {
-            io: self.io.clone(),
-            entries,
-            pos: 0,
-            block_edges: self.block_edges,
-        })
+        let t = self.table(a, self.graph.label(v));
+        table::incoming_cursor(t.as_deref(), v, &self.io, self.block_edges)
     }
 
     fn lookup_dist(&self, u: NodeId, v: NodeId) -> Option<Dist> {
@@ -199,31 +171,6 @@ impl ClosureSource for OnDemandStore {
         Some(Arc::clone(self.mirror.get_or_init(|| {
             OnDemandStore::new(ktpm_graph::undirect(&self.graph)).into_shared()
         })))
-    }
-}
-
-struct OnDemandCursor {
-    io: IoStats,
-    entries: Vec<(NodeId, Dist)>,
-    pos: usize,
-    block_edges: usize,
-}
-
-impl EdgeCursor for OnDemandCursor {
-    fn next_block(&mut self) -> Vec<(NodeId, Dist)> {
-        if self.pos >= self.entries.len() {
-            return Vec::new();
-        }
-        let take = (self.entries.len() - self.pos).min(self.block_edges);
-        let out = self.entries[self.pos..self.pos + take].to_vec();
-        self.pos += take;
-        self.io.add_block((take * L_ENTRY_BYTES) as u64);
-        self.io.add_edges(take as u64);
-        out
-    }
-
-    fn remaining(&self) -> usize {
-        self.entries.len() - self.pos
     }
 }
 

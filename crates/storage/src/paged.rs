@@ -20,7 +20,8 @@
 //! on-disk implementation; the remote tier plugs a network-backed
 //! source into the *same* `PagedStore` (`crate::RemoteStore`), so
 //! parsing, verification, caching, and accounting are written once.
-//! Multi-file snapshots ([`crate::ShardedStore`]) give each member
+//! Multi-file snapshots (the manifest-routed store behind
+//! [`crate::ShardedStore`] and [`crate::RemoteStore`]) give each member
 //! file a distinct `file_id` and one shared cache, so the byte budget
 //! bounds the whole snapshot.
 //!
@@ -172,9 +173,9 @@ struct PagedShared {
 }
 
 impl PagedShared {
-    /// One positioned read = one counted block fetch (identical
-    /// contract to the v1/v2 reader's), validated against the file
-    /// length before buffers are allocated.
+    /// One positioned read = one counted block fetch, validated
+    /// against the file length before buffers are allocated — a corrupt
+    /// on-disk count must neither size an allocation nor read past EOF.
     fn read_vec(&self, off: u64, bytes: usize) -> Result<Vec<u8>, StorageError> {
         if off
             .checked_add(bytes as u64)
@@ -274,14 +275,12 @@ impl PagedStore {
     /// ([`DEFAULT_BLOCK_CACHE_BYTES`]).
     ///
     /// Errors: [`StorageError::BadFormat`] when the file is not a
-    /// closure store, is a v1/v2 store (open those with
-    /// [`crate::FileStore`], or dispatch via
-    /// [`crate::open_store_auto`]), or carries a checksum-valid index
-    /// that is not strictly ascending by label pair (see the `format`
-    /// docs); [`StorageError::Corrupt`] when it
-    /// is a v3 store but truncated or damaged (header and index
-    /// checksums are verified eagerly here; group blocks verify on
-    /// first fetch).
+    /// closure store, is a retired v1/v2 store (no longer readable:
+    /// re-run `ktpm closure`), or carries a checksum-valid index that
+    /// is not strictly ascending by label pair (see the `format`
+    /// docs); [`StorageError::Corrupt`] when it is a v3 store but
+    /// truncated or damaged (header and index checksums are verified
+    /// eagerly here; group blocks verify on first fetch).
     pub fn open(path: &Path) -> Result<Self, StorageError> {
         Self::open_with_cache_bytes(path, DEFAULT_BLOCK_CACHE_BYTES)
     }
@@ -319,16 +318,14 @@ impl PagedStore {
     ) -> Result<Self, StorageError> {
         const HEAD_LEN: usize = 20; // magic + nodes + labels + block_entries
         let len = source.len();
+        let head = source.read_at(0, len.min(HEAD_LEN as u64) as usize)?;
+        let magic = &head[..head.len().min(8)];
+        refuse_legacy_magic(magic)?;
         if len < FOOTER_LEN + HEAD_LEN as u64 {
-            let head = source.read_at(0, len.min(8) as usize)?;
-            // All format versions share the first 7 magic bytes; require
-            // at least half of them before diagnosing a damaged store.
-            let is_store_prefix = if head.len() < 8 {
-                head.len() >= 4 && head == MAGIC_V3[..head.len().min(7)]
-            } else {
-                FormatVersion::from_magic(&head).is_some()
-            };
-            if !is_store_prefix {
+            // Too short to hold header + footer. Require at least half
+            // the magic before diagnosing a damaged store rather than
+            // "not our file at all".
+            if magic.len() < 4 || magic != &MAGIC_V3[..magic.len()] {
                 return Err(StorageError::BadFormat("bad magic".into()));
             }
             return Err(StorageError::Corrupt {
@@ -336,16 +333,8 @@ impl PagedStore {
                 needed: (FOOTER_LEN + HEAD_LEN as u64 - len) as usize,
             });
         }
-        // Header.
-        let head = source.read_at(0, HEAD_LEN)?;
-        match FormatVersion::from_magic(&head[..8]) {
-            Some(FormatVersion::V3) => {}
-            Some(_) => {
-                return Err(StorageError::BadFormat(
-                    "format v1/v2 store; open it with FileStore or open_store_auto".into(),
-                ))
-            }
-            None => return Err(StorageError::BadFormat("bad magic".into())),
+        if magic != MAGIC_V3 {
+            return Err(StorageError::BadFormat("bad magic".into()));
         }
         let mut pos = 8;
         let num_nodes = get_u32(&head, &mut pos)? as usize;
@@ -430,11 +419,7 @@ impl PagedStore {
                 LabelId(get_u32(&region, &mut pos)?),
             );
             if let Some(prev) = index.last().filter(|prev| prev.key >= key) {
-                return Err(StorageError::BadFormat(format!(
-                    "v3 index entry {i} is pair ({}, {}) after ({}, {}): entries must be \
-                     strictly ascending by label pair (out-of-order or duplicate key)",
-                    key.0 .0, key.1 .0, prev.key.0 .0, prev.key.1 .0
-                )));
+                return Err(pair_order_error("v3 index", i, prev.key, key));
             }
             index.push(IndexEntry {
                 key,
@@ -472,11 +457,6 @@ impl PagedStore {
     /// Wraps the store in a [`crate::SharedSource`] for concurrent use.
     pub fn into_shared(self) -> crate::SharedSource {
         Arc::new(self)
-    }
-
-    /// Always [`FormatVersion::V3`].
-    pub fn version(&self) -> FormatVersion {
-        FormatVersion::V3
     }
 
     /// The on-disk block capacity declared by the header, in `L`
@@ -563,8 +543,8 @@ impl PagedStore {
     }
 
     /// Reads a counted section's body (`count * entry_bytes` at
-    /// `count_off + 4`), verifying the trailing CRC over count + body
-    /// (always present in v3). Returns exactly the body bytes.
+    /// `count_off + 4`), verifying the trailing CRC over count + body.
+    /// Returns exactly the body bytes.
     fn read_body(
         &self,
         count_off: u64,
@@ -865,9 +845,9 @@ impl EdgeCursor for PagedCursor {
         let block = match self.shared.fetch_block(block_off) {
             Ok(block) => block,
             Err(e) => {
-                // A corrupt or unreadable block degrades to exhaustion,
-                // like the v1/v2 cursor — recorded in the error slot so
-                // the serving layer can refuse the truncated stream.
+                // A corrupt or unreadable block degrades to exhaustion
+                // — recorded in the error slot so the serving layer can
+                // refuse the truncated stream.
                 self.shared.errors.record(e);
                 self.pos = self.len;
                 return Vec::new();
@@ -896,45 +876,67 @@ impl EdgeCursor for PagedCursor {
     }
 }
 
-/// Opens a store path of any kind behind the right backend:
+/// A store opened from a local path — what [`open_local_store`] found
+/// there.
+// Every caller matches and unwraps it at once, so the variants' size
+// gap wastes nothing; boxing would cost an allocation per open.
+#[allow(clippy::large_enum_variant)]
+pub enum LocalStore {
+    /// A single v3 closure file.
+    Paged(PagedStore),
+    /// A sharded snapshot: a v4 `MANIFEST` routing over v3 shard files.
+    Sharded(crate::ShardedStore),
+}
+
+/// Resolves what a local store path names, once, and opens it with
+/// `cache_bytes` as the block-cache budget (`0` = unlimited):
 ///
-/// * a v3 file through a [`PagedStore`] (with `block_cache_bytes` as
-///   the cache budget when given — `Some(0)` means unlimited);
-/// * a v1/v2 file through a [`FileStore`](crate::FileStore);
-/// * a sharded snapshot through a [`crate::ShardedStore`] — either the
-///   `MANIFEST` file itself or the snapshot **directory** containing
-///   one (a directory without a `MANIFEST` is a pointed
-///   [`StorageError::BadFormat`], not a raw io error).
+/// * a directory is a sharded snapshot and must contain a `MANIFEST`
+///   (otherwise a pointed [`StorageError::BadFormat`] naming the path
+///   to pass, not a raw io error);
+/// * a file starting with the v4 magic is such a `MANIFEST` itself;
+/// * any other file is opened as a single v3 closure file — where a
+///   retired v1/v2 magic is refused with the pointer to `ktpm closure`
+///   and anything else unknown is "bad magic".
 ///
-/// This is what the CLI and the bench harness use, so old snapshots
-/// keep working next to v3 and sharded output. For `tcp://` remote
-/// stores, see [`crate::open_store_uri`].
+/// [`open_store_auto`], [`crate::load_snapshot_manifest`] (`ktpm
+/// blockd`) and `ktpm store verify` all resolve their path here.
+pub fn open_local_store(path: &Path, cache_bytes: u64) -> Result<LocalStore, StorageError> {
+    if path.is_dir() {
+        let manifest = path.join("MANIFEST");
+        if !manifest.is_file() {
+            return Err(StorageError::BadFormat(format!(
+                "{} is a directory without a MANIFEST — did you mean the manifest path \
+                 of a sharded snapshot (<dir>/MANIFEST, written by write_store_sharded)?",
+                path.display()
+            )));
+        }
+        return crate::ShardedStore::open_with_cache_bytes(&manifest, cache_bytes)
+            .map(LocalStore::Sharded);
+    }
+    // Sniff the magic on the handle the v3 reader then keeps.
+    let mut file = std::fs::File::open(path)?;
+    let mut head = [0u8; 8];
+    if file.read_exact(&mut head).is_ok() && &head == MAGIC_V4 {
+        return crate::ShardedStore::open_with_cache_bytes(path, cache_bytes)
+            .map(LocalStore::Sharded);
+    }
+    PagedStore::from_file(file, cache_bytes).map(LocalStore::Paged)
+}
+
+/// Opens a local store path of any kind ([`open_local_store`]: a v3
+/// file, a sharded snapshot's `MANIFEST`, or the snapshot directory)
+/// as a [`crate::SharedSource`], with `block_cache_bytes` as the cache
+/// budget when given (`Some(0)` means unlimited). This is what the CLI
+/// and the bench harness use. For `tcp://` remote stores, see
+/// [`crate::open_store_uri`].
 pub fn open_store_auto(
     path: &Path,
     block_cache_bytes: Option<u64>,
 ) -> Result<crate::SharedSource, StorageError> {
     let budget = block_cache_bytes.unwrap_or(DEFAULT_BLOCK_CACHE_BYTES);
-    if path.is_dir() {
-        let manifest = path.join("MANIFEST");
-        if manifest.is_file() {
-            return Ok(
-                crate::ShardedStore::open_with_cache_bytes(&manifest, budget)?.into_shared(),
-            );
-        }
-        return Err(StorageError::BadFormat(format!(
-            "{} is a directory without a MANIFEST — did you mean the manifest path \
-             of a sharded snapshot (<dir>/MANIFEST, written by write_store_sharded)?",
-            path.display()
-        )));
-    }
-    // Sniff the magic on the handle the v3 reader then keeps.
-    let mut file = std::fs::File::open(path)?;
-    let mut head = [0u8; 8];
-    match file.read_exact(&mut head).is_ok().then_some(&head) {
-        Some(MAGIC_V4) => {
-            Ok(crate::ShardedStore::open_with_cache_bytes(path, budget)?.into_shared())
-        }
-        Some(MAGIC_V3) => Ok(PagedStore::from_file(file, budget)?.into_shared()),
-        _ => Ok(crate::FileStore::open(path)?.into_shared()),
-    }
+    Ok(match open_local_store(path, budget)? {
+        LocalStore::Paged(store) => store.into_shared(),
+        LocalStore::Sharded(store) => store.into_shared(),
+    })
 }

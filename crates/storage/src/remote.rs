@@ -1,5 +1,8 @@
-//! [`RemoteStore`]: a [`ClosureSource`] whose blocks live behind a
-//! `ktpm blockd` block server, fetched over TCP on demand.
+//! [`RemoteStore`]: the manifest-routed store ([`RoutedStore`]) whose
+//! shard files live behind a `ktpm blockd` block server, fetched over
+//! TCP on demand. This module adds only what the remote tier has that the
+//! local one does not: the wire protocol, the connection pool, the
+//! network [`BlockSource`], and `connect` / `addr` / `server_stats`.
 //!
 //! The store connects, pulls the snapshot's v4 `MANIFEST` (so all
 //! metadata queries are answered locally), and then reads shard-file
@@ -18,16 +21,16 @@
 //! (they're deterministic). Exhausted retries surface
 //! [`StorageError::Remote`] — recorded in the store's error slot and
 //! counted in `remote_errors` — instead of hanging or panicking, and
-//! the infallible [`ClosureSource`] reads degrade to empty results.
+//! the infallible [`crate::ClosureSource`] reads degrade to empty
+//! results.
 
 use crate::cache::BlockCache;
 use crate::format::crc32;
-use crate::iostats::{IoSnapshot, IoStats};
+use crate::iostats::IoStats;
 use crate::manifest::Manifest;
 use crate::paged::{BlockSource, ErrorSlot, PagedStore, DEFAULT_BLOCK_CACHE_BYTES};
-use crate::sharded::{Opener, ShardSet};
-use crate::source::{ClosureSource, EdgeCursor, SharedSource, StorageError};
-use ktpm_graph::{Dist, LabelId, NodeId};
+use crate::sharded::{Opener, RoutedStore};
+use crate::source::{SharedSource, StorageError};
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::path::Path;
@@ -215,7 +218,8 @@ impl ConnPool {
     }
 
     /// One request with capped exponential-backoff retries on
-    /// transport failures. Returns the OK body; a server-reported
+    /// transport failures. Returns the OK body (the response frame with
+    /// its status byte stripped in place); a server-reported
     /// error or exhausted retries is [`StorageError::Remote`] (counted
     /// in `remote_errors`; each re-attempt counts a `remote_retry`).
     fn request(&self, req: &[u8]) -> Result<Vec<u8>, StorageError> {
@@ -229,19 +233,23 @@ impl ConnPool {
                 backoff = (backoff * 2).min(self.opts.backoff_cap);
             }
             match self.round_trip(req) {
-                Ok((s, resp)) => match resp.split_first() {
-                    Some((&blockproto::STATUS_OK, body)) => {
+                Ok((s, mut resp)) => match resp.first() {
+                    Some(&blockproto::STATUS_OK) => {
                         self.checkin(s);
-                        return Ok(body.to_vec());
+                        resp.drain(..1);
+                        return Ok(resp);
                     }
-                    Some((&blockproto::STATUS_ERR, msg)) => {
+                    Some(&blockproto::STATUS_ERR) => {
                         // Deterministic server-side failure: reusing the
                         // connection is fine, burning retries is not.
                         self.checkin(s);
                         self.io.add_remote_error();
                         return Err(StorageError::Remote {
                             addr: self.addr.clone(),
-                            detail: format!("server error: {}", String::from_utf8_lossy(msg)),
+                            detail: format!(
+                                "server error: {}",
+                                String::from_utf8_lossy(&resp[1..])
+                            ),
                         });
                     }
                     // Unknown status byte or empty frame: drop the
@@ -275,13 +283,15 @@ impl BlockSource for RemoteBlockSource {
     fn read_at(&self, off: u64, bytes: usize) -> Result<Vec<u8>, StorageError> {
         let req = blockproto::encode_fetch(self.file_id, off, bytes as u32);
         for attempt in 0..2 {
-            let body = self.pool.request(&req)?;
+            let mut body = self.pool.request(&req)?;
             if body.len() == bytes + 4 {
                 let stored = u32::from_le_bytes(body[..4].try_into().expect("4 bytes"));
-                let data = &body[4..];
-                if crc32(data) == stored {
+                if crc32(&body[4..]) == stored {
                     self.io.add_remote_fetch(bytes as u64);
-                    return Ok(data.to_vec());
+                    // Strip the frame checksum in place: the payload is
+                    // the buffer the frame was read into, not a copy.
+                    body.drain(..4);
+                    return Ok(body);
                 }
             }
             if attempt == 0 {
@@ -307,14 +317,16 @@ impl BlockSource for RemoteBlockSource {
     }
 }
 
+/// Where a [`RemoteStore`]'s shard files live: behind the `ktpm
+/// blockd` server this connection pool talks to.
+pub struct BlockdLink(Arc<ConnPool>);
+
 /// A sharded (or single-file) snapshot served by `ktpm blockd`,
-/// opened from a `tcp://host:port` address; see the module docs.
-/// Everything downstream of [`ClosureSource`] — engines, serving tier,
-/// CLI — runs unchanged over it.
-pub struct RemoteStore {
-    inner: ShardSet,
-    pool: Arc<ConnPool>,
-}
+/// opened from a `tcp://host:port` address — the remote tier of
+/// [`RoutedStore`]; see the module docs. Everything downstream of
+/// [`crate::ClosureSource`] — engines, serving tier, CLI — runs
+/// unchanged over it.
+pub type RemoteStore = RoutedStore<BlockdLink>;
 
 impl RemoteStore {
     /// Connects with default [`RemoteOptions`]. `addr` is
@@ -328,7 +340,7 @@ impl RemoteStore {
     pub fn connect_with(addr: &str, opts: RemoteOptions) -> Result<Self, StorageError> {
         let addr = addr.strip_prefix("tcp://").unwrap_or(addr).to_owned();
         let io = IoStats::new();
-        let cache_bytes = opts.cache_bytes;
+        let cache = Arc::new(Mutex::new(BlockCache::new(opts.cache_bytes)));
         let pool = Arc::new(ConnPool {
             addr,
             idle: Mutex::new(Vec::new()),
@@ -338,20 +350,17 @@ impl RemoteStore {
         let manifest_bytes = pool.request(&[blockproto::OP_MANIFEST])?;
         io.add_remote_fetch(manifest_bytes.len() as u64);
         let manifest = Manifest::decode(&manifest_bytes)?;
-        let cache = Arc::new(Mutex::new(BlockCache::new(cache_bytes)));
         let errors = ErrorSlot::default();
         let opener: Opener = {
             let pool = Arc::clone(&pool);
-            let lens: Vec<u64> = manifest.shards.iter().map(|s| s.file_len).collect();
-            let cache = Arc::clone(&cache);
             let io = io.clone();
             let errors = errors.clone();
-            Box::new(move |shard| {
+            Box::new(move |shard, meta| {
                 PagedStore::from_source(
                     Box::new(RemoteBlockSource {
                         pool: Arc::clone(&pool),
                         file_id: shard,
-                        len: lens[shard as usize],
+                        len: meta.file_len,
                         io: io.clone(),
                     }),
                     Arc::clone(&cache),
@@ -361,88 +370,26 @@ impl RemoteStore {
                 )
             })
         };
-        Ok(RemoteStore {
-            inner: ShardSet::new(manifest, opener, io, errors),
-            pool,
-        })
-    }
-
-    /// Wraps the store in a [`SharedSource`] for concurrent use.
-    pub fn into_shared(self) -> SharedSource {
-        Arc::new(self)
+        Ok(RoutedStore::new(
+            manifest,
+            opener,
+            io,
+            errors,
+            BlockdLink(pool),
+        ))
     }
 
     /// The server address (no scheme prefix).
     pub fn addr(&self) -> &str {
-        &self.pool.addr
-    }
-
-    /// The decoded manifest announced by the server.
-    pub fn manifest(&self) -> &Manifest {
-        &self.inner.manifest
-    }
-
-    /// Remote shard files opened (i.e. header-parsed) so far.
-    pub fn files_open(&self) -> usize {
-        self.inner.files_open()
+        &self.origin.0.addr
     }
 
     /// The server's own counters (`key=value` text, one per line) —
     /// the `STATS` op, for diagnostics and tests.
     pub fn server_stats(&self) -> Result<String, StorageError> {
-        let body = self.pool.request(&[blockproto::OP_STATS])?;
+        let body = self.origin.0.request(&[blockproto::OP_STATS])?;
         String::from_utf8(body)
             .map_err(|_| StorageError::BadFormat("STATS response is not UTF-8".into()))
-    }
-}
-
-impl ClosureSource for RemoteStore {
-    fn num_nodes(&self) -> usize {
-        self.inner.manifest.num_nodes()
-    }
-
-    fn node_label(&self, v: NodeId) -> LabelId {
-        self.inner.manifest.node_label(v)
-    }
-
-    fn pair_keys(&self) -> Vec<(LabelId, LabelId)> {
-        self.inner.manifest.pair_keys()
-    }
-
-    fn has_pair(&self, a: LabelId, b: LabelId) -> bool {
-        self.inner.manifest.shard_of(a, b).is_some()
-    }
-
-    fn load_d(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, Dist)> {
-        self.inner.load_d(a, b)
-    }
-
-    fn load_e(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, NodeId, Dist)> {
-        self.inner.load_e(a, b)
-    }
-
-    fn load_pair(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, NodeId, Dist)> {
-        self.inner.load_pair(a, b)
-    }
-
-    fn incoming_cursor(&self, a: LabelId, v: NodeId) -> Box<dyn EdgeCursor + Send> {
-        self.inner.incoming_cursor(a, v)
-    }
-
-    fn lookup_dist(&self, u: NodeId, v: NodeId) -> Option<Dist> {
-        self.inner.lookup_dist(u, v)
-    }
-
-    fn io(&self) -> IoSnapshot {
-        self.inner.io.snapshot()
-    }
-
-    fn reset_io(&self) {
-        self.inner.io.reset();
-    }
-
-    fn take_error(&self) -> Option<StorageError> {
-        self.inner.errors.take()
     }
 }
 

@@ -1,142 +1,195 @@
-//! [`ShardedStore`]: one [`ClosureSource`] over a sharded multi-file
-//! snapshot ([`crate::write_store_sharded`]).
+//! The manifest-routed store: one [`ClosureSource`] over a snapshot of
+//! v3 shard files described by a v4 `MANIFEST`
+//! ([`crate::write_store_sharded`]), wherever the files' bytes live.
 //!
-//! The store opens only the `MANIFEST` eagerly — node count, labels,
-//! and pair keys are all answered from it — and opens a shard file
-//! lazily the first time a query touches a label pair routed to it
-//! (counted as `files_opened` in [`IoStats`]). All member files share
-//! **one** byte-budgeted [`BlockCache`] (namespaced by file id) and
-//! one set of I/O counters, so the cache budget bounds the whole
-//! snapshot, not each file.
+//! A [`RoutedStore`] opens only the manifest eagerly — node count,
+//! labels, and pair keys are all answered from it — and opens a shard
+//! file lazily the first time a query touches a label pair routed to
+//! it (counted as `files_opened` in [`IoStats`]). All member files
+//! share **one** byte-budgeted [`BlockCache`] (namespaced by file id),
+//! one set of I/O counters and one error slot, so the cache budget
+//! bounds the whole snapshot, not each file.
 //!
-//! The shared [`ShardSet`] core also powers [`crate::RemoteStore`]:
-//! the only difference between the two tiers is the
-//! [`BlockSource`](crate::paged) each member [`PagedStore`] reads
-//! through.
+//! Routing, lazy opening and the whole [`ClosureSource`] surface are
+//! written once, here. The two public tiers are aliases that add only
+//! what differs — how a member file's bytes are reached and what can be
+//! asked of that place:
+//!
+//! * [`ShardedStore`] `= RoutedStore<SnapshotDir>`: shard files in a
+//!   local directory (`open`, `verify`, `shard_count`);
+//! * [`crate::RemoteStore`] `= RoutedStore<BlockdLink>`: shard files
+//!   behind a `ktpm blockd` server (`connect`, `addr`, `server_stats`).
 
 use crate::cache::BlockCache;
 use crate::format::crc32;
 use crate::iostats::{IoSnapshot, IoStats};
 use crate::manifest::{Manifest, ShardFileMeta};
-use crate::paged::{ErrorSlot, LocalFile, PagedStore, DEFAULT_BLOCK_CACHE_BYTES};
+use crate::paged::{
+    open_local_store, ErrorSlot, LocalFile, LocalStore, PagedStore, DEFAULT_BLOCK_CACHE_BYTES,
+};
 use crate::source::{ClosureSource, EdgeCursor, StorageError};
+use crate::table;
 use ktpm_graph::{Dist, LabelId, NodeId};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Opens the member store for one file id, on first touch.
-pub(crate) type Opener = Box<dyn Fn(u32) -> Result<PagedStore, StorageError> + Send + Sync>;
+/// Opens the member store for one file id (and its manifest entry), on
+/// first touch.
+pub(crate) type Opener =
+    Box<dyn Fn(u32, &ShardFileMeta) -> Result<PagedStore, StorageError> + Send + Sync>;
 
-/// The manifest-routed set of lazily opened member [`PagedStore`]s —
-/// the shared core of [`ShardedStore`] and [`crate::RemoteStore`].
-pub(crate) struct ShardSet {
-    pub(crate) manifest: Manifest,
-    slots: Vec<OnceLock<Option<Arc<PagedStore>>>>,
+/// A snapshot's manifest plus its lazily opened member [`PagedStore`]s,
+/// generic over `O`, the place the shard files live; see the module
+/// docs. Used through its aliases [`ShardedStore`] and
+/// [`crate::RemoteStore`].
+pub struct RoutedStore<O> {
+    manifest: Manifest,
+    slots: Vec<OnceLock<Option<PagedStore>>>,
     opener: Opener,
-    pub(crate) io: IoStats,
-    pub(crate) errors: ErrorSlot,
+    io: IoStats,
+    errors: ErrorSlot,
+    pub(crate) origin: O,
 }
 
-impl ShardSet {
-    pub(crate) fn new(manifest: Manifest, opener: Opener, io: IoStats, errors: ErrorSlot) -> Self {
+impl<O> RoutedStore<O> {
+    /// `opener` must hand every member the same `io` and `errors` (and
+    /// one shared block cache), so the snapshot reads as one store.
+    pub(crate) fn new(
+        manifest: Manifest,
+        opener: Opener,
+        io: IoStats,
+        errors: ErrorSlot,
+        origin: O,
+    ) -> Self {
         let slots = (0..manifest.shards.len())
             .map(|_| OnceLock::new())
             .collect();
-        ShardSet {
+        RoutedStore {
             manifest,
             slots,
             opener,
             io,
             errors,
+            origin,
         }
     }
 
-    /// The member store for file id `shard`, opened lazily on first
-    /// touch (counted as `files_opened`). An open failure is recorded
-    /// in the error slot and the shard degrades to empty, like every
-    /// infallible read path.
-    fn store(&self, shard: u32) -> Option<&Arc<PagedStore>> {
-        let slot = self.slots.get(shard as usize)?;
-        slot.get_or_init(|| match (self.opener)(shard) {
-            Ok(s) => {
-                self.io.add_file_opened();
-                Some(Arc::new(s))
-            }
-            Err(e) => {
-                self.errors.record(e);
-                None
-            }
-        })
-        .as_ref()
+    /// The member store owning `(a, b)`, opened lazily on first touch
+    /// (counted as `files_opened`); `None` for an unrouted pair. An
+    /// open failure is recorded in the error slot and the shard
+    /// degrades to empty, like every infallible read path.
+    fn member(&self, a: LabelId, b: LabelId) -> Option<&PagedStore> {
+        let shard = self.manifest.shard_of(a, b)?;
+        let meta = self.manifest.shards.get(shard as usize)?;
+        self.slots[shard as usize]
+            .get_or_init(|| match (self.opener)(shard, meta) {
+                Ok(s) => {
+                    self.io.add_file_opened();
+                    Some(s)
+                }
+                Err(e) => {
+                    self.errors.record(e);
+                    None
+                }
+            })
+            .as_ref()
     }
 
-    fn store_for_pair(&self, a: LabelId, b: LabelId) -> Option<&Arc<PagedStore>> {
-        self.store(self.manifest.shard_of(a, b)?)
+    /// The decoded manifest (read from disk, or announced by the
+    /// server).
+    pub fn manifest(&self) -> &Manifest {
+        &self.manifest
     }
 
-    /// Member files opened so far (the laziness observable).
-    pub(crate) fn files_open(&self) -> usize {
+    /// Member files opened (i.e. header-parsed) so far — stays below
+    /// the snapshot's shard count while queries touch only some pairs.
+    pub fn files_open(&self) -> usize {
         self.slots
             .iter()
             .filter(|s| matches!(s.get(), Some(Some(_))))
             .count()
     }
+}
 
-    pub(crate) fn load_d(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, Dist)> {
-        self.store_for_pair(a, b)
+impl<O: Send + Sync + 'static> RoutedStore<O> {
+    /// Wraps the store in a [`crate::SharedSource`] for concurrent use.
+    pub fn into_shared(self) -> crate::SharedSource {
+        Arc::new(self)
+    }
+}
+
+impl<O: Send + Sync> ClosureSource for RoutedStore<O> {
+    fn num_nodes(&self) -> usize {
+        self.manifest.num_nodes()
+    }
+
+    fn node_label(&self, v: NodeId) -> LabelId {
+        self.manifest.node_label(v)
+    }
+
+    fn pair_keys(&self) -> Vec<(LabelId, LabelId)> {
+        self.manifest.pair_keys()
+    }
+
+    fn has_pair(&self, a: LabelId, b: LabelId) -> bool {
+        self.manifest.shard_of(a, b).is_some()
+    }
+
+    fn load_d(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, Dist)> {
+        self.member(a, b)
             .map(|s| s.load_d(a, b))
             .unwrap_or_default()
     }
 
-    pub(crate) fn load_e(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, NodeId, Dist)> {
-        self.store_for_pair(a, b)
+    fn load_e(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, NodeId, Dist)> {
+        self.member(a, b)
             .map(|s| s.load_e(a, b))
             .unwrap_or_default()
     }
 
-    pub(crate) fn load_pair(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, NodeId, Dist)> {
-        self.store_for_pair(a, b)
+    fn load_pair(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, NodeId, Dist)> {
+        self.member(a, b)
             .map(|s| s.load_pair(a, b))
             .unwrap_or_default()
     }
 
-    pub(crate) fn incoming_cursor(&self, a: LabelId, v: NodeId) -> Box<dyn EdgeCursor + Send> {
-        let b = self.manifest.node_label(v);
-        match self.store_for_pair(a, b) {
+    fn incoming_cursor(&self, a: LabelId, v: NodeId) -> Box<dyn EdgeCursor + Send> {
+        match self.member(a, self.manifest.node_label(v)) {
             Some(s) => s.incoming_cursor(a, v),
-            None => Box::new(EmptyCursor),
+            // Unrouted pair or unopenable shard: the empty cursor.
+            None => table::incoming_cursor(None, v, &self.io, 1),
         }
     }
 
-    pub(crate) fn lookup_dist(&self, u: NodeId, v: NodeId) -> Option<Dist> {
+    fn lookup_dist(&self, u: NodeId, v: NodeId) -> Option<Dist> {
         let a = self.manifest.node_label(u);
         let b = self.manifest.node_label(v);
-        self.store_for_pair(a, b)?.lookup_dist(u, v)
+        self.member(a, b)?.lookup_dist(u, v)
+    }
+
+    fn io(&self) -> IoSnapshot {
+        self.io.snapshot()
+    }
+
+    fn reset_io(&self) {
+        self.io.reset();
+    }
+
+    fn take_error(&self) -> Option<StorageError> {
+        self.errors.take()
     }
 }
 
-/// The zero-entry cursor returned for label pairs absent from the
-/// snapshot.
-struct EmptyCursor;
+/// Where a [`ShardedStore`]'s shard files live: the directory holding
+/// the `MANIFEST`.
+pub struct SnapshotDir(PathBuf);
 
-impl EdgeCursor for EmptyCursor {
-    fn next_block(&mut self) -> Vec<(NodeId, Dist)> {
-        Vec::new()
-    }
-
-    fn remaining(&self) -> usize {
-        0
-    }
-}
-
-/// A sharded multi-file snapshot opened from its `MANIFEST`; see the
-/// module docs. Constructed by [`ShardedStore::open`] or dispatched by
-/// [`crate::open_store_auto`] (on the manifest path, a file with the
-/// v4 magic, or the snapshot directory).
-pub struct ShardedStore {
-    inner: ShardSet,
-    dir: PathBuf,
-}
+/// A sharded multi-file snapshot opened from its `MANIFEST` — the
+/// local tier of [`RoutedStore`]; see the module docs. Constructed by
+/// [`ShardedStore::open`] or dispatched by [`crate::open_store_auto`]
+/// (on the manifest path, a file with the v4 magic, or the snapshot
+/// directory).
+pub type ShardedStore = RoutedStore<SnapshotDir>;
 
 impl ShardedStore {
     /// Opens a sharded snapshot from its `MANIFEST` path, with the
@@ -164,20 +217,17 @@ impl ShardedStore {
         let errors = ErrorSlot::default();
         let opener: Opener = {
             let dir = dir.clone();
-            let names: Vec<String> = manifest.shards.iter().map(|s| s.name.clone()).collect();
-            let cache = Arc::clone(&cache);
             let io = io.clone();
             let errors = errors.clone();
-            Box::new(move |shard| {
-                let name = &names[shard as usize];
+            Box::new(move |shard, meta| {
                 // Name the shard file in any open failure: a swallowed
                 // "No such file" without the file is undebuggable.
                 let wrap = |e: StorageError| StorageError::CorruptShard {
-                    file: name.clone(),
+                    file: meta.name.clone(),
                     error: Box::new(e),
                 };
                 PagedStore::from_source(
-                    Box::new(LocalFile::open(&dir.join(name)).map_err(wrap)?),
+                    Box::new(LocalFile::open(&dir.join(&meta.name)).map_err(wrap)?),
                     Arc::clone(&cache),
                     io.clone(),
                     shard,
@@ -186,31 +236,18 @@ impl ShardedStore {
                 .map_err(wrap)
             })
         };
-        Ok(ShardedStore {
-            inner: ShardSet::new(manifest, opener, io, errors),
-            dir,
-        })
-    }
-
-    /// Wraps the store in a [`crate::SharedSource`] for concurrent use.
-    pub fn into_shared(self) -> crate::SharedSource {
-        Arc::new(self)
-    }
-
-    /// The decoded manifest.
-    pub fn manifest(&self) -> &Manifest {
-        &self.inner.manifest
+        Ok(RoutedStore::new(
+            manifest,
+            opener,
+            io,
+            errors,
+            SnapshotDir(dir),
+        ))
     }
 
     /// Number of shard files in the snapshot.
     pub fn shard_count(&self) -> usize {
-        self.inner.manifest.shards.len()
-    }
-
-    /// Member files opened so far — stays below
-    /// [`Self::shard_count`] while queries touch only some pairs.
-    pub fn files_open(&self) -> usize {
-        self.inner.files_open()
+        self.manifest.shards.len()
     }
 
     /// Scrubs the whole snapshot: for every shard file, checks its
@@ -221,7 +258,7 @@ impl ShardedStore {
     /// the inner offset. Scrub reads bypass (and never pollute) the
     /// shared block cache.
     pub fn verify(&self) -> Result<(), StorageError> {
-        for meta in &self.inner.manifest.shards {
+        for meta in &self.manifest.shards {
             self.verify_shard(meta)
                 .map_err(|e| StorageError::CorruptShard {
                     file: meta.name.clone(),
@@ -232,7 +269,7 @@ impl ShardedStore {
     }
 
     fn verify_shard(&self, meta: &ShardFileMeta) -> Result<(), StorageError> {
-        let path = self.dir.join(&meta.name);
+        let path = self.origin.0.join(&meta.name);
         let bytes = std::fs::read(&path)?;
         if bytes.len() as u64 != meta.file_len {
             return Err(StorageError::BadFormat(format!(
@@ -253,95 +290,32 @@ impl ShardedStore {
     }
 }
 
-impl ClosureSource for ShardedStore {
-    fn num_nodes(&self) -> usize {
-        self.inner.manifest.num_nodes()
-    }
-
-    fn node_label(&self, v: NodeId) -> LabelId {
-        self.inner.manifest.node_label(v)
-    }
-
-    fn pair_keys(&self) -> Vec<(LabelId, LabelId)> {
-        self.inner.manifest.pair_keys()
-    }
-
-    fn has_pair(&self, a: LabelId, b: LabelId) -> bool {
-        self.inner.manifest.shard_of(a, b).is_some()
-    }
-
-    fn load_d(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, Dist)> {
-        self.inner.load_d(a, b)
-    }
-
-    fn load_e(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, NodeId, Dist)> {
-        self.inner.load_e(a, b)
-    }
-
-    fn load_pair(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, NodeId, Dist)> {
-        self.inner.load_pair(a, b)
-    }
-
-    fn incoming_cursor(&self, a: LabelId, v: NodeId) -> Box<dyn EdgeCursor + Send> {
-        self.inner.incoming_cursor(a, v)
-    }
-
-    fn lookup_dist(&self, u: NodeId, v: NodeId) -> Option<Dist> {
-        self.inner.lookup_dist(u, v)
-    }
-
-    fn io(&self) -> IoSnapshot {
-        self.inner.io.snapshot()
-    }
-
-    fn reset_io(&self) {
-        self.inner.io.reset();
-    }
-
-    fn take_error(&self) -> Option<StorageError> {
-        self.inner.errors.take()
-    }
-}
-
 /// Loads (or synthesizes) the manifest a block server should announce
 /// for `store_path`, returning it with the directory its shard files
-/// live in. Accepts a snapshot directory, a `MANIFEST` path, or a
-/// plain single v3 file — the latter gets a synthesized one-file
-/// manifest, so `ktpm blockd` can serve any snapshot.
+/// live in. Accepts whatever [`open_local_store`] does: a snapshot
+/// directory, a `MANIFEST` path, or a plain single v3 file — the latter
+/// gets a synthesized one-file manifest, so `ktpm blockd` can serve any
+/// snapshot.
 pub fn load_snapshot_manifest(store_path: &Path) -> Result<(Manifest, PathBuf), StorageError> {
-    let manifest_path = if store_path.is_dir() {
-        let p = store_path.join("MANIFEST");
-        if !p.is_file() {
-            return Err(StorageError::BadFormat(format!(
-                "{} is a directory without a MANIFEST — did you mean the manifest path \
-                 of a sharded snapshot (<dir>/MANIFEST, written by write_store_sharded)?",
-                store_path.display()
-            )));
-        }
-        p
-    } else {
-        store_path.to_path_buf()
+    let store = match open_local_store(store_path, 1)? {
+        LocalStore::Sharded(snapshot) => return Ok((snapshot.manifest, snapshot.origin.0)),
+        LocalStore::Paged(store) => store,
     };
-    let dir = manifest_path
-        .parent()
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| PathBuf::from("."));
-    let bytes = std::fs::read(&manifest_path)?;
-    if bytes.starts_with(crate::format::MAGIC_V4) {
-        return Ok((Manifest::decode(&bytes)?, dir));
-    }
     // A single v3 file: synthesize the one-file manifest.
-    let store = PagedStore::open_with_cache_bytes(&manifest_path, 1)?;
+    let bytes = std::fs::read(store_path)?;
     let labels: Vec<LabelId> = (0..store.num_nodes())
         .map(|i| store.node_label(NodeId(i as u32)))
         .collect();
     let num_labels = labels.iter().map(|l| l.0 + 1).max().unwrap_or(0);
-    let name = manifest_path
+    let name = store_path
         .file_name()
         .and_then(|n| n.to_str())
         .ok_or_else(|| StorageError::BadFormat("store file name is not UTF-8".into()))?
         .to_owned();
-    let routing = store.pair_keys().into_iter().map(|k| (k, 0)).collect();
+    let dir = store_path
+        .parent()
+        .map(Path::to_path_buf)
+        .unwrap_or_else(|| PathBuf::from("."));
     Ok((
         Manifest {
             block_entries: store.block_entries() as u32,
@@ -352,7 +326,7 @@ pub fn load_snapshot_manifest(store_path: &Path) -> Result<(Manifest, PathBuf), 
                 file_len: bytes.len() as u64,
                 content_crc: crc32(&bytes),
             }],
-            routing,
+            routing: store.pair_keys().into_iter().map(|k| (k, 0)).collect(),
         },
         dir,
     ))

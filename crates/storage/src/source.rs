@@ -174,8 +174,9 @@ impl From<SharedSource> for SourceRef<'static> {
 }
 
 /// The storage interface of §3.1/§4.1: label-pair tables over the
-/// transitive closure. Implemented by [`crate::FileStore`] (real block
-/// I/O) and [`crate::MemStore`].
+/// transitive closure. Implemented by [`crate::PagedStore`] (real block
+/// I/O), [`crate::MemStore`] and the other backends the crate docs
+/// list.
 ///
 /// `Send + Sync` is a supertrait: every backend must be safely sharable
 /// across threads (`Arc<dyn ClosureSource>`), which the serving layer
@@ -202,14 +203,14 @@ pub trait ClosureSource: Send + Sync {
     /// wildcard edges enumerate [`Self::pair_keys`].
     ///
     /// Default: that very scan of `pair_keys()` — correct on every
-    /// backend, O(P) a call. [`crate::FileStore`] (legacy v1/v2 files)
-    /// and [`crate::OnDemandStore`] (whose keys are an over-approximation
-    /// it cannot index without computing) keep it. The backends with an
-    /// index override it with a lookup: [`crate::MemStore`] and
-    /// [`crate::LiveStore`] probe their table map (the latter under its
-    /// read lock), [`crate::PagedStore`] binary-searches its verified
-    /// on-disk index, [`crate::ShardedStore`] and [`crate::RemoteStore`]
-    /// probe the manifest's routing table.
+    /// backend, O(P) a call. [`crate::OnDemandStore`] (whose keys are an
+    /// over-approximation it cannot index without computing) keeps it.
+    /// The backends with an index override it with a lookup:
+    /// [`crate::MemStore`] and [`crate::LiveStore`] probe their table
+    /// map (the latter under its read lock), [`crate::PagedStore`]
+    /// binary-searches its verified on-disk index,
+    /// [`crate::ShardedStore`] and [`crate::RemoteStore`] binary-search
+    /// the manifest's verified routing table.
     fn has_pair(&self, src_label: LabelId, dst_label: LabelId) -> bool {
         self.pair_keys().contains(&(src_label, dst_label))
     }
@@ -318,7 +319,6 @@ mod tests {
         assert_send_sync::<crate::MemStore>();
         assert_send_sync::<crate::LiveStore>();
         assert_send_sync::<crate::OnDemandStore>();
-        assert_send_sync::<crate::FileStore>();
         assert_send_sync::<crate::PagedStore>();
         assert_send_sync::<crate::ShardedStore>();
         assert_send_sync::<crate::RemoteStore>();

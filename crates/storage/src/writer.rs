@@ -1,6 +1,6 @@
 //! Serializes a [`ClosureTables`] into the on-disk store format —
-//! single-file v1/v2/v3 snapshots and sharded multi-file v3 snapshots
-//! with a v4 `MANIFEST` ([`write_store_sharded`]).
+//! single-file v3 snapshots and sharded multi-file v3 snapshots with a
+//! v4 `MANIFEST` ([`write_store_sharded`]).
 
 use crate::format::*;
 use crate::manifest::{Manifest, ShardFileMeta};
@@ -11,31 +11,14 @@ use ktpm_graph::{LabelId, NodeId};
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
-/// Writes the closure store file for `tables` at `path`, in the current
-/// format version (v3: paged group blocks, CRC-32 per block, default
-/// block capacity `DEFAULT_BLOCK_EDGES` (64) entries; see the `format`
-/// module docs). Use [`write_store_versioned`] to emit the older v1/v2
-/// layouts, or [`write_store_v3`] to choose the block capacity.
+/// Writes the closure store file for `tables` at `path` (format v3:
+/// paged group blocks, CRC-32 per block, block capacity
+/// `DEFAULT_BLOCK_EDGES` (64) entries; see the `format` module docs).
+/// Use [`write_store_v3`] to choose the block capacity.
 ///
 /// Pairs are written in sorted key order so the output is deterministic.
 pub fn write_store(tables: &ClosureTables, path: &Path) -> Result<(), StorageError> {
-    write_store_versioned(tables, path, FormatVersion::V3)
-}
-
-/// As [`write_store`] with an explicit [`FormatVersion`] — `V1` emits
-/// the checksum-free legacy layout, `V2` the packed per-section-CRC
-/// layout (both used to exercise the readers' old-version paths and to
-/// produce files for older consumers).
-pub fn write_store_versioned(
-    tables: &ClosureTables,
-    path: &Path,
-    version: FormatVersion,
-) -> Result<(), StorageError> {
-    let block_entries = match version {
-        FormatVersion::V3 => Some(DEFAULT_BLOCK_EDGES),
-        _ => None,
-    };
-    write_store_inner(tables, path, version, block_entries, None)
+    write_store_inner(tables, path, DEFAULT_BLOCK_EDGES, None)
 }
 
 /// Writes a v3 store with an explicit on-disk block capacity (in `L`
@@ -53,7 +36,7 @@ pub fn write_store_v3(
             "v3 block capacity must be at least 1 entry".into(),
         ));
     }
-    write_store_inner(tables, path, FormatVersion::V3, Some(block_entries), None)
+    write_store_inner(tables, path, block_entries, None)
 }
 
 /// Writes a sharded snapshot: one v3 shard file per partition of
@@ -83,11 +66,11 @@ pub fn write_store_sharded(
 
     let mut keys: Vec<_> = tables.iter_pairs().map(|(k, _)| k).collect();
     keys.sort_unstable();
-    let mut routing = std::collections::BTreeMap::new();
+    let mut routing = Vec::with_capacity(keys.len());
     let mut owned: Vec<Vec<(LabelId, LabelId)>> = vec![Vec::new(); shard_count as usize];
     for (i, &key) in keys.iter().enumerate() {
         let shard = (i % shard_count as usize) as u32;
-        routing.insert(key, shard);
+        routing.push((key, shard));
         owned[shard as usize].push(key);
     }
 
@@ -95,13 +78,7 @@ pub fn write_store_sharded(
     for (shard, keys) in owned.iter().enumerate() {
         let name = format!("shard-{shard:04}.tc");
         let path = dir.join(&name);
-        write_store_inner(
-            tables,
-            &path,
-            FormatVersion::V3,
-            Some(block_entries),
-            Some(keys),
-        )?;
+        write_store_inner(tables, &path, block_entries, Some(keys))?;
         // Seal the exact bytes just written: length + whole-file CRC.
         let bytes = std::fs::read(&path)?;
         shards.push(ShardFileMeta {
@@ -128,13 +105,11 @@ pub fn write_store_sharded(
 fn write_store_inner(
     tables: &ClosureTables,
     path: &Path,
-    version: FormatVersion,
-    block_entries: Option<usize>,
+    block_entries: usize,
     // When set, emit only this subset of label pairs (a shard file);
     // `None` emits every pair in sorted order.
     only_pairs: Option<&[(LabelId, LabelId)]>,
 ) -> Result<(), StorageError> {
-    let crc = version.has_crc();
     let file = std::fs::File::create(path)?;
     let mut w = BufWriter::new(file);
     let mut offset: u64 = 0;
@@ -147,10 +122,10 @@ fn write_store_inner(
         put_u32(buf, sum);
     }
 
-    // Header: magic, counts [, v3 block capacity], labels
-    // [, crc over everything past the magic].
+    // Header: magic, counts, block capacity, labels, crc over
+    // everything past the magic.
     let mut buf = Vec::new();
-    buf.extend_from_slice(version.magic());
+    buf.extend_from_slice(MAGIC_V3);
     let n = tables.num_nodes();
     let num_labels = (0..n)
         .map(|i| tables.label(NodeId(i as u32)).0 + 1)
@@ -158,15 +133,11 @@ fn write_store_inner(
         .unwrap_or(0);
     put_u32(&mut buf, n as u32);
     put_u32(&mut buf, num_labels);
-    if let Some(be) = block_entries {
-        put_u32(&mut buf, be as u32);
-    }
+    put_u32(&mut buf, block_entries as u32);
     for i in 0..n {
         put_u32(&mut buf, tables.label(NodeId(i as u32)).0);
     }
-    if crc {
-        seal(&mut buf, 8);
-    }
+    seal(&mut buf, 8);
     emit(&mut w, &buf, &mut offset)?;
 
     let mut keys: Vec<_> = match only_pairs {
@@ -190,9 +161,7 @@ fn write_store_inner(
                 table.min_incoming_dist(v).expect("non-empty group"),
             );
         }
-        if crc {
-            seal(&mut buf, 0);
-        }
+        seal(&mut buf, 0);
         emit(&mut w, &buf, &mut offset)?;
 
         // E section.
@@ -204,17 +173,14 @@ fn write_store_inner(
             put_u32(&mut buf, d.0);
             put_u32(&mut buf, dist);
         }
-        if crc {
-            seal(&mut buf, 0);
-        }
+        seal(&mut buf, 0);
         emit(&mut w, &buf, &mut offset)?;
 
-        // L directory + groups. Directory entries carry absolute offsets
-        // (a group's first byte — in v3, its first block), so compute
-        // the groups' base first (past the directory and, with
-        // checksums, its trailing CRC).
+        // L directory + blocks. Directory entries carry the absolute
+        // offset of a group's first block, so compute the blocks' base
+        // first (past the directory and its trailing CRC).
         let dir_off = offset;
-        let dir_bytes = 4 + table.dst_nodes().len() * (4 + 8 + 4) + if crc { 4 } else { 0 };
+        let dir_bytes = 4 + table.dst_nodes().len() * (4 + 8 + 4) + 4;
         let mut groups_base = dir_off + dir_bytes as u64;
         let mut buf = Vec::new();
         put_u32(&mut buf, table.dst_nodes().len() as u32);
@@ -223,46 +189,22 @@ fn write_store_inner(
             put_u32(&mut buf, v.0);
             put_u64(&mut buf, groups_base);
             put_u32(&mut buf, len as u32);
-            groups_base += match block_entries {
-                // v3: every group starts on a fresh block boundary and
-                // occupies whole (padded, individually sealed) blocks.
-                Some(be) => (v3_group_blocks(len, be) * v3_block_bytes(be)) as u64,
-                None => (len * L_ENTRY_BYTES) as u64,
-            };
+            // Every group starts on a fresh block boundary and occupies
+            // whole (padded, individually sealed) blocks.
+            groups_base +=
+                (v3_group_blocks(len, block_entries) * v3_block_bytes(block_entries)) as u64;
         }
-        if crc {
-            seal(&mut buf, 0);
-        }
-        match block_entries {
-            Some(be) => {
-                // v3 blocks: fixed payload (zero-padded tail) + CRC each.
-                for &v in table.dst_nodes() {
-                    let group = table.incoming(v);
-                    for chunk in group.chunks(be) {
-                        let from = buf.len();
-                        for &(s, dist) in chunk {
-                            put_u32(&mut buf, s.0);
-                            put_u32(&mut buf, dist);
-                        }
-                        buf.resize(from + be * L_ENTRY_BYTES, 0);
-                        seal(&mut buf, from);
-                    }
+        seal(&mut buf, 0);
+        // Blocks: fixed payload (zero-padded tail) + CRC each.
+        for &v in table.dst_nodes() {
+            for chunk in table.incoming(v).chunks(block_entries) {
+                let from = buf.len();
+                for &(s, dist) in chunk {
+                    put_u32(&mut buf, s.0);
+                    put_u32(&mut buf, dist);
                 }
-            }
-            None => {
-                let groups_from = buf.len();
-                for &v in table.dst_nodes() {
-                    for &(s, dist) in table.incoming(v) {
-                        put_u32(&mut buf, s.0);
-                        put_u32(&mut buf, dist);
-                    }
-                }
-                if crc {
-                    // One checksum over the pair's whole group region,
-                    // verified on whole-pair loads (v2 cursors stream
-                    // and stay unchecked).
-                    seal(&mut buf, groups_from);
-                }
+                buf.resize(from + block_entries * L_ENTRY_BYTES, 0);
+                seal(&mut buf, from);
             }
         }
         emit(&mut w, &buf, &mut offset)?;
@@ -280,11 +222,9 @@ fn write_store_inner(
         put_u64(&mut buf, e);
         put_u64(&mut buf, dir);
     }
-    if crc {
-        seal(&mut buf, 0);
-    }
+    seal(&mut buf, 0);
     put_u64(&mut buf, index_off);
-    buf.extend_from_slice(version.magic());
+    buf.extend_from_slice(MAGIC_V3);
     emit(&mut w, &buf, &mut offset)?;
     w.flush()?;
     Ok(())

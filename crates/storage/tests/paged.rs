@@ -5,8 +5,8 @@ use ktpm_closure::ClosureTables;
 use ktpm_graph::fixtures::paper_graph;
 use ktpm_graph::{GraphBuilder, LabeledGraph, NodeId};
 use ktpm_storage::{
-    open_store_auto, write_store, write_store_v3, write_store_versioned, ClosureSource,
-    FormatVersion, MemStore, PagedStore, ShardSpec, StorageError,
+    load_snapshot_manifest, open_store_auto, write_store, write_store_v3, ClosureSource, MemStore,
+    PagedStore, ShardSpec, StorageError,
 };
 
 fn tempfile(name: &str) -> std::path::PathBuf {
@@ -104,8 +104,8 @@ fn v3_is_the_default_and_roundtrips_against_mem() {
     let tables = ClosureTables::compute(&g);
     let path = tempfile("default-roundtrip");
     write_store(&tables, &path).unwrap();
+    assert_eq!(&std::fs::read(&path).unwrap()[..8], b"KTPMCLO3");
     let paged = PagedStore::open(&path).unwrap();
-    assert_eq!(paged.version(), FormatVersion::V3);
     paged.verify().unwrap();
     let mem = MemStore::new(tables);
     check_equivalent(&mem, &paged);
@@ -383,40 +383,55 @@ fn misordered_or_duplicate_index_entries_are_refused_at_open() {
 
 #[test]
 fn paged_store_rejects_v1_and_v2_files() {
-    let tables = ClosureTables::compute(&paper_graph());
-    for version in [FormatVersion::V1, FormatVersion::V2] {
-        let path = tempfile(&format!("reject-{version:?}"));
-        write_store_versioned(&tables, &path, version).unwrap();
-        assert!(
-            matches!(
-                PagedStore::open(&path),
-                Err(StorageError::BadFormat(m)) if m.contains("FileStore")
-            ),
-            "{version:?} must be BadFormat for PagedStore"
-        );
-        std::fs::remove_file(&path).ok();
+    // The retired layouts are recognised by their magic only to be
+    // refused: every open path gives the same pointed BadFormat, however
+    // much (or little) file follows the magic.
+    for magic in [b"KTPMCLO1", b"KTPMCLO2"] {
+        for filler in [0usize, 12, 4096] {
+            let path = tempfile(&format!("reject-{}-{filler}", magic[7] as char));
+            let mut bytes = magic.to_vec();
+            bytes.resize(8 + filler, 0xA5);
+            std::fs::write(&path, &bytes).unwrap();
+            for (via, res) in [
+                ("PagedStore::open", PagedStore::open(&path).map(|_| ())),
+                ("open_store_auto", open_store_auto(&path, None).map(|_| ())),
+                (
+                    "load_snapshot_manifest",
+                    load_snapshot_manifest(&path).map(|_| ()),
+                ),
+            ] {
+                assert!(
+                    matches!(&res, Err(StorageError::BadFormat(m))
+                        if m.contains("v1/v2") && m.contains("ktpm closure")),
+                    "{via} on a legacy magic + {filler} byte(s): {res:?}"
+                );
+            }
+            std::fs::remove_file(&path).ok();
+        }
     }
 }
 
 #[test]
 fn open_store_auto_dispatches_on_version() {
+    // A v3 file opens behind the paged reader and reads like memory
+    // (the v4 MANIFEST arm is `sharded.rs`'s; the refused v1/v2 magics
+    // are the test above).
     let g = paper_graph();
     let tables = ClosureTables::compute(&g);
-    for version in [FormatVersion::V1, FormatVersion::V2, FormatVersion::V3] {
-        let path = tempfile(&format!("auto-{version:?}"));
-        write_store_versioned(&tables, &path, version).unwrap();
-        let store = open_store_auto(&path, Some(0)).unwrap();
-        let mem = MemStore::new(tables.clone());
-        assert_eq!(store.num_nodes(), mem.num_nodes());
-        for (a, b) in mem.pair_keys() {
-            let mut pm = mem.load_pair(a, b);
-            let mut ps = store.load_pair(a, b);
-            pm.sort_unstable();
-            ps.sort_unstable();
-            assert_eq!(pm, ps, "{version:?} {a:?}->{b:?}");
-        }
-        std::fs::remove_file(&path).ok();
+    let path = tempfile("auto-v3");
+    write_store(&tables, &path).unwrap();
+    let store = open_store_auto(&path, Some(0)).unwrap();
+    let mem = MemStore::new(tables.clone());
+    assert_eq!(store.num_nodes(), mem.num_nodes());
+    for (a, b) in mem.pair_keys() {
+        let mut pm = mem.load_pair(a, b);
+        let mut ps = store.load_pair(a, b);
+        pm.sort_unstable();
+        ps.sort_unstable();
+        assert_eq!(pm, ps, "{a:?}->{b:?}");
     }
+    assert!(store.io().cache_misses > 0, "served by the paged reader");
+    std::fs::remove_file(&path).ok();
     // Garbage is still rejected.
     let path = tempfile("auto-garbage");
     std::fs::write(&path, b"clearly not a store file at all........").unwrap();

@@ -1,21 +1,18 @@
-//! File store round-trip: everything readable from a [`MemStore`] must be
-//! byte-identical when read back through a [`FileStore`].
+//! Store file round-trip: everything readable from a [`MemStore`] must
+//! read back identically from the file [`write_store`] produces, and a
+//! damaged file must fail cleanly — at open, at the scrub, or through
+//! `take_error()` — never by panicking and never silently.
 //!
-//! [`FileStore`] reads the v1/v2 layouts, so this suite writes those
-//! versions explicitly ([`write_store`] emits v3 by default now — the
-//! paged suite in `paged.rs` covers that reader).
+//! One on-disk format (v3) and one reader ([`PagedStore`]); what is
+//! specific to paging — the block cache, budgets, block placement — is
+//! in `paged.rs`.
 
 use ktpm_closure::ClosureTables;
 use ktpm_graph::fixtures::paper_graph;
 use ktpm_graph::{GraphBuilder, NodeId};
 use ktpm_storage::{
-    write_store, write_store_versioned, ClosureSource, FileStore, FormatVersion, MemStore,
+    open_store_auto, write_store, write_store_v3, ClosureSource, MemStore, PagedStore, StorageError,
 };
-
-/// Writes `tables` in the v2 layout (the newest [`FileStore`] reads).
-fn write_v2(tables: &ClosureTables, path: &std::path::Path) {
-    write_store_versioned(tables, path, FormatVersion::V2).unwrap();
-}
 
 fn tempfile(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
@@ -23,7 +20,10 @@ fn tempfile(name: &str) -> std::path::PathBuf {
     p
 }
 
-fn check_equivalent(mem: &MemStore, file: &FileStore) {
+/// `file` was written with the block capacity `mem` uses as its cursor
+/// block size, so the cursors must agree block for block, not only in
+/// content.
+fn check_equivalent(mem: &MemStore, file: &PagedStore) {
     assert_eq!(mem.num_nodes(), file.num_nodes());
     for i in 0..mem.num_nodes() {
         let v = NodeId(i as u32);
@@ -39,7 +39,6 @@ fn check_equivalent(mem: &MemStore, file: &FileStore) {
         pf.sort_unstable();
         assert_eq!(pm, pf, "L table {a:?}->{b:?}");
     }
-    // Cursors stream identical content.
     for (a, _) in mem.pair_keys() {
         for i in 0..mem.num_nodes() {
             let v = NodeId(i as u32);
@@ -56,6 +55,7 @@ fn check_equivalent(mem: &MemStore, file: &FileStore) {
             }
         }
     }
+    assert!(file.take_error().is_none(), "a clean file swallows nothing");
 }
 
 #[test]
@@ -63,8 +63,8 @@ fn paper_graph_roundtrip() {
     let g = paper_graph();
     let tables = ClosureTables::compute(&g);
     let path = tempfile("paper");
-    write_v2(&tables, &path);
-    let file = FileStore::open_with_block_edges(&path, 1).unwrap();
+    write_store_v3(&tables, &path, 1).unwrap();
+    let file = PagedStore::open(&path).unwrap();
     let mem = MemStore::with_block_edges(tables, 1);
     check_equivalent(&mem, &file);
     std::fs::remove_file(&path).ok();
@@ -94,8 +94,8 @@ fn random_graph_roundtrip() {
     let g = b.build().unwrap();
     let tables = ClosureTables::compute(&g);
     let path = tempfile("random");
-    write_v2(&tables, &path);
-    let file = FileStore::open_with_block_edges(&path, 7).unwrap();
+    write_store_v3(&tables, &path, 7).unwrap();
+    let file = PagedStore::open(&path).unwrap();
     let mem = MemStore::with_block_edges(tables, 7);
     check_equivalent(&mem, &file);
     std::fs::remove_file(&path).ok();
@@ -106,8 +106,8 @@ fn file_store_counts_real_io() {
     let g = paper_graph();
     let tables = ClosureTables::compute(&g);
     let path = tempfile("iocount");
-    write_v2(&tables, &path);
-    let file = FileStore::open(&path).unwrap();
+    write_store(&tables, &path).unwrap();
+    let file = PagedStore::open(&path).unwrap();
     file.reset_io();
     let a = g.interner().get("a").unwrap();
     let c = g.interner().get("c").unwrap();
@@ -125,9 +125,9 @@ fn lookup_dist_matches_mem() {
     let g = paper_graph();
     let tables = ClosureTables::compute(&g);
     let path = tempfile("dist");
-    write_v2(&tables, &path);
-    let file = FileStore::open(&path).unwrap();
-    let mem = MemStore::new(ClosureTables::compute(&g));
+    write_store(&tables, &path).unwrap();
+    let file = PagedStore::open(&path).unwrap();
+    let mem = MemStore::new(tables);
     for u in 0..g.num_nodes() {
         for v in 0..g.num_nodes() {
             let (u, v) = (NodeId(u as u32), NodeId(v as u32));
@@ -138,71 +138,62 @@ fn lookup_dist_matches_mem() {
 }
 
 #[test]
-fn zero_block_edges_is_an_explicit_config_error() {
-    // A cursor block size of 0 used to clamp silently to 1; it must be
-    // reported as InvalidConfig so callers learn their knob was wrong.
-    let g = paper_graph();
-    let tables = ClosureTables::compute(&g);
-    let path = tempfile("zero-block-edges");
-    write_v2(&tables, &path);
-    match FileStore::open_with_block_edges(&path, 0) {
-        Err(ktpm_storage::StorageError::InvalidConfig(m)) => {
-            assert!(m.contains("at least 1"), "unhelpful message: {m}")
-        }
-        other => panic!(
-            "block_edges=0 must be InvalidConfig, got {err:?}",
-            err = other.err()
-        ),
-    }
-    // A size of 1 remains valid.
-    assert!(FileStore::open_with_block_edges(&path, 1).is_ok());
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
 fn open_rejects_garbage() {
     let path = tempfile("garbage");
     std::fs::write(&path, b"this is not a closure store, not at all....").unwrap();
-    assert!(FileStore::open(&path).is_err());
+    for res in [
+        PagedStore::open(&path).map(|_| ()),
+        open_store_auto(&path, None).map(|_| ()),
+    ] {
+        assert!(
+            matches!(&res, Err(StorageError::BadFormat(m)) if m.contains("magic")),
+            "garbage is not a store: {res:?}"
+        );
+    }
     std::fs::remove_file(&path).ok();
 }
 
-/// A valid store's bytes, for the corruption tests below. `name` must
-/// be unique per test: tests run concurrently in one process, so a
-/// shared scratch path would race write/read/delete.
+/// A valid store's bytes (2-entry blocks, so groups span blocks and the
+/// last block of a group is padded), for the corruption tests below.
+/// `name` must be unique per test: tests run concurrently in one
+/// process, so a shared scratch path would race write/read/delete.
 fn store_bytes(name: &str) -> Vec<u8> {
-    let g = paper_graph();
-    let tables = ClosureTables::compute(&g);
+    let tables = ClosureTables::compute(&paper_graph());
     let path = tempfile(name);
-    write_v2(&tables, &path);
+    write_store_v3(&tables, &path, 2).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).ok();
     bytes
 }
 
+/// Offset of the first pair's `D` section: header (magic, two counts,
+/// block capacity), label table, header CRC.
+fn first_d_offset() -> usize {
+    20 + paper_graph().num_nodes() * 4 + 4
+}
+
 #[test]
 fn open_truncated_at_every_byte_returns_err_never_panics() {
     // Truncate the snapshot at EVERY byte boundary — through the magic,
-    // the header counts, the label table, every section and the footer.
-    // Open must return Err (Corrupt once the header magic survives,
-    // i.e. cut >= 8 and len >= the minimum) and never panic or abort.
+    // the header counts, the label table, every section and the footer
+    // — and open it the way `--store` does (`open_store_auto`, which
+    // sniffs the magic before handing the file to the reader). Open
+    // must return Err (Corrupt once the magic and the minimum length
+    // survive) and never panic or abort.
     let bytes = store_bytes("bytes-truncated-src");
     let path = tempfile("truncated");
     for cut in 0..bytes.len() {
         std::fs::write(&path, &bytes[..cut]).unwrap();
-        let res = FileStore::open(&path);
+        let res = open_store_auto(&path, None).map(|_| ());
         assert!(
             res.is_err(),
             "truncation at {cut}/{} must fail",
             bytes.len()
         );
-        if cut >= 32 {
-            // Header magic intact and past the minimum length: the
-            // failure must be diagnosed as corruption, not format.
+        if cut >= 36 {
             assert!(
-                matches!(res, Err(ktpm_storage::StorageError::Corrupt { .. })),
-                "truncation at {cut} should be Corrupt, got {res:?}",
-                res = res.err()
+                matches!(res, Err(StorageError::Corrupt { .. })),
+                "truncation at {cut} should be Corrupt, got {res:?}"
             );
         }
     }
@@ -216,158 +207,65 @@ fn corrupt_index_offset_is_rejected_not_followed() {
     // garbage count.
     let mut bytes = store_bytes("bytes-badindex-src");
     let n = bytes.len();
-    bytes[n - 16..n - 8].copy_from_slice(&(u64::MAX - 7).to_le_bytes());
     let path = tempfile("badindex");
-    std::fs::write(&path, &bytes).unwrap();
-    assert!(matches!(
-        FileStore::open(&path),
-        Err(ktpm_storage::StorageError::Corrupt { .. })
-    ));
+    for index_off in [u64::MAX - 7, n as u64, n as u64 - 16] {
+        bytes[n - 16..n - 8].copy_from_slice(&index_off.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(
+            matches!(PagedStore::open(&path), Err(StorageError::Corrupt { .. })),
+            "index offset {index_off} of a {n}-byte file"
+        );
+    }
     std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn corrupt_section_counts_degrade_to_empty_tables_without_panic() {
-    // Blow up the first pair's D-section count (the first 4 bytes after
-    // the label table). Open succeeds — the header/index are intact —
-    // and the poisoned reads return empty instead of allocating
-    // count * 8 bytes or panicking.
-    let g = paper_graph();
-    let tables = ClosureTables::compute(&g);
-    let path = tempfile("badcount");
-    write_v2(&tables, &path);
-    let mut bytes = std::fs::read(&path).unwrap();
-    let d_off = 16 + g.num_nodes() * 4 + 4; // header + labels + header crc
+    // Blow up the first pair's D-section count. Open succeeds — the
+    // header/index are intact — and the poisoned read returns empty
+    // instead of allocating count * 8 bytes or panicking; the swallowed
+    // error is not lost: `take_error()` hands it to the caller.
+    let mut bytes = store_bytes("bytes-badcount-src");
+    let d_off = first_d_offset();
     bytes[d_off..d_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let path = tempfile("badcount");
     std::fs::write(&path, &bytes).unwrap();
-    let store = FileStore::open(&path).unwrap();
+    let store = PagedStore::open(&path).unwrap();
+    let (a, b) = store.pair_keys()[0];
+    assert!(store.load_d(a, b).is_empty());
+    assert!(
+        matches!(store.take_error(), Some(StorageError::Corrupt { .. })),
+        "the degraded read must leave its error behind"
+    );
     for (a, b) in store.pair_keys() {
-        // The first pair's D read hits the corrupt count; all reads
-        // must complete without panicking.
         let _ = store.load_d(a, b);
         let _ = store.load_e(a, b);
         let _ = store.load_pair(a, b);
     }
     // The scrub pinpoints the damaged section.
-    assert!(matches!(
-        store.verify(),
-        Err(ktpm_storage::StorageError::Corrupt { .. })
-    ));
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn v1_files_without_checksums_still_open_and_read() {
-    // Format-version compatibility: a store written in the legacy v1
-    // layout (magic KTPMCLO1, no per-section checksums) must read back
-    // byte-identically to the MemStore, and verify() is a no-op Ok.
-    let g = paper_graph();
-    let tables = ClosureTables::compute(&g);
-    let path = tempfile("v1-compat");
-    write_store_versioned(&tables, &path, FormatVersion::V1).unwrap();
-    let file = FileStore::open_with_block_edges(&path, 1).unwrap();
-    assert_eq!(file.version(), FormatVersion::V1);
-    file.verify().unwrap();
-    let mem = MemStore::with_block_edges(tables, 1);
-    check_equivalent(&mem, &file);
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn v2_files_open_and_verify_clean() {
-    let g = paper_graph();
-    let tables = ClosureTables::compute(&g);
-    let path = tempfile("v2-clean");
-    write_v2(&tables, &path);
-    let file = FileStore::open(&path).unwrap();
-    assert_eq!(file.version(), FormatVersion::V2);
-    file.verify().unwrap();
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn v3_default_output_is_rejected_with_a_pointer_to_paged_store() {
-    // write_store now emits v3; FileStore must refuse it with a
-    // BadFormat that names the right reader, not misparse it.
-    let g = paper_graph();
-    let tables = ClosureTables::compute(&g);
-    let path = tempfile("v3-reject");
-    write_store(&tables, &path).unwrap();
-    match FileStore::open(&path) {
-        Err(ktpm_storage::StorageError::BadFormat(m)) => {
-            assert!(m.contains("PagedStore"), "unhelpful message: {m}")
-        }
-        other => panic!(
-            "v3 store must be BadFormat for FileStore, got {other:?}",
-            other = other.err()
-        ),
-    }
+    assert!(matches!(store.verify(), Err(StorageError::Corrupt { .. })));
     std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn bit_rot_in_any_data_byte_is_caught_by_the_scrub() {
-    // Flip one bit in every byte between the header and the index:
-    // either open fails (header/label/index damage) or verify() — the
-    // eager whole-store scrub — reports Corrupt. Data-section rot can
-    // never go unnoticed on a v2 snapshot. (Step 7 keeps the loop
-    // cheap; offsets cover all sections over the run.)
+    // Flip bits in EVERY byte of the file in turn — magic, counts,
+    // labels, every D/E/directory section, every block and its padding,
+    // the index, the footer: either open fails or verify() — the eager
+    // whole-store scrub — does. No byte of a snapshot can rot unnoticed,
+    // and nothing panics on the way.
     let bytes = store_bytes("bytes-bitrot-src");
     let path = tempfile("bitrot");
-    for pos in (8..bytes.len() - 16).step_by(7) {
+    for pos in 0..bytes.len() {
         let mut corrupt = bytes.clone();
         corrupt[pos] ^= 0x10;
         std::fs::write(&path, &corrupt).unwrap();
-        match FileStore::open(&path) {
-            Err(_) => {}
-            Ok(store) => {
-                assert!(
-                    matches!(
-                        store.verify(),
-                        Err(ktpm_storage::StorageError::Corrupt { .. })
-                    ),
-                    "bit flip at {pos} must be caught by open or verify"
-                );
-            }
-        }
-    }
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn corrupt_v1_directories_never_panic_the_unchecked_read_paths() {
-    // v1 snapshots have NO checksums, so corrupt directory offsets
-    // reach the group-region arithmetic unverified. Flip bits at every
-    // position (two masks, so high offset bytes get hit too) and drive
-    // every read path: reads may degrade to empty/partial but must
-    // never panic — including the off < base and end-overflow cases in
-    // load_pair's region arithmetic.
-    let g = paper_graph();
-    let tables = ClosureTables::compute(&g);
-    let path = tempfile("v1-bitrot-src");
-    write_store_versioned(&tables, &path, FormatVersion::V1).unwrap();
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    let path = tempfile("v1-bitrot");
-    for mask in [0x01u8, 0x80] {
-        for pos in (8..bytes.len() - 16).step_by(3) {
-            let mut corrupt = bytes.clone();
-            corrupt[pos] ^= mask;
-            std::fs::write(&path, &corrupt).unwrap();
-            let Ok(store) = FileStore::open(&path) else {
-                continue;
-            };
-            let _ = store.verify();
-            for (a, b) in store.pair_keys() {
-                let _ = store.load_d(a, b);
-                let _ = store.load_e(a, b);
-                let _ = store.load_pair(a, b);
-            }
-            for v in 0..store.num_nodes() {
-                let v = NodeId(v as u32);
-                let mut cur = store.incoming_cursor(store.node_label(v), v);
-                while !cur.next_block().is_empty() {}
-            }
+        if let Ok(store) = PagedStore::open(&path) {
+            assert!(
+                store.verify().is_err(),
+                "bit flip at {pos}/{} must be caught by open or verify",
+                bytes.len()
+            );
         }
     }
     std::fs::remove_file(&path).ok();
@@ -377,24 +275,26 @@ fn corrupt_v1_directories_never_panic_the_unchecked_read_paths() {
 fn crc_mismatch_degrades_infallible_reads_to_empty() {
     // Corrupt a byte inside the first pair's D payload (past its
     // count): open succeeds, the poisoned D read returns empty rather
-    // than garbage, and the other sections still read.
-    let g = paper_graph();
-    let tables = ClosureTables::compute(&g);
+    // than garbage — leaving its error for `take_error()` — and the
+    // other sections still read.
+    let tables = ClosureTables::compute(&paper_graph());
+    let mut bytes = store_bytes("bytes-crc-degrade-src");
+    bytes[first_d_offset() + 4] ^= 0xFF;
     let path = tempfile("crc-degrade");
-    write_v2(&tables, &path);
-    let mut bytes = std::fs::read(&path).unwrap();
-    let d_payload = 16 + g.num_nodes() * 4 + 4 + 4; // header, labels, hdr crc, D count
-    bytes[d_payload] ^= 0xFF;
     std::fs::write(&path, &bytes).unwrap();
-    let store = FileStore::open(&path).unwrap();
-    let first = store.pair_keys()[0];
+    let store = PagedStore::open(&path).unwrap();
+    let (a, b) = store.pair_keys()[0];
     assert!(
-        store.load_d(first.0, first.1).is_empty(),
+        store.load_d(a, b).is_empty(),
         "a checksum-failed D section must read as empty, not as garbage"
     );
     assert!(matches!(
-        store.verify(),
-        Err(ktpm_storage::StorageError::Corrupt { .. })
+        store.take_error(),
+        Some(StorageError::Corrupt { .. })
     ));
+    let mem = MemStore::new(tables);
+    assert_eq!(store.load_e(a, b), mem.load_e(a, b));
+    assert!(store.take_error().is_none(), "the E section is intact");
+    assert!(matches!(store.verify(), Err(StorageError::Corrupt { .. })));
     std::fs::remove_file(&path).ok();
 }

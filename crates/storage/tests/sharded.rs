@@ -6,8 +6,8 @@ use ktpm_closure::ClosureTables;
 use ktpm_graph::fixtures::paper_graph;
 use ktpm_graph::{GraphBuilder, LabeledGraph, NodeId};
 use ktpm_storage::{
-    open_store_auto, write_store_sharded, ClosureSource, EdgeCursor, MemStore, ShardSpec,
-    ShardedStore, StorageError,
+    load_snapshot_manifest, open_store_auto, write_store_sharded, ClosureSource, EdgeCursor,
+    MemStore, ShardSpec, ShardedStore, StorageError,
 };
 use std::path::PathBuf;
 
@@ -146,8 +146,8 @@ fn queries_open_only_the_files_their_pairs_route_to() {
     let owned: Vec<_> = manifest
         .routing
         .iter()
-        .filter(|(_, &s)| s == 0)
-        .map(|(&k, _)| k)
+        .filter(|&&(_, s)| s == 0)
+        .map(|&(k, _)| k)
         .collect();
     assert!(!owned.is_empty());
     for (a, b) in owned {
@@ -185,14 +185,21 @@ fn directory_without_manifest_is_a_pointed_error() {
     let dir = tempdir("empty-dir");
     std::fs::create_dir_all(&dir).unwrap();
     assert!(ShardedStore::open(&dir.join("nope")).is_err());
-    let Err(err) = open_store_auto(&dir, None) else {
-        panic!("a directory without a MANIFEST must not open");
-    };
-    let msg = err.to_string();
-    assert!(
-        msg.contains("MANIFEST") && msg.contains("did you mean"),
-        "the error must point at the manifest path: {msg}"
-    );
+    // One resolver behind every path-taking entry point: the same
+    // pointed sentence from each.
+    for res in [
+        open_store_auto(&dir, None).map(|_| ()),
+        load_snapshot_manifest(&dir).map(|_| ()),
+    ] {
+        let Err(err) = res else {
+            panic!("a directory without a MANIFEST must not open");
+        };
+        let msg = err.to_string();
+        assert!(
+            msg.contains("MANIFEST") && msg.contains("did you mean"),
+            "the error must point at the manifest path: {msg}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -263,8 +270,8 @@ fn missing_shard_file_degrades_to_empty_with_a_sticky_error() {
     let lost: Vec<_> = manifest
         .routing
         .iter()
-        .filter(|(_, &s)| s == 2)
-        .map(|(&k, _)| k)
+        .filter(|&&(_, s)| s == 2)
+        .map(|&(k, _)| k)
         .collect();
     assert!(!lost.is_empty());
     for (a, b) in lost {
@@ -278,8 +285,8 @@ fn missing_shard_file_degrades_to_empty_with_a_sticky_error() {
     let ok: Vec<_> = manifest
         .routing
         .iter()
-        .filter(|(_, &s)| s == 0)
-        .map(|(&k, _)| k)
+        .filter(|&&(_, s)| s == 0)
+        .map(|&(k, _)| k)
         .collect();
     let mem = MemStore::new(tables);
     for (a, b) in ok {

@@ -21,17 +21,18 @@
 //! options for `query`:
 //!   -k <n>            number of matches (default 10)
 //!   --store <path>    use a persisted closure store instead of computing.
-//!                     The format version is sniffed: v3 stores are read
-//!                     through the paged backend (lazy CRC-verified block
-//!                     fetch behind an LRU block cache), v1/v2 through
-//!                     the whole-section file reader. A sharded snapshot's
-//!                     MANIFEST (or directory) opens the sharded backend —
-//!                     only shard files the query's label pairs touch are
-//!                     opened. `tcp://host:port` connects to `ktpm blockd`
-//!                     and fetches blocks remotely on demand
+//!                     A store file is read through the paged backend
+//!                     (lazy CRC-verified block fetch behind an LRU block
+//!                     cache). A sharded snapshot's MANIFEST (or
+//!                     directory) opens the sharded backend — only shard
+//!                     files the query's label pairs touch are opened.
+//!                     `tcp://host:port` connects to `ktpm blockd` and
+//!                     fetches blocks remotely on demand. Files in the
+//!                     retired v1/v2 layouts are refused: re-run
+//!                     `ktpm closure`
 //!   --block-cache-bytes <n>
-//!                     byte budget for the v3 block cache (default 8 MiB;
-//!                     0 = unlimited). Ignored for v1/v2 stores
+//!                     byte budget for the block cache (default 8 MiB;
+//!                     0 = unlimited)
 //!   --iostats         print the store's I/O counters after the run:
 //!                     blocks/bytes/edges read, D/E entries, the
 //!                     block-cache hit/miss/eviction/resident-bytes set,
@@ -62,8 +63,8 @@
 //!                       Persisted and on-demand stores are snapshots:
 //!                       the `UPDATE` verb answers ERR update-unsupported
 //!                       on them. The default (compute in memory) serves
-//!                       a live store that accepts updates. Version
-//!                       sniffing and --block-cache-bytes work as in
+//!                       a live store that accepts updates. Path
+//!                       resolution and --block-cache-bytes work as in
 //!                       `query`; STATS reports the store's io_* counters
 //!                       including the block-cache set.
 //!   --on-demand         skip closure precomputation (lazy per-label SSSP)
@@ -225,24 +226,12 @@ fn load_graph(path: &str) -> Result<LabeledGraph, Box<dyn std::error::Error>> {
     Ok(ktpm::graph::io::read_graph(BufReader::new(f))?)
 }
 
-/// Whether `path` is a file starting with the sharded-snapshot
-/// MANIFEST magic (reads only the first 8 bytes).
-fn file_has_v4_magic(path: &std::path::Path) -> bool {
-    use std::io::Read;
-    let Ok(mut f) = std::fs::File::open(path) else {
-        return false;
-    };
-    let mut magic = [0u8; 8];
-    f.read_exact(&mut magic).is_ok() && &magic == ktpm::storage::MAGIC_V4
-}
-
-/// Picks the storage backend shared by `query` and `serve`. Persisted
-/// stores are opened by sniffing what `--store` names: a `tcp://`
-/// address connects to `ktpm blockd`, a sharded snapshot's MANIFEST
-/// (or directory) opens the sharded backend, and single files dispatch
-/// on their format version — v3 goes through the paged reader (lazy
-/// verified block fetch behind the `--block-cache-bytes` LRU budget;
-/// 0 = unlimited), v1/v2 through the whole-section `FileStore`.
+/// Picks the storage backend shared by `query` and `serve`. What
+/// `--store` names is resolved in one place (`open_store_uri`): a
+/// `tcp://` address connects to `ktpm blockd`, a sharded snapshot's
+/// MANIFEST (or directory) opens the sharded backend, and a store file
+/// goes through the paged reader (lazy verified block fetch behind the
+/// `--block-cache-bytes` LRU budget; 0 = unlimited).
 fn open_store(
     g: &LabeledGraph,
     store_path: &Option<String>,
@@ -674,13 +663,15 @@ fn cmd_blockd(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 /// `ktpm store verify <store>`: re-checks every checksum in a
-/// persisted snapshot — v3 scrubs each section and every group block,
-/// v2 each section, v1 has none to check (reported as such). A sharded
-/// snapshot (MANIFEST path or directory) checks the manifest CRC, then
-/// every shard file's length and whole-file content hash against it,
-/// then scrubs each shard; the first corrupt file is named in the
-/// error. Exits nonzero (via the `Err` path in `main`) on the first
-/// corruption.
+/// persisted snapshot. A store file is opened (header and index
+/// checksums) and scrubbed section by section and block by block. A
+/// sharded snapshot (MANIFEST path or directory) checks the manifest
+/// CRC, then every shard file's length and whole-file content hash
+/// against it, then scrubs each shard; the first corrupt file is named
+/// in the error. What the path names is resolved by the same
+/// `open_local_store` that `--store` goes through, so the error for a
+/// file this tool cannot read is the reader's own. Exits nonzero (via
+/// the `Err` path in `main`) on the first corruption.
 fn cmd_store(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let [sub, store_arg] = args else {
         return Err("usage: ktpm store verify <store.tc|MANIFEST|dir>".into());
@@ -688,39 +679,21 @@ fn cmd_store(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     if sub != "verify" {
         return Err(format!("unknown store subcommand {sub:?} (expected verify)").into());
     }
-    let path = std::path::Path::new(store_arg);
+    let named = |e: StorageError| format!("{store_arg}: {e}");
     let t = std::time::Instant::now();
-    // Sharded snapshots first: a directory (must hold a MANIFEST — the
-    // pointed error otherwise), or a file carrying the v4 magic.
-    if path.is_dir() || file_has_v4_magic(path) {
-        let manifest_path = if path.is_dir() {
-            let p = path.join("MANIFEST");
-            if !p.is_file() {
-                return Err(format!(
-                    "{store_arg} is a directory without a MANIFEST — did you mean the \
-                     manifest path of a sharded snapshot (<dir>/MANIFEST)?"
-                )
-                .into());
-            }
-            p
-        } else {
-            path.to_path_buf()
-        };
-        let store = ShardedStore::open(&manifest_path).map_err(|e| format!("{store_arg}: {e}"))?;
-        store.verify().map_err(|e| format!("{store_arg}: {e}"))?;
-        println!(
-            "{store_arg}: OK (v4 sharded, manifest + {} shard file(s) scrubbed, {:?})",
-            store.shard_count(),
-            t.elapsed()
-        );
-        return Ok(());
-    }
-    // Sniff the version by opening both ways: the paged reader rejects
-    // v1/v2 with BadFormat and vice versa, so exactly one succeeds on a
-    // well-formed file of either lineage.
-    match PagedStore::open(path) {
-        Ok(store) => {
-            store.verify().map_err(|e| format!("{store_arg}: {e}"))?;
+    match open_local_store(std::path::Path::new(store_arg), DEFAULT_BLOCK_CACHE_BYTES)
+        .map_err(named)?
+    {
+        LocalStore::Sharded(store) => {
+            store.verify().map_err(named)?;
+            println!(
+                "{store_arg}: OK (v4 sharded, manifest + {} shard file(s) scrubbed, {:?})",
+                store.shard_count(),
+                t.elapsed()
+            );
+        }
+        LocalStore::Paged(store) => {
+            store.verify().map_err(named)?;
             let io = store.io();
             println!(
                 "{store_arg}: OK (v3 paged, {} blocks / {} bytes scrubbed, {:?})",
@@ -729,23 +702,6 @@ fn cmd_store(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 t.elapsed()
             );
         }
-        Err(StorageError::BadFormat(_)) => {
-            let store = FileStore::open(path).map_err(|e| format!("{store_arg}: {e}"))?;
-            store.verify().map_err(|e| format!("{store_arg}: {e}"))?;
-            let io = store.io();
-            let note = match store.version() {
-                FormatVersion::V1 => " — v1 has no checksums; only structure was checked",
-                _ => "",
-            };
-            println!(
-                "{store_arg}: OK ({:?} file store, {} blocks / {} bytes scrubbed, {:?}{note})",
-                store.version(),
-                io.block_reads,
-                io.bytes_read,
-                t.elapsed()
-            );
-        }
-        Err(e) => return Err(format!("{store_arg}: {e}").into()),
     }
     Ok(())
 }

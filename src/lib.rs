@@ -147,10 +147,10 @@ pub mod prelude {
         ServiceHandle, SessionId, UpdateReport, WarmReport,
     };
     pub use ktpm_storage::{
-        open_store_auto, open_store_uri, write_store, write_store_sharded, write_store_v3,
-        write_store_versioned, ClosureSource, DeltaReport, FileStore, FormatVersion, IoSnapshot,
-        LiveStore, Manifest, MemStore, OnDemandStore, PagedStore, RemoteStore, ShardedStore,
-        SharedSource, StorageError, DEFAULT_BLOCK_CACHE_BYTES, DEFAULT_BLOCK_EDGES,
+        open_local_store, open_store_auto, open_store_uri, write_store, write_store_sharded,
+        write_store_v3, ClosureSource, DeltaReport, IoSnapshot, LiveStore, LocalStore, Manifest,
+        MemStore, OnDemandStore, PagedStore, RemoteStore, ShardedStore, SharedSource, StorageError,
+        DEFAULT_BLOCK_CACHE_BYTES, DEFAULT_BLOCK_EDGES,
     };
     pub use ktpm_workload::{generate, query_set, random_tree_query, GraphSpec, QuerySpec};
 }

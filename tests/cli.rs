@@ -2,25 +2,82 @@
 //! graph's closure, `ktpm query --store … --iostats` answers over it.
 //! The printed match rows must be the library's own stream, and the
 //! `# timing:` line must carry its four named fields — their presence
-//! and names are the contract, never their values.
+//! and names are the contract, never their values. `ktpm store verify`
+//! must pass a clean file and, for one it cannot read, say what is
+//! wrong with *that file*.
 
 use ktpm::graph::fixtures::paper_graph;
 use ktpm::prelude::*;
 use std::process::Command;
 
+fn run(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_ktpm"))
+        .args(args)
+        .output()
+        .expect("spawn ktpm")
+}
+
 /// Runs the built `ktpm` binary; returns stdout, panicking (with
 /// stderr) on a nonzero exit.
 fn ktpm(args: &[&str]) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_ktpm"))
-        .args(args)
-        .output()
-        .expect("spawn ktpm");
+    let out = run(args);
     assert!(
         out.status.success(),
         "ktpm {args:?} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+/// Runs `ktpm` expecting a nonzero exit; returns stderr.
+fn ktpm_fails(args: &[&str]) -> String {
+    let out = run(args);
+    assert!(!out.status.success(), "ktpm {args:?} must exit nonzero");
+    String::from_utf8(out.stderr).expect("utf-8 stderr")
+}
+
+#[test]
+fn store_verify_passes_a_clean_file_and_names_what_is_wrong_with_a_bad_one() {
+    let mut dir = std::env::temp_dir();
+    dir.push(format!("ktpm-cli-verify-test-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (graph, store, bad) = (path("graph.txt"), path("store.tc"), path("bad.tc"));
+    ktpm::graph::io::write_graph(&paper_graph(), std::fs::File::create(&graph).unwrap()).unwrap();
+    ktpm(&["closure", &graph, &store]);
+
+    let ok = ktpm(&["store", "verify", &store]);
+    assert!(ok.contains("OK (v3 paged"), "{ok}");
+
+    // A retired layout: refused with the way forward, not "bad magic".
+    std::fs::write(&bad, [&b"KTPMCLO2"[..], &[0u8; 64]].concat()).unwrap();
+    let err = ktpm_fails(&["store", "verify", &bad]);
+    assert!(
+        err.contains("v1/v2") && err.contains("ktpm closure"),
+        "{err}"
+    );
+
+    // A v3 file whose index is checksum-valid but out of order (entries
+    // 0 and 1 swapped, CRC re-sealed): the operator must read which
+    // index entry is wrong — not be told to use a different reader.
+    let mut bytes = std::fs::read(&store).unwrap();
+    let footer = bytes.len() - 16;
+    let index_off = u64::from_le_bytes(bytes[footer..footer + 8].try_into().unwrap()) as usize;
+    let (e0, e1) = (index_off + 4, index_off + 4 + 32);
+    let first = bytes[e0..e1].to_vec();
+    bytes.copy_within(e1..e1 + 32, e0);
+    bytes[e1..e1 + 32].copy_from_slice(&first);
+    let sum = ktpm::storage::blockproto::crc32(&bytes[index_off..footer - 4]);
+    bytes[footer - 4..footer].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&bad, &bytes).unwrap();
+    let err = ktpm_fails(&["store", "verify", &bad]);
+    assert!(
+        err.contains("index entry 1") && err.contains("ascending"),
+        "{err}"
+    );
+    assert!(!err.contains("open it with"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -248,6 +248,8 @@ fn cyclic_dense_graphs() {
 
 #[test]
 fn file_store_end_to_end_agrees_with_memory() {
+    // The defaults end to end: `write_store`'s file, opened the way
+    // `--store` opens it, must stream exactly the in-memory matches.
     let mut rng = StdRng::seed_from_u64(6000);
     let g = random_graph(&mut rng, 30, 5, 3);
     let q = TreeQuery::parse("L0 -> L1\nL0 -> L2\nL2 -> L3").unwrap();
@@ -255,19 +257,13 @@ fn file_store_end_to_end_agrees_with_memory() {
     let tables = ClosureTables::compute(&g);
     let mut path = std::env::temp_dir();
     path.push(format!("ktpm-xval-{}.bin", std::process::id()));
-    // Explicit v2: FileStore is the v1/v2 reader (v3 is PagedStore's).
-    write_store_versioned(&tables, &path, FormatVersion::V2).unwrap();
-    let file = FileStore::open_with_block_edges(&path, 3).unwrap();
-    let mem = MemStore::with_block_edges(tables, 3);
-    let from_mem: Vec<Score> = TopkEnEnumerator::new(&resolved, &mem)
-        .take(20)
-        .map(|m| m.score)
-        .collect();
-    let from_file: Vec<Score> = TopkEnEnumerator::new(&resolved, &file)
-        .take(20)
-        .map(|m| m.score)
-        .collect();
+    write_store(&tables, &path).unwrap();
+    let file = open_store_auto(&path, None).unwrap();
+    let mem = MemStore::new(tables);
+    let from_mem: Vec<ScoredMatch> = topk_en(&resolved, &mem, 20);
+    let from_file: Vec<ScoredMatch> = topk_en(&resolved, file.as_ref(), 20);
     assert_eq!(from_mem, from_file);
+    assert!(file.take_error().is_none());
     std::fs::remove_file(&path).ok();
 }
 
