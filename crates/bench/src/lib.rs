@@ -1,60 +1,11 @@
 //! # ktpm-bench
 //!
 //! The experiment harness behind `cargo run --release -p ktpm-bench --bin
-//! experiments` and the criterion benches: dataset preparation (with an
-//! on-disk closure cache under `target/ktpm-data/`), query-set
-//! generation, and one measurement routine per algorithm. Every table
-//! and figure of the paper's §6 maps to a function here; the
-//! `experiments` binary prints them in the paper's layout.
-
-#[cfg(feature = "count-allocs")]
-mod counting_alloc {
-    //! A counting wrapper around the system allocator: every `alloc`
-    //! and `realloc` bumps one relaxed atomic. The smoke harness diffs
-    //! the counter around enumeration loops to report allocations/op —
-    //! the metric the arena-backed deviation encoding is gated on.
-
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    pub(crate) static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-    pub(crate) struct CountingAlloc;
-
-    // SAFETY: delegates verbatim to `System`; the counter has no effect
-    // on allocation behavior.
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            System.alloc(layout)
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout)
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            System.realloc(ptr, layout, new_size)
-        }
-    }
-
-    #[global_allocator]
-    static GLOBAL: CountingAlloc = CountingAlloc;
-}
-
-/// Heap allocation events (alloc + realloc) since process start.
-/// Always 0 when the `count-allocs` feature is off.
-pub fn alloc_count() -> u64 {
-    #[cfg(feature = "count-allocs")]
-    {
-        counting_alloc::ALLOCS.load(std::sync::atomic::Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "count-allocs"))]
-    {
-        0
-    }
-}
+//! experiments`: dataset preparation (with an on-disk closure cache
+//! under `target/ktpm-data/`), query-set generation, and one
+//! measurement routine per algorithm. Every table and figure of the
+//! paper's §6 maps to a function here; the `experiments` binary prints
+//! them in the paper's layout.
 
 use ktpm_closure::ClosureTables;
 use ktpm_core::{build_stream, MatchStream, ParallelPolicy, QueryPlan};
@@ -62,9 +13,9 @@ use ktpm_exec::WorkerPool;
 use ktpm_graph::LabeledGraph;
 use ktpm_query::ResolvedQuery;
 use ktpm_runtime::RuntimeGraph;
-use ktpm_storage::{open_store_auto, write_store, MemStore, SharedSource};
+use ktpm_storage::{open_store_auto, write_store, SharedSource};
 use ktpm_workload::{generate, query_set, GraphSpec};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -91,7 +42,7 @@ pub fn paper_name(algo: Algo) -> &'static str {
     }
 }
 
-/// A prepared dataset: graph + on-disk closure store + offline stats.
+/// A prepared dataset: graph + on-disk closure store.
 pub struct Dataset {
     /// Family name (`GD3`, `GS1`, ...).
     pub name: String,
@@ -100,23 +51,19 @@ pub struct Dataset {
     /// The opened on-disk closure store, behind a shared handle so
     /// parallel runs can clone it per shard.
     pub store: SharedSource,
-    /// Closure computation wall time (seconds); 0 when served from cache.
-    pub closure_secs: f64,
-    /// Closure edge count.
-    pub closure_edges: usize,
-    /// Size of the store file in bytes.
-    pub file_bytes: u64,
-    /// Path of the store file, so benchmarks can re-open it with
-    /// explicit backends or cache budgets (cold/warm paged-store runs).
-    pub path: PathBuf,
+}
+
+/// The workspace root, resolved from this crate's manifest directory
+/// (stable under any invocation cwd): `crates/bench` → two levels up.
+fn workspace_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench sits two levels below the workspace root")
 }
 
 fn cache_dir() -> PathBuf {
-    let mut p = std::env::current_dir().expect("cwd");
-    // Walk up to the workspace root if invoked from a member dir.
-    while !p.join("Cargo.toml").exists() && p.pop() {}
-    p.push("target");
-    p.push("ktpm-data");
+    let p = workspace_root().join("target").join("ktpm-data");
     std::fs::create_dir_all(&p).expect("create cache dir");
     p
 }
@@ -141,42 +88,18 @@ pub fn prepare_dataset(name: &str, spec: &GraphSpec) -> Dataset {
     let mut path = cache_dir();
     // The filename carries the store format version so a checkout that
     // changes the default output format never re-opens a stale cache
-    // file written in the old one (the paged-store smoke section needs
-    // `path` to really be v3).
+    // file written in the old one.
     path.push(format!("{name}-{fingerprint}-v3.tc"));
-    let (closure_secs, closure_edges) = if path.exists() {
-        (0.0, 0)
-    } else {
-        let t = Instant::now();
-        let tables = ClosureTables::compute(&graph);
-        let secs = t.elapsed().as_secs_f64();
-        let edges = tables.num_edges();
-        write_store(&tables, &path).expect("write closure store");
-        (secs, edges)
-    };
-    let file_bytes = std::fs::metadata(&path).expect("store file").len();
+    if !path.exists() {
+        write_store(&ClosureTables::compute(&graph), &path).expect("write closure store");
+    }
     // Version-sniffing open (v3 paged with the default cache budget
     // here; the helper keeps working if the default format moves).
-    let store: SharedSource = open_store_auto(&path, None).expect("open closure store");
-    let closure_edges = if closure_edges == 0 {
-        // Served from cache: recount cheaply from the index.
-        store
-            .pair_keys()
-            .iter()
-            .map(|&(a, b)| store.load_d(a, b).len())
-            .sum::<usize>()
-            .max(1) // D undercounts edges; only used for display when cached
-    } else {
-        closure_edges
-    };
+    let store = open_store_auto(&path, None).expect("open closure store");
     Dataset {
         name: name.to_string(),
         graph,
         store,
-        closure_secs,
-        closure_edges,
-        file_bytes,
-        path,
     }
 }
 
@@ -268,38 +191,6 @@ pub fn run_stream(
     m
 }
 
-/// As [`run_stream`], but over a pre-built plan — the warm-open shape,
-/// where the plan half (candidate discovery, or a pattern's
-/// decomposition and lower bounds) is amortized across opens and only
-/// the stream half is on the clock. `store` must be the source the
-/// plan was built over (its I/O counters are reset and read).
-pub fn run_plan_stream(
-    store: &SharedSource,
-    plan: &QueryPlan,
-    k: usize,
-    algo: Algo,
-    policy: &ParallelPolicy,
-    pool: &Arc<WorkerPool>,
-) -> Measurement {
-    store.reset_io();
-    let mut m = Measurement::default();
-    let t0 = Instant::now();
-    let mut it = build_stream(algo, plan, policy, Arc::clone(pool));
-    let first = MatchStream::next(&mut *it);
-    m.top1_secs = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let mut rest = Vec::new();
-    if first.is_some() {
-        it.next_batch(k.saturating_sub(1), &mut rest);
-    }
-    m.produced = usize::from(first.is_some()) + rest.len();
-    m.enum_secs = t1.elapsed().as_secs_f64();
-    let io = store.io();
-    m.edges_loaded = io.edges_read;
-    m.bytes_read = io.bytes_read;
-    m
-}
-
 /// Runs `algo` for the top-`k` matches of `query`, measuring phases
 /// and I/O against the dataset's disk store. Every engine — the DP
 /// baselines included — goes through the facade stream
@@ -314,16 +205,6 @@ pub fn run_algo(ds: &Dataset, query: &ResolvedQuery, k: usize, algo: Algo) -> Me
         &ParallelPolicy::default(),
         &ktpm_exec::default_pool(),
     )
-}
-
-/// A graph-attached in-memory source over the dataset's graph: what
-/// kGPM pattern plans need (the undirected mirror is derived from the
-/// attached graph; the on-disk [`Dataset::store`] is closure-only).
-/// Recomputes the closure, so reserve it for kGPM-sized graphs.
-pub fn pattern_store(ds: &Dataset) -> SharedSource {
-    MemStore::new(ClosureTables::compute(&ds.graph))
-        .with_graph(ds.graph.clone())
-        .into_shared()
 }
 
 /// Runs `ParTopk` with `shards` shards for the top-`k` matches of
@@ -431,47 +312,17 @@ mod tests {
     #[test]
     fn prepare_and_measure_smoke() {
         let ds = prepare_dataset("SMOKE", &GraphSpec::citation(400, 123));
-        assert!(ds.file_bytes > 0);
         let queries = queries_for(&ds, 6, 3, true);
         assert!(!queries.is_empty());
         // Every tree-capable registry engine runs through the one
-        // facade path; kGPM needs a pattern plan (covered below).
+        // facade path; kGPM needs a pattern plan, which this harness
+        // does not build (`experiments fig9` drives `KgpmStream` itself).
         for algo in Algo::ALL.into_iter().filter(|&a| a != Algo::Kgpm) {
             let m = run_algo_avg(&ds, &queries, 5, algo);
             assert!(m.produced >= 1, "{algo:?} produced nothing");
         }
         let (n, e) = runtime_graph_sizes(&ds, &queries);
         assert!(n > 0.0 && e > 0.0);
-    }
-
-    #[test]
-    fn kgpm_measures_over_a_pattern_plan() {
-        let ds = prepare_dataset("SMOKE", &GraphSpec::citation(400, 123));
-        let store = pattern_store(&ds);
-        let ug = ktpm_graph::undirect(&ds.graph);
-        let q = ktpm_workload::random_graph_query(&ug, 4, 1, 11).expect("pattern extraction");
-        let plan = QueryPlan::new_pattern(q, ds.graph.interner(), &store)
-            .expect("graph-attached store supports pattern plans");
-        let pool = ktpm_exec::default_pool();
-        let seq = run_plan_stream(
-            &store,
-            &plan,
-            8,
-            Algo::Kgpm,
-            &ParallelPolicy::default(),
-            &pool,
-        );
-        assert!(seq.produced >= 1, "kGPM produced nothing");
-        // Sharding must not change what the stream yields.
-        let sharded = run_plan_stream(
-            &store,
-            &plan,
-            8,
-            Algo::Kgpm,
-            &ParallelPolicy::with_shards(3),
-            &pool,
-        );
-        assert_eq!(sharded.produced, seq.produced);
     }
 
     #[test]
@@ -509,6 +360,15 @@ mod tests {
                 assert_eq!(got, want, "shards {shards}");
             }
         }
+    }
+
+    #[test]
+    fn cache_lives_under_the_workspace_target_dir() {
+        // `cargo test` runs with cwd = crates/bench; the cache must not
+        // follow it.
+        let root = workspace_root();
+        assert!(root.join("Cargo.lock").exists(), "{}", root.display());
+        assert_eq!(cache_dir(), root.join("target").join("ktpm-data"));
     }
 
     #[test]

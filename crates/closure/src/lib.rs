@@ -8,8 +8,6 @@
 //!   `Lᵅᵦ` (the layout of §3.1/§4.1: per destination node, incoming
 //!   closure edges sorted by distance), with derived `Dᵅᵦ` and `Eᵅᵦ`
 //!   views and the `θ` statistic used in the complexity discussion;
-//! * [`pll`] — a pruned-landmark 2-hop index (§5 "Managing Closure Size")
-//!   for answering distance queries without materializing the closure;
 //! * `reference` — a Floyd–Warshall oracle for tests.
 //!
 //! Distances follow the paper's path semantics: a closure edge `(v, v')`
@@ -17,7 +15,6 @@
 //! particular `(v, v)` exists only if `v` lies on a cycle.
 
 mod dijkstra;
-pub mod pll;
 pub mod reference;
 mod repair;
 mod tables;

@@ -72,21 +72,6 @@ impl<'s> TopkEnEnumerator<'s> {
         Self::with_bound_shared(query, source, BoundMode::Tight)
     }
 
-    /// The partitioned form: enumerates only matches whose *root* data
-    /// node lies in `shard`, loading lazily like [`Self::new`] but driven
-    /// solely by this shard's root bucket. Used by `ParTopk`'s lazy
-    /// shard engine.
-    pub fn new_sharded(
-        query: &ResolvedQuery,
-        source: SharedSource,
-        shard: ktpm_storage::ShardSpec,
-    ) -> TopkEnEnumerator<'static> {
-        let mut lists = SlotLists::default();
-        let loader =
-            PriorityLoader::new_sharded(query, source, BoundMode::Tight, &mut lists, shard);
-        TopkEnEnumerator::from_parts(query, loader, lists)
-    }
-
     /// Algorithm 3 over a shared [`QueryPlan`]: the §4.1 candidate
     /// discovery (`D`/`E` table sweeps) comes from the plan — computed
     /// on its first use, shared ever after — so constructing this

@@ -181,16 +181,9 @@ impl SlotLists {
     /// access. Produces exactly the lists [`Self::build_full`] would for
     /// the slots it materializes, but an enumerator that only explores a
     /// fraction of the run-time graph (a root shard, or a small `k`) pays
-    /// O(touched lists) instead of O(m_R) up front. The graph and `bs`
-    /// data are shared (`Arc`), so `P` shard enumerators over one query
-    /// add only their root slices and touched lists.
-    pub fn build_on_demand(rg: Arc<RuntimeGraph>, bs: Arc<BsData>, shard: ShardSpec) -> Self {
-        Self::from_templates(Arc::new(SlotTemplates::new(rg, bs)), shard)
-    }
-
-    /// As [`Self::build_on_demand`] over *shared* templates: every list
-    /// a previous sharer already touched is a clone, not a rebuild, and
-    /// first touches race safely on the templates' `OnceLock`s.
+    /// O(touched lists) instead of O(m_R) up front. The templates are
+    /// shared: every list a previous sharer already touched is a clone,
+    /// not a rebuild, and first touches race safely on their `OnceLock`s.
     pub fn from_templates(templates: Arc<SlotTemplates>, shard: ShardSpec) -> Self {
         let tree = templates.rg.query().tree();
         let n_t = tree.len();
@@ -547,7 +540,7 @@ impl<'g> TopkEnumerator<'g> {
     /// The partitioned form: enumerates only matches whose *root* data
     /// node lies in `shard`, over a run-time graph and `bs` data shared
     /// with the other shards of the same query. Lists build on demand
-    /// ([`SlotLists::build_on_demand`]), so `P` shard enumerators don't
+    /// ([`SlotLists::from_templates`]), so `P` shard enumerators don't
     /// each repeat the O(m_R) list construction. Within its shard the
     /// emitted order (and every score/witness) is identical to what
     /// [`Self::new`] produces for those matches.

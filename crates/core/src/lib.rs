@@ -102,11 +102,11 @@
 //!   are all known at divide time, so "promote the next best" is a
 //!   cursor bump, not a heap operation.
 //!
-//! Net effect (bench-smoke, GS3 wildcard stars, k = 50 000): from
-//! ~4.4–6.3 allocations per emitted match under the old clone
-//! encoding to ~0.01–0.1 — tracked per run in `BENCH_parallel.json`'s
-//! `deviation_encoding` section and gated in CI against the recorded
-//! clone baseline.
+//! Net effect (GS3 wildcard stars, k = 50 000): from ~4.4–6.3
+//! allocations per emitted match under the old clone encoding to
+//! ~0.01–0.1 — reported per run as `benchmark/`'s
+//! `core.allocs_per_match` and held below 1.0 by
+//! `tests/alloc_budget.rs`.
 
 mod algo;
 pub mod brute;

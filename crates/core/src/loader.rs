@@ -126,21 +126,6 @@ impl<'s> PriorityLoader<'s> {
         )
     }
 
-    /// As [`Self::new_shared`], restricted to matches rooted in `shard`:
-    /// the root candidate bucket is filtered, so loading is driven only
-    /// by this shard's sub-universe. The `Q_g` bound stays a valid lower
-    /// bound for the restricted universe — it ranges over a superset of
-    /// the matter the shard can use, so it can only be conservative.
-    pub fn new_sharded(
-        query: &ResolvedQuery,
-        source: SharedSource,
-        bound: BoundMode,
-        lists: &mut SlotLists,
-        shard: ShardSpec,
-    ) -> PriorityLoader<'static> {
-        PriorityLoader::with_source(query, SourceRef::Shared(source), bound, lists, shard)
-    }
-
     fn with_source(
         query: &ResolvedQuery,
         source: SourceRef<'s>,

@@ -150,6 +150,15 @@ fn cache_counters_flow_and_warm_reads_skip_disk() {
     // Unlimited budget: after one cold pass every block is resident.
     let paged = PagedStore::open_with_cache_bytes(&path, 0).unwrap();
     let keys = paged.pair_keys();
+    // Lazy: a cold read of one pair fetches that pair, not the file.
+    let probe = PagedStore::open(&path).unwrap();
+    let _ = probe.load_pair(keys[0].0, keys[0].1);
+    let one_pair = probe.io().bytes_read;
+    let file_bytes = std::fs::metadata(&path).unwrap().len();
+    assert!(
+        0 < one_pair && one_pair < file_bytes,
+        "{one_pair} of {file_bytes}"
+    );
     for &(a, b) in &keys {
         let _ = paged.load_pair(a, b);
     }

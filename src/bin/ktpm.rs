@@ -192,6 +192,13 @@ use std::io::BufReader;
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 
+// One synopsis per subcommand: bare `ktpm` and the subcommand's own
+// argument error print the same line.
+const CLOSURE_USAGE: &str =
+    "ktpm closure <graph.txt> <store.tc|dir> [--shards n] [--block-entries n]";
+const QUERY_USAGE: &str = "ktpm query <graph.txt> <query.txt> [-k n] [--store p|tcp://host:port] [--algo a] [--parallel n] [--repeat n] [--on-demand] [--block-cache-bytes n] [--iostats]";
+const SERVE_USAGE: &str = "ktpm serve <graph.txt> [--addr host:port] [--store p|tcp://host:port] [--on-demand] [--block-cache-bytes n] [--workers n] [--parallel n] [--ttl secs] [--plan-cache n] [--plan-cache-bytes n] [--warm file] [--invalidation policy] [--event-loop] [--net-workers n] [--pipeline n] [--write-buf bytes] [--idle-timeout secs] [--sweep-interval-ms n]";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
@@ -201,12 +208,10 @@ fn main() -> ExitCode {
         Some("blockd") => cmd_blockd(&args[1..]),
         Some("store") => cmd_store(&args[1..]),
         _ => {
-            eprintln!(
-                "usage: ktpm closure <graph.txt> <store.tc|dir> [--shards n] [--block-entries n]"
-            );
-            eprintln!("       ktpm query <graph.txt> <query.txt> [-k n] [--store p|tcp://host:port] [--algo a] [--parallel n] [--repeat n] [--on-demand] [--block-cache-bytes n] [--iostats]");
+            eprintln!("usage: {CLOSURE_USAGE}");
+            eprintln!("       {QUERY_USAGE}");
             eprintln!("         (--iostats prints the store's I/O counters and a `# timing: open= plan+stream= first= rest=` line)");
-            eprintln!("       ktpm serve <graph.txt> [--addr host:port] [--store p|tcp://host:port] [--on-demand] [--block-cache-bytes n] [--workers n] [--parallel n] [--ttl secs] [--plan-cache n] [--plan-cache-bytes n] [--warm file] [--invalidation policy] [--event-loop] [--net-workers n] [--pipeline n] [--write-buf bytes] [--idle-timeout secs] [--sweep-interval-ms n]");
+            eprintln!("       {SERVE_USAGE}");
             eprintln!("       ktpm blockd --store <path> [--listen host:port]");
             eprintln!("       ktpm store verify <store.tc|MANIFEST|dir>");
             return ExitCode::from(2);
@@ -266,10 +271,7 @@ fn cmd_closure(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     let [graph_path, out_path] = positional.as_slice() else {
-        return Err(
-            "usage: ktpm closure <graph.txt> <store.tc|dir> [--shards n] [--block-entries n]"
-                .into(),
-        );
+        return Err(format!("usage: {CLOSURE_USAGE}").into());
     };
     let g = load_graph(graph_path)?;
     let t = std::time::Instant::now();
@@ -348,10 +350,7 @@ fn cmd_query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
     let repeat = repeat.max(1);
     let [graph_path, query_path] = positional.as_slice() else {
-        return Err(
-            "usage: ktpm query <graph.txt> <query.txt> [-k n] [--store p] [--algo a] [--parallel n] [--repeat n] [--on-demand] [--block-cache-bytes n] [--iostats]"
-                .into(),
-        );
+        return Err(format!("usage: {QUERY_USAGE}").into());
     };
     // --parallel alone selects parallel execution; pairing it with a
     // non-sharded --algo would silently ignore one of the two.
@@ -569,10 +568,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     let [graph_path] = positional.as_slice() else {
-        return Err(
-            "usage: ktpm serve <graph.txt> [--addr host:port] [--store p] [--on-demand] [--block-cache-bytes n] [--workers n] [--parallel n] [--ttl secs] [--plan-cache n] [--plan-cache-bytes n] [--warm file] [--invalidation policy] [--event-loop] [--net-workers n] [--pipeline n] [--write-buf bytes] [--idle-timeout secs] [--sweep-interval-ms n]"
-                .into(),
-        );
+        return Err(format!("usage: {SERVE_USAGE}").into());
     };
     let g = load_graph(graph_path)?;
     let t = std::time::Instant::now();

@@ -104,7 +104,7 @@
 //! order, scores and witnesses. Exposed end to end: `--algo par` /
 //! `--parallel N` in `ktpm query`, `OPEN par …` sessions in
 //! `ktpm serve` (policy in `ServiceConfig::parallel`), and the
-//! `bench-smoke` CI job's `BENCH_parallel.json` perf trajectory.
+//! `par` section of `crates/bench`'s `experiments` binary.
 
 pub mod api;
 

@@ -1,0 +1,80 @@
+//! Allocations per emitted match on the enumeration hot path: the
+//! budget the arena-backed deviation encoding bought (the clone
+//! encoding it replaced paid 4.4–6.3 per match on this workload).
+//! Its own test binary because it installs a counting global allocator;
+//! one `#[test]`, so nothing else allocates while it counts.
+
+use ktpm::prelude::*;
+use ktpm::workload::{gs_family, DEFAULT_GS};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+struct CountingAlloc;
+
+// SAFETY: delegates verbatim to `System`; the counter has no effect on
+// allocation behavior.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// `(allocations, matches)` while draining up to 50 000 matches off
+/// `it`; the enumerator is built before the call, so setup is excluded.
+fn drain(it: impl Iterator<Item = ScoredMatch>) -> (u64, u64) {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let matches = it.take(50_000).count() as u64;
+    (ALLOCS.load(Ordering::Relaxed) - before, matches)
+}
+
+#[test]
+fn enumeration_allocates_less_than_once_per_match() {
+    let g = generate(&gs_family()[DEFAULT_GS].1);
+    let store = MemStore::new(ClosureTables::compute(&g)).into_shared();
+    let pool = Arc::new(WorkerPool::new(1));
+    let one_shard = ParallelPolicy::with_shards(1);
+    let mut totals = [("Topk", 0, 0), ("Topk-EN", 0, 0), ("ParTopk/1", 0, 0)];
+    for (root, fanout) in [("L0", 2), ("L7", 2), ("L0", 3)] {
+        let text: String = (1..=fanout).map(|i| format!("{root} -> *#{i}\n")).collect();
+        let q = TreeQuery::parse(&text)
+            .expect("wildcard star parses")
+            .resolve(g.interner());
+        let rg = RuntimeGraph::load(&q, store.as_ref());
+        let runs = [
+            drain(TopkEnumerator::new(&rg)),
+            drain(TopkEnEnumerator::new(&q, store.as_ref())),
+            drain(ParTopk::new(
+                &q,
+                Arc::clone(&store),
+                &one_shard,
+                Arc::clone(&pool),
+            )),
+        ];
+        for (total, (allocs, matches)) in totals.iter_mut().zip(runs) {
+            total.1 += allocs;
+            total.2 += matches;
+        }
+    }
+    for (engine, allocs, matches) in totals {
+        assert!(
+            matches >= 50_000 && allocs < matches,
+            "{engine}: {allocs} allocations for {matches} matches"
+        );
+    }
+}

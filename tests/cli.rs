@@ -178,3 +178,22 @@ fn query_over_a_persisted_store_prints_library_matches_and_the_timing_split() {
     assert!(!quiet.contains("# timing:") && !quiet.contains("# iostats:"));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn bare_ktpm_and_each_subcommand_print_the_same_synopsis() {
+    let overview = ktpm_fails(&[]);
+    for (cmd, mentions) in [
+        ("serve", "tcp://"),
+        ("query", "tcp://"),
+        ("closure", "--shards"),
+    ] {
+        let from = |text: &str| -> String {
+            let at = text.find(&format!("ktpm {cmd} "));
+            let at = at.unwrap_or_else(|| panic!("no `ktpm {cmd}` line in:\n{text}"));
+            text[at..].lines().next().unwrap_or_default().to_string()
+        };
+        let own = from(&ktpm_fails(&[cmd]));
+        assert_eq!(own, from(&overview), "`ktpm` vs `ktpm {cmd}`");
+        assert!(own.contains(mentions), "{own}");
+    }
+}

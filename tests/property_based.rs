@@ -219,18 +219,6 @@ proptest! {
     }
 
     #[test]
-    fn pll_matches_closure(g in graph_strategy(10, 3, 3)) {
-        let tc = ClosureTables::compute(&g);
-        let pll = ktpm::closure::pll::PllIndex::build(&g);
-        for i in 0..g.num_nodes() {
-            for j in 0..g.num_nodes() {
-                let (i, j) = (NodeId(i as u32), NodeId(j as u32));
-                prop_assert_eq!(pll.dist(i, j), tc.dist(i, j));
-            }
-        }
-    }
-
-    #[test]
     fn lawler_stream_is_sorted_unique_and_valid(
         g in graph_strategy(10, 4, 3),
         q in query_strategy(4),
