@@ -15,9 +15,9 @@
 //! replacement rank does not exist yet are parked with score ∞ (§4.3:
 //! "an empty match in a subspace may become nonempty later").
 
-use crate::lawler::{LawlerCore, SlotLists};
+use crate::lawler::{LawlerCore, Popped, SlotLists};
 use crate::loader::{BoundMode, PriorityLoader};
-use crate::matches::{CandidateSpec, HeapEntry, ScoredMatch};
+use crate::matches::{CandidateSpec, Child, HeapEntry, MatchArena, ScoredMatch};
 use crate::plan::{LazySetup, QueryPlan};
 use ktpm_graph::Score;
 use ktpm_query::{QNodeId, ResolvedQuery};
@@ -36,6 +36,9 @@ use std::sync::Arc;
 pub struct TopkEnEnumerator<'s> {
     query: ResolvedQuery,
     core: LawlerCore,
+    /// Popped matches in the deviation encoding: parked specs read
+    /// single positions of arbitrary earlier matches through it.
+    arena: MatchArena,
     lists: SlotLists,
     loader: PriorityLoader<'s>,
     specs: Vec<CandidateSpec>,
@@ -49,7 +52,7 @@ pub struct TopkEnEnumerator<'s> {
     /// lazy deletion.
     parked_heap: BinaryHeap<HeapEntry>,
     /// Reused divide output buffer (cleared each pop).
-    div_buf: Vec<(CandidateSpec, bool)>,
+    div_buf: Vec<Child>,
     /// Reused dirty-key dedup scratch for [`Self::after_expand`].
     dirty_scratch: HashSet<(u32, u32)>,
     initial_created: bool,
@@ -128,10 +131,10 @@ impl<'s> TopkEnEnumerator<'s> {
         // Arena hint: every root candidate pops at least once before
         // the stream ends, so the root bucket size is a cheap estimate.
         let hint = loader.candidates().len(QNodeId(0));
-        let core = LawlerCore::new(query.tree(), hint.max(16));
         TopkEnEnumerator {
             query: query.clone(),
-            core,
+            core: LawlerCore::new(query.tree()),
+            arena: MatchArena::new(query.len(), hint.max(16)),
             lists,
             loader,
             specs: Vec::new(),
@@ -167,13 +170,8 @@ impl<'s> TopkEnEnumerator<'s> {
         if spec.pos == 0 {
             (0, 0)
         } else {
-            let p = self
-                .query
-                .tree()
-                .parent(QNodeId(spec.pos))
-                .expect("non-root")
-                .0;
-            let pi = self.core.node_at(spec.parent, p);
+            let p = self.core.parent_of(spec.pos);
+            let pi = self.arena.node_at(spec.parent, p);
             (spec.pos, pi)
         }
     }
@@ -194,6 +192,30 @@ impl<'s> TopkEnEnumerator<'s> {
                 b: self.parked_version[id as usize],
             });
         }
+    }
+
+    /// Re-evaluates a previously unknown or parked candidate against the
+    /// current lists (they may have grown since). Returns the updated
+    /// score if the rank now exists. Needs only one position of the
+    /// parent's assignment — a point lookup in the arena, no
+    /// materialization.
+    fn reevaluate(&mut self, spec: &CandidateSpec) -> Option<Score> {
+        let m = spec.parent;
+        let base_rank = if spec.pos == self.arena.div_pos(m) {
+            self.arena.rank_at_div(m)
+        } else {
+            1
+        };
+        let score = self.arena.score(m);
+        let list = if spec.pos == 0 {
+            &mut self.lists.root
+        } else {
+            let p = self.core.parent_of(spec.pos);
+            self.lists.slot(spec.pos, self.arena.node_at(m, p))
+        };
+        let base_key = list.rank(base_rank as usize)?.0;
+        let (new_key, _) = list.rank(spec.rank as usize)?;
+        Some(score - base_key + new_key)
     }
 
     fn place(&mut self, spec: CandidateSpec, known: bool, gtop: Option<Score>) {
@@ -235,7 +257,7 @@ impl<'s> TopkEnEnumerator<'s> {
                     continue;
                 }
                 let spec = self.specs[id as usize];
-                if let Some(score) = self.core.reevaluate(&mut self.lists, &spec) {
+                if let Some(score) = self.reevaluate(&spec) {
                     self.specs[id as usize].score = score;
                     self.parked_version[id as usize] += 1;
                     self.parked_heap.push(HeapEntry {
@@ -274,7 +296,7 @@ impl<'s> TopkEnEnumerator<'s> {
             }
             self.parked_heap.pop();
             let spec = self.specs[id as usize];
-            match self.core.reevaluate(&mut self.lists, &spec) {
+            match self.reevaluate(&spec) {
                 Some(ns) if gtop.is_none_or(|g| ns <= g) => {
                     self.parked_alive[id as usize] = false;
                     self.push_q(id, ns);
@@ -330,7 +352,7 @@ impl<'s> TopkEnEnumerator<'s> {
                 continue;
             }
             let spec = self.specs[id as usize];
-            if let Some(score) = self.core.reevaluate(&mut self.lists, &spec) {
+            if let Some(score) = self.reevaluate(&spec) {
                 self.parked_alive[id as usize] = false;
                 self.push_q(id, score);
             }
@@ -340,24 +362,40 @@ impl<'s> TopkEnEnumerator<'s> {
     fn emit(&mut self) -> ScoredMatch {
         let HeapEntry { b: id, .. } = self.q.pop().expect("emit called with non-empty Q");
         let spec = self.specs[id as usize];
-        let m_id = self.core.materialize(&mut self.lists, spec);
+        let row = self.arena.begin(spec.parent);
+        let changed = self
+            .core
+            .materialize(&mut self.lists, row, spec.pos, spec.rank);
+        let div_pos = spec.div_pos();
+        let popped = Popped {
+            id: self
+                .arena
+                .commit(spec.parent, spec.score, div_pos, spec.rank, changed),
+            score: spec.score,
+            div_pos,
+            rank_at_div: spec.rank,
+        };
         let gtop = self.loader.qg_top();
         let mut children = std::mem::take(&mut self.div_buf);
-        self.core.divide_into(&mut self.lists, m_id, &mut children);
-        for &(child, known) in &children {
-            self.place(child, known, gtop);
+        // The arena's scratch row holds the match just committed.
+        let asn = self.arena.load(popped.id);
+        self.core
+            .divide_into(&mut self.lists, asn, popped, &mut children);
+        for c in &children {
+            self.place(c.spec, c.known, gtop);
         }
-        children.clear();
         self.div_buf = children;
-        // Emission-time materialization off the arena's scratch row.
-        let score = self.core.score(m_id);
-        let tree = self.query.tree();
-        let asn = self.core.load_assignment(m_id);
-        let assignment = tree
+        let asn = self.arena.load(popped.id);
+        let assignment = self
+            .query
+            .tree()
             .node_ids()
             .map(|u| self.loader.candidates().node(u, asn[u.index()]))
             .collect();
-        ScoredMatch { score, assignment }
+        ScoredMatch {
+            score: spec.score,
+            assignment,
+        }
     }
 }
 

@@ -10,13 +10,12 @@
 
 use crate::bs::BsData;
 use crate::lazylist::LazySortedList;
-use crate::matches::{CandidateSpec, HeapEntry, MatchArena, ScoredMatch, NO_PARENT};
+use crate::matches::{CandidateSpec, Child, ScoredMatch, NO_PARENT};
 use crate::plan::QueryPlan;
 use ktpm_graph::Score;
 use ktpm_query::{QNodeId, TreeQuery};
 use ktpm_runtime::{GraphRef, RuntimeGraph};
 use ktpm_storage::ShardSpec;
-use std::collections::BinaryHeap;
 use std::sync::{Arc, OnceLock};
 
 /// Shared, concurrency-safe slot-list templates over one run-time
@@ -278,41 +277,56 @@ impl SlotLists {
     }
 }
 
-/// The shared Lawler machinery. Slot lists are passed in by the driver
-/// (Algorithm 1 owns static lists; Algorithm 3's grow during loading).
-/// Popped matches live in the arena-backed deviation encoding
-/// ([`MatchArena`]): the pop → divide → emit cycle allocates nothing
-/// per match, and full assignments materialize only at emission.
+/// The shared Lawler machinery: subspace division (Theorems 3.1/3.2)
+/// and O(n_T) match materialization over assignment **rows** —
+/// `[u32]` slices of candidate indices in query-BFS order. Slot lists
+/// are passed in by the driver (Algorithm 1 owns static lists;
+/// Algorithm 3's grow during loading) and so is the row storage:
+/// `Topk` keeps one row per queue entrant in a flat pool, `Topk-EN`
+/// works on the scratch row of its `MatchArena`. Nothing here
+/// allocates per match.
 pub(crate) struct LawlerCore {
     /// Parent BFS index per query node (`u32::MAX` for the root).
     parents: Vec<u32>,
     n_t: usize,
-    arena: MatchArena,
     /// Scratch for subtree membership during materialization.
     in_subtree: Vec<bool>,
 }
 
+/// What [`LawlerCore::divide_into`] reads of a popped match besides its
+/// row.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Popped {
+    /// The id the match's children name as their `parent`.
+    pub id: u32,
+    pub score: Score,
+    /// The position its subspace division starts at (`j` in §3.2);
+    /// `NO_PARENT` for the initial top-1, which divides everywhere.
+    pub div_pos: u32,
+    /// The rank of its element at `div_pos` within that list
+    /// (`|U_j| + 1`); drives the Theorem 3.1 chain.
+    pub rank_at_div: u32,
+}
+
 /// The list a replacement at `pos` draws from: the root list for
-/// `pos == 0`, otherwise the slot list under the parent candidate the
-/// arena's current (scratch) row assigns.
+/// `pos == 0`, otherwise the slot list under the parent candidate
+/// `row` assigns.
 fn list_at<'l>(
     lists: &'l mut SlotLists,
     parents: &[u32],
-    arena: &MatchArena,
+    row: &[u32],
     pos: u32,
 ) -> &'l mut LazySortedList {
     if pos == 0 {
         &mut lists.root
     } else {
         let p = parents[pos as usize];
-        lists.slot(pos, arena.scratch_at(p))
+        lists.slot(pos, row[p as usize])
     }
 }
 
 impl LawlerCore {
-    /// A core for `tree` whose arena reserves room for about `hint`
-    /// popped matches (a capacity hint only — the arena grows freely).
-    pub fn new(tree: &TreeQuery, hint: usize) -> Self {
+    pub fn new(tree: &TreeQuery) -> Self {
         let parents: Vec<u32> = tree
             .node_ids()
             .map(|u| tree.parent(u).map_or(u32::MAX, |p| p.0))
@@ -321,9 +335,13 @@ impl LawlerCore {
         LawlerCore {
             parents,
             n_t,
-            arena: MatchArena::new(n_t, hint),
             in_subtree: vec![false; n_t],
         }
+    }
+
+    /// Parent BFS index of query node `pos` (`u32::MAX` for the root).
+    pub fn parent_of(&self, pos: u32) -> u32 {
+        self.parents[pos as usize]
     }
 
     /// The initial candidate: the best root (= top-1 match, Line 3 of
@@ -338,19 +356,24 @@ impl LawlerCore {
         })
     }
 
-    /// Materializes a candidate into a popped-match record (O(n_T), no
-    /// allocation): the arena scratch row is loaded with the parent's
-    /// assignment, the replaced position swapped, and only the replaced
-    /// node's subtree re-derived via best-descendant links (list
-    /// minima) — the changed positions become the record's patch.
-    pub fn materialize(&mut self, lists: &mut SlotLists, spec: CandidateSpec) -> u32 {
-        self.arena.begin(spec.parent);
-        let (_, replacement) = list_at(lists, &self.parents, &self.arena, spec.pos)
-            .rank(spec.rank as usize)
+    /// Materializes a candidate (O(n_T), no allocation): `row` arrives
+    /// holding the parent's assignment; the replaced position takes
+    /// its list's `rank`-th element and only that node's subtree is
+    /// re-derived via best-descendant links (list minima). Returns the
+    /// mask of rewritten positions.
+    pub fn materialize(
+        &mut self,
+        lists: &mut SlotLists,
+        row: &mut [u32],
+        pos: u32,
+        rank: u32,
+    ) -> &[bool] {
+        let (_, replacement) = list_at(lists, &self.parents, row, pos)
+            .rank(rank as usize)
             .expect("candidate rank was verified at divide time");
-        self.arena.set(spec.pos, replacement);
+        let pos = pos as usize;
+        row[pos] = replacement;
         // Re-derive the subtree strictly below `pos`.
-        let pos = spec.pos as usize;
         self.in_subtree.fill(false);
         self.in_subtree[pos] = true;
         for w in (pos + 1)..self.n_t {
@@ -360,161 +383,235 @@ impl LawlerCore {
             }
             self.in_subtree[w] = true;
             let (_, best) = lists
-                .slot(w as u32, self.arena.scratch_at(p as u32))
+                .slot(w as u32, row[p])
                 .first()
                 .expect("valid parents always have a non-empty slot list");
-            self.arena.set(w as u32, best);
+            row[w] = best;
         }
-        let div_pos = if spec.parent == NO_PARENT {
-            NO_PARENT
-        } else {
-            spec.pos
-        };
-        self.arena
-            .commit(spec.parent, spec.score, div_pos, spec.rank)
+        &self.in_subtree
     }
 
-    /// Divides the subspace of popped match `m_id` (procedure `Divide`)
-    /// into `out` (cleared first; reused across pops so division
-    /// allocates nothing): at most `n_T` O(1)-sized candidates, each
-    /// flagged with whether its replacement rank exists yet. Candidates
-    /// flagged `false` carry score `Score::MAX`; Algorithm 1 drops
-    /// them (empty subspaces, Lemma 3.2), Algorithm 3 parks them until
-    /// more edges load.
-    pub fn divide_into(
-        &mut self,
-        lists: &mut SlotLists,
-        m_id: u32,
-        out: &mut Vec<(CandidateSpec, bool)>,
-    ) {
+    /// Divides the subspace of popped match `m`, whose assignment is
+    /// `row` (procedure `Divide`), into `out` (cleared first; reused
+    /// across pops so division allocates nothing): at most `n_T`
+    /// O(1)-sized candidates.
+    pub fn divide_into(&self, lists: &mut SlotLists, row: &[u32], m: Popped, out: &mut Vec<Child>) {
         out.clear();
-        // Dividing happens right after materializing `m_id`, so this is
-        // memoized; the explicit load keeps the call order-independent.
-        self.arena.load(m_id);
-        let score = self.arena.score(m_id);
-        let div_pos = self.arena.div_pos(m_id);
-        let rank_at_div = self.arena.rank_at_div(m_id);
+        let mut push = |pos: u32, rank: u32, old_key: Score, new: Option<(Score, u32)>| {
+            out.push(Child {
+                spec: CandidateSpec {
+                    score: new.map_or(Score::MAX, |(key, _)| m.score - old_key + key),
+                    parent: m.id,
+                    pos,
+                    rank,
+                },
+                known: new.is_some(),
+                before_parent: new.is_some_and(|(_, node)| node < row[pos as usize]),
+            });
+        };
         // Case 1 (Theorem 3.1): continue the exclusion chain at div_pos.
-        if div_pos != NO_PARENT {
-            let list = list_at(lists, &self.parents, &self.arena, div_pos);
+        if m.div_pos != NO_PARENT {
+            let list = list_at(lists, &self.parents, row, m.div_pos);
             let old_key = list
-                .rank(rank_at_div as usize)
+                .rank(m.rank_at_div as usize)
                 .expect("the popped match's own element exists")
                 .0;
-            let spec_rank = rank_at_div + 1;
-            let (found, new_score) = match list.rank(spec_rank as usize) {
-                Some((new_key, _)) => (true, score - old_key + new_key),
-                None => (false, Score::MAX),
-            };
-            out.push((
-                CandidateSpec {
-                    score: new_score,
-                    parent: m_id,
-                    pos: div_pos,
-                    rank: spec_rank,
-                },
-                found,
-            ));
+            let rank = m.rank_at_div + 1;
+            push(m.div_pos, rank, old_key, list.rank(rank as usize));
         }
         // Case 2 (Theorem 3.2): one new subspace per later position.
-        let start = if div_pos == NO_PARENT {
+        let start = if m.div_pos == NO_PARENT {
             0
         } else {
-            div_pos as usize + 1
+            m.div_pos as usize + 1
         };
         for x in start..self.n_t {
-            let list = list_at(lists, &self.parents, &self.arena, x as u32);
+            let list = list_at(lists, &self.parents, row, x as u32);
             let Some((k1, _)) = list.rank(1) else {
                 // The match's own element must exist; in lazy mode a just-
                 // divided position always holds a loaded element, so an
                 // empty list can only mean "no match at all" (skip).
                 continue;
             };
-            let (found, new_score) = match list.rank(2) {
-                Some((k2, _)) => (true, score - k1 + k2),
-                None => (false, Score::MAX),
-            };
-            out.push((
-                CandidateSpec {
-                    score: new_score,
-                    parent: m_id,
-                    pos: x as u32,
-                    rank: 2,
-                },
-                found,
-            ));
+            push(x as u32, 2, k1, list.rank(2));
         }
     }
+}
 
-    /// Re-evaluates a previously unknown or parked candidate against the
-    /// current lists (they may have grown since). Returns the updated
-    /// score if the rank now exists. Needs only one position of the
-    /// parent's assignment — a point lookup in the arena, no
-    /// materialization.
-    pub fn reevaluate(&mut self, lists: &mut SlotLists, spec: &CandidateSpec) -> Option<Score> {
-        let m = spec.parent;
-        let base_rank = if spec.pos == self.arena.div_pos(m) {
-            self.arena.rank_at_div(m)
+/// Work done by a [`TopkEnumerator`] so far, in the paper's own cost
+/// terms: the O(n_T + log k) delay is `q_pushes ≤ 2` and
+/// `row_words ≤ 2·n_T` per pop (side queues on), one pop per match.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TopkCounters {
+    /// Entries popped off `Q` — one per emitted match.
+    pub pops: u64,
+    /// Candidates that entered `Q`, promotions included.
+    pub q_pushes: u64,
+    /// `Q` entrants promoted out of a side run `Q_l`.
+    pub promotions: u64,
+    /// Words written to the row pool (`n_T` per `Q` entrant).
+    pub row_words: u64,
+}
+
+/// The assignment rows of every candidate that has entered `Q`, `n_t`
+/// words each, back to back; an entrant's id is its row's index. Rows
+/// are never freed: a popped match's row stays the template its
+/// side-run children are promoted from.
+struct RowPool {
+    words: Vec<u32>,
+    n_t: usize,
+}
+
+impl RowPool {
+    #[inline]
+    fn row(&self, id: u32) -> &[u32] {
+        let start = id as usize * self.n_t;
+        &self.words[start..start + self.n_t]
+    }
+
+    /// Appends a copy of `parent`'s row (all-`MAX` for `NO_PARENT`) and
+    /// returns it for the caller to overwrite.
+    fn push_copy_of(&mut self, parent: u32) -> &mut [u32] {
+        let at = self.words.len();
+        if parent == NO_PARENT {
+            self.words.resize(at + self.n_t, u32::MAX);
         } else {
-            1
+            let start = parent as usize * self.n_t;
+            self.words.extend_from_within(start..start + self.n_t);
+        }
+        &mut self.words[at..]
+    }
+}
+
+/// The global queue `Q`: a binary min-heap of `(score, entrant id)`
+/// ordered by `(score, row)` — the canonical order. Hand-rolled because
+/// the tie-break reads the row pool, which an `Ord` on the entry
+/// cannot. Rows are compared only when two scores tie, O(n_T) worst
+/// case, so a push or pop is O(log k) on distinct scores and
+/// O(n_T · log k) on a fully tied stream.
+#[derive(Default)]
+struct RowHeap {
+    entries: Vec<(Score, u32)>,
+}
+
+impl RowHeap {
+    #[inline]
+    fn less(rows: &RowPool, a: (Score, u32), b: (Score, u32)) -> bool {
+        a.0 < b.0 || (a.0 == b.0 && rows.row(a.1) < rows.row(b.1))
+    }
+
+    /// Moves `e` from slot `i` towards the root until its parent is
+    /// not greater; slots on the way shift down.
+    fn sift_up(&mut self, rows: &RowPool, mut i: usize, e: (Score, u32)) {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !Self::less(rows, e, self.entries[parent]) {
+                break;
+            }
+            self.entries[i] = self.entries[parent];
+            i = parent;
+        }
+        self.entries[i] = e;
+    }
+
+    fn push(&mut self, rows: &RowPool, e: (Score, u32)) {
+        let i = self.entries.len();
+        self.entries.push(e);
+        self.sift_up(rows, i, e);
+    }
+
+    fn pop(&mut self, rows: &RowPool) -> Option<(Score, u32)> {
+        let last = self.entries.pop()?;
+        let Some(&top) = self.entries.first() else {
+            return Some(last);
         };
-        let score = self.arena.score(m);
-        let list = if spec.pos == 0 {
-            &mut lists.root
-        } else {
-            let p = self.parents[spec.pos as usize];
-            lists.slot(spec.pos, self.arena.node_at(m, p))
-        };
-        let base_key = list.rank(base_rank as usize)?.0;
-        let (new_key, _) = list.rank(spec.rank as usize)?;
-        Some(score - base_key + new_key)
+        // Walk the hole left by `top` to the bottom along the smaller
+        // children, then sift the displaced tail entry up from there:
+        // it usually belongs near the bottom, so this costs about one
+        // comparison a level instead of two.
+        let n = self.entries.len();
+        let mut i = 0;
+        loop {
+            let left = 2 * i + 1;
+            if left >= n {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < n && Self::less(rows, self.entries[right], self.entries[left]) {
+                right
+            } else {
+                left
+            };
+            self.entries[i] = self.entries[child];
+            i = child;
+        }
+        self.sift_up(rows, i, last);
+        Some(top)
     }
+}
 
-    /// Total score of popped match `m_id`.
-    pub fn score(&self, m_id: u32) -> Score {
-        self.arena.score(m_id)
-    }
-
-    /// The candidate index one position of popped match `m_id` assigns
-    /// (an arena point lookup; the row is not materialized).
-    pub fn node_at(&self, m_id: u32, pos: u32) -> u32 {
-        self.arena.node_at(m_id, pos)
-    }
-
-    /// Emission-time materialization: popped match `m_id`'s full
-    /// assignment row (candidate indices, query-BFS order), rebuilt by
-    /// the arena's parent-pointer walk into its reusable scratch row.
-    pub fn load_assignment(&mut self, m_id: u32) -> &[u32] {
-        self.arena.load(m_id)
-    }
+/// What `Q` keeps per entrant besides its row: where its division
+/// starts and which round's side run it came out of.
+#[derive(Debug, Clone, Copy)]
+struct Entrant {
+    div_pos: u32,
+    rank_at_div: u32,
+    round: u32,
 }
 
 /// Algorithm 1: the `Topk` enumerator over a fully-loaded run-time graph.
 ///
-/// Implements `Iterator`, yielding matches in non-decreasing score order;
-/// `take(k)` gives the top-k. Enumeration is unbounded (the kGPM layer
-/// streams past `k`).
+/// Implements `Iterator`, yielding matches in the workspace's
+/// **canonical order** — ascending `(score, assignment)`, see
+/// [`crate::partition`] — natively: `take(k)` gives the top-k after
+/// exactly `k` pops, with no look-ahead into a tie class. Enumeration is
+/// unbounded (the kGPM layer streams past `k`).
+///
+/// ## Why the heap order can be the canonical order
+///
+/// 1. Slot and root lists break key ties by candidate index
+///    ([`LazySortedList::new`]), and candidates ascend by data node id,
+///    so a subspace's representative — list minimum at every free
+///    position — is that subspace's `(score, assignment)`-minimum, and
+///    Lawler's argument holds for the total order: the minimum of `Q`
+///    is the next match.
+/// 2. Only candidates that enter `Q` need a comparable row, and with
+///    the §3.3 side queues that is at most two per pop (the round's
+///    best child and one promotion): O(n_T) words per pop in one flat
+///    pool, compared only when two scores tie.
+/// 3. A round's side run is ordered without rows, in O(1) per
+///    comparison (`Child::cmp_sibling`).
+///
+/// Per match: one pop, ≤ 2 pushes, ≤ 2·n_T row words, and a tie compare
+/// of O(n_T) worst case — O(n_T · log k) on a fully tied stream,
+/// O(n_T + log k) otherwise.
 pub struct TopkEnumerator<'g> {
     rg: GraphRef<'g>,
     core: LawlerCore,
     lists: SlotLists,
-    /// Global queue `Q`: compact entries keyed `(score, seq, spec id)`.
-    q: BinaryHeap<HeapEntry>,
-    /// All candidate specs ever created, with their creation round.
-    specs: Vec<(CandidateSpec, u32)>,
+    /// Global queue `Q`, ordered by `(score, row)`.
+    q: RowHeap,
+    /// The row of every `Q` entrant — the one representation of a
+    /// match here: emitted from, divided from, copied for children.
+    rows: RowPool,
+    /// Per `Q` entrant, parallel to `rows`.
+    entrants: Vec<Entrant>,
     /// The side queues `Q_l`, compacted into one flat pool: a round's
     /// non-best children are all known at divide time, so each round is
-    /// a pre-sorted run in `side_pool` and "promote the next best of
-    /// round `l`" is a cursor bump — no per-round heap, no per-round
-    /// allocation.
-    side_pool: Vec<HeapEntry>,
+    /// a run in `side_pool` pre-sorted in the canonical order and
+    /// "promote the next best of round `l`" is a cursor bump — no
+    /// per-round heap, no per-round allocation. A spec's `parent` is
+    /// the entrant id of the match its round popped.
+    side_pool: Vec<CandidateSpec>,
     /// Per round: `(cursor, end)` into `side_pool`.
     side_runs: Vec<(u32, u32)>,
     /// Reused divide output buffer (cleared each pop).
-    div_buf: Vec<(CandidateSpec, bool)>,
-    round: u32,
+    div_buf: Vec<Child>,
     use_side_queues: bool,
-    seq: u32,
+    /// Side-run cursor bumps so far (the one [`TopkCounters`] term the
+    /// structures above do not already record).
+    promotions: u64,
 }
 
 impl<'g> TopkEnumerator<'g> {
@@ -524,7 +621,8 @@ impl<'g> TopkEnumerator<'g> {
     }
 
     /// As [`Self::new`], with the `Q_l` optimization toggleable (for the
-    /// ablation benchmark).
+    /// ablation benchmark): off, every child enters `Q` with a row of
+    /// its own — the same stream at up to `n_T` pushes per pop.
     pub fn with_side_queues(rg: &'g RuntimeGraph, use_side_queues: bool) -> Self {
         Self::with_graph(GraphRef::Borrowed(rg), use_side_queues)
     }
@@ -541,9 +639,8 @@ impl<'g> TopkEnumerator<'g> {
     /// node lies in `shard`, over a run-time graph and `bs` data shared
     /// with the other shards of the same query. Lists build on demand
     /// ([`SlotLists::from_templates`]), so `P` shard enumerators don't
-    /// each repeat the O(m_R) list construction. Within its shard the
-    /// emitted order (and every score/witness) is identical to what
-    /// [`Self::new`] produces for those matches.
+    /// each repeat the O(m_R) list construction. The stream is exactly
+    /// what [`Self::new`] produces, filtered to the shard's roots.
     pub fn new_sharded(
         rg: Arc<RuntimeGraph>,
         bs: Arc<BsData>,
@@ -574,6 +671,19 @@ impl<'g> TopkEnumerator<'g> {
         Self::from_templates(Arc::clone(plan.slot_templates()), ShardSpec::full())
     }
 
+    /// Work done so far, read off the structures themselves: every
+    /// pop opens one round, every `Q` push appends one entrant and one
+    /// row.
+    #[doc(hidden)]
+    pub fn counters(&self) -> TopkCounters {
+        TopkCounters {
+            pops: self.side_runs.len() as u64 - 1,
+            q_pushes: self.entrants.len() as u64,
+            promotions: self.promotions,
+            row_words: self.rows.words.len() as u64,
+        }
+    }
+
     fn with_graph(rg: GraphRef<'g>, use_side_queues: bool) -> Self {
         let g = rg.get();
         let bs = BsData::compute(g);
@@ -582,44 +692,49 @@ impl<'g> TopkEnumerator<'g> {
     }
 
     fn from_lists(rg: GraphRef<'g>, mut lists: SlotLists, use_side_queues: bool) -> Self {
-        // Arena hint: every root candidate pops at least once before
-        // the stream ends, so the (shard-restricted) root list length
-        // is a cheap lower-bound-flavored estimate.
-        let mut core = LawlerCore::new(rg.get().query().tree(), lists.root.len().max(16));
-        let mut q = BinaryHeap::new();
-        let mut specs = Vec::new();
-        if let Some(init) = core.initial_candidate(&mut lists) {
-            specs.push((init, 0));
-            q.push(HeapEntry {
-                key: init.score,
-                a: 0,
-                b: 0,
-            });
-        }
-        TopkEnumerator {
+        let tree = rg.get().query().tree();
+        let mut core = LawlerCore::new(tree);
+        let init = core.initial_candidate(&mut lists);
+        // Capacity hint: every root candidate enters `Q` at least once
+        // before the stream ends, so the (shard-restricted) root list
+        // length is a cheap lower-bound-flavored estimate.
+        let hint = lists.root.len().clamp(16, 1 << 16);
+        let n_t = tree.len();
+        let mut it = TopkEnumerator {
             rg,
             core,
             lists,
-            q,
-            specs,
+            q: RowHeap::default(),
+            rows: RowPool {
+                words: Vec::with_capacity(hint * n_t),
+                n_t,
+            },
+            entrants: Vec::with_capacity(hint),
             side_pool: Vec::new(),
             side_runs: vec![(0, 0)],
             div_buf: Vec::new(),
-            round: 0,
             use_side_queues,
-            seq: 1,
+            promotions: 0,
+        };
+        if let Some(init) = init {
+            it.enter_q(init, 0);
         }
+        it
     }
 
-    fn push_spec_q(&mut self, spec: CandidateSpec, round: u32) {
-        let id = self.specs.len() as u32;
-        self.specs.push((spec, round));
-        self.q.push(HeapEntry {
-            key: spec.score,
-            a: self.seq,
-            b: id,
+    /// Gives `spec` its row — the parent's with the replaced subtree
+    /// re-derived — and pushes it onto `Q` as a child of `round`.
+    fn enter_q(&mut self, spec: CandidateSpec, round: u32) {
+        let id = self.entrants.len() as u32;
+        let row = self.rows.push_copy_of(spec.parent);
+        self.core
+            .materialize(&mut self.lists, row, spec.pos, spec.rank);
+        self.entrants.push(Entrant {
+            div_pos: spec.div_pos(),
+            rank_at_div: spec.rank,
+            round,
         });
-        self.seq += 1;
+        self.q.push(&self.rows, (spec.score, id));
     }
 }
 
@@ -627,66 +742,58 @@ impl Iterator for TopkEnumerator<'_> {
     type Item = ScoredMatch;
 
     fn next(&mut self) -> Option<ScoredMatch> {
-        let HeapEntry { b: cid, .. } = self.q.pop()?;
-        let (spec, spec_round) = self.specs[cid as usize];
+        let (score, id) = self.q.pop(&self.rows)?;
+        let Entrant {
+            div_pos,
+            rank_at_div,
+            round: from_round,
+        } = self.entrants[id as usize];
         // Promote the next best of the round this candidate came from:
         // runs are pre-sorted, so this is the next pool entry.
-        if self.use_side_queues {
-            let (cur, end) = &mut self.side_runs[spec_round as usize];
-            if cur < end {
-                let e = self.side_pool[*cur as usize];
-                *cur += 1;
-                self.q.push(e);
-            }
+        let (cur, end) = &mut self.side_runs[from_round as usize];
+        if cur < end {
+            let next_best = self.side_pool[*cur as usize];
+            *cur += 1;
+            self.promotions += 1;
+            self.enter_q(next_best, from_round);
         }
-        let m_id = self.core.materialize(&mut self.lists, spec);
-        self.round += 1;
-        let round = self.round;
+        // This pop's round is the index its run gets in `side_runs`.
+        let round = self.side_runs.len() as u32;
         let mut children = std::mem::take(&mut self.div_buf);
-        self.core.divide_into(&mut self.lists, m_id, &mut children);
+        let popped = Popped {
+            id,
+            score,
+            div_pos,
+            rank_at_div,
+        };
+        self.core
+            .divide_into(&mut self.lists, self.rows.row(id), popped, &mut children);
         // Algorithm 1 over static lists: unknown ranks are empty
         // subspaces (Lemma 3.2), dropped here.
-        children.retain(|&(_, known)| known);
+        children.retain(|c| c.known);
         let start = self.side_pool.len() as u32;
-        if self.use_side_queues && !children.is_empty() {
+        if self.use_side_queues {
             // Best child goes to Q, the rest become this round's run.
-            let best = children
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (s, _))| s.score)
-                .map(|(i, _)| i)
-                .expect("non-empty");
-            let (best_spec, _) = children.swap_remove(best);
-            self.push_spec_q(best_spec, round);
-            for &(c, _) in &children {
-                let id = self.specs.len() as u32;
-                self.specs.push((c, round));
-                self.side_pool.push(HeapEntry {
-                    key: c.score,
-                    a: self.seq,
-                    b: id,
-                });
-                self.seq += 1;
+            children.sort_unstable_by(Child::cmp_sibling);
+            let mut in_order = children.iter().map(|c| c.spec);
+            if let Some(best) = in_order.next() {
+                self.enter_q(best, round);
             }
-            // Same delivery order as the former per-round min-heap.
-            self.side_pool[start as usize..].sort_unstable_by_key(|e| (e.key, e.a, e.b));
-            self.side_runs.push((start, self.side_pool.len() as u32));
+            self.side_pool.extend(in_order);
         } else {
-            for &(c, _) in &children {
-                self.push_spec_q(c, round);
+            for c in &children {
+                self.enter_q(c.spec, round);
             }
-            self.side_runs.push((start, start));
         }
-        children.clear();
+        self.side_runs.push((start, self.side_pool.len() as u32));
         self.div_buf = children;
-        // Emission-time materialization: the only per-match row built.
-        let score = self.core.score(m_id);
         let rg = self.rg.get();
-        let tree = rg.query().tree();
-        let asn = self.core.load_assignment(m_id);
-        let assignment = tree
+        let row = self.rows.row(id);
+        let assignment = rg
+            .query()
+            .tree()
             .node_ids()
-            .map(|u| rg.node(u, asn[u.index()]))
+            .map(|u| rg.node(u, row[u.index()]))
             .collect();
         Some(ScoredMatch { score, assignment })
     }
@@ -746,12 +853,15 @@ mod tests {
 
     #[test]
     fn side_queues_do_not_change_results() {
+        // Whole matches, in order: the side queues are a cost
+        // optimization, the stream is the canonical one either way.
         let g = paper_graph();
-        let with = run(&g, "a -> b\na -> c\nc -> d\nc -> e", 50, true);
-        let without = run(&g, "a -> b\na -> c\nc -> d\nc -> e", 50, false);
-        let ws: Vec<_> = with.iter().map(|m| m.score).collect();
-        let wos: Vec<_> = without.iter().map(|m| m.score).collect();
-        assert_eq!(ws, wos);
+        for query in ["a -> b\na -> c\nc -> d\nc -> e", "c -> *#1\nc -> *#2"] {
+            let with = run(&g, query, 50, true);
+            let without = run(&g, query, 50, false);
+            assert!(!with.is_empty());
+            assert_eq!(with, without, "{query:?}");
+        }
     }
 
     #[test]
@@ -796,11 +906,8 @@ mod tests {
     fn sharded_enumerators_partition_the_full_stream() {
         // A 1-way "shard" reproduces the full stream byte for byte
         // (on-demand lists must not change anything), and an n-way split
-        // partitions the match set: every match appears in exactly the
-        // shard owning its root, scores non-decreasing per shard. Ties
-        // within one shard may legally order differently from the full
-        // run (different side-queue rounds), so cross-shard assertions
-        // compare canonically sorted streams.
+        // partitions it: a shard's stream is exactly the full stream
+        // filtered to the roots it owns — same matches, same order.
         let g = paper_graph();
         let q = TreeQuery::parse("a -> b\na -> c\nc -> d\nc -> e")
             .unwrap()
@@ -816,40 +923,34 @@ mod tests {
                 .collect();
         assert_eq!(one, full);
 
-        let canon = |mut ms: Vec<ScoredMatch>| {
-            ms.sort_by(|a, b| (a.score, &a.assignment).cmp(&(b.score, &b.assignment)));
-            ms
-        };
         for n in [2usize, 3, 5] {
-            let mut union = Vec::new();
+            let mut total = 0;
             for spec in ShardSpec::split(n) {
                 let part: Vec<ScoredMatch> =
                     TopkEnumerator::new_sharded(Arc::clone(&rg), Arc::clone(&bs), spec).collect();
-                assert!(
-                    part.windows(2).all(|w| w[0].score <= w[1].score),
-                    "shard {spec} must stream in score order"
-                );
                 let want: Vec<ScoredMatch> = full
                     .iter()
                     .filter(|m| spec.contains(m.assignment[0]))
                     .cloned()
                     .collect();
-                assert_eq!(canon(part.clone()), canon(want), "shard {spec} of {n}");
-                union.extend(part);
+                assert_eq!(part, want, "shard {spec} of {n}");
+                total += part.len();
             }
-            assert_eq!(canon(union), canon(full.clone()), "{n}-way partition");
+            assert_eq!(total, full.len(), "{n}-way partition");
         }
     }
 
-    /// The pre-arena, clone-based Lawler driver, retained verbatim as a
-    /// test referee: every popped match stores its full `Vec<u32>`
-    /// assignment, and `materialize`/`divide` clone it per call; side
-    /// queues are per-round binary heaps. The arena-backed encoding
-    /// must reproduce this stream **element for element** — score,
-    /// assignment and raw (pre-canonical) tie order.
+    /// The original clone-based Lawler driver, retained as a test
+    /// referee: every popped match stores its full `Vec<u32>`
+    /// assignment, `materialize`/`divide` clone it per call, `Q` and
+    /// the per-round side queues are binary heaps keyed `(score,
+    /// insertion seq)`, so ties leave in insertion order. Behind
+    /// [`canonical`](crate::canonical) it is the stream `Topk` must pop
+    /// natively, **element for element**.
     mod clone_reference {
         use super::super::*;
         use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
 
         struct CloneMatch {
             assignment: Vec<u32>,
@@ -1065,17 +1166,17 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            #![proptest_config(ProptestConfig::with_cases(48))]
+            #![proptest_config(ProptestConfig::with_cases(400))]
 
             /// The tentpole's referee: on random workload graphs and
-            /// queries, the arena-backed `Topk` stream equals the
-            /// retained clone-based driver element for element — raw
-            /// tie order included — across a resume split.
+            /// queries, the *raw* `Topk` stream — no adapter — equals
+            /// the retained clone-based driver put into the canonical
+            /// order, element for element, across a resume split.
             #[test]
             fn arena_topk_equals_clone_reference_stream(
                 nodes in 20..120usize,
                 seed in 0..10_000u64,
-                size in 2..5usize,
+                size in 2..7usize,
                 k in 1..80usize,
                 pause in 0..80usize,
             ) {
@@ -1102,17 +1203,92 @@ mod tests {
                     );
                     let rg = RuntimeGraph::load(&resolved, &store);
                     let want: Vec<ScoredMatch> =
-                        CloneEnumerator::new(&rg).take(k).collect();
+                        crate::canonical(CloneEnumerator::new(&rg)).take(k).collect();
                     // Split consumption at `pause` to exercise parked
-                    // arena state across the resume boundary.
+                    // state across the resume boundary.
                     let j = pause.min(k);
                     let mut it = TopkEnumerator::new(&rg);
                     let mut got: Vec<ScoredMatch> = it.by_ref().take(j).collect();
-                    got.extend(it.take(k - j));
+                    got.extend(it.by_ref().take(k - j));
+                    prop_assert_eq!(it.counters().pops, got.len() as u64);
                     prop_assert_eq!(got, want);
                 }
             }
         }
+    }
+
+    /// The delay bound, checked by arithmetic on the enumerator's own
+    /// counters rather than a stopwatch: on a star whose first tie
+    /// class has over a thousand members, the first match costs one
+    /// pop and every further match one more, each pop pushing at most
+    /// two candidates (the round's best child and one promotion) and
+    /// writing at most two rows.
+    #[test]
+    fn k_matches_cost_k_pops_and_two_rows_each() {
+        use ktpm_workload::{generate, GraphSpec};
+        let g = generate(&GraphSpec {
+            nodes: 300,
+            labels: 3,
+            label_skew: 0.3,
+            avg_out_degree: 4.0,
+            community: 50,
+            cross_fraction: 0.2,
+            weight_range: (1, 1),
+            seed: 0xB0D,
+        });
+        let q = TreeQuery::parse("L0 -> *#1\nL0 -> *#2")
+            .unwrap()
+            .resolve(g.interner());
+        let store = MemStore::new(ClosureTables::compute(&g));
+        let rg = RuntimeGraph::load(&q, &store);
+        let n_t = q.len() as u64;
+        let mut it = TopkEnumerator::new(&rg);
+        assert_eq!(
+            it.counters(),
+            TopkCounters {
+                pops: 0,
+                q_pushes: 1,
+                promotions: 0,
+                row_words: n_t
+            },
+            "only the top-1 candidate is queued before the first pull"
+        );
+        let first = it.next().expect("the star has matches");
+        assert_eq!(it.counters().pops, 1, "the first match costs one pop");
+        let mut before = it.counters();
+        let mut tie_class = 1;
+        for k in 2..=3_000u64 {
+            let m = it.next().expect("the star has thousands of matches");
+            tie_class += u64::from(m.score == first.score);
+            let now = it.counters();
+            assert_eq!(now.pops, k, "k matches cost k pops");
+            assert!(now.q_pushes - before.q_pushes <= 2, "match {k}: {now:?}");
+            assert!(
+                now.promotions - before.promotions <= 1,
+                "match {k}: {now:?}"
+            );
+            assert!(
+                now.row_words - before.row_words <= 2 * n_t,
+                "match {k}: {now:?}"
+            );
+            before = now;
+        }
+        assert!(
+            tie_class >= 1_000,
+            "first tie class has {tie_class} members"
+        );
+        // Without the side queues every child enters `Q` directly:
+        // same stream (`side_queues_do_not_change_results`), no
+        // promotions, up to n_T pushes a pop — never fewer in total
+        // than with them, which only defer pushes.
+        let mut flat = TopkEnumerator::with_side_queues(&rg, false);
+        assert_eq!(flat.by_ref().take(3_000).count(), 3_000);
+        let c = flat.counters();
+        assert_eq!((c.pops, c.promotions), (3_000, 0));
+        assert!(
+            c.q_pushes >= before.q_pushes && c.q_pushes <= 1 + n_t * c.pops,
+            "{c:?} against {before:?}"
+        );
     }
 
     #[test]

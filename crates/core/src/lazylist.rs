@@ -19,7 +19,9 @@ use ktpm_graph::Score;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// One list element: `(key, tie-break sequence, payload)`.
+/// One list element: `(key, tie-break, payload)` — the tie-break is the
+/// payload itself for built lists, an insertion sequence number past
+/// every payload for inserted elements.
 type Entry = (Score, u32, u32);
 
 /// A lazily-sorted list with heap tail; see module docs.
@@ -29,31 +31,41 @@ pub struct LazySortedList {
     sorted: Vec<Entry>,
     /// `L`: everything else.
     heap: BinaryHeap<Reverse<Entry>>,
-    /// Monotone insertion counter for stable tie-breaks.
+    /// Next insertion tie-break: monotone, above every built payload.
     seq: u32,
 }
 
 impl LazySortedList {
     /// Builds from unsorted `(key, payload)` items in O(n): one scan to
     /// find the minimum (placed in `H`), the rest heapified.
+    ///
+    /// Equal keys rank by **payload**, ascending, whatever order the
+    /// items arrive in. `Topk` rests on this: payloads are candidate
+    /// indices, candidates ascend by data node id, so a list's rank-1
+    /// element is the lexicographically smallest of its cheapest ones —
+    /// which makes a subspace's representative ("list minimum at every
+    /// free position") its `(score, assignment)`-minimum, and lets the
+    /// enumerator pop in the canonical order directly (see
+    /// `crate::lawler`). Later [`Self::insert`]s still order after every
+    /// equal key already present.
     pub fn new(items: Vec<(Score, u32)>) -> Self {
         let mut list = LazySortedList::default();
         if items.is_empty() {
             return list;
         }
-        let entries: Vec<Entry> = items
-            .into_iter()
-            .enumerate()
-            .map(|(i, (k, v))| (k, i as u32, v))
-            .collect();
-        list.seq = entries.len() as u32;
-        let min_pos = entries
+        let mut rest: Vec<Entry> = items.into_iter().map(|(k, v)| (k, v, v)).collect();
+        list.seq = rest
+            .iter()
+            .map(|e| e.1)
+            .max()
+            .and_then(|v| v.checked_add(1))
+            .expect("non-empty, payloads below u32::MAX");
+        let min_pos = rest
             .iter()
             .enumerate()
             .min_by_key(|(_, e)| **e)
             .map(|(i, _)| i)
             .expect("non-empty");
-        let mut rest = entries;
         let min = rest.swap_remove(min_pos);
         list.sorted.push(min);
         list.heap = rest.into_iter().map(Reverse).collect();
@@ -152,6 +164,20 @@ mod tests {
         let mut l = LazySortedList::new(vec![(5, 0), (2, 1), (9, 2), (3, 3), (7, 4)]);
         assert_eq!(keys(&mut l), vec![2, 3, 5, 7, 9]);
         assert_eq!(l.rank(6), None);
+    }
+
+    #[test]
+    fn built_lists_break_key_ties_by_payload() {
+        // Whatever the input order: `Topk`'s native canonical order
+        // rests on rank-1 being the smallest payload of the cheapest.
+        let mut l = LazySortedList::new(vec![(5, 9), (2, 7), (5, 1), (2, 3), (5, 4)]);
+        assert_eq!(l.first(), Some((2, 3)));
+        let all: Vec<_> = (1..=5).map(|r| l.rank(r).unwrap()).collect();
+        assert_eq!(all, vec![(2, 3), (2, 7), (5, 1), (5, 4), (5, 9)]);
+        // A later insert still goes after every equal key.
+        l.insert(5, 0);
+        assert_eq!(l.rank(5), Some((5, 9)));
+        assert_eq!(l.rank(6), Some((5, 0)));
     }
 
     #[test]

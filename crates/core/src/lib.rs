@@ -49,9 +49,13 @@
 //! [`topk_full`] *exactly* (order, scores, witnesses) because both
 //! emit the workspace's **canonical order** — ascending
 //! `(score, assignment)`, the deterministic tie-break defined in
-//! [`partition`]. The raw iterators ([`TopkEnumerator`],
-//! [`TopkEnEnumerator`]) keep their algorithmic tie order; wrap them in
-//! [`canonical`] when determinism across runs or algorithms matters.
+//! [`partition`]. [`TopkEnumerator`] pops in that order natively (its
+//! heap compares `(score, assignment row)`), so `k` matches cost `k`
+//! pops and a full shard's stream is the full stream filtered to its
+//! roots. [`TopkEnEnumerator`] and the DP baselines keep their
+//! algorithmic tie order; wrap them in [`canonical`] — at a delay of
+//! O(largest equal-score group) — when determinism across runs or
+//! algorithms matters ([`build_stream`] does).
 //!
 //! ## Shared query plans
 //!
@@ -70,43 +74,51 @@
 //! the pop → divide → emit cycle is engineered to allocate nothing per
 //! match:
 //!
-//! * **Deviation arena.** Popped matches are not stored as full
-//!   assignments. Each is a compact record — parent arena id, division
-//!   position/rank, score — plus a *patch*: the `(position,
-//!   candidate)` pairs the match changed relative to its parent (the
-//!   replaced node and its re-derived subtree, captured at pop time so
-//!   reconstruction never depends on later list growth). Records and
-//!   patches live in two flat, append-only vectors inside the
-//!   enumerator's `MatchArena`; candidates stay the O(1)
-//!   `CandidateSpec` links of §3.3. This is the parent-pointer
+//! * **One row per queue entrant (`Topk`).** Candidates stay the O(1)
+//!   `CandidateSpec` links of §3.3 until they enter the global queue
+//!   `Q`; an entrant gets its full assignment row — its parent's with
+//!   the replaced subtree re-derived, O(n_T) — appended to one flat
+//!   `Vec<u32>` pool. That row is the match's only representation: `Q`
+//!   orders ties by it, the match is emitted from it, divided from it,
+//!   and its side-run children are later copied from it. With the §3.3
+//!   side queues at most two candidates enter `Q` per pop (the round's
+//!   best child and one promotion), so a pop writes ≤ 2·n_T words and
+//!   the pool grows by O(n_T) per emitted match.
+//! * **Heap order = canonical order.** `Q` is a binary heap of
+//!   `(score, entrant id)` comparing `(score, row)`; rows are read only
+//!   when two scores tie. Worst case a tie compare is O(n_T), i.e.
+//!   O(n_T · log k) per pop on a fully tied stream against the paper's
+//!   O(n_T + log k) — and against the O(tie class) the buffering
+//!   adapter in [`partition`] costs the other engines.
+//! * **Compact side queues.** The §3.3 side queues `Q_l` are one pooled
+//!   vector of per-round runs, pre-sorted in the canonical order with
+//!   an O(1) sibling comparison — a round's non-best children are all
+//!   known at divide time, so "promote the next best" is a cursor
+//!   bump, not a heap operation.
+//! * **Deviation arena (`Topk-EN`).** `Topk-EN` re-evaluates parked
+//!   candidates against single positions of arbitrary earlier matches
+//!   while its lists still grow, so its popped matches live in a
+//!   `MatchArena`: a compact record — parent arena id, division
+//!   position/rank, score — plus a *patch* of the `(position,
+//!   candidate)` pairs the match changed relative to its parent, in two
+//!   flat append-only vectors; chains are cut by full-row checkpoints
+//!   every `CHECKPOINT_DEPTH` links, and point lookups walk patches
+//!   without materializing anything. This is the parent-pointer
 //!   solution representation ranked-enumeration systems (Tziavelis et
 //!   al.) use to get their any-k bounds.
-//! * **Arena lifetime.** One arena per enumerator, alive as long as
-//!   the enumerator: a parked service session keeps its arena (the
-//!   resume state), and each `ParTopk` shard owns a private arena so
-//!   the k-way merge stays lock-free. Chains of deviation records are
-//!   cut by full-row checkpoints every `CHECKPOINT_DEPTH` links,
-//!   bounding reconstruction walks at ~1/32 of clone-encoding memory.
-//! * **Emission-time materialization.** A full assignment row is built
-//!   only when a match is actually emitted: a parent-pointer walk to
-//!   the nearest checkpoint applies patches oldest-first into the
-//!   arena's reusable scratch row, and the emitted
-//!   [`ScoredMatch`] stores it in a [`ktpm_graph::NodeRow`] — inline
-//!   (no heap) for queries up to 8 nodes. The parked-candidate
-//!   machinery of `Topk-EN` needs only single positions of arbitrary
-//!   parents and uses point lookups that walk patches without
-//!   materializing anything.
-//! * **Compact queues.** The global queue `Q` holds flat 16-byte
-//!   `HeapEntry` records. The §3.3 side queues `Q_l` are one pooled
-//!   vector of pre-sorted per-round runs — a round's non-best children
-//!   are all known at divide time, so "promote the next best" is a
-//!   cursor bump, not a heap operation.
+//! * **Lifetime.** Pool, arena and queues belong to one enumerator and
+//!   live as long as it does: a parked service session keeps them (the
+//!   resume state), and each `ParTopk` shard owns its own, so the
+//!   k-way merge stays lock-free. Emitted [`ScoredMatch`]es store
+//!   their row in a [`ktpm_graph::NodeRow`] — inline (no heap) for
+//!   queries up to 8 nodes.
 //!
-//! Net effect (GS3 wildcard stars, k = 50 000): from ~4.4–6.3
-//! allocations per emitted match under the old clone encoding to
-//! ~0.01–0.1 — reported per run as `benchmark/`'s
+//! Net effect (GS3 wildcard stars, k = 50 000): well under one
+//! allocation per emitted match for every engine (the clone encoding
+//! this replaced paid 4.4–6.3) — reported per run as `benchmark/`'s
 //! `core.allocs_per_match` and held below 1.0 by
-//! `tests/alloc_budget.rs`.
+//! `tests/alloc_budget.rs`. The delay itself is held by count, not
+//! stopwatch: `lawler.rs`'s `k_matches_cost_k_pops_and_two_rows_each`.
 
 mod algo;
 pub mod brute;
@@ -132,6 +144,8 @@ pub use dpb::DpBEnumerator;
 pub use dpp::DpPEnumerator;
 pub use enhanced::TopkEnEnumerator;
 pub use kgpm::{GraphMatch, KgpmStats, KgpmStream};
+#[doc(hidden)]
+pub use lawler::TopkCounters;
 pub use lawler::{SlotLists, SlotTemplates, TopkEnumerator};
 pub use lazylist::LazySortedList;
 pub use loader::{BoundMode, PriorityLoader};
@@ -155,7 +169,7 @@ use ktpm_storage::ClosureSource;
 /// exactly.
 pub fn topk_full(query: &ResolvedQuery, source: &dyn ClosureSource, k: usize) -> Vec<ScoredMatch> {
     let rg = ktpm_runtime::RuntimeGraph::load(query, source);
-    canonical(TopkEnumerator::new(&rg)).take(k).collect()
+    TopkEnumerator::new(&rg).take(k).collect()
 }
 
 /// Convenience: top-k via Algorithm 3 (priority-based lazy load), in

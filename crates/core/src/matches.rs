@@ -1,5 +1,5 @@
 //! Match representation: the compact candidate encoding of §3.3 and the
-//! arena-backed deviation encoding behind every popped match.
+//! arena-backed deviation encoding behind `Topk-EN`'s popped matches.
 //!
 //! Following "Recovering the Match from Score", a candidate produced by
 //! a subspace division is **not** stored as a full assignment: it is a
@@ -8,17 +8,20 @@
 //! the score (computed in O(1) as the parent's score plus the local key
 //! difference).
 //!
-//! Popped matches themselves use the same idea one level up
+//! `Topk` keeps one full row per candidate that enters its queue (see
+//! `crate::lawler`) and needs nothing else. `Topk-EN` must read single
+//! positions of arbitrary earlier matches while its lists still grow,
+//! so its popped matches use the same idea one level up
 //! ([`MatchArena`]): each one is a compact record `(parent id, div_pos,
 //! rank_at_div, score)` plus a *patch* — the `(position, candidate)`
 //! pairs this match changed relative to its parent (the replaced
 //! position and its re-derived subtree, recorded at pop time so
 //! reconstruction never depends on later list growth). All patches live
 //! in one flat pool; nothing in the pop → divide → emit cycle allocates
-//! per match. Full assignments materialize only at emission, by a
-//! parent-pointer walk bounded by periodic checkpoints (a record whose
-//! chain depth reaches [`MatchArena::CHECKPOINT_DEPTH`] stores its
-//! whole row, so walks are O(depth × patch) with a small constant).
+//! per match. Full assignments are rebuilt by a parent-pointer walk
+//! bounded by periodic checkpoints (a record whose chain depth reaches
+//! [`MatchArena::CHECKPOINT_DEPTH`] stores its whole row, so walks are
+//! O(depth × patch) with a small constant).
 
 use ktpm_graph::{NodeRow, Score};
 
@@ -50,11 +53,58 @@ pub(crate) struct CandidateSpec {
     pub rank: u32,
 }
 
+impl CandidateSpec {
+    /// Where the candidate's own division starts once it is popped:
+    /// its replaced position — except for the initial top-1, which
+    /// divides everywhere.
+    pub fn div_pos(&self) -> u32 {
+        if self.parent == NO_PARENT {
+            NO_PARENT
+        } else {
+            self.pos
+        }
+    }
+}
+
+/// One subspace produced by dividing a popped match.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Child {
+    pub spec: CandidateSpec,
+    /// Whether the replacement rank exists yet. Unknown children carry
+    /// score `Score::MAX`: Algorithm 1 drops them (empty subspaces,
+    /// Lemma 3.2), Algorithm 3 parks them until more edges load.
+    pub known: bool,
+    /// Whether the replacement's candidate index is below the one the
+    /// popped match holds at `spec.pos` (`false` when unknown). Two
+    /// children of one match first differ at the smaller of their
+    /// positions — one holds its replacement there, the other the
+    /// parent's node — so this bit orders siblings by assignment
+    /// without their rows; see [`Child::cmp_sibling`].
+    pub before_parent: bool,
+}
+
+impl Child {
+    /// The canonical `(score, assignment)` order between two children
+    /// of the same popped match, in O(1).
+    pub fn cmp_sibling(&self, other: &Child) -> std::cmp::Ordering {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        self.spec.score.cmp(&other.spec.score).then_with(|| {
+            match self.spec.pos.cmp(&other.spec.pos) {
+                Less if self.before_parent => Less,
+                Less => Greater,
+                Greater if other.before_parent => Greater,
+                Greater => Less,
+                Equal => Equal,
+            }
+        })
+    }
+}
+
 /// A compact min-heap entry: `BinaryHeap<HeapEntry>` pops the smallest
 /// `(key, a, b)` triple. One flat 16-byte struct instead of the nested
 /// `Reverse<(Score, u32, u32)>` tuples the queues used to hold —
-/// the `Q`/`Q_l` queues key it as `(score, insertion seq, spec id)`,
-/// the parked heap of `Topk-EN` as `(score, spec id, version)`.
+/// `Topk-EN` keys its `Q` as `(score, insertion seq, spec id)` and its
+/// parked heap as `(score, spec id, version)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct HeapEntry {
     /// Primary key (a match score).
@@ -102,9 +152,9 @@ struct DevRecord {
     depth: u32,
 }
 
-/// The arena of popped matches; see module docs. One arena per
-/// enumerator — `ParTopk` shards each own one, so the k-way merge
-/// stays lock-free.
+/// The arena of `Topk-EN`'s popped matches; see module docs. One arena
+/// per enumerator — lazy `ParTopk` shards each own one, so the k-way
+/// merge stays lock-free.
 #[derive(Debug)]
 pub(crate) struct MatchArena {
     n_t: usize,
@@ -116,8 +166,6 @@ pub(crate) struct MatchArena {
     scratch: Vec<u32>,
     /// Arena id the scratch currently holds; `NO_PARENT` when dirty.
     scratch_for: u32,
-    /// The patch being collected between `begin` and `commit`.
-    pending: Vec<(u32, u32)>,
     /// Walk scratch for reconstruction (record ids, newest first).
     walk: Vec<u32>,
 }
@@ -140,7 +188,6 @@ impl MatchArena {
             pool: Vec::with_capacity(hint.saturating_mul(2)),
             scratch: vec![u32::MAX; n_t],
             scratch_for: NO_PARENT,
-            pending: Vec::with_capacity(n_t),
             walk: Vec::new(),
         }
     }
@@ -157,44 +204,32 @@ impl MatchArena {
         self.recs[id as usize].rank_at_div
     }
 
-    /// Starts building a new match deviating from `parent`: the scratch
-    /// row is loaded with the parent's assignment (all-`MAX` for
-    /// `NO_PARENT`) and the pending patch cleared. Memoized: when the
+    /// Starts building a new match deviating from `parent`: returns the
+    /// scratch row loaded with the parent's assignment (all-`MAX` for
+    /// `NO_PARENT`) for the caller to overwrite. Memoized: when the
     /// scratch already holds `parent` (the common chain case) nothing
     /// is walked.
-    pub(crate) fn begin(&mut self, parent: u32) {
-        self.pending.clear();
+    pub(crate) fn begin(&mut self, parent: u32) -> &mut [u32] {
         if parent == NO_PARENT {
             self.scratch.fill(u32::MAX);
-            self.scratch_for = NO_PARENT;
-            return;
+        } else {
+            self.load(parent);
         }
-        self.load(parent);
         // The scratch is about to diverge from `parent`.
         self.scratch_for = NO_PARENT;
-    }
-
-    /// Sets one position of the row being built, recording it in the
-    /// pending patch.
-    #[inline]
-    pub(crate) fn set(&mut self, pos: u32, node: u32) {
-        self.scratch[pos as usize] = node;
-        self.pending.push((pos, node));
-    }
-
-    /// The row being built (or the row of the last `load`).
-    #[inline]
-    pub(crate) fn scratch_at(&self, pos: u32) -> u32 {
-        self.scratch[pos as usize]
+        &mut self.scratch
     }
 
     /// Finishes the record begun by [`Self::begin`], returning its id.
+    /// `changed[p]` marks the positions the caller rewrote — they
+    /// become the record's patch.
     pub(crate) fn commit(
         &mut self,
         parent: u32,
         score: Score,
         div_pos: u32,
         rank_at_div: u32,
+        changed: &[bool],
     ) -> u32 {
         let depth = if parent == NO_PARENT {
             0
@@ -211,8 +246,13 @@ impl MatchArena {
                 .extend((0..self.n_t).map(|p| (p as u32, self.scratch[p])));
             (self.n_t as u32, 0)
         } else {
-            self.pool.extend_from_slice(&self.pending);
-            (self.pending.len() as u32, depth)
+            let start = self.pool.len();
+            self.pool.extend(
+                (0..self.n_t)
+                    .filter(|&p| changed[p])
+                    .map(|p| (p as u32, self.scratch[p])),
+            );
+            ((self.pool.len() - start) as u32, depth)
         };
         let id = self.recs.len() as u32;
         self.recs.push(DevRecord {
@@ -242,9 +282,9 @@ impl MatchArena {
     }
 
     /// Loads match `id`'s full assignment into the scratch row
-    /// (allocation-free; memoized on `scratch_for`) and returns it.
-    /// This is the emission-time materialization walk: ancestors up to
-    /// the nearest self-contained record, patches applied oldest-first.
+    /// (allocation-free; memoized on `scratch_for`) and returns it:
+    /// a walk over ancestors up to the nearest self-contained record,
+    /// patches applied oldest-first.
     pub(crate) fn load(&mut self, id: u32) -> &[u32] {
         if self.scratch_for != id {
             let mut walk = std::mem::take(&mut self.walk);
@@ -329,12 +369,9 @@ mod tests {
             (state % m) as u32
         };
         // Initial match.
-        arena.begin(NO_PARENT);
         let init: Vec<u32> = (0..n_t as u32).map(|_| rnd(100)).collect();
-        for (p, &v) in init.iter().enumerate() {
-            arena.set(p as u32, v);
-        }
-        assert_eq!(arena.commit(NO_PARENT, 0, NO_PARENT, 1), 0);
+        arena.begin(NO_PARENT).copy_from_slice(&init);
+        assert_eq!(arena.commit(NO_PARENT, 0, NO_PARENT, 1, &[true; 5]), 0);
         mirror.push(init);
         // 200 deviations from random parents (long chains cross the
         // checkpoint depth).
@@ -342,18 +379,20 @@ mod tests {
             // Bias towards the previous record so chains grow deep.
             let parent = if rnd(4) > 0 { i - 1 } else { rnd(i as u64) };
             let pos = rnd(n_t as u64);
-            arena.begin(parent);
+            let scratch = arena.begin(parent);
             let mut row = mirror[parent as usize].clone();
+            let mut changed = [false; 5];
             // Patch `pos` and a couple of later positions, as a real
             // subtree re-derivation would.
             for p in pos..n_t as u32 {
                 if p == pos || rnd(2) == 0 {
                     let v = rnd(100);
-                    arena.set(p, v);
+                    scratch[p as usize] = v;
                     row[p as usize] = v;
+                    changed[p as usize] = true;
                 }
             }
-            let id = arena.commit(parent, i as Score, pos, 2);
+            let id = arena.commit(parent, i as Score, pos, 2, &changed);
             assert_eq!(id, i);
             mirror.push(row);
         }
@@ -378,16 +417,12 @@ mod tests {
     fn checkpoints_bound_walk_depth() {
         let n_t = 3usize;
         let mut arena = MatchArena::new(n_t, 8);
-        arena.begin(NO_PARENT);
-        for p in 0..n_t as u32 {
-            arena.set(p, p);
-        }
-        arena.commit(NO_PARENT, 0, NO_PARENT, 1);
+        arena.begin(NO_PARENT).copy_from_slice(&[0, 1, 2]);
+        arena.commit(NO_PARENT, 0, NO_PARENT, 1, &[true; 3]);
         // One long Theorem-3.1 chain.
         for i in 1..200u32 {
-            arena.begin(i - 1);
-            arena.set(2, 100 + i);
-            arena.commit(i - 1, i as Score, 2, i + 1);
+            arena.begin(i - 1)[2] = 100 + i;
+            arena.commit(i - 1, i as Score, 2, i + 1, &[false, false, true]);
         }
         for id in 0..200u32 {
             let d = arena.recs[id as usize].depth;

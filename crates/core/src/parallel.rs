@@ -10,9 +10,12 @@
 //! sequential enumerator ([`TopkEnumerator`] over a *shared* run-time
 //! graph, or [`TopkEnEnumerator`] over the shared store), and the
 //! shard streams are lazily k-way merged on `(score, assignment)`.
-//! Because each stream is first put into the canonical order
-//! ([`crate::partition`]), the merged stream equals [`crate::topk_full`]
-//! exactly — order, scores and witnesses — for every shard count.
+//! Because each stream is in the canonical order ([`crate::partition`])
+//! — natively for [`ShardEngine::Full`], whose shard stream is exactly
+//! the full stream filtered to the shard's roots; through the
+//! [`canonical`] adapter for [`ShardEngine::Lazy`] — the merged stream
+//! equals [`crate::topk_full`] exactly — order, scores and witnesses —
+//! for every shard count.
 //!
 //! ## Scheduling
 //!
@@ -24,7 +27,9 @@
 //! session holds no pool thread. The merge refills every near-empty
 //! shard in one scatter, so balanced streams keep all workers busy
 //! while skewed streams only pay for what the merge actually consumes
-//! (at most one batch of lookahead per shard).
+//! (at most one batch of lookahead per full shard; a lazy shard's
+//! adapter additionally reads to the end of the equal-score group its
+//! batch ends in).
 
 use crate::enhanced::TopkEnEnumerator;
 use crate::lawler::TopkEnumerator;
@@ -58,8 +63,11 @@ pub enum ShardEngine {
 pub struct ParallelPolicy {
     /// Number of root shards (1 = sequential execution on the pool).
     pub shards: usize,
-    /// Matches pulled from a shard per job; bounds both per-shard
-    /// lookahead and scheduling overhead.
+    /// Matches pulled from a shard per job: the scheduling grain. For
+    /// [`ShardEngine::Full`] it also bounds per-shard lookahead (a
+    /// shard pops exactly what it hands over); a [`ShardEngine::Lazy`]
+    /// shard sits behind the [`canonical`] adapter and overruns the
+    /// batch to the end of its last equal-score group.
     pub batch: usize,
     /// The per-shard enumerator.
     pub engine: ShardEngine,
@@ -85,11 +93,12 @@ impl ParallelPolicy {
     }
 }
 
-/// One shard's sequential enumerator, already in canonical order.
-/// Boxed: the enumerators are hundreds of bytes and hop between the
-/// caller and pool workers every batch.
+/// One shard's sequential enumerator, in canonical order (`Topk`
+/// natively, `Topk-EN` through the adapter). Boxed: the enumerators
+/// are hundreds of bytes and hop between the caller and pool workers
+/// every batch.
 enum ShardIter {
-    Full(Box<Canonical<TopkEnumerator<'static>>>),
+    Full(Box<TopkEnumerator<'static>>),
     Lazy(Box<Canonical<TopkEnEnumerator<'static>>>),
 }
 
@@ -158,10 +167,10 @@ pub struct ParTopk {
 /// Builds one shard's canonical enumerator per the policy's engine.
 fn shard_iter(plan: &QueryPlan, engine: ShardEngine, spec: ShardSpec) -> ShardIter {
     match engine {
-        ShardEngine::Full => ShardIter::Full(Box::new(canonical(TopkEnumerator::from_templates(
+        ShardEngine::Full => ShardIter::Full(Box::new(TopkEnumerator::from_templates(
             Arc::clone(plan.slot_templates()),
             spec,
-        )))),
+        ))),
         ShardEngine::Lazy => {
             let restricted = plan.lazy().restrict_root(spec);
             ShardIter::Lazy(Box::new(canonical(TopkEnEnumerator::from_setup(
@@ -214,8 +223,8 @@ impl ParTopk {
                     .map(|spec| {
                         let templates = Arc::clone(&templates);
                         Box::new(move || {
-                            let mut it = ShardIter::Full(Box::new(canonical(
-                                TopkEnumerator::from_templates(templates, spec),
+                            let mut it = ShardIter::Full(Box::new(TopkEnumerator::from_templates(
+                                templates, spec,
                             )));
                             let (buf, alive) = pull(&mut it, batch);
                             (alive.then_some(it), buf)

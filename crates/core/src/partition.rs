@@ -4,7 +4,7 @@
 //!
 //! Every enumerator in this workspace yields matches in non-decreasing
 //! score order, but the paper leaves the order *within* an equal-score
-//! group unspecified — and in practice it falls out of heap insertion
+//! group unspecified — and left alone it falls out of heap insertion
 //! sequences, which differ between algorithms and (crucially) between
 //! shard layouts of the same query. Partitioned execution re-merges
 //! per-shard streams, so "same order as the sequential run" is only
@@ -23,18 +23,31 @@
 //! 1. each shard owns the matches rooted at its slice of the root
 //!    candidate set ([`ktpm_storage::ShardSpec`] splits are disjoint
 //!    and exhaustive, and a match has exactly one root);
-//! 2. [`Canonical`] re-orders each shard's stream into the canonical
-//!    order without breaking laziness (it buffers one equal-score group
-//!    at a time — legal because scores never decrease);
+//! 2. each shard's stream is in the canonical order — see below;
 //! 3. a k-way merge keyed on `(score, assignment)` of canonically
 //!    ordered disjoint streams is itself canonically ordered.
 //!
 //! Hence `ParTopk` with *any* shard count emits exactly the sequence of
 //! [`crate::topk_full`] — order, scores and witnesses.
 //!
-//! The price is bounded lookahead: emitting the first match of a score
-//! group requires having pulled the whole group from the inner
-//! enumerator. Memory and delay are O(largest equal-score group).
+//! ## Who pays for it
+//!
+//! `Topk` ([`crate::TopkEnumerator`]) pays nothing: the canonical order
+//! *is* its heap order (ties compare assignment rows, O(n_T) worst
+//! case), so `topk_full`, [`crate::Algo::Topk`] streams and `ParTopk`'s
+//! [`crate::ShardEngine::Full`] shards emit it natively — `k` matches
+//! cost `k` pops, with no look-ahead.
+//!
+//! The engines whose raw tie order is something else — `Topk-EN` (its
+//! lists grow while it enumerates), `DP-B`, `DP-P`, the lazy shards and
+//! kGPM's tree matchers — go through the [`Canonical`] adapter, which
+//! re-orders a stream without breaking laziness by buffering one
+//! equal-score group at a time (legal because scores never decrease).
+//! There the price is bounded lookahead: emitting the first match of a
+//! score group requires having pulled the whole group from the inner
+//! enumerator, so memory and delay are O(largest equal-score group) —
+//! with hop-count scores, easily most of the stream. Wrapping a stream
+//! that is already canonical (a `Topk`) is the identity, at that price.
 
 use crate::matches::ScoredMatch;
 use std::collections::VecDeque;

@@ -11,6 +11,10 @@
 //! `Box<dyn MatchStream + Send>` in the **canonical**
 //! `(score, assignment)` order, so sessions, the CLI, the bench
 //! drivers and embedders stop dispatching on the algorithm themselves.
+//! `Topk` (and with it `ParTopk`'s full shards) pops in that order
+//! natively, at the paper's delay; `Topk-EN`, `DP-B`, `DP-P` and the
+//! lazy shards reach it through the [`canonical`] adapter, whose delay
+//! is O(largest equal-score group).
 //!
 //! ## Batched pull
 //!
@@ -90,20 +94,40 @@ impl<'a> Iterator for Box<dyn MatchStream + Send + 'a> {
     }
 }
 
-/// Any canonically-ordered iterator streams batches through its own
-/// monomorphized `next` loop. This covers `Topk` and `Topk-EN` behind
-/// [`canonical`] — their raw tie order becomes the workspace order at
-/// the wrapper, so a facade stream is byte-identical across engines.
+/// Batches through an engine's own monomorphized `next` loop.
+fn pull_batch(
+    it: &mut impl Iterator<Item = ScoredMatch>,
+    n: usize,
+    out: &mut Vec<ScoredMatch>,
+) -> StreamState {
+    out.reserve(n.min(1024));
+    for _ in 0..n {
+        match it.next() {
+            Some(m) => out.push(m),
+            None => return StreamState::Done,
+        }
+    }
+    StreamState::More
+}
+
+/// `Topk` pops in the canonical order natively: a batch of `n` is `n`
+/// heap pops, with no look-ahead past the last match delivered.
+impl MatchStream for crate::TopkEnumerator<'static> {
+    fn next_batch(&mut self, n: usize, out: &mut Vec<ScoredMatch>) -> StreamState {
+        pull_batch(self, n, out)
+    }
+
+    fn next(&mut self) -> Option<ScoredMatch> {
+        Iterator::next(self)
+    }
+}
+
+/// The engines whose raw tie order is not the workspace order —
+/// `Topk-EN`, `DP-B`, `DP-P` — stream behind [`canonical`], which
+/// buffers and sorts one equal-score group at a time.
 impl<I: Iterator<Item = ScoredMatch>> MatchStream for Canonical<I> {
     fn next_batch(&mut self, n: usize, out: &mut Vec<ScoredMatch>) -> StreamState {
-        out.reserve(n.min(1024));
-        for _ in 0..n {
-            match Iterator::next(self) {
-                Some(m) => out.push(m),
-                None => return StreamState::Done,
-            }
-        }
-        StreamState::More
+        pull_batch(self, n, out)
     }
 
     fn next(&mut self) -> Option<ScoredMatch> {
@@ -116,14 +140,7 @@ impl<I: Iterator<Item = ScoredMatch>> MatchStream for Canonical<I> {
 /// session layer used to pay on parallel streams is gone.
 impl MatchStream for ParTopk {
     fn next_batch(&mut self, n: usize, out: &mut Vec<ScoredMatch>) -> StreamState {
-        out.reserve(n.min(1024));
-        for _ in 0..n {
-            match Iterator::next(self) {
-                Some(m) => out.push(m),
-                None => return StreamState::Done,
-            }
-        }
-        StreamState::More
+        pull_batch(self, n, out)
     }
 
     fn next(&mut self) -> Option<ScoredMatch> {
@@ -200,8 +217,11 @@ pub fn limit(stream: BoxedMatchStream, k: usize) -> BoxedMatchStream {
 /// **The** algorithm dispatch: builds `algo`'s stream from a shared
 /// [`QueryPlan`]. Every arm emits the canonical `(score, assignment)`
 /// order, so the choice of engine changes performance characteristics
-/// only — never the stream. On a warm plan, no arm repeats candidate
-/// discovery (see [`QueryPlan`]).
+/// only — never the stream. [`Algo::Topk`] is the raw enumerator (its
+/// heap order *is* the canonical order: `n` matches cost `n` pops);
+/// the arms wrapped in [`canonical`] pull a whole equal-score group
+/// from their engine before emitting its first member. On a warm
+/// plan, no arm repeats candidate discovery (see [`QueryPlan`]).
 ///
 /// `policy`/`pool` drive [`Algo::Par`] (root sharding + the worker
 /// pool its shard jobs run on); the sequential engines ignore both.
@@ -215,7 +235,7 @@ pub fn build_stream(
     pool: Arc<WorkerPool>,
 ) -> BoxedMatchStream {
     match algo {
-        Algo::Topk => Box::new(canonical(crate::TopkEnumerator::from_plan(plan))),
+        Algo::Topk => Box::new(crate::TopkEnumerator::from_plan(plan)),
         Algo::TopkEn => Box::new(canonical(crate::TopkEnEnumerator::from_plan(plan))),
         Algo::Par => Box::new(ParTopk::from_plan(plan, policy, pool)),
         // `all_matches` already sorts by `(score, assignment)` — the
@@ -261,6 +281,62 @@ mod tests {
             let got: Vec<ScoredMatch> =
                 build_stream(algo, &plan, &ParallelPolicy::with_shards(3), pool()).collect();
             assert_eq!(got, want, "{algo:?}");
+        }
+    }
+
+    /// Wildcard twigs over a unit-weight graph: hop-count scores, so
+    /// nearly every match is tied with hundreds of others and the
+    /// stream's order is decided by the tie-break alone. The 10-node
+    /// twig's rows are past `NodeRow::INLINE`.
+    #[test]
+    fn tie_heavy_wildcard_twigs_stream_identically_from_every_engine() {
+        use ktpm_workload::{generate, GraphSpec};
+        let g = generate(&GraphSpec {
+            nodes: 40,
+            labels: 3,
+            label_skew: 0.3,
+            avg_out_degree: 1.3,
+            community: 20,
+            cross_fraction: 0.2,
+            weight_range: (1, 1),
+            seed: 0x7135,
+        });
+        let star = "L0 -> *#1\nL0 -> *#2";
+        let twig5 = "L1 -> *#1\nL1 -> *#2\n*#1 -> *#3\n*#1 -> *#4";
+        let twig10 = "L0 -> *#1\nL0 -> *#2\n*#1 -> *#3\n*#1 -> *#4\n*#2 -> *#5\n\
+                      *#2 -> *#6\n*#3 -> *#7\n*#3 -> *#8\n*#4 -> *#9";
+        for (query, brute_feasible) in [(star, true), (twig5, true), (twig10, false)] {
+            let plan = plan_for(&g, query);
+            let n_t = plan.query().len();
+            let want: Vec<ScoredMatch> =
+                build_stream(Algo::Topk, &plan, &ParallelPolicy::default(), pool())
+                    .take(5_000)
+                    .collect();
+            let distinct_scores = want.windows(2).filter(|w| w[0].score != w[1].score).count() + 1;
+            assert!(
+                want.len() >= 200 && distinct_scores * 20 <= want.len(),
+                "{n_t}-node twig is not tie-heavy: {} matches, {distinct_scores} scores",
+                want.len()
+            );
+            assert!(want
+                .windows(2)
+                .all(|w| { (w[0].score, &w[0].assignment) < (w[1].score, &w[1].assignment) }));
+            let en: Vec<ScoredMatch> = canonical(crate::TopkEnEnumerator::from_plan(&plan))
+                .take(want.len())
+                .collect();
+            assert_eq!(en, want, "Topk-EN, {n_t}-node twig");
+            for shards in [1usize, 2, 3] {
+                let par: Vec<ScoredMatch> =
+                    ParTopk::from_plan(&plan, &ParallelPolicy::with_shards(shards), pool())
+                        .take(want.len())
+                        .collect();
+                assert_eq!(par, want, "ParTopk/{shards}, {n_t}-node twig");
+            }
+            if brute_feasible {
+                let mut all = brute::all_matches(plan.runtime_graph());
+                all.truncate(want.len());
+                assert_eq!(all, want, "brute, {n_t}-node twig");
+            }
         }
     }
 

@@ -111,7 +111,8 @@ impl CandidateSets {
     }
 
     /// Wraps externally discovered candidate lists (one per query node,
-    /// each ascending by data node id), building the reverse indices.
+    /// each strictly ascending by data node id — checked in debug
+    /// builds), building the reverse indices.
     /// Used by setup caches that derive candidate sets from an already
     /// loaded run-time graph instead of re-sweeping storage.
     pub fn from_lists(cands: Vec<Vec<NodeId>>) -> Self {
@@ -132,6 +133,14 @@ impl CandidateSets {
     }
 
     fn finish(cands: Vec<Vec<NodeId>>) -> Self {
+        // Candidate index order is data node id order: `Topk` compares
+        // assignments by index and emits them by node, and its
+        // canonical `(score, assignment)` stream is only correct while
+        // the two agree.
+        debug_assert!(
+            cands.iter().all(|l| l.windows(2).all(|w| w[0] < w[1])),
+            "every candidate list must be strictly ascending by node id"
+        );
         let index = cands
             .iter()
             .map(|list| {

@@ -96,8 +96,9 @@
 //! runs an independent sequential enumerator per shard on an
 //! [`exec::WorkerPool`], and lazily k-way-merges the shard streams.
 //! Every match has exactly one root, so shards partition the match
-//! universe; each stream is put into the workspace's **canonical
-//! order** (ascending `(score, assignment)` — [`core::partition`]),
+//! universe; each stream is in the workspace's **canonical order**
+//! (ascending `(score, assignment)` — [`core::partition`]; natively
+//! for the default full shards, whose `Topk` pops in that order),
 //! and a `(score, assignment)`-keyed merge of disjoint canonical
 //! streams is itself canonical. Hence `ParTopk` output is
 //! byte-identical to [`core::topk_full`] for *every* shard count —
