@@ -7,6 +7,14 @@
 //! whenever more edges must load first, the DP structures are rebuilt
 //! over the grown lists and replayed — the I/O-heavy enumeration phase
 //! the paper observes for DP-P in Figures 6(e)/6(f).
+//!
+//! DP-P inserts into the same lists `Topk-EN` does, and an equal-key
+//! insert may land before an element it already used (lists rank equal
+//! keys by payload, and DP-P certifies at `≤` the bound, not `<`).
+//! That is harmless here: every rebuild re-reads the grown lists from
+//! scratch, the replay skips assignments already emitted, and the
+//! stream reaches the canonical order through
+//! [`crate::canonical`], not through its own tie order.
 
 use crate::dpb::DpEngine;
 use crate::lawler::SlotLists;

@@ -3,21 +3,43 @@
 //!
 //! The enumerator interleaves two priority queues:
 //!
-//! * `Q` — finalized candidates (their subspace's best match is certain);
+//! * `Q` — certified candidates (their subspace's best match is final);
 //! * `Q_g` — the loader's queue of nodes with unloaded incoming edges.
 //!
-//! A candidate computed from the current (incomplete) `L`/`H` lists is
-//! inserted into `Q` only when its score is at most the top of `Q_g` —
-//! by Theorem 4.1 no match involving an unloaded edge can then beat it.
-//! Otherwise it is *parked* and linked to the lists it depends on; every
-//! expansion re-evaluates parked candidates on the touched lists and
-//! promotes those the risen `Q_g` bound now certifies. Candidates whose
-//! replacement rank does not exist yet are parked with score ∞ (§4.3:
-//! "an empty match in a subspace may become nonempty later").
+//! A candidate computed from the current (incomplete) `L`/`H` lists
+//! enters `Q` only when its score is *strictly* below the top of `Q_g`
+//! (or `Q_g` is exhausted), and `Q`'s minimum is emitted under the same
+//! test. Otherwise it is *parked* and linked to the list it depends on;
+//! every expansion re-evaluates parked candidates on the touched lists
+//! and promotes those the risen `Q_g` bound now certifies. Candidates
+//! whose replacement rank does not exist yet are parked with score ∞
+//! (§4.3: "an empty match in a subspace may become nonempty later").
+//!
+//! ## Why `Q` pops in the canonical order
+//!
+//! By Theorem 4.1 a match through an edge not loaded yet scores at
+//! least the `Q_g` top. So once a candidate is certified at a score
+//! `s < gtop`, every element later inserted into a list it (or the
+//! match it was divided from) uses has a key strictly greater than each
+//! element used there: a match through the new element would score
+//! below `gtop` otherwise. Lists rank equal keys by candidate index
+//! ([`crate::LazySortedList`]), and no insert lands at or before a used
+//! rank, so the ranks a certified candidate reads are final. Its row —
+//! materialized when it enters `Q` — is therefore the
+//! `(score, assignment)`-minimum of its subspace over the *final*
+//! lists, exactly as in `Topk` over static lists (see
+//! `crate::lawler`), and `Q` shares `Topk`'s `(score, row)` heap. With
+//! `≤` in place of `<` a later equal-key insert could precede a used
+//! element, and a certified row would stop being its subspace's
+//! minimum.
+//!
+//! Per match: one pop, at most `n_T` candidates placed (no side queues
+//! here — a child is either certified into `Q` or parked), so `Q`
+//! grows by at most `n_T` entrants and `n_T²` row words per pop.
 
-use crate::lawler::{LawlerCore, Popped, SlotLists};
+use crate::lawler::{LawlerCore, Popped, RowQueue, SlotLists};
 use crate::loader::{BoundMode, PriorityLoader};
-use crate::matches::{CandidateSpec, Child, HeapEntry, MatchArena, ScoredMatch};
+use crate::matches::{CandidateSpec, Child, HeapEntry, ScoredMatch, NO_PARENT};
 use crate::plan::{LazySetup, QueryPlan};
 use ktpm_graph::Score;
 use ktpm_query::{QNodeId, ResolvedQuery};
@@ -25,30 +47,59 @@ use ktpm_storage::{ClosureSource, SharedSource, SourceRef};
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 
-/// Algorithm 3: the `Topk-EN` enumerator. Yields matches in
-/// non-decreasing score order; `take(k)` gives the top-k.
+/// Work done by a [`TopkEnEnumerator`] so far, in the paper's cost
+/// terms: one pop per match, at most `n_T` `Q` entrants per pop, one
+/// `n_T`-word row per entrant, and `m'_R` edges loaded.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TopkEnCounters {
+    /// Entries popped off `Q` — one per emitted match.
+    pub pops: u64,
+    /// Candidates that entered `Q`, promotions out of the parked set
+    /// included.
+    pub q_pushes: u64,
+    /// Candidates parked at least once (not certified when divided).
+    pub parked: u64,
+    /// Words written to the row pool (`n_T` per `Q` entrant).
+    pub row_words: u64,
+    /// Edges loaded from storage (the paper's `m'_R`).
+    pub edges_loaded: u64,
+}
+
+/// A candidate waiting for the `Q_g` bound to certify it.
+#[derive(Debug, Clone, Copy)]
+struct Parked {
+    /// Its `score` is the latest evaluation (`Score::MAX`: rank not
+    /// loaded yet).
+    spec: CandidateSpec,
+    /// Bumped on every re-evaluation; stale `parked_heap` entries
+    /// carry an older one.
+    version: u32,
+    alive: bool,
+}
+
+/// Algorithm 3: the `Topk-EN` enumerator. Yields matches in the
+/// canonical `(score, assignment)` order — the stream `Topk` yields —
+/// natively; `take(k)` gives the top-k after exactly `k` pops.
 ///
-/// Specs refer to their generating popped match by **arena id** (the
-/// `parent` of the internal `CandidateSpec`); the parked machinery
-/// resolves the single assignment position it needs per spec through
-/// arena point lookups — no popped match is ever cloned or
-/// materialized off the emission path.
+/// Specs name their generating popped match by **entrant id**: the
+/// index of its row in `Q`'s pool, so the parked machinery reads any
+/// position of any earlier match with one slice index.
 pub struct TopkEnEnumerator<'s> {
     query: ResolvedQuery,
     core: LawlerCore,
-    /// Popped matches in the deviation encoding: parked specs read
-    /// single positions of arbitrary earlier matches through it.
-    arena: MatchArena,
     lists: SlotLists,
     loader: PriorityLoader<'s>,
-    specs: Vec<CandidateSpec>,
-    /// Finalized candidates, keyed `(score, seq, spec id)`.
-    q: BinaryHeap<HeapEntry>,
-    /// Parked candidate ids per list key (`(0,0)` = root list).
+    /// Certified candidates, ordered by `(score, row)`.
+    q: RowQueue,
+    /// The spec each `Q` entrant entered with, by entrant id: a child's
+    /// re-evaluation reads its parent's score and division point here.
+    entrants: Vec<CandidateSpec>,
+    /// Every candidate ever parked, by park id.
+    parked: Vec<Parked>,
+    /// Parked ids per list key (`(0,0)` = root list).
     parked_by_list: HashMap<(u32, u32), Vec<u32>>,
-    parked_alive: Vec<bool>,
-    parked_version: Vec<u32>,
-    /// Parked candidates keyed `(score, spec id, version)` — versioned
+    /// Parked candidates keyed `(score, park id, version)` — versioned
     /// lazy deletion.
     parked_heap: BinaryHeap<HeapEntry>,
     /// Reused divide output buffer (cleared each pop).
@@ -56,8 +107,7 @@ pub struct TopkEnEnumerator<'s> {
     /// Reused dirty-key dedup scratch for [`Self::after_expand`].
     dirty_scratch: HashSet<(u32, u32)>,
     initial_created: bool,
-    flushed: bool,
-    seq: u32,
+    pops: u64,
 }
 
 impl<'s> TopkEnEnumerator<'s> {
@@ -128,26 +178,23 @@ impl<'s> TopkEnEnumerator<'s> {
     }
 
     fn from_parts(query: &ResolvedQuery, loader: PriorityLoader<'s>, lists: SlotLists) -> Self {
-        // Arena hint: every root candidate pops at least once before
+        // Capacity hint: every root candidate pops at least once before
         // the stream ends, so the root bucket size is a cheap estimate.
-        let hint = loader.candidates().len(QNodeId(0));
+        let hint = loader.candidates().len(QNodeId(0)).clamp(16, 1 << 16);
         TopkEnEnumerator {
             query: query.clone(),
             core: LawlerCore::new(query.tree()),
-            arena: MatchArena::new(query.len(), hint.max(16)),
             lists,
             loader,
-            specs: Vec::new(),
-            q: BinaryHeap::new(),
+            q: RowQueue::new(query.len(), hint),
+            entrants: Vec::with_capacity(hint),
+            parked: Vec::new(),
             parked_by_list: HashMap::new(),
-            parked_alive: Vec::new(),
-            parked_version: Vec::new(),
             parked_heap: BinaryHeap::new(),
             div_buf: Vec::new(),
             dirty_scratch: HashSet::new(),
             initial_created: false,
-            flushed: false,
-            seq: 0,
+            pops: 0,
         }
     }
 
@@ -156,75 +203,86 @@ impl<'s> TopkEnEnumerator<'s> {
         self.loader.edges_inserted()
     }
 
-    fn push_q(&mut self, id: u32, score: Score) {
-        self.specs[id as usize].score = score;
-        self.q.push(HeapEntry {
-            key: score,
-            a: self.seq,
-            b: id,
-        });
-        self.seq += 1;
+    /// Work done so far, read off the structures themselves: every `Q`
+    /// entrant has one row and one entrant record, every parked
+    /// candidate one park record.
+    #[doc(hidden)]
+    pub fn counters(&self) -> TopkEnCounters {
+        TopkEnCounters {
+            pops: self.pops,
+            q_pushes: self.q.entrants(),
+            parked: self.parked.len() as u64,
+            row_words: self.q.row_words(),
+            edges_loaded: self.edges_loaded(),
+        }
     }
 
+    /// Certifies `spec` (its score is final and below the bound): it
+    /// gets its row and enters `Q`.
+    fn enter_q(&mut self, spec: CandidateSpec) {
+        self.q.enter(&mut self.core, &mut self.lists, spec);
+        self.entrants.push(spec);
+    }
+
+    /// The list `spec`'s replacement draws from, as a parked-set key.
     fn list_key(&self, spec: &CandidateSpec) -> (u32, u32) {
         if spec.pos == 0 {
             (0, 0)
         } else {
             let p = self.core.parent_of(spec.pos);
-            let pi = self.arena.node_at(spec.parent, p);
-            (spec.pos, pi)
+            (spec.pos, self.q.row(spec.parent)[p as usize])
         }
     }
 
-    fn park(&mut self, id: u32, score: Score) {
-        let key = self.list_key(&self.specs[id as usize]);
+    fn park(&mut self, spec: CandidateSpec) {
+        let key = self.list_key(&spec);
+        let id = self.parked.len() as u32;
+        self.parked.push(Parked {
+            spec,
+            version: 0,
+            alive: true,
+        });
         self.parked_by_list.entry(key).or_default().push(id);
-        if self.parked_alive.len() <= id as usize {
-            self.parked_alive.resize(id as usize + 1, false);
-            self.parked_version.resize(id as usize + 1, 0);
-        }
-        self.parked_alive[id as usize] = true;
-        self.specs[id as usize].score = score;
-        if score != Score::MAX {
+        if spec.score != Score::MAX {
             self.parked_heap.push(HeapEntry {
-                key: score,
+                key: spec.score,
                 a: id,
-                b: self.parked_version[id as usize],
+                b: 0,
             });
         }
     }
 
-    /// Re-evaluates a previously unknown or parked candidate against the
-    /// current lists (they may have grown since). Returns the updated
-    /// score if the rank now exists. Needs only one position of the
-    /// parent's assignment — a point lookup in the arena, no
-    /// materialization.
+    /// Re-evaluates a parked candidate against the current lists (they
+    /// may have grown since). Returns its score if the rank now exists.
+    /// The parent's score and division point come from its entrant
+    /// record, its node at the list's parent position from its row.
     fn reevaluate(&mut self, spec: &CandidateSpec) -> Option<Score> {
-        let m = spec.parent;
-        let base_rank = if spec.pos == self.arena.div_pos(m) {
-            self.arena.rank_at_div(m)
+        if spec.parent == NO_PARENT {
+            // The initial top-1: the best root.
+            return self.lists.root.rank(1).map(|(key, _)| key);
+        }
+        let parent = self.entrants[spec.parent as usize];
+        let base_rank = if spec.pos == parent.div_pos() {
+            parent.rank
         } else {
             1
         };
-        let score = self.arena.score(m);
-        let list = if spec.pos == 0 {
-            &mut self.lists.root
-        } else {
-            let p = self.core.parent_of(spec.pos);
-            self.lists.slot(spec.pos, self.arena.node_at(m, p))
-        };
+        let list = self
+            .core
+            .list_at(&mut self.lists, self.q.row(spec.parent), spec.pos);
         let base_key = list.rank(base_rank as usize)?.0;
         let (new_key, _) = list.rank(spec.rank as usize)?;
-        Some(score - base_key + new_key)
+        Some(parent.score - base_key + new_key)
     }
 
+    /// Sends a fresh candidate to `Q` if the bound certifies it, to the
+    /// parked set otherwise.
     fn place(&mut self, spec: CandidateSpec, known: bool, gtop: Option<Score>) {
-        let id = self.specs.len() as u32;
-        self.specs.push(spec);
-        if known && gtop.is_none_or(|g| spec.score <= g) {
-            self.push_q(id, spec.score);
+        if known && gtop.is_none_or(|g| spec.score < g) {
+            self.enter_q(spec);
         } else {
-            self.park(id, if known { spec.score } else { Score::MAX });
+            let score = if known { spec.score } else { Score::MAX };
+            self.park(CandidateSpec { score, ..spec });
         }
     }
 
@@ -238,163 +296,101 @@ impl<'s> TopkEnEnumerator<'s> {
         dirty.extend(self.loader.dirty().iter().copied());
         self.loader.clear_dirty();
         for &key in &dirty {
-            if key == (0, 0) && !self.initial_created && !self.lists.root.is_empty() {
-                self.initial_created = true;
-                if let Some(init) = self.core.initial_candidate(&mut self.lists) {
-                    let id = self.specs.len() as u32;
-                    self.specs.push(init);
-                    self.push_q(id, init.score);
-                }
-            }
             // Take the key's id list out, re-insert after the sweep:
             // nothing in the loop parks, so the list cannot grow under
             // us, and this avoids cloning it per dirtied key.
-            let Some(ids) = self.parked_by_list.remove(&key) else {
-                continue;
-            };
-            for &id in &ids {
-                if !self.parked_alive[id as usize] {
-                    continue;
+            if let Some(ids) = self.parked_by_list.remove(&key) {
+                for &id in &ids {
+                    let Parked { spec, alive, .. } = self.parked[id as usize];
+                    if !alive {
+                        continue;
+                    }
+                    if let Some(score) = self.reevaluate(&spec) {
+                        let p = &mut self.parked[id as usize];
+                        p.spec.score = score;
+                        p.version += 1;
+                        self.parked_heap.push(HeapEntry {
+                            key: score,
+                            a: id,
+                            b: p.version,
+                        });
+                    }
                 }
-                let spec = self.specs[id as usize];
-                if let Some(score) = self.reevaluate(&spec) {
-                    self.specs[id as usize].score = score;
-                    self.parked_version[id as usize] += 1;
-                    self.parked_heap.push(HeapEntry {
-                        key: score,
-                        a: id,
-                        b: self.parked_version[id as usize],
-                    });
+                self.parked_by_list.insert(key, ids);
+            }
+            if key == (0, 0) && !self.initial_created && !self.lists.root.is_empty() {
+                // The top-1 waits for certification like any other
+                // candidate: an equal-score root may still load.
+                self.initial_created = true;
+                if let Some(init) = self.core.initial_candidate(&mut self.lists) {
+                    self.park(init);
                 }
             }
-            self.parked_by_list.insert(key, ids);
         }
         self.dirty_scratch = dirty;
         self.promote_parked();
     }
 
-    /// Moves parked candidates whose score is certified by `Q_g` into `Q`.
+    /// Moves parked candidates whose score is certified by `Q_g` into
+    /// `Q`. A live heap entry's score is current: lists change only by
+    /// loading, and [`Self::after_expand`] has just re-evaluated every
+    /// parked candidate on a list that did.
     fn promote_parked(&mut self) {
-        loop {
-            let gtop = self.loader.qg_top();
-            let Some(&HeapEntry {
-                key: score,
-                a: id,
-                b: ver,
-            }) = self.parked_heap.peek()
-            else {
-                return;
-            };
-            if !self.parked_alive[id as usize] || self.parked_version[id as usize] != ver {
-                self.parked_heap.pop();
-                continue;
-            }
-            if let Some(g) = gtop {
-                if score > g {
+        let gtop = self.loader.qg_top();
+        while let Some(&HeapEntry {
+            key: score,
+            a: id,
+            b: version,
+        }) = self.parked_heap.peek()
+        {
+            let p = &mut self.parked[id as usize];
+            if p.alive && p.version == version {
+                if gtop.is_some_and(|g| score >= g) {
                     return;
                 }
+                p.alive = false;
+                let spec = p.spec;
+                self.enter_q(spec);
             }
             self.parked_heap.pop();
-            let spec = self.specs[id as usize];
-            match self.reevaluate(&spec) {
-                Some(ns) if gtop.is_none_or(|g| ns <= g) => {
-                    self.parked_alive[id as usize] = false;
-                    self.push_q(id, ns);
-                }
-                Some(ns) => {
-                    self.specs[id as usize].score = ns;
-                    self.parked_version[id as usize] += 1;
-                    self.parked_heap.push(HeapEntry {
-                        key: ns,
-                        a: id,
-                        b: self.parked_version[id as usize],
-                    });
-                    if ns >= score {
-                        // Accurate score still above the bound: stop here
-                        // (the heap top cannot certify either).
-                        if gtop.is_some_and(|g| ns > g) {
-                            return;
-                        }
-                    }
-                }
-                None => {
-                    // Rank vanished is impossible (lists only grow); treat
-                    // as still-unknown.
-                    self.specs[id as usize].score = Score::MAX;
-                    self.parked_version[id as usize] += 1;
-                }
-            }
-        }
-    }
-
-    /// Once `Q_g` is exhausted the lists are final: every parked
-    /// candidate with an existing rank becomes a regular `Q` entry.
-    fn flush_all_parked(&mut self) {
-        if self.flushed {
-            return;
-        }
-        self.flushed = true;
-        if !self.initial_created && !self.lists.root.is_empty() {
-            self.initial_created = true;
-            if let Some(init) = self.core.initial_candidate(&mut self.lists) {
-                let id = self.specs.len() as u32;
-                self.specs.push(init);
-                self.push_q(id, init.score);
-            }
-        }
-        let all: Vec<u32> = self
-            .parked_by_list
-            .values()
-            .flat_map(|v| v.iter().copied())
-            .collect();
-        for id in all {
-            if id as usize >= self.parked_alive.len() || !self.parked_alive[id as usize] {
-                continue;
-            }
-            let spec = self.specs[id as usize];
-            if let Some(score) = self.reevaluate(&spec) {
-                self.parked_alive[id as usize] = false;
-                self.push_q(id, score);
-            }
         }
     }
 
     fn emit(&mut self) -> ScoredMatch {
-        let HeapEntry { b: id, .. } = self.q.pop().expect("emit called with non-empty Q");
-        let spec = self.specs[id as usize];
-        let row = self.arena.begin(spec.parent);
-        let changed = self
-            .core
-            .materialize(&mut self.lists, row, spec.pos, spec.rank);
-        let div_pos = spec.div_pos();
+        let (score, id) = self.q.pop().expect("emit called with non-empty Q");
+        self.pops += 1;
+        let spec = self.entrants[id as usize];
         let popped = Popped {
-            id: self
-                .arena
-                .commit(spec.parent, spec.score, div_pos, spec.rank, changed),
-            score: spec.score,
-            div_pos,
+            id,
+            score,
+            div_pos: spec.div_pos(),
             rank_at_div: spec.rank,
         };
         let gtop = self.loader.qg_top();
         let mut children = std::mem::take(&mut self.div_buf);
-        // The arena's scratch row holds the match just committed.
-        let asn = self.arena.load(popped.id);
         self.core
-            .divide_into(&mut self.lists, asn, popped, &mut children);
+            .divide_into(&mut self.lists, self.q.row(id), popped, &mut children);
         for c in &children {
             self.place(c.spec, c.known, gtop);
         }
         self.div_buf = children;
-        let asn = self.arena.load(popped.id);
+        let row = self.q.row(id);
         let assignment = self
             .query
             .tree()
             .node_ids()
-            .map(|u| self.loader.candidates().node(u, asn[u.index()]))
+            .map(|u| self.loader.candidates().node(u, row[u.index()]))
             .collect();
-        ScoredMatch {
-            score: spec.score,
-            assignment,
+        ScoredMatch { score, assignment }
+    }
+
+    /// Whether `Q`'s minimum is certified: strictly below `Q_g`'s top,
+    /// or `Q_g` is exhausted.
+    fn q_top_certified(&mut self) -> bool {
+        match (self.q.peek_score(), self.loader.qg_top()) {
+            (Some(qs), Some(gs)) => qs < gs,
+            (Some(_), None) => true,
+            (None, _) => false,
         }
     }
 }
@@ -404,41 +400,22 @@ impl Iterator for TopkEnEnumerator<'_> {
 
     fn next(&mut self) -> Option<ScoredMatch> {
         loop {
-            let qtop = self.q.peek().map(|e| e.key);
-            let gtop = self.loader.qg_top();
-            match (qtop, gtop) {
-                (Some(qs), Some(gs)) if qs <= gs => return Some(self.emit()),
-                (Some(_), None) => return Some(self.emit()),
-                (_, Some(_)) => {
-                    // Batch expansions: parked re-evaluation is monotone
-                    // (lists only grow, the bound only rises), so running
-                    // it once per batch is equivalent and much cheaper
-                    // than once per pop.
-                    for _ in 0..16 {
-                        if !self.loader.expand_top(&mut self.lists) {
-                            break;
-                        }
-                        let done = match (self.q.peek().map(|e| e.key), self.loader.qg_top()) {
-                            (Some(qs), Some(gs)) => qs <= gs,
-                            (_, None) => true,
-                            (None, _) => false,
-                        };
-                        if done {
-                            break;
-                        }
-                    }
-                    self.after_expand();
-                }
-                (None, None) => {
-                    if self.flushed {
-                        return None;
-                    }
-                    self.flush_all_parked();
-                    if self.q.is_empty() {
-                        return None;
-                    }
+            if self.q_top_certified() {
+                return Some(self.emit());
+            }
+            // Once `Q_g` is exhausted every list is final and the last
+            // expansion batch promoted every parked candidate with a
+            // rank: an empty `Q` is the end of the stream.
+            self.loader.qg_top()?;
+            // Batch expansions: parked re-evaluation is monotone (lists
+            // only grow, the bound only rises), so running it once per
+            // batch is equivalent and much cheaper than once per pop.
+            for _ in 0..16 {
+                if !self.loader.expand_top(&mut self.lists) || self.q_top_certified() {
+                    break;
                 }
             }
+            self.after_expand();
         }
     }
 }
@@ -496,6 +473,150 @@ mod tests {
         compare_with_full(&g, "a#1 -> a#2", 100);
         compare_with_full(&g, "c -> *#1", 100);
         compare_with_full(&g, "a -> *#1\n*#1 -> s", 100);
+    }
+
+    /// The raw `Topk-EN` stream — no adapter — pulled in two parts,
+    /// against the raw `Topk` stream over the fully loaded graph.
+    fn assert_raw_streams_equal(
+        q: &ResolvedQuery,
+        store: &MemStore,
+        k: usize,
+        pause: usize,
+    ) -> Result<usize, String> {
+        let rg = RuntimeGraph::load(q, store);
+        let want: Vec<ScoredMatch> = TopkEnumerator::new(&rg).take(k).collect();
+        let j = pause.min(k);
+        let mut en = TopkEnEnumerator::new(q, store);
+        let mut got: Vec<ScoredMatch> = en.by_ref().take(j).collect();
+        got.extend(en.by_ref().take(k - j));
+        if en.counters().pops != got.len() as u64 {
+            return Err(format!("{:?} for {} matches", en.counters(), got.len()));
+        }
+        match got.iter().zip(&want).position(|(a, b)| a != b) {
+            _ if got.len() != want.len() => {
+                Err(format!("{} matches, Topk has {}", got.len(), want.len()))
+            }
+            Some(i) => Err(format!("match {i}: {:?} vs Topk {:?}", got[i], want[i])),
+            None => Ok(got.len()),
+        }
+    }
+
+    mod raw_vs_topk {
+        use super::*;
+        use ktpm_workload::{generate, random_tree_query, GraphSpec, QuerySpec};
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(400))]
+
+            /// Strict certification plus payload-ranked list ties make
+            /// the raw `Topk-EN` stream the `Topk` stream, element for
+            /// element, across a resume split: random workload graphs
+            /// with unit or 1–3 weights, queries of 2..7 nodes,
+            /// storage blocks of 1–4 edges.
+            #[test]
+            fn raw_topk_en_equals_raw_topk_stream(
+                nodes in 20..120usize,
+                seed in 0..10_000u64,
+                size in 2..7usize,
+                unit in 0..2u64,
+                block in 1..5usize,
+                k in 1..300usize,
+                pause in 0..300usize,
+            ) {
+                let g = generate(&GraphSpec {
+                    nodes,
+                    labels: 5,
+                    label_skew: 0.5,
+                    avg_out_degree: 2.5,
+                    community: 30,
+                    cross_fraction: 0.1,
+                    weight_range: (1, if unit == 1 { 1 } else { 3 }),
+                    seed,
+                });
+                let query = random_tree_query(&g, QuerySpec {
+                    size,
+                    distinct_labels: false,
+                    seed: seed ^ 0x77,
+                });
+                if let Some(q) = query {
+                    let q = q.resolve(g.interner());
+                    let store = MemStore::with_block_edges(ClosureTables::compute(&g), block);
+                    let checked = assert_raw_streams_equal(&q, &store, k, pause);
+                    prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+                }
+            }
+        }
+    }
+
+    /// Wildcard twigs over unit-weight graphs: hop-count scores, so the
+    /// order is decided almost entirely by the tie-break. The 9-node
+    /// twig's rows are past `NodeRow::INLINE`.
+    #[test]
+    fn wildcard_twigs_stream_raw_topk_en_as_raw_topk() {
+        use ktpm_workload::{generate, GraphSpec};
+        let shapes = [
+            "L0 -> *#1\nL0 -> *#2",
+            "L1 -> *#1\nL1 -> *#2\n*#1 -> *#3\n*#1 -> *#4",
+            "L0 -> *#1\n*#1 -> *#2\n*#2 -> *#3\n*#2 -> *#4",
+            "L0 -> *#1\nL0 -> *#2\n*#1 -> *#3\n*#1 -> *#4\n*#2 -> *#5\n\
+             *#2 -> *#6\n*#3 -> *#7\n*#3 -> *#8",
+        ];
+        for seed in [0x7135u64, 0xC0FFEE] {
+            let g = generate(&GraphSpec {
+                nodes: 60,
+                labels: 3,
+                label_skew: 0.3,
+                avg_out_degree: 1.5,
+                community: 20,
+                cross_fraction: 0.2,
+                weight_range: (1, 1),
+                seed,
+            });
+            for shape in shapes {
+                let q = TreeQuery::parse(shape).unwrap().resolve(g.interner());
+                for block in 1..=4 {
+                    let store = MemStore::with_block_edges(ClosureTables::compute(&g), block);
+                    let n = assert_raw_streams_equal(&q, &store, 3_000, 1_000)
+                        .unwrap_or_else(|e| panic!("{}-node twig, block {block}: {e}", q.len()));
+                    assert!(n >= 200, "{}-node twig streams only {n}", q.len());
+                }
+            }
+        }
+    }
+
+    /// The delay bound for `Topk-EN`, by arithmetic on its own counters:
+    /// on `lawler.rs`'s tie star (first tie class ≥ 1 000), k matches
+    /// cost k pops, each pop admits at most `n_T` candidates to `Q`
+    /// with one `n_T`-word row each, and the loader never loads more
+    /// than the full run-time graph holds.
+    #[test]
+    fn k_matches_cost_k_pops_and_n_t_rows_each() {
+        let (q, store) = crate::lawler::tests::tie_star();
+        let n_t = q.len() as u64;
+        let full_edges = RuntimeGraph::load(&q, &store).num_edges() as u64;
+        let mut it = TopkEnEnumerator::new(&q, &store);
+        assert_eq!(
+            (it.counters().pops, it.counters().q_pushes),
+            (0, 0),
+            "nothing is certified before the first pull"
+        );
+        let first = it.next().expect("the star has matches");
+        assert_eq!(it.counters().pops, 1, "the first match costs one pop");
+        let mut tie_class = 1;
+        for k in 2..=3_000u64 {
+            let m = it.next().expect("the star has thousands of matches");
+            tie_class += u64::from(m.score == first.score);
+            let c = it.counters();
+            assert_eq!(c.pops, k, "k matches cost k pops");
+            assert!(c.q_pushes <= 1 + n_t * c.pops, "match {k}: {c:?}");
+            assert_eq!(c.row_words, n_t * c.q_pushes, "match {k}: {c:?}");
+            assert!(c.edges_loaded <= full_edges, "match {k}: {c:?}");
+        }
+        assert!(
+            tie_class >= 1_000,
+            "first tie class has {tie_class} members"
+        );
     }
 
     #[test]

@@ -99,7 +99,7 @@ impl KgpmStream {
         } else {
             match policy.engine {
                 ShardEngine::Full => Box::new(canonical(DpBEnumerator::from_plan(plan))),
-                ShardEngine::Lazy => Box::new(canonical(TopkEnEnumerator::from_plan(plan))),
+                ShardEngine::Lazy => Box::new(TopkEnEnumerator::from_plan(plan)),
             }
         };
         KgpmStream {

@@ -281,9 +281,8 @@ impl SlotLists {
 /// and O(n_T) match materialization over assignment **rows** —
 /// `[u32]` slices of candidate indices in query-BFS order. Slot lists
 /// are passed in by the driver (Algorithm 1 owns static lists;
-/// Algorithm 3's grow during loading) and so is the row storage:
-/// `Topk` keeps one row per queue entrant in a flat pool, `Topk-EN`
-/// works on the scratch row of its `MatchArena`. Nothing here
+/// Algorithm 3's grow during loading) and so is the row storage: both
+/// keep one row per queue entrant in a [`RowQueue`]. Nothing here
 /// allocates per match.
 pub(crate) struct LawlerCore {
     /// Parent BFS index per query node (`u32::MAX` for the root).
@@ -308,23 +307,6 @@ pub(crate) struct Popped {
     pub rank_at_div: u32,
 }
 
-/// The list a replacement at `pos` draws from: the root list for
-/// `pos == 0`, otherwise the slot list under the parent candidate
-/// `row` assigns.
-fn list_at<'l>(
-    lists: &'l mut SlotLists,
-    parents: &[u32],
-    row: &[u32],
-    pos: u32,
-) -> &'l mut LazySortedList {
-    if pos == 0 {
-        &mut lists.root
-    } else {
-        let p = parents[pos as usize];
-        lists.slot(pos, row[p as usize])
-    }
-}
-
 impl LawlerCore {
     pub fn new(tree: &TreeQuery) -> Self {
         let parents: Vec<u32> = tree
@@ -342,6 +324,23 @@ impl LawlerCore {
     /// Parent BFS index of query node `pos` (`u32::MAX` for the root).
     pub fn parent_of(&self, pos: u32) -> u32 {
         self.parents[pos as usize]
+    }
+
+    /// The list a replacement at `pos` of the match `row` draws from:
+    /// the root list for `pos == 0`, otherwise the slot list under the
+    /// parent candidate `row` assigns.
+    pub fn list_at<'l>(
+        &self,
+        lists: &'l mut SlotLists,
+        row: &[u32],
+        pos: u32,
+    ) -> &'l mut LazySortedList {
+        if pos == 0 {
+            &mut lists.root
+        } else {
+            let p = self.parents[pos as usize];
+            lists.slot(pos, row[p as usize])
+        }
     }
 
     /// The initial candidate: the best root (= top-1 match, Line 3 of
@@ -368,7 +367,8 @@ impl LawlerCore {
         pos: u32,
         rank: u32,
     ) -> &[bool] {
-        let (_, replacement) = list_at(lists, &self.parents, row, pos)
+        let (_, replacement) = self
+            .list_at(lists, row, pos)
             .rank(rank as usize)
             .expect("candidate rank was verified at divide time");
         let pos = pos as usize;
@@ -411,7 +411,7 @@ impl LawlerCore {
         };
         // Case 1 (Theorem 3.1): continue the exclusion chain at div_pos.
         if m.div_pos != NO_PARENT {
-            let list = list_at(lists, &self.parents, row, m.div_pos);
+            let list = self.list_at(lists, row, m.div_pos);
             let old_key = list
                 .rank(m.rank_at_div as usize)
                 .expect("the popped match's own element exists")
@@ -426,7 +426,7 @@ impl LawlerCore {
             m.div_pos as usize + 1
         };
         for x in start..self.n_t {
-            let list = list_at(lists, &self.parents, row, x as u32);
+            let list = self.list_at(lists, row, x as u32);
             let Some((k1, _)) = list.rank(1) else {
                 // The match's own element must exist; in lazy mode a just-
                 // divided position always holds a loaded element, so an
@@ -457,7 +457,7 @@ pub struct TopkCounters {
 /// The assignment rows of every candidate that has entered `Q`, `n_t`
 /// words each, back to back; an entrant's id is its row's index. Rows
 /// are never freed: a popped match's row stays the template its
-/// side-run children are promoted from.
+/// later children are materialized from.
 struct RowPool {
     words: Vec<u32>,
     n_t: usize,
@@ -484,12 +484,12 @@ impl RowPool {
     }
 }
 
-/// The global queue `Q`: a binary min-heap of `(score, entrant id)`
-/// ordered by `(score, row)` — the canonical order. Hand-rolled because
-/// the tie-break reads the row pool, which an `Ord` on the entry
-/// cannot. Rows are compared only when two scores tie, O(n_T) worst
-/// case, so a push or pop is O(log k) on distinct scores and
-/// O(n_T · log k) on a fully tied stream.
+/// A binary min-heap of `(score, entrant id)` ordered by
+/// `(score, row)` — the canonical order. Hand-rolled because the
+/// tie-break reads the row pool, which an `Ord` on the entry cannot.
+/// Rows are compared only when two scores tie, O(n_T) worst case, so a
+/// push or pop is O(log k) on distinct scores and O(n_T · log k) on a
+/// fully tied stream.
 #[derive(Default)]
 struct RowHeap {
     entries: Vec<(Score, u32)>,
@@ -551,8 +551,65 @@ impl RowHeap {
     }
 }
 
-/// What `Q` keeps per entrant besides its row: where its division
-/// starts and which round's side run it came out of.
+/// The global queue `Q` of both enumerators: every candidate that
+/// enters it gets its full row — the parent's row with the replaced
+/// subtree re-derived, O(n_T) — and the queue pops in `(score, row)`
+/// order. The row is the entrant's one representation: compared, then
+/// emitted, divided and copied for children from.
+pub(crate) struct RowQueue {
+    heap: RowHeap,
+    rows: RowPool,
+}
+
+impl RowQueue {
+    /// An empty queue for `n_t`-node rows, sized for `hint` entrants.
+    pub fn new(n_t: usize, hint: usize) -> Self {
+        RowQueue {
+            heap: RowHeap::default(),
+            rows: RowPool {
+                words: Vec::with_capacity(hint * n_t),
+                n_t,
+            },
+        }
+    }
+
+    /// Materializes `spec` into a new row and pushes it. Entrant ids
+    /// count up from 0 in entry order.
+    pub fn enter(&mut self, core: &mut LawlerCore, lists: &mut SlotLists, spec: CandidateSpec) {
+        let id = self.entrants() as u32;
+        let row = self.rows.push_copy_of(spec.parent);
+        core.materialize(lists, row, spec.pos, spec.rank);
+        self.heap.push(&self.rows, (spec.score, id));
+    }
+
+    /// Pops the minimum `(score, entrant id)`.
+    pub fn pop(&mut self) -> Option<(Score, u32)> {
+        self.heap.pop(&self.rows)
+    }
+
+    /// The minimum score, without popping.
+    pub fn peek_score(&self) -> Option<Score> {
+        self.heap.entries.first().map(|e| e.0)
+    }
+
+    /// Entrant `id`'s row.
+    pub fn row(&self, id: u32) -> &[u32] {
+        self.rows.row(id)
+    }
+
+    /// Candidates that have entered so far.
+    pub fn entrants(&self) -> u64 {
+        (self.rows.words.len() / self.rows.n_t) as u64
+    }
+
+    /// Words written to the row pool so far (`n_t` per entrant).
+    pub fn row_words(&self) -> u64 {
+        self.rows.words.len() as u64
+    }
+}
+
+/// What `Topk` keeps per `Q` entrant besides its row: where its
+/// division starts and which round's side run it came out of.
 #[derive(Debug, Clone, Copy)]
 struct Entrant {
     div_pos: u32,
@@ -591,11 +648,8 @@ pub struct TopkEnumerator<'g> {
     core: LawlerCore,
     lists: SlotLists,
     /// Global queue `Q`, ordered by `(score, row)`.
-    q: RowHeap,
-    /// The row of every `Q` entrant — the one representation of a
-    /// match here: emitted from, divided from, copied for children.
-    rows: RowPool,
-    /// Per `Q` entrant, parallel to `rows`.
+    q: RowQueue,
+    /// Per `Q` entrant, parallel to its rows.
     entrants: Vec<Entrant>,
     /// The side queues `Q_l`, compacted into one flat pool: a round's
     /// non-best children are all known at divide time, so each round is
@@ -678,9 +732,9 @@ impl<'g> TopkEnumerator<'g> {
     pub fn counters(&self) -> TopkCounters {
         TopkCounters {
             pops: self.side_runs.len() as u64 - 1,
-            q_pushes: self.entrants.len() as u64,
+            q_pushes: self.q.entrants(),
             promotions: self.promotions,
-            row_words: self.rows.words.len() as u64,
+            row_words: self.q.row_words(),
         }
     }
 
@@ -699,16 +753,12 @@ impl<'g> TopkEnumerator<'g> {
         // before the stream ends, so the (shard-restricted) root list
         // length is a cheap lower-bound-flavored estimate.
         let hint = lists.root.len().clamp(16, 1 << 16);
-        let n_t = tree.len();
+        let q = RowQueue::new(tree.len(), hint);
         let mut it = TopkEnumerator {
             rg,
             core,
             lists,
-            q: RowHeap::default(),
-            rows: RowPool {
-                words: Vec::with_capacity(hint * n_t),
-                n_t,
-            },
+            q,
             entrants: Vec::with_capacity(hint),
             side_pool: Vec::new(),
             side_runs: vec![(0, 0)],
@@ -725,16 +775,12 @@ impl<'g> TopkEnumerator<'g> {
     /// Gives `spec` its row — the parent's with the replaced subtree
     /// re-derived — and pushes it onto `Q` as a child of `round`.
     fn enter_q(&mut self, spec: CandidateSpec, round: u32) {
-        let id = self.entrants.len() as u32;
-        let row = self.rows.push_copy_of(spec.parent);
-        self.core
-            .materialize(&mut self.lists, row, spec.pos, spec.rank);
+        self.q.enter(&mut self.core, &mut self.lists, spec);
         self.entrants.push(Entrant {
             div_pos: spec.div_pos(),
             rank_at_div: spec.rank,
             round,
         });
-        self.q.push(&self.rows, (spec.score, id));
     }
 }
 
@@ -742,7 +788,7 @@ impl Iterator for TopkEnumerator<'_> {
     type Item = ScoredMatch;
 
     fn next(&mut self) -> Option<ScoredMatch> {
-        let (score, id) = self.q.pop(&self.rows)?;
+        let (score, id) = self.q.pop()?;
         let Entrant {
             div_pos,
             rank_at_div,
@@ -767,7 +813,7 @@ impl Iterator for TopkEnumerator<'_> {
             rank_at_div,
         };
         self.core
-            .divide_into(&mut self.lists, self.rows.row(id), popped, &mut children);
+            .divide_into(&mut self.lists, self.q.row(id), popped, &mut children);
         // Algorithm 1 over static lists: unknown ranks are empty
         // subspaces (Lemma 3.2), dropped here.
         children.retain(|c| c.known);
@@ -788,7 +834,7 @@ impl Iterator for TopkEnumerator<'_> {
         self.side_runs.push((start, self.side_pool.len() as u32));
         self.div_buf = children;
         let rg = self.rg.get();
-        let row = self.rows.row(id);
+        let row = self.q.row(id);
         let assignment = rg
             .query()
             .tree()
@@ -800,12 +846,12 @@ impl Iterator for TopkEnumerator<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ktpm_closure::ClosureTables;
     use ktpm_graph::fixtures::{citation_graph, paper_graph};
     use ktpm_graph::{LabeledGraph, NodeId};
-    use ktpm_query::TreeQuery;
+    use ktpm_query::{ResolvedQuery, TreeQuery};
     use ktpm_storage::MemStore;
 
     fn run(g: &LabeledGraph, query: &str, k: usize, side: bool) -> Vec<ScoredMatch> {
@@ -1217,14 +1263,9 @@ mod tests {
         }
     }
 
-    /// The delay bound, checked by arithmetic on the enumerator's own
-    /// counters rather than a stopwatch: on a star whose first tie
-    /// class has over a thousand members, the first match costs one
-    /// pop and every further match one more, each pop pushing at most
-    /// two candidates (the round's best child and one promotion) and
-    /// writing at most two rows.
-    #[test]
-    fn k_matches_cost_k_pops_and_two_rows_each() {
+    /// A wildcard star over a unit-weight graph whose first tie class
+    /// has over a thousand members, and its store.
+    pub(crate) fn tie_star() -> (ResolvedQuery, MemStore) {
         use ktpm_workload::{generate, GraphSpec};
         let g = generate(&GraphSpec {
             nodes: 300,
@@ -1239,7 +1280,17 @@ mod tests {
         let q = TreeQuery::parse("L0 -> *#1\nL0 -> *#2")
             .unwrap()
             .resolve(g.interner());
-        let store = MemStore::new(ClosureTables::compute(&g));
+        (q, MemStore::new(ClosureTables::compute(&g)))
+    }
+
+    /// The delay bound, checked by arithmetic on the enumerator's own
+    /// counters rather than a stopwatch: on [`tie_star`], the first
+    /// match costs one pop and every further match one more, each pop
+    /// pushing at most two candidates (the round's best child and one
+    /// promotion) and writing at most two rows.
+    #[test]
+    fn k_matches_cost_k_pops_and_two_rows_each() {
+        let (q, store) = tie_star();
         let rg = RuntimeGraph::load(&q, &store);
         let n_t = q.len() as u64;
         let mut it = TopkEnumerator::new(&rg);

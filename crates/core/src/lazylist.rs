@@ -8,21 +8,25 @@
 //! heap top without popping), `O(log n)` per heap pop otherwise (the
 //! Line-10 chain).
 //!
+//! Elements order by `(key, payload)`: equal keys rank by payload,
+//! whether the list was built with them or they were inserted later.
+//!
 //! For the priority-based algorithms (§4) the list also supports
-//! [`LazySortedList::insert`]: a key smaller than the current prefix
-//! maximum is placed inside the prefix at its upper bound (equal keys go
-//! *after* existing ones, so ranks already handed out to finalized
-//! matches never shift — Theorems 4.1/4.2 guarantee no insert can land
-//! strictly below a finalized rank).
+//! [`LazySortedList::insert`]: an element below the current prefix
+//! maximum is placed inside the prefix at its `(key, payload)` position.
+//! Ranks already handed out to certified matches never shift: `Topk-EN`
+//! certifies a candidate only when its score is *strictly* below the
+//! `Q_g` bound, and by Theorem 4.1 every match through a not-yet-loaded
+//! edge scores at least that bound, so every later insert into a list a
+//! certified candidate or emitted match uses carries a key strictly
+//! greater than each element it uses there (see `crate::enhanced`).
 
 use ktpm_graph::Score;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// One list element: `(key, tie-break, payload)` — the tie-break is the
-/// payload itself for built lists, an insertion sequence number past
-/// every payload for inserted elements.
-type Entry = (Score, u32, u32);
+/// One list element: `(key, payload)`.
+type Entry = (Score, u32);
 
 /// A lazily-sorted list with heap tail; see module docs.
 #[derive(Debug, Clone, Default)]
@@ -31,8 +35,6 @@ pub struct LazySortedList {
     sorted: Vec<Entry>,
     /// `L`: everything else.
     heap: BinaryHeap<Reverse<Entry>>,
-    /// Next insertion tie-break: monotone, above every built payload.
-    seq: u32,
 }
 
 impl LazySortedList {
@@ -40,35 +42,25 @@ impl LazySortedList {
     /// find the minimum (placed in `H`), the rest heapified.
     ///
     /// Equal keys rank by **payload**, ascending, whatever order the
-    /// items arrive in. `Topk` rests on this: payloads are candidate
-    /// indices, candidates ascend by data node id, so a list's rank-1
-    /// element is the lexicographically smallest of its cheapest ones —
-    /// which makes a subspace's representative ("list minimum at every
-    /// free position") its `(score, assignment)`-minimum, and lets the
-    /// enumerator pop in the canonical order directly (see
-    /// `crate::lawler`). Later [`Self::insert`]s still order after every
-    /// equal key already present.
-    pub fn new(items: Vec<(Score, u32)>) -> Self {
+    /// items arrive in. Both enumerators rest on this: payloads are
+    /// candidate indices, candidates ascend by data node id, so a list's
+    /// rank-1 element is the lexicographically smallest of its cheapest
+    /// ones — which makes a subspace's representative ("list minimum at
+    /// every free position") its `(score, assignment)`-minimum, and lets
+    /// the enumerators pop in the canonical order directly (see
+    /// `crate::lawler`).
+    pub fn new(mut items: Vec<(Score, u32)>) -> Self {
         let mut list = LazySortedList::default();
-        if items.is_empty() {
-            return list;
-        }
-        let mut rest: Vec<Entry> = items.into_iter().map(|(k, v)| (k, v, v)).collect();
-        list.seq = rest
-            .iter()
-            .map(|e| e.1)
-            .max()
-            .and_then(|v| v.checked_add(1))
-            .expect("non-empty, payloads below u32::MAX");
-        let min_pos = rest
+        let Some(min_pos) = items
             .iter()
             .enumerate()
             .min_by_key(|(_, e)| **e)
             .map(|(i, _)| i)
-            .expect("non-empty");
-        let min = rest.swap_remove(min_pos);
-        list.sorted.push(min);
-        list.heap = rest.into_iter().map(Reverse).collect();
+        else {
+            return list;
+        };
+        list.sorted.push(items.swap_remove(min_pos));
+        list.heap = items.into_iter().map(Reverse).collect();
         list
     }
 
@@ -86,8 +78,7 @@ impl LazySortedList {
     /// except for inserts strictly below the current minimum.
     pub fn first(&self) -> Option<(Score, u32)> {
         match (self.sorted.first(), self.heap.peek()) {
-            (Some(&(k, _, v)), _) => Some((k, v)),
-            (None, Some(&Reverse((k, _, v)))) => Some((k, v)),
+            (Some(&e), _) | (None, Some(&Reverse(e))) => Some(e),
             (None, None) => None,
         }
     }
@@ -115,19 +106,18 @@ impl LazySortedList {
             }
         }
         if r <= self.sorted.len() {
-            let (k, _, v) = self.sorted[r - 1];
-            Some((k, v))
+            Some(self.sorted[r - 1])
         } else {
             debug_assert_eq!(r, self.sorted.len() + 1);
-            self.heap.peek().map(|&Reverse((k, _, v))| (k, v))
+            self.heap.peek().map(|&Reverse(e)| e)
         }
     }
 
     /// Inserts `(key, payload)`, preserving the prefix/heap invariant
-    /// (`max(H) ≤ min(L)`). Equal keys order after existing ones.
+    /// (`max(H) ≤ min(L)`). Equal keys rank by payload, as in
+    /// [`Self::new`].
     pub fn insert(&mut self, key: Score, val: u32) {
-        let entry = (key, self.seq, val);
-        self.seq += 1;
+        let entry = (key, val);
         match self.sorted.last() {
             Some(&last) if entry < last => {
                 let pos = self.sorted.partition_point(|&e| e < entry);
@@ -174,10 +164,10 @@ mod tests {
         assert_eq!(l.first(), Some((2, 3)));
         let all: Vec<_> = (1..=5).map(|r| l.rank(r).unwrap()).collect();
         assert_eq!(all, vec![(2, 3), (2, 7), (5, 1), (5, 4), (5, 9)]);
-        // A later insert still goes after every equal key.
+        // A later insert ranks among equal keys by payload too.
         l.insert(5, 0);
-        assert_eq!(l.rank(5), Some((5, 9)));
-        assert_eq!(l.rank(6), Some((5, 0)));
+        assert_eq!(l.rank(3), Some((5, 0)));
+        assert_eq!(l.rank(6), Some((5, 9)));
     }
 
     #[test]
@@ -220,14 +210,16 @@ mod tests {
     }
 
     #[test]
-    fn equal_key_inserts_go_after_existing() {
-        let mut l = LazySortedList::new(vec![(2, 0), (5, 1), (9, 2)]);
+    fn equal_key_inserts_rank_by_payload() {
+        let mut l = LazySortedList::new(vec![(2, 0), (5, 4), (9, 2)]);
         assert_eq!(l.rank(3), Some((9, 2))); // prefix [2,5]
+                                             // Past the prefix maximum (5, 4): into the heap tail.
         l.insert(5, 9);
-        // Rank 2 must still be the original payload 1.
-        assert_eq!(l.rank(2), Some((5, 1)));
-        assert_eq!(l.rank(3), Some((5, 9)));
-        assert_eq!(l.rank(4), Some((9, 2)));
+        l.insert(9, 0);
+        // Below it: into the materialized prefix, ahead of the equal key.
+        l.insert(5, 1);
+        let all: Vec<_> = (1..=l.len()).map(|r| l.rank(r).unwrap()).collect();
+        assert_eq!(all, vec![(2, 0), (5, 1), (5, 4), (5, 9), (9, 0), (9, 2)]);
     }
 
     #[test]

@@ -49,12 +49,12 @@
 //! [`topk_full`] *exactly* (order, scores, witnesses) because both
 //! emit the workspace's **canonical order** — ascending
 //! `(score, assignment)`, the deterministic tie-break defined in
-//! [`partition`]. [`TopkEnumerator`] pops in that order natively (its
-//! heap compares `(score, assignment row)`), so `k` matches cost `k`
-//! pops and a full shard's stream is the full stream filtered to its
-//! roots. [`TopkEnEnumerator`] and the DP baselines keep their
-//! algorithmic tie order; wrap them in [`canonical`] — at a delay of
-//! O(largest equal-score group) — when determinism across runs or
+//! [`partition`]. [`TopkEnumerator`] and [`TopkEnEnumerator`] pop in
+//! that order natively (their heap compares `(score, assignment row)`),
+//! so `k` matches cost `k` pops and a shard's stream — full or lazy —
+//! is the full stream filtered to its roots. The DP baselines keep
+//! their algorithmic tie order; wrap them in [`canonical`] — at a delay
+//! of O(largest equal-score group) — when determinism across runs or
 //! algorithms matters ([`build_stream`] does).
 //!
 //! ## Shared query plans
@@ -74,39 +74,33 @@
 //! the pop → divide → emit cycle is engineered to allocate nothing per
 //! match:
 //!
-//! * **One row per queue entrant (`Topk`).** Candidates stay the O(1)
+//! * **One row per queue entrant.** Candidates stay the O(1)
 //!   `CandidateSpec` links of §3.3 until they enter the global queue
 //!   `Q`; an entrant gets its full assignment row — its parent's with
 //!   the replaced subtree re-derived, O(n_T) — appended to one flat
 //!   `Vec<u32>` pool. That row is the match's only representation: `Q`
 //!   orders ties by it, the match is emitted from it, divided from it,
-//!   and its side-run children are later copied from it. With the §3.3
-//!   side queues at most two candidates enter `Q` per pop (the round's
-//!   best child and one promotion), so a pop writes ≤ 2·n_T words and
-//!   the pool grows by O(n_T) per emitted match.
+//!   and its children are later copied from it. In `Topk`, with the
+//!   §3.3 side queues, at most two candidates enter `Q` per pop (the
+//!   round's best child and one promotion), so a pop writes ≤ 2·n_T
+//!   words. `Topk-EN` has no side queues: a pop's ≤ n_T children each
+//!   enter `Q` when certified — at once, or later out of the parked
+//!   set — so at most n_T entrants and n_T² words per pop. Parked
+//!   candidates read their parent's row and entrant record by index.
 //! * **Heap order = canonical order.** `Q` is a binary heap of
 //!   `(score, entrant id)` comparing `(score, row)`; rows are read only
 //!   when two scores tie. Worst case a tie compare is O(n_T), i.e.
 //!   O(n_T · log k) per pop on a fully tied stream against the paper's
 //!   O(n_T + log k) — and against the O(tie class) the buffering
-//!   adapter in [`partition`] costs the other engines.
+//!   adapter in [`partition`] costs the DP baselines. `Topk-EN` shares
+//!   the structure: it certifies a candidate only strictly below the
+//!   loader's bound, so no later insert can reorder a row it queued.
 //! * **Compact side queues.** The §3.3 side queues `Q_l` are one pooled
 //!   vector of per-round runs, pre-sorted in the canonical order with
 //!   an O(1) sibling comparison — a round's non-best children are all
 //!   known at divide time, so "promote the next best" is a cursor
 //!   bump, not a heap operation.
-//! * **Deviation arena (`Topk-EN`).** `Topk-EN` re-evaluates parked
-//!   candidates against single positions of arbitrary earlier matches
-//!   while its lists still grow, so its popped matches live in a
-//!   `MatchArena`: a compact record — parent arena id, division
-//!   position/rank, score — plus a *patch* of the `(position,
-//!   candidate)` pairs the match changed relative to its parent, in two
-//!   flat append-only vectors; chains are cut by full-row checkpoints
-//!   every `CHECKPOINT_DEPTH` links, and point lookups walk patches
-//!   without materializing anything. This is the parent-pointer
-//!   solution representation ranked-enumeration systems (Tziavelis et
-//!   al.) use to get their any-k bounds.
-//! * **Lifetime.** Pool, arena and queues belong to one enumerator and
+//! * **Lifetime.** Pool and queues belong to one enumerator and
 //!   live as long as it does: a parked service session keeps them (the
 //!   resume state), and each `ParTopk` shard owns its own, so the
 //!   k-way merge stays lock-free. Emitted [`ScoredMatch`]es store
@@ -118,7 +112,8 @@
 //! this replaced paid 4.4–6.3) — reported per run as `benchmark/`'s
 //! `core.allocs_per_match` and held below 1.0 by
 //! `tests/alloc_budget.rs`. The delay itself is held by count, not
-//! stopwatch: `lawler.rs`'s `k_matches_cost_k_pops_and_two_rows_each`.
+//! stopwatch: `lawler.rs`'s `k_matches_cost_k_pops_and_two_rows_each`
+//! and `enhanced.rs`'s `k_matches_cost_k_pops_and_n_t_rows_each`.
 
 mod algo;
 pub mod brute;
@@ -142,6 +137,8 @@ pub use bs::BsData;
 pub use decompose::{decompose, SpanningTree};
 pub use dpb::DpBEnumerator;
 pub use dpp::DpPEnumerator;
+#[doc(hidden)]
+pub use enhanced::TopkEnCounters;
 pub use enhanced::TopkEnEnumerator;
 pub use kgpm::{GraphMatch, KgpmStats, KgpmStream};
 #[doc(hidden)]
@@ -175,7 +172,5 @@ pub fn topk_full(query: &ResolvedQuery, source: &dyn ClosureSource, k: usize) ->
 /// Convenience: top-k via Algorithm 3 (priority-based lazy load), in
 /// the canonical `(score, assignment)` order.
 pub fn topk_en(query: &ResolvedQuery, source: &dyn ClosureSource, k: usize) -> Vec<ScoredMatch> {
-    canonical(TopkEnEnumerator::new(query, source))
-        .take(k)
-        .collect()
+    TopkEnEnumerator::new(query, source).take(k).collect()
 }

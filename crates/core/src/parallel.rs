@@ -10,12 +10,11 @@
 //! sequential enumerator ([`TopkEnumerator`] over a *shared* run-time
 //! graph, or [`TopkEnEnumerator`] over the shared store), and the
 //! shard streams are lazily k-way merged on `(score, assignment)`.
-//! Because each stream is in the canonical order ([`crate::partition`])
-//! — natively for [`ShardEngine::Full`], whose shard stream is exactly
-//! the full stream filtered to the shard's roots; through the
-//! [`canonical`] adapter for [`ShardEngine::Lazy`] — the merged stream
-//! equals [`crate::topk_full`] exactly — order, scores and witnesses —
-//! for every shard count.
+//! Because each shard's enumerator pops in the canonical order
+//! ([`crate::partition`]) natively — so a shard's stream is exactly the
+//! full stream filtered to the shard's roots, whichever engine runs it
+//! — the merged stream equals [`crate::topk_full`] exactly — order,
+//! scores and witnesses — for every shard count.
 //!
 //! ## Scheduling
 //!
@@ -27,14 +26,11 @@
 //! session holds no pool thread. The merge refills every near-empty
 //! shard in one scatter, so balanced streams keep all workers busy
 //! while skewed streams only pay for what the merge actually consumes
-//! (at most one batch of lookahead per full shard; a lazy shard's
-//! adapter additionally reads to the end of the equal-score group its
-//! batch ends in).
+//! (at most one batch of lookahead per shard).
 
 use crate::enhanced::TopkEnEnumerator;
 use crate::lawler::TopkEnumerator;
 use crate::matches::ScoredMatch;
-use crate::partition::{canonical, Canonical};
 use crate::plan::QueryPlan;
 use ktpm_exec::WorkerPool;
 use ktpm_graph::{NodeRow, Score};
@@ -63,11 +59,9 @@ pub enum ShardEngine {
 pub struct ParallelPolicy {
     /// Number of root shards (1 = sequential execution on the pool).
     pub shards: usize,
-    /// Matches pulled from a shard per job: the scheduling grain. For
-    /// [`ShardEngine::Full`] it also bounds per-shard lookahead (a
-    /// shard pops exactly what it hands over); a [`ShardEngine::Lazy`]
-    /// shard sits behind the [`canonical`] adapter and overruns the
-    /// batch to the end of its last equal-score group.
+    /// Matches pulled from a shard per job: the scheduling grain. It
+    /// also bounds per-shard lookahead: a shard of either engine pops
+    /// exactly what it hands over.
     pub batch: usize,
     /// The per-shard enumerator.
     pub engine: ShardEngine,
@@ -93,13 +87,12 @@ impl ParallelPolicy {
     }
 }
 
-/// One shard's sequential enumerator, in canonical order (`Topk`
-/// natively, `Topk-EN` through the adapter). Boxed: the enumerators
-/// are hundreds of bytes and hop between the caller and pool workers
-/// every batch.
+/// One shard's sequential enumerator, in canonical order. Boxed: the
+/// enumerators are hundreds of bytes and hop between the caller and
+/// pool workers every batch.
 enum ShardIter {
     Full(Box<TopkEnumerator<'static>>),
-    Lazy(Box<Canonical<TopkEnEnumerator<'static>>>),
+    Lazy(Box<TopkEnEnumerator<'static>>),
 }
 
 impl Iterator for ShardIter {
@@ -173,12 +166,12 @@ fn shard_iter(plan: &QueryPlan, engine: ShardEngine, spec: ShardSpec) -> ShardIt
         ))),
         ShardEngine::Lazy => {
             let restricted = plan.lazy().restrict_root(spec);
-            ShardIter::Lazy(Box::new(canonical(TopkEnEnumerator::from_setup(
+            ShardIter::Lazy(Box::new(TopkEnEnumerator::from_setup(
                 plan.query(),
                 Arc::clone(plan.source()),
                 crate::BoundMode::Tight,
                 &restricted,
-            ))))
+            )))
         }
     }
 }
@@ -242,13 +235,12 @@ impl ParTopk {
                         let source = Arc::clone(plan.source());
                         Box::new(move || {
                             let restricted = setup.restrict_root(spec);
-                            let mut it =
-                                ShardIter::Lazy(Box::new(canonical(TopkEnEnumerator::from_setup(
-                                    &query,
-                                    source,
-                                    crate::BoundMode::Tight,
-                                    &restricted,
-                                ))));
+                            let mut it = ShardIter::Lazy(Box::new(TopkEnEnumerator::from_setup(
+                                &query,
+                                source,
+                                crate::BoundMode::Tight,
+                                &restricted,
+                            )));
                             let (buf, alive) = pull(&mut it, batch);
                             (alive.then_some(it), buf)
                         }) as Box<dyn FnOnce() -> ShardJobResult + Send>

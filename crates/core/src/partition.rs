@@ -32,22 +32,25 @@
 //!
 //! ## Who pays for it
 //!
-//! `Topk` ([`crate::TopkEnumerator`]) pays nothing: the canonical order
-//! *is* its heap order (ties compare assignment rows, O(n_T) worst
-//! case), so `topk_full`, [`crate::Algo::Topk`] streams and `ParTopk`'s
-//! [`crate::ShardEngine::Full`] shards emit it natively — `k` matches
-//! cost `k` pops, with no look-ahead.
+//! The paper's enumerators pay nothing: the canonical order *is* the
+//! heap order of `Topk` ([`crate::TopkEnumerator`]) and of `Topk-EN`
+//! ([`crate::TopkEnEnumerator`], whose lists grow while it enumerates
+//! but never below a rank a certified match uses). Ties compare
+//! assignment rows, O(n_T) worst case. So `topk_full`, `topk_en`, the
+//! [`crate::Algo::Topk`] and [`crate::Algo::TopkEn`] streams, both
+//! kinds of `ParTopk` shard and kGPM's lazy (mtree+) tree engine emit
+//! it natively — `k` matches cost `k` pops, with no look-ahead.
 //!
-//! The engines whose raw tie order is something else — `Topk-EN` (its
-//! lists grow while it enumerates), `DP-B`, `DP-P`, the lazy shards and
-//! kGPM's tree matchers — go through the [`Canonical`] adapter, which
-//! re-orders a stream without breaking laziness by buffering one
-//! equal-score group at a time (legal because scores never decrease).
-//! There the price is bounded lookahead: emitting the first match of a
-//! score group requires having pulled the whole group from the inner
-//! enumerator, so memory and delay are O(largest equal-score group) —
-//! with hop-count scores, easily most of the stream. Wrapping a stream
-//! that is already canonical (a `Topk`) is the identity, at that price.
+//! The engines whose raw tie order is something else — `DP-B`, `DP-P`
+//! and with them kGPM's DP-B (mtree) tree engine — go through the
+//! [`Canonical`] adapter, which re-orders a stream without breaking
+//! laziness by buffering one equal-score group at a time (legal because
+//! scores never decrease). There the price is bounded lookahead:
+//! emitting the first match of a score group requires having pulled the
+//! whole group from the inner enumerator, so memory and delay are
+//! O(largest equal-score group) — with hop-count scores, easily most of
+//! the stream. Wrapping a stream that is already canonical is the
+//! identity, at that price.
 
 use crate::matches::ScoredMatch;
 use std::collections::VecDeque;

@@ -547,8 +547,8 @@ impl LazySetup {
     /// index only — in-memory accessors on every backend).
     /// Equal-distance ties may
     /// pick a different seed *witness* than the stored `E` table
-    /// would, which only permutes raw tie order — the canonical
-    /// `(score, assignment)` stream is unaffected.
+    /// would, which only changes which edge loads first — the
+    /// `(score, assignment)` stream depends on the final lists alone.
     pub(crate) fn derive(rg: &RuntimeGraph, source: &dyn ClosureSource) -> LazySetup {
         let query = rg.query();
         let tree = query.tree();
@@ -639,7 +639,7 @@ impl LazySetup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{canonical, topk_full, TopkEnEnumerator, TopkEnumerator};
+    use crate::{topk_full, TopkEnEnumerator, TopkEnumerator};
     use ktpm_closure::ClosureTables;
     use ktpm_graph::fixtures::{citation_graph, paper_graph};
     use ktpm_graph::LabeledGraph;
@@ -659,14 +659,14 @@ mod tests {
 
         // Full-first plan: Topk, then derived Topk-EN.
         let plan = plan_for(g, query);
-        let full: Vec<_> = canonical(TopkEnumerator::from_plan(&plan)).collect();
+        let full: Vec<_> = TopkEnumerator::from_plan(&plan).collect();
         assert_eq!(full, want, "plan Topk, query {query:?}");
-        let en: Vec<_> = canonical(TopkEnEnumerator::from_plan(&plan)).collect();
+        let en: Vec<_> = TopkEnEnumerator::from_plan(&plan).collect();
         assert_eq!(en, want, "plan Topk-EN (derived), query {query:?}");
 
         // Lazy-first plan: discovered Topk-EN.
         let plan = plan_for(g, query);
-        let en: Vec<_> = canonical(TopkEnEnumerator::from_plan(&plan)).collect();
+        let en: Vec<_> = TopkEnEnumerator::from_plan(&plan).collect();
         assert_eq!(en, want, "plan Topk-EN (discovered), query {query:?}");
     }
 
@@ -729,7 +729,7 @@ mod tests {
         let g = paper_graph();
         let plan = plan_for(&g, "a -> b\na -> c");
         assert_eq!(plan.approx_bytes(), 0);
-        let n = canonical(TopkEnumerator::from_plan(&plan)).count();
+        let n = TopkEnumerator::from_plan(&plan).count();
         assert!(n > 0);
         assert!(plan.approx_bytes() > 0, "warm plan reports its footprint");
     }
@@ -743,8 +743,8 @@ mod tests {
             .map(|_| {
                 let plan = Arc::clone(&plan);
                 std::thread::spawn(move || {
-                    let a: Vec<_> = canonical(TopkEnumerator::from_plan(&plan)).collect();
-                    let b: Vec<_> = canonical(TopkEnEnumerator::from_plan(&plan)).collect();
+                    let a: Vec<_> = TopkEnumerator::from_plan(&plan).collect();
+                    let b: Vec<_> = TopkEnEnumerator::from_plan(&plan).collect();
                     assert_eq!(a, b);
                 })
             })
@@ -816,9 +816,9 @@ mod tests {
         let want: Vec<_> = {
             let mem = MemStore::new(tables).into_shared();
             let mem_plan = QueryPlan::new(q, mem);
-            canonical(TopkEnEnumerator::from_plan(&mem_plan)).collect()
+            TopkEnEnumerator::from_plan(&mem_plan).collect()
         };
-        let got: Vec<_> = canonical(TopkEnEnumerator::from_plan(&plan)).collect();
+        let got: Vec<_> = TopkEnEnumerator::from_plan(&plan).collect();
         assert_eq!(got, want);
         assert!(
             paged.io().edges_read > 0,
@@ -934,8 +934,8 @@ mod tests {
                 );
                 // Warm: enumerators built from the plan ask nothing.
                 let built = counted.calls();
-                let en: Vec<_> = canonical(TopkEnEnumerator::from_plan(&plan)).collect();
-                let full: Vec<_> = canonical(TopkEnumerator::from_plan(&plan)).collect();
+                let en: Vec<_> = TopkEnEnumerator::from_plan(&plan).collect();
+                let full: Vec<_> = TopkEnumerator::from_plan(&plan).collect();
                 assert_eq!(counted.calls(), built, "warm plan, query {text:?}");
                 assert_eq!(en, want, "Topk-EN stream, query {text:?}");
                 assert_eq!(full, want, "Topk stream, query {text:?}");
@@ -956,9 +956,9 @@ mod tests {
             .resolve(g.interner());
         let store = MemStore::new(ClosureTables::compute(&g)).into_shared();
         let plan = QueryPlan::new(q, Arc::clone(&store));
-        let cold: Vec<_> = canonical(TopkEnumerator::from_plan(&plan)).collect();
+        let cold: Vec<_> = TopkEnumerator::from_plan(&plan).collect();
         store.reset_io();
-        let warm: Vec<_> = canonical(TopkEnumerator::from_plan(&plan)).collect();
+        let warm: Vec<_> = TopkEnumerator::from_plan(&plan).collect();
         assert_eq!(cold, warm);
         assert_eq!(
             store.io(),

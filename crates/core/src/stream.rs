@@ -11,10 +11,10 @@
 //! `Box<dyn MatchStream + Send>` in the **canonical**
 //! `(score, assignment)` order, so sessions, the CLI, the bench
 //! drivers and embedders stop dispatching on the algorithm themselves.
-//! `Topk` (and with it `ParTopk`'s full shards) pops in that order
-//! natively, at the paper's delay; `Topk-EN`, `DP-B`, `DP-P` and the
-//! lazy shards reach it through the [`canonical`] adapter, whose delay
-//! is O(largest equal-score group).
+//! `Topk` and `Topk-EN` (and with them every `ParTopk` shard) pop in
+//! that order natively, at the paper's delay; `DP-B` and `DP-P` reach
+//! it through the [`canonical`] adapter, whose delay is O(largest
+//! equal-score group).
 //!
 //! ## Batched pull
 //!
@@ -122,9 +122,21 @@ impl MatchStream for crate::TopkEnumerator<'static> {
     }
 }
 
-/// The engines whose raw tie order is not the workspace order —
-/// `Topk-EN`, `DP-B`, `DP-P` — stream behind [`canonical`], which
-/// buffers and sorts one equal-score group at a time.
+/// `Topk-EN` pops in the canonical order natively too: a batch of `n`
+/// is `n` pops, plus whatever loading certifies them.
+impl MatchStream for crate::TopkEnEnumerator<'static> {
+    fn next_batch(&mut self, n: usize, out: &mut Vec<ScoredMatch>) -> StreamState {
+        pull_batch(self, n, out)
+    }
+
+    fn next(&mut self) -> Option<ScoredMatch> {
+        Iterator::next(self)
+    }
+}
+
+/// The engines whose raw tie order is not the workspace order — `DP-B`
+/// and `DP-P` — stream behind [`canonical`], which buffers and sorts
+/// one equal-score group at a time.
 impl<I: Iterator<Item = ScoredMatch>> MatchStream for Canonical<I> {
     fn next_batch(&mut self, n: usize, out: &mut Vec<ScoredMatch>) -> StreamState {
         pull_batch(self, n, out)
@@ -217,11 +229,12 @@ pub fn limit(stream: BoxedMatchStream, k: usize) -> BoxedMatchStream {
 /// **The** algorithm dispatch: builds `algo`'s stream from a shared
 /// [`QueryPlan`]. Every arm emits the canonical `(score, assignment)`
 /// order, so the choice of engine changes performance characteristics
-/// only — never the stream. [`Algo::Topk`] is the raw enumerator (its
-/// heap order *is* the canonical order: `n` matches cost `n` pops);
-/// the arms wrapped in [`canonical`] pull a whole equal-score group
-/// from their engine before emitting its first member. On a warm
-/// plan, no arm repeats candidate discovery (see [`QueryPlan`]).
+/// only — never the stream. [`Algo::Topk`] and [`Algo::TopkEn`] are the
+/// raw enumerators (their heap order *is* the canonical order: `n`
+/// matches cost `n` pops); the DP arms, wrapped in [`canonical`], pull
+/// a whole equal-score group from their engine before emitting its
+/// first member. On a warm plan, no arm repeats candidate discovery
+/// (see [`QueryPlan`]).
 ///
 /// `policy`/`pool` drive [`Algo::Par`] (root sharding + the worker
 /// pool its shard jobs run on); the sequential engines ignore both.
@@ -236,7 +249,7 @@ pub fn build_stream(
 ) -> BoxedMatchStream {
     match algo {
         Algo::Topk => Box::new(crate::TopkEnumerator::from_plan(plan)),
-        Algo::TopkEn => Box::new(canonical(crate::TopkEnEnumerator::from_plan(plan))),
+        Algo::TopkEn => Box::new(crate::TopkEnEnumerator::from_plan(plan)),
         Algo::Par => Box::new(ParTopk::from_plan(plan, policy, pool)),
         // `all_matches` already sorts by `(score, assignment)` — the
         // canonical order.
@@ -252,6 +265,7 @@ pub fn build_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardEngine;
     use ktpm_closure::ClosureTables;
     use ktpm_graph::fixtures::{citation_graph, paper_graph};
     use ktpm_graph::LabeledGraph;
@@ -321,16 +335,22 @@ mod tests {
             assert!(want
                 .windows(2)
                 .all(|w| { (w[0].score, &w[0].assignment) < (w[1].score, &w[1].assignment) }));
-            let en: Vec<ScoredMatch> = canonical(crate::TopkEnEnumerator::from_plan(&plan))
+            let en: Vec<ScoredMatch> = crate::TopkEnEnumerator::from_plan(&plan)
                 .take(want.len())
                 .collect();
             assert_eq!(en, want, "Topk-EN, {n_t}-node twig");
-            for shards in [1usize, 2, 3] {
-                let par: Vec<ScoredMatch> =
-                    ParTopk::from_plan(&plan, &ParallelPolicy::with_shards(shards), pool())
+            for engine in [ShardEngine::Full, ShardEngine::Lazy] {
+                for shards in [1usize, 2, 3] {
+                    let policy = ParallelPolicy {
+                        shards,
+                        engine,
+                        ..ParallelPolicy::default()
+                    };
+                    let par: Vec<ScoredMatch> = ParTopk::from_plan(&plan, &policy, pool())
                         .take(want.len())
                         .collect();
-                assert_eq!(par, want, "ParTopk/{shards}, {n_t}-node twig");
+                    assert_eq!(par, want, "ParTopk/{shards} {engine:?}, {n_t}-node twig");
+                }
             }
             if brute_feasible {
                 let mut all = brute::all_matches(plan.runtime_graph());

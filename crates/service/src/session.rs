@@ -523,9 +523,9 @@ mod tests {
 
     #[test]
     fn parked_arena_survives_ttl_eviction_of_unrelated_sessions() {
-        // A session's live enumerator owns its deviation arena. Park it
+        // A session's live enumerator owns its row pool. Park it
         // mid-stream, let the TTL sweep reclaim a *different* idle
-        // session, and the survivor must resume off its parked arena —
+        // session, and the survivor must resume off its parked pool —
         // no re-enumeration, stream identical to an uninterrupted run.
         let p = plan();
         let mut oneshot = Session::new(
@@ -561,7 +561,7 @@ mod tests {
                 10,
             )
             .unwrap_or_else(|_| panic!("table has room"));
-        // Session 1 produces a prefix (its enumerator + arena go live),
+        // Session 1 produces a prefix (its enumerator + pool go live),
         // then parks.
         let slot = table.get(SessionId(1)).expect("live");
         let first = slot.session.lock().unwrap().advance(2).matches;
@@ -573,7 +573,7 @@ mod tests {
         let evicted = table.sweep(Duration::from_millis(20));
         assert_eq!(evicted.len(), 1);
         assert!(table.get(SessionId(2)).is_none());
-        // The survivor resumes exactly where its arena left off.
+        // The survivor resumes exactly where its pool left off.
         let slot = table.get(SessionId(1)).expect("survived the sweep");
         let mut s = slot.session.lock().unwrap();
         let rest = s.advance(100);

@@ -97,8 +97,8 @@
 //! [`exec::WorkerPool`], and lazily k-way-merges the shard streams.
 //! Every match has exactly one root, so shards partition the match
 //! universe; each stream is in the workspace's **canonical order**
-//! (ascending `(score, assignment)` — [`core::partition`]; natively
-//! for the default full shards, whose `Topk` pops in that order),
+//! (ascending `(score, assignment)` — [`core::partition`]; natively,
+//! since both shard engines, `Topk` and `Topk-EN`, pop in that order),
 //! and a `(score, assignment)`-keyed merge of disjoint canonical
 //! streams is itself canonical. Hence `ParTopk` output is
 //! byte-identical to [`core::topk_full`] for *every* shard count —

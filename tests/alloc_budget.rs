@@ -1,6 +1,8 @@
 //! Allocations per emitted match on the enumeration hot path: the
-//! budget the arena-backed deviation encoding bought (the clone
-//! encoding it replaced paid 4.4–6.3 per match on this workload).
+//! budget one flat row pool per enumerator buys (`Topk` and `Topk-EN`
+//! both keep a queue entrant's row there and nothing else per match;
+//! the clone encoding of earlier versions paid 4.4–6.3 per match on
+//! this workload).
 //! Its own test binary because it installs a counting global allocator;
 //! one `#[test]`, so nothing else allocates while it counts.
 

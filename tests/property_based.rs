@@ -320,14 +320,15 @@ proptest! {
         k in 1..60usize,
         pause in 0..60usize,
     ) {
-        // The arena-backed deviation encoding must leave every engine's
+        // The row-pool match encoding must leave every engine's
         // canonical stream element-for-element identical — score,
         // assignment and order — to the retained clone-based reference
-        // (`brute::all_matches` fully materializes every match the
-        // pre-arena way), for random k, shard counts and resume points.
-        // Consumption is split at `pause` so the parked enumerator
-        // state (arena, heaps, shard buffers) crosses a resume
-        // boundary mid-stream.
+        // (`brute::all_matches` fully materializes every match), for
+        // random k, shard counts and resume points; `Topk` and
+        // `Topk-EN` raw, as they pop. Consumption is split at `pause`
+        // so the parked enumerator state (row pools, heaps, parked
+        // candidates, shard buffers) crosses a resume boundary
+        // mid-stream.
         let spec = GraphSpec {
             nodes,
             labels: 5,
@@ -357,9 +358,9 @@ proptest! {
                 out.extend(it.take(k - j));
                 out
             };
-            let topk = split(Box::new(canonical(TopkEnumerator::new(&rg))));
+            let topk = split(Box::new(TopkEnumerator::new(&rg)));
             prop_assert_eq!(&topk, &want, "Topk, k {} pause {}", k, j);
-            let en = split(Box::new(canonical(TopkEnEnumerator::new(&resolved, &store))));
+            let en = split(Box::new(TopkEnEnumerator::new(&resolved, &store)));
             prop_assert_eq!(&en, &want, "Topk-EN, k {} pause {}", k, j);
             let shared: SharedSource = MemStore::with_block_edges(tables, 2).into_shared();
             for engine in [ShardEngine::Full, ShardEngine::Lazy] {
@@ -426,10 +427,8 @@ proptest! {
                 // purpose NOT the facade.
                 let plan = QueryPlan::new(resolved.clone(), Arc::clone(&shared));
                 let want: Vec<ScoredMatch> = match algo {
-                    Algo::Topk => canonical(TopkEnumerator::from_plan(&plan)).take(k).collect(),
-                    Algo::TopkEn => {
-                        canonical(TopkEnEnumerator::from_plan(&plan)).take(k).collect()
-                    }
+                    Algo::Topk => TopkEnumerator::from_plan(&plan).take(k).collect(),
+                    Algo::TopkEn => TopkEnEnumerator::from_plan(&plan).take(k).collect(),
                     Algo::Par => ParTopk::from_plan(&plan, &policy, Arc::clone(&pool))
                         .take(k)
                         .collect(),
