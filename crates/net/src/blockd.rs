@@ -9,11 +9,19 @@
 //! [`ktpm_storage::RemoteStore`]s, each doing its own caching and
 //! verification.
 //!
-//! The transport reuses the crate's reactor style: one thread owns the
-//! non-blocking listener and every connection, buffering partial
-//! frames, answering complete ones, and flushing responses — parking
-//! briefly when nothing is ready. Shard files are opened lazily on
-//! first `FETCH` and held open after that.
+//! The transport is a blocking accept loop and one thread per
+//! connection, each running `read request → answer → write response`
+//! until EOF. That fits the traffic: a `RemoteStore`'s connection pool
+//! keeps one request in flight per connection and at most
+//! `pool_size` idle ones, so a thread per connection is a thread per
+//! in-flight request, and a request is answered the moment its bytes
+//! arrive. A request is at most [`blockproto::FETCH_REQUEST_BYTES`]
+//! long and is read into a stack buffer; a peer announcing a longer one
+//! is dropped instead of buffered. A `FETCH` streams its range from the
+//! file through one fixed stack buffer, so a connection holds no heap
+//! in proportion to what it serves, however large the range. Shard
+//! files are opened lazily, per connection, on its first `FETCH` and
+//! held open after that.
 //!
 //! For fault-injection tests, [`BlockServer::inject_bit_flips`] makes
 //! the next *n* `FETCH` responses carry a single flipped payload bit
@@ -21,12 +29,15 @@
 //! client's v3 block verification can catch it).
 
 use ktpm_storage::{blockproto, load_snapshot_manifest, Manifest, StorageError};
+use std::collections::HashMap;
 use std::fs::File;
-use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -41,30 +52,58 @@ struct Counters {
     errors: AtomicU64,
 }
 
-impl Counters {
-    fn to_wire(&self) -> String {
+/// The live connections, so shutdown can close them. Each connection
+/// thread removes its own entry on exit.
+#[derive(Default)]
+struct Registry {
+    /// Set once by shutdown; the accept loop admits nothing after it.
+    stop: bool,
+    next_id: u64,
+    open: HashMap<u64, Arc<TcpStream>>,
+}
+
+/// What the accept loop and every connection thread share.
+struct Served {
+    manifest: Manifest,
+    manifest_bytes: Vec<u8>,
+    dir: PathBuf,
+    counters: Counters,
+    /// Pending injected bit flips (see [`BlockServer::inject_bit_flips`]).
+    flip: AtomicU32,
+    conns: Mutex<Registry>,
+}
+
+impl Served {
+    /// Nothing panics while holding the registry lock, so a poisoned
+    /// lock still guards a consistent map.
+    fn conns(&self) -> MutexGuard<'_, Registry> {
+        self.conns.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn stats_text(&self) -> String {
+        let c = &self.counters;
         format!(
-            "connections={}\nfetches={}\nfetch_bytes={}\nmanifests={}\nstats={}\nerrors={}\n",
-            self.connections.load(Ordering::Relaxed),
-            self.fetches.load(Ordering::Relaxed),
-            self.fetch_bytes.load(Ordering::Relaxed),
-            self.manifests.load(Ordering::Relaxed),
-            self.stats.load(Ordering::Relaxed),
-            self.errors.load(Ordering::Relaxed),
+            "connections={}\nfetches={}\nfetch_bytes={}\nmanifests={}\nstats={}\nerrors={}\nopen_connections={}\n",
+            c.connections.load(Ordering::Relaxed),
+            c.fetches.load(Ordering::Relaxed),
+            c.fetch_bytes.load(Ordering::Relaxed),
+            c.manifests.load(Ordering::Relaxed),
+            c.stats.load(Ordering::Relaxed),
+            c.errors.load(Ordering::Relaxed),
+            self.conns().open.len(),
         )
     }
 }
 
 /// A running block server; see the module docs. Dropping it (or
-/// calling [`BlockServer::shutdown`]) stops the reactor thread and
-/// drops every connection — clients observe EOF, which
+/// calling [`BlockServer::shutdown`]) closes the listener and every
+/// connection — clients observe EOF, which
 /// [`ktpm_storage::RemoteStore`] surfaces as a clean
 /// [`StorageError::Remote`] after its retries, never a hang.
 pub struct BlockServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    flip: Arc<AtomicU32>,
-    thread: Option<JoinHandle<()>>,
+    served: Arc<Served>,
+    accept: Option<JoinHandle<()>>,
 }
 
 impl BlockServer {
@@ -78,22 +117,25 @@ impl BlockServer {
     ) -> Result<BlockServer, StorageError> {
         let (manifest, dir) = load_snapshot_manifest(store_path)?;
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let flip = Arc::new(AtomicU32::new(0));
-        let thread = {
-            let stop = Arc::clone(&stop);
-            let flip = Arc::clone(&flip);
+        let served = Arc::new(Served {
+            manifest_bytes: manifest.encode(),
+            manifest,
+            dir,
+            counters: Counters::default(),
+            flip: AtomicU32::new(0),
+            conns: Mutex::default(),
+        });
+        let accept = {
+            let served = Arc::clone(&served);
             std::thread::Builder::new()
                 .name("ktpm-blockd".into())
-                .spawn(move || serve_loop(listener, manifest, dir, &stop, &flip))?
+                .spawn(move || accept_loop(&listener, &served))?
         };
         Ok(BlockServer {
             addr,
-            stop,
-            flip,
-            thread: Some(thread),
+            served,
+            accept: Some(accept),
         })
     }
 
@@ -105,260 +147,215 @@ impl BlockServer {
     /// Fault injection for tests: corrupt one payload bit in each of
     /// the next `n` `FETCH` responses.
     pub fn inject_bit_flips(&self, n: u32) {
-        self.flip.fetch_add(n, Ordering::Relaxed);
+        self.served.flip.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Stops the reactor and joins it; every connection drops.
+    /// Closes the listener and every connection, and joins the accept
+    /// thread. Connection threads are not joined: with its socket shut
+    /// down, each one exits at its next read or write.
     pub fn shutdown(mut self) {
-        self.stop_thread();
+        self.stop();
     }
 
-    fn stop_thread(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
+    fn stop(&mut self) {
+        let Some(accept) = self.accept.take() else {
+            return;
+        };
+        {
+            let mut conns = self.served.conns();
+            conns.stop = true;
+            // Unblocks every connection thread's read; its client sees EOF.
+            for stream in conns.open.values() {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
         }
+        // Wake the blocking accept so the loop sees `stop` and drops the
+        // listener.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+        let _ = accept.join();
     }
 }
 
 impl Drop for BlockServer {
     fn drop(&mut self) {
-        self.stop_thread();
+        self.stop();
     }
 }
 
-/// One connection: the socket plus partial-frame read and unflushed
-/// write buffers.
-struct Conn {
-    stream: TcpStream,
-    read_buf: Vec<u8>,
-    write_buf: Vec<u8>,
-    written: usize,
-    eof: bool,
-}
-
-impl Conn {
-    fn drained(&self) -> bool {
-        self.written == self.write_buf.len()
-    }
-}
-
-/// Everything the request handler needs: the manifest, the shard-file
-/// directory, lazily opened file handles, counters, and the
-/// fault-injection counter.
-struct Served {
-    manifest: Manifest,
-    manifest_bytes: Vec<u8>,
-    dir: PathBuf,
-    files: Vec<Option<File>>,
-    counters: Counters,
-}
-
-fn serve_loop(
-    listener: TcpListener,
-    manifest: Manifest,
-    dir: PathBuf,
-    stop: &AtomicBool,
-    flip: &AtomicU32,
-) {
-    let mut served = Served {
-        manifest_bytes: manifest.encode(),
-        files: (0..manifest.shards.len()).map(|_| None).collect(),
-        manifest,
-        dir,
-        counters: Counters::default(),
-    };
-    let mut conns: Vec<Conn> = Vec::new();
-    while !stop.load(Ordering::Relaxed) {
-        let mut progress = false;
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    served.counters.connections.fetch_add(1, Ordering::Relaxed);
-                    conns.push(Conn {
-                        stream,
-                        read_buf: Vec::new(),
-                        write_buf: Vec::new(),
-                        written: 0,
-                        eof: false,
-                    });
-                    progress = true;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
-        let mut i = 0;
-        while i < conns.len() {
-            let (alive, progressed) = tick(&mut conns[i], &mut served, flip);
-            progress |= progressed;
-            if alive {
-                i += 1;
-            } else {
-                drop(conns.swap_remove(i));
-                progress = true;
-            }
-        }
-        if !progress {
-            std::thread::sleep(Duration::from_micros(500));
-        }
-    }
-}
-
-/// One readiness pass over one connection. Returns `(alive, progressed)`.
-fn tick(conn: &mut Conn, served: &mut Served, flip: &AtomicU32) -> (bool, bool) {
-    let mut progressed = false;
-    if !conn.eof {
-        let mut chunk = [0u8; 4096];
-        loop {
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    conn.eof = true;
-                    progressed = true;
-                    break;
-                }
-                Ok(n) => {
-                    progressed = true;
-                    conn.read_buf.extend_from_slice(&chunk[..n]);
-                    if !drain_frames(conn, served, flip) {
-                        return (false, true);
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return (false, true),
-            }
-        }
-    }
-    while conn.written < conn.write_buf.len() {
-        match conn.stream.write(&conn.write_buf[conn.written..]) {
-            Ok(0) => return (false, true),
-            Ok(n) => {
-                conn.written += n;
-                progressed = true;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return (false, true),
-        }
-    }
-    if conn.drained() {
-        conn.write_buf.clear();
-        conn.written = 0;
-        if conn.eof {
-            return (false, true);
-        }
-    }
-    (true, progressed)
-}
-
-/// Splits complete frames out of the read buffer and appends each
-/// response frame to the write buffer. Returns `false` when the client
-/// must be dropped (oversized frame — a desynced or hostile peer).
-fn drain_frames(conn: &mut Conn, served: &mut Served, flip: &AtomicU32) -> bool {
+fn accept_loop(listener: &TcpListener, served: &Arc<Served>) {
     loop {
-        if conn.read_buf.len() < 4 {
-            return true;
+        let accepted = listener.accept();
+        let mut conns = served.conns();
+        if conns.stop {
+            return;
         }
-        let len = u32::from_le_bytes(conn.read_buf[..4].try_into().expect("4 bytes")) as usize;
-        if len > blockproto::MAX_FRAME_BYTES {
-            return false;
+        let Ok((stream, _)) = accepted else {
+            drop(conns);
+            served.counters.errors.fetch_add(1, Ordering::Relaxed);
+            // Persistent accept errors (fd exhaustion) would otherwise
+            // busy-spin; back off and let connections close.
+            std::thread::sleep(Duration::from_millis(20));
+            continue;
+        };
+        let _ = stream.set_nodelay(true);
+        served.counters.connections.fetch_add(1, Ordering::Relaxed);
+        let stream = Arc::new(stream);
+        let id = conns.next_id;
+        conns.next_id += 1;
+        // Registered before the thread starts, so its removal on exit
+        // always finds the entry; that removal drops the last handle
+        // and closes the socket.
+        conns.open.insert(id, Arc::clone(&stream));
+        drop(conns);
+        let spawned = {
+            let served = Arc::clone(served);
+            std::thread::Builder::new()
+                .name("ktpm-blockd-conn".into())
+                .spawn(move || {
+                    serve_connection(&stream, &served);
+                    served.conns().open.remove(&id);
+                })
+        };
+        if spawned.is_err() {
+            served.conns().open.remove(&id);
+            served.counters.errors.fetch_add(1, Ordering::Relaxed);
         }
-        if conn.read_buf.len() < 4 + len {
-            return true;
-        }
-        let payload: Vec<u8> = conn.read_buf[4..4 + len].to_vec();
-        conn.read_buf.drain(..4 + len);
-        let resp = handle_request(&payload, served, flip);
-        conn.write_buf
-            .extend_from_slice(&(resp.len() as u32).to_le_bytes());
-        conn.write_buf.extend_from_slice(&resp);
     }
+}
+
+/// Answers one connection's requests in order until EOF, an I/O error,
+/// or a request longer than any valid one (a desynced or hostile peer).
+fn serve_connection(mut stream: &TcpStream, served: &Served) {
+    let mut files: Vec<Option<File>> = (0..served.manifest.shards.len()).map(|_| None).collect();
+    let mut req = [0u8; blockproto::FETCH_REQUEST_BYTES];
+    loop {
+        let mut len = [0u8; 4];
+        if stream.read_exact(&mut len).is_err() {
+            return;
+        }
+        let len = u32::from_le_bytes(len) as usize;
+        if len > req.len() {
+            served.counters.errors.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        if stream.read_exact(&mut req[..len]).is_err()
+            || answer(&mut stream, &req[..len], served, &mut files).is_err()
+        {
+            return;
+        }
+    }
+}
+
+/// A response frame `[u32 len | status | body]`.
+fn frame(status: u8, body: &[u8]) -> Vec<u8> {
+    let len = (1 + body.len() as u32).to_le_bytes();
+    [&len[..], &[status], body].concat()
 }
 
 fn err_response(served: &Served, detail: &str) -> Vec<u8> {
     served.counters.errors.fetch_add(1, Ordering::Relaxed);
-    let mut resp = vec![blockproto::STATUS_ERR];
-    resp.extend_from_slice(detail.as_bytes());
-    resp
+    frame(blockproto::STATUS_ERR, detail.as_bytes())
 }
 
-/// Executes one request payload, returning the response payload
-/// (status byte first).
-fn handle_request(payload: &[u8], served: &mut Served, flip: &AtomicU32) -> Vec<u8> {
-    match payload.first() {
-        Some(&blockproto::OP_FETCH) => {
-            let Some((file_id, offset, len)) = blockproto::decode_fetch(payload) else {
-                return err_response(served, "malformed FETCH request");
-            };
-            if len as usize > blockproto::MAX_FRAME_BYTES - 5 {
-                return err_response(served, "FETCH length exceeds the frame cap");
-            }
-            let Some(meta) = served.manifest.shards.get(file_id as usize) else {
-                return err_response(served, &format!("no shard file with id {file_id}"));
-            };
-            if offset.saturating_add(u64::from(len)) > meta.file_len {
-                return err_response(
-                    served,
-                    &format!("range {offset}+{len} is past the end of {}", meta.name),
-                );
-            }
-            let name = meta.name.clone();
-            let slot = &mut served.files[file_id as usize];
-            if slot.is_none() {
-                match File::open(served.dir.join(&name)) {
-                    Ok(f) => *slot = Some(f),
-                    Err(e) => return err_response(served, &format!("open {name}: {e}")),
-                }
-            }
-            let file = slot.as_mut().expect("opened above");
-            let mut data = vec![0u8; len as usize];
-            let read = file
-                .seek(SeekFrom::Start(offset))
-                .and_then(|_| file.read_exact(&mut data));
-            if let Err(e) = read {
-                return err_response(served, &format!("read {name}@{offset}+{len}: {e}"));
-            }
-            if flip
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-                .is_ok()
-                && !data.is_empty()
-            {
-                // Injected fault: flip one payload bit *before* sealing
-                // the frame CRC, so only client-side v3 block
-                // verification can catch it.
-                let mid = data.len() / 2;
-                data[mid] ^= 0x01;
-            }
-            served.counters.fetches.fetch_add(1, Ordering::Relaxed);
-            served
-                .counters
-                .fetch_bytes
-                .fetch_add(u64::from(len), Ordering::Relaxed);
-            let mut resp = Vec::with_capacity(5 + data.len());
-            resp.push(blockproto::STATUS_OK);
-            resp.extend_from_slice(&blockproto::crc32(&data).to_le_bytes());
-            resp.extend_from_slice(&data);
-            resp
-        }
+/// Answers one request payload on `out`.
+fn answer(
+    out: &mut impl Write,
+    payload: &[u8],
+    served: &Served,
+    files: &mut [Option<File>],
+) -> io::Result<()> {
+    let resp = match payload.first() {
+        Some(&blockproto::OP_FETCH) => match fetch(out, payload, served, files) {
+            Ok(sent) => return sent,
+            Err(detail) => err_response(served, &detail),
+        },
         Some(&blockproto::OP_MANIFEST) if payload.len() == 1 => {
             served.counters.manifests.fetch_add(1, Ordering::Relaxed);
-            let mut resp = Vec::with_capacity(1 + served.manifest_bytes.len());
-            resp.push(blockproto::STATUS_OK);
-            resp.extend_from_slice(&served.manifest_bytes);
-            resp
+            frame(blockproto::STATUS_OK, &served.manifest_bytes)
         }
         Some(&blockproto::OP_STATS) if payload.len() == 1 => {
             served.counters.stats.fetch_add(1, Ordering::Relaxed);
-            let mut resp = vec![blockproto::STATUS_OK];
-            resp.extend_from_slice(served.counters.to_wire().as_bytes());
-            resp
+            frame(blockproto::STATUS_OK, served.stats_text().as_bytes())
         }
         Some(op) => err_response(served, &format!("unknown op {op}")),
         None => err_response(served, "empty request"),
+    };
+    out.write_all(&resp)
+}
+
+/// Payload bytes a `FETCH` reads from its file at a time.
+const CHUNK_BYTES: usize = 64 * 1024;
+
+/// Answers a `FETCH` with `[len | STATUS_OK | crc | data]` through one
+/// stack buffer, or returns the error text to answer with. The CRC
+/// precedes the data, so a range longer than the buffer is read twice:
+/// to seal the CRC, then to send (a read error then, after the header
+/// went out, drops the connection).
+fn fetch(
+    out: &mut impl Write,
+    payload: &[u8],
+    served: &Served,
+    files: &mut [Option<File>],
+) -> Result<io::Result<()>, String> {
+    let (id, offset, len) = blockproto::decode_fetch(payload).ok_or("malformed FETCH request")?;
+    if len as usize > blockproto::MAX_FRAME_BYTES - 5 {
+        return Err("FETCH length exceeds the frame cap".into());
     }
+    let meta = served.manifest.shards.get(id as usize);
+    let meta = meta.ok_or_else(|| format!("no shard file with id {id}"))?;
+    let name = meta.name.as_str();
+    if offset.saturating_add(u64::from(len)) > meta.file_len {
+        return Err(format!("range {offset}+{len} is past the end of {name}"));
+    }
+    let slot = &mut files[id as usize];
+    if slot.is_none() {
+        *slot = Some(File::open(served.dir.join(name)).map_err(|e| format!("open {name}: {e}"))?);
+    }
+    let file = slot.as_mut().expect("opened above");
+    // Injected fault: flip one payload bit *before* sealing the frame
+    // CRC, so only client-side v3 block verification can catch it.
+    let flip = &served.flip;
+    let flip = flip.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
+    let flip_at = flip.is_ok().then_some(len as usize / 2);
+    let mut buf = [0u8; 9 + CHUNK_BYTES];
+    // Reads the range one chunk at a time into `buf[9..end]` and hands
+    // `each` the buffer up to `end` and the chunk's payload position.
+    let mut pass = |each: &mut dyn FnMut(&[u8], usize) -> io::Result<()>, buf: &mut [u8]| {
+        file.seek(SeekFrom::Start(offset))?;
+        for pos in (0..len as usize).step_by(CHUNK_BYTES) {
+            let end = 9 + CHUNK_BYTES.min(len as usize - pos);
+            file.read_exact(&mut buf[9..end])?;
+            if let Some(i) = flip_at.filter(|i| (pos..pos + end - 9).contains(i)) {
+                buf[9 + i - pos] ^= 0x01;
+            }
+            each(&buf[..end], pos)?;
+        }
+        Ok(())
+    };
+    let mut crc = blockproto::CRC_INIT;
+    let mut seal = |chunk: &[u8], _| {
+        crc = blockproto::crc32_update(crc, &chunk[9..]);
+        Ok(())
+    };
+    pass(&mut seal, &mut buf).map_err(|e| format!("read {name}@{offset}+{len}: {e}"))?;
+    let c = &served.counters;
+    c.fetches.fetch_add(1, Ordering::Relaxed);
+    c.fetch_bytes.fetch_add(u64::from(len), Ordering::Relaxed);
+    buf[..4].copy_from_slice(&(5 + len).to_le_bytes());
+    buf[4] = blockproto::STATUS_OK;
+    buf[5..9].copy_from_slice(&blockproto::crc32_finish(crc).to_le_bytes());
+    if len as usize <= CHUNK_BYTES {
+        // The first pass left the whole range in the buffer.
+        return Ok(out.write_all(&buf[..9 + len as usize]));
+    }
+    // The header in `buf[..9]` goes out with the first chunk.
+    let mut send = |chunk: &[u8], pos| out.write_all(&chunk[if pos == 0 { 0 } else { 9 }..]);
+    Ok(pass(&mut send, &mut buf))
 }

@@ -42,9 +42,13 @@
 //!   from a new connection.
 //!
 //! The crate also hosts the storage tier's block server
-//! ([`BlockServer`], the `ktpm blockd` subcommand) — a second,
-//! binary-protocol reactor serving raw snapshot blocks to
-//! [`ktpm_storage::RemoteStore`] clients.
+//! ([`BlockServer`], the `ktpm blockd` subcommand), serving raw
+//! snapshot blocks to [`ktpm_storage::RemoteStore`] clients over a
+//! binary protocol. It runs one blocking thread per connection, not a
+//! reactor: its clients are bounded connection pools with one request
+//! in flight per connection, so a thread per connection is a thread
+//! per in-flight request, and each request is answered as soon as it
+//! arrives.
 //!
 //! ```no_run
 //! use ktpm_net::{EventServer, NetConfig};

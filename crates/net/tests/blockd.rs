@@ -2,17 +2,23 @@
 //! in-process [`BlockServer`] over localhost must be element-for-element
 //! identical to the local backends, survive a server crash mid-stream
 //! with a clean [`StorageError::Remote`] (never a hang or panic), and
-//! catch served bit flips with its client-side CRC.
+//! catch served bit flips with its client-side CRC. The server's own
+//! transport — one thread per connection — must shut down with clients
+//! blocked on it, never let one stalled connection hold up another,
+//! drop a peer announcing an oversized request, and leave nothing
+//! behind per closed connection.
 
 use ktpm_closure::ClosureTables;
 use ktpm_graph::{GraphBuilder, LabeledGraph, NodeId};
 use ktpm_net::BlockServer;
 use ktpm_storage::{
-    open_store_uri, write_store, write_store_sharded, ClosureSource, MemStore, RemoteOptions,
-    RemoteStore, ShardSpec, StorageError,
+    blockproto, open_store_uri, write_store, write_store_sharded, ClosureSource, MemStore,
+    RemoteOptions, RemoteStore, ShardSpec, StorageError,
 };
+use std::io::{ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn tempdir(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -279,4 +285,202 @@ fn open_store_uri_dispatches_tcp_and_local_paths() {
         panic!("a dead address must not connect");
     };
     assert!(matches!(err, StorageError::Remote { .. }), "{err}");
+}
+
+/// A plain v3 store file and a server over it.
+fn small_server(name: &str) -> (BlockServer, PathBuf) {
+    let path = tempdir(name);
+    write_store(&ClosureTables::compute(&dense_graph(24, 4)), &path).unwrap();
+    let server = BlockServer::spawn(&path, ("127.0.0.1", 0)).unwrap();
+    (server, path)
+}
+
+/// A raw connection whose reads give up after `secs` instead of hanging
+/// the test.
+fn connect(addr: SocketAddr, secs: u64) -> TcpStream {
+    let s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(secs))).unwrap();
+    s
+}
+
+/// One request frame out, one response frame back.
+fn round_trip(s: &mut TcpStream, payload: &[u8]) -> std::io::Result<Vec<u8>> {
+    blockproto::write_frame(s, payload)?;
+    blockproto::read_frame(s)
+}
+
+/// A `FETCH` of `len` bytes at offset 0 of file 0, checked OK and sized.
+fn fetch_ok(s: &mut TcpStream, len: u32) {
+    let resp = round_trip(s, &blockproto::encode_fetch(0, 0, len)).expect("FETCH answered");
+    assert_eq!(resp.first(), Some(&blockproto::STATUS_OK));
+    assert_eq!(resp.len(), 1 + 4 + len as usize);
+}
+
+/// One `key=value` counter of the server's `STATS`, asked over `s`.
+fn stat(s: &mut TcpStream, key: &str) -> u64 {
+    let resp = round_trip(s, &[blockproto::OP_STATS]).expect("STATS answered");
+    assert_eq!(resp.first(), Some(&blockproto::STATUS_OK));
+    let text = String::from_utf8(resp[1..].to_vec()).unwrap();
+    text.lines()
+        .find_map(|l| l.strip_prefix(key)?.strip_prefix('='))
+        .unwrap_or_else(|| panic!("no {key}= in STATS:\n{text}"))
+        .parse()
+        .unwrap()
+}
+
+/// Polls `STATS` over `s` until `open_connections` reads `want`.
+fn await_open_connections(s: &mut TcpStream, want: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let open = stat(s, "open_connections");
+        if open == want {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "open_connections stuck at {open}, want {want}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// The peer hung up: EOF or a reset, not a read timeout.
+fn assert_hung_up(s: &mut TcpStream) {
+    let mut byte = [0u8; 1];
+    match s.read(&mut byte) {
+        Ok(0) => {}
+        Ok(_) => panic!("expected the server to hang up, got data"),
+        Err(e) => assert!(
+            !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+            "server never hung up: {e}"
+        ),
+    }
+}
+
+#[test]
+fn shutdown_returns_with_a_client_blocked_mid_frame_and_an_idle_pooled_connection() {
+    let (server, path) = small_server("shutdown.tc");
+    let addr = server.local_addr();
+    // The MANIFEST pull leaves one idle connection in the store's pool.
+    let store = RemoteStore::connect_with(&addr.to_string(), fast_opts()).unwrap();
+    let mut stalled = connect(addr, 10);
+    let header = (blockproto::FETCH_REQUEST_BYTES as u32).to_le_bytes();
+    stalled.write_all(&header).unwrap();
+    // The pooled, the stalled and the probing connection are all
+    // registered server-side before shutdown.
+    let mut probe = connect(addr, 10);
+    await_open_connections(&mut probe, 3);
+
+    let (done, returned) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        server.shutdown();
+        done.send(()).ok();
+    });
+    returned
+        .recv_timeout(Duration::from_secs(10))
+        .expect("shutdown must return while clients are blocked on the server");
+    stopper.join().unwrap();
+
+    assert_hung_up(&mut stalled);
+    assert_hung_up(&mut probe);
+    match store.server_stats() {
+        Err(StorageError::Remote { detail, .. }) => assert!(detail.contains("attempt"), "{detail}"),
+        other => panic!("expected a clean StorageError::Remote, got {other:?}"),
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_connection_stalled_mid_frame_does_not_delay_another() {
+    let (server, path) = small_server("stall.tc");
+    let addr = server.local_addr();
+    let req = blockproto::encode_fetch(0, 0, 64);
+    let mut stalled = connect(addr, 10);
+    stalled
+        .write_all(&(req.len() as u32).to_le_bytes())
+        .unwrap();
+    stalled.write_all(&req[..5]).unwrap();
+
+    // `other` answers while `stalled` is registered and mid-frame; a
+    // server that waited for the half-frame would time this read out.
+    let mut other = connect(addr, 2);
+    await_open_connections(&mut other, 2);
+    fetch_ok(&mut other, 64);
+
+    // The stalled request completes once its bytes arrive.
+    stalled.write_all(&req[5..]).unwrap();
+    let resp = blockproto::read_frame(&mut stalled).expect("stalled FETCH answered");
+    assert_eq!(resp.first(), Some(&blockproto::STATUS_OK));
+    server.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_peer_announcing_an_oversized_request_is_dropped() {
+    let (server, path) = small_server("oversized.tc");
+    let addr = server.local_addr();
+    let mut hostile = connect(addr, 10);
+    hostile.write_all(&(1u32 << 20).to_le_bytes()).unwrap();
+    assert_hung_up(&mut hostile);
+
+    let mut s = connect(addr, 10);
+    fetch_ok(&mut s, 64);
+    assert_eq!(stat(&mut s, "errors"), 1, "the drop is counted");
+    server.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_range_longer_than_the_server_buffer_arrives_whole_and_sealed() {
+    // The server streams a range through a 64 KiB buffer: this one
+    // spans four reads with a ragged tail, and an injected flip lands
+    // inside the second.
+    let path = tempdir("long.tc");
+    write_store(&ClosureTables::compute(&dense_graph(200, 4)), &path).unwrap();
+    let file = std::fs::read(&path).unwrap();
+    let (offset, len) = (7, 200_003);
+    assert!(file.len() >= offset + len, "store of {} bytes", file.len());
+    let want = &file[offset..offset + len];
+    let server = BlockServer::spawn(&path, ("127.0.0.1", 0)).unwrap();
+    let mut s = connect(server.local_addr(), 10);
+    for flips in [0, 1] {
+        server.inject_bit_flips(flips);
+        let req = blockproto::encode_fetch(0, offset as u64, len as u32);
+        let resp = round_trip(&mut s, &req).expect("FETCH answered");
+        assert_eq!(resp.first(), Some(&blockproto::STATUS_OK));
+        let (crc, data) = resp[1..].split_at(4);
+        assert_eq!(
+            u32::from_le_bytes(crc.try_into().unwrap()),
+            blockproto::crc32(data),
+            "the frame CRC seals the bytes sent"
+        );
+        let flipped: Vec<(usize, u8)> = (0..len)
+            .filter(|&i| data[i] != want[i])
+            .map(|i| (i, data[i] ^ want[i]))
+            .collect();
+        let expect = if flips == 0 {
+            vec![]
+        } else {
+            vec![(len / 2, 1)]
+        };
+        assert_eq!(flipped, expect, "{flips} injected flip(s)");
+    }
+    server.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn nothing_is_left_open_after_500_connect_fetch_close_cycles() {
+    let (server, path) = small_server("cycles.tc");
+    let addr = server.local_addr();
+    for _ in 0..500 {
+        fetch_ok(&mut connect(addr, 10), 32);
+    }
+    let mut stats = connect(addr, 10);
+    // Only the `STATS` caller itself stays open.
+    await_open_connections(&mut stats, 1);
+    assert_eq!(stat(&mut stats, "connections"), 501);
+    assert_eq!(stat(&mut stats, "fetches"), 500);
+    server.shutdown();
+    std::fs::remove_file(&path).ok();
 }

@@ -15,10 +15,12 @@
 //! [`PagedStore`]'s block reader, which re-fetches once for retryable
 //! sources before giving up).
 //!
-//! Failure policy: transport errors (connect, timeout, short frame)
-//! are retried with capped exponential backoff up to
-//! [`RemoteOptions::attempts`]; server-reported errors are not
-//! (they're deterministic). Exhausted retries surface
+//! Each pooled connection gets its read and write timeouts
+//! ([`RemoteOptions::request_timeout`]) once, when it connects, and
+//! carries one request at a time. Failure policy: transport errors
+//! (connect, timeout, short frame) are retried with capped exponential
+//! backoff up to [`RemoteOptions::attempts`]; server-reported errors
+//! are not (they're deterministic). Exhausted retries surface
 //! [`StorageError::Remote`] — recorded in the store's error slot and
 //! counted in `remote_errors` — instead of hanging or panicking, and
 //! the infallible [`crate::ClosureSource`] reads degrade to empty
@@ -61,7 +63,9 @@ pub mod blockproto {
 
     /// The CRC-32 (IEEE) that seals a `FETCH` OK body — the store
     /// format's own, so server and client share one implementation.
-    pub use crate::format::crc32;
+    /// The streaming form (`CRC_INIT`, `crc32_update`, `crc32_finish`)
+    /// lets a server seal a range it never holds whole.
+    pub use crate::format::{crc32, crc32_finish, crc32_update, CRC_INIT};
 
     /// Opcode: read a byte range of one shard file.
     pub const OP_FETCH: u8 = 1;
@@ -73,17 +77,28 @@ pub mod blockproto {
     pub const STATUS_OK: u8 = 0;
     /// Response status: failure; body is UTF-8 error text.
     pub const STATUS_ERR: u8 = 1;
-    /// Upper bound on any frame's payload, requests and responses
-    /// alike — a desynced or hostile peer cannot make us allocate
-    /// unboundedly.
+    /// Upper bound on any frame's payload — a desynced or hostile peer
+    /// cannot make us allocate unboundedly. `ktpm blockd` holds
+    /// requests to the tighter [`FETCH_REQUEST_BYTES`], the longest
+    /// request there is.
     pub const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
     /// Byte length of an encoded `FETCH` request payload.
     pub const FETCH_REQUEST_BYTES: usize = 17;
 
-    /// Writes one length-prefixed frame.
+    /// Writes one length-prefixed frame. A request-sized payload goes
+    /// out with its length prefix in one `write` from a stack buffer:
+    /// one syscall and one TCP segment, no allocation.
     pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-        w.write_all(&(payload.len() as u32).to_le_bytes())?;
-        w.write_all(payload)?;
+        let len = (payload.len() as u32).to_le_bytes();
+        if payload.len() <= FETCH_REQUEST_BYTES {
+            let mut buf = [0u8; 4 + FETCH_REQUEST_BYTES];
+            buf[..4].copy_from_slice(&len);
+            buf[4..4 + payload.len()].copy_from_slice(payload);
+            w.write_all(&buf[..4 + payload.len()])?;
+        } else {
+            w.write_all(&len)?;
+            w.write_all(payload)?;
+        }
         w.flush()
     }
 
@@ -134,7 +149,9 @@ pub mod blockproto {
 pub struct RemoteOptions {
     /// TCP connect timeout per address (default 2 s).
     pub connect_timeout: Duration,
-    /// Read/write timeout per request round trip (default 2 s).
+    /// Read and write timeout of each pooled connection, set once when
+    /// it connects: every blocking read or write of a request gives up
+    /// after this long (default 2 s).
     pub request_timeout: Duration,
     /// Total request attempts, first try included (default 3).
     pub attempts: u32,
@@ -181,6 +198,8 @@ impl ConnPool {
             match TcpStream::connect_timeout(&sa, self.opts.connect_timeout) {
                 Ok(s) => {
                     s.set_nodelay(true).ok();
+                    s.set_read_timeout(Some(self.opts.request_timeout))?;
+                    s.set_write_timeout(Some(self.opts.request_timeout))?;
                     return Ok(s);
                 }
                 Err(e) => last = Some(e),
@@ -210,8 +229,6 @@ impl ConnPool {
 
     fn round_trip(&self, req: &[u8]) -> io::Result<(TcpStream, Vec<u8>)> {
         let mut s = self.checkout()?;
-        s.set_read_timeout(Some(self.opts.request_timeout))?;
-        s.set_write_timeout(Some(self.opts.request_timeout))?;
         blockproto::write_frame(&mut s, req)?;
         let resp = blockproto::read_frame(&mut s)?;
         Ok((s, resp))

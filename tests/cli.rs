@@ -4,11 +4,13 @@
 //! `# timing:` line must carry its four named fields — their presence
 //! and names are the contract, never their values. `ktpm store verify`
 //! must pass a clean file and, for one it cannot read, say what is
-//! wrong with *that file*.
+//! wrong with *that file*. `ktpm blockd` must serve that file so that
+//! `--store tcp://…` prints the same rows as `--store <file>`.
 
 use ktpm::graph::fixtures::paper_graph;
 use ktpm::prelude::*;
-use std::process::Command;
+use std::io::BufRead;
+use std::process::{Child, Command, Stdio};
 
 fn run(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_ktpm"))
@@ -196,4 +198,66 @@ fn bare_ktpm_and_each_subcommand_print_the_same_synopsis() {
         assert_eq!(own, from(&overview), "`ktpm` vs `ktpm {cmd}`");
         assert!(own.contains(mentions), "{own}");
     }
+}
+
+/// Kills the child on every exit path, so a failed assertion does not
+/// leave a server running.
+struct KillOnDrop(Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn query_over_ktpm_blockd_prints_the_local_store_rows() {
+    let mut dir = std::env::temp_dir();
+    dir.push(format!("ktpm-cli-blockd-test-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (graph, query, store) = (path("graph.txt"), path("query.txt"), path("store.tc"));
+    ktpm::graph::io::write_graph(&paper_graph(), std::fs::File::create(&graph).unwrap()).unwrap();
+    std::fs::write(&query, "a -> b\na -> c\nc -> d\nc -> e").unwrap();
+    ktpm(&["closure", &graph, &store]);
+
+    let mut blockd = KillOnDrop(
+        Command::new(env!("CARGO_BIN_EXE_ktpm"))
+            .args(["blockd", "--store", &store, "--listen", "127.0.0.1:0"])
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn ktpm blockd"),
+    );
+    // `blockd serving <store> on <addr>`. The pipe stays open while the
+    // server runs: a closed stdout would fail its next print.
+    let mut stdout = std::io::BufReader::new(blockd.0.stdout.take().unwrap());
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).unwrap();
+    let addr = banner
+        .trim_end()
+        .rsplit_once(" on ")
+        .unwrap_or_else(|| panic!("no address in {banner:?}"))
+        .1;
+    let remote = format!("tcp://{addr}");
+
+    let rows = |text: String| -> Vec<String> {
+        text.lines()
+            .filter(|l| !l.starts_with('#'))
+            .map(str::to_owned)
+            .collect()
+    };
+    for algo in ["topk-en", "topk"] {
+        let local = rows(ktpm(&[
+            "query", &graph, &query, "--store", &store, "--algo", algo, "-k", "5",
+        ]));
+        assert_eq!(local.len(), 5, "--algo {algo}: {local:?}");
+        let served = rows(ktpm(&[
+            "query", &graph, &query, "--store", &remote, "--algo", algo, "-k", "5",
+        ]));
+        assert_eq!(served, local, "--algo {algo}: tcp:// rows vs file rows");
+    }
+    drop(blockd);
+    std::fs::remove_dir_all(&dir).ok();
 }
