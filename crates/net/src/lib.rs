@@ -15,11 +15,15 @@
 //!
 //! * **One reactor thread** owns every socket. The listener and all
 //!   connections are non-blocking; the reactor sweeps them in a
-//!   readiness loop (accept → read/parse → flush), parking briefly
-//!   ([`NetConfig::poll_interval`]) when nothing is ready. No external
-//!   async runtime, no OS-specific poller — plain `std::net`
-//!   non-blocking I/O, in keeping with the workspace's no-external-deps
-//!   rule.
+//!   readiness loop (accept → read/parse → flush) and, when a sweep
+//!   finds nothing to do, blocks in `poll(2)` until a socket is ready
+//!   or a worker writes to a waker socket (it appended a response or
+//!   released a connection). No request waits on a timer. No external
+//!   async runtime and no crate — `std::net` non-blocking I/O plus one
+//!   foreign call, in keeping with the workspace's no-external-deps
+//!   rule. That call, in the reactor's private `sys` module, is the
+//!   crate's only `unsafe`: `std` exposes no readiness wait, and
+//!   `#![deny(unsafe_code)]` keeps it the only one.
 //! * **A fixed executor pool** ([`NetConfig::workers`]) runs requests.
 //!   A connection is handed to at most one worker at a time, which
 //!   drains its queued requests in order — that exclusivity is the
@@ -58,6 +62,8 @@
 //! # server.shutdown();
 //! ```
 
+#![deny(unsafe_code)]
+
 mod blockd;
 mod conn;
 mod reactor;
@@ -88,9 +94,12 @@ pub struct NetConfig {
     /// Per-connection bound on unflushed response bytes; while a
     /// slow-reading client is over it, further requests are shed.
     pub max_write_buffer: usize,
-    /// How long the reactor parks when no socket made progress. Bounds
-    /// the latency added to a response that became ready while the
-    /// reactor slept; lower burns more idle CPU.
+    /// The longest the reactor blocks in `poll(2)` without an event,
+    /// which bounds how late an idle-timeout hang-up is noticed. No
+    /// request waits on it: sockets and workers wake the reactor.
+    /// Rounded **up** to whole milliseconds (at least 1), since `poll`
+    /// counts in milliseconds; elsewhere than Unix the reactor sleeps it
+    /// whenever a sweep finds nothing to do.
     pub poll_interval: Duration,
     /// Maximum bytes of a single request line; beyond it the connection
     /// gets `ERR line-too-long` and is closed (a newline-less flood

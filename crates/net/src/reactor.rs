@@ -7,15 +7,28 @@
 //! connection's write buffer. Parked connections are just entries in
 //! the reactor's vector: no thread, no stack, no kernel object beyond
 //! the socket itself.
+//!
+//! When a sweep finds nothing to do, the reactor blocks in `poll(2)`
+//! over the listener, a waker socket and every connection that can make
+//! progress on its own (readable unless paused, writable while bytes
+//! are owed). Whatever else it waits on is a worker's doing, and a
+//! worker says so by writing a byte to the waker: after appending a
+//! response, and after releasing a connection (which may now be closed
+//! or read again). The reactor drains the waker *before* it sweeps, so
+//! a byte written after a sweep makes the next `poll` return at once and
+//! no wakeup is lost. The poll timeout ([`NetConfig::poll_interval`])
+//! is on no request's path; it only bounds how late an idle connection
+//! is noticed.
 
 use crate::conn::{drain_lines, ConnState, Req, SharedConn};
 use crate::NetConfig;
-use ktpm_service::{respond, ServiceHandle};
+use ktpm_service::{respond, ServiceHandle, ServiceMetrics};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -34,9 +47,8 @@ impl ExecQueue {
         self.ready.notify_one();
     }
 
-    /// Blocks for the next job; `None` once `stop` is raised. The wait
-    /// is time-sliced so shutdown never needs a wakeup for every
-    /// worker to notice.
+    /// Blocks for the next job; `None` once `stop` is raised and the
+    /// queue is empty.
     fn pop(&self, stop: &AtomicBool) -> Option<SharedConn> {
         let mut jobs = self.jobs.lock().expect("exec queue lock");
         loop {
@@ -46,12 +58,19 @@ impl ExecQueue {
             if stop.load(Ordering::Relaxed) {
                 return None;
             }
-            let (guard, _) = self
-                .ready
-                .wait_timeout(jobs, Duration::from_millis(50))
-                .expect("exec queue lock");
-            jobs = guard;
+            jobs = self.ready.wait(jobs).expect("exec queue lock");
         }
+    }
+
+    /// Raises `stop` and wakes every waiting worker. `stop` goes up
+    /// under the `jobs` lock, so a worker either sees it before it
+    /// waits or is already waiting when the notification comes.
+    fn stop(&self, stop: &AtomicBool) {
+        // Called from `Drop`: never panic, and the queue holds no
+        // invariant a panicking holder could have broken.
+        let _jobs = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
+        stop.store(true, Ordering::Relaxed);
+        self.ready.notify_all();
     }
 }
 
@@ -65,9 +84,9 @@ struct Connection {
 }
 
 /// An event-driven TCP server over a [`ServiceHandle`]: one reactor
-/// thread multiplexes all connections (non-blocking readiness loop), a
-/// fixed worker set executes requests, and a janitor drives session-TTL
-/// eviction. Dropping it stops all three.
+/// thread multiplexes all connections (a readiness loop blocking in
+/// `poll(2)`), a fixed worker set executes requests, and a janitor
+/// drives session-TTL eviction. Dropping it stops all three.
 ///
 /// Compared to [`ktpm_service::Server`] (thread-per-connection, strict
 /// request/response turns), parked sessions here hold **no thread**,
@@ -75,11 +94,14 @@ struct Connection {
 /// order), and overload is explicit: bounded per-connection request
 /// queues and write buffers shed with `ERR overloaded`, counted in
 /// `shed_total`. Responses are byte-identical to the legacy server —
-/// both render through [`ktpm_service::respond`].
+/// both render through [`ktpm_service::respond`]. A request that panics
+/// costs its connection (the client sees EOF, `errors` counts it), not
+/// a worker.
 pub struct EventServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     queue: Arc<ExecQueue>,
+    waker: Arc<sys::Waker>,
     reactor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     janitor: Option<JoinHandle<()>>,
@@ -101,24 +123,30 @@ impl EventServer {
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let queue = Arc::new(ExecQueue::default());
+        let waker = Arc::new(sys::Waker::new()?);
 
         let workers = (0..config.workers.max(1))
             .map(|i| {
                 let queue = Arc::clone(&queue);
                 let handle = handle.clone();
                 let stop = Arc::clone(&stop);
+                let waker = Arc::clone(&waker);
                 std::thread::Builder::new()
                     .name(format!("ktpm-net-exec-{i}"))
-                    .spawn(move || worker_loop(&queue, &handle, &stop))
+                    .spawn(move || {
+                        let respond = |line: &str| respond(&handle, line);
+                        worker_loop(&queue, &stop, &waker, handle.metrics(), &respond);
+                    })
             })
             .collect::<std::io::Result<Vec<_>>>()?;
         let reactor = {
             let queue = Arc::clone(&queue);
             let handle = handle.clone();
             let stop = Arc::clone(&stop);
+            let waker = Arc::clone(&waker);
             std::thread::Builder::new()
                 .name("ktpm-net-reactor".into())
-                .spawn(move || reactor_loop(listener, &handle, &queue, &config, &stop))?
+                .spawn(move || reactor_loop(listener, &handle, &queue, &config, &stop, &waker))?
         };
         let janitor = {
             let stop = Arc::clone(&stop);
@@ -136,6 +164,7 @@ impl EventServer {
             addr,
             stop,
             queue,
+            waker,
             reactor: Some(reactor),
             workers,
             janitor: Some(janitor),
@@ -154,8 +183,9 @@ impl EventServer {
     }
 
     fn stop_threads(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        self.queue.ready.notify_all();
+        self.queue.stop(&self.stop);
+        // The reactor may be blocked in `poll` for a whole poll interval.
+        self.waker.wake();
         if let Some(t) = self.reactor.take() {
             let _ = t.join();
         }
@@ -187,17 +217,29 @@ fn sleep_interruptible(stop: &AtomicBool, total: Duration) {
     }
 }
 
+/// Whether the reactor leaves a connection's socket unread: it is
+/// closing, the client half-closed, or its pending queue (engine
+/// requests + shed markers) reached the hard bound — past which a
+/// flooding client is held by TCP flow control while its markers drain.
+fn paused(s: &ConnState, cfg: &NetConfig) -> bool {
+    s.closing || s.eof || s.pending.len() >= cfg.max_pipeline * 2 + 16
+}
+
 fn reactor_loop(
     listener: TcpListener,
     handle: &ServiceHandle,
     queue: &Arc<ExecQueue>,
     cfg: &NetConfig,
     stop: &AtomicBool,
+    waker: &sys::Waker,
 ) {
     let idle_timeout = handle.config().idle_timeout;
     let mut conns: Vec<Connection> = Vec::new();
+    // Reused across waits, so an idle wakeup allocates nothing.
+    let mut fds: Vec<sys::PollFd> = Vec::new();
     while !stop.load(Ordering::Relaxed) {
         let mut progress = false;
+        let mut accepting = true;
         // Accept everything ready (the listener is non-blocking).
         loop {
             match listener.accept() {
@@ -218,9 +260,13 @@ fn reactor_loop(
                     progress = true;
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                // Transient accept failures (EMFILE, ...): retry next
-                // tick; the tick sleep below is the backoff.
-                Err(_) => break,
+                // Transient accept failures (EMFILE, ...): the listener
+                // stays readable, so leave it out of the next wait and
+                // retry after it — the poll timeout is the backoff.
+                Err(_) => {
+                    accepting = false;
+                    break;
+                }
             }
         }
         // One readiness sweep over every connection.
@@ -236,12 +282,32 @@ fn reactor_loop(
                 progress = true;
             }
         }
-        // Nothing moved: park instead of spinning. Worker completions
-        // land in write buffers and are flushed next tick, so the park
-        // interval bounds the added response latency.
-        if !progress {
-            std::thread::sleep(cfg.poll_interval);
+        if progress {
+            continue;
         }
+        // Nothing moved: block until a socket is ready or a worker
+        // wakes us. A connection with neither interest (paused, nothing
+        // owed) waits on its worker alone, so it is left out.
+        fds.clear();
+        fds.push(sys::PollFd::new(waker.fd(), sys::POLLIN));
+        if accepting {
+            fds.push(sys::PollFd::new(sys::fd(&listener), sys::POLLIN));
+        }
+        for conn in &conns {
+            let s = conn.shared.lock().expect("conn lock");
+            let mut events = 0;
+            if !paused(&s, cfg) {
+                events |= sys::POLLIN;
+            }
+            if s.unsent() > 0 {
+                events |= sys::POLLOUT;
+            }
+            if events != 0 {
+                fds.push(sys::PollFd::new(sys::fd(&conn.stream), events));
+            }
+        }
+        sys::wait(&mut fds, cfg.poll_interval);
+        waker.drain();
     }
     for _ in conns.drain(..) {
         handle.metrics().connection_closed();
@@ -258,15 +324,7 @@ fn tick(
     idle_timeout: Option<Duration>,
 ) -> (bool, bool) {
     let mut progressed = false;
-    // The hard pending bound (engine requests + shed markers): past it
-    // the reactor stops reading the socket entirely, so a flooding
-    // client is held by TCP flow control while its markers drain.
-    let hard_cap = cfg.max_pipeline * 2 + 16;
-    let paused = {
-        let s = conn.shared.lock().expect("conn lock");
-        s.closing || s.eof || s.pending.len() >= hard_cap
-    };
-    if !paused {
+    if !paused(&conn.shared.lock().expect("conn lock"), cfg) {
         let mut chunk = [0u8; 4096];
         loop {
             match conn.stream.read(&mut chunk) {
@@ -289,7 +347,7 @@ fn tick(
                         s.closing = true;
                         break;
                     }
-                    if conn.shared.lock().expect("conn lock").pending.len() >= hard_cap {
+                    if paused(&conn.shared.lock().expect("conn lock"), cfg) {
                         break;
                     }
                 }
@@ -370,16 +428,21 @@ fn parse_available(
 /// Executor worker: takes a connection off the queue and drains its
 /// pending requests in order, appending each response to the write
 /// buffer. `in_flight` exclusivity is what makes pipelined responses
-/// come back in request order.
-fn worker_loop(queue: &ExecQueue, handle: &ServiceHandle, stop: &AtomicBool) {
+/// come back in request order. `respond` renders one request line (the
+/// engine's [`respond`] outside tests).
+fn worker_loop(
+    queue: &ExecQueue,
+    stop: &AtomicBool,
+    waker: &sys::Waker,
+    metrics: &ServiceMetrics,
+    respond: &dyn Fn(&str) -> String,
+) {
     while let Some(conn) = queue.pop(stop) {
         loop {
             let req = {
                 let mut s = conn.lock().expect("conn lock");
                 if s.closing {
                     s.pending.clear();
-                    s.in_flight = false;
-                    break;
                 }
                 match s.pending.pop_front() {
                     Some(r) => r,
@@ -390,12 +453,204 @@ fn worker_loop(queue: &ExecQueue, handle: &ServiceHandle, stop: &AtomicBool) {
                 }
             };
             let resp = match req {
-                Req::Line(line) => respond(handle, &line),
-                Req::Shed => "ERR overloaded\n".to_string(),
+                Req::Line(line) => catch_unwind(AssertUnwindSafe(|| respond(&line))),
+                Req::Shed => Ok("ERR overloaded\n".to_string()),
             };
-            conn.lock()
-                .expect("conn lock")
-                .push_response(resp.as_bytes());
+            let mut s = conn.lock().expect("conn lock");
+            match resp {
+                Ok(resp) => {
+                    s.push_response(resp.as_bytes());
+                    drop(s);
+                    waker.wake();
+                }
+                // A panicking request costs its connection, not this
+                // worker: the rest of its queue is dropped, the client
+                // sees EOF once what it is owed is flushed.
+                Err(_) => {
+                    metrics.error();
+                    s.closing = true;
+                }
+            }
         }
+        // Released: the reactor may now close a drained connection or
+        // read a paused one again.
+        waker.wake();
+    }
+}
+
+/// Platform access for the reactor's wait, and the crate's only
+/// `unsafe`: the one foreign call to `poll(2)`, which `std` does not
+/// expose. `std` links the C library already, so no crate is needed.
+/// Elsewhere than Unix there is no `poll`, no waker and no descriptors:
+/// `wait` sleeps the timeout.
+#[allow(unsafe_code)]
+mod sys {
+    use std::ffi::{c_int, c_short};
+    use std::time::Duration;
+
+    pub(super) const POLLIN: c_short = 0x1;
+    pub(super) const POLLOUT: c_short = 0x4;
+
+    /// `struct pollfd` from `<poll.h>`.
+    #[repr(C)]
+    pub(super) struct PollFd {
+        fd: c_int,
+        events: c_short,
+        pub(super) revents: c_short,
+    }
+
+    impl PollFd {
+        pub(super) fn new(fd: c_int, events: c_short) -> PollFd {
+            PollFd {
+                fd,
+                events,
+                revents: 0,
+            }
+        }
+    }
+
+    /// Blocks until a descriptor in `fds` is ready or `timeout` passes,
+    /// rounded up to whole milliseconds (at least 1: `poll` counts in
+    /// milliseconds, and 0 would make every wait a busy spin). A failed
+    /// call (`EINTR` or otherwise) returns like a wakeup; the caller
+    /// sweeps and waits again.
+    #[cfg(unix)]
+    pub(super) fn wait(fds: &mut [PollFd], timeout: Duration) {
+        #[cfg(target_os = "linux")]
+        type Nfds = std::ffi::c_ulong;
+        #[cfg(not(target_os = "linux"))]
+        type Nfds = std::ffi::c_uint;
+        extern "C" {
+            fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+        }
+        let ms = c_int::try_from(timeout.as_micros().div_ceil(1000)).unwrap_or(c_int::MAX);
+        // SAFETY: `fds` is an exclusively borrowed slice of `#[repr(C)]`
+        // `pollfd`s and `nfds` is its length, so the kernel reads and
+        // writes only inside it, and `poll` keeps no pointer past the
+        // call. Negative descriptors are skipped by `poll`; any other
+        // invalid one is reported in `revents`, never dereferenced.
+        unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, ms.max(1)) };
+    }
+
+    #[cfg(not(unix))]
+    pub(super) fn wait(_fds: &mut [PollFd], timeout: Duration) {
+        std::thread::sleep(timeout);
+    }
+
+    #[cfg(unix)]
+    pub(super) fn fd(socket: &impl std::os::fd::AsRawFd) -> c_int {
+        socket.as_raw_fd()
+    }
+
+    #[cfg(not(unix))]
+    pub(super) fn fd<T>(_socket: &T) -> c_int {
+        -1
+    }
+
+    /// A socket pair the reactor polls: any thread's [`Waker::wake`]
+    /// makes the reactor's current or next `wait` return.
+    #[cfg(unix)]
+    pub(super) struct Waker {
+        tx: std::os::unix::net::UnixStream,
+        rx: std::os::unix::net::UnixStream,
+    }
+
+    #[cfg(unix)]
+    impl Waker {
+        pub(super) fn new() -> std::io::Result<Waker> {
+            let (tx, rx) = std::os::unix::net::UnixStream::pair()?;
+            tx.set_nonblocking(true)?;
+            rx.set_nonblocking(true)?;
+            Ok(Waker { tx, rx })
+        }
+
+        /// Writes one byte. A full socket already holds a wakeup the
+        /// reactor has not drained, so `WouldBlock` is ignored.
+        pub(super) fn wake(&self) {
+            let _ = std::io::Write::write(&mut &self.tx, &[1]);
+        }
+
+        /// Empties the socket into a stack buffer.
+        pub(super) fn drain(&self) {
+            let mut buf = [0u8; 64];
+            while matches!(std::io::Read::read(&mut &self.rx, &mut buf), Ok(n) if n > 0) {}
+        }
+
+        pub(super) fn fd(&self) -> c_int {
+            fd(&self.rx)
+        }
+    }
+
+    #[cfg(not(unix))]
+    pub(super) struct Waker;
+
+    #[cfg(not(unix))]
+    impl Waker {
+        pub(super) fn new() -> std::io::Result<Waker> {
+            Ok(Waker)
+        }
+        pub(super) fn wake(&self) {}
+        pub(super) fn drain(&self) {}
+        pub(super) fn fd(&self) -> c_int {
+            -1
+        }
+    }
+}
+
+#[cfg(all(test, unix))]
+mod tests {
+    use super::*;
+
+    /// Whether the waker holds a byte; drains it.
+    fn woken(waker: &sys::Waker) -> bool {
+        let mut fds = [sys::PollFd::new(waker.fd(), sys::POLLIN)];
+        sys::wait(&mut fds, Duration::ZERO);
+        waker.drain();
+        fds[0].revents & sys::POLLIN != 0
+    }
+
+    #[test]
+    fn a_panicking_request_costs_its_connection_not_the_worker() {
+        let queue = ExecQueue::default();
+        let stop = AtomicBool::new(false);
+        let waker = sys::Waker::new().unwrap();
+        let metrics = ServiceMetrics::default();
+        let conn = SharedConn::default();
+        {
+            let mut s = conn.lock().unwrap();
+            s.pending
+                .extend(["A", "BOOM", "B"].map(|l| Req::Line(l.into())));
+            s.in_flight = true;
+        }
+        queue.push(Arc::clone(&conn));
+        // The worker finishes the queued job, then sees `stop` and returns.
+        queue.stop(&stop);
+        let answered_woke = AtomicBool::new(false);
+        let respond = |line: &str| {
+            if line == "BOOM" {
+                // Only A has been answered so far: any wakeup is its.
+                answered_woke.store(woken(&waker), Ordering::Relaxed);
+                panic!("injected request panic");
+            }
+            format!("{line}\n")
+        };
+        std::thread::scope(|scope| {
+            let worker = scope.spawn(|| worker_loop(&queue, &stop, &waker, &metrics, &respond));
+            assert!(worker.join().is_ok(), "the worker survives the panic");
+        });
+        let s = conn.lock().unwrap();
+        assert_eq!(
+            s.write_buf, b"A\n",
+            "A answered; B dropped with the connection"
+        );
+        assert!(s.closing, "the connection is hung up on");
+        assert!(!s.in_flight, "released, so the reactor can close it");
+        assert!(s.pending.is_empty());
+        assert_eq!(metrics.snapshot().errors, 1);
+        assert!(
+            answered_woke.load(Ordering::Relaxed),
+            "a response wakes the reactor"
+        );
+        assert!(woken(&waker), "the release wakes the reactor");
     }
 }

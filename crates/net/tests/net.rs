@@ -380,6 +380,77 @@ fn oversized_request_lines_close_the_connection_with_an_error() {
     server.shutdown();
 }
 
+// Elsewhere than Unix the reactor sleeps the poll interval.
+#[cfg(unix)]
+#[test]
+fn no_request_path_waits_for_the_poll_timeout() {
+    // A poll timeout three times the whole budget: every step below is
+    // woken by a ready socket or a worker's wakeup, or it fails.
+    let budget = Duration::from_secs(10);
+    let start = Instant::now();
+    let within_budget = |step: &str| {
+        let elapsed = start.elapsed();
+        assert!(elapsed < budget, "{step}: {elapsed:?} elapsed");
+    };
+    let slow = NetConfig::new().with_poll_interval(Duration::from_secs(30));
+    let server =
+        EventServer::spawn(handle_with(small_config()), ("127.0.0.1", 0), slow.clone()).unwrap();
+
+    // Ping-pong: each response is flushed on its worker's wakeup.
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_read_timeout(Some(budget)).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    for _ in 0..200 {
+        writeln!(stream, "STATS").unwrap();
+        let mut resp = String::new();
+        reader.read_line(&mut resp).unwrap();
+        assert!(resp.starts_with("OK sessions_active="), "{resp:?}");
+    }
+    drop((stream, reader));
+    within_budget("200 sequential STATS");
+
+    // Half-closed after a pipeline: the close waits for the worker to
+    // let the drained connection go.
+    check_script_response(&pipeline_exchange(server.local_addr(), SCRIPT));
+    within_budget("EOF-drained close");
+
+    let tight = EventServer::spawn(
+        handle_with(small_config()),
+        ("127.0.0.1", 0),
+        slow.with_max_pipeline(1).with_max_line_len(256),
+    )
+    .unwrap();
+    // An oversized line behind a request: the reactor drops the queued
+    // request, and the worker it was handed to releases the connection
+    // without answering. About one time in three the reactor has already
+    // gone back to `poll` by then, and only that release wakes it to
+    // close; twenty tries make that case all but certain.
+    for _ in 0..20 {
+        let mut stream = TcpStream::connect(tight.local_addr()).unwrap();
+        stream.set_read_timeout(Some(budget)).unwrap();
+        let mut flood = b"STATS\n".to_vec();
+        flood.resize(4096, b'x');
+        stream.write_all(&flood).unwrap();
+        let mut out = String::new();
+        stream.read_to_string(&mut out).unwrap();
+        assert!(out.lines().any(|l| l == "ERR line-too-long"), "{out:?}");
+    }
+    within_budget("max_line_len close");
+
+    // A flood past the hard pending cap pauses the socket; the workers
+    // draining the queue must get it read again.
+    let burst: Vec<&str> = std::iter::repeat_n("STATS", 300).collect();
+    let lines = pipeline_exchange(tight.local_addr(), &burst)
+        .lines()
+        .count();
+    assert_eq!(lines, burst.len(), "every request gets an answer");
+    within_budget("paused-socket resume");
+
+    server.shutdown();
+    tight.shutdown();
+    within_budget("shutdown");
+}
+
 /// The acceptance-criteria concurrency check: hundreds of concurrent
 /// open sessions, all driven with pipelined `NEXT`, correct matches,
 /// zero sheds, zero errors.

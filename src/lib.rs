@@ -83,7 +83,8 @@
 //! the same engine: the legacy thread-per-connection
 //! [`service::Server`], and the [`net::EventServer`] readiness loop
 //! (`ktpm serve --event-loop`) — one reactor thread multiplexing every
-//! connection, a fixed executor pool, pipelined requests answered in
+//! connection and blocking in `poll(2)` until a socket or a worker
+//! wakes it, a fixed executor pool, pipelined requests answered in
 //! order, and bounded per-connection queues that shed overload with
 //! `ERR overloaded` instead of queueing without limit. Parked sessions
 //! hold no thread on either path; on the event loop, parked
