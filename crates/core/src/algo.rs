@@ -29,7 +29,8 @@ pub enum Algo {
     /// The exhaustive test oracle (exponential; tiny inputs only).
     Brute,
     /// DP-B (ICDE'13 baseline): bottom-up dynamic programming over the
-    /// full run-time graph; canonicalized tie order.
+    /// full run-time graph, whose per-node frontiers pop in the
+    /// canonical order.
     DpB,
     /// DP-P: DP-B over priority-order lazy loading (re-runs §4.1
     /// initialization per stream, hence no plan reuse).

@@ -1,7 +1,7 @@
 //! DP-B: per-node ranked-match streams over the run-time graph.
 //!
 //! Every run-time node `(u, i)` owns a lazily-advanced stream of the
-//! matches of `T_u` rooted at it, in non-decreasing score order:
+//! matches of `T_u` rooted at it:
 //!
 //! * per child slot, a *slot stream* lazily merges `(edge to child w,
 //!   rank j of w's own stream)` pairs — the classic 2-D frontier with
@@ -14,50 +14,79 @@
 //! streams read the same `L`/`H` lists (`ktpm_core::SlotLists`) keyed by
 //! `bs(child) + dist`, and pull child ranks on demand — the paper's
 //! "pull-down fashion ... to avoid visiting every node in G".
+//!
+//! ## Why the root stream is the canonical stream
+//!
+//! Every stream entry carries its subtree's **row**: candidate indices
+//! in query-BFS order, `u32::MAX` outside the subtree (a node's row is
+//! its own index plus its chosen slot items' rows), and every frontier
+//! pops in `(score, row)` order. A subtree's nodes follow its root in
+//! BFS order, so two rows of one stream first differ inside the
+//! subtree, and every successor is greater than the entry it came from:
+//!
+//! * `(r, j+1)` follows `(r, j)` in child `w`'s own stream;
+//! * `(r+1, 1)` has a greater key, or an equal key and a greater
+//!   candidate index at the subtree root — lists rank equal keys by
+//!   candidate index ([`crate::LazySortedList::new`]);
+//! * a one-slot combination bump replaces one slot item by a later one
+//!   and leaves every other position of the row alone.
+//!
+//! So each frontier's minimum is its stream's next entry in
+//! `(score, row)` order, the root stream pops the matches in the
+//! canonical `(score, assignment)` order (candidates ascend by data
+//! node id), and its row *is* the emitted assignment.
 
 use crate::bs::BsData;
 use crate::lawler::SlotLists;
 use crate::matches::ScoredMatch;
 use crate::plan::QueryPlan;
 use ktpm_graph::Score;
-use ktpm_query::{QNodeId, TreeQuery};
+use ktpm_query::TreeQuery;
 use ktpm_runtime::RuntimeGraph;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::ops::Deref;
 use std::sync::Arc;
 
-/// One slot stream element: total = dist + (child's rank-j score).
-#[derive(Debug, Clone, Copy)]
-struct SlotItem {
-    total: Score,
-    /// Rank of the edge inside the slot's `L`/`H` list.
-    edge_rank: u32,
-    /// Rank within the child's own stream.
-    child_rank: u32,
-}
+/// A subtree match's candidate indices over the whole query, in
+/// query-BFS order, `u32::MAX` outside the subtree. Shared: a slot
+/// stream entry reuses its child's node row.
+type Row = Arc<[u32]>;
 
 #[derive(Debug, Default)]
 struct SlotStream {
-    produced: Vec<SlotItem>,
-    frontier: BinaryHeap<Reverse<(Score, u32, u32)>>,
+    /// Produced entries: total = dist + the child's score, and the
+    /// child's row.
+    produced: Vec<(Score, Row)>,
+    /// `(total, row, edge rank r, child rank j)`.
+    frontier: BinaryHeap<Reverse<(Score, Row, u32, u32)>>,
     seeded: bool,
 }
 
 #[derive(Debug, Default)]
 struct NodeStream {
-    /// Produced ranks: score + one slot-stream position per slot.
-    produced: Vec<(Score, Vec<u32>)>,
-    frontier: BinaryHeap<Reverse<(Score, Vec<u32>)>>,
+    produced: Vec<(Score, Row)>,
+    /// `(score, row, combination)`: one slot-stream rank per slot.
+    frontier: BinaryHeap<Reverse<(Score, Row, Vec<u32>)>>,
     seen: HashSet<Vec<u32>>,
     seeded: bool,
-    exhausted: bool,
 }
 
-/// The DP-B enumeration engine over shared slot lists. Public so DP-P can
-/// drive it over a partially-loaded graph.
+/// Writes `sub`'s subtree positions over `row`.
+fn overlay(row: &mut [u32], sub: &[u32]) {
+    for (dst, &src) in row.iter_mut().zip(sub) {
+        if src != u32::MAX {
+            *dst = src;
+        }
+    }
+}
+
+/// The DP-B enumeration engine over slot lists. DP-P drives it over a
+/// partially-loaded graph.
 pub(crate) struct DpEngine {
-    tree: TreeQuery,
+    /// Child query nodes per query node.
+    children: Vec<Vec<u32>>,
+    n_t: usize,
     /// Node streams per `(query node, candidate index)`.
     nodes: HashMap<(u32, u32), NodeStream>,
     /// Slot streams per `(child query node, parent candidate index)`.
@@ -67,213 +96,182 @@ pub(crate) struct DpEngine {
 }
 
 impl DpEngine {
-    pub fn new(tree: TreeQuery) -> Self {
+    pub fn new(tree: &TreeQuery) -> Self {
         DpEngine {
-            tree,
+            children: tree
+                .node_ids()
+                .map(|u| tree.children(u).iter().map(|c| c.0).collect())
+                .collect(),
+            n_t: tree.len(),
             nodes: HashMap::new(),
             slots: HashMap::new(),
             root: SlotStream::default(),
         }
     }
 
-    /// The `rank`-th best overall match score (1-based), or `None`.
-    pub fn root_score(&mut self, lists: &mut SlotLists, rank: usize) -> Option<Score> {
-        self.advance_root(lists, rank).map(|it| it.total)
+    /// The `rank`-th match (1-based) in the canonical order: its score
+    /// and its full candidate-index row.
+    pub fn root_match(&mut self, lists: &mut SlotLists, rank: usize) -> Option<(Score, Row)> {
+        if self.root.produced.len() < rank {
+            let mut root = std::mem::take(&mut self.root);
+            self.fill_slot(lists, &mut root, None, rank);
+            self.root = root;
+        }
+        self.root.produced.get(rank - 1).cloned()
     }
 
-    /// Reconstructs the `rank`-th best match as candidate indices.
-    pub fn root_assignment(&mut self, lists: &mut SlotLists, rank: usize) -> Option<Vec<u32>> {
-        let item = self.advance_root(lists, rank)?;
-        let mut assignment = vec![u32::MAX; self.tree.len()];
-        let (_, root_idx) = lists.root_mut().rank(item.edge_rank as usize)?;
-        assignment[0] = root_idx;
-        self.reconstruct(lists, 0, root_idx, item.child_rank, &mut assignment);
-        Some(assignment)
-    }
-
-    fn reconstruct(
+    /// The rank-`j` match of `T_u` rooted at candidate `i`.
+    fn node_item(
         &mut self,
         lists: &mut SlotLists,
         u: u32,
         i: u32,
-        rank: u32,
-        assignment: &mut Vec<u32>,
+        j: usize,
+    ) -> Option<(Score, Row)> {
+        if self.nodes.get(&(u, i)).is_none_or(|n| n.produced.len() < j) {
+            let mut node = self.nodes.remove(&(u, i)).unwrap_or_default();
+            self.fill_node(lists, &mut node, u, i, j);
+            self.nodes.insert((u, i), node);
+        }
+        self.nodes[&(u, i)].produced.get(j - 1).cloned()
+    }
+
+    /// The rank-`t` entry of slot stream `(child u, parent candidate i)`.
+    fn slot_item(
+        &mut self,
+        lists: &mut SlotLists,
+        u: u32,
+        i: u32,
+        t: usize,
+    ) -> Option<(Score, Row)> {
+        if self.slots.get(&(u, i)).is_none_or(|s| s.produced.len() < t) {
+            let mut slot = self.slots.remove(&(u, i)).unwrap_or_default();
+            self.fill_slot(lists, &mut slot, Some((u, i)), t);
+            self.slots.insert((u, i), slot);
+        }
+        self.slots[&(u, i)].produced.get(t - 1).cloned()
+    }
+
+    /// Advances node stream `(u, i)` until it has produced `j` matches
+    /// or is exhausted. Successors bump one coordinate each (O(d)
+    /// candidates, each requiring a slot stream advance — the O(d²) of
+    /// DP-B).
+    fn fill_node(
+        &mut self,
+        lists: &mut SlotLists,
+        node: &mut NodeStream,
+        u: u32,
+        i: u32,
+        j: usize,
     ) {
-        assignment[u as usize] = i;
-        let children: Vec<u32> = self.tree.children(QNodeId(u)).iter().map(|c| c.0).collect();
-        if children.is_empty() {
-            return;
-        }
-        let combo = self.nodes[&(u, i)].produced[rank as usize - 1].1.clone();
-        for (slot_pos, &c) in children.iter().enumerate() {
-            let t = combo[slot_pos];
-            let item = self.slots[&(c, i)].produced[t as usize - 1];
-            let (_, w) = lists
-                .slot_mut(c, i)
-                .rank(item.edge_rank as usize)
-                .expect("produced item's edge exists");
-            self.reconstruct(lists, c, w, item.child_rank, assignment);
-        }
-    }
-
-    /// Advances the root stream to `rank`, returning its item.
-    fn advance_root(&mut self, lists: &mut SlotLists, rank: usize) -> Option<SlotItem> {
-        if !self.root.seeded {
-            self.root.seeded = true;
-            if let Some((_, i)) = lists.root_mut().rank(1) {
-                if let Some(s1) = self.node_score(lists, 0, i, 1) {
-                    self.root.frontier.push(Reverse((s1, 1, 1)));
-                }
-            }
-        }
-        while self.root.produced.len() < rank {
-            let mut root = std::mem::take(&mut self.root);
-            let advanced = self.advance_slot_generic(lists, &mut root, None);
-            self.root = root;
-            if !advanced {
-                return None;
-            }
-        }
-        Some(self.root.produced[rank - 1])
-    }
-
-    /// The rank-`j` subtree match score at node `(u, i)`.
-    fn node_score(&mut self, lists: &mut SlotLists, u: u32, i: u32, j: u32) -> Option<Score> {
-        let children: Vec<u32> = self.tree.children(QNodeId(u)).iter().map(|c| c.0).collect();
-        if children.is_empty() {
-            return (j == 1).then_some(0);
-        }
-        // Seed the node's combination frontier.
-        if !self.nodes.entry((u, i)).or_default().seeded {
-            let mut ok = true;
+        let d = self.children[u as usize].len();
+        if !node.seeded {
+            node.seeded = true;
+            let mut row = vec![u32::MAX; self.n_t];
+            row[u as usize] = i;
             let mut total: Score = 0;
-            for &c in &children {
-                match self.slot_item(lists, c, i, 1) {
-                    Some(it) => total += it.total,
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
+            for s in 0..d {
+                let c = self.children[u as usize][s];
+                let Some((t, sub)) = self.slot_item(lists, c, i, 1) else {
+                    return;
+                };
+                total += t;
+                overlay(&mut row, &sub);
             }
-            let ns = self.nodes.get_mut(&(u, i)).expect("inserted above");
-            ns.seeded = true;
-            if ok {
-                let combo = vec![1u32; children.len()];
-                ns.seen.insert(combo.clone());
-                ns.frontier.push(Reverse((total, combo)));
-            } else {
-                ns.exhausted = true;
-            }
+            let combo = vec![1u32; d];
+            node.seen.insert(combo.clone());
+            node.frontier.push(Reverse((total, row.into(), combo)));
         }
-        while self.nodes[&(u, i)].produced.len() < j as usize {
-            if self.nodes[&(u, i)].exhausted {
-                return None;
-            }
-            let Reverse((score, combo)) = self.nodes.get_mut(&(u, i)).unwrap().frontier.pop()?;
-            self.nodes
-                .get_mut(&(u, i))
-                .unwrap()
-                .produced
-                .push((score, combo.clone()));
-            // Successors: bump one coordinate each (O(d) candidates, each
-            // requiring a slot stream advance — the O(d²) of DP-B).
-            for (slot_pos, &c) in children.iter().enumerate() {
+        while node.produced.len() < j {
+            let Some(Reverse((score, row, combo))) = node.frontier.pop() else {
+                return;
+            };
+            for s in 0..d {
+                let c = self.children[u as usize][s];
                 let mut succ = combo.clone();
-                succ[slot_pos] += 1;
-                if self.nodes[&(u, i)].seen.contains(&succ) {
+                succ[s] += 1;
+                if node.seen.contains(&succ) {
                     continue;
                 }
-                let cur = self.slot_item(lists, c, i, combo[slot_pos] as usize);
-                let nxt = self.slot_item(lists, c, i, succ[slot_pos] as usize);
-                if let (Some(cur), Some(nxt)) = (cur, nxt) {
-                    let ns = self.nodes.get_mut(&(u, i)).unwrap();
-                    ns.seen.insert(succ.clone());
-                    ns.frontier
-                        .push(Reverse((score - cur.total + nxt.total, succ)));
+                let cur = self.slot_item(lists, c, i, combo[s] as usize);
+                let nxt = self.slot_item(lists, c, i, succ[s] as usize);
+                if let (Some((cur, _)), Some((nxt, sub))) = (cur, nxt) {
+                    let mut succ_row = row.to_vec();
+                    overlay(&mut succ_row, &sub);
+                    node.seen.insert(succ.clone());
+                    node.frontier
+                        .push(Reverse((score - cur + nxt, succ_row.into(), succ)));
                 }
             }
+            node.produced.push((score, row));
         }
-        Some(self.nodes[&(u, i)].produced[j as usize - 1].0)
     }
 
-    /// The rank-`t` element of slot stream `(child u, parent candidate i)`.
-    fn slot_item(&mut self, lists: &mut SlotLists, u: u32, i: u32, t: usize) -> Option<SlotItem> {
-        if !self.slots.entry((u, i)).or_default().seeded {
-            self.slots.get_mut(&(u, i)).unwrap().seeded = true;
-            if let Some((key, w)) = lists.slot_mut(u, i).rank(1) {
-                // key = bs(w) + dist = score_1(w) + dist, so rank (1,1)
-                // totals exactly `key` — but validate the child exists.
-                if self.node_score(lists, u, w, 1).is_some() {
-                    self.slots
-                        .get_mut(&(u, i))
-                        .unwrap()
-                        .frontier
-                        .push(Reverse((key, 1, 1)));
-                }
-            }
-        }
-        while self.slots[&(u, i)].produced.len() < t {
-            let mut slot = self.slots.remove(&(u, i)).expect("seeded above");
-            let advanced = self.advance_slot_generic(lists, &mut slot, Some((u, i)));
-            self.slots.insert((u, i), slot);
-            if !advanced {
-                return None;
-            }
-        }
-        Some(self.slots[&(u, i)].produced[t - 1])
-    }
-
-    /// Pops the next element of a slot stream and pushes its successors.
-    /// `slot_id` is `None` for the root stream (whose "edges" are the
-    /// root-list entries and whose "children" are root candidates).
-    fn advance_slot_generic(
+    /// Advances a slot stream until it has produced `t` entries or is
+    /// exhausted. `slot_id` is `None` for the root stream (whose "edges"
+    /// are the root-list entries and whose "children" are root
+    /// candidates).
+    fn fill_slot(
         &mut self,
         lists: &mut SlotLists,
         slot: &mut SlotStream,
         slot_id: Option<(u32, u32)>,
-    ) -> bool {
-        let Some(Reverse((total, r, j))) = slot.frontier.pop() else {
-            return false;
-        };
-        slot.produced.push(SlotItem {
-            total,
-            edge_rank: r,
-            child_rank: j,
-        });
-        let child_u: u32 = match slot_id {
-            Some((u, _)) => u,
-            None => 0,
-        };
-        let list_entry = |lists: &mut SlotLists, rank: usize| match slot_id {
-            Some((u, i)) => lists.slot_mut(u, i).rank(rank),
-            None => lists.root_mut().rank(rank),
-        };
-        // Successor (r, j+1): same edge, deeper child rank.
-        if let Some((key, w)) = list_entry(lists, r as usize) {
-            let s1 = self
-                .node_score(lists, child_u, w, 1)
-                .expect("rank-1 existed when (r,1) was pushed");
-            if let Some(sj) = self.node_score(lists, child_u, w, j + 1) {
-                slot.frontier.push(Reverse((key - s1 + sj, r, j + 1)));
+        t: usize,
+    ) {
+        if !slot.seeded {
+            slot.seeded = true;
+            self.push_entry(lists, slot, slot_id, 1, 1);
+        }
+        while slot.produced.len() < t {
+            let Some(Reverse((total, row, r, j))) = slot.frontier.pop() else {
+                return;
+            };
+            slot.produced.push((total, row));
+            // Same edge, deeper child rank; then the next edge.
+            self.push_entry(lists, slot, slot_id, r, j + 1);
+            if j == 1 {
+                self.push_entry(lists, slot, slot_id, r + 1, 1);
             }
         }
-        // Successor (r+1, 1): next edge, first child rank.
-        if j == 1 {
-            if let Some((key, w)) = list_entry(lists, r as usize + 1) {
-                if self.node_score(lists, child_u, w, 1).is_some() {
-                    slot.frontier.push(Reverse((key, r + 1, 1)));
-                }
-            }
+    }
+
+    /// Pushes entry `(r, j)` onto a slot stream's frontier, if edge `r`
+    /// and the child's rank `j` exist.
+    fn push_entry(
+        &mut self,
+        lists: &mut SlotLists,
+        slot: &mut SlotStream,
+        slot_id: Option<(u32, u32)>,
+        r: u32,
+        j: u32,
+    ) {
+        let (child_u, edge) = match slot_id {
+            Some((u, i)) => (u, lists.slot_mut(u, i).rank(r as usize)),
+            None => (0, lists.root_mut().rank(r as usize)),
+        };
+        let Some((key, w)) = edge else {
+            return;
+        };
+        // key = bs(w) + dist = score_1(w) + dist.
+        let Some((s1, first)) = self.node_item(lists, child_u, w, 1) else {
+            return;
+        };
+        let entry = if j == 1 {
+            Some((s1, first))
+        } else {
+            self.node_item(lists, child_u, w, j as usize)
+        };
+        if let Some((sj, row)) = entry {
+            slot.frontier.push(Reverse((key - s1 + sj, row, r, j)));
         }
-        true
     }
 }
 
 /// DP-B over a fully-loaded run-time graph, generic over how the graph
 /// is held: borrowed (`&RuntimeGraph`, the classic single-query path)
 /// or shared (`Arc<RuntimeGraph>`, the `'static` form
-/// [`crate::build_stream`] builds from a [`QueryPlan`]).
+/// [`crate::build_stream`] builds from a [`QueryPlan`]). Yields
+/// matches in the canonical `(score, assignment)` order natively.
 pub struct DpBEnumerator<R: Deref<Target = RuntimeGraph> = Arc<RuntimeGraph>> {
     rg: R,
     lists: SlotLists,
@@ -303,7 +301,7 @@ impl DpBEnumerator<Arc<RuntimeGraph>> {
 
 impl<R: Deref<Target = RuntimeGraph>> DpBEnumerator<R> {
     fn from_parts(rg: R, lists: SlotLists) -> Self {
-        let engine = DpEngine::new(rg.query().tree().clone());
+        let engine = DpEngine::new(rg.query().tree());
         DpBEnumerator {
             rg,
             lists,
@@ -318,17 +316,13 @@ impl<R: Deref<Target = RuntimeGraph>> Iterator for DpBEnumerator<R> {
 
     fn next(&mut self) -> Option<ScoredMatch> {
         self.rank += 1;
-        let score = self.engine.root_score(&mut self.lists, self.rank)?;
-        let assignment = self
-            .engine
-            .root_assignment(&mut self.lists, self.rank)
-            .expect("score existed");
+        let (score, row) = self.engine.root_match(&mut self.lists, self.rank)?;
         let tree = self.rg.query().tree();
         Some(ScoredMatch {
             score,
             assignment: tree
                 .node_ids()
-                .map(|u| self.rg.node(u, assignment[u.index()]))
+                .map(|u| self.rg.node(u, row[u.index()]))
                 .collect(),
         })
     }
@@ -348,8 +342,8 @@ mod tests {
         let q = TreeQuery::parse(query).unwrap().resolve(g.interner());
         let store = MemStore::new(ClosureTables::compute(g));
         let rg = RuntimeGraph::load(&q, &store);
-        let lawler: Vec<Score> = TopkEnumerator::new(&rg).take(k).map(|m| m.score).collect();
-        let dpb: Vec<Score> = DpBEnumerator::new(&rg).take(k).map(|m| m.score).collect();
+        let lawler: Vec<ScoredMatch> = TopkEnumerator::new(&rg).take(k).collect();
+        let dpb: Vec<ScoredMatch> = DpBEnumerator::new(&rg).take(k).collect();
         assert_eq!(lawler, dpb, "query {query:?}");
     }
 

@@ -3,18 +3,23 @@
 //! Loading is driven by [`PriorityLoader`] with [`BoundMode::Loose`]
 //! (`b̄s + e_v`): §4 of the VLDB'15 paper states DP-P's trigger is
 //! strictly looser than Topk-EN's, so DP-P loads more edges. A match is
-//! emitted only once its score is at most the loader's certified bound;
+//! emitted only once its score is *strictly* below the loader's bound;
 //! whenever more edges must load first, the DP structures are rebuilt
-//! over the grown lists and replayed — the I/O-heavy enumeration phase
-//! the paper observes for DP-P in Figures 6(e)/6(f).
+//! over the grown lists — the I/O-heavy enumeration phase the paper
+//! observes for DP-P in Figures 6(e)/6(f).
 //!
-//! DP-P inserts into the same lists `Topk-EN` does, and an equal-key
-//! insert may land before an element it already used (lists rank equal
-//! keys by payload, and DP-P certifies at `≤` the bound, not `<`).
-//! That is harmless here: every rebuild re-reads the grown lists from
-//! scratch, the replay skips assignments already emitted, and the
-//! stream reaches the canonical order through
-//! [`crate::canonical`], not through its own tie order.
+//! ## Why a rebuild replays exactly what was emitted
+//!
+//! A match through an edge not loaded yet scores at least the `Q_g`
+//! top, so every match emitted below that top precedes, in the
+//! canonical `(score, assignment)` order, every match the loader can
+//! still add. DP-B over any loaded subgraph pops that subgraph's
+//! matches in the canonical order (see `crate::dpb`), so the emitted
+//! matches are the first ones of every later rebuild too, in the same
+//! order: after a rebuild the stream resumes at rank `emitted + 1`, and
+//! a count is all the replay needs. With `≤` in place of `<`, a match
+//! loaded later could tie an emitted one at the bound with a smaller
+//! assignment and take its rank.
 
 use crate::dpb::DpEngine;
 use crate::lawler::SlotLists;
@@ -23,18 +28,18 @@ use crate::matches::ScoredMatch;
 use crate::plan::QueryPlan;
 use ktpm_query::ResolvedQuery;
 use ktpm_storage::{ClosureSource, SharedSource};
-use std::collections::HashSet;
 use std::sync::Arc;
 
-/// The DP-P enumerator. Yields matches in non-decreasing score order.
+/// The DP-P enumerator. Yields matches in the canonical
+/// `(score, assignment)` order.
 pub struct DpPEnumerator<'s> {
     query: ResolvedQuery,
     lists: SlotLists,
     loader: PriorityLoader<'s>,
     engine: Option<DpEngine>,
-    /// Next root-stream rank to examine in the current engine build.
-    scan: usize,
-    emitted: HashSet<ktpm_graph::NodeRow>,
+    /// Matches emitted so far: the next one is the current engine
+    /// build's rank `emitted + 1`.
+    emitted: usize,
 }
 
 impl<'s> DpPEnumerator<'s> {
@@ -47,8 +52,7 @@ impl<'s> DpPEnumerator<'s> {
             lists,
             loader,
             engine: None,
-            scan: 1,
-            emitted: HashSet::new(),
+            emitted: 0,
         }
     }
 
@@ -61,8 +65,7 @@ impl<'s> DpPEnumerator<'s> {
             lists,
             loader,
             engine: None,
-            scan: 1,
-            emitted: HashSet::new(),
+            emitted: 0,
         }
     }
 
@@ -80,21 +83,13 @@ impl<'s> DpPEnumerator<'s> {
         self.loader.edges_inserted()
     }
 
-    fn rebuild_if_dirty(&mut self) {
-        if !self.loader.dirty().is_empty() {
-            self.loader.clear_dirty();
-            self.engine = None;
-            self.scan = 1;
-        }
-    }
-
-    fn to_scored(&self, score: ktpm_graph::Score, assignment: Vec<u32>) -> ScoredMatch {
+    fn to_scored(&self, score: ktpm_graph::Score, row: &[u32]) -> ScoredMatch {
         let tree = self.query.tree();
         ScoredMatch {
             score,
             assignment: tree
                 .node_ids()
-                .map(|u| self.loader.candidates().node(u, assignment[u.index()]))
+                .map(|u| self.loader.candidates().node(u, row[u.index()]))
                 .collect(),
         }
     }
@@ -105,42 +100,29 @@ impl Iterator for DpPEnumerator<'_> {
 
     fn next(&mut self) -> Option<ScoredMatch> {
         loop {
-            self.rebuild_if_dirty();
+            if !self.loader.dirty().is_empty() {
+                self.loader.clear_dirty();
+                self.engine = None;
+            }
             let engine = self
                 .engine
-                .get_or_insert_with(|| DpEngine::new(self.query.tree().clone()));
-            match engine.root_score(&mut self.lists, self.scan) {
-                Some(score) => {
-                    // Certify against the loader's bound before emitting.
-                    match self.loader.qg_top() {
-                        Some(g) if score > g => {
-                            // Load until the bound certifies this score.
-                            while let Some(g) = self.loader.qg_top() {
-                                if g >= score {
-                                    break;
-                                }
-                                self.loader.expand_top(&mut self.lists);
-                            }
-                            continue; // rebuild_if_dirty will reset if needed
-                        }
-                        _ => {}
-                    }
-                    let assignment = engine
-                        .root_assignment(&mut self.lists, self.scan)
-                        .expect("score existed");
-                    self.scan += 1;
-                    let m = self.to_scored(score, assignment);
-                    if self.emitted.insert(m.assignment.clone()) {
-                        return Some(m);
-                    }
-                    // Replayed duplicate after a rebuild: skip.
-                }
-                None => {
-                    // Exhausted on the loaded subgraph; load more or stop.
-                    self.loader.qg_top()?;
+                .get_or_insert_with(|| DpEngine::new(self.query.tree()));
+            let Some((score, row)) = engine.root_match(&mut self.lists, self.emitted + 1) else {
+                // Exhausted on the loaded subgraph; load more or stop.
+                self.loader.qg_top()?;
+                self.loader.expand_top(&mut self.lists);
+                continue;
+            };
+            // Certify strictly below the loader's bound before emitting;
+            // otherwise load until the bound passes this score.
+            if self.loader.qg_top().is_some_and(|g| score >= g) {
+                while self.loader.qg_top().is_some_and(|g| score >= g) {
                     self.loader.expand_top(&mut self.lists);
                 }
+                continue;
             }
+            self.emitted += 1;
+            return Some(self.to_scored(score, &row));
         }
     }
 }
@@ -151,7 +133,7 @@ mod tests {
     use crate::dpb::DpBEnumerator;
     use ktpm_closure::ClosureTables;
     use ktpm_graph::fixtures::{citation_graph, paper_graph};
-    use ktpm_graph::{LabeledGraph, Score};
+    use ktpm_graph::LabeledGraph;
     use ktpm_query::TreeQuery;
     use ktpm_runtime::RuntimeGraph;
     use ktpm_storage::MemStore;
@@ -160,11 +142,8 @@ mod tests {
         let q = TreeQuery::parse(query).unwrap().resolve(g.interner());
         let store = MemStore::with_block_edges(ClosureTables::compute(g), 2);
         let rg = RuntimeGraph::load(&q, &store);
-        let dpb: Vec<Score> = DpBEnumerator::new(&rg).take(k).map(|m| m.score).collect();
-        let dpp: Vec<Score> = DpPEnumerator::new(&q, &store)
-            .take(k)
-            .map(|m| m.score)
-            .collect();
+        let dpb: Vec<ScoredMatch> = DpBEnumerator::new(&rg).take(k).collect();
+        let dpp: Vec<ScoredMatch> = DpPEnumerator::new(&q, &store).take(k).collect();
         assert_eq!(dpb, dpp, "query {query:?}");
     }
 

@@ -424,6 +424,7 @@ impl Iterator for TopkEnEnumerator<'_> {
 mod tests {
     use super::*;
     use crate::lawler::TopkEnumerator;
+    use crate::{DpBEnumerator, DpPEnumerator};
     use ktpm_closure::ClosureTables;
     use ktpm_graph::fixtures::{citation_graph, paper_graph};
     use ktpm_graph::LabeledGraph;
@@ -475,8 +476,20 @@ mod tests {
         compare_with_full(&g, "a -> *#1\n*#1 -> s", 100);
     }
 
-    /// The raw `Topk-EN` stream — no adapter — pulled in two parts,
-    /// against the raw `Topk` stream over the fully loaded graph.
+    /// Pulls `k` matches in two parts, split at `pause`.
+    fn pull_split(
+        it: &mut impl Iterator<Item = ScoredMatch>,
+        k: usize,
+        pause: usize,
+    ) -> Vec<ScoredMatch> {
+        let j = pause.min(k);
+        let mut got: Vec<ScoredMatch> = it.by_ref().take(j).collect();
+        got.extend(it.by_ref().take(k - j));
+        got
+    }
+
+    /// The raw `Topk-EN`, `DP-B` and `DP-P` streams, each pulled in two
+    /// parts, against the raw `Topk` stream over the fully loaded graph.
     fn assert_raw_streams_equal(
         q: &ResolvedQuery,
         store: &MemStore,
@@ -485,20 +498,35 @@ mod tests {
     ) -> Result<usize, String> {
         let rg = RuntimeGraph::load(q, store);
         let want: Vec<ScoredMatch> = TopkEnumerator::new(&rg).take(k).collect();
-        let j = pause.min(k);
         let mut en = TopkEnEnumerator::new(q, store);
-        let mut got: Vec<ScoredMatch> = en.by_ref().take(j).collect();
-        got.extend(en.by_ref().take(k - j));
-        if en.counters().pops != got.len() as u64 {
-            return Err(format!("{:?} for {} matches", en.counters(), got.len()));
+        let en_got = pull_split(&mut en, k, pause);
+        if en.counters().pops != en_got.len() as u64 {
+            return Err(format!("{:?} for {} matches", en.counters(), en_got.len()));
         }
-        match got.iter().zip(&want).position(|(a, b)| a != b) {
-            _ if got.len() != want.len() => {
-                Err(format!("{} matches, Topk has {}", got.len(), want.len()))
+        let streams = [
+            ("Topk-EN", en_got),
+            ("DP-B", pull_split(&mut DpBEnumerator::new(&rg), k, pause)),
+            (
+                "DP-P",
+                pull_split(&mut DpPEnumerator::new(q, store), k, pause),
+            ),
+        ];
+        for (name, got) in streams {
+            if got.len() != want.len() {
+                return Err(format!(
+                    "{name}: {} matches, Topk has {}",
+                    got.len(),
+                    want.len()
+                ));
             }
-            Some(i) => Err(format!("match {i}: {:?} vs Topk {:?}", got[i], want[i])),
-            None => Ok(got.len()),
+            if let Some(i) = got.iter().zip(&want).position(|(a, b)| a != b) {
+                return Err(format!(
+                    "{name} match {i}: {:?} vs Topk {:?}",
+                    got[i], want[i]
+                ));
+            }
         }
+        Ok(want.len())
     }
 
     mod raw_vs_topk {
@@ -510,10 +538,10 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(400))]
 
             /// Strict certification plus payload-ranked list ties make
-            /// the raw `Topk-EN` stream the `Topk` stream, element for
-            /// element, across a resume split: random workload graphs
-            /// with unit or 1–3 weights, queries of 2..7 nodes,
-            /// storage blocks of 1–4 edges.
+            /// the raw `Topk-EN`, `DP-B` and `DP-P` streams the `Topk`
+            /// stream, element for element, across a resume split:
+            /// random workload graphs with unit or 1–3 weights, queries
+            /// of 2..7 nodes, storage blocks of 1–4 edges.
             #[test]
             fn raw_topk_en_equals_raw_topk_stream(
                 nodes in 20..120usize,
@@ -550,8 +578,9 @@ mod tests {
     }
 
     /// Wildcard twigs over unit-weight graphs: hop-count scores, so the
-    /// order is decided almost entirely by the tie-break. The 9-node
-    /// twig's rows are past `NodeRow::INLINE`.
+    /// order is decided almost entirely by the tie-break — for
+    /// `Topk-EN`, `DP-B` and `DP-P` alike. The 9-node twig's rows are
+    /// past `NodeRow::INLINE`.
     #[test]
     fn wildcard_twigs_stream_raw_topk_en_as_raw_topk() {
         use ktpm_workload::{generate, GraphSpec};

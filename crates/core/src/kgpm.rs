@@ -10,29 +10,28 @@
 //! as pattern metadata. The stream then composes:
 //!
 //! * a **driver** — a tree-match stream over the spanning tree, in
-//!   canonical order: sequentially DP-B (the ICDE'13 *mtree* matcher,
-//!   [`ShardEngine::Full`]) or Topk-EN (*mtree+*,
+//!   non-decreasing tree score: sequentially DP-B (the ICDE'13 *mtree*
+//!   matcher, [`ShardEngine::Full`]) or Topk-EN (*mtree+*,
 //!   [`ShardEngine::Lazy`]); with `shards > 1` the [`ParTopk`]
-//!   root-sharded merger, whose stream is byte-identical to the
-//!   sequential one — so the kGPM output is byte-identical for every
-//!   shard count;
+//!   root-sharded merger. Each is boxed raw;
 //! * **lazy verification** — each tree match's non-tree edges are
 //!   checked by `lookup_dist` point probes against the mirror
 //!   (disconnected ⇒ rejected), the verified distances added to the
 //!   tree score, and the assignment reordered into pattern-node order;
 //! * a **threshold-driven reorder heap** — verified matches wait in a
-//!   min-heap and are emitted only once `tree frontier + residual
-//!   lower bound` proves no later tree match can beat (or tie into)
-//!   them, which makes the output the canonical ascending
-//!   `(score, assignment)` order without knowing `k`. Consumers cap
-//!   with [`crate::limit`]; the heap never holds more than the matches
-//!   of one unresolved score window.
+//!   `(score, assignment)` min-heap and are emitted only once
+//!   `tree frontier + residual lower bound` is strictly above their
+//!   score, which proves no later tree match can beat (or tie into)
+//!   them. So the output is the canonical ascending
+//!   `(score, assignment)` order without knowing `k`, whatever order the
+//!   driver breaks its ties in — byte-identical for both drivers and
+//!   every shard count. Consumers cap with [`crate::limit`]; the heap
+//!   never holds more than the matches of one unresolved score window.
 
 use crate::dpb::DpBEnumerator;
 use crate::enhanced::TopkEnEnumerator;
 use crate::matches::ScoredMatch;
 use crate::parallel::{ParTopk, ParallelPolicy, ShardEngine};
-use crate::partition::canonical;
 use crate::plan::{PatternMeta, QueryPlan};
 use crate::stream::{BoxedMatchStream, MatchStream, StreamState};
 use ktpm_exec::WorkerPool;
@@ -98,7 +97,7 @@ impl KgpmStream {
             Box::new(ParTopk::from_plan(plan, policy, pool))
         } else {
             match policy.engine {
-                ShardEngine::Full => Box::new(canonical(DpBEnumerator::from_plan(plan))),
+                ShardEngine::Full => Box::new(DpBEnumerator::from_plan(plan)),
                 ShardEngine::Lazy => Box::new(TopkEnEnumerator::from_plan(plan)),
             }
         };
@@ -267,21 +266,36 @@ mod tests {
 
     #[test]
     fn stream_matches_oracle_exhaustively_for_both_engines() {
-        let g = paper_graph();
-        let queries = vec![
-            GraphQuery::new(labels(&["a", "c", "d"]), vec![(0, 1), (1, 2), (0, 2)]).unwrap(),
-            GraphQuery::new(labels(&["c", "d", "e"]), vec![(0, 1), (1, 2), (2, 0)]).unwrap(),
-            GraphQuery::new(
-                labels(&["a", "b", "c", "d"]),
-                vec![(0, 1), (0, 2), (2, 3), (1, 3)],
-            )
-            .unwrap(),
-            GraphQuery::new(labels(&["a"]), vec![]).unwrap(),
+        let (paper, citation) = (paper_graph(), citation_graph());
+        let cases = vec![
+            (
+                &paper,
+                GraphQuery::new(labels(&["a", "c", "d"]), vec![(0, 1), (1, 2), (0, 2)]).unwrap(),
+            ),
+            (
+                &paper,
+                GraphQuery::new(labels(&["c", "d", "e"]), vec![(0, 1), (1, 2), (2, 0)]).unwrap(),
+            ),
+            (
+                &paper,
+                GraphQuery::new(
+                    labels(&["a", "b", "c", "d"]),
+                    vec![(0, 1), (0, 2), (2, 3), (1, 3)],
+                )
+                .unwrap(),
+            ),
+            (&paper, GraphQuery::new(labels(&["a"]), vec![]).unwrap()),
+            // A tree-shaped pattern: no non-tree edge to verify, so kGPM
+            // reduces to tree matching over the undirected closure.
+            (
+                &citation,
+                GraphQuery::new(labels(&["C", "E", "S"]), vec![(0, 1), (0, 2)]).unwrap(),
+            ),
         ];
-        for q in queries {
-            let want = oracle(&g, &q);
+        for (g, q) in cases {
+            let want = oracle(g, &q);
             for engine in [ShardEngine::Full, ShardEngine::Lazy] {
-                let plan = pattern_plan(&g, q.clone());
+                let plan = pattern_plan(g, q.clone());
                 let policy = ParallelPolicy {
                     shards: 1,
                     engine,
@@ -326,17 +340,19 @@ mod tests {
             .map(|m| (m.score, m.assignment.to_vec()))
             .collect();
         assert_eq!(got, want);
-        let capped: Vec<ScoredMatch> = limit(
-            build_stream(
-                Algo::Kgpm,
-                &plan,
-                &ParallelPolicy::default(),
-                ktpm_exec::default_pool(),
-            ),
-            2,
-        )
-        .collect();
-        assert_eq!(capped, full[..2.min(full.len())].to_vec());
+        for k in [0, 2] {
+            let capped: Vec<ScoredMatch> = limit(
+                build_stream(
+                    Algo::Kgpm,
+                    &plan,
+                    &ParallelPolicy::default(),
+                    ktpm_exec::default_pool(),
+                ),
+                k,
+            )
+            .collect();
+            assert_eq!(capped, full[..k.min(full.len())].to_vec(), "k = {k}");
+        }
     }
 
     #[test]
@@ -378,6 +394,14 @@ mod tests {
         let q = GraphQuery::new(labels(&["a", "zz"]), vec![(0, 1)]).unwrap();
         let plan = pattern_plan(&g, q);
         assert!(collect(&plan, &ParallelPolicy::default()).is_empty());
+        for engine in [ShardEngine::Full, ShardEngine::Lazy] {
+            let policy = ParallelPolicy {
+                shards: 1,
+                engine,
+                ..ParallelPolicy::default()
+            };
+            assert!(collect(&plan, &policy).is_empty(), "{engine:?}");
+        }
     }
 
     #[test]

@@ -990,9 +990,9 @@ pub(crate) mod tests {
     /// referee: every popped match stores its full `Vec<u32>`
     /// assignment, `materialize`/`divide` clone it per call, `Q` and
     /// the per-round side queues are binary heaps keyed `(score,
-    /// insertion seq)`, so ties leave in insertion order. Behind
-    /// [`canonical`](crate::canonical) it is the stream `Topk` must pop
-    /// natively, **element for element**.
+    /// insertion seq)`, so ties leave in insertion order. Sorted by
+    /// `canonical_prefix` it is the stream `Topk` must pop natively,
+    /// **element for element**.
     mod clone_reference {
         use super::super::*;
         use std::cmp::Reverse;
@@ -1205,6 +1205,22 @@ pub(crate) mod tests {
         }
     }
 
+    /// The first `k` matches of a non-decreasing-score stream in the
+    /// canonical order: pull until `k` matches and a score change,
+    /// sort, truncate.
+    fn canonical_prefix(it: impl Iterator<Item = ScoredMatch>, k: usize) -> Vec<ScoredMatch> {
+        let mut out: Vec<ScoredMatch> = Vec::new();
+        for m in it {
+            if out.len() >= k && out.last().is_none_or(|last| m.score > last.score) {
+                break;
+            }
+            out.push(m);
+        }
+        out.sort_unstable_by(|a, b| (a.score, &a.assignment).cmp(&(b.score, &b.assignment)));
+        out.truncate(k);
+        out
+    }
+
     mod arena_vs_clone_reference {
         use super::clone_reference::CloneEnumerator;
         use super::*;
@@ -1248,8 +1264,7 @@ pub(crate) mod tests {
                         ktpm_closure::ClosureTables::compute(&g),
                     );
                     let rg = RuntimeGraph::load(&resolved, &store);
-                    let want: Vec<ScoredMatch> =
-                        crate::canonical(CloneEnumerator::new(&rg)).take(k).collect();
+                    let want = canonical_prefix(CloneEnumerator::new(&rg), k);
                     // Split consumption at `pause` to exercise parked
                     // state across the resume boundary.
                     let j = pause.min(k);

@@ -49,13 +49,10 @@
 //! [`topk_full`] *exactly* (order, scores, witnesses) because both
 //! emit the workspace's **canonical order** — ascending
 //! `(score, assignment)`, the deterministic tie-break defined in
-//! [`partition`]. [`TopkEnumerator`] and [`TopkEnEnumerator`] pop in
-//! that order natively (their heap compares `(score, assignment row)`),
-//! so `k` matches cost `k` pops and a shard's stream — full or lazy —
-//! is the full stream filtered to its roots. The DP baselines keep
-//! their algorithmic tie order; wrap them in [`canonical`] — at a delay
-//! of O(largest equal-score group) — when determinism across runs or
-//! algorithms matters ([`build_stream`] does).
+//! [`partition`]. Every enumerator pops in that order natively (its
+//! heap compares `(score, assignment row)`), so `k` matches cost `k`
+//! pops and a shard's stream — full or lazy — is the full stream
+//! filtered to its roots.
 //!
 //! ## Shared query plans
 //!
@@ -91,10 +88,9 @@
 //!   `(score, entrant id)` comparing `(score, row)`; rows are read only
 //!   when two scores tie. Worst case a tie compare is O(n_T), i.e.
 //!   O(n_T · log k) per pop on a fully tied stream against the paper's
-//!   O(n_T + log k) — and against the O(tie class) the buffering
-//!   adapter in [`partition`] costs the DP baselines. `Topk-EN` shares
-//!   the structure: it certifies a candidate only strictly below the
-//!   loader's bound, so no later insert can reorder a row it queued.
+//!   O(n_T + log k). `Topk-EN` shares the structure: it certifies a
+//!   candidate only strictly below the loader's bound, so no later
+//!   insert can reorder a row it queued.
 //! * **Compact side queues.** The §3.3 side queues `Q_l` are one pooled
 //!   vector of per-round runs, pre-sorted in the canonical order with
 //!   an O(1) sibling comparison — a round's non-best children are all
@@ -148,7 +144,6 @@ pub use lazylist::LazySortedList;
 pub use loader::{BoundMode, PriorityLoader};
 pub use matches::ScoredMatch;
 pub use parallel::{par_topk, ParTopk, ParallelPolicy, ShardEngine};
-pub use partition::{canonical, Canonical};
 pub use plan::{
     canonical_query_text, pattern_reads_touched_pairs, query_reads_touched_pairs,
     PatternUnsupported, QueryPlan,

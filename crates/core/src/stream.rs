@@ -11,10 +11,9 @@
 //! `Box<dyn MatchStream + Send>` in the **canonical**
 //! `(score, assignment)` order, so sessions, the CLI, the bench
 //! drivers and embedders stop dispatching on the algorithm themselves.
-//! `Topk` and `Topk-EN` (and with them every `ParTopk` shard) pop in
-//! that order natively, at the paper's delay; `DP-B` and `DP-P` reach
-//! it through the [`canonical`] adapter, whose delay is O(largest
-//! equal-score group).
+//! Every enumerator pops in that order natively (see
+//! [`crate::partition`]): a batch of `n` is `n` pops, with no
+//! look-ahead into a tie class.
 //!
 //! ## Batched pull
 //!
@@ -39,7 +38,6 @@ use crate::algo::Algo;
 use crate::brute;
 use crate::matches::ScoredMatch;
 use crate::parallel::{ParTopk, ParallelPolicy};
-use crate::partition::{canonical, Canonical};
 use crate::plan::QueryPlan;
 use ktpm_exec::WorkerPool;
 use std::sync::Arc;
@@ -110,55 +108,31 @@ fn pull_batch(
     StreamState::More
 }
 
-/// `Topk` pops in the canonical order natively: a batch of `n` is `n`
-/// heap pops, with no look-ahead past the last match delivered.
-impl MatchStream for crate::TopkEnumerator<'static> {
-    fn next_batch(&mut self, n: usize, out: &mut Vec<ScoredMatch>) -> StreamState {
-        pull_batch(self, n, out)
-    }
+/// The enumerators pop in the canonical order natively, so a batch of
+/// `n` is `n` pops through the engine's own monomorphized `next` loop,
+/// with no look-ahead past the last match delivered. For `ParTopk` that
+/// loop is the k-way merge: one virtual call per batch, not per match.
+macro_rules! native_match_stream {
+    ($($engine:ty),* $(,)?) => {$(
+        impl MatchStream for $engine {
+            fn next_batch(&mut self, n: usize, out: &mut Vec<ScoredMatch>) -> StreamState {
+                pull_batch(self, n, out)
+            }
 
-    fn next(&mut self) -> Option<ScoredMatch> {
-        Iterator::next(self)
-    }
+            fn next(&mut self) -> Option<ScoredMatch> {
+                Iterator::next(self)
+            }
+        }
+    )*};
 }
 
-/// `Topk-EN` pops in the canonical order natively too: a batch of `n`
-/// is `n` pops, plus whatever loading certifies them.
-impl MatchStream for crate::TopkEnEnumerator<'static> {
-    fn next_batch(&mut self, n: usize, out: &mut Vec<ScoredMatch>) -> StreamState {
-        pull_batch(self, n, out)
-    }
-
-    fn next(&mut self) -> Option<ScoredMatch> {
-        Iterator::next(self)
-    }
-}
-
-/// The engines whose raw tie order is not the workspace order — `DP-B`
-/// and `DP-P` — stream behind [`canonical`], which buffers and sorts
-/// one equal-score group at a time.
-impl<I: Iterator<Item = ScoredMatch>> MatchStream for Canonical<I> {
-    fn next_batch(&mut self, n: usize, out: &mut Vec<ScoredMatch>) -> StreamState {
-        pull_batch(self, n, out)
-    }
-
-    fn next(&mut self) -> Option<ScoredMatch> {
-        Iterator::next(self)
-    }
-}
-
-/// `ParTopk` batches natively: one virtual call per batch, then the
-/// k-way merge runs monomorphized — the per-match virtual hop the
-/// session layer used to pay on parallel streams is gone.
-impl MatchStream for ParTopk {
-    fn next_batch(&mut self, n: usize, out: &mut Vec<ScoredMatch>) -> StreamState {
-        pull_batch(self, n, out)
-    }
-
-    fn next(&mut self) -> Option<ScoredMatch> {
-        Iterator::next(self)
-    }
-}
+native_match_stream!(
+    crate::TopkEnumerator<'static>,
+    crate::TopkEnEnumerator<'static>,
+    crate::DpBEnumerator,
+    crate::DpPEnumerator<'static>,
+    ParTopk,
+);
 
 /// Pre-materialized streams (the brute oracle, cached replays): a
 /// batch is one `extend`, and exhaustion is reported eagerly (the
@@ -229,11 +203,9 @@ pub fn limit(stream: BoxedMatchStream, k: usize) -> BoxedMatchStream {
 /// **The** algorithm dispatch: builds `algo`'s stream from a shared
 /// [`QueryPlan`]. Every arm emits the canonical `(score, assignment)`
 /// order, so the choice of engine changes performance characteristics
-/// only — never the stream. [`Algo::Topk`] and [`Algo::TopkEn`] are the
-/// raw enumerators (their heap order *is* the canonical order: `n`
-/// matches cost `n` pops); the DP arms, wrapped in [`canonical`], pull
-/// a whole equal-score group from their engine before emitting its
-/// first member. On a warm plan, no arm repeats candidate discovery
+/// only — never the stream. The tree arms but `Brute` box a raw
+/// enumerator, whose heap order *is* the canonical order: `n` matches
+/// cost `n` pops. On a warm plan, no arm repeats candidate discovery
 /// (see [`QueryPlan`]).
 ///
 /// `policy`/`pool` drive [`Algo::Par`] (root sharding + the worker
@@ -254,8 +226,8 @@ pub fn build_stream(
         // `all_matches` already sorts by `(score, assignment)` — the
         // canonical order.
         Algo::Brute => Box::new(brute::all_matches(plan.runtime_graph()).into_iter()),
-        Algo::DpB => Box::new(canonical(crate::DpBEnumerator::from_plan(plan))),
-        Algo::DpP => Box::new(canonical(crate::DpPEnumerator::from_plan(plan))),
+        Algo::DpB => Box::new(crate::DpBEnumerator::from_plan(plan)),
+        Algo::DpP => Box::new(crate::DpPEnumerator::from_plan(plan)),
         // The one engine over *pattern* plans; panics on a tree plan
         // (upstream surfaces validate the plan kind before dispatch).
         Algo::Kgpm => Box::new(crate::KgpmStream::from_plan(plan, policy, pool)),
@@ -339,6 +311,14 @@ mod tests {
                 .take(want.len())
                 .collect();
             assert_eq!(en, want, "Topk-EN, {n_t}-node twig");
+            let dpb: Vec<ScoredMatch> = crate::DpBEnumerator::from_plan(&plan)
+                .take(want.len())
+                .collect();
+            assert_eq!(dpb, want, "DP-B, {n_t}-node twig");
+            let dpp: Vec<ScoredMatch> = crate::DpPEnumerator::from_plan(&plan)
+                .take(want.len())
+                .collect();
+            assert_eq!(dpp, want, "DP-P, {n_t}-node twig");
             for engine in [ShardEngine::Full, ShardEngine::Lazy] {
                 for shards in [1usize, 2, 3] {
                     let policy = ParallelPolicy {

@@ -2,8 +2,8 @@
 //! (kGPM, §5 of the paper / Cheng, Zeng & Yu ICDE'13).
 //!
 //! A [`GraphQuery`] is a small connected undirected graph whose nodes
-//! carry label names. `ktpm-kgpm` decomposes it into rooted spanning
-//! trees and plugs in a top-k tree matcher.
+//! carry label names. `ktpm-core`'s kGPM engine decomposes it into
+//! rooted spanning trees and plugs in a top-k tree matcher.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;

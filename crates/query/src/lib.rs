@@ -9,7 +9,7 @@
 //!   Nodes are guaranteed to be stored in top-down breadth-first order
 //!   (Lemma 3.1), which the Lawler enumeration relies on.
 //! * [`GraphQuery`] — an undirected labeled graph pattern for the kGPM
-//!   extension (§5), consumed by `ktpm-kgpm`.
+//!   extension (§5), consumed by `ktpm-core`'s `KgpmStream`.
 //! * A tiny text format ([`TreeQuery::parse`], [`GraphQuery::parse`])
 //!   for tests, examples and the wire protocol.
 //!

@@ -476,6 +476,7 @@ impl<'e> QueryBuilder<'e> {
 mod tests {
     use super::*;
     use ktpm_closure::ClosureTables;
+    use ktpm_core::{limit, KgpmStream};
     use ktpm_graph::fixtures::citation_graph;
     use ktpm_storage::MemStore;
 
@@ -527,16 +528,23 @@ mod tests {
             .k(10)
             .topk()
             .unwrap();
-        // Reference: the kgpm crate's batch API over the same graph.
-        let ctx = ktpm_kgpm::KgpmContext::new(&citation_graph());
+        // Reference: a sequential mtree+ stream over a pattern plan of
+        // the same graph, built without the facade.
+        let g = citation_graph();
+        let store = MemStore::new(ClosureTables::compute(&g))
+            .with_graph(g.clone())
+            .into_shared();
         let q = GraphQuery::parse("C -> E\nE -> S\nS -> C").unwrap();
-        let want = ctx.topk(&q, 10, ktpm_kgpm::TreeMatcher::TopkEn);
+        let plan = QueryPlan::new_pattern(q, g.interner(), &store).unwrap();
+        let policy = ParallelPolicy {
+            shards: 1,
+            engine: ShardEngine::Lazy,
+            ..ParallelPolicy::default()
+        };
+        let mtree_plus = KgpmStream::from_plan(&plan, &policy, ktpm_exec::default_pool());
+        let want: Vec<ScoredMatch> = limit(Box::new(mtree_plus), 10).collect();
         assert!(!want.is_empty());
-        assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.score, w.score);
-            assert_eq!(g.assignment.to_vec(), w.assignment);
-        }
+        assert_eq!(got, want);
         // Sharded kgpm is byte-identical (Kgpm caps sharding).
         let sharded = e
             .query("C -> E\nE -> S\nS -> C")

@@ -54,13 +54,11 @@
 //! |---|---|
 //! | [`graph`] | labeled directed CSR graph, interner, fixtures |
 //! | [`query`] | twig queries (`//`, `/`, `*`, duplicates), graph patterns, text format |
-//! | [`closure`] | transitive closure, label-pair tables, 2-hop (PLL) index |
+//! | [`closure`] | transitive closure, label-pair tables, incremental repair |
 //! | [`storage`] | on-disk closure store, block cursors, I/O accounting |
 //! | [`runtime`] | run-time graph `G_R` construction |
 //! | [`core`] | **Algorithms 1–3** (`Topk`, `ComputeFirst`, `Topk-EN`) + `ParTopk`, the DP-B / DP-P baselines, the kGPM pattern engine (`KgpmStream`, pattern plans, `decompose`), the [`core::MatchStream`] surface, [`core::Algo`] registry |
 //! | [`api`] | **the facade**: `Executor` / `QueryBuilder` → `Box<dyn MatchStream + Send>` (tree *and* graph-pattern queries) |
-//! | [`baseline`] | compat shim re-exporting `core`'s DP-B / DP-P |
-//! | [`kgpm`] | compat shim over `core`'s kGPM engine: `KgpmContext` batch API, mtree / mtree+ |
 //! | [`workload`] | dataset & query generators for the §6 experiments |
 //! | [`exec`] | shared worker pool scheduling shard jobs and request batches |
 //! | [`service`] | concurrent query service: sessions, result cache, TCP protocol |
@@ -110,12 +108,10 @@
 
 pub mod api;
 
-pub use ktpm_baseline as baseline;
 pub use ktpm_closure as closure;
 pub use ktpm_core as core;
 pub use ktpm_exec as exec;
 pub use ktpm_graph as graph;
-pub use ktpm_kgpm as kgpm;
 pub use ktpm_net as net;
 pub use ktpm_query as query;
 pub use ktpm_runtime as runtime;
@@ -128,17 +124,17 @@ pub mod prelude {
     pub use crate::api::{ApiError, Executor, QueryBuilder};
     pub use ktpm_closure::{sssp, ClosureTables};
     pub use ktpm_core::{
-        build_stream, canonical, canonical_query_text, decompose, limit, par_topk, topk_en,
-        topk_full, Algo, AlgoCaps, BoundMode, BoxedMatchStream, DpBEnumerator, DpPEnumerator,
-        MatchStream, ParTopk, ParallelPolicy, PatternUnsupported, QueryPlan, ScoredMatch,
-        ShardEngine, ShardSpec, SpanningTree, StreamState, TopkEnEnumerator, TopkEnumerator,
+        build_stream, canonical_query_text, decompose, limit, par_topk, topk_en, topk_full, Algo,
+        AlgoCaps, BoundMode, BoxedMatchStream, DpBEnumerator, DpPEnumerator, GraphMatch, KgpmStats,
+        KgpmStream, MatchStream, ParTopk, ParallelPolicy, PatternUnsupported, QueryPlan,
+        ScoredMatch, ShardEngine, ShardSpec, SpanningTree, StreamState, TopkEnEnumerator,
+        TopkEnumerator,
     };
     pub use ktpm_exec::WorkerPool;
     pub use ktpm_graph::{
         Dist, GraphBuilder, GraphDelta, LabelId, LabeledGraph, NodeId, NodeRow, Score, INF_DIST,
         INF_SCORE,
     };
-    pub use ktpm_kgpm::{GraphMatch, KgpmContext, KgpmStats, KgpmStream, TreeMatcher};
     pub use ktpm_net::{BlockServer, EventServer, NetConfig};
     pub use ktpm_query::{
         EdgeKind, GraphQuery, QNodeId, ResolvedQuery, TreeQuery, TreeQueryBuilder,

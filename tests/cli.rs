@@ -105,20 +105,20 @@ fn query_over_a_persisted_store_prints_library_matches_and_the_timing_split() {
         g.interner().clone(),
         MemStore::new(ClosureTables::compute(&g)).into_shared(),
     );
-    for algo in ["topk-en", "topk"] {
-        let k = 5;
-        let want: Vec<(Score, Vec<u32>)> = exec
-            .query(query_text)
-            .unwrap()
-            .algo(Algo::parse(algo).unwrap())
-            .k(k)
-            .topk()
-            .unwrap()
-            .into_iter()
-            .map(|m| (m.score, m.assignment.iter().map(|v| v.0).collect()))
-            .collect();
-        assert_eq!(want.len(), k, "the fixture query has at least {k} matches");
-
+    // One reference stream for every engine: the `topk` library stream.
+    let k = 5;
+    let want: Vec<(Score, Vec<u32>)> = exec
+        .query(query_text)
+        .unwrap()
+        .algo(Algo::Topk)
+        .k(k)
+        .topk()
+        .unwrap()
+        .into_iter()
+        .map(|m| (m.score, m.assignment.iter().map(|v| v.0).collect()))
+        .collect();
+    assert_eq!(want.len(), k, "the fixture query has at least {k} matches");
+    for algo in ["topk-en", "topk", "dp-b", "dp-p"] {
         let out = ktpm(&[
             "query",
             &graph,
@@ -248,7 +248,7 @@ fn query_over_ktpm_blockd_prints_the_local_store_rows() {
             .map(str::to_owned)
             .collect()
     };
-    for algo in ["topk-en", "topk"] {
+    for algo in ["topk-en", "topk", "dp-b", "dp-p"] {
         let local = rows(ktpm(&[
             "query", &graph, &query, "--store", &store, "--algo", algo, "-k", "5",
         ]));

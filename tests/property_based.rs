@@ -437,8 +437,8 @@ proptest! {
                         all.truncate(k);
                         all
                     }
-                    Algo::DpB => canonical(DpBEnumerator::from_plan(&plan)).take(k).collect(),
-                    Algo::DpP => canonical(DpPEnumerator::from_plan(&plan)).take(k).collect(),
+                    Algo::DpB => DpBEnumerator::from_plan(&plan).take(k).collect(),
+                    Algo::DpP => DpPEnumerator::from_plan(&plan).take(k).collect(),
                     Algo::Kgpm => unreachable!("filtered out"),
                 };
                 let mut b = exec
