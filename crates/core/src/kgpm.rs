@@ -184,7 +184,7 @@ impl MatchStream for KgpmStream {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{build_stream, limit, Algo};
     use ktpm_closure::ClosureTables;
@@ -193,22 +193,22 @@ mod tests {
     use ktpm_query::GraphQuery;
     use ktpm_storage::MemStore;
 
-    fn labels(v: &[&str]) -> Vec<String> {
+    pub(crate) fn labels(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
     }
 
-    fn shared_for(g: &LabeledGraph) -> SharedSource {
+    pub(crate) fn shared_for(g: &LabeledGraph) -> SharedSource {
         MemStore::new(ClosureTables::compute(g))
             .with_graph(g.clone())
             .into_shared()
     }
 
-    fn pattern_plan(g: &LabeledGraph, q: GraphQuery) -> QueryPlan {
+    pub(crate) fn pattern_plan(g: &LabeledGraph, q: GraphQuery) -> QueryPlan {
         QueryPlan::new_pattern(q, g.interner(), &shared_for(g)).unwrap()
     }
 
     /// Brute-force kGPM oracle over the undirected closure.
-    fn oracle(g: &LabeledGraph, q: &GraphQuery) -> Vec<(Score, Vec<NodeId>)> {
+    pub(crate) fn oracle(g: &LabeledGraph, q: &GraphQuery) -> Vec<(Score, Vec<NodeId>)> {
         let ug = undirect(g);
         let tc = ClosureTables::compute(&ug);
         let mut candidates: Vec<Vec<NodeId>> = Vec::new();

@@ -123,6 +123,8 @@ mod lawler;
 mod lazylist;
 mod loader;
 mod matches;
+#[cfg(test)]
+mod mtree;
 pub mod parallel;
 pub mod partition;
 mod plan;
