@@ -36,6 +36,22 @@
 //! Per match: one pop, at most `n_T` candidates placed (no side queues
 //! here — a child is either certified into `Q` or parked), so `Q`
 //! grows by at most `n_T` entrants and `n_T²` row words per pop.
+//!
+//! ## Bookkeeping
+//!
+//! The parked set is indexed, not hashed, so each successor costs O(1)
+//! bookkeeping:
+//! - Every slot list has a flat id, the loader's: the root list is 0,
+//!   and list `(u, pi)` is `base[u] + pi`.
+//! - A list's parked candidates form an intrusive chain: `Parked.next`
+//!   links them, and `parked_head` holds each list's newest. A sweep
+//!   walks the chain and unlinks the candidates promoted since the last
+//!   sweep.
+//! - The loader logs a list each time it inserts into it. A per-list
+//!   `swept` epoch stamp makes one expansion batch sweep each list once.
+//! - A re-evaluation pushes a `parked_heap` entry only when the score
+//!   changed. Otherwise the candidate's live entry, at its current
+//!   version, is still correct.
 
 use crate::lawler::{LawlerCore, Popped, RowQueue, SlotLists};
 use crate::loader::{BoundMode, PriorityLoader};
@@ -44,7 +60,7 @@ use crate::plan::{LazySetup, QueryPlan};
 use ktpm_graph::Score;
 use ktpm_query::{QNodeId, ResolvedQuery};
 use ktpm_storage::{ClosureSource, SharedSource, SourceRef};
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Work done by a [`TopkEnEnumerator`] so far, in the paper's cost
@@ -66,16 +82,21 @@ pub struct TopkEnCounters {
     pub edges_loaded: u64,
 }
 
+/// End of a parked chain.
+const NO_PARK: u32 = u32::MAX;
+
 /// A candidate waiting for the `Q_g` bound to certify it.
 #[derive(Debug, Clone, Copy)]
 struct Parked {
     /// Its `score` is the latest evaluation (`Score::MAX`: rank not
     /// loaded yet).
     spec: CandidateSpec,
-    /// Bumped on every re-evaluation; stale `parked_heap` entries
-    /// carry an older one.
+    /// Bumped on every re-evaluation that changed the score; stale
+    /// `parked_heap` entries carry an older one.
     version: u32,
     alive: bool,
+    /// The next park id on the same list's chain (`NO_PARK`: last).
+    next: u32,
 }
 
 /// Algorithm 3: the `Topk-EN` enumerator. Yields matches in the
@@ -97,15 +118,20 @@ pub struct TopkEnEnumerator<'s> {
     entrants: Vec<CandidateSpec>,
     /// Every candidate ever parked, by park id.
     parked: Vec<Parked>,
-    /// Parked ids per list key (`(0,0)` = root list).
-    parked_by_list: HashMap<(u32, u32), Vec<u32>>,
+    /// Per flat list id (the loader's): the newest park id on the
+    /// list's chain, `NO_PARK` for none.
+    parked_head: Vec<u32>,
+    /// Per flat list id: the sweep epoch that last swept it.
+    swept: Vec<u32>,
+    /// The current sweep epoch (bumped once per [`Self::after_expand`]).
+    epoch: u32,
     /// Parked candidates keyed `(score, park id, version)` — versioned
     /// lazy deletion.
     parked_heap: BinaryHeap<HeapEntry>,
     /// Reused divide output buffer (cleared each pop).
     div_buf: Vec<Child>,
-    /// Reused dirty-key dedup scratch for [`Self::after_expand`].
-    dirty_scratch: HashSet<(u32, u32)>,
+    /// Reused buffer the loader's dirty-list log is swapped into.
+    dirty_buf: Vec<u32>,
     initial_created: bool,
     pops: u64,
 }
@@ -181,6 +207,7 @@ impl<'s> TopkEnEnumerator<'s> {
         // Capacity hint: every root candidate pops at least once before
         // the stream ends, so the root bucket size is a cheap estimate.
         let hint = loader.candidates().len(QNodeId(0)).clamp(16, 1 << 16);
+        let lists_n = loader.num_lists();
         TopkEnEnumerator {
             query: query.clone(),
             core: LawlerCore::new(query.tree()),
@@ -189,10 +216,12 @@ impl<'s> TopkEnEnumerator<'s> {
             q: RowQueue::new(query.len(), hint),
             entrants: Vec::with_capacity(hint),
             parked: Vec::new(),
-            parked_by_list: HashMap::new(),
+            parked_head: vec![NO_PARK; lists_n],
+            swept: vec![0; lists_n],
+            epoch: 0,
             parked_heap: BinaryHeap::new(),
             div_buf: Vec::new(),
-            dirty_scratch: HashSet::new(),
+            dirty_buf: Vec::new(),
             initial_created: false,
             pops: 0,
         }
@@ -224,25 +253,28 @@ impl<'s> TopkEnEnumerator<'s> {
         self.entrants.push(spec);
     }
 
-    /// The list `spec`'s replacement draws from, as a parked-set key.
-    fn list_key(&self, spec: &CandidateSpec) -> (u32, u32) {
+    /// The flat id of the list `spec`'s replacement draws from.
+    fn list_id(&self, spec: &CandidateSpec) -> u32 {
         if spec.pos == 0 {
-            (0, 0)
+            0
         } else {
             let p = self.core.parent_of(spec.pos);
-            (spec.pos, self.q.row(spec.parent)[p as usize])
+            self.loader
+                .list_id(spec.pos, self.q.row(spec.parent)[p as usize])
         }
     }
 
+    /// Parks `spec` at the head of its list's chain.
     fn park(&mut self, spec: CandidateSpec) {
-        let key = self.list_key(&spec);
+        let list = self.list_id(&spec) as usize;
         let id = self.parked.len() as u32;
         self.parked.push(Parked {
             spec,
             version: 0,
             alive: true,
+            next: self.parked_head[list],
         });
-        self.parked_by_list.entry(key).or_default().push(id);
+        self.parked_head[list] = id;
         if spec.score != Score::MAX {
             self.parked_heap.push(HeapEntry {
                 key: spec.score,
@@ -288,24 +320,56 @@ impl<'s> TopkEnEnumerator<'s> {
 
     /// Re-evaluates parked candidates on freshly dirtied lists and
     /// promotes everything the current `Q_g` bound certifies.
-    /// Allocation-free in steady state: the dirty-key dedup set, the
-    /// per-key id vectors and the loader's dirty buffer are all reused.
+    /// Allocation-free in steady state: the dirty log is swapped with a
+    /// reused buffer, and lists are deduplicated by epoch stamp.
     fn after_expand(&mut self) {
-        let mut dirty = std::mem::take(&mut self.dirty_scratch);
-        dirty.clear();
-        dirty.extend(self.loader.dirty().iter().copied());
-        self.loader.clear_dirty();
-        for &key in &dirty {
-            // Take the key's id list out, re-insert after the sweep:
-            // nothing in the loop parks, so the list cannot grow under
-            // us, and this avoids cloning it per dirtied key.
-            if let Some(ids) = self.parked_by_list.remove(&key) {
-                for &id in &ids {
-                    let Parked { spec, alive, .. } = self.parked[id as usize];
-                    if !alive {
-                        continue;
-                    }
-                    if let Some(score) = self.reevaluate(&spec) {
+        let mut dirty = std::mem::take(&mut self.dirty_buf);
+        self.loader.swap_dirty(&mut dirty);
+        self.epoch = match self.epoch.checked_add(1) {
+            Some(e) => e,
+            None => {
+                self.swept.fill(0);
+                1
+            }
+        };
+        for &list in &dirty {
+            if self.swept[list as usize] == self.epoch {
+                continue;
+            }
+            self.swept[list as usize] = self.epoch;
+            self.sweep(list);
+            if list == 0 && !self.initial_created && !self.lists.root.is_empty() {
+                // The top-1 waits for certification like any other
+                // candidate: an equal-score root may still load.
+                self.initial_created = true;
+                if let Some(init) = self.core.initial_candidate(&mut self.lists) {
+                    self.park(init);
+                }
+            }
+        }
+        self.dirty_buf = dirty;
+        self.promote_parked();
+    }
+
+    /// Walks `list`'s parked chain: unlinks the candidates promoted
+    /// since the last sweep and re-evaluates the rest. A new
+    /// `parked_heap` entry is pushed only when the score changed; an
+    /// unchanged score keeps its live entry at the current version.
+    fn sweep(&mut self, list: u32) {
+        let mut prev = NO_PARK;
+        let mut id = self.parked_head[list as usize];
+        while id != NO_PARK {
+            let Parked {
+                spec, alive, next, ..
+            } = self.parked[id as usize];
+            if !alive {
+                match prev {
+                    NO_PARK => self.parked_head[list as usize] = next,
+                    _ => self.parked[prev as usize].next = next,
+                }
+            } else {
+                if let Some(score) = self.reevaluate(&spec) {
+                    if score != spec.score {
                         let p = &mut self.parked[id as usize];
                         p.spec.score = score;
                         p.version += 1;
@@ -316,19 +380,10 @@ impl<'s> TopkEnEnumerator<'s> {
                         });
                     }
                 }
-                self.parked_by_list.insert(key, ids);
+                prev = id;
             }
-            if key == (0, 0) && !self.initial_created && !self.lists.root.is_empty() {
-                // The top-1 waits for certification like any other
-                // candidate: an equal-score root may still load.
-                self.initial_created = true;
-                if let Some(init) = self.core.initial_candidate(&mut self.lists) {
-                    self.park(init);
-                }
-            }
+            id = next;
         }
-        self.dirty_scratch = dirty;
-        self.promote_parked();
     }
 
     /// Moves parked candidates whose score is certified by `Q_g` into

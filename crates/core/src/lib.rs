@@ -96,6 +96,14 @@
 //!   an O(1) sibling comparison — a round's non-best children are all
 //!   known at divide time, so "promote the next best" is a cursor
 //!   bump, not a heap operation.
+//! * **No hashing in `Topk-EN`'s bookkeeping.** The plan resolves the
+//!   §4.1 `E`-seeds once, into one CSR per query node in
+//!   candidate-index space. A session replays them by walking it, and
+//!   a cursor load tests "already seeded?" by binary search in one
+//!   candidate's slice. Parked candidates chain per flat list id
+//!   through an index in their own record. One expansion batch sweeps
+//!   each dirtied list once (an epoch stamp per list), and the loader
+//!   reuses one insert buffer.
 //! * **Lifetime.** Pool and queues belong to one enumerator and
 //!   live as long as it does: a parked service session keeps them (the
 //!   resume state), and each `ParTopk` shard owns its own, so the
@@ -106,8 +114,9 @@
 //! Net effect (GS3 wildcard stars, k = 50 000): well under one
 //! allocation per emitted match for every engine (the clone encoding
 //! this replaced paid 4.4–6.3) — reported per run as `benchmark/`'s
-//! `core.allocs_per_match` and held below 1.0 by
-//! `tests/alloc_budget.rs`. The delay itself is held by count, not
+//! `core.allocs_per_match` and held per engine by
+//! `tests/alloc_budget.rs` (`Topk` < 0.01, `ParTopk/1` < 0.03,
+//! `Topk-EN` < 0.10). The delay itself is held by count, not
 //! stopwatch: `lawler.rs`'s `k_matches_cost_k_pops_and_two_rows_each`
 //! and `enhanced.rs`'s `k_matches_cost_k_pops_and_n_t_rows_each`.
 

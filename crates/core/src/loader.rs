@@ -25,7 +25,7 @@
 //! constants (documented deviation).
 
 use crate::lawler::SlotLists;
-use crate::plan::{LazySetup, SeedEdge};
+use crate::plan::{LazySetup, SeedCsr};
 use ktpm_graph::{Dist, NodeId, Score, INF_DIST};
 use ktpm_query::{EdgeKind, QNodeId, ResolvedQuery};
 use ktpm_runtime::CandidateSets;
@@ -34,7 +34,6 @@ use ktpm_storage::{
 };
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Which lower bound drives the loading order (tight = Topk-EN, loose =
@@ -71,9 +70,10 @@ pub struct PriorityLoader<'s> {
     ev: Vec<Vec<Dist>>,
     version: Vec<Vec<u32>>,
     cursor: Vec<Vec<CursorState>>,
-    /// Per (u, i): parent candidate indices already holding this child's
-    /// edge (deduplicates `E`-seeded edges against cursor loads).
-    seeded: Vec<Vec<HashSet<u32>>>,
+    /// Per query node: the setup's `E`-seeds, shared. The seeds of
+    /// `(u, i)` are the parent indices whose list already holds this
+    /// child's edge, so a cursor load skips them.
+    seeds: Vec<Arc<SeedCsr>>,
     /// Per query node: distinct source labels of its incoming closure
     /// tables — the setup's, shared (cursor opens are hot, and a loader
     /// must not ask the store for them again).
@@ -81,9 +81,14 @@ pub struct PriorityLoader<'s> {
     root_final: Vec<bool>,
     /// `(lb, u, i, version)` min-heap with lazy deletion.
     qg: BinaryHeap<Reverse<(Score, u32, u32, u32)>>,
-    /// Slot lists touched since the last [`Self::clear_dirty`];
-    /// `(0, 0)` denotes the root list.
-    dirty: Vec<(u32, u32)>,
+    /// Flat list ids: the root list is 0, slot list `(u, pi)` is
+    /// `list_base[u] + pi`; `list_base[n_T]` is the list count.
+    list_base: Vec<u32>,
+    /// Flat ids of the lists touched since the last
+    /// [`Self::clear_dirty`], in touch order, repeats included.
+    dirty: Vec<u32>,
+    /// Reused buffer of one block's `(parent index, key)` inserts.
+    inserts: Vec<(u32, Score)>,
     /// Edges inserted into lists so far (reported as loaded `m'_R`).
     edges_inserted: u64,
 }
@@ -138,11 +143,11 @@ impl<'s> PriorityLoader<'s> {
     }
 
     /// Builds a loader from an already-discovered [`LazySetup`] (a
-    /// `QueryPlan`'s cached §4.1 initialization): candidate sets are
-    /// shared, `eᵥ` bounds copied, and the `E`-seed edges replayed in
-    /// their recorded order — so construction performs **no** storage
-    /// reads. Per-loader state (cursors, `Q_g`, loaded edges) starts
-    /// fresh, exactly as a cold build would.
+    /// `QueryPlan`'s cached §4.1 initialization): candidate sets and
+    /// `E`-seeds are shared, `eᵥ` bounds copied, and the seeds replayed
+    /// by a walk over their CSRs — so construction performs **no**
+    /// storage reads. Per-loader state (cursors, `Q_g`, loaded edges)
+    /// starts fresh, exactly as a cold build would.
     pub(crate) fn from_setup(
         query: &ResolvedQuery,
         source: SourceRef<'s>,
@@ -166,6 +171,11 @@ impl<'s> PriorityLoader<'s> {
         let remaining_edges: Vec<Score> =
             tree.node_ids().map(|u| tree.remaining_edges(u)).collect();
         let sizes: Vec<usize> = (0..n_t).map(|u| cands.len(QNodeId(u as u32))).collect();
+        let mut list_base = vec![0, 1];
+        for u in tree.node_ids().skip(1) {
+            let p = tree.parent(u).expect("non-root");
+            list_base.push(list_base[u.index()] + sizes[p.index()] as u32);
+        }
         let mut loader = PriorityLoader {
             source,
             query: query.clone(),
@@ -182,11 +192,13 @@ impl<'s> PriorityLoader<'s> {
                 .iter()
                 .map(|&n| (0..n).map(|_| CursorState::Unopened).collect())
                 .collect(),
-            seeded: sizes.iter().map(|&n| vec![HashSet::new(); n]).collect(),
+            seeds: setup.seeds.clone(),
             src_labels: Arc::clone(&setup.src_labels),
             root_final: vec![false; sizes[0]],
             qg: BinaryHeap::new(),
+            list_base,
             dirty: Vec::new(),
+            inserts: Vec::new(),
             edges_inserted: 0,
         };
         // Leaves are trivially active with b̄s = 0.
@@ -200,28 +212,16 @@ impl<'s> PriorityLoader<'s> {
                 loader.push_qg(u.0, i);
             }
         }
-        // Replay the recorded E-seeds (Line 1: "for each loaded Eᵅᵦ
-        // there must be an edge (u, u') in T ... and u' is a leaf").
-        // Seeds carry data-node ids: under a root-shard restriction
-        // `index_of` filters out-of-shard parents exactly as the
-        // original `load_e` loop did.
-        for &SeedEdge {
-            u,
-            parent,
-            child,
-            dist,
-        } in setup.eseed.iter()
-        {
-            let un = QNodeId(u);
-            let p = tree.parent(un).expect("seeded nodes are non-root");
-            let (Some(pi), Some(ci)) = (
-                loader.cands.index_of(p, parent),
-                loader.cands.index_of(un, child),
-            ) else {
-                continue;
-            };
-            if loader.seeded[un.index()][ci as usize].insert(pi) {
-                loader.note_insert(lists, u, pi, dist as Score, ci);
+        // Replay the E-seeds (Line 1: "for each loaded Eᵅᵦ there must
+        // be an edge (u, u') in T ... and u' is a leaf"). They are in
+        // this setup's index space already: a root-shard restriction
+        // dropped out-of-shard parents when it was made.
+        for u in tree.node_ids().skip(1) {
+            let seeds = Arc::clone(&loader.seeds[u.index()]);
+            for ci in 0..seeds.len() as u32 {
+                for &(pi, dist) in seeds.of(ci) {
+                    loader.note_insert(lists, u.0, pi, dist as Score, ci);
+                }
             }
         }
         loader
@@ -272,9 +272,10 @@ impl<'s> PriorityLoader<'s> {
         self.cands.as_ref()
     }
 
-    /// Slot lists touched since the last [`Self::clear_dirty`];
-    /// `(0, 0)` is the root list. Keys may repeat — callers dedup.
-    pub fn dirty(&self) -> &[(u32, u32)] {
+    /// Flat ids of the slot lists touched since the last
+    /// [`Self::clear_dirty`]: 0 is the root list. Ids may repeat —
+    /// callers dedup.
+    pub fn dirty(&self) -> &[u32] {
         &self.dirty
     }
 
@@ -282,6 +283,30 @@ impl<'s> PriorityLoader<'s> {
     /// cycle runs once per expansion batch and must not allocate).
     pub fn clear_dirty(&mut self) {
         self.dirty.clear();
+    }
+
+    /// Hands the dirty-list log to the caller in `buf` and takes `buf`,
+    /// cleared, as the next log: the caller reads the ids while
+    /// mutating the loader, and neither buffer is reallocated.
+    pub(crate) fn swap_dirty(&mut self, buf: &mut Vec<u32>) {
+        buf.clear();
+        std::mem::swap(&mut self.dirty, buf);
+    }
+
+    /// The flat id of slot list `(u, pi)` — 0 for the root list
+    /// (`u == 0`) — as [`Self::dirty`] reports it.
+    #[inline]
+    pub(crate) fn list_id(&self, u: u32, pi: u32) -> u32 {
+        if u == 0 {
+            0
+        } else {
+            self.list_base[u as usize] + pi
+        }
+    }
+
+    /// How many flat list ids there are.
+    pub(crate) fn num_lists(&self) -> usize {
+        *self.list_base.last().expect("the root list") as usize
     }
 
     /// Total edges inserted into lists (the measured `m'_R`).
@@ -328,7 +353,7 @@ impl<'s> PriorityLoader<'s> {
         if !self.root_final[i as usize] {
             self.root_final[i as usize] = true;
             lists.root.insert(self.bs_bar[0][i as usize], i);
-            self.dirty.push((0, 0));
+            self.dirty.push(0);
         }
     }
 
@@ -345,7 +370,7 @@ impl<'s> PriorityLoader<'s> {
         let old_first = list.first();
         list.insert(key, ci);
         self.edges_inserted += 1;
-        self.dirty.push((u, pi));
+        self.dirty.push(self.list_id(u, pi));
         match old_first {
             None => {
                 self.nonempty[p as usize][pi as usize] += 1;
@@ -389,21 +414,26 @@ impl<'s> PriorityLoader<'s> {
             let cur = self.open_cursor(un, i);
             self.cursor[u as usize][i as usize] = cur;
         }
+        // The parent indices whose list an `E`-seed already filled with
+        // this candidate's edge, ascending.
+        let seeds = Arc::clone(&self.seeds[u as usize]);
+        let seeded = seeds.of(i);
+        let mut inserts = std::mem::take(&mut self.inserts);
         loop {
             let CursorState::Open(cursor) = &mut self.cursor[u as usize][i as usize] else {
                 self.ev[u as usize][i as usize] = INF_DIST;
-                return;
+                break;
             };
             let block = cursor.next_block();
             if block.is_empty() {
                 self.cursor[u as usize][i as usize] = CursorState::Exhausted;
                 self.ev[u as usize][i as usize] = INF_DIST;
-                return;
+                break;
             }
             let done_after = cursor.remaining() == 0;
             let mut last_dist = 0;
             let mut useless_tail = false;
-            let mut inserts: Vec<(u32, Score)> = Vec::new();
+            inserts.clear();
             for (w, dist) in block {
                 last_dist = dist;
                 if direct_only && dist > 1 {
@@ -413,18 +443,18 @@ impl<'s> PriorityLoader<'s> {
                     break;
                 }
                 if let Some(pi) = self.cands.index_of(QNodeId(p), w) {
-                    if !self.seeded[u as usize][i as usize].contains(&pi) {
+                    if seeded.binary_search_by_key(&pi, |&(s, _)| s).is_err() {
                         inserts.push((pi, bsv + dist as Score));
                     }
                 }
             }
-            for (pi, key) in inserts {
+            for &(pi, key) in &inserts {
                 self.note_insert(lists, u, pi, key, i);
             }
             if useless_tail || done_after {
                 self.cursor[u as usize][i as usize] = CursorState::Exhausted;
                 self.ev[u as usize][i as usize] = INF_DIST;
-                return;
+                break;
             }
             self.ev[u as usize][i as usize] = last_dist;
             // Line 14: keep loading while the next block estimate still
@@ -434,10 +464,11 @@ impl<'s> PriorityLoader<'s> {
                 Some(top) if next_lb <= top => continue,
                 _ => {
                     self.push_qg(u, i);
-                    return;
+                    break;
                 }
             }
         }
+        self.inserts = inserts;
     }
 
     /// Opens the incoming cursor of candidate `i` of `u`. Multi-label

@@ -165,7 +165,7 @@ fn shard_iter(plan: &QueryPlan, engine: ShardEngine, spec: ShardSpec) -> ShardIt
             spec,
         ))),
         ShardEngine::Lazy => {
-            let restricted = plan.lazy().restrict_root(spec);
+            let restricted = plan.lazy().restrict_root(plan.query(), spec);
             ShardIter::Lazy(Box::new(TopkEnEnumerator::from_setup(
                 plan.query(),
                 Arc::clone(plan.source()),
@@ -234,7 +234,7 @@ impl ParTopk {
                         let query = plan.query().clone();
                         let source = Arc::clone(plan.source());
                         Box::new(move || {
-                            let restricted = setup.restrict_root(spec);
+                            let restricted = setup.restrict_root(&query, spec);
                             let mut it = ShardIter::Lazy(Box::new(TopkEnEnumerator::from_setup(
                                 &query,
                                 source,

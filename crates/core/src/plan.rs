@@ -40,7 +40,6 @@ use ktpm_graph::{Dist, LabelId, LabelInterner, NodeId, Score};
 use ktpm_query::{EdgeKind, GraphQuery, QNodeId, QueryLabel, ResolvedQuery};
 use ktpm_runtime::{edge_label_pairs, CandidateSets, RuntimeGraph};
 use ktpm_storage::{ClosureSource, ShardSpec, SharedSource};
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -187,19 +186,84 @@ pub(crate) struct FullSetup {
     pub(crate) slots: Arc<SlotTemplates>,
 }
 
-/// One §4.1 `E`-seeded edge, recorded by data-node id so the same seed
-/// list replays under any root-shard restriction (candidate *indices*
-/// shift when the root bucket is filtered; node ids do not).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SeedEdge {
-    /// Child query node (BFS index; always non-root).
-    pub(crate) u: u32,
-    /// Parent data node.
-    pub(crate) parent: NodeId,
-    /// Child data node.
-    pub(crate) child: NodeId,
-    /// Closure distance of the edge.
-    pub(crate) dist: Dist,
+/// One query node's §4.1 `E`-seeds in candidate-index space, as a CSR:
+/// the seeds of child candidate `ci` are
+/// `entries[offsets[ci]..offsets[ci + 1]]`, each a
+/// `(parent candidate index, dist)` pair, ascending by parent index.
+/// A node without seeds (the root, an inner node, a `/` edge, or no
+/// `E` entry at all) holds no offsets.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct SeedCsr {
+    offsets: Vec<u32>,
+    entries: Vec<(u32, Dist)>,
+}
+
+impl SeedCsr {
+    /// Builds the CSR of a node with `n_cands` candidates from
+    /// `(child index, parent index, dist)` triples in any order. A
+    /// repeated `(child, parent)` pair keeps its smallest distance.
+    fn from_triples(n_cands: usize, mut seeds: Vec<(u32, u32, Dist)>) -> SeedCsr {
+        if seeds.is_empty() {
+            return SeedCsr::default();
+        }
+        seeds.sort_unstable();
+        seeds.dedup_by_key(|&mut (ci, pi, _)| (ci, pi));
+        let mut offsets = vec![0u32; n_cands + 1];
+        for &(ci, _, _) in &seeds {
+            offsets[ci as usize + 1] += 1;
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        let entries = seeds.into_iter().map(|(_, pi, d)| (pi, d)).collect();
+        SeedCsr { offsets, entries }
+    }
+
+    /// The seeds of child candidate `ci`, ascending by parent index.
+    #[inline]
+    pub(crate) fn of(&self, ci: u32) -> &[(u32, Dist)] {
+        match self.offsets.get(ci as usize..ci as usize + 2) {
+            Some(&[lo, hi]) => &self.entries[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+
+    /// Number of child candidates the CSR spans (0 without seeds).
+    pub(crate) fn len(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// Heap bytes: 4 per offset, 8 per seed.
+    fn approx_bytes(&self) -> u64 {
+        self.offsets.len() as u64 * 4 + self.entries.len() as u64 * 8
+    }
+
+    /// This CSR with every parent index `pi` renamed `map[pi]`, and
+    /// dropped where that is `u32::MAX`. `map` must be increasing on
+    /// the indices it keeps, so each slice stays sorted.
+    fn remap_parents(&self, map: &[u32]) -> SeedCsr {
+        let mut offsets = Vec::with_capacity(self.offsets.len());
+        let mut entries = Vec::new();
+        offsets.push(0);
+        for ci in 0..self.len() as u32 {
+            entries.extend(
+                self.of(ci)
+                    .iter()
+                    .filter(|&&(pi, _)| map[pi as usize] != u32::MAX)
+                    .map(|&(pi, d)| (map[pi as usize], d)),
+            );
+            offsets.push(entries.len() as u32);
+        }
+        if entries.is_empty() {
+            return SeedCsr::default();
+        }
+        SeedCsr { offsets, entries }
+    }
+}
+
+/// Whether §4.1 seeds `u` from the `E` tables: a `//` edge into a leaf.
+fn is_seeded(tree: &ktpm_query::TreeQuery, u: QNodeId) -> bool {
+    u != tree.root() && tree.is_leaf(u) && tree.edge_kind(u) == EdgeKind::Descendant
 }
 
 /// The lazy-loading half of a plan: everything `Topk-EN`'s
@@ -209,8 +273,9 @@ pub(crate) struct LazySetup {
     pub(crate) cands: Arc<CandidateSets>,
     /// Initial `eᵥ` lower bounds per candidate (`dᵅᵥ`).
     pub(crate) evs: Vec<Vec<Dist>>,
-    /// `E`-seed edges for `//` leaves, in replay order.
-    pub(crate) eseed: Arc<Vec<SeedEdge>>,
+    /// Per query node: its `E`-seeds over `cands`' indices. Shared, so
+    /// a loader keeps them to skip seeded edges its cursors return.
+    pub(crate) seeds: Vec<Arc<SeedCsr>>,
     /// Per query node: the distinct source labels of its incoming
     /// closure tables, ascending — the cursors a loader opens for one
     /// of its candidates. Resolved with the rest of the half, so
@@ -468,9 +533,9 @@ impl QueryPlan {
         if let Some(lz) = self.lazy.get() {
             let tree = self.query.tree();
             let cand_total: u64 = tree.node_ids().map(|u| lz.cands.len(u) as u64).sum();
-            // Candidate node ids + eᵥ bounds + recorded seed edges.
+            // Candidate node ids + eᵥ bounds + the seed CSRs.
             total += cand_total * 8;
-            total += lz.eseed.len() as u64 * std::mem::size_of::<SeedEdge>() as u64;
+            total += lz.seeds.iter().map(|s| s.approx_bytes()).sum::<u64>();
         }
         total
     }
@@ -500,9 +565,15 @@ impl QueryPlan {
 
 impl LazySetup {
     /// §4.1 initialization against storage: `D`-table candidate
-    /// discovery plus the `E`-seed edges of `//` leaves, in the exact
-    /// order [`crate::PriorityLoader`] historically loaded them (the
-    /// replay must reproduce list insertion order bit for bit).
+    /// discovery plus the `E`-seed edges of `//` leaves, resolved once
+    /// into candidate-index space ([`SeedCsr`]), where `shard` drops
+    /// the seeds of out-of-shard roots.
+    ///
+    /// A loader may replay the seeds in any order. Lists rank equal
+    /// keys by candidate index, so a list's ranks do not depend on the
+    /// order its elements arrived in. `Q_g` breaks equal bounds on
+    /// `(u, i)` before the version, so which node pops next does not
+    /// depend on how often a bound was lowered on the way there.
     pub(crate) fn discover(
         query: &ResolvedQuery,
         source: &dyn ClosureSource,
@@ -513,29 +584,30 @@ impl LazySetup {
         let pairs = edge_label_pairs(query, source);
         let (cands, evs) = CandidateSets::from_d_tables_sharded(query, source, &pairs, shard);
         let tree = query.tree();
-        let mut eseed = Vec::new();
-        let mut seen: HashSet<(u32, NodeId, NodeId)> = HashSet::new();
-        for u in tree.node_ids().skip(1) {
-            if !tree.is_leaf(u) || tree.edge_kind(u) != EdgeKind::Descendant {
-                continue;
-            }
-            for &(a, b) in &pairs[u.index()] {
-                for (parent, child, dist) in source.load_e(a, b) {
-                    if seen.insert((u.0, parent, child)) {
-                        eseed.push(SeedEdge {
-                            u: u.0,
-                            parent,
-                            child,
-                            dist,
-                        });
+        let seeds = tree
+            .node_ids()
+            .map(|u| {
+                if !is_seeded(tree, u) {
+                    return Arc::default();
+                }
+                let p = tree.parent(u).expect("non-root");
+                let mut triples = Vec::new();
+                for &(a, b) in &pairs[u.index()] {
+                    for (parent, child, dist) in source.load_e(a, b) {
+                        if let (Some(pi), Some(ci)) =
+                            (cands.index_of(p, parent), cands.index_of(u, child))
+                        {
+                            triples.push((ci, pi, dist));
+                        }
                     }
                 }
-            }
-        }
+                Arc::new(SeedCsr::from_triples(cands.len(u), triples))
+            })
+            .collect();
         LazySetup {
             cands: Arc::new(cands),
             evs,
-            eseed: Arc::new(eseed),
+            seeds,
             src_labels: src_labels_of(&pairs),
         }
     }
@@ -555,8 +627,12 @@ impl LazySetup {
         let n_t = tree.len();
         let mut cands: Vec<Vec<NodeId>> = vec![Vec::new(); n_t];
         let mut evs: Vec<Vec<Dist>> = vec![Vec::new(); n_t];
+        // Per query node: run-time-graph candidate index → index in
+        // `cands` (`u32::MAX`: no incoming edge, not a lazy candidate).
+        let mut lazy_index: Vec<Vec<u32>> = vec![Vec::new(); n_t];
         cands[0] = rg.candidates().of(tree.root()).to_vec();
         evs[0] = vec![0; cands[0].len()];
+        lazy_index[0] = (0..cands[0].len() as u32).collect();
         for u in tree.node_ids().skip(1) {
             let p = tree.parent(u).expect("non-root");
             let mut best: Vec<Option<Dist>> = vec![None; rg.candidates().len(u)];
@@ -566,71 +642,101 @@ impl LazySetup {
                     *b = Some(b.map_or(d, |x| x.min(d)));
                 }
             }
+            let mut index = vec![u32::MAX; best.len()];
             for (ci, b) in best.into_iter().enumerate() {
                 if let Some(d) = b {
+                    index[ci] = cands[u.index()].len() as u32;
                     cands[u.index()].push(rg.candidates().node(u, ci as u32));
                     evs[u.index()].push(d);
                 }
             }
+            lazy_index[u.index()] = index;
         }
-        let mut eseed = Vec::new();
-        for u in tree.node_ids().skip(1) {
-            if !tree.is_leaf(u) || tree.edge_kind(u) != EdgeKind::Descendant {
-                continue;
-            }
-            let p = tree.parent(u).expect("non-root");
-            let mut per_label: Vec<(ktpm_graph::LabelId, Dist, u32)> = Vec::new();
-            for pi in 0..rg.candidates().len(p) as u32 {
-                // One seed per (parent, child label), mirroring the
-                // per-pair `E` tables. Groups are `(dist, index)`-
-                // sorted, so the first group entry of each label is
-                // that label's minimum.
-                per_label.clear();
-                for &(ci, dist) in rg.edges(u, pi) {
-                    let l = source.node_label(rg.candidates().node(u, ci));
-                    if !per_label.iter().any(|&(seen, _, _)| seen == l) {
-                        per_label.push((l, dist, ci));
+        let mut per_label: Vec<(ktpm_graph::LabelId, Dist, u32)> = Vec::new();
+        let seeds = tree
+            .node_ids()
+            .map(|u| {
+                if !is_seeded(tree, u) {
+                    return Arc::default();
+                }
+                let p = tree.parent(u).expect("non-root");
+                let mut triples = Vec::new();
+                for pi in 0..rg.candidates().len(p) as u32 {
+                    let lazy_pi = lazy_index[p.index()][pi as usize];
+                    if lazy_pi == u32::MAX {
+                        continue;
+                    }
+                    // One seed per (parent, child label), mirroring the
+                    // per-pair `E` tables. Groups are `(dist, index)`-
+                    // sorted, so the first group entry of each label is
+                    // that label's minimum.
+                    per_label.clear();
+                    for &(ci, dist) in rg.edges(u, pi) {
+                        let l = source.node_label(rg.candidates().node(u, ci));
+                        if !per_label.iter().any(|&(seen, _, _)| seen == l) {
+                            per_label.push((l, dist, ci));
+                        }
+                    }
+                    for &(_, dist, ci) in &per_label {
+                        triples.push((lazy_index[u.index()][ci as usize], lazy_pi, dist));
                     }
                 }
-                per_label.sort_unstable_by_key(|&(l, _, _)| l);
-                for &(_, dist, ci) in &per_label {
-                    eseed.push(SeedEdge {
-                        u: u.0,
-                        parent: rg.candidates().node(p, pi),
-                        child: rg.candidates().node(u, ci),
-                        dist,
-                    });
-                }
-            }
-        }
+                Arc::new(SeedCsr::from_triples(cands[u.index()].len(), triples))
+            })
+            .collect();
         LazySetup {
             cands: Arc::new(CandidateSets::from_lists(cands)),
             evs,
-            eseed: Arc::new(eseed),
+            seeds,
             // The half's one label-pair resolution: index probes, plus
             // one key enumeration if the query has a wildcard edge.
             src_labels: src_labels_of(&edge_label_pairs(query, source)),
         }
     }
 
-    /// This setup with the root bucket restricted to `shard` (non-root
-    /// sets and seeds are shard-independent and shared).
-    pub(crate) fn restrict_root(&self, shard: ShardSpec) -> LazySetup {
+    /// This setup with the root bucket of `query` (the query it was
+    /// built for) restricted to `shard`. Non-root sets and the seeds of
+    /// nodes below the root's children are shard-independent and
+    /// shared; the seeds of the root's children are renamed to the
+    /// restricted root indices, dropping out-of-shard parents.
+    pub(crate) fn restrict_root(&self, query: &ResolvedQuery, shard: ShardSpec) -> LazySetup {
         if shard.is_full() {
             return LazySetup {
                 cands: Arc::clone(&self.cands),
                 evs: self.evs.clone(),
-                eseed: Arc::clone(&self.eseed),
+                seeds: self.seeds.clone(),
                 src_labels: Arc::clone(&self.src_labels),
             };
         }
+        let root = QNodeId(0);
         let cands = Arc::new(self.cands.restrict_root(shard));
         let mut evs = self.evs.clone();
-        evs[0] = vec![0; cands.len(QNodeId(0))];
+        evs[0] = vec![0; cands.len(root)];
+        let mut kept = 0;
+        let root_index: Vec<u32> = self
+            .cands
+            .of(root)
+            .iter()
+            .map(|&v| {
+                if !shard.contains(v) {
+                    return u32::MAX;
+                }
+                kept += 1;
+                kept - 1
+            })
+            .collect();
+        let tree = query.tree();
+        let seeds = tree
+            .node_ids()
+            .map(|u| match tree.parent(u) {
+                Some(p) if p == root => Arc::new(self.seeds[u.index()].remap_parents(&root_index)),
+                _ => Arc::clone(&self.seeds[u.index()]),
+            })
+            .collect();
         LazySetup {
             cands,
             evs,
-            eseed: Arc::clone(&self.eseed),
+            seeds,
             src_labels: Arc::clone(&self.src_labels),
         }
     }
@@ -687,6 +793,7 @@ mod tests {
     #[test]
     fn derived_lazy_setup_equals_discovered() {
         let g = paper_graph();
+        let mut seeded = 0;
         for query in ["a -> b\na -> c\nc -> d\nc -> e", "a => b", "c -> *#1"] {
             let q = TreeQuery::parse(query).unwrap().resolve(g.interner());
             let store = MemStore::new(ClosureTables::compute(&g)).into_shared();
@@ -706,18 +813,58 @@ mod tests {
                     "ev bounds of {u:?}, query {query:?}"
                 );
             }
-            // Seeds: same (child-node, parent, dist) multiset; the tied
-            // witness may differ, so compare the canonical projection.
+            // Seeds: same (child node, parent index, dist) multiset; the
+            // tied witness may differ, so compare that projection.
             let canon = |s: &LazySetup| {
-                let mut v: Vec<_> = s.eseed.iter().map(|e| (e.u, e.parent, e.dist)).collect();
+                let mut v: Vec<_> = q
+                    .tree()
+                    .node_ids()
+                    .flat_map(|u| {
+                        let csr = &s.seeds[u.index()];
+                        (0..csr.len() as u32)
+                            .flat_map(move |ci| csr.of(ci).iter().map(move |&(pi, d)| (u, pi, d)))
+                    })
+                    .collect();
                 v.sort_unstable();
                 v
             };
+            seeded += canon(&discovered).len();
             assert_eq!(
                 canon(&discovered),
                 canon(&derived),
                 "seeds, query {query:?}"
             );
+        }
+        assert!(seeded > 0, "the queries have E-seeds to compare");
+    }
+
+    #[test]
+    fn restricting_a_setup_equals_discovering_the_shard() {
+        // Candidate sets, eᵥ bounds and seed CSRs of a shard's own
+        // discovery equal the full discovery restricted to it: the
+        // root's children have their parent indices renamed, deeper
+        // nodes are shared unchanged.
+        let g = paper_graph();
+        for query in [
+            "a -> b\na -> c\nc -> d\nc -> e",
+            "c -> *#1",
+            "*#0 -> *#1\n*#0 -> *#2",
+        ] {
+            let q = TreeQuery::parse(query).unwrap().resolve(g.interner());
+            let store = MemStore::new(ClosureTables::compute(&g));
+            let full = LazySetup::discover(&q, &store, ShardSpec::full());
+            for n in [2, 3] {
+                for shard in ShardSpec::split(n) {
+                    let own = LazySetup::discover(&q, &store, shard);
+                    let restricted = full.restrict_root(&q, shard);
+                    let what = format!("query {query:?}, shard {shard:?} of {n}");
+                    assert_eq!(own.evs, restricted.evs, "{what}");
+                    for u in q.tree().node_ids() {
+                        assert_eq!(own.cands.of(u), restricted.cands.of(u), "{what}");
+                        assert_eq!(own.seeds[u.index()], restricted.seeds[u.index()], "{what}");
+                    }
+                }
+            }
         }
     }
 
