@@ -140,9 +140,6 @@ pub struct ClosureStats {
     pub pairs: usize,
     /// θ — average number of closure edges per label-pair type (§1/§3.1).
     pub theta: f64,
-    /// Approximate serialized size in bytes (12 bytes per triple, as the
-    /// paper's `(vᵢ, vⱼ, δ)` layout implies).
-    pub approx_bytes: u64,
 }
 
 /// The full shortest-distance transitive closure as label-pair tables.
@@ -290,7 +287,6 @@ impl ClosureTables {
             edges: self.total_edges,
             pairs: self.pairs.len(),
             theta: self.theta(),
-            approx_bytes: self.total_edges as u64 * 12,
         }
     }
 }
@@ -425,7 +421,6 @@ mod tests {
         assert_eq!(s.nodes, 13);
         assert_eq!(s.edges, tc.num_edges());
         assert!(s.theta > 0.0);
-        assert_eq!(s.approx_bytes, s.edges as u64 * 12);
     }
 
     #[test]

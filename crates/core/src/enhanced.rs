@@ -192,7 +192,8 @@ impl<'s> TopkEnEnumerator<'s> {
     }
 
     /// As [`Self::new`] with an explicit bound mode (the loose mode is
-    /// used by DP-P comparisons and the ablation bench).
+    /// DP-P's trigger; the §4.2 entry of `tests/paper_claims.rs` compares
+    /// the two).
     pub fn with_bound(
         query: &ResolvedQuery,
         source: &'s dyn ClosureSource,

@@ -674,9 +674,10 @@ impl<'g> TopkEnumerator<'g> {
         Self::with_side_queues(rg, true)
     }
 
-    /// As [`Self::new`], with the `Q_l` optimization toggleable (for the
-    /// ablation benchmark): off, every child enters `Q` with a row of
-    /// its own — the same stream at up to `n_T` pushes per pop.
+    /// As [`Self::new`], with the `Q_l` optimization toggleable (the
+    /// §3.3 entry of `tests/paper_claims.rs` compares the two): off,
+    /// every child enters `Q` with a row of its own — the same stream at
+    /// up to `n_T` pushes per pop.
     pub fn with_side_queues(rg: &'g RuntimeGraph, use_side_queues: bool) -> Self {
         Self::with_graph(GraphRef::Borrowed(rg), use_side_queues)
     }

@@ -38,7 +38,7 @@
 //! matchers, so the algorithm choice is purely a performance decision.
 //! The root crate's
 //! `ktpm::api` module wraps this in an `Executor`/`QueryBuilder`
-//! facade; the serving layer, CLI and bench drivers all go through the
+//! facade; the serving layer, CLI and `benchmark/` all go through the
 //! same dispatch.
 //!
 //! ## Parallel partitioned execution

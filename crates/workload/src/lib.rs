@@ -17,16 +17,13 @@
 //!   duplicated labels (Eval-IV).
 //! * [`random_graph_query`] / [`pattern_set`] — cyclic graph patterns
 //!   for the kGPM evaluation (Figure 9).
-//! * [`gd_family`] / [`gs_family`] / [`query_sizes`] /
-//!   [`pattern_family`] — the scaled `GD1..`, `GS1..`, `T10..T100`
-//!   and `Q1..Q4` experiment families.
+//! * [`gd_family`] / [`gs_family`] / [`pattern_family`] — the scaled
+//!   `GD1..`, `GS1..` and `Q1..Q4` experiment families.
 
 mod families;
 mod graphs;
 mod queries;
 
-pub use families::{
-    gd_family, gs_family, pattern_family, query_sizes, PatternSpec, DEFAULT_GD, DEFAULT_GS,
-};
+pub use families::{gd_family, gs_family, pattern_family, PatternSpec, DEFAULT_GD, DEFAULT_GS};
 pub use graphs::{generate, GraphSpec};
 pub use queries::{pattern_set, query_set, random_graph_query, random_tree_query, QuerySpec};

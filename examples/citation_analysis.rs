@@ -15,7 +15,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
-    // A 5000-node citation graph (the scaled GD3 of EXPERIMENTS.md).
+    // A 5000-node citation graph (GD3's size; `tests/paper_claims.rs`
+    // asserts the paper's claims on GD3 itself).
     let spec = GraphSpec::citation(5000, 42);
     let g = generate(&spec);
     println!(

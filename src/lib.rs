@@ -44,7 +44,7 @@
 //! ergonomic front end, and [`core::build_stream`] +
 //! the canonical [`core::Algo`] registry (with per-algorithm
 //! capability flags) are the single dispatch every layer — facade,
-//! serving sessions, CLI, bench drivers — goes through. Algorithm
+//! serving sessions, CLI, benchmark — goes through. Algorithm
 //! choice is a performance decision only: the streams are
 //! byte-identical.
 //!
@@ -59,7 +59,7 @@
 //! | [`runtime`] | run-time graph `G_R` construction |
 //! | [`core`] | **Algorithms 1–3** (`Topk`, `ComputeFirst`, `Topk-EN`) + `ParTopk`, the DP-B / DP-P baselines, the kGPM pattern engine (`KgpmStream`, pattern plans, `decompose`), the [`core::MatchStream`] surface, [`core::Algo`] registry |
 //! | [`api`] | **the facade**: `Executor` / `QueryBuilder` → `Box<dyn MatchStream + Send>` (tree *and* graph-pattern queries) |
-//! | [`workload`] | dataset & query generators for the §6 experiments |
+//! | [`workload`] | seeded dataset & query generators (the scaled §6 families) |
 //! | [`exec`] | shared worker pool scheduling shard jobs and request batches |
 //! | [`service`] | concurrent query service: sessions, result cache, TCP protocol |
 //! | [`net`] | event-driven TCP front end: readiness loop, pipelining, backpressure |
@@ -103,8 +103,7 @@
 //! byte-identical to [`core::topk_full`] for *every* shard count —
 //! order, scores and witnesses. Exposed end to end: `--algo par` /
 //! `--parallel N` in `ktpm query`, `OPEN par …` sessions in
-//! `ktpm serve` (policy in `ServiceConfig::parallel`), and the
-//! `par` section of `crates/bench`'s `experiments` binary.
+//! `ktpm serve` (policy in `ServiceConfig::parallel`).
 
 pub mod api;
 
