@@ -29,7 +29,8 @@ pub(crate) struct ConnState {
     /// Bytes owed to the client; `written` of them are already flushed.
     pub write_buf: Vec<u8>,
     pub written: usize,
-    /// A worker currently owns this connection's request sequence.
+    /// Queued for or held by a worker, which owns this connection's
+    /// request sequence; the reactor queues it only while this is clear.
     pub in_flight: bool,
     /// Fatal protocol state (oversized line): close once drained.
     pub closing: bool,

@@ -26,8 +26,12 @@
 //!   `#![deny(unsafe_code)]` keeps it the only one.
 //! * **A fixed executor pool** ([`NetConfig::workers`]) runs requests.
 //!   A connection is handed to at most one worker at a time, which
-//!   drains its queued requests in order — that exclusivity is the
-//!   whole pipelining-order guarantee.
+//!   answers its next queued request and, if more are queued, sends it
+//!   to the back of the line — that exclusivity is the whole
+//!   pipelining-order guarantee. Across connections workers go
+//!   round-robin, one request at a time, so a pipelined burst on one
+//!   connection delays another's request by at most the requests in
+//!   execution, not by the whole burst.
 //! * **Pipelining**: request parsing is incremental, so a client can
 //!   write `OPEN` + several `NEXT` lines back-to-back and read the
 //!   responses — complete, in request order, byte-identical to the

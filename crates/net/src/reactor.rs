@@ -33,8 +33,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// The executor job queue: a connection appears here at most once at a
-/// time (guarded by its `in_flight` flag), and the worker that takes it
-/// drains that connection's whole pending queue in request order.
+/// time (guarded by its `in_flight` flag). The worker that takes it
+/// answers one request, then pushes it to the back if more are pending,
+/// so connections take turns one request at a time, each in request
+/// order.
 #[derive(Default)]
 struct ExecQueue {
     jobs: Mutex<VecDeque<SharedConn>>,
@@ -425,11 +427,14 @@ fn parse_available(
     });
 }
 
-/// Executor worker: takes a connection off the queue and drains its
-/// pending requests in order, appending each response to the write
-/// buffer. `in_flight` exclusivity is what makes pipelined responses
-/// come back in request order. `respond` renders one request line (the
-/// engine's [`respond`] outside tests).
+/// Executor worker: takes a connection off the queue, answers its next
+/// request and appends the response to the write buffer. A connection
+/// with requests left goes to the back of the queue, still in flight, so
+/// workers serve connections round-robin, one request per dispatch, and
+/// a pipelined burst delays another connection's request by at most the
+/// requests in execution. `in_flight` exclusivity is what makes each
+/// connection's responses come back in request order. `respond` renders
+/// one request line (the engine's [`respond`] outside tests).
 fn worker_loop(
     queue: &ExecQueue,
     stop: &AtomicBool,
@@ -438,43 +443,34 @@ fn worker_loop(
     respond: &dyn Fn(&str) -> String,
 ) {
     while let Some(conn) = queue.pop(stop) {
-        loop {
-            let req = {
-                let mut s = conn.lock().expect("conn lock");
-                if s.closing {
-                    s.pending.clear();
-                }
-                match s.pending.pop_front() {
-                    Some(r) => r,
-                    None => {
-                        s.in_flight = false;
-                        break;
-                    }
-                }
-            };
-            let resp = match req {
-                Req::Line(line) => catch_unwind(AssertUnwindSafe(|| respond(&line))),
-                Req::Shed => Ok("ERR overloaded\n".to_string()),
-            };
-            let mut s = conn.lock().expect("conn lock");
-            match resp {
-                Ok(resp) => {
-                    s.push_response(resp.as_bytes());
-                    drop(s);
-                    waker.wake();
-                }
-                // A panicking request costs its connection, not this
-                // worker: the rest of its queue is dropped, the client
-                // sees EOF once what it is owed is flushed.
-                Err(_) => {
-                    metrics.error();
-                    s.closing = true;
-                }
+        let req = conn.lock().expect("conn lock").pending.pop_front();
+        let resp = req.map(|req| match req {
+            Req::Line(line) => catch_unwind(AssertUnwindSafe(|| respond(&line))),
+            Req::Shed => Ok("ERR overloaded\n".to_string()),
+        });
+        let mut s = conn.lock().expect("conn lock");
+        match resp {
+            Some(Ok(resp)) => s.push_response(resp.as_bytes()),
+            // A panicking request costs its connection, not this
+            // worker: the rest of its queue is dropped, the client
+            // sees EOF once what it is owed is flushed.
+            Some(Err(_)) => {
+                metrics.error();
+                s.closing = true;
+                s.pending.clear();
             }
+            // The reactor hung up on it (oversized line) while queued.
+            None => {}
         }
-        // Released: the reactor may now close a drained connection or
-        // read a paused one again.
+        s.in_flight = !s.pending.is_empty();
+        let requeue = s.in_flight;
+        drop(s);
+        // For the response, or for the release: the reactor may now
+        // close a drained connection or read a paused one again.
         waker.wake();
+        if requeue {
+            queue.push(conn);
+        }
     }
 }
 
@@ -652,5 +648,66 @@ mod tests {
             "a response wakes the reactor"
         );
         assert!(woken(&waker), "the release wakes the reactor");
+    }
+
+    /// Queues connections with `requests[i]` pipelined requests each
+    /// (`A1`, `A2`, … for the first, `B1`, … for the second), in that
+    /// order, and serves them with one worker that echoes each line.
+    /// Returns the order requests were served in and each connection's
+    /// write buffer.
+    fn serve_one_worker(requests: &[usize]) -> (Vec<String>, Vec<String>) {
+        let queue = ExecQueue::default();
+        let stop = AtomicBool::new(false);
+        let waker = sys::Waker::new().unwrap();
+        let conns: Vec<SharedConn> = requests
+            .iter()
+            .zip('A'..)
+            .map(|(&n, name)| {
+                let conn = SharedConn::default();
+                {
+                    let mut s = conn.lock().unwrap();
+                    s.pending
+                        .extend((1..=n).map(|i| Req::Line(format!("{name}{i}"))));
+                    s.in_flight = true;
+                }
+                queue.push(Arc::clone(&conn));
+                conn
+            })
+            .collect();
+        // The worker serves what is queued, then sees `stop` and returns.
+        queue.stop(&stop);
+        let served = Mutex::new(Vec::new());
+        let respond = |line: &str| {
+            served.lock().unwrap().push(line.to_string());
+            format!("{line}\n")
+        };
+        worker_loop(&queue, &stop, &waker, &ServiceMetrics::default(), &respond);
+        let bufs = conns
+            .iter()
+            .map(|conn| {
+                let s = conn.lock().unwrap();
+                assert!(!s.in_flight && s.pending.is_empty(), "served and released");
+                String::from_utf8(s.write_buf.clone()).unwrap()
+            })
+            .collect();
+        (served.into_inner().unwrap(), bufs)
+    }
+
+    #[test]
+    fn a_pipelined_burst_delays_another_connection_by_one_request() {
+        let (served, bufs) = serve_one_worker(&[8, 1]);
+        assert_eq!(
+            served,
+            ["A1", "B1", "A2", "A3", "A4", "A5", "A6", "A7", "A8"],
+            "B's request is served after one of A's, not after A's whole burst"
+        );
+        assert_eq!(bufs, ["A1\nA2\nA3\nA4\nA5\nA6\nA7\nA8\n", "B1\n"]);
+    }
+
+    #[test]
+    fn workers_serve_connections_round_robin_in_request_order() {
+        let (served, bufs) = serve_one_worker(&[3, 2, 3]);
+        assert_eq!(served, ["A1", "B1", "C1", "A2", "B2", "C2", "A3", "C3"]);
+        assert_eq!(bufs, ["A1\nA2\nA3\n", "B1\nB2\n", "C1\nC2\nC3\n"]);
     }
 }

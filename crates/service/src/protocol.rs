@@ -53,9 +53,12 @@
 //! requests incrementally off the socket, queues them per connection
 //! (bounded), and streams the responses back in order — several `NEXT`
 //! batches can be in the pipe at once, so consecutive answers arrive
-//! without a full client round-trip between them. Responses are
-//! byte-identical between the two front ends: both render through the
-//! same [`crate::Server`]-level `respond` path.
+//! without a full client round-trip between them. Its workers take
+//! connections round-robin, one request at a time: a pipelined burst on
+//! one connection delays another connection's request by at most the
+//! requests in execution, one per worker, not by the whole burst.
+//! Responses are byte-identical between the two front ends: both render
+//! through the same [`crate::Server`]-level `respond` path.
 //!
 //! ## Backpressure: `ERR overloaded`
 //!
@@ -189,6 +192,7 @@
 use crate::engine::NextBatch;
 use crate::session::SessionId;
 use ktpm_graph::{Dist, GraphDelta, NodeId};
+use std::fmt::Write;
 
 /// Every error-code word an `ERR` reply may start with — the wire
 /// contract of the taxonomy table in the module docs. A test drives
@@ -336,17 +340,23 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 
 /// Renders a `NEXT` response (header + match lines).
 pub fn render_next(batch: &NextBatch) -> String {
-    let mut out = format!(
-        "OK {} {}\n",
-        batch.matches.len(),
-        if batch.exhausted { "DONE" } else { "MORE" }
-    );
+    // Room for the page at full width (`M`, a 20-digit score, 10-digit
+    // node ids, separators), so every number is written in place and
+    // the page costs one allocation.
+    let room = 32
+        + batch
+            .matches
+            .iter()
+            .map(|m| 24 + 11 * m.assignment.len())
+            .sum::<usize>();
+    let mut out = String::with_capacity(room);
+    let flag = if batch.exhausted { "DONE" } else { "MORE" };
+    // Writing to a `String` cannot fail.
+    let _ = writeln!(out, "OK {} {flag}", batch.matches.len());
     for m in &batch.matches {
-        out.push_str("M ");
-        out.push_str(&m.score.to_string());
+        let _ = write!(out, "M {}", m.score);
         for v in &m.assignment {
-            out.push(' ');
-            out.push_str(&v.0.to_string());
+            let _ = write!(out, " {}", v.0);
         }
         out.push('\n');
     }
@@ -522,22 +532,34 @@ mod tests {
 
     #[test]
     fn next_response_roundtrips() {
-        let batch = NextBatch {
-            matches: vec![
-                ScoredMatch {
-                    score: 2,
-                    assignment: vec![NodeId(0), NodeId(4), NodeId(3)].into(),
-                },
-                ScoredMatch {
-                    score: 3,
-                    assignment: vec![NodeId(1), NodeId(4), NodeId(3)].into(),
-                },
-            ],
-            exhausted: true,
+        let m = |score, nodes: &[u32]| ScoredMatch {
+            score,
+            assignment: nodes.iter().map(|&v| NodeId(v)).collect(),
         };
-        let text = render_next(&batch);
-        assert!(text.starts_with("OK 2 DONE\n"));
-        assert_eq!(parse_next_response(&text).unwrap(), batch);
+        let cases = [
+            (vec![], true, "OK 0 DONE\n"),
+            (vec![], false, "OK 0 MORE\n"),
+            (
+                vec![m(2, &[0, 4, 3]), m(3, &[1, 4, 3])],
+                true,
+                "OK 2 DONE\nM 2 0 4 3\nM 3 1 4 3\n",
+            ),
+            // One node; then more nodes than `NodeRow` keeps inline.
+            (
+                vec![
+                    m(0, &[7]),
+                    m(u64::MAX, &[9, 1, 2, 3, 4, 5, 6, 7, 8, u32::MAX]),
+                ],
+                false,
+                "OK 2 MORE\nM 0 7\nM 18446744073709551615 9 1 2 3 4 5 6 7 8 4294967295\n",
+            ),
+        ];
+        for (matches, exhausted, want) in cases {
+            let batch = NextBatch { matches, exhausted };
+            let text = render_next(&batch);
+            assert_eq!(text, want);
+            assert_eq!(parse_next_response(&text).unwrap(), batch);
+        }
     }
 
     #[test]

@@ -81,8 +81,11 @@
 //!                       runs requests, parked connections hold no
 //!                       thread, and clients may pipeline requests
 //!                       (responses stream back in request order,
-//!                       byte-identical to the legacy path). Overload is
-//!                       shed per request with `ERR overloaded`.
+//!                       byte-identical to the legacy path; workers take
+//!                       connections round-robin, one request at a
+//!                       time, so one client's burst does not hold up
+//!                       another's request). Overload is shed per
+//!                       request with `ERR overloaded`.
 //!   --net-workers <n>   event-loop executor threads (default: CPU
 //!                       count, clamped to 2..8; implies --event-loop)
 //!   --pipeline <n>      per-connection bound on queued pipelined

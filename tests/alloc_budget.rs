@@ -4,11 +4,13 @@
 //! the clone encoding of earlier versions paid 4.4–6.3 per match on
 //! this workload). Each engine has its own bound, about 1.5× what it
 //! reads on this workload, so a regression in one is not hidden by the
-//! headroom of another.
+//! headroom of another. Rendering a `NEXT` page is bounded the same
+//! way: one buffer sized up front, not a string per number.
 //! Its own test binary because it installs a counting global allocator;
 //! one `#[test]`, so nothing else allocates while it counts.
 
 use ktpm::prelude::*;
+use ktpm::service::protocol::render_next;
 use ktpm::workload::{gs_family, DEFAULT_GS};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -96,4 +98,22 @@ fn enumeration_allocates_less_than_once_per_match() {
             report.join(", ")
         );
     }
+
+    let page = NextBatch {
+        matches: (0..250u32)
+            .map(|i| ScoredMatch {
+                score: u64::from(i) * 1_000_003,
+                assignment: [i, i + 1, 1_000_000 + i].map(NodeId).into_iter().collect(),
+            })
+            .collect(),
+        exhausted: false,
+    };
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let text = render_next(&page);
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert!(
+        allocs <= 2,
+        "rendering a 250-match, 3-node page took {allocs} allocations (bound 2)"
+    );
+    assert_eq!(text.lines().count(), 251);
 }
