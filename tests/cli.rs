@@ -261,3 +261,136 @@ fn query_over_ktpm_blockd_prints_the_local_store_rows() {
     drop(blockd);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Writes the citation fixture graph and the given query files into a
+/// fresh temp directory; returns the directory and the graph's path.
+fn citation_fixture(tag: &str, queries: &[(&str, &str)]) -> (std::path::PathBuf, String) {
+    let mut dir = std::env::temp_dir();
+    dir.push(format!("ktpm-cli-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph = dir.join("graph.txt");
+    let g = ktpm::graph::fixtures::citation_graph();
+    ktpm::graph::io::write_graph(&g, std::fs::File::create(&graph).unwrap()).unwrap();
+    for (name, text) in queries {
+        std::fs::write(dir.join(name), text).unwrap();
+    }
+    (dir, graph.to_string_lossy().into_owned())
+}
+
+#[test]
+fn kgpm_query_prints_pattern_rows_labelled_by_pattern_node() {
+    let (dir, graph) = citation_fixture("kgpm", &[("tri.txt", "C -> E\nE -> S\nS -> C\n")]);
+    let tri = dir.join("tri.txt").to_string_lossy().into_owned();
+    let out = ktpm(&["query", &graph, &tri, "--algo", "kgpm", "-k", "100"]);
+    let rows: Vec<&str> = out.lines().filter(|l| !l.starts_with('#')).collect();
+    assert_eq!(
+        rows,
+        [
+            "1   score=4      C=0 E=4 S=3",
+            "2   score=4      C=0 E=4 S=6",
+            "3   score=4      C=0 E=5 S=3",
+            "4   score=5      C=1 E=5 S=3",
+            "5   score=5      C=2 E=5 S=3",
+            "6   score=6      C=0 E=5 S=6",
+            "7   score=6      C=2 E=4 S=3",
+            "8   score=7      C=1 E=4 S=3",
+            "9   score=8      C=1 E=4 S=6",
+            "10  score=8      C=1 E=5 S=6",
+            "11  score=8      C=2 E=4 S=6",
+            "12  score=9      C=2 E=5 S=6",
+        ],
+        "{out}"
+    );
+    assert!(
+        out.lines()
+            .any(|l| l.starts_with("# 12 matches in ") && l.ends_with("(algo kgpm, 0 edges loaded)")),
+        "{out}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn repeat_runs_share_one_plan_and_say_which_run_was_cold() {
+    let (dir, graph) = citation_fixture("repeat", &[("q.txt", "C -> E\nC -> S\n")]);
+    let q = dir.join("q.txt").to_string_lossy().into_owned();
+    let out = ktpm(&["query", &graph, &q, "--algo", "topk", "--repeat", "2", "-k", "100"]);
+    let lines: Vec<&str> = out.lines().collect();
+    let [run1, run2, total, rows @ ..] = lines.as_slice() else {
+        panic!("expected two run lines, a total and the rows:\n{out}");
+    };
+    assert!(
+        run1.starts_with("# run 1/2: 5 matches in ") && run1.ends_with(" (cold: builds the plan)"),
+        "{out}"
+    );
+    assert!(
+        run2.starts_with("# run 2/2: 5 matches in ") && run2.ends_with(" (warm: shared plan)"),
+        "{out}"
+    );
+    assert!(
+        total.starts_with("# 5 matches in ")
+            && total.ends_with("(algo topk, 7 edges loaded across all runs)"),
+        "{out}"
+    );
+    assert_eq!(
+        rows,
+        [
+            "1   score=2      C=0 E=4 S=3",
+            "2   score=2      C=0 E=5 S=3",
+            "3   score=3      C=0 E=4 S=6",
+            "4   score=3      C=0 E=5 S=6",
+            "5   score=3      C=1 E=5 S=3",
+        ],
+        "{out}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn query_errors_name_the_form_the_algorithm_needs() {
+    let (dir, graph) = citation_fixture(
+        "query-errors",
+        &[
+            ("bad.txt", "C -> \n"),
+            ("child.txt", "C => E\n"),
+            ("tri.txt", "C -> E\nE -> S\nS -> C\n"),
+        ],
+    );
+    let file = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let store = file("store.tc");
+    ktpm(&["closure", &graph, &store]);
+    for (query, extra, want) in [
+        (
+            "bad.txt",
+            &[][..],
+            "error: bad query: neither a tree query (line 1: cannot parse \"C ->\") \
+             nor a graph pattern (line 1: cannot parse \"C ->\")\n",
+        ),
+        (
+            "child.txt",
+            &["--algo", "kgpm"][..],
+            "error: bad query: Algo::Kgpm needs a graph pattern, but the query is not one: \
+             line 1: '=>' child edges are not valid in graph patterns (use '->')\n",
+        ),
+        (
+            "tri.txt",
+            &["--algo", "topk"][..],
+            "error: unsupported option: the query only parsed as a graph pattern, which \
+             algorithm \"topk\" cannot run; use .algo(Algo::Kgpm)\n",
+        ),
+        (
+            "tri.txt",
+            &["--algo", "kgpm", "--store", &store][..],
+            "error: unsupported option: graph patterns need a store with an undirected \
+             mirror — attach the graph (MemStore::with_graph, LiveStore, OnDemandStore)\n",
+        ),
+    ] {
+        let q = file(query);
+        let args: Vec<&str> = ["query", graph.as_str(), q.as_str()]
+            .into_iter()
+            .chain(extra.iter().copied())
+            .collect();
+        assert_eq!(ktpm_fails(&args), want, "ktpm {args:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
