@@ -8,7 +8,7 @@
 //! here because core owns the engines and the [`crate::build_stream`]
 //! dispatch that constructs them.)
 
-use crate::plan::QueryPlan;
+use crate::plan::{QueryForm, QueryPlan};
 use crate::stream::{build_stream, BoxedMatchStream};
 use crate::ParallelPolicy;
 use ktpm_exec::WorkerPool;
@@ -113,6 +113,15 @@ impl Algo {
             .join(" | ")
     }
 
+    /// The query form this algorithm runs: [`QueryForm::Pattern`] for
+    /// [`Algo::Kgpm`], [`QueryForm::Tree`] for every other engine.
+    pub const fn form(self) -> QueryForm {
+        match self {
+            Algo::Kgpm => QueryForm::Pattern,
+            _ => QueryForm::Tree,
+        }
+    }
+
     /// Per-algorithm capability flags.
     pub const fn caps(self) -> AlgoCaps {
         match self {
@@ -205,6 +214,14 @@ mod tests {
         }
         for a in [Algo::Brute, Algo::DpP] {
             assert!(!a.caps().plan_reuse, "{a:?}");
+        }
+        for a in Algo::ALL {
+            let want = if a == Algo::Kgpm {
+                QueryForm::Pattern
+            } else {
+                QueryForm::Tree
+            };
+            assert_eq!(a.form(), want, "{a:?}");
         }
     }
 }

@@ -155,10 +155,7 @@ pub use lazylist::LazySortedList;
 pub use loader::{BoundMode, PriorityLoader};
 pub use matches::ScoredMatch;
 pub use parallel::{par_topk, ParTopk, ParallelPolicy, ShardEngine};
-pub use plan::{
-    canonical_query_text, pattern_reads_touched_pairs, query_reads_touched_pairs,
-    PatternUnsupported, QueryPlan,
-};
+pub use plan::{canonical_query_text, PatternUnsupported, PlanError, QueryForm, QueryPlan};
 pub use stream::{build_stream, limit, BoxedMatchStream, MatchStream, StreamState};
 // Re-exported so callers configuring shards need not depend on storage.
 pub use ktpm_storage::ShardSpec;

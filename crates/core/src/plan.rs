@@ -37,9 +37,9 @@ use crate::bs::BsData;
 use crate::decompose::decompose;
 use crate::lawler::SlotTemplates;
 use ktpm_graph::{Dist, LabelId, LabelInterner, NodeId, Score};
-use ktpm_query::{EdgeKind, GraphQuery, QNodeId, QueryLabel, ResolvedQuery};
+use ktpm_query::{EdgeKind, GraphQuery, QNodeId, QueryLabel, ResolvedQuery, TreeQuery};
 use ktpm_runtime::{edge_label_pairs, CandidateSets, RuntimeGraph};
-use ktpm_storage::{ClosureSource, ShardSpec, SharedSource};
+use ktpm_storage::{ClosureSource, DeltaReport, ShardSpec, SharedSource};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -48,8 +48,8 @@ use std::sync::{Arc, OnceLock};
 /// one plan-cache entry: lines trimmed, inner whitespace collapsed,
 /// blank lines dropped. Line *order* is preserved (it defines the
 /// tree's BFS numbering). The serving layer and the `ktpm::api` facade
-/// both key their plan caches by this text, so their entries
-/// interoperate.
+/// both key their plan caches by `(`[`QueryForm`]`, this text)`, so
+/// their entries interoperate.
 pub fn canonical_query_text(query: &str) -> String {
     query
         .lines()
@@ -59,24 +59,59 @@ pub fn canonical_query_text(query: &str) -> String {
         .join("\n")
 }
 
-/// Whether a resolved query reads any of the closure tables in
-/// `touched_pairs` — the delta-aware invalidation predicate shared by
-/// [`QueryPlan::is_affected_by`] and the serving layer's result cache
-/// (which only has query *text* to re-resolve, no plan handle).
+/// Which reading of query text a plan answers. The same `A -> B` lines
+/// are both a rooted twig ([`TreeQuery::parse`], directed closure) and
+/// an undirected graph pattern ([`GraphQuery::parse`], §5 mirror), and
+/// the two read different tables — so a plan cache keys on the form as
+/// well as the text ([`crate::Algo::form`] picks it per algorithm).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum QueryForm {
+    /// A rooted tree query, planned by [`QueryPlan::new`].
+    Tree,
+    /// An undirected graph pattern, planned by [`QueryPlan::new_pattern`].
+    Pattern,
+}
+
+/// Why [`QueryPlan::from_text`] built no plan.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PlanError {
+    /// The text does not parse in the requested form; carries the
+    /// parser's message unchanged.
+    BadQuery(String),
+    /// A pattern was asked of a store without an undirected mirror.
+    PatternUnsupported,
+}
+
+impl fmt::Display for PlanError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PlanError::BadQuery(m) => write!(f, "{m}"),
+            PlanError::PatternUnsupported => write!(f, "{PatternUnsupported}"),
+        }
+    }
+}
+
+impl std::error::Error for PlanError {}
+
+impl From<PatternUnsupported> for PlanError {
+    fn from(_: PatternUnsupported) -> Self {
+        PlanError::PatternUnsupported
+    }
+}
+
+/// Whether a resolved tree query reads any of the closure tables in
+/// `touched_pairs` — the tree-plan half of [`QueryPlan::is_affected_by`].
 ///
 /// A query reads one closure table per tree edge: the pair
 /// `(parent label, child label)`, where a wildcard node reads every
 /// table on its side and an unmatchable label reads none. Single-node
 /// queries read no pair table at all and are never affected.
-pub fn query_reads_touched_pairs(
-    query: &ResolvedQuery,
-    touched_pairs: &[(ktpm_graph::LabelId, ktpm_graph::LabelId)],
-) -> bool {
+fn query_reads_touched_pairs(query: &ResolvedQuery, touched_pairs: &[(LabelId, LabelId)]) -> bool {
     if touched_pairs.is_empty() {
         return false;
     }
     let tree = query.tree();
-    let matches = |ql: QueryLabel, l: ktpm_graph::LabelId| match ql {
+    let matches = |ql: QueryLabel, l: LabelId| match ql {
         QueryLabel::Label(have) => have == l,
         QueryLabel::Wildcard => true,
         QueryLabel::Unmatchable => false,
@@ -87,35 +122,6 @@ pub fn query_reads_touched_pairs(
         touched_pairs
             .iter()
             .any(|&(a, b)| matches(pl, a) && matches(ul, b))
-    })
-}
-
-/// The graph-pattern counterpart of [`query_reads_touched_pairs`]: the
-/// serving layer's result-cache invalidation, which only has the
-/// pattern *text* (no plan handle), re-parses it and asks whether any
-/// pattern edge reads a touched **undirected** table
-/// ([`ktpm_storage::DeltaReport::undirected_touched_pairs`]). Every
-/// edge is checked in both orientations, matching
-/// [`QueryPlan::is_affected_by`] on pattern plans; labels missing from
-/// the interner have no candidates and read nothing.
-pub fn pattern_reads_touched_pairs(
-    pattern: &GraphQuery,
-    interner: &LabelInterner,
-    undirected_touched_pairs: &[(ktpm_graph::LabelId, ktpm_graph::LabelId)],
-) -> bool {
-    if undirected_touched_pairs.is_empty() {
-        return false;
-    }
-    pattern.edges().iter().any(|&(pa, pb)| {
-        let (Some(a), Some(b)) = (
-            interner.get(pattern.label(pa)),
-            interner.get(pattern.label(pb)),
-        ) else {
-            return false;
-        };
-        undirected_touched_pairs
-            .iter()
-            .any(|&(x, y)| (x, y) == (a, b) || (x, y) == (b, a))
     })
 }
 
@@ -367,6 +373,33 @@ impl QueryPlan {
         Ok(plan)
     }
 
+    /// A cold plan for canonical query `text` read in `form` — the one
+    /// place request text becomes a plan: a tree form parses and
+    /// resolves a [`TreeQuery`] for [`Self::new`], a pattern form parses
+    /// a [`GraphQuery`] for [`Self::new_pattern`]. Errors with
+    /// [`PlanError::BadQuery`] (the parser's message) when the text is
+    /// not that form, and with [`PlanError::PatternUnsupported`] when
+    /// the store has no undirected mirror for a pattern.
+    pub fn from_text(
+        form: QueryForm,
+        text: &str,
+        interner: &LabelInterner,
+        source: &SharedSource,
+    ) -> Result<QueryPlan, PlanError> {
+        Ok(match form {
+            QueryForm::Tree => {
+                let tree =
+                    TreeQuery::parse(text).map_err(|e| PlanError::BadQuery(e.to_string()))?;
+                QueryPlan::new(tree.resolve(interner), Arc::clone(source))
+            }
+            QueryForm::Pattern => {
+                let pattern =
+                    GraphQuery::parse(text).map_err(|e| PlanError::BadQuery(e.to_string()))?;
+                QueryPlan::new_pattern(pattern, interner, source)?
+            }
+        })
+    }
+
     /// Whether this is a pattern plan (built by [`Self::new_pattern`]).
     pub fn is_pattern(&self) -> bool {
         self.pattern.is_some()
@@ -464,51 +497,45 @@ impl QueryPlan {
         self.graph_version.store(v, Ordering::Release);
     }
 
-    /// Whether a delta that changed exactly the closure tables in
-    /// `touched_pairs` can affect this plan's setup or results.
+    /// Whether the delta `report` describes can affect this plan's
+    /// setup or results.
     ///
-    /// A **tree plan** reads one closure table per query-tree edge: the
-    /// pair `(parent label, child label)`, where a wildcard query node
-    /// reads every table on its side. Unmatchable labels have no
-    /// candidates and read nothing. Node/label assignment is fixed
-    /// under deltas, so a plan none of whose edge pairs is touched
-    /// keeps its candidate sets, `eᵥ` bounds, run-time-graph edges, and
-    /// result stream bit-for-bit — it survives with a version bump
-    /// instead of being dropped.
+    /// A **tree plan** reads the directed closure: it is checked
+    /// against [`DeltaReport::touched_pairs`]. It reads one table per
+    /// query-tree edge, the pair `(parent label, child label)`, where a
+    /// wildcard query node reads every table on its side. Unmatchable
+    /// labels have no candidates and read nothing. Node/label
+    /// assignment is fixed under deltas, so a plan none of whose edge
+    /// pairs is touched keeps its candidate sets, `eᵥ` bounds,
+    /// run-time-graph edges, and result stream bit-for-bit — it
+    /// survives with a version bump instead of being dropped.
     ///
     /// A **pattern plan** reads the *undirected* mirror (driver-tree
     /// tables, non-tree `lookup_dist` verification and the residual
-    /// `D`-bounds), so callers must pass the
-    /// [`ktpm_storage::DeltaReport::undirected_touched_pairs`] half of
-    /// the report; every pattern edge is checked in both orientations
-    /// (conservative and sound — the mirror's tables are
-    /// direction-symmetric in content but reported as ordered pairs).
-    pub fn is_affected_by(
-        &self,
-        touched_pairs: &[(ktpm_graph::LabelId, ktpm_graph::LabelId)],
-    ) -> bool {
-        match self.pattern.as_deref() {
-            None => query_reads_touched_pairs(&self.query, touched_pairs),
-            Some(meta) => {
-                if touched_pairs.is_empty() {
-                    return false;
-                }
-                meta.pattern.edges().iter().any(|&(pa, pb)| {
-                    let (QueryLabel::Label(a), QueryLabel::Label(b)) = (
-                        self.query.label(QNodeId(meta.tree_pos[pa] as u32)),
-                        self.query.label(QNodeId(meta.tree_pos[pb] as u32)),
-                    ) else {
-                        // Unmatchable endpoints stay unmatchable under
-                        // deltas (node labels never change): no table
-                        // read, never affected.
-                        return false;
-                    };
-                    touched_pairs
-                        .iter()
-                        .any(|&(x, y)| (x, y) == (a, b) || (x, y) == (b, a))
-                })
-            }
-        }
+    /// `D`-bounds), so it is checked against
+    /// [`DeltaReport::undirected_touched_pairs`]; every pattern edge is
+    /// checked in both orientations (conservative and sound — the
+    /// mirror's tables are direction-symmetric in content but reported
+    /// as ordered pairs).
+    pub fn is_affected_by(&self, report: &DeltaReport) -> bool {
+        let Some(meta) = self.pattern.as_deref() else {
+            return query_reads_touched_pairs(&self.query, &report.touched_pairs);
+        };
+        let touched = &report.undirected_touched_pairs;
+        meta.pattern.edges().iter().any(|&(pa, pb)| {
+            let (QueryLabel::Label(a), QueryLabel::Label(b)) = (
+                self.query.label(QNodeId(meta.tree_pos[pa] as u32)),
+                self.query.label(QNodeId(meta.tree_pos[pb] as u32)),
+            ) else {
+                // Unmatchable endpoints stay unmatchable under deltas
+                // (node labels never change): no table read, never
+                // affected.
+                return false;
+            };
+            touched
+                .iter()
+                .any(|&(x, y)| (x, y) == (a, b) || (x, y) == (b, a))
+        })
     }
 
     pub(crate) fn slot_templates(&self) -> &Arc<SlotTemplates> {
@@ -907,28 +934,80 @@ mod tests {
     fn version_stamp_and_affectedness_predicate() {
         let g = paper_graph();
         let lbl = |n: &str| g.interner().get(n).unwrap();
+        let touching = |pairs: &[(&str, &str)]| DeltaReport {
+            touched_pairs: pairs.iter().map(|&(a, b)| (lbl(a), lbl(b))).collect(),
+            ..Default::default()
+        };
         let plan = plan_for(&g, "a -> b\na -> c");
         assert_eq!(plan.graph_version(), 0, "snapshot stores pin version 0");
 
-        assert!(!plan.is_affected_by(&[]));
+        assert!(!plan.is_affected_by(&touching(&[])));
         // (a, b) is a plan edge: affected.
-        assert!(plan.is_affected_by(&[(lbl("a"), lbl("b"))]));
+        assert!(plan.is_affected_by(&touching(&[("a", "b")])));
         // (c, d) is not: survives.
-        assert!(!plan.is_affected_by(&[(lbl("c"), lbl("d"))]));
+        assert!(!plan.is_affected_by(&touching(&[("c", "d")])));
         // Reversed direction is a different table: survives.
-        assert!(!plan.is_affected_by(&[(lbl("b"), lbl("a"))]));
+        assert!(!plan.is_affected_by(&touching(&[("b", "a")])));
+        // A tree plan ignores the undirected list.
+        let undirected = DeltaReport {
+            undirected_touched_pairs: vec![(lbl("a"), lbl("b"))],
+            ..Default::default()
+        };
+        assert!(!plan.is_affected_by(&undirected));
 
         // Wildcards read every table on their side.
         let wild = plan_for(&g, "c -> *#1");
-        assert!(wild.is_affected_by(&[(lbl("c"), lbl("e"))]));
-        assert!(!wild.is_affected_by(&[(lbl("a"), lbl("e"))]));
+        assert!(wild.is_affected_by(&touching(&[("c", "e")])));
+        assert!(!wild.is_affected_by(&touching(&[("a", "e")])));
 
         // Single-node queries read no pair table at all.
         let single = plan_for(&g, "a");
-        assert!(!single.is_affected_by(&[(lbl("a"), lbl("b"))]));
+        assert!(!single.is_affected_by(&touching(&[("a", "b")])));
 
         plan.stamp_version(7);
         assert_eq!(plan.graph_version(), 7);
+    }
+
+    #[test]
+    fn from_text_builds_either_form_or_says_why_not() {
+        let g = citation_graph();
+        let store = MemStore::new(ClosureTables::compute(&g)).into_shared();
+        let mirrored = MemStore::new(ClosureTables::compute(&g))
+            .with_graph(g.clone())
+            .into_shared();
+        let build = |form, text: &str, source: &SharedSource| {
+            QueryPlan::from_text(form, text, g.interner(), source)
+        };
+        let tree = build(QueryForm::Tree, "C -> E", &store).unwrap();
+        assert!(!tree.is_pattern());
+        let pattern = build(QueryForm::Pattern, "C -> E\nE -> S\nS -> C", &mirrored).unwrap();
+        assert!(pattern.is_pattern());
+        // The parsers' own messages, unchanged.
+        let Err(PlanError::BadQuery(msg)) =
+            build(QueryForm::Tree, "C -> E\nE -> S\nS -> C", &store)
+        else {
+            panic!("a cycle is not a tree");
+        };
+        assert_eq!(
+            msg,
+            TreeQuery::parse("C -> E\nE -> S\nS -> C")
+                .unwrap_err()
+                .to_string()
+        );
+        assert!(matches!(
+            build(QueryForm::Pattern, "C => E", &mirrored),
+            Err(PlanError::BadQuery(_))
+        ));
+        // Parsing comes first: a bad pattern is a bad query even
+        // without a mirror; a good one is unsupported there.
+        assert!(matches!(
+            build(QueryForm::Pattern, "C => E", &store),
+            Err(PlanError::BadQuery(_))
+        ));
+        assert_eq!(
+            build(QueryForm::Pattern, "C -> E", &store).err(),
+            Some(PlanError::PatternUnsupported)
+        );
     }
 
     #[test]

@@ -18,10 +18,15 @@
 //! * Prefixes only ever grow: `insert` keeps the longer of the stored
 //!   and offered prefix, so concurrent sessions racing to publish
 //!   cannot shrink the cache.
+//!
+//! Each prefix also remembers the plan it was enumerated from, weakly,
+//! so a graph delta classifies it by asking that plan
+//! ([`QueryPlan::is_affected_by`]) instead of re-reading its text.
 
-use ktpm_core::{QueryPlan, ScoredMatch};
+use ktpm_core::{QueryForm, QueryPlan, ScoredMatch};
+use ktpm_storage::DeltaReport;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Cache key: algorithm name + canonicalized query text.
 pub type CacheKey = (&'static str, String);
@@ -109,22 +114,19 @@ impl<K: std::hash::Hash + Eq + Clone, V> Lru<K, V> {
 
     /// Drops every entry `keep` rejects, returning how many were
     /// removed. Recency stamps of survivors are left untouched.
-    fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) -> usize {
+    fn retain(&mut self, mut keep: impl FnMut(&V) -> bool) -> usize {
         let before = self.entries.len();
-        self.entries.retain(|k, (v, _)| keep(k, v));
+        self.entries.retain(|_, (v, _)| keep(v));
         before - self.entries.len()
-    }
-
-    fn clear(&mut self) -> usize {
-        let n = self.entries.len();
-        self.entries.clear();
-        n
     }
 }
 
 /// An LRU map from query fingerprints to match prefixes.
 pub struct ResultCache {
-    lru: Lru<CacheKey, CachedPrefix>,
+    /// Each prefix with the plan that produced it. The plan is held
+    /// weakly: result entries outnumber plan-cache entries, and a
+    /// strong handle would keep evicted O(m_R) plans alive.
+    lru: Lru<CacheKey, (CachedPrefix, Weak<QueryPlan>)>,
 }
 
 impl ResultCache {
@@ -137,42 +139,36 @@ impl ResultCache {
 
     /// Looks up `key`, refreshing its recency.
     pub fn get(&mut self, key: &CacheKey) -> Option<CachedPrefix> {
-        self.lru.get_mut(key).map(|p| p.clone())
+        self.lru.get_mut(key).map(|(p, _)| p.clone())
     }
 
-    /// Publishes a prefix for `key`, keeping the longest one seen. A
-    /// complete prefix always wins over an incomplete one of equal
-    /// length.
-    pub fn insert(&mut self, key: CacheKey, prefix: CachedPrefix) {
-        if let Some(existing) = self.lru.get_mut(&key) {
+    /// Publishes a prefix for `key`, enumerated from `plan`, keeping the
+    /// longest one seen. A complete prefix always wins over an
+    /// incomplete one of equal length. The entry's plan becomes `plan`
+    /// either way: it is the plan the key's sessions run on now.
+    pub fn insert(&mut self, key: CacheKey, prefix: CachedPrefix, plan: &Arc<QueryPlan>) {
+        if let Some((existing, weak)) = self.lru.get_mut(&key) {
             let better = prefix.matches.len() > existing.matches.len()
                 || (prefix.matches.len() == existing.matches.len() && prefix.complete);
             if better {
                 *existing = prefix;
             }
+            *weak = Arc::downgrade(plan);
             return;
         }
-        self.lru.insert(key, prefix);
+        self.lru.insert(key, (prefix, Arc::downgrade(plan)));
     }
 
-    /// Drops every prefix `affected` accepts (the delta-aware
-    /// invalidation pass). The predicate sees both key halves —
-    /// `(algorithm name, canonical query text)` — because the same text
-    /// means different reads under different engines: tree algorithms
-    /// read the directed closure, `kgpm` reads the undirected mirror,
-    /// so their verdicts come from different touched-pair lists.
-    /// Returns how many entries were removed.
-    pub fn invalidate_matching(
-        &mut self,
-        mut affected: impl FnMut(&'static str, &str) -> bool,
-    ) -> usize {
-        self.lru.retain(|(algo, text), _| !affected(algo, text))
-    }
-
-    /// Drops everything (the flush-all invalidation policy), returning
-    /// how many entries were removed.
-    pub fn invalidate_all(&mut self) -> usize {
-        self.lru.clear()
+    /// The delta-aware invalidation pass: drops every prefix whose plan
+    /// [`QueryPlan::is_affected_by`] the delta, and every prefix whose
+    /// plan is gone (evicted and unused, so nothing is left to classify
+    /// it by — dropping is the conservative choice). Returns how many
+    /// entries were removed.
+    pub fn invalidate_affected(&mut self, report: &DeltaReport) -> usize {
+        self.lru.retain(|(_, plan)| {
+            plan.upgrade()
+                .is_some_and(|plan| !plan.is_affected_by(report))
+        })
     }
 
     /// Number of cached entries.
@@ -186,12 +182,14 @@ impl ResultCache {
     }
 }
 
-/// The cross-session query-plan cache: canonical query text →
-/// `Arc<`[`QueryPlan`]`>`.
+/// The cross-session query-plan cache: `(`[`QueryForm`]`, canonical
+/// query text)` → `Arc<`[`QueryPlan`]`>`.
 ///
-/// Unlike the result cache, the key carries **no algorithm**: one plan
-/// feeds `topk`, `topk-en`, `par` and `brute` sessions alike (each
-/// algorithm materializes the plan half it needs, at most once). The
+/// Unlike the result cache, the key carries **no algorithm**, only the
+/// form it reads the text in ([`ktpm_core::Algo::form`]): one tree plan
+/// feeds `topk`, `topk-en`, `par`, `brute` and the DP sessions alike
+/// (each algorithm materializes the plan half it needs, at most once),
+/// and `kgpm` sessions of the same text share one pattern plan. The
 /// cached value is the plan handle — registering a plan is cheap; the
 /// expensive setup happens lazily inside the plan on first enumerator
 /// construction, guarded by `OnceLock` so concurrent sessions racing on
@@ -211,7 +209,7 @@ impl ResultCache {
 /// (O(m_R)); sessions holding an evicted plan's `Arc` keep it alive
 /// until they close, so eviction never invalidates live sessions.
 pub struct PlanCache {
-    lru: Lru<String, Arc<QueryPlan>>,
+    lru: Lru<(QueryForm, String), Arc<QueryPlan>>,
     max_bytes: Option<u64>,
 }
 
@@ -235,31 +233,32 @@ impl PlanCache {
         self.max_bytes
     }
 
-    /// The plan for `key`, registering `build()`'s result on a miss.
-    /// The returned flag is `true` on a hit. Recency is refreshed
-    /// either way; the byte budget (if any) is enforced afterwards,
-    /// never evicting the entry just returned.
-    pub fn get_or_insert(
+    /// The plan for `key`, registering `build()`'s plan on a miss; a
+    /// failed build is returned as is and caches nothing. The flag is
+    /// `true` on a hit, which neither builds nor allocates. Recency is
+    /// refreshed either way; the byte budget (if any) is enforced
+    /// afterwards, never evicting the entry just returned.
+    pub fn get_or_insert<E>(
         &mut self,
-        key: &str,
-        build: impl FnOnce() -> QueryPlan,
-    ) -> (Arc<QueryPlan>, bool) {
+        key: &(QueryForm, String),
+        build: impl FnOnce() -> Result<QueryPlan, E>,
+    ) -> Result<(Arc<QueryPlan>, bool), E> {
         if let Some(plan) = self.lru.get_mut(key) {
             let plan = Arc::clone(plan);
             self.enforce_bytes(key);
-            return (plan, true);
+            return Ok((plan, true));
         }
-        let plan = Arc::new(build());
-        self.lru.insert(key.to_string(), Arc::clone(&plan));
+        let plan = Arc::new(build()?);
+        self.lru.insert(key.clone(), Arc::clone(&plan));
         self.enforce_bytes(key);
-        (plan, false)
+        Ok((plan, false))
     }
 
     /// Evicts least-recently-used plans until the total approximate
     /// bytes fit the budget. `keep` (the plan the caller is about to
     /// use) is exempt, so the cache always serves the current request
     /// even when that one plan alone exceeds the budget.
-    fn enforce_bytes(&mut self, keep: &str) {
+    fn enforce_bytes(&mut self, keep: &(QueryForm, String)) {
         let Some(budget) = self.max_bytes else {
             return;
         };
@@ -274,7 +273,7 @@ impl PlanCache {
         if total <= budget {
             return;
         }
-        let mut sized: Vec<(String, u64, u64)> = self
+        let mut sized: Vec<((QueryForm, String), u64, u64)> = self
             .lru
             .iter_stamped()
             .map(|(k, v, stamp)| (k.clone(), stamp, v.approx_bytes()))
@@ -285,7 +284,7 @@ impl PlanCache {
             if total <= budget {
                 break;
             }
-            if key == keep {
+            if key == *keep {
                 continue;
             }
             self.lru.remove(&key);
@@ -294,56 +293,19 @@ impl PlanCache {
     }
 
     /// The delta-aware invalidation pass: drops every plan that
-    /// [`QueryPlan::is_affected_by`] the touched label pairs and
-    /// re-stamps every survivor as current for graph `version`
+    /// [`QueryPlan::is_affected_by`] the delta and re-stamps every
+    /// survivor as current for the delta's version
     /// ([`QueryPlan::stamp_version`] — a delta that cannot change any
     /// table a plan reads leaves the plan bit-for-bit valid). Returns
     /// how many plans were dropped.
-    ///
-    /// Checks every plan against the one `touched_pairs` list; correct
-    /// when the cache holds only tree plans. A cache that may also hold
-    /// pattern plans (which read the *undirected* mirror) must use
-    /// [`PlanCache::invalidate_affected_split`].
-    pub fn invalidate_affected(
-        &mut self,
-        touched_pairs: &[(ktpm_graph::LabelId, ktpm_graph::LabelId)],
-        version: u64,
-    ) -> usize {
-        self.invalidate_affected_split(touched_pairs, touched_pairs, version)
-    }
-
-    /// As [`PlanCache::invalidate_affected`], with each plan checked
-    /// against the touched-pair list matching what it actually reads:
-    /// tree plans against the directed `touched_pairs`, pattern plans
-    /// ([`QueryPlan::is_pattern`]) against `undirected_touched_pairs`
-    /// ([`ktpm_storage::DeltaReport`] carries both halves). A delta
-    /// masked in one direction then invalidates only the plans whose
-    /// tables it really changed.
-    pub fn invalidate_affected_split(
-        &mut self,
-        touched_pairs: &[(ktpm_graph::LabelId, ktpm_graph::LabelId)],
-        undirected_touched_pairs: &[(ktpm_graph::LabelId, ktpm_graph::LabelId)],
-        version: u64,
-    ) -> usize {
-        self.lru.retain(|_, plan| {
-            let relevant = if plan.is_pattern() {
-                undirected_touched_pairs
-            } else {
-                touched_pairs
-            };
-            if plan.is_affected_by(relevant) {
-                false
-            } else {
-                plan.stamp_version(version);
-                true
+    pub fn invalidate_affected(&mut self, report: &DeltaReport) -> usize {
+        self.lru.retain(|plan| {
+            let affected = plan.is_affected_by(report);
+            if !affected {
+                plan.stamp_version(report.version);
             }
+            !affected
         })
-    }
-
-    /// Drops every plan (the flush-all invalidation policy), returning
-    /// how many were removed.
-    pub fn invalidate_all(&mut self) -> usize {
-        self.lru.clear()
     }
 
     /// Number of cached plans.
@@ -368,7 +330,8 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ktpm_graph::NodeId;
+    use ktpm_core::PlanError;
+    use ktpm_graph::{LabelId, NodeId};
 
     fn prefix(n: usize, complete: bool) -> CachedPrefix {
         CachedPrefix {
@@ -388,11 +351,40 @@ mod tests {
         ("topk", s.to_string())
     }
 
+    fn tree(s: &str) -> (QueryForm, String) {
+        (QueryForm::Tree, s.to_string())
+    }
+
+    fn pattern(s: &str) -> (QueryForm, String) {
+        (QueryForm::Pattern, s.to_string())
+    }
+
+    /// A delta report touching `directed` pairs of the directed closure
+    /// and `undirected` pairs of the mirror, at `version`.
+    fn report(
+        directed: &[(LabelId, LabelId)],
+        undirected: &[(LabelId, LabelId)],
+        version: u64,
+    ) -> DeltaReport {
+        DeltaReport {
+            version,
+            touched_pairs: directed.to_vec(),
+            undirected_touched_pairs: undirected.to_vec(),
+            ..Default::default()
+        }
+    }
+
+    /// Publishes `prefix` under `key` from a plan nobody else holds
+    /// (the LRU tests never classify entries by their plan).
+    fn put(c: &mut ResultCache, key: CacheKey, prefix: CachedPrefix) {
+        c.insert(key, prefix, &Arc::new(plan()));
+    }
+
     #[test]
     fn insert_get_roundtrip() {
         let mut c = ResultCache::new(4);
         assert!(c.get(&key("q1")).is_none());
-        c.insert(key("q1"), prefix(3, false));
+        put(&mut c, key("q1"), prefix(3, false));
         let got = c.get(&key("q1")).unwrap();
         assert_eq!(got.matches.len(), 3);
         assert!(!got.complete);
@@ -401,10 +393,10 @@ mod tests {
     #[test]
     fn longer_prefix_wins_shorter_is_ignored() {
         let mut c = ResultCache::new(4);
-        c.insert(key("q"), prefix(5, false));
-        c.insert(key("q"), prefix(2, false)); // shorter: ignored
+        put(&mut c, key("q"), prefix(5, false));
+        put(&mut c, key("q"), prefix(2, false)); // shorter: ignored
         assert_eq!(c.get(&key("q")).unwrap().matches.len(), 5);
-        c.insert(key("q"), prefix(8, true));
+        put(&mut c, key("q"), prefix(8, true));
         let got = c.get(&key("q")).unwrap();
         assert_eq!(got.matches.len(), 8);
         assert!(got.complete);
@@ -413,18 +405,18 @@ mod tests {
     #[test]
     fn complete_beats_incomplete_at_equal_length() {
         let mut c = ResultCache::new(4);
-        c.insert(key("q"), prefix(4, false));
-        c.insert(key("q"), prefix(4, true));
+        put(&mut c, key("q"), prefix(4, false));
+        put(&mut c, key("q"), prefix(4, true));
         assert!(c.get(&key("q")).unwrap().complete);
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut c = ResultCache::new(2);
-        c.insert(key("a"), prefix(1, true));
-        c.insert(key("b"), prefix(1, true));
+        put(&mut c, key("a"), prefix(1, true));
+        put(&mut c, key("b"), prefix(1, true));
         c.get(&key("a")); // refresh a; b is now LRU
-        c.insert(key("c"), prefix(1, true));
+        put(&mut c, key("c"), prefix(1, true));
         assert!(c.get(&key("a")).is_some());
         assert!(c.get(&key("b")).is_none());
         assert!(c.get(&key("c")).is_some());
@@ -434,26 +426,30 @@ mod tests {
     #[test]
     fn distinct_algos_are_distinct_keys() {
         let mut c = ResultCache::new(4);
-        c.insert(("topk", "q".into()), prefix(1, true));
+        put(&mut c, ("topk", "q".into()), prefix(1, true));
         assert!(c.get(&("topk-en", "q".into())).is_none());
     }
 
     fn plan() -> QueryPlan {
-        let g = ktpm_graph::fixtures::citation_graph();
-        let q = ktpm_query::TreeQuery::parse("C -> E")
+        plan_for("C -> E")().unwrap()
+    }
+
+    /// `get_or_insert` with a build that cannot fail.
+    fn get(
+        c: &mut PlanCache,
+        key: &(QueryForm, String),
+        build: impl FnOnce() -> QueryPlan,
+    ) -> (Arc<QueryPlan>, bool) {
+        c.get_or_insert(key, || Ok::<_, PlanError>(build()))
             .unwrap()
-            .resolve(g.interner());
-        let store =
-            ktpm_storage::MemStore::new(ktpm_closure::ClosureTables::compute(&g)).into_shared();
-        QueryPlan::new(q, store)
     }
 
     #[test]
     fn plan_cache_hits_share_one_arc() {
         let mut c = PlanCache::new(4);
-        let (p1, hit) = c.get_or_insert("q1", plan);
+        let (p1, hit) = get(&mut c, &tree("q1"), plan);
         assert!(!hit);
-        let (p2, hit) = c.get_or_insert("q1", plan);
+        let (p2, hit) = get(&mut c, &tree("q1"), plan);
         assert!(hit);
         assert!(Arc::ptr_eq(&p1, &p2), "hits must share the plan");
         assert_eq!(c.len(), 1);
@@ -462,15 +458,31 @@ mod tests {
     #[test]
     fn plan_cache_evicts_least_recently_used() {
         let mut c = PlanCache::new(2);
-        c.get_or_insert("a", plan);
-        c.get_or_insert("b", plan);
-        c.get_or_insert("a", plan); // refresh a; b is now LRU
-        c.get_or_insert("c", plan);
+        get(&mut c, &tree("a"), plan);
+        get(&mut c, &tree("b"), plan);
+        get(&mut c, &tree("a"), plan); // refresh a; b is now LRU
+        get(&mut c, &tree("c"), plan);
         assert_eq!(c.len(), 2);
-        let (_, hit) = c.get_or_insert("a", plan);
+        let (_, hit) = get(&mut c, &tree("a"), plan);
         assert!(hit);
-        let (_, hit) = c.get_or_insert("b", plan);
+        let (_, hit) = get(&mut c, &tree("b"), plan);
         assert!(!hit, "b must have been evicted");
+    }
+
+    #[test]
+    fn plan_cache_caches_no_failed_build() {
+        let mut c = PlanCache::new(4);
+        let err = c
+            .get_or_insert(&tree("C -> "), plan_for("C -> "))
+            .err()
+            .expect("a bad query builds no plan");
+        assert!(matches!(err, PlanError::BadQuery(_)), "{err}");
+        assert!(c.is_empty(), "nothing was cached");
+        let (_, hit) = c
+            .get_or_insert(&tree("C -> E"), plan_for("C -> E"))
+            .unwrap();
+        assert!(!hit);
+        assert_eq!(c.len(), 1);
     }
 
     /// A plan forced warm (its full half built) so `approx_bytes` is
@@ -488,15 +500,15 @@ mod tests {
         // Budget fits two warm plans but not three.
         let mut c = PlanCache::with_byte_budget(16, Some(one * 2));
         assert_eq!(c.byte_budget(), Some(one * 2));
-        c.get_or_insert("a", warm_plan);
-        c.get_or_insert("b", warm_plan);
+        get(&mut c, &tree("a"), warm_plan);
+        get(&mut c, &tree("b"), warm_plan);
         assert_eq!(c.len(), 2, "within budget: nothing evicted");
-        c.get_or_insert("a", warm_plan); // refresh a; b is now LRU
-        c.get_or_insert("c", warm_plan);
+        get(&mut c, &tree("a"), warm_plan); // refresh a; b is now LRU
+        get(&mut c, &tree("c"), warm_plan);
         assert_eq!(c.len(), 2, "over budget: LRU entry evicted");
-        let (_, hit) = c.get_or_insert("a", warm_plan);
+        let (_, hit) = get(&mut c, &tree("a"), warm_plan);
         assert!(hit, "recently-used entry survives");
-        let (_, hit) = c.get_or_insert("b", warm_plan);
+        let (_, hit) = get(&mut c, &tree("b"), warm_plan);
         assert!(!hit, "LRU entry was the byte-eviction victim");
     }
 
@@ -507,10 +519,10 @@ mod tests {
         // hand the plan out (and hit on it while it stays the only /
         // most recent entry).
         let mut c = PlanCache::with_byte_budget(16, Some(one / 2));
-        let (p1, hit) = c.get_or_insert("a", warm_plan);
+        let (p1, hit) = get(&mut c, &tree("a"), warm_plan);
         assert!(!hit);
         assert_eq!(c.len(), 1);
-        let (p2, hit) = c.get_or_insert("a", warm_plan);
+        let (p2, hit) = get(&mut c, &tree("a"), warm_plan);
         assert!(hit, "the just-returned plan is exempt from eviction");
         assert!(Arc::ptr_eq(&p1, &p2));
     }
@@ -518,9 +530,9 @@ mod tests {
     #[test]
     fn entry_count_cap_still_applies_with_byte_budget() {
         let mut c = PlanCache::with_byte_budget(2, Some(u64::MAX));
-        c.get_or_insert("a", warm_plan);
-        c.get_or_insert("b", warm_plan);
-        c.get_or_insert("c", warm_plan);
+        get(&mut c, &tree("a"), warm_plan);
+        get(&mut c, &tree("b"), warm_plan);
+        get(&mut c, &tree("c"), warm_plan);
         assert_eq!(c.len(), 2, "count cap is independent of the budget");
     }
 
@@ -529,48 +541,55 @@ mod tests {
         let mut c = PlanCache::new(16);
         assert_eq!(c.byte_budget(), None);
         for key in ["a", "b", "c", "d"] {
-            c.get_or_insert(key, warm_plan);
+            get(&mut c, &tree(key), warm_plan);
         }
         assert_eq!(c.len(), 4);
     }
 
     #[test]
     fn result_cache_invalidation_is_selective() {
+        let g = ktpm_graph::fixtures::citation_graph();
+        let lbl = |n: &str| g.interner().get(n).unwrap();
+        let hot = Arc::new(plan_for("C -> E")().unwrap());
+        let cold = Arc::new(plan_for("C -> S")().unwrap());
         let mut c = ResultCache::new(8);
-        c.insert(("topk", "hot".into()), prefix(2, true));
-        c.insert(("topk-en", "hot".into()), prefix(3, true));
-        c.insert(("topk", "cold".into()), prefix(1, true));
-        let dropped = c.invalidate_matching(|_, text| text == "hot");
+        c.insert(("topk", "C -> E".into()), prefix(2, true), &hot);
+        c.insert(("topk-en", "C -> E".into()), prefix(3, true), &hot);
+        c.insert(("topk", "C -> S".into()), prefix(1, true), &cold);
+        let dropped = c.invalidate_affected(&report(&[(lbl("C"), lbl("E"))], &[], 1));
         assert_eq!(dropped, 2, "both algorithms of the hot query go");
         assert_eq!(c.len(), 1);
-        assert!(c.get(&key("cold")).is_some());
-        assert_eq!(c.invalidate_all(), 1);
+        assert!(c.get(&key("C -> S")).is_some());
+        // An entry whose plan is gone cannot be classified: any delta,
+        // even one touching nothing, drops it.
+        drop(cold);
+        assert_eq!(c.invalidate_affected(&report(&[], &[], 2)), 1);
         assert!(c.is_empty());
     }
 
     #[test]
     fn result_cache_invalidation_sees_the_algorithm() {
         // The same text under a tree algorithm and under kgpm reads
-        // different tables; the predicate must be able to tell them
-        // apart.
+        // different tables: each entry is judged by its own plan.
+        let g = ktpm_graph::fixtures::citation_graph();
+        let lbl = |n: &str| g.interner().get(n).unwrap();
+        let tree_plan = Arc::new(plan_for("C -> E")().unwrap());
+        let pattern_plan = Arc::new(pattern_plan_for("C -> E")().unwrap());
         let mut c = ResultCache::new(8);
-        c.insert(("topk", "C -> E".into()), prefix(2, true));
-        c.insert(("kgpm", "C -> E".into()), prefix(2, true));
-        let dropped = c.invalidate_matching(|algo, _| algo == "kgpm");
+        c.insert(("topk", "C -> E".into()), prefix(2, true), &tree_plan);
+        c.insert(("kgpm", "C -> E".into()), prefix(2, true), &pattern_plan);
+        let dropped = c.invalidate_affected(&report(&[], &[(lbl("C"), lbl("E"))], 1));
         assert_eq!(dropped, 1);
         assert!(c.get(&("topk", "C -> E".into())).is_some());
         assert!(c.get(&("kgpm", "C -> E".into())).is_none());
     }
 
-    fn plan_for(text: &str) -> impl Fn() -> QueryPlan + '_ {
+    fn plan_for(text: &str) -> impl Fn() -> Result<QueryPlan, PlanError> + '_ {
         move || {
             let g = ktpm_graph::fixtures::citation_graph();
-            let q = ktpm_query::TreeQuery::parse(text)
-                .unwrap()
-                .resolve(g.interner());
             let store =
                 ktpm_storage::MemStore::new(ktpm_closure::ClosureTables::compute(&g)).into_shared();
-            QueryPlan::new(q, store)
+            QueryPlan::from_text(QueryForm::Tree, text, g.interner(), &store)
         }
     }
 
@@ -579,31 +598,36 @@ mod tests {
         let g = ktpm_graph::fixtures::citation_graph();
         let lbl = |n: &str| g.interner().get(n).unwrap();
         let mut c = PlanCache::new(8);
-        let (affected, _) = c.get_or_insert("C -> E", plan_for("C -> E"));
-        let (survivor, _) = c.get_or_insert("C -> S", plan_for("C -> S"));
-        let touched = [(lbl("C"), lbl("E"))];
-        let dropped = c.invalidate_affected(&touched, 5);
+        let (affected, _) = c
+            .get_or_insert(&tree("C -> E"), plan_for("C -> E"))
+            .unwrap();
+        let (survivor, _) = c
+            .get_or_insert(&tree("C -> S"), plan_for("C -> S"))
+            .unwrap();
+        let delta = report(&[(lbl("C"), lbl("E"))], &[], 5);
+        let dropped = c.invalidate_affected(&delta);
         assert_eq!(dropped, 1);
         assert_eq!(c.len(), 1);
-        assert!(affected.is_affected_by(&touched));
+        assert!(affected.is_affected_by(&delta));
         assert_eq!(survivor.graph_version(), 5, "survivors are re-stamped");
-        let (again, hit) = c.get_or_insert("C -> S", plan_for("C -> S"));
+        let (again, hit) = c
+            .get_or_insert(&tree("C -> S"), plan_for("C -> S"))
+            .unwrap();
         assert!(hit);
         assert!(Arc::ptr_eq(&survivor, &again));
-        let (_, hit) = c.get_or_insert("C -> E", plan_for("C -> E"));
+        let (_, hit) = c
+            .get_or_insert(&tree("C -> E"), plan_for("C -> E"))
+            .unwrap();
         assert!(!hit, "the affected plan was dropped");
-        assert_eq!(c.invalidate_all(), 2);
-        assert!(c.is_empty());
     }
 
-    fn pattern_plan_for(text: &str) -> impl Fn() -> QueryPlan + '_ {
+    fn pattern_plan_for(text: &str) -> impl Fn() -> Result<QueryPlan, PlanError> + '_ {
         move || {
             let g = ktpm_graph::fixtures::citation_graph();
-            let q = ktpm_query::GraphQuery::parse(text).unwrap();
             let store = ktpm_storage::MemStore::new(ktpm_closure::ClosureTables::compute(&g))
                 .with_graph(g.clone())
                 .into_shared();
-            QueryPlan::new_pattern(q, g.interner(), &store).unwrap()
+            QueryPlan::from_text(QueryForm::Pattern, text, g.interner(), &store)
         }
     }
 
@@ -612,30 +636,45 @@ mod tests {
         let g = ktpm_graph::fixtures::citation_graph();
         let lbl = |n: &str| g.interner().get(n).unwrap();
         let mut c = PlanCache::new(8);
-        // Same text, both plan kinds: the tree plan reads the directed
+        // Same text, both forms: the tree plan reads the directed
         // (C, E) table, the pattern plan the undirected mirror's.
-        let (tree, _) = c.get_or_insert("C -> E", plan_for("C -> E"));
-        let (pattern, _) = c.get_or_insert("pattern\x1fC -> E", pattern_plan_for("C -> E"));
-        assert!(pattern.is_pattern());
+        let (tree_plan, _) = c
+            .get_or_insert(&tree("C -> E"), plan_for("C -> E"))
+            .unwrap();
+        let (pattern_plan, hit) = c
+            .get_or_insert(&pattern("C -> E"), pattern_plan_for("C -> E"))
+            .unwrap();
+        assert!(!hit, "the forms are distinct keys");
+        assert!(pattern_plan.is_pattern());
         // Delta touched (C, E) only in the undirected mirror (e.g. the
         // directed change was masked): the tree plan must survive with
         // a re-stamp, the pattern plan must go.
-        let dropped = c.invalidate_affected_split(&[], &[(lbl("C"), lbl("E"))], 7);
-        assert_eq!(dropped, 1);
-        assert_eq!(tree.graph_version(), 7, "tree plan survives re-stamped");
-        let (_, hit) = c.get_or_insert("C -> E", plan_for("C -> E"));
-        assert!(hit);
-        let (pattern, hit) = c.get_or_insert("pattern\x1fC -> E", pattern_plan_for("C -> E"));
-        assert!(!hit, "the pattern plan was the split-invalidation victim");
-        // And the mirror case: only the directed list touched.
-        let dropped = c.invalidate_affected_split(&[(lbl("C"), lbl("E"))], &[], 8);
+        let dropped = c.invalidate_affected(&report(&[], &[(lbl("C"), lbl("E"))], 7));
         assert_eq!(dropped, 1);
         assert_eq!(
-            pattern.graph_version(),
+            tree_plan.graph_version(),
+            7,
+            "tree plan survives re-stamped"
+        );
+        let (_, hit) = c
+            .get_or_insert(&tree("C -> E"), plan_for("C -> E"))
+            .unwrap();
+        assert!(hit);
+        let (pattern_plan, hit) = c
+            .get_or_insert(&pattern("C -> E"), pattern_plan_for("C -> E"))
+            .unwrap();
+        assert!(!hit, "the pattern plan was the split-invalidation victim");
+        // And the mirror case: only the directed list touched.
+        let dropped = c.invalidate_affected(&report(&[(lbl("C"), lbl("E"))], &[], 8));
+        assert_eq!(dropped, 1);
+        assert_eq!(
+            pattern_plan.graph_version(),
             8,
             "pattern plan survives re-stamped"
         );
-        let (_, hit) = c.get_or_insert("pattern\x1fC -> E", pattern_plan_for("C -> E"));
+        let (_, hit) = c
+            .get_or_insert(&pattern("C -> E"), pattern_plan_for("C -> E"))
+            .unwrap();
         assert!(hit);
     }
 }

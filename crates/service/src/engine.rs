@@ -4,13 +4,11 @@
 use crate::cache::{CacheKey, PlanCache, ResultCache};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::session::{Session, SessionId, SessionTable};
-use crate::{InvalidationPolicy, ServiceConfig};
-use ktpm_core::{pattern_reads_touched_pairs, query_reads_touched_pairs, QueryPlan, ScoredMatch};
+use crate::ServiceConfig;
+use ktpm_core::{canonical_query_text, PlanError, QueryForm, QueryPlan, ScoredMatch};
 use ktpm_exec::WorkerPool;
 use ktpm_graph::{GraphDelta, LabelInterner};
-use ktpm_query::{GraphQuery, TreeQuery};
 use ktpm_storage::{SharedSource, StorageError};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -152,6 +150,15 @@ impl From<StorageError> for ServiceError {
     }
 }
 
+impl From<PlanError> for ServiceError {
+    fn from(e: PlanError) -> Self {
+        match e {
+            PlanError::BadQuery(m) => ServiceError::BadQuery(m),
+            PlanError::PatternUnsupported => ServiceError::PatternUnsupported,
+        }
+    }
+}
+
 /// One batch of results from [`ServiceHandle::next`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NextBatch {
@@ -229,9 +236,10 @@ pub struct QueryEngine {
     source: SharedSource,
     sessions: SessionTable,
     cache: Mutex<ResultCache>,
-    /// Cross-session query-plan cache (keyed by canonical query text,
-    /// shared across all algorithms): a warm `OPEN` reuses the cached
-    /// setup and performs zero candidate-discovery work.
+    /// Cross-session query-plan cache (keyed by query form and
+    /// canonical text, shared across the algorithms of a form): a warm
+    /// `OPEN` reuses the cached setup and performs zero
+    /// candidate-discovery work.
     plans: Mutex<PlanCache>,
     metrics: ServiceMetrics,
     pool: WorkerPool,
@@ -282,15 +290,6 @@ impl QueryEngine {
     }
 }
 
-/// Canonicalizes query text so semantically identical requests share
-/// sessions' cache entries. Delegates to
-/// [`ktpm_core::canonical_query_text`] — the same key the `ktpm::api`
-/// facade uses, so facade-warmed plan caches and engine plan caches
-/// interoperate.
-pub(crate) fn canonicalize(query: &str) -> String {
-    ktpm_core::canonical_query_text(query)
-}
-
 impl ServiceHandle {
     /// Opens a session for `(query, algo)`. Tree algorithms take the
     /// `A -> B` / `A => B` twig text format, newline- (or on the wire,
@@ -300,46 +299,31 @@ impl ServiceHandle {
     /// [`ServiceError::PatternUnsupported`] when the backend has none.
     pub fn open(&self, query: &str, algo: Algo) -> Result<SessionId, ServiceError> {
         let e = &self.engine;
-        let canonical = canonicalize(query);
-        let key: CacheKey = (algo.name(), canonical);
+        let key: CacheKey = (algo.name(), canonical_query_text(query));
         let cached = e.cache.lock().expect("cache lock").get(&key);
         match &cached {
             Some(_) => e.metrics.cache_hit(),
             None => e.metrics.cache_miss(),
         }
-        // The plan cache is keyed by query text alone: one tree plan
-        // feeds every tree algorithm (pattern plans live under a
-        // `pattern\x1f` key prefix — same text, different tables read).
-        // Registering is cheap — the expensive setup runs lazily inside
-        // the plan, once, when the first session actually needs it.
-        let (plan, plan_hit) = if algo == Algo::Kgpm {
-            let pattern = GraphQuery::parse(&key.1).map_err(|err| {
-                e.metrics.error();
-                ServiceError::BadQuery(err.to_string())
-            })?;
-            if e.source.undirected().is_none() {
-                e.metrics.error();
-                return Err(ServiceError::PatternUnsupported);
-            }
-            let plan_key = format!("pattern\x1f{}", key.1);
-            e.plans
-                .lock()
-                .expect("plan cache lock")
-                .get_or_insert(&plan_key, || {
-                    QueryPlan::new_pattern(pattern, &e.interner, &e.source)
-                        .expect("mirror presence checked above")
-                })
-        } else {
-            let tree = TreeQuery::parse(&key.1).map_err(|err| {
-                e.metrics.error();
-                ServiceError::BadQuery(err.to_string())
-            })?;
-            let resolved = tree.resolve(&e.interner);
-            e.plans
-                .lock()
-                .expect("plan cache lock")
-                .get_or_insert(&key.1, || QueryPlan::new(resolved, Arc::clone(&e.source)))
-        };
+        // The plan cache is keyed by the text and the form the
+        // algorithm reads it in: one tree plan feeds every tree
+        // algorithm, kgpm gets the pattern plan of the same text. A hit
+        // parses nothing; a miss builds a cold plan (the expensive
+        // setup runs lazily inside it, once, when the first session
+        // actually needs it), and a text that does not plan caches
+        // nothing.
+        let plan_key = (algo.form(), key.1);
+        let built = e
+            .plans
+            .lock()
+            .expect("plan cache lock")
+            .get_or_insert(&plan_key, || {
+                QueryPlan::from_text(plan_key.0, &plan_key.1, &e.interner, &e.source)
+            });
+        let (plan, plan_hit) = built.map_err(|err| {
+            e.metrics.error();
+            ServiceError::from(err)
+        })?;
         if plan_hit {
             e.metrics.plan_hit();
         } else {
@@ -354,7 +338,7 @@ impl ServiceHandle {
         }
         let session = Session::new(
             algo,
-            key.1,
+            plan_key.1,
             plan,
             cached.as_ref(),
             e.config.parallel,
@@ -423,7 +407,11 @@ impl ServiceHandle {
             }
             if let Some(prefix) = adv.publish {
                 let key = session.cache_key();
-                engine.cache.lock().expect("cache lock").insert(key, prefix);
+                engine
+                    .cache
+                    .lock()
+                    .expect("cache lock")
+                    .insert(key, prefix, session.plan());
             }
             Ok(NextBatch {
                 matches: adv.matches,
@@ -447,7 +435,7 @@ impl ServiceHandle {
             e.cache
                 .lock()
                 .expect("cache lock")
-                .insert(session.cache_key(), prefix);
+                .insert(session.cache_key(), prefix, session.plan());
         }
         e.metrics.session_closed();
         Ok(())
@@ -467,55 +455,41 @@ impl ServiceHandle {
     }
 
     /// Pre-builds query plans before traffic arrives (`ktpm serve
-    /// --warm <file>`): each query is canonicalized, parsed, registered
-    /// in the cross-session plan cache and its **full** setup half is
-    /// forced — candidate discovery, run-time graph, `bs` pass — so
-    /// the first real `OPEN` of a warmed query is a plan hit with zero
-    /// discovery work (the lazy half derives from the loaded graph
-    /// without storage I/O). Unparseable queries are skipped and
-    /// counted; duplicates collapse onto one plan. Warm-up does not
-    /// touch the `plan_hits`/`plan_misses` metrics — those measure
-    /// client traffic.
+    /// --warm <file>`): each query is canonicalized, registered in the
+    /// cross-session plan cache and its **full** setup half is forced —
+    /// candidate discovery, run-time graph, `bs` pass — so the first
+    /// real `OPEN` of a warmed query is a plan hit with zero discovery
+    /// work (the lazy half derives from the loaded graph without
+    /// storage I/O). Unplannable queries are skipped and counted;
+    /// duplicates collapse onto one plan. Warm-up does not touch the
+    /// `plan_hits`/`plan_misses` metrics — those measure client
+    /// traffic.
     pub fn warm_plans<'q>(&self, queries: impl IntoIterator<Item = &'q str>) -> WarmReport {
         let e = &self.engine;
         let mut report = WarmReport::default();
         let mut plans: Vec<Arc<QueryPlan>> = Vec::new();
         for text in queries {
-            let canonical = canonicalize(text);
-            // Dual-form, tree first: a text that parses as a rooted
-            // tree warms the tree plan every tree algorithm shares.
-            // Tree-unparseable text (typically cyclic) is retried as a
-            // graph pattern and warms the `pattern\x1f`-keyed plan a
-            // kgpm `OPEN` of the same text will hit — skipped like an
-            // unparseable query when the backend has no mirror.
-            let (plan, hit) = match TreeQuery::parse(&canonical) {
-                Ok(tree) => {
-                    let resolved = tree.resolve(&e.interner);
-                    e.plans
-                        .lock()
-                        .expect("plan cache lock")
-                        .get_or_insert(&canonical, || {
-                            QueryPlan::new(resolved, Arc::clone(&e.source))
-                        })
-                }
-                Err(_) => {
-                    let Ok(pattern) = GraphQuery::parse(&canonical) else {
-                        report.skipped += 1;
-                        continue;
-                    };
-                    if e.source.undirected().is_none() {
-                        report.skipped += 1;
-                        continue;
-                    }
-                    let plan_key = format!("pattern\x1f{canonical}");
-                    e.plans
-                        .lock()
-                        .expect("plan cache lock")
-                        .get_or_insert(&plan_key, || {
-                            QueryPlan::new_pattern(pattern, &e.interner, &e.source)
-                                .expect("mirror presence checked above")
-                        })
-                }
+            // Tree first: a text that plans as a rooted tree warms the
+            // plan every tree algorithm shares. Only a text that does
+            // not parse as a tree (typically cyclic) is retried as a
+            // graph pattern, warming the plan a kgpm `OPEN` of it will
+            // hit — and skipped when that fails too (not a pattern
+            // either, or no mirror on this backend).
+            let mut key = (QueryForm::Tree, canonical_query_text(text));
+            let mut cache = e.plans.lock().expect("plan cache lock");
+            let mut build = |key: &(QueryForm, String)| {
+                cache.get_or_insert(key, || {
+                    QueryPlan::from_text(key.0, &key.1, &e.interner, &e.source)
+                })
+            };
+            let built = build(&key).or_else(|_| {
+                key.0 = QueryForm::Pattern;
+                build(&key)
+            });
+            drop(cache);
+            let Ok((plan, hit)) = built else {
+                report.skipped += 1;
+                continue;
             };
             if !hit {
                 report.warmed += 1;
@@ -536,22 +510,23 @@ impl ServiceHandle {
     /// Applies a batch of graph mutations to the live store and
     /// invalidates the serving-layer caches **delta-aware**: the store
     /// reports exactly which closure tables (label pairs) the repair
-    /// changed, and
+    /// changed, every cached plan and live session answers
+    /// [`QueryPlan::is_affected_by`] for that report, and
     ///
-    /// * cached plans reading a touched table are dropped, every other
-    ///   plan survives bit-for-bit with a version re-stamp
-    ///   ([`ktpm_core::QueryPlan::stamp_version`]) — a later `OPEN` of
-    ///   an unaffected query is still a plan hit with zero
+    /// * affected cached plans are dropped, every other plan survives
+    ///   bit-for-bit with a version re-stamp
+    ///   ([`QueryPlan::stamp_version`]) — a later `OPEN` of an
+    ///   unaffected query is still a plan hit with zero
     ///   candidate-discovery work;
-    /// * result-cache prefixes of affected queries are dropped (the
-    ///   cached text is re-resolved once per distinct query);
+    /// * result-cache prefixes are judged by the plan that produced
+    ///   them: dropped when it is affected, and when it is gone (evicted
+    ///   and unused, so nothing is left to judge by);
     /// * live sessions on affected plans are *fenced*: they answer
     ///   every further `next` with [`ServiceError::StaleVersion`] and
     ///   never publish their (pre-delta) buffers to the result cache.
     ///
-    /// Under [`InvalidationPolicy::FlushAll`] everything is treated as
-    /// affected. Errors ([`ServiceError::Update`]) leave all state —
-    /// graph, closure, caches, sessions — untouched.
+    /// No query text is parsed. Errors ([`ServiceError::Update`]) leave
+    /// all state — graph, closure, caches, sessions — untouched.
     pub fn apply_delta(&self, delta: &GraphDelta) -> Result<UpdateReport, ServiceError> {
         let e = &self.engine;
         let report = e.source.apply_delta(delta).map_err(|err| {
@@ -559,72 +534,23 @@ impl ServiceHandle {
             ServiceError::Update(err)
         })?;
         e.metrics.graph_update();
-        let flush_all = matches!(e.config.invalidation, InvalidationPolicy::FlushAll);
-        let touched = &report.touched_pairs;
-        let undirected_touched = &report.undirected_touched_pairs;
-        let plans_invalidated = {
-            let mut plans = e.plans.lock().expect("plan cache lock");
-            if flush_all {
-                plans.invalidate_all()
-            } else {
-                // Tree plans are checked against the directed touched
-                // list, pattern plans against the undirected one (they
-                // read the mirror's tables) — the split keeps a delta
-                // masked on one side from dropping the other side's
-                // plans.
-                plans.invalidate_affected_split(touched, undirected_touched, report.version)
-            }
-        };
-        let prefix_entries_invalidated = {
-            let mut cache = e.cache.lock().expect("cache lock");
-            if flush_all {
-                cache.invalidate_all()
-            } else {
-                // One parse+resolve per distinct cached query text *per
-                // reading mode* — kgpm entries re-parse as patterns and
-                // check the undirected list, every tree algorithm of a
-                // text shares one memoized tree verdict.
-                let kgpm = Algo::Kgpm.name();
-                let mut verdicts: HashMap<(bool, String), bool> = HashMap::new();
-                cache.invalidate_matching(|algo, text| {
-                    let pattern = algo == kgpm;
-                    *verdicts
-                        .entry((pattern, text.to_string()))
-                        .or_insert_with(|| {
-                            if pattern {
-                                match GraphQuery::parse(text) {
-                                    Ok(p) => pattern_reads_touched_pairs(
-                                        &p,
-                                        &e.interner,
-                                        undirected_touched,
-                                    ),
-                                    // A cached text the parser no longer
-                                    // accepts cannot be classified: drop
-                                    // it defensively.
-                                    Err(_) => true,
-                                }
-                            } else {
-                                match TreeQuery::parse(text) {
-                                    Ok(tree) => query_reads_touched_pairs(
-                                        &tree.resolve(&e.interner),
-                                        touched,
-                                    ),
-                                    Err(_) => true,
-                                }
-                            }
-                        })
-                })
-            }
-        };
+        // Prefixes first, while the plans they are judged by are still
+        // cached: an affected plan dropped below would otherwise leave
+        // its prefixes to the orphan rule.
+        let prefix_entries_invalidated = e
+            .cache
+            .lock()
+            .expect("cache lock")
+            .invalidate_affected(&report);
+        let plans_invalidated = e
+            .plans
+            .lock()
+            .expect("plan cache lock")
+            .invalidate_affected(&report);
         let mut sessions_fenced = 0;
         for slot in e.sessions.all_slots() {
             let mut session = slot.session.lock().expect("session lock");
-            let relevant: &[_] = if session.plan().is_pattern() {
-                undirected_touched
-            } else {
-                touched
-            };
-            if flush_all || session.plan().is_affected_by(relevant) {
+            if session.plan().is_affected_by(&report) {
                 if session.fenced_at().is_none() {
                     sessions_fenced += 1;
                 }
@@ -665,10 +591,11 @@ impl ServiceHandle {
         for slot in evicted {
             let session = slot.session.lock().expect("session lock");
             if let Some(prefix) = session.final_prefix() {
-                e.cache
-                    .lock()
-                    .expect("cache lock")
-                    .insert(session.cache_key(), prefix);
+                e.cache.lock().expect("cache lock").insert(
+                    session.cache_key(),
+                    prefix,
+                    session.plan(),
+                );
             }
         }
         if n > 0 {
@@ -834,10 +761,13 @@ mod tests {
 
     #[test]
     fn canonicalize_normalizes_whitespace_keeps_order() {
-        assert_eq!(canonicalize("  C ->  E \n\n C -> S  "), "C -> E\nC -> S");
+        assert_eq!(
+            canonical_query_text("  C ->  E \n\n C -> S  "),
+            "C -> E\nC -> S"
+        );
         assert_ne!(
-            canonicalize("A -> B\nA -> C"),
-            canonicalize("A -> C\nA -> B")
+            canonical_query_text("A -> B\nA -> C"),
+            canonical_query_text("A -> C\nA -> B")
         );
     }
 
@@ -1004,6 +934,14 @@ mod tests {
         // Cyclic text is still a bad query for tree algorithms.
         let err = h.open(TRIANGLE, Algo::Topk).unwrap_err();
         assert_eq!(err.code(), "bad-query");
+        // Malformed text is a bad query in either form, and a failed
+        // OPEN never leaves a plan behind.
+        for algo in [Algo::Topk, Algo::Kgpm] {
+            let err = h.open("C -> ", algo).unwrap_err();
+            assert_eq!(err.code(), "bad-query", "{algo:?}");
+        }
+        assert_eq!(h.stats().metrics.errors, 4);
+        assert_eq!(h.stats().plan_entries, 0, "failed OPENs cache no plan");
     }
 
     #[test]
@@ -1078,20 +1016,53 @@ mod tests {
         let post = h.topk(TRIANGLE, Algo::Kgpm, 100).unwrap();
         assert_eq!(h.stats().metrics.plan_misses, before.plan_misses + 1);
         assert_eq!(post.len(), 12, "all triangles still exist, re-scored");
+
+        // Re-weight C -> S (v1 -> v4): the directed closure changes only
+        // its (C, S) table, but undirected C–E distances routed through
+        // v4 grow. Each plan is judged by the list it reads: the C–E
+        // pattern session is fenced, the C -> E tree session is not.
+        let report = h.apply_delta(&cs_only_delta()).unwrap();
+        assert_eq!(report.sessions_fenced, 1, "only the C–E pattern session");
+        assert_eq!(h.next(ce_pattern, 1).unwrap_err().code(), "stale-version");
+        assert!(
+            h.next(ce_tree, 1).is_ok(),
+            "the directed (C, E) table is untouched"
+        );
     }
 
     #[test]
-    fn flush_all_policy_drops_everything() {
-        let (h, _) =
-            live_handle(ServiceConfig::new().with_invalidation(InvalidationPolicy::FlushAll));
+    fn result_entries_hold_their_plan_weakly_and_orphans_drop_on_update() {
+        let (h, _) = live_handle(ServiceConfig::new().with_plan_cache_capacity(1));
         h.topk("C -> E", Algo::Topk, 100).unwrap();
-        let id = h.open("C -> E", Algo::Topk).unwrap();
-        let report = h.apply_delta(&cs_only_delta()).unwrap();
-        assert_eq!(report.plans_invalidated, 1, "unaffected plan dropped too");
+        let evicted = Arc::downgrade(&h.engine.plans.lock().unwrap().plans()[0]);
+        // The next query's plan evicts the first; its session is closed.
+        h.topk("C -> S", Algo::Topk, 100).unwrap();
+        let s = h.stats();
+        assert_eq!((s.plan_entries, s.cache_entries), (1, 2));
+        assert_eq!(
+            evicted.strong_count(),
+            0,
+            "the result cache does not keep an evicted plan alive"
+        );
+
+        // A delta that changes no table: the prefix whose plan is gone
+        // cannot be classified and goes; the one whose plan is cached
+        // and unaffected stays.
+        let report = h
+            .apply_delta(&GraphDelta::new().set_weight(NodeId(0), NodeId(3), 1))
+            .unwrap();
+        assert_eq!(report.touched_pairs, 0, "same weight: nothing changed");
+        assert_eq!(report.plans_invalidated, 0);
         assert_eq!(report.prefix_entries_invalidated, 1);
-        assert_eq!(report.sessions_fenced, 1);
-        assert_eq!(h.next(id, 1).unwrap_err().code(), "stale-version");
-        assert_eq!(h.stats().plan_entries, 0);
-        assert_eq!(h.stats().cache_entries, 0);
+        let before = h.stats().metrics;
+        h.topk("C -> S", Algo::Topk, 100).unwrap();
+        h.topk("C -> E", Algo::Topk, 100).unwrap();
+        let after = h.stats().metrics;
+        assert_eq!(after.cache_hits, before.cache_hits + 1, "C -> S kept");
+        assert_eq!(
+            after.cache_misses,
+            before.cache_misses + 1,
+            "C -> E dropped"
+        );
     }
 }

@@ -26,8 +26,9 @@
 //!   enumerator at all; a session that outruns the cached prefix
 //!   transparently falls back to live enumeration.
 //! * **Plan cache** — an LRU of [`ktpm_core::QueryPlan`]s keyed by
-//!   canonical query text **alone** (no algorithm: one plan feeds
-//!   `topk`, `topk-en`, `par` and `brute` sessions). A plan holds the
+//!   query form and canonical text (no algorithm: one tree plan feeds
+//!   `topk`, `topk-en`, `par`, `brute` and the DP sessions; `kgpm`
+//!   reads the text as a pattern and gets its own plan). A plan holds the
 //!   per-query setup the paper's algorithms pay up front — candidate
 //!   discovery, the run-time graph, the `bs` pass, slot-list
 //!   templates — built lazily, at most once, behind `OnceLock`s that
@@ -100,30 +101,12 @@ pub use session::{SessionId, SessionTable};
 
 use std::time::Duration;
 
-/// How the engine invalidates cached state when a graph delta lands
-/// ([`ServiceHandle::apply_delta`] / the wire `UPDATE` verb).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum InvalidationPolicy {
-    /// Only plans, cached prefixes and sessions whose query reads a
-    /// closure table the delta actually changed are dropped (resp.
-    /// fenced); everything else survives with a version re-stamp. The
-    /// default — this is the point of tracking touched label pairs.
-    #[default]
-    DeltaAware,
-    /// Every delta drops all cached plans and prefixes and fences all
-    /// sessions. A debugging/escape-hatch policy: strictly more
-    /// conservative, never required for correctness.
-    FlushAll,
-}
-
 /// Engine tuning knobs.
 ///
 /// The struct is `#[non_exhaustive]`: construct it with
 /// [`ServiceConfig::default`] (or [`ServiceConfig::new`]) and refine
-/// with the builder-style `with_*` methods, so new knobs (like
-/// [`ServiceConfig::invalidation`]) keep appearing without breaking
-/// embedders.
+/// with the builder-style `with_*` methods, so new knobs keep appearing
+/// without breaking embedders.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct ServiceConfig {
@@ -164,9 +147,6 @@ pub struct ServiceConfig {
     /// dedicated shard-job pool (kept separate from the request pool so
     /// blocked requests can never starve their own shard jobs).
     pub parallel: ktpm_core::ParallelPolicy,
-    /// How graph deltas invalidate cached plans, result prefixes and
-    /// live sessions.
-    pub invalidation: InvalidationPolicy,
 }
 
 impl Default for ServiceConfig {
@@ -181,7 +161,6 @@ impl Default for ServiceConfig {
             plan_cache_capacity: 256,
             plan_cache_max_bytes: None,
             parallel: ktpm_core::ParallelPolicy::default(),
-            invalidation: InvalidationPolicy::default(),
         }
     }
 }
@@ -244,12 +223,6 @@ impl ServiceConfig {
     /// Sets [`ServiceConfig::parallel`].
     pub fn with_parallel(mut self, parallel: ktpm_core::ParallelPolicy) -> Self {
         self.parallel = parallel;
-        self
-    }
-
-    /// Sets [`ServiceConfig::invalidation`].
-    pub fn with_invalidation(mut self, policy: InvalidationPolicy) -> Self {
-        self.invalidation = policy;
         self
     }
 }

@@ -107,10 +107,11 @@
 //! Every applied `UPDATE` bumps the store's monotonic graph version
 //! (`graph_version` in `STATS`). Query plans and cached result
 //! prefixes are invalidated **delta-aware**: only state whose query
-//! reads a closure table the delta actually changed is dropped;
-//! everything else survives with a version re-stamp, so an `OPEN` of
-//! an unaffected hot query after an update is still a plan hit with
-//! zero candidate-discovery work. Open *sessions* follow the same
+//! reads a closure table the delta actually changed is dropped (and a
+//! cached prefix whose plan has since been evicted, as nothing is left
+//! to judge it by); everything else survives with a version re-stamp,
+//! so an `OPEN` of an unaffected hot query after an update is still a
+//! plan hit with zero candidate-discovery work. Open *sessions* follow the same
 //! rule: a session whose plan survives keeps streaming across the
 //! update (its answers were bit-for-bit unaffected); a session whose
 //! plan was invalidated is **fenced** — every further `NEXT` answers

@@ -86,25 +86,31 @@ fn main() {
     println!("drained {} matches in {pages}+1 batched pulls", page.len());
 
     // (3) Shared plans: run 1 builds, run 2 reuses (zero discovery).
-    let plan = exec.plan_for(query).expect("valid query");
-    for run in 1..=2 {
-        let t = std::time::Instant::now();
-        let top = exec
-            .query(query)
-            .expect("valid query")
-            .plan(Arc::clone(&plan))
-            .k(3)
-            .topk()
-            .expect("stream");
-        println!(
-            "run {run}: top-{} in {:?} ({})",
-            top.len(),
-            t.elapsed(),
-            if run == 1 {
-                "cold: builds the plan"
-            } else {
-                "warm: shared plan"
-            }
-        );
+    // `plan_for` reads the text the way the algorithm does: a tree plan
+    // for the tree engines, a pattern plan for kgpm.
+    for algo in [Algo::TopkEn, Algo::Kgpm] {
+        let plan = exec.plan_for(query, algo).expect("valid query");
+        for run in 1..=2 {
+            let t = std::time::Instant::now();
+            let top = exec
+                .query(query)
+                .expect("valid query")
+                .algo(algo)
+                .plan(Arc::clone(&plan))
+                .k(3)
+                .topk()
+                .expect("stream");
+            println!(
+                "{} run {run}: top-{} in {:?} ({})",
+                algo.name(),
+                top.len(),
+                t.elapsed(),
+                if run == 1 {
+                    "cold: builds the plan"
+                } else {
+                    "warm: shared plan"
+                }
+            );
+        }
     }
 }

@@ -47,22 +47,23 @@
 //! ## Graph patterns
 //!
 //! [`Executor::query`] accepts both query forms of the paper: twig
-//! text ([`TreeQuery::parse`]) and the undirected edge-list form
-//! ([`ktpm_query::GraphQuery::parse`], for [`Algo::Kgpm`]). Text that
-//! parses both ways (plain `A -> B` lines) runs as whichever form the
-//! selected algorithm needs: `Algo::Kgpm` builds a *pattern plan*
-//! ([`QueryPlan::new_pattern`], decomposition + undirected mirror),
-//! every other algorithm a tree plan. The store must expose an
-//! undirected mirror for pattern queries (graph-attached stores do:
-//! `MemStore::with_graph`, `LiveStore`, `OnDemandStore`).
+//! text and the undirected edge-list pattern form (for
+//! [`Algo::Kgpm`]). The selected algorithm decides which form the text
+//! is read in ([`Algo::form`]): `Algo::Kgpm` builds a *pattern plan*
+//! (decomposition + undirected mirror), every other algorithm a tree
+//! plan — both through the one text → plan constructor,
+//! [`QueryPlan::from_text`], and a plan cache keys on that form and
+//! the canonical text. The store must expose an undirected mirror for
+//! pattern queries (graph-attached stores do: `MemStore::with_graph`,
+//! `LiveStore`, `OnDemandStore`).
 
 use ktpm_core::{
-    build_stream, canonical_query_text, Algo, BoxedMatchStream, ParallelPolicy, QueryPlan,
-    ScoredMatch, ShardEngine,
+    build_stream, canonical_query_text, Algo, BoxedMatchStream, ParallelPolicy, PlanError,
+    QueryForm, QueryPlan, ScoredMatch, ShardEngine,
 };
 use ktpm_exec::WorkerPool;
 use ktpm_graph::{GraphDelta, LabelInterner};
-use ktpm_query::{GraphQuery, ResolvedQuery, TreeQuery};
+use ktpm_query::{GraphQuery, ResolvedQuery};
 use ktpm_service::{PlanCache, ServiceError};
 use ktpm_storage::{DeltaReport, SharedSource, StorageError};
 use std::fmt;
@@ -116,6 +117,19 @@ impl From<ServiceError> for ApiError {
     }
 }
 
+impl From<PlanError> for ApiError {
+    fn from(e: PlanError) -> Self {
+        match e {
+            PlanError::BadQuery(m) => ApiError::BadQuery(m),
+            PlanError::PatternUnsupported => ApiError::Unsupported(
+                "graph patterns need a store with an undirected mirror — attach the graph \
+                 (MemStore::with_graph, LiveStore, OnDemandStore)"
+                    .to_string(),
+            ),
+        }
+    }
+}
+
 /// A query executor over one closure store: the entry point of the
 /// facade. Cheap to construct and to share (`&Executor` is all a
 /// builder borrows); one per `(graph, store)` pair is the intended
@@ -154,60 +168,57 @@ impl Executor {
         &self.source
     }
 
-    /// Starts a query from text: twig lines (`A -> B` / `A => B`; see
-    /// [`TreeQuery::parse`]) or the undirected edge-list pattern form
-    /// ([`GraphQuery::parse`]). Text valid in both forms keeps both —
-    /// the algorithm selected on the builder decides which plan is
-    /// built ([`Algo::Kgpm`] ⇒ pattern, everything else ⇒ tree).
+    /// Starts a query from text: twig lines (`A -> B` / `A => B`) or
+    /// the undirected edge-list pattern form. Text valid in both forms
+    /// keeps both — the algorithm selected on the builder decides which
+    /// plan is built ([`Algo::form`]: [`Algo::Kgpm`] ⇒ pattern,
+    /// everything else ⇒ tree). Text that is neither is rejected here.
     /// Defaults: `Algo::TopkEn`, unbounded `k`, the default
     /// [`ParallelPolicy`].
     pub fn query(&self, text: &str) -> Result<QueryBuilder<'_>, ApiError> {
-        let canonical = canonical_query_text(text);
-        let tree = TreeQuery::parse(&canonical);
-        let pattern = GraphQuery::parse(&canonical);
-        let (query, pattern) = match (tree, pattern) {
-            (Ok(t), p) => (Some(t.resolve(&self.interner)), p.ok()),
-            (Err(_), Ok(p)) => (None, Some(p)),
-            (Err(te), Err(pe)) => {
+        let text = canonical_query_text(text);
+        let plan = |form| QueryPlan::from_text(form, &text, &self.interner, &self.source);
+        if let Err(te) = plan(QueryForm::Tree) {
+            if let Err(PlanError::BadQuery(pe)) = plan(QueryForm::Pattern) {
                 return Err(ApiError::BadQuery(format!(
                     "neither a tree query ({te}) nor a graph pattern ({pe})"
                 )));
             }
-        };
-        Ok(self.builder(query, pattern, canonical))
+        }
+        Ok(self.builder(text, None))
     }
 
     /// Starts a query from an already-resolved tree (programmatic
     /// callers that never had query text).
     pub fn query_resolved(&self, query: ResolvedQuery) -> QueryBuilder<'_> {
-        self.builder(Some(query), None, String::new())
+        let plan = QueryPlan::new(query, Arc::clone(&self.source));
+        self.builder(String::new(), Some(Arc::new(plan)))
     }
 
     /// Starts a graph-pattern query from an already-built
     /// [`GraphQuery`]. The algorithm defaults to [`Algo::Kgpm`] — the
     /// one engine over patterns.
     pub fn query_pattern(&self, pattern: GraphQuery) -> QueryBuilder<'_> {
-        let mut b = self.builder(None, Some(pattern), String::new());
+        let mut b = self.builder(String::new(), None);
         b.algo = Algo::Kgpm;
+        match QueryPlan::new_pattern(pattern, &self.interner, &self.source) {
+            Ok(plan) => b.plan = Some(Arc::new(plan)),
+            Err(e) => b.deferred_err = Some(PlanError::from(e).into()),
+        }
         b
     }
 
-    fn builder(
-        &self,
-        query: Option<ResolvedQuery>,
-        pattern: Option<GraphQuery>,
-        canonical: String,
-    ) -> QueryBuilder<'_> {
+    /// A builder over canonical `text` (empty without text) and, if
+    /// fixed, the plan to run (otherwise built from the text).
+    fn builder(&self, text: String, plan: Option<Arc<QueryPlan>>) -> QueryBuilder<'_> {
         QueryBuilder {
             exec: self,
-            query,
-            pattern,
-            canonical,
+            text,
             algo: Algo::TopkEn,
             k: None,
             policy: ParallelPolicy::default(),
             shards_set: false,
-            plan: None,
+            plan,
             cache: None,
             deferred_err: None,
         }
@@ -223,8 +234,9 @@ impl Executor {
     /// Plans are snapshots. A [`QueryPlan`] handle built before the
     /// delta (via [`Executor::plan_for`] or [`QueryBuilder::plan_cache`])
     /// still describes the pre-delta graph — drop affected plans
-    /// yourself (a caller-held [`PlanCache`] does it delta-aware with
-    /// [`PlanCache::invalidate_affected`]), or use the serving layer
+    /// yourself (a caller-held [`PlanCache`] does it delta-aware when
+    /// handed the returned report: [`PlanCache::invalidate_affected`]),
+    /// or use the serving layer
     /// ([`ktpm_service::ServiceHandle::apply_delta`]), which invalidates
     /// its caches and fences affected sessions automatically.
     pub fn apply_delta(&self, delta: &GraphDelta) -> Result<DeltaReport, ApiError> {
@@ -251,17 +263,14 @@ impl Executor {
         self.source.reset_io();
     }
 
-    /// A shareable [`QueryPlan`] for `text` over this executor's store
-    /// — hand it to [`QueryBuilder::plan`] across repeated runs so
-    /// only the first pays setup (what `--repeat` and the serving
-    /// layer's plan cache do).
-    pub fn plan_for(&self, text: &str) -> Result<Arc<QueryPlan>, ApiError> {
-        let canonical = canonical_query_text(text);
-        let tree = TreeQuery::parse(&canonical).map_err(|e| ApiError::BadQuery(e.to_string()))?;
-        Ok(Arc::new(QueryPlan::new(
-            tree.resolve(&self.interner),
-            Arc::clone(&self.source),
-        )))
+    /// A shareable [`QueryPlan`] for `text` read the way `algo` reads
+    /// it (a pattern plan for [`Algo::Kgpm`], a tree plan otherwise)
+    /// over this executor's store — hand it to [`QueryBuilder::plan`]
+    /// across repeated runs of that algorithm so only the first pays
+    /// setup (what `--repeat` and the serving layer's plan cache do).
+    /// Errors exactly as `self.query(text)?.algo(algo).stream()` would.
+    pub fn plan_for(&self, text: &str, algo: Algo) -> Result<Arc<QueryPlan>, ApiError> {
+        self.query(text)?.algo(algo).resolve_plan()
     }
 }
 
@@ -271,16 +280,11 @@ impl Executor {
 /// calls; all setters are chainable.
 pub struct QueryBuilder<'e> {
     exec: &'e Executor,
-    /// The tree form, when the text parsed as a twig (or the builder
-    /// came from [`Executor::query_resolved`]).
-    query: Option<ResolvedQuery>,
-    /// The pattern form, when the text parsed as an undirected graph
-    /// pattern (or the builder came from [`Executor::query_pattern`]).
-    pattern: Option<GraphQuery>,
-    /// Canonical query text (plan-cache key); empty for resolved-only
-    /// queries, for which [`QueryBuilder::plan_cache`] is rejected at
+    /// Canonical query text (the plan-cache key's text); empty for
+    /// builders made without text, for which
+    /// [`QueryBuilder::plan_cache`] is rejected at
     /// [`QueryBuilder::stream`] (no text, no cache key).
-    canonical: String,
+    text: String,
     algo: Algo,
     k: Option<usize>,
     policy: ParallelPolicy,
@@ -288,10 +292,13 @@ pub struct QueryBuilder<'e> {
     /// calls (setters are infallible by signature).
     deferred_err: Option<ApiError>,
     shards_set: bool,
+    /// The plan to run, when fixed: the caller's handle
+    /// ([`QueryBuilder::plan`]) or the plan of a builder made without
+    /// text. Otherwise the plan is built from `text`.
     plan: Option<Arc<QueryPlan>>,
-    /// Deferred to [`QueryBuilder::stream`]: the plan-cache key depends
-    /// on the *final* algorithm (pattern plans are keyed separately),
-    /// which may be set after [`QueryBuilder::plan_cache`].
+    /// Deferred to [`QueryBuilder::stream`]: the plan-cache key's form
+    /// depends on the *final* algorithm, which may be set after
+    /// [`QueryBuilder::plan_cache`].
     cache: Option<&'e Mutex<PlanCache>>,
 }
 
@@ -342,16 +349,17 @@ impl<'e> QueryBuilder<'e> {
         self
     }
 
-    /// Resolves the plan through `cache` (keyed by canonical query
-    /// text, exactly like the serving layer): a hit reuses the cached
-    /// setup, a miss registers a cold plan for future runs. Only valid
+    /// Resolves the plan through `cache` (keyed by query form and
+    /// canonical text, exactly like the serving layer): a hit reuses
+    /// the cached setup, a miss registers a cold plan for future runs,
+    /// and a text that does not plan registers nothing. Only valid
     /// on text-built queries ([`Executor::query`]) — a
     /// [`Executor::query_resolved`] builder has no cache key, and
     /// keying it on nothing would collide every resolved query onto
     /// one plan; the terminal call reports that as
     /// [`ApiError::Unsupported`]. Use [`QueryBuilder::plan`] there.
     pub fn plan_cache(mut self, cache: &'e Mutex<PlanCache>) -> Self {
-        if self.canonical.is_empty() {
+        if self.text.is_empty() {
             self.deferred_err = Some(ApiError::Unsupported(
                 "plan_cache() needs a text query for its cache key; this query was built \
                  without text (query_resolved()/query_pattern()) — pass a plan handle via \
@@ -367,8 +375,8 @@ impl<'e> QueryBuilder<'e> {
     /// Builds the match stream: every algorithm behind one
     /// `Box<dyn MatchStream + Send>`, in the canonical
     /// `(score, assignment)` order.
-    pub fn stream(self) -> Result<BoxedMatchStream, ApiError> {
-        if let Some(err) = self.deferred_err {
+    pub fn stream(mut self) -> Result<BoxedMatchStream, ApiError> {
+        if let Some(err) = self.deferred_err.take() {
             return Err(err);
         }
         if self.shards_set && self.policy.shards > 1 && !self.algo.caps().sharded {
@@ -379,20 +387,22 @@ impl<'e> QueryBuilder<'e> {
                 self.policy.shards
             )));
         }
+        let (exec, algo, policy, k) = (self.exec, self.algo, self.policy, self.k);
         let plan = self.resolve_plan()?;
-        let stream = build_stream(self.algo, &plan, &self.policy, Arc::clone(&self.exec.pool));
-        Ok(match self.k {
+        let stream = build_stream(algo, &plan, &policy, Arc::clone(&exec.pool));
+        Ok(match k {
             Some(k) => ktpm_core::limit(stream, k),
             None => stream,
         })
     }
 
-    /// The plan the selected algorithm runs over: the caller-supplied
-    /// handle, a plan-cache entry (tree and pattern plans are keyed
-    /// separately), or a fresh plan of the form the algorithm needs.
-    fn resolve_plan(&self) -> Result<Arc<QueryPlan>, ApiError> {
-        let wants_pattern = self.algo == Algo::Kgpm;
-        if let Some(p) = &self.plan {
+    /// The plan the selected algorithm runs over: the fixed plan, a
+    /// plan-cache entry, or a fresh plan of the form the algorithm
+    /// reads the text in.
+    fn resolve_plan(self) -> Result<Arc<QueryPlan>, ApiError> {
+        let form = self.algo.form();
+        if let Some(p) = self.plan {
+            let wants_pattern = form == QueryForm::Pattern;
             if p.is_pattern() != wants_pattern {
                 return Err(ApiError::Unsupported(format!(
                     "plan/algorithm mismatch: algorithm {:?} needs a {} plan but the supplied \
@@ -402,65 +412,30 @@ impl<'e> QueryBuilder<'e> {
                     if p.is_pattern() { "pattern" } else { "tree" },
                 )));
             }
-            return Ok(Arc::clone(p));
+            return Ok(p);
         }
-        if wants_pattern {
-            let Some(pattern) = &self.pattern else {
-                return Err(ApiError::BadQuery(
-                    match GraphQuery::parse(&self.canonical) {
-                        Err(e) if !self.canonical.is_empty() => {
-                            format!(
-                                "Algo::Kgpm needs a graph pattern, but the query is not one: {e}"
-                            )
-                        }
-                        _ => "Algo::Kgpm needs a graph pattern; build one with Executor::query \
-                          (edge-list text) or Executor::query_pattern"
-                            .to_string(),
-                    },
-                ));
-            };
-            if self.exec.source.undirected().is_none() {
-                return Err(ApiError::Unsupported(
-                    "graph patterns need a store with an undirected mirror — attach the graph \
-                     (MemStore::with_graph, LiveStore, OnDemandStore)"
-                        .to_string(),
-                ));
-            }
-            let build = || {
-                QueryPlan::new_pattern(pattern.clone(), &self.exec.interner, &self.exec.source)
-                    .expect("mirror presence checked above")
-            };
-            return Ok(match self.cache {
-                Some(cache) => {
-                    // Pattern plans answer a different query than tree
-                    // plans of the same text: separate key space.
-                    let key = format!("pattern\x1f{}", self.canonical);
-                    cache
-                        .lock()
-                        .expect("plan cache lock")
-                        .get_or_insert(&key, build)
-                        .0
-                }
-                None => Arc::new(build()),
-            });
-        }
-        let Some(query) = &self.query else {
-            return Err(ApiError::Unsupported(format!(
+        let key = (form, self.text);
+        let build = || QueryPlan::from_text(form, &key.1, &self.exec.interner, &self.exec.source);
+        let plan = match self.cache {
+            Some(cache) => cache
+                .lock()
+                .expect("plan cache lock")
+                .get_or_insert(&key, build)
+                .map(|(plan, _)| plan),
+            None => build().map(Arc::new),
+        };
+        // `Executor::query` only lets through text that is one of the
+        // two forms: failing to parse as one means it is the other.
+        plan.map_err(|err| match err {
+            PlanError::BadQuery(e) if form == QueryForm::Pattern => ApiError::BadQuery(format!(
+                "Algo::Kgpm needs a graph pattern, but the query is not one: {e}"
+            )),
+            PlanError::BadQuery(_) => ApiError::Unsupported(format!(
                 "the query only parsed as a graph pattern, which algorithm {:?} cannot run; \
                  use .algo(Algo::Kgpm)",
                 self.algo.name()
-            )));
-        };
-        let build = || QueryPlan::new(query.clone(), Arc::clone(&self.exec.source));
-        Ok(match self.cache {
-            Some(cache) => {
-                cache
-                    .lock()
-                    .expect("plan cache lock")
-                    .get_or_insert(&self.canonical, build)
-                    .0
-            }
-            None => Arc::new(build()),
+            )),
+            err => err.into(),
         })
     }
 
@@ -637,7 +612,7 @@ mod tests {
     #[test]
     fn plan_algo_mismatch_is_an_explicit_error() {
         let e = pattern_exec();
-        let plan = e.plan_for("C -> E").unwrap();
+        let plan = e.plan_for("C -> E", Algo::Topk).unwrap();
         let err = e
             .query("C -> E")
             .unwrap()
@@ -647,6 +622,32 @@ mod tests {
             .err()
             .unwrap();
         assert!(matches!(err, ApiError::Unsupported(_)), "{err}");
+    }
+
+    #[test]
+    fn plan_for_builds_the_form_the_algorithm_reads() {
+        let e = pattern_exec();
+        let tri = "C -> E\nE -> S\nS -> C";
+        let plan = e.plan_for(tri, Algo::Kgpm).unwrap();
+        assert!(plan.is_pattern());
+        let run = |plan: &Arc<QueryPlan>| {
+            e.query(tri)
+                .unwrap()
+                .algo(Algo::Kgpm)
+                .plan(Arc::clone(plan))
+                .topk()
+                .unwrap()
+        };
+        let cold = run(&plan);
+        assert_eq!(cold.len(), 12);
+        assert_eq!(run(&plan), cold, "a warm pattern handle streams the same");
+        // The handle errs as the builder would: a cycle is no tree.
+        let err = e.plan_for(tri, Algo::Topk).err().unwrap();
+        assert!(matches!(err, ApiError::Unsupported(_)), "{err}");
+        assert!(matches!(
+            e.plan_for("C -> ", Algo::Kgpm),
+            Err(ApiError::BadQuery(_))
+        ));
     }
 
     #[test]
@@ -756,13 +757,7 @@ mod tests {
         let report = e.apply_delta(&delta).unwrap();
         assert_eq!(report.version, 1);
         assert_eq!(e.graph_version(), 1);
-        assert_eq!(
-            cache
-                .lock()
-                .unwrap()
-                .invalidate_affected(&report.touched_pairs, report.version),
-            1
-        );
+        assert_eq!(cache.lock().unwrap().invalidate_affected(&report), 1);
         let after = e
             .query("C -> S")
             .unwrap()

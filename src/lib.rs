@@ -125,9 +125,9 @@ pub mod prelude {
     pub use ktpm_core::{
         build_stream, canonical_query_text, decompose, limit, par_topk, topk_en, topk_full, Algo,
         AlgoCaps, BoundMode, BoxedMatchStream, DpBEnumerator, DpPEnumerator, GraphMatch, KgpmStats,
-        KgpmStream, MatchStream, ParTopk, ParallelPolicy, PatternUnsupported, QueryPlan,
-        ScoredMatch, ShardEngine, ShardSpec, SpanningTree, StreamState, TopkEnEnumerator,
-        TopkEnumerator,
+        KgpmStream, MatchStream, ParTopk, ParallelPolicy, PatternUnsupported, PlanError, QueryForm,
+        QueryPlan, ScoredMatch, ShardEngine, ShardSpec, SpanningTree, StreamState,
+        TopkEnEnumerator, TopkEnumerator,
     };
     pub use ktpm_exec::WorkerPool;
     pub use ktpm_graph::{
@@ -140,8 +140,8 @@ pub mod prelude {
     };
     pub use ktpm_runtime::RuntimeGraph;
     pub use ktpm_service::{
-        InvalidationPolicy, NextBatch, PlanCache, QueryEngine, Server, ServiceConfig,
-        ServiceHandle, SessionId, UpdateReport, WarmReport,
+        NextBatch, PlanCache, QueryEngine, Server, ServiceConfig, ServiceHandle, SessionId,
+        UpdateReport, WarmReport,
     };
     pub use ktpm_storage::{
         open_local_store, open_store_auto, open_store_uri, write_store, write_store_sharded,

@@ -303,8 +303,9 @@ fn kgpm_query_prints_pattern_rows_labelled_by_pattern_node() {
         "{out}"
     );
     assert!(
-        out.lines()
-            .any(|l| l.starts_with("# 12 matches in ") && l.ends_with("(algo kgpm, 0 edges loaded)")),
+        out.lines().any(
+            |l| l.starts_with("# 12 matches in ") && l.ends_with("(algo kgpm, 0 edges loaded)")
+        ),
         "{out}"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -314,7 +315,9 @@ fn kgpm_query_prints_pattern_rows_labelled_by_pattern_node() {
 fn repeat_runs_share_one_plan_and_say_which_run_was_cold() {
     let (dir, graph) = citation_fixture("repeat", &[("q.txt", "C -> E\nC -> S\n")]);
     let q = dir.join("q.txt").to_string_lossy().into_owned();
-    let out = ktpm(&["query", &graph, &q, "--algo", "topk", "--repeat", "2", "-k", "100"]);
+    let out = ktpm(&[
+        "query", &graph, &q, "--algo", "topk", "--repeat", "2", "-k", "100",
+    ]);
     let lines: Vec<&str> = out.lines().collect();
     let [run1, run2, total, rows @ ..] = lines.as_slice() else {
         panic!("expected two run lines, a total and the rows:\n{out}");
