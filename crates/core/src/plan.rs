@@ -25,7 +25,7 @@
 //!   re-sweeping storage, so a warm plan never repeats candidate
 //!   discovery for any algorithm. Discovery touches only the compact
 //!   `D`/`E` tables — never a whole `L` pair region — so over the
-//!   paged (format-v3) store the lazy half fetches **zero** group
+//!   paged (format-v5) store the lazy half fetches **zero** group
 //!   blocks; edge lists stream later, block by verified block, only
 //!   as the Topk-EN priority loader demands them.
 //!
@@ -1013,7 +1013,7 @@ mod tests {
     #[test]
     fn lazy_setup_over_a_paged_store_reads_tables_not_edge_blocks() {
         // The lazy half's candidate discovery replays through D/E
-        // tables only; over a format-v3 PagedStore this means no group
+        // tables only; over a format-v5 PagedStore this means no group
         // block is fetched (and none materialized) until the Topk-EN
         // priority loader actually pulls a cursor. Enumeration then
         // matches the in-memory reference exactly.

@@ -5,6 +5,8 @@
 //! [`paper_graph`] satisfies every closure fact stated in Example 4.1
 //! (`Lᵃᵥ₅ = {(v1,1),(v2,2)}`, `Eᵥ₅`, `Eᵥ₆`, `Dᶜd = {(v8,2)}`, ...), and
 //! [`citation_graph`] reproduces Figure 1's patent-citation example.
+//! [`label_star`] is synthetic: a graph whose closure has exactly as
+//! many label pairs as asked, for storage layouts that page by pair.
 
 use crate::digraph::{GraphBuilder, LabeledGraph};
 use crate::types::NodeId;
@@ -70,6 +72,24 @@ pub fn citation_graph() -> LabeledGraph {
     b.build().expect("fixture graph is valid")
 }
 
+/// A star whose closure holds exactly `m` label pairs: one centre
+/// labelled `c` with an edge (weight `1 + i % 3`) to each of `m`
+/// leaves, leaf `i` labelled `l{i}`. Every leaf is followed by an
+/// isolated node labelled `x{i}`, so label ids interleave — `c` is 0,
+/// `l{i}` is `2i + 1`, `x{i}` is `2i + 2` — and the pairs are
+/// `(0, 2i + 1)`: `(0, 0)` sorts before them all, `(0, 2i + 2)` between
+/// two of them and `(0, 2m + 1)` after the last, none of them present.
+pub fn label_star(m: usize) -> LabeledGraph {
+    let mut b = GraphBuilder::new();
+    let centre = b.add_node("c");
+    for i in 0..m {
+        let leaf = b.add_node(&format!("l{i}"));
+        b.add_node(&format!("x{i}"));
+        b.add_edge(centre, leaf, 1 + (i % 3) as u32);
+    }
+    b.build().expect("fixture graph is valid")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,5 +109,17 @@ mod tests {
         assert_eq!(g.num_nodes(), 7);
         let c = g.interner().get("C").unwrap();
         assert_eq!(g.nodes_with_label(c).len(), 3);
+    }
+
+    #[test]
+    fn label_star_interleaves_present_and_absent_labels() {
+        let g = label_star(3);
+        assert_eq!(g.num_nodes(), 7);
+        let id = |name: &str| g.interner().get(name).unwrap().0;
+        assert_eq!(
+            (id("c"), id("l0"), id("x0"), id("l2"), id("x2")),
+            (0, 1, 2, 5, 6)
+        );
+        assert_eq!(label_star(0).num_nodes(), 1);
     }
 }

@@ -26,7 +26,7 @@
 //! For fault-injection tests, [`BlockServer::inject_bit_flips`] makes
 //! the next *n* `FETCH` responses carry a single flipped payload bit
 //! (with the frame CRC computed over the flipped bytes, so only the
-//! client's v3 block verification can catch it).
+//! client's block verification can catch it).
 
 use ktpm_storage::{blockproto, load_snapshot_manifest, Manifest, StorageError};
 use std::collections::HashMap;
@@ -108,7 +108,7 @@ pub struct BlockServer {
 
 impl BlockServer {
     /// Loads the snapshot at `store_path` (a sharded snapshot
-    /// directory, its `MANIFEST` path, or a plain single v3 file — the
+    /// directory, its `MANIFEST` path, or a plain single v5 file — the
     /// latter gets a synthesized one-file manifest), binds `addr`
     /// (port 0 for ephemeral), and serves it until shutdown.
     pub fn spawn(
@@ -320,7 +320,7 @@ fn fetch(
     }
     let file = slot.as_mut().expect("opened above");
     // Injected fault: flip one payload bit *before* sealing the frame
-    // CRC, so only client-side v3 block verification can catch it.
+    // CRC, so only client-side block verification can catch it.
     let flip = &served.flip;
     let flip = flip.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
     let flip_at = flip.is_ok().then_some(len as usize / 2);

@@ -9,11 +9,13 @@
 //! behind per closed connection.
 
 use ktpm_closure::ClosureTables;
-use ktpm_graph::{GraphBuilder, LabeledGraph, NodeId};
+use ktpm_graph::fixtures::label_star;
+use ktpm_graph::{GraphBuilder, LabelId, LabeledGraph, NodeId};
 use ktpm_net::BlockServer;
 use ktpm_storage::{
     blockproto, open_store_uri, write_store, write_store_sharded, ClosureSource, MemStore,
-    RemoteOptions, RemoteStore, ShardSpec, StorageError,
+    PagedStore, RemoteOptions, RemoteStore, ShardSpec, ShardedStore, StorageError,
+    INDEX_PAGE_ENTRIES,
 };
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -106,6 +108,64 @@ fn remote_store_matches_mem_over_a_sharded_snapshot() {
     assert_eq!(io.remote_errors, 0);
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn index_page_boundaries_read_like_memory_on_every_paged_tier() {
+    // `label_star(m)` has exactly m label pairs, so m walks the paged
+    // index across its edges: no page, one entry, one short of a page,
+    // a page exactly, one past it, two pages and one past. Every tier
+    // that reads the paged index — a local file, a 2-shard snapshot, a
+    // block server — must answer like memory, for present keys and for
+    // absent ones before, between and after the fence keys.
+    let p = INDEX_PAGE_ENTRIES;
+    for m in [0, 1, p - 1, p, p + 1, 2 * p + 1] {
+        let tables = ClosureTables::compute(&label_star(m));
+        let mem = MemStore::new(tables.clone());
+        assert_eq!(mem.pair_keys().len(), m, "the fixture has {m} pairs");
+        let file = tempdir(&format!("star-{m}.tc"));
+        write_store(&tables, &file).unwrap();
+        let dir = tempdir(&format!("star-{m}"));
+        write_store_sharded(&tables, &dir, &ShardSpec::new(0, 2), 4).unwrap();
+        let server = BlockServer::spawn(&file, ("127.0.0.1", 0)).unwrap();
+        let tiers: [(&str, Box<dyn ClosureSource>); 3] = [
+            ("paged", Box::new(PagedStore::open(&file).unwrap())),
+            (
+                "sharded",
+                Box::new(ShardedStore::open(&dir.join("MANIFEST")).unwrap()),
+            ),
+            (
+                "remote",
+                Box::new(RemoteStore::connect(&server.local_addr().to_string()).unwrap()),
+            ),
+        ];
+        let label = |i: usize| LabelId(i as u32);
+        let mut absent = vec![(label(0), label(0)), (label(0), label(2 * m + 1))];
+        absent.extend((0..m).map(|i| (label(0), label(2 * i + 2))));
+        absent.extend([(label(1), label(0)), (label(2 * m + 1), label(0))]);
+        for (tier, store) in &tiers {
+            assert_eq!(store.pair_keys(), mem.pair_keys(), "{tier}, m = {m}");
+            for (a, b) in mem.pair_keys() {
+                assert!(store.has_pair(a, b), "{tier}, m = {m}: ({a:?}, {b:?})");
+                assert_eq!(store.load_d(a, b), mem.load_d(a, b), "{tier}, m = {m}");
+                assert_eq!(store.load_e(a, b), mem.load_e(a, b), "{tier}, m = {m}");
+                assert_eq!(
+                    store.load_pair(a, b),
+                    mem.load_pair(a, b),
+                    "{tier}, m = {m}"
+                );
+            }
+            for &(a, b) in &absent {
+                assert!(!store.has_pair(a, b), "{tier}, m = {m}: ({a:?}, {b:?})");
+                assert!(store.load_d(a, b).is_empty(), "{tier}, m = {m}");
+            }
+            assert!(store.take_error().is_none(), "{tier}, m = {m}");
+        }
+        drop(tiers);
+        server.shutdown();
+        std::fs::remove_file(&file).ok();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
@@ -240,7 +300,7 @@ fn served_bit_flip_is_caught_by_client_crc_retried_once_then_surfaced() {
     };
     assert_eq!(sorted(store.load_pair(a, b)), oracle, "clean server");
 
-    // One poisoned response: the v3 block CRC catches it client-side
+    // One poisoned response: the block CRC catches it client-side
     // and the single paged-layer re-fetch gets clean bytes — the read
     // succeeds and matches the oracle.
     server.inject_bit_flips(1);
@@ -287,7 +347,7 @@ fn open_store_uri_dispatches_tcp_and_local_paths() {
     assert!(matches!(err, StorageError::Remote { .. }), "{err}");
 }
 
-/// A plain v3 store file and a server over it.
+/// A plain v5 store file and a server over it.
 fn small_server(name: &str) -> (BlockServer, PathBuf) {
     let path = tempdir(name);
     write_store(&ClosureTables::compute(&dense_graph(24, 4)), &path).unwrap();

@@ -181,7 +181,7 @@
 //!
 //! It also reports the store's cumulative I/O as `io_*` fields:
 //! `io_block_reads`, `io_bytes_read`, `io_edges_read`, `io_d_entries`,
-//! `io_e_entries`, and — live only on the paged (format-v3) backend —
+//! `io_e_entries`, and — live only on the paged (format-v5) backend —
 //! the block-cache counters `io_cache_hits`, `io_cache_misses`,
 //! `io_cache_evictions` and the `io_cache_bytes_resident` gauge. The
 //! sharded and remote tiers add `io_files_opened` (shard files opened

@@ -1,18 +1,18 @@
 //! Binary layout of the closure store files.
 //!
-//! One closure-file layout is written and read — **version 3** — plus
+//! One closure-file layout is written and read — **version 5** — plus
 //! the **version 4** `MANIFEST` that routes a sharded snapshot over a
-//! set of v3 files. All integers are little-endian; every checksum is
+//! set of v5 files. All integers are little-endian; every checksum is
 //! CRC-32 (IEEE).
 //!
-//! ## Version 3: the closure file
+//! ## Version 5: the closure file
 //!
 //! ```text
-//! magic "KTPMCLO3"
+//! magic "KTPMCLO5"
 //! u32 num_nodes, u32 num_labels, u32 block_entries
 //! labels: num_nodes * u32
 //! u32 crc32 over [num_nodes .. labels]
-//! per pair (in index order):
+//! per pair (in index order), its three sections back to back:
 //!   D section:    u32 count, count * (u32 node, u32 dist), u32 crc32
 //!   E section:    u32 count, count * (u32 src, u32 dst, u32 dist), u32 crc32
 //!   L directory:  u32 group_count,
@@ -24,12 +24,27 @@
 //!                 + u32 crc32 over the full padded payload. Every
 //!                 group starts on a fresh block — no block ever mixes
 //!                 two destination nodes.
-//! index:  u32 num_pairs,
-//!         num_pairs * (u32 a, u32 b, u64 d_off, u64 e_off, u64 dir_off),
-//!         u32 crc32 — entries strictly ascending by (a, b), the index
-//!         running exactly up to the footer
-//! footer: u64 index_offset, magic "KTPMCLO3"
+//! index pages: ceil(num_pairs / page_entries) pages; each page =
+//!         page_entries * (u32 a, u32 b, u64 d_off, u32 d_count,
+//!         u32 e_count, u32 dir_count) payload bytes (the final page
+//!         zero-padded) + u32 crc32 over the full padded payload —
+//!         entries strictly ascending by (a, b) across all pages
+//! index head: u32 num_pairs, u32 page_entries,
+//!         fence: one (u32 a, u32 b) per page, that page's first key,
+//!         u32 crc32 over the head — the pages ending exactly at the
+//!         head, the head running exactly up to the footer
+//! footer: u64 index_head_off, magic "KTPMCLO5"
 //! ```
+//!
+//! Version 5 is version 3's body with a paged index: sections and
+//! blocks are byte-for-byte v3's, which is why the block helpers
+//! ([`v3_block_bytes`], [`v3_group_blocks`]) and
+//! [`crate::write_store_v3`] keep their names. An index entry records
+//! only where its `D` section starts and the entry counts of its three
+//! sections: `E` starts where `D` ends and the directory where `E`
+//! ends ([`section_bytes`]), so every section is read in one piece, its
+//! length known before the read. `page_entries` is a writer constant
+//! ([`INDEX_PAGE_ENTRIES`]) recorded in the file, like `block_entries`.
 //!
 //! A section's checksum covers its count prefix and its payload. The
 //! `L` layout mirrors §4.1: incoming edges of each node, grouped
@@ -45,26 +60,34 @@
 //! `block_entries` header field makes files self-describing; writers
 //! choose it at serialization time ([`crate::write_store_v3`]).
 //!
-//! **Verification.** [`crate::PagedStore`] checks the header and index
-//! checksums **eagerly at open**, every `D`/`E`/directory checksum on
-//! the read that first touches the section, and every group block on
-//! its first fetch — so bit rot is detected the moment damaged bytes
-//! are read, as [`StorageError::Corrupt`], not merely bounds-checked.
-//! The `get_*` readers are **fallible**: a buffer too short for the
+//! **Verification.** [`crate::PagedStore`] checks the header and the
+//! index head (its checksum, its fence, its counts) **eagerly at
+//! open** — and reads nothing else there, so an open costs
+//! O(labels + pages), not O(pairs). Everything else is checked on the
+//! read that first touches it: an index page when a lookup first lands
+//! on it (then kept, verified, for the store's lifetime), a
+//! `D`/`E`/directory section when it is first read (its count prefix
+//! must also equal the index entry's), a group block on its first
+//! fetch — so bit rot is detected the moment damaged bytes are read,
+//! as [`StorageError::Corrupt`], not merely bounds-checked. The
+//! `get_*` readers are **fallible**: a buffer too short for the
 //! requested integer yields [`StorageError::Corrupt`] instead of a
 //! panic, so a truncated snapshot surfaces as an `Err` from
 //! [`crate::PagedStore::open`] rather than aborting the process.
 //!
 //! **Index order.** The per-pair sections and the index entries are
 //! written in ascending `(a, b)` key order, and that order is part of
-//! the format: [`crate::PagedStore`] keeps the verified index array as
-//! its lookup structure and binary-searches it, so it checks the order
-//! while parsing, at every open. An index whose checksum is valid but
-//! whose entries are out of order or repeat a key is refused with a
-//! pointed [`StorageError::BadFormat`] (a writer that ignores the
-//! format, not bit rot — a damaged index fails its CRC first); it is
-//! never opened into a store that would miss lookups. The same
-//! decision holds for the v4 manifest's routing table below:
+//! the format: [`crate::PagedStore`] binary-searches the fence, then
+//! the one page it lands on, as stored. The fence must be strictly
+//! ascending (checked at open); a page must start at its fence key,
+//! ascend strictly, end below the next page's fence key and hold
+//! nothing but zeros past `num_pairs` (checked on its first touch).
+//! An index whose checksums are valid but whose order is not is
+//! refused with a pointed [`StorageError::BadFormat`] (a writer that
+//! ignores the format, not bit rot — damaged bytes fail their CRC
+//! first): at open for the fence, by the lookup that touches a bad
+//! page otherwise — never served as a store that would miss lookups.
+//! The same decision holds for the v4 manifest's routing table below:
 //! [`crate::Manifest`] keeps the decoded array and
 //! [`crate::Manifest::shard_of`] binary-searches it, so
 //! [`crate::Manifest::decode`] refuses a checksum-valid routing table
@@ -75,7 +98,7 @@
 //! Version 4 (magic `KTPMCLO4`) is not a new closure-file layout — it
 //! is the **manifest** of a sharded snapshot written by
 //! [`crate::write_store_sharded`]: one small routing file (`MANIFEST`)
-//! next to a set of plain v3 shard files, each holding a disjoint
+//! next to a set of plain v5 shard files, each holding a disjoint
 //! subset of the label-pair tables. Readers ([`crate::ShardedStore`],
 //! [`crate::RemoteStore`]) open the manifest, answer
 //! `num_nodes`/`node_label`/`pair_keys` from it directly, and open a
@@ -103,44 +126,46 @@
 //! **file id** is its position in the manifest's shard list — the id
 //! the remote `FETCH` protocol and the shared block-cache key use.
 //!
-//! ## Versions 1 and 2: recognised, refused
+//! ## Versions 1, 2 and 3: recognised, refused
 //!
-//! The magics `KTPMCLO1` (no checksums) and `KTPMCLO2` (per-section
-//! checksums, packed group regions) belong to layouts this crate wrote
-//! before v3 and no longer reads or writes. Every open path recognises
-//! them only to refuse them with one pointed
-//! [`StorageError::BadFormat`] ([`refuse_legacy_magic`]): a closure
-//! file is derived data, so the upgrade is to re-run `ktpm closure`.
+//! The magics `KTPMCLO1` (no checksums), `KTPMCLO2` (per-section
+//! checksums, packed group regions) and `KTPMCLO3` (v5's body behind
+//! one whole index, read and checked in full at every open) belong to
+//! layouts this crate wrote before v5 and no longer reads or writes.
+//! Every open path recognises them only to refuse them with one
+//! pointed [`StorageError::BadFormat`] ([`refuse_legacy_magic`]): a
+//! closure file is derived data, so the upgrade is to re-run
+//! `ktpm closure`.
 
 use crate::source::StorageError;
 use ktpm_graph::LabelId;
 
-/// Version-3 magic: the closure file ([`crate::write_store`] writes
+/// Version-5 magic: the closure file ([`crate::write_store`] writes
 /// it, [`crate::PagedStore`] reads it).
-pub const MAGIC_V3: &[u8; 8] = b"KTPMCLO3";
+pub const MAGIC_V5: &[u8; 8] = b"KTPMCLO5";
 /// Version-4 magic: the `MANIFEST` of a sharded snapshot (routing +
-/// integrity metadata over a set of v3 shard files; see the module
+/// integrity metadata over a set of v5 shard files; see the module
 /// docs). Read by [`crate::ShardedStore`] / [`crate::RemoteStore`].
 pub const MAGIC_V4: &[u8; 8] = b"KTPMCLO4";
 pub const FOOTER_LEN: u64 = 8 + 8;
 
-/// Refuses the retired v1/v2 layouts by their magic (`KTPMCLO1`,
-/// `KTPMCLO2`) — the one error every open path gives them; any other
-/// magic is the caller's to judge.
+/// Refuses the retired v1/v2/v3 layouts by their magic (`KTPMCLO1`,
+/// `KTPMCLO2`, `KTPMCLO3`) — the one error every open path gives them;
+/// any other magic is the caller's to judge.
 pub fn refuse_legacy_magic(magic: &[u8]) -> Result<(), StorageError> {
-    if magic == b"KTPMCLO1" || magic == b"KTPMCLO2" {
+    if matches!(magic, b"KTPMCLO1" | b"KTPMCLO2" | b"KTPMCLO3") {
         return Err(StorageError::BadFormat(
-            "format v1/v2 store: no longer readable — re-run `ktpm closure`".into(),
+            "format v1/v2/v3 store: no longer readable — re-run `ktpm closure`".into(),
         ));
     }
     Ok(())
 }
 
-/// The refusal both on-disk pair arrays share — the v3 index and the
-/// v4 routing table (see "Index order" in the module docs): entry `i`'s
-/// `key` does not sort strictly above its predecessor's. The
-/// comparison stays in each parser's loop (it runs per entry, at every
-/// open); only the error is built here.
+/// The refusal every on-disk pair array shares — the v5 index, its
+/// fence and the v4 routing table (see "Index order" in the module
+/// docs): entry `i`'s `key` does not sort strictly above its
+/// predecessor's. The comparison stays in each parser's loop; only the
+/// error is built here.
 #[cold]
 pub fn pair_order_error(
     array: &str,
@@ -234,7 +259,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 pub const L_ENTRY_BYTES: usize = 8;
 
 /// Default cursor block size in `L` entries (512 bytes per block).
-/// Doubles as the default v3 on-disk block capacity.
+/// Doubles as the default on-disk block capacity.
 pub const DEFAULT_BLOCK_EDGES: usize = 64;
 
 /// On-disk size of one v3 group block holding `entries` `L` entries:
@@ -246,6 +271,64 @@ pub const fn v3_block_bytes(entries: usize) -> usize {
 /// Number of v3 blocks a group of `len` entries occupies.
 pub const fn v3_group_blocks(len: usize, block_entries: usize) -> usize {
     len.div_ceil(block_entries)
+}
+
+/// Entries per index page written by [`crate::write_store`] (a page
+/// is 3 588 bytes). Recorded in each file's index head, so a reader
+/// takes whatever the file declares.
+pub const INDEX_PAGE_ENTRIES: usize = 128;
+
+/// Size of one index entry on disk: `(u32 a, u32 b, u64 d_off,
+/// u32 d_count, u32 e_count, u32 dir_count)`.
+pub const INDEX_ENTRY_BYTES: usize = 4 + 4 + 8 + 4 + 4 + 4;
+
+/// On-disk size of one index page of `entries` entries: the fixed
+/// (zero-padded) payload plus its trailing CRC-32.
+pub const fn index_page_bytes(entries: usize) -> usize {
+    entries * INDEX_ENTRY_BYTES + 4
+}
+
+/// Entry widths of the three counted per-pair sections: `D`
+/// `(node, dist)`, `E` `(src, dst, dist)`, directory
+/// `(dst, abs_off, len)`.
+pub const D_ENTRY_BYTES: usize = 8;
+pub const E_ENTRY_BYTES: usize = 12;
+pub const DIR_ENTRY_BYTES: usize = 16;
+
+/// On-disk size of a counted section of `count` entries of `width`
+/// bytes: count prefix, payload, CRC-32.
+pub const fn section_bytes(count: u32, width: usize) -> u64 {
+    4 + count as u64 * width as u64 + 4
+}
+
+/// Whether `buf`'s trailing CRC-32 matches every byte before it — the
+/// seal of every region of the format except the footer. A buffer too
+/// short to hold a checksum is not sealed.
+pub fn seal_holds(buf: &[u8]) -> bool {
+    let Some(at) = buf.len().checked_sub(4) else {
+        return false;
+    };
+    crc32(&buf[..at]) == u32::from_le_bytes(buf[at..].try_into().expect("sliced 4 bytes"))
+}
+
+/// The length and CRC-32 of a whole file, streamed through a fixed
+/// 64 KiB buffer — a store larger than RAM is sealed and checked
+/// without ever being held.
+pub fn file_crc32(path: &std::path::Path) -> Result<(u64, u32), StorageError> {
+    use std::io::Read;
+    let mut file = std::fs::File::open(path)?;
+    let mut buf = vec![0u8; 64 * 1024];
+    let (mut len, mut state) = (0u64, CRC_INIT);
+    loop {
+        let got = match file.read(&mut buf) {
+            Ok(0) => return Ok((len, crc32_finish(state))),
+            Ok(got) => got,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
+        state = crc32_update(state, &buf[..got]);
+        len += got as u64;
+    }
 }
 
 pub fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -405,16 +488,57 @@ mod tests {
 
     #[test]
     fn legacy_magics_are_refused_and_only_those() {
-        for legacy in [b"KTPMCLO1", b"KTPMCLO2"] {
+        for legacy in [b"KTPMCLO1", b"KTPMCLO2", b"KTPMCLO3"] {
             let err = refuse_legacy_magic(legacy).unwrap_err();
             assert!(
                 matches!(&err, StorageError::BadFormat(m) if m.contains("ktpm closure")),
                 "{err}"
             );
         }
-        for other in [&MAGIC_V3[..], &MAGIC_V4[..], b"KTPMXXX9", b"KTPM", b""] {
+        for other in [&MAGIC_V5[..], &MAGIC_V4[..], b"KTPMXXX9", b"KTPM", b""] {
             refuse_legacy_magic(other).unwrap();
         }
+    }
+
+    #[test]
+    fn seals_hold_only_over_their_own_bytes() {
+        let mut buf = b"payload".to_vec();
+        put_u32(&mut buf, crc32(b"payload"));
+        assert!(seal_holds(&buf));
+        buf[0] ^= 1;
+        assert!(!seal_holds(&buf));
+        assert!(
+            seal_holds(&crc32(b"").to_le_bytes()),
+            "an empty payload seals"
+        );
+        assert!(!seal_holds(&[0u8; 3]), "too short to carry a checksum");
+    }
+
+    #[test]
+    fn streamed_file_crc_equals_the_one_shot_crc() {
+        // Lengths around the 64 KiB read buffer: empty, short, exactly
+        // one buffer, and several buffers plus a tail.
+        for len in [0usize, 5, 64 * 1024, 3 * 64 * 1024 + 17] {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+            let mut path = std::env::temp_dir();
+            path.push(format!("ktpm-file-crc-{}-{len}", std::process::id()));
+            std::fs::write(&path, &bytes).unwrap();
+            assert_eq!(file_crc32(&path).unwrap(), (len as u64, crc32(&bytes)));
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn v5_index_geometry() {
+        assert_eq!(INDEX_ENTRY_BYTES, 28);
+        assert_eq!(index_page_bytes(INDEX_PAGE_ENTRIES), 128 * 28 + 4);
+        assert_eq!(section_bytes(0, D_ENTRY_BYTES), 8);
+        assert_eq!(section_bytes(3, E_ENTRY_BYTES), 4 + 36 + 4);
+        assert_eq!(
+            section_bytes(u32::MAX, DIR_ENTRY_BYTES),
+            8 + u32::MAX as u64 * 16,
+            "no overflow at the largest count"
+        );
     }
 
     #[test]

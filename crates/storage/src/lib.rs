@@ -23,16 +23,19 @@
 //!   materialized lazily from the data graph, one SSSP sweep per source
 //!   label, and cached (§5 "Managing Closure Size").
 //!
-//! **Paged** — the one on-disk format (v3; [`write_store`] emits it):
+//! **Paged** — the one on-disk format (v5; [`write_store`] emits it):
 //!
 //! * [`PagedStore`] — group regions split into fixed-size CRC-verified
 //!   blocks, fetched lazily through a byte-budgeted LRU block cache, so
 //!   enumeration over a closure larger than RAM keeps a bounded
-//!   resident set. It reads its bytes through a positioned byte source,
-//!   which is the seam the next family plugs into.
+//!   resident set. Its pair index is paged as well: an open reads the
+//!   header and a fence of page first-keys, and each index page is
+//!   verified on the lookup that first lands on it. It reads its bytes
+//!   through a positioned byte source, which is the seam the next
+//!   family plugs into.
 //!
 //! **Manifest-routed** — one store ([`RoutedStore`], a single `impl
-//! ClosureSource`) over a multi-file v3 snapshot
+//! ClosureSource`) over a multi-file v5 snapshot
 //! ([`write_store_sharded`]) and its CRC'd v4 `MANIFEST`: label pairs are routed to owning shard files,
 //! each opened lazily as a member [`PagedStore`], all sharing one
 //! byte-budgeted block cache. Two public aliases name where the shard
@@ -46,7 +49,7 @@
 //!   [`StorageError::Remote`] instead of hanging.
 //!
 //! [`open_store_auto`] / [`open_store_uri`] open whatever a `--store`
-//! argument names. The retired v1/v2 file layouts are recognised by
+//! argument names. The retired v1/v2/v3 file layouts are recognised by
 //! their magic only to be refused (re-run `ktpm closure`).
 //!
 //! All counters live in [`IoStats`] snapshots so experiments can report
@@ -68,7 +71,7 @@ mod source;
 mod table;
 mod writer;
 
-pub use format::{DEFAULT_BLOCK_EDGES, MAGIC_V4};
+pub use format::{DEFAULT_BLOCK_EDGES, INDEX_PAGE_ENTRIES, MAGIC_V4};
 pub use iostats::{IoSnapshot, IoStats};
 pub use live::LiveStore;
 pub use manifest::{Manifest, ShardFileMeta};

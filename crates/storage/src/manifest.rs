@@ -27,7 +27,7 @@ pub struct Manifest {
     /// On-disk block capacity (in `L` entries) shared by every shard
     /// file.
     pub block_entries: u32,
-    /// Number of distinct labels (v3 header parity).
+    /// Number of distinct labels (v5 header parity).
     pub num_labels: u32,
     /// Per-node labels of the underlying data graph, indexed by node id.
     pub labels: Vec<LabelId>,

@@ -1,5 +1,6 @@
-//! The paged [`ClosureSource`] over format-v3 stores: lazy verified
-//! block fetch behind a byte-budgeted LRU block cache.
+//! The paged [`ClosureSource`] over format-v5 stores: lazy verified
+//! block fetch behind a byte-budgeted LRU block cache, over a paged
+//! pair index read page by page.
 //!
 //! A [`PagedStore`] never materializes a group region: every `L` read
 //! — block cursors, whole-pair loads, point lookups — goes through
@@ -10,13 +11,22 @@
 //! bounded by `--block-cache-bytes` while enumeration streams the
 //! paper's §5 block-at-a-time I/O model.
 //!
-//! Because the v3 writer starts every destination node's group on a
+//! The pair index is read the same way. An open reads four things —
+//! header, labels, footer, index head — and checks them, so it costs
+//! O(labels + pages), not O(pairs). A lookup binary-searches the
+//! head's fence of page first-keys, then the one page it lands on; that
+//! page is read (one counted read), CRC-checked and order-checked on
+//! its first touch and kept for the store's lifetime, so a warm lookup
+//! takes no lock and allocates nothing. An index entry carries its
+//! sections' counts, so every `D`/`E`/directory section is one read.
+//!
+//! Because the writer starts every destination node's group on a
 //! fresh block, [`crate::ShardSpec`]-partitioned root candidates touch
 //! disjoint block sets — parallel shards warm the cache for their own
 //! partition without false sharing.
 //!
 //! The store reads its bytes through a [`BlockSource`] — a positioned
-//! `read_at` over one sealed v3 file. [`LocalFile`] is the plain
+//! `read_at` over one sealed v5 file. [`LocalFile`] is the plain
 //! on-disk implementation; the remote tier plugs a network-backed
 //! source into the *same* `PagedStore` (`crate::RemoteStore`), so
 //! parsing, verification, caching, and accounting are written once.
@@ -58,23 +68,162 @@ pub const DEFAULT_BLOCK_CACHE_BYTES: u64 = 8 * 1024 * 1024;
 /// first block, entry count)`.
 type DirEntry = (NodeId, u64, u32);
 
-/// On-disk size of one index entry: `(u32 a, u32 b, u64 d_off,
-/// u64 e_off, u64 dir_off)`.
-const INDEX_ENTRY_BYTES: usize = 4 + 4 + 8 + 8 + 8;
-
-/// One verified index entry: a label pair and the absolute offsets of
-/// its `D`, `E` and `L`-directory sections.
-#[derive(Clone, Copy)]
-struct IndexEntry {
-    key: (LabelId, LabelId),
-    d_off: u64,
-    e_off: u64,
-    dir_off: u64,
-}
-
 type DirCache = HashMap<(LabelId, LabelId), Arc<Vec<DirEntry>>>;
 
-/// A positioned byte source over one sealed v3 store file — the seam
+/// The `(u32 a, u32 b)` label pair at byte `o` of a checked buffer.
+fn pair_at(bytes: &[u8], o: usize) -> (LabelId, LabelId) {
+    let at = |o: usize| {
+        LabelId(u32::from_le_bytes(
+            bytes[o..o + 4].try_into().expect("4 bytes"),
+        ))
+    };
+    (at(o), at(o + 4))
+}
+
+/// The label pair of index record `i` of a verified page.
+fn key_at(page: &[u8], i: usize) -> (LabelId, LabelId) {
+    pair_at(page, i * INDEX_ENTRY_BYTES)
+}
+
+/// One index entry: where a pair's `D` section starts and how many
+/// entries each of its three sections holds. `E` and the directory
+/// follow `D` back to back, so their offsets are derived.
+#[derive(Clone, Copy)]
+struct IndexEntry {
+    d_off: u64,
+    d_count: u32,
+    e_count: u32,
+    dir_count: u32,
+}
+
+impl IndexEntry {
+    /// Decodes record `i` of a verified page (its key is [`key_at`]).
+    fn at(page: &[u8], i: usize) -> Self {
+        let rec = &page[i * INDEX_ENTRY_BYTES + 8..(i + 1) * INDEX_ENTRY_BYTES];
+        let u32_at = |o: usize| u32::from_le_bytes(rec[o..o + 4].try_into().expect("4 bytes"));
+        IndexEntry {
+            d_off: u64::from_le_bytes(rec[..8].try_into().expect("8 bytes")),
+            d_count: u32_at(8),
+            e_count: u32_at(12),
+            dir_count: u32_at(16),
+        }
+    }
+
+    fn d(&self) -> Section {
+        Section {
+            off: self.d_off,
+            count: self.d_count,
+            width: D_ENTRY_BYTES,
+        }
+    }
+
+    fn e(&self) -> Section {
+        Section {
+            off: self.d().end(),
+            count: self.e_count,
+            width: E_ENTRY_BYTES,
+        }
+    }
+
+    fn dir(&self) -> Section {
+        Section {
+            off: self.e().end(),
+            count: self.dir_count,
+            width: DIR_ENTRY_BYTES,
+        }
+    }
+}
+
+/// Where one counted section lies: its offset, the entry count the
+/// index promises for it, and its entry width.
+#[derive(Clone, Copy)]
+struct Section {
+    off: u64,
+    count: u32,
+    width: usize,
+}
+
+impl Section {
+    /// The offset past the section. Saturates: a garbage offset then
+    /// fails the read's bounds check instead of wrapping.
+    fn end(&self) -> u64 {
+        self.off
+            .saturating_add(section_bytes(self.count, self.width))
+    }
+}
+
+/// The paged pair index, its head verified at open; see the `format`
+/// docs.
+struct PagedIndex {
+    num_pairs: usize,
+    page_entries: usize,
+    /// File offset of the index head (what the footer points at).
+    head_off: u64,
+    /// File offset of page 0.
+    pages_off: u64,
+    /// Each page's first key, strictly ascending.
+    fence: Vec<(LabelId, LabelId)>,
+    /// Each page's entries (padding and checksum dropped), filled by
+    /// the lookup that first lands on it, once verified.
+    pages: Vec<OnceLock<Vec<u8>>>,
+}
+
+impl PagedIndex {
+    /// Parses and checks the index head — `head` is every byte from
+    /// `head_off` up to the footer: its checksum, then that the fence
+    /// ascends strictly and that `num_pairs`, `page_entries` and the
+    /// fence length agree with each other and place the pages between
+    /// the file header (ending at `body_start`) and the head.
+    fn parse_head(head: &[u8], head_off: u64, body_start: u64) -> Result<Self, StorageError> {
+        if head.len() < 12 || !seal_holds(head) {
+            return Err(StorageError::Corrupt {
+                offset: head_off,
+                needed: head.len().max(12),
+            });
+        }
+        let mut pos = 0;
+        let num_pairs = get_u32(head, &mut pos)? as usize;
+        let page_entries = get_u32(head, &mut pos)? as usize;
+        if page_entries == 0 {
+            return Err(StorageError::BadFormat(
+                "index head declares zero entries per page".into(),
+            ));
+        }
+        let num_pages = num_pairs.div_ceil(page_entries);
+        let fence_bytes = head.len() - 12;
+        if fence_bytes != num_pages * 8 {
+            return Err(StorageError::BadFormat(format!(
+                "index head: {num_pairs} pair(s) in pages of {page_entries} need {num_pages} \
+                 fence key(s), the head holds {fence_bytes} byte(s) of fence"
+            )));
+        }
+        let fence: Vec<(LabelId, LabelId)> =
+            (0..num_pages).map(|i| pair_at(head, 8 + i * 8)).collect();
+        if let Some(i) = (1..fence.len()).find(|&i| fence[i - 1] >= fence[i]) {
+            return Err(pair_order_error("index fence", i, fence[i - 1], fence[i]));
+        }
+        let pages_bytes = (num_pages as u64).saturating_mul(index_page_bytes(page_entries) as u64);
+        let pages_off = head_off
+            .checked_sub(pages_bytes)
+            .filter(|&off| off >= body_start)
+            .ok_or_else(|| {
+                StorageError::BadFormat(format!(
+                    "index head: {num_pages} page(s) of {page_entries} entries do not fit \
+                     between the header and the head at offset {head_off}"
+                ))
+            })?;
+        Ok(PagedIndex {
+            num_pairs,
+            page_entries,
+            head_off,
+            pages_off,
+            fence,
+            pages: (0..num_pages).map(|_| OnceLock::new()).collect(),
+        })
+    }
+}
+
+/// A positioned byte source over one sealed v5 store file — the seam
 /// between [`PagedStore`]'s parsing/caching logic and where the bytes
 /// actually live (local disk, or a remote block server).
 pub(crate) trait BlockSource: Send + Sync {
@@ -195,52 +344,69 @@ impl PagedShared {
         v3_block_bytes(self.block_entries)
     }
 
-    /// One read + CRC check of the group block at `off`; returns the
-    /// padded payload only.
-    fn read_block_once(&self, off: u64) -> Result<Vec<u8>, StorageError> {
-        let bb = self.block_bytes();
-        let mut buf = self.read_vec(off, bb)?;
-        let payload = self.block_entries * L_ENTRY_BYTES;
-        let expect = u32::from_le_bytes(
-            buf[payload..]
-                .try_into()
-                .expect("sliced the trailing 4 bytes"),
-        );
-        if crc32(&buf[..payload]) != expect {
-            return Err(StorageError::Corrupt {
-                offset: off,
-                needed: bb,
-            });
-        }
-        buf.truncate(payload);
-        Ok(buf)
-    }
-
-    /// Reads and CRC-verifies the group block at `off`, bypassing the
-    /// cache (also the scrub path). On a retryable source (remote), a
-    /// CRC mismatch earns exactly one counted re-read — the flip may
-    /// have happened on the wire — before the error stands.
-    fn read_block_verified(&self, off: u64) -> Result<Vec<u8>, StorageError> {
-        match self.read_block_once(off) {
+    /// One counted read of `bytes` at `off`, accepted only if `check`
+    /// passes. On a retryable source (remote), a `Corrupt` earns
+    /// exactly one counted re-read — the flip may have happened on the
+    /// wire — before the error stands.
+    fn read_checked(
+        &self,
+        off: u64,
+        bytes: usize,
+        check: impl Fn(&[u8]) -> Result<(), StorageError>,
+    ) -> Result<Vec<u8>, StorageError> {
+        let once = || {
+            let buf = self.read_vec(off, bytes)?;
+            check(&buf).map(|()| buf)
+        };
+        match once() {
             Err(StorageError::Corrupt { .. }) if self.source.is_retryable() => {
                 self.io.add_remote_retry();
-                self.read_block_once(off)
+                once()
             }
             other => other,
         }
     }
 
-    /// The lazy verified fetch: cache hit, or disk read + CRC check +
-    /// budgeted insert. Every consumer of group bytes funnels through
-    /// here, so a block is verified exactly once per residency.
-    fn fetch_block(&self, off: u64) -> Result<Arc<Vec<u8>>, StorageError> {
+    /// Reads the sealed region at `off` — payload plus the CRC-32 over
+    /// it, `bytes` in all — through [`Self::read_checked`]; returns it
+    /// whole, checksum included.
+    fn read_sealed(&self, off: u64, bytes: usize) -> Result<Vec<u8>, StorageError> {
+        self.read_checked(off, bytes, |buf| {
+            if seal_holds(buf) {
+                Ok(())
+            } else {
+                Err(StorageError::Corrupt {
+                    offset: off,
+                    needed: bytes,
+                })
+            }
+        })
+    }
+
+    /// Reads and CRC-verifies the group block at `off`, bypassing the
+    /// cache (also the scrub path); returns the padded payload only.
+    fn read_block_verified(&self, off: u64) -> Result<Vec<u8>, StorageError> {
+        let mut buf = self.read_sealed(off, self.block_bytes())?;
+        buf.truncate(self.block_entries * L_ENTRY_BYTES);
+        Ok(buf)
+    }
+
+    /// The lazy verified fetch of the bytes at `off` in this file: a
+    /// cache hit, or `load` (a checked read) + budgeted insert. Group
+    /// blocks and `D`/`E` sections both funnel through here, so bytes
+    /// are verified exactly once per residency.
+    fn cached(
+        &self,
+        off: u64,
+        load: impl FnOnce() -> Result<Vec<u8>, StorageError>,
+    ) -> Result<Arc<Vec<u8>>, StorageError> {
         let key = (self.file_id, off);
         if let Some(data) = self.cache.lock().expect("block cache").get(key) {
             self.io.add_cache_hit();
             return Ok(data);
         }
         self.io.add_cache_miss();
-        let data = Arc::new(self.read_block_verified(off)?);
+        let data = Arc::new(load()?);
         let (evicted, resident) = self
             .cache
             .lock()
@@ -252,17 +418,22 @@ impl PagedShared {
         self.io.set_cache_resident(resident);
         Ok(data)
     }
+
+    /// The group block at `off`, through the cache.
+    fn fetch_block(&self, off: u64) -> Result<Arc<Vec<u8>>, StorageError> {
+        self.cached(off, || self.read_block_verified(off))
+    }
 }
 
-/// A format-v3 closure store opened from disk: group regions are
+/// A format-v5 closure store opened from disk: group regions are
 /// fixed-size CRC-checked blocks, fetched lazily through an LRU block
-/// cache. See the module docs.
+/// cache, behind a paged pair index. See the module docs.
 pub struct PagedStore {
     shared: Arc<PagedShared>,
     labels: Vec<LabelId>,
-    /// The on-disk index, verified at open: strictly ascending by
-    /// label pair, so lookups binary-search it as is.
-    index: Vec<IndexEntry>,
+    /// The paged pair index: head checked at open, each page on the
+    /// lookup that first lands on it.
+    index: PagedIndex,
     dirs: Mutex<DirCache>,
     /// The data graph, when attached ([`PagedStore::with_graph`]) —
     /// enables the lazily-built undirected mirror for graph patterns.
@@ -271,16 +442,17 @@ pub struct PagedStore {
 }
 
 impl PagedStore {
-    /// Opens a v3 store with the default cache budget
+    /// Opens a v5 store with the default cache budget
     /// ([`DEFAULT_BLOCK_CACHE_BYTES`]).
     ///
     /// Errors: [`StorageError::BadFormat`] when the file is not a
-    /// closure store, is a retired v1/v2 store (no longer readable:
-    /// re-run `ktpm closure`), or carries a checksum-valid index that
-    /// is not strictly ascending by label pair (see the `format`
-    /// docs); [`StorageError::Corrupt`] when it is a v3 store but
-    /// truncated or damaged (header and index checksums are verified
-    /// eagerly here; group blocks verify on first fetch).
+    /// closure store, is a retired v1/v2/v3 store (no longer readable:
+    /// re-run `ktpm closure`), or carries a checksum-valid index head
+    /// whose fence is not strictly ascending or whose counts disagree
+    /// (see the `format` docs); [`StorageError::Corrupt`] when it is a
+    /// v5 store but truncated or damaged. Only the header and the
+    /// index head are read and verified here: index pages, sections
+    /// and group blocks verify on first touch.
     pub fn open(path: &Path) -> Result<Self, StorageError> {
         Self::open_with_cache_bytes(path, DEFAULT_BLOCK_CACHE_BYTES)
     }
@@ -303,12 +475,12 @@ impl PagedStore {
         )
     }
 
-    /// Opens a v3 store over any [`BlockSource`] — the shared
+    /// Opens a v5 store over any [`BlockSource`] — the shared
     /// constructor behind standalone opens, [`crate::ShardedStore`]
     /// member files (shared `cache`/`io`/`errors`, distinct
     /// `file_id`s), and [`crate::RemoteStore`] (network-backed
-    /// source). Header and index checksums are verified eagerly, via
-    /// the source.
+    /// source). Four reads — header, labels, footer, index head — all
+    /// verified here: O(labels + pages), whatever the pair count.
     pub(crate) fn from_source(
         source: Box<dyn BlockSource>,
         cache: Arc<Mutex<BlockCache>>,
@@ -325,7 +497,7 @@ impl PagedStore {
             // Too short to hold header + footer. Require at least half
             // the magic before diagnosing a damaged store rather than
             // "not our file at all".
-            if magic.len() < 4 || magic != &MAGIC_V3[..magic.len()] {
+            if magic.len() < 4 || magic != &MAGIC_V5[..magic.len()] {
                 return Err(StorageError::BadFormat("bad magic".into()));
             }
             return Err(StorageError::Corrupt {
@@ -333,7 +505,7 @@ impl PagedStore {
                 needed: (FOOTER_LEN + HEAD_LEN as u64 - len) as usize,
             });
         }
-        if magic != MAGIC_V3 {
+        if magic != MAGIC_V5 {
             return Err(StorageError::BadFormat("bad magic".into()));
         }
         let mut pos = 8;
@@ -342,7 +514,7 @@ impl PagedStore {
         let block_entries = get_u32(&head, &mut pos)? as usize;
         if block_entries == 0 {
             return Err(StorageError::BadFormat(
-                "v3 header declares a zero block capacity".into(),
+                "v5 header declares a zero block capacity".into(),
             ));
         }
         let label_bytes = num_nodes
@@ -369,65 +541,27 @@ impl PagedStore {
             .chunks_exact(4)
             .map(|c| LabelId(u32::from_le_bytes(c.try_into().expect("chunked to 4"))))
             .collect();
-        // Footer.
+        // Footer, then the index head: everything between the
+        // offset the footer names and the footer itself, in one read
+        // (one round trip on a remote source).
         let foot = source.read_at(len - FOOTER_LEN, FOOTER_LEN as usize)?;
-        if &foot[8..] != MAGIC_V3 {
+        if &foot[8..] != MAGIC_V5 {
             return Err(StorageError::Corrupt {
                 offset: len - 8,
                 needed: 8,
             });
         }
-        let mut pos = 0;
-        let index_off = get_u64(&foot, &mut pos)?;
-        // The index is everything between `index_off` and the footer —
-        // count, entries, CRC — so one read (one round trip on a remote
-        // source) fetches it whole.
-        let region_len = (len - FOOTER_LEN)
-            .checked_sub(index_off)
-            .filter(|&n| n >= 8)
+        let head_off = u64::from_le_bytes(foot[..8].try_into().expect("sliced 8"));
+        let head_len = (len - FOOTER_LEN)
+            .checked_sub(head_off)
+            .filter(|&n| n >= 12)
             .ok_or(StorageError::Corrupt {
-                offset: index_off,
-                needed: 8,
+                offset: head_off,
+                needed: 12,
             })?;
-        let region = source.read_at(index_off, region_len as usize)?;
-        let num_pairs = u32::from_le_bytes(region[..4].try_into().expect("sliced 4")) as usize;
-        // Bounds-check the count before trusting it.
-        let crc_at = num_pairs
-            .checked_mul(INDEX_ENTRY_BYTES)
-            .and_then(|b| b.checked_add(4))
-            .filter(|&end| end + 4 <= region.len())
-            .ok_or(StorageError::Corrupt {
-                offset: index_off + 4,
-                needed: num_pairs.saturating_mul(INDEX_ENTRY_BYTES),
-            })?;
-        // Verify eagerly: count + entries against the trailing CRC.
-        let stored = u32::from_le_bytes(region[crc_at..crc_at + 4].try_into().expect("sliced 4"));
-        if crc32(&region[..crc_at]) != stored {
-            return Err(StorageError::Corrupt {
-                offset: index_off,
-                needed: crc_at + 4,
-            });
-        }
-        // The writer emits pairs in ascending key order and the format
-        // requires it (see the `format` docs): check it while parsing,
-        // and the array is its own lookup structure.
-        let mut index: Vec<IndexEntry> = Vec::with_capacity(num_pairs);
-        let mut pos = 4;
-        for i in 0..num_pairs {
-            let key = (
-                LabelId(get_u32(&region, &mut pos)?),
-                LabelId(get_u32(&region, &mut pos)?),
-            );
-            if let Some(prev) = index.last().filter(|prev| prev.key >= key) {
-                return Err(pair_order_error("v3 index", i, prev.key, key));
-            }
-            index.push(IndexEntry {
-                key,
-                d_off: get_u64(&region, &mut pos)?,
-                e_off: get_u64(&region, &mut pos)?,
-                dir_off: get_u64(&region, &mut pos)?,
-            });
-        }
+        let head = source.read_at(head_off, head_len as usize)?;
+        let body_start = (HEAD_LEN + label_bytes + 4) as u64;
+        let index = PagedIndex::parse_head(&head, head_off, body_start)?;
         Ok(PagedStore {
             shared: Arc::new(PagedShared {
                 source,
@@ -503,117 +637,191 @@ impl PagedStore {
             .collect())
     }
 
-    /// Scrubs the whole snapshot: re-verifies every `D`/`E`/directory
-    /// section checksum and **every group block**, reading straight
-    /// from disk (the cache is neither consulted nor polluted). The
-    /// header and index were already verified at open. Returns the
-    /// first mismatch as [`StorageError::Corrupt`].
+    /// Number of pages in the pair index.
+    pub fn index_pages(&self) -> usize {
+        self.index.pages.len()
+    }
+
+    /// Scrubs the whole snapshot: re-reads and re-checks the index
+    /// head, walks every index page (through the same first-touch
+    /// verification lookups use), and re-verifies every
+    /// `D`/`E`/directory section and **every group block**, reading
+    /// sections and blocks straight from disk (the block cache is
+    /// neither consulted nor polluted). The header was verified at
+    /// open. Returns the first failure: [`StorageError::Corrupt`] for
+    /// damaged bytes, [`StorageError::BadFormat`] for a checksum-valid
+    /// page out of order.
     pub fn verify(&self) -> Result<(), StorageError> {
+        let ix = &self.index;
+        let head_len = self.shared.source.len() - FOOTER_LEN - ix.head_off;
+        let head = self.shared.read_vec(ix.head_off, head_len as usize)?;
+        PagedIndex::parse_head(&head, ix.head_off, ix.pages_off)?;
         let bb = self.shared.block_bytes() as u64;
-        for entry in &self.index {
-            let (a, b) = entry.key;
-            let count = self.read_count(entry.d_off)?;
-            self.read_body(entry.d_off, count, 8)?;
-            let count = self.read_count(entry.e_off)?;
-            self.read_body(entry.e_off, count, 12)?;
-            let dir = self.directory(a, b)?.expect("pair key came from the index");
-            for &(_, off, len) in dir.iter() {
-                let blocks = v3_group_blocks(len as usize, self.shared.block_entries) as u64;
-                for i in 0..blocks {
-                    self.shared.read_block_verified(off + i * bb)?;
+        for p in 0..ix.pages.len() {
+            let page = self.page(p)?;
+            for i in 0..page.len() / INDEX_ENTRY_BYTES {
+                let entry = IndexEntry::at(page, i);
+                self.read_section(entry.d())?;
+                self.read_section(entry.e())?;
+                for (_, off, len) in self.read_directory(&entry)? {
+                    let blocks = v3_group_blocks(len as usize, self.shared.block_entries) as u64;
+                    for k in 0..blocks {
+                        self.shared.read_block_verified(off + k * bb)?;
+                    }
                 }
             }
         }
         Ok(())
     }
 
-    /// The index entry of `(a, b)`, if the pair is non-empty: a binary
-    /// search of the verified on-disk array.
-    fn entry(&self, a: LabelId, b: LabelId) -> Option<&IndexEntry> {
-        self.index
-            .binary_search_by_key(&(a, b), |e| e.key)
-            .ok()
-            .map(|i| &self.index[i])
-    }
-
-    /// Reads the 4-byte count at `off`, bounds-validated.
-    fn read_count(&self, off: u64) -> Result<usize, StorageError> {
-        let buf = self.shared.read_vec(off, 4)?;
-        Ok(u32::from_le_bytes(buf.try_into().expect("read 4 bytes")) as usize)
-    }
-
-    /// Reads a counted section's body (`count * entry_bytes` at
-    /// `count_off + 4`), verifying the trailing CRC over count + body.
-    /// Returns exactly the body bytes.
-    fn read_body(
-        &self,
-        count_off: u64,
-        count: usize,
-        entry_bytes: usize,
-    ) -> Result<Vec<u8>, StorageError> {
-        let body_bytes = count
-            .checked_mul(entry_bytes)
-            .ok_or(StorageError::Corrupt {
-                offset: count_off,
-                needed: count.saturating_mul(entry_bytes),
-            })?;
-        let mut buf = self.shared.read_vec(count_off + 4, body_bytes + 4)?;
-        let expect = u32::from_le_bytes(
-            buf[body_bytes..]
-                .try_into()
-                .expect("sliced the trailing 4 bytes"),
-        );
-        let state = crc32_update(CRC_INIT, &(count as u32).to_le_bytes());
-        let state = crc32_update(state, &buf[..body_bytes]);
-        if crc32_finish(state) != expect {
-            return Err(StorageError::Corrupt {
-                offset: count_off,
-                needed: body_bytes + 8,
-            });
+    /// Page `p`'s verified entries: read and checked by the first
+    /// lookup that lands on the page, then kept — a warm lookup takes
+    /// no lock and allocates nothing. A page that fails its checks is
+    /// not kept; the next lookup re-reads it and fails again.
+    fn page(&self, p: usize) -> Result<&[u8], StorageError> {
+        let slot = &self.index.pages[p];
+        if let Some(page) = slot.get() {
+            return Ok(page);
         }
-        buf.truncate(body_bytes);
+        let page = self.read_page(p)?;
+        Ok(slot.get_or_init(|| page))
+    }
+
+    /// One counted read of page `p`, checked: its CRC, then its order —
+    /// it starts at its fence key, ascends strictly, ends below the
+    /// next page's fence key, and holds only zeros past `num_pairs`.
+    /// Returns its live entries, padding and checksum dropped.
+    fn read_page(&self, p: usize) -> Result<Vec<u8>, StorageError> {
+        let ix = &self.index;
+        let page_bytes = index_page_bytes(ix.page_entries);
+        let off = ix.pages_off + (p * page_bytes) as u64;
+        let mut page = self.shared.read_sealed(off, page_bytes)?;
+        let first = p * ix.page_entries;
+        let n = ix.page_entries.min(ix.num_pairs - first);
+        let live = n * INDEX_ENTRY_BYTES;
+        if page[live..page_bytes - 4].iter().any(|&b| b != 0) {
+            return Err(StorageError::BadFormat(format!(
+                "index page {p} holds entries past the head's {} pair(s)",
+                ix.num_pairs
+            )));
+        }
+        page.truncate(live);
+        let (key, fence) = (key_at(&page, 0), ix.fence[p]);
+        if key != fence {
+            return Err(StorageError::BadFormat(format!(
+                "index page {p} starts at pair ({}, {}), but its fence key is ({}, {})",
+                key.0 .0, key.1 .0, fence.0 .0, fence.1 .0
+            )));
+        }
+        for i in 1..n {
+            let (prev, key) = (key_at(&page, i - 1), key_at(&page, i));
+            if prev >= key {
+                return Err(pair_order_error("index", first + i, prev, key));
+            }
+        }
+        if let Some(&next) = ix.fence.get(p + 1) {
+            let last = key_at(&page, n - 1);
+            if last >= next {
+                return Err(pair_order_error("index", first + n, last, next));
+            }
+        }
+        Ok(page)
+    }
+
+    /// The index entry of `(a, b)`, if the pair is non-empty: a binary
+    /// search of the fence, then of the one page it names.
+    fn entry(&self, a: LabelId, b: LabelId) -> Result<Option<IndexEntry>, StorageError> {
+        let key = (a, b);
+        let Some(p) = self
+            .index
+            .fence
+            .partition_point(|&k| k <= key)
+            .checked_sub(1)
+        else {
+            return Ok(None);
+        };
+        let page = self.page(p)?;
+        let (mut lo, mut hi) = (0, page.len() / INDEX_ENTRY_BYTES);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match key_at(page, mid).cmp(&key) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Ok(Some(IndexEntry::at(page, mid))),
+            }
+        }
+        Ok(None)
+    }
+
+    /// As [`Self::entry`], but on the infallible read paths: an error
+    /// degrades to `None` and is recorded in the error slot.
+    fn entry_noted(&self, a: LabelId, b: LabelId) -> Option<IndexEntry> {
+        self.entry(a, b).unwrap_or_else(|e| {
+            self.shared.errors.record(e);
+            None
+        })
+    }
+
+    /// Every label pair in index order, walking every page.
+    pub(crate) fn try_pair_keys(&self) -> Result<Vec<(LabelId, LabelId)>, StorageError> {
+        let mut keys = Vec::with_capacity(self.index.num_pairs);
+        for p in 0..self.index.pages.len() {
+            let page = self.page(p)?;
+            keys.extend((0..page.len() / INDEX_ENTRY_BYTES).map(|i| key_at(page, i)));
+        }
+        Ok(keys)
+    }
+
+    /// Reads a counted section in one read — its length is known from
+    /// the index — checking that its count prefix equals the index's
+    /// and its trailing CRC. Returns exactly the entry bytes.
+    fn read_section(&self, s: Section) -> Result<Vec<u8>, StorageError> {
+        let bytes = usize::try_from(section_bytes(s.count, s.width)).map_err(|_| {
+            StorageError::Corrupt {
+                offset: s.off,
+                needed: usize::MAX,
+            }
+        })?;
+        let mut buf = self.shared.read_checked(s.off, bytes, |buf| {
+            let count = u32::from_le_bytes(buf[..4].try_into().expect("sliced 4"));
+            if count != s.count {
+                return Err(StorageError::Corrupt {
+                    offset: s.off,
+                    needed: 4,
+                });
+            }
+            if !seal_holds(buf) {
+                return Err(StorageError::Corrupt {
+                    offset: s.off,
+                    needed: bytes,
+                });
+            }
+            Ok(())
+        })?;
+        buf.truncate(bytes - 4);
+        buf.drain(..4);
         Ok(buf)
     }
 
-    /// The cached verified D/E section fetch: body bytes keyed by the
-    /// section's count offset in the shared block cache, so warm table
-    /// loads re-read nothing — locally or over the network. On a
-    /// retryable (remote) source a CRC mismatch earns exactly one
-    /// counted re-read, mirroring [`PagedShared::read_block_verified`].
-    fn fetch_section(
-        &self,
-        count_off: u64,
-        entry_bytes: usize,
-    ) -> Result<Arc<Vec<u8>>, StorageError> {
-        let key = (self.shared.file_id, count_off);
-        if let Some(data) = self.shared.cache.lock().expect("block cache").get(key) {
-            self.shared.io.add_cache_hit();
-            return Ok(data);
+    /// The cached verified D/E section fetch: entry bytes keyed by the
+    /// section's offset in the shared block cache, so warm table loads
+    /// re-read nothing — locally or over the network.
+    fn fetch_section(&self, s: Section) -> Result<Arc<Vec<u8>>, StorageError> {
+        self.shared.cached(s.off, || self.read_section(s))
+    }
+
+    /// Reads and decodes one pair's `L` directory, uncached.
+    fn read_directory(&self, entry: &IndexEntry) -> Result<Vec<DirEntry>, StorageError> {
+        let buf = self.read_section(entry.dir())?;
+        let mut pos = 0;
+        let mut dir = Vec::with_capacity(entry.dir_count as usize);
+        for _ in 0..entry.dir_count {
+            let v = NodeId(get_u32(&buf, &mut pos)?);
+            let off = get_u64(&buf, &mut pos)?;
+            let len = get_u32(&buf, &mut pos)?;
+            dir.push((v, off, len));
         }
-        self.shared.io.add_cache_miss();
-        let read = || -> Result<Vec<u8>, StorageError> {
-            let count = self.read_count(count_off)?;
-            self.read_body(count_off, count, entry_bytes)
-        };
-        let body = match read() {
-            Err(StorageError::Corrupt { .. }) if self.shared.source.is_retryable() => {
-                self.shared.io.add_remote_retry();
-                read()?
-            }
-            other => other?,
-        };
-        let data = Arc::new(body);
-        let (evicted, resident) = self
-            .shared
-            .cache
-            .lock()
-            .expect("block cache")
-            .insert(key, Arc::clone(&data));
-        if evicted > 0 {
-            self.shared.io.add_cache_evictions(evicted);
-        }
-        self.shared.io.set_cache_resident(resident);
-        Ok(data)
+        Ok(dir)
     }
 
     fn directory(
@@ -624,20 +832,10 @@ impl PagedStore {
         if let Some(dir) = self.dirs.lock().expect("dir cache").get(&(a, b)) {
             return Ok(Some(dir.clone()));
         }
-        let Some(&IndexEntry { dir_off, .. }) = self.entry(a, b) else {
+        let Some(entry) = self.entry(a, b)? else {
             return Ok(None);
         };
-        let count = self.read_count(dir_off)?;
-        let buf = self.read_body(dir_off, count, 4 + 8 + 4)?;
-        let mut pos = 0;
-        let mut dir = Vec::with_capacity(count);
-        for _ in 0..count {
-            let v = NodeId(get_u32(&buf, &mut pos)?);
-            let off = get_u64(&buf, &mut pos)?;
-            let len = get_u32(&buf, &mut pos)?;
-            dir.push((v, off, len));
-        }
-        let dir = Arc::new(dir);
+        let dir = Arc::new(self.read_directory(&entry)?);
         self.dirs
             .lock()
             .expect("dir cache")
@@ -695,19 +893,22 @@ impl ClosureSource for PagedStore {
     }
 
     fn pair_keys(&self) -> Vec<(LabelId, LabelId)> {
-        self.index.iter().map(|e| e.key).collect()
+        self.try_pair_keys().unwrap_or_else(|e| {
+            self.shared.errors.record(e);
+            Vec::new()
+        })
     }
 
     fn has_pair(&self, a: LabelId, b: LabelId) -> bool {
-        self.entry(a, b).is_some()
+        self.entry_noted(a, b).is_some()
     }
 
     fn load_d(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, Dist)> {
-        let Some(&IndexEntry { d_off, .. }) = self.entry(a, b) else {
+        let Some(entry) = self.entry_noted(a, b) else {
             return Vec::new();
         };
         let inner = || -> Result<Vec<(NodeId, Dist)>, StorageError> {
-            let buf = self.fetch_section(d_off, 8)?;
+            let buf = self.fetch_section(entry.d())?;
             let count = buf.len() / 8;
             let mut pos = 0;
             let mut out = Vec::with_capacity(count);
@@ -726,11 +927,11 @@ impl ClosureSource for PagedStore {
     }
 
     fn load_e(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, NodeId, Dist)> {
-        let Some(&IndexEntry { e_off, .. }) = self.entry(a, b) else {
+        let Some(entry) = self.entry_noted(a, b) else {
             return Vec::new();
         };
         let inner = || -> Result<Vec<(NodeId, NodeId, Dist)>, StorageError> {
-            let buf = self.fetch_section(e_off, 12)?;
+            let buf = self.fetch_section(entry.e())?;
             let count = buf.len() / 12;
             let mut pos = 0;
             let mut out = Vec::with_capacity(count);
@@ -882,9 +1083,9 @@ impl EdgeCursor for PagedCursor {
 // gap wastes nothing; boxing would cost an allocation per open.
 #[allow(clippy::large_enum_variant)]
 pub enum LocalStore {
-    /// A single v3 closure file.
+    /// A single v5 closure file.
     Paged(PagedStore),
-    /// A sharded snapshot: a v4 `MANIFEST` routing over v3 shard files.
+    /// A sharded snapshot: a v4 `MANIFEST` routing over v5 shard files.
     Sharded(crate::ShardedStore),
 }
 
@@ -895,8 +1096,8 @@ pub enum LocalStore {
 ///   (otherwise a pointed [`StorageError::BadFormat`] naming the path
 ///   to pass, not a raw io error);
 /// * a file starting with the v4 magic is such a `MANIFEST` itself;
-/// * any other file is opened as a single v3 closure file — where a
-///   retired v1/v2 magic is refused with the pointer to `ktpm closure`
+/// * any other file is opened as a single v5 closure file — where a
+///   retired v1/v2/v3 magic is refused with the pointer to `ktpm closure`
 ///   and anything else unknown is "bad magic".
 ///
 /// [`open_store_auto`], [`crate::load_snapshot_manifest`] (`ktpm
@@ -914,7 +1115,7 @@ pub fn open_local_store(path: &Path, cache_bytes: u64) -> Result<LocalStore, Sto
         return crate::ShardedStore::open_with_cache_bytes(&manifest, cache_bytes)
             .map(LocalStore::Sharded);
     }
-    // Sniff the magic on the handle the v3 reader then keeps.
+    // Sniff the magic on the handle the v5 reader then keeps.
     let mut file = std::fs::File::open(path)?;
     let mut head = [0u8; 8];
     if file.read_exact(&mut head).is_ok() && &head == MAGIC_V4 {
@@ -924,7 +1125,7 @@ pub fn open_local_store(path: &Path, cache_bytes: u64) -> Result<LocalStore, Sto
     PagedStore::from_file(file, cache_bytes).map(LocalStore::Paged)
 }
 
-/// Opens a local store path of any kind ([`open_local_store`]: a v3
+/// Opens a local store path of any kind ([`open_local_store`]: a v5
 /// file, a sharded snapshot's `MANIFEST`, or the snapshot directory)
 /// as a [`crate::SharedSource`], with `block_cache_bytes` as the cache
 /// budget when given (`Some(0)` means unlimited). This is what the CLI
@@ -939,4 +1140,145 @@ pub fn open_store_auto(
         LocalStore::Paged(store) => store.into_shared(),
         LocalStore::Sharded(store) => store.into_shared(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ktpm_graph::fixtures::label_star;
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    const P: usize = INDEX_PAGE_ENTRIES;
+
+    /// A [`LocalFile`] that counts every read reaching it, and its
+    /// bytes.
+    struct Counting {
+        file: LocalFile,
+        reads: Arc<AtomicU64>,
+        bytes: Arc<AtomicU64>,
+    }
+
+    impl BlockSource for Counting {
+        fn read_at(&self, off: u64, bytes: usize) -> Result<Vec<u8>, StorageError> {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+            self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+            self.file.read_at(off, bytes)
+        }
+
+        fn len(&self) -> u64 {
+            self.file.len()
+        }
+    }
+
+    /// A store over `label_star(m)` (exactly `m` pairs) behind a
+    /// counting source, with its read and byte counters. `name` keeps
+    /// the file of each test its own: tests run concurrently.
+    struct Counted {
+        store: PagedStore,
+        reads: Arc<AtomicU64>,
+        bytes: Arc<AtomicU64>,
+        path: PathBuf,
+    }
+
+    impl Counted {
+        fn open(name: &str, m: usize) -> Self {
+            let mut path = std::env::temp_dir();
+            path.push(format!("ktpm-paged-unit-{}-{name}-{m}", std::process::id()));
+            let tables = ClosureTables::compute(&label_star(m));
+            crate::write_store(&tables, &path).unwrap();
+            let (reads, bytes) = (Arc::default(), Arc::default());
+            let source = Counting {
+                file: LocalFile::open(&path).unwrap(),
+                reads: Arc::clone(&reads),
+                bytes: Arc::clone(&bytes),
+            };
+            let store = PagedStore::from_source(
+                Box::new(source),
+                Arc::new(Mutex::new(BlockCache::new(0))),
+                IoStats::new(),
+                0,
+                ErrorSlot::default(),
+            )
+            .unwrap();
+            Counted {
+                store,
+                reads,
+                bytes,
+                path,
+            }
+        }
+
+        fn reads(&self) -> u64 {
+            self.reads.load(Ordering::Relaxed)
+        }
+
+        fn bytes(&self) -> u64 {
+            self.bytes.load(Ordering::Relaxed)
+        }
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            std::fs::remove_file(&self.path).ok();
+        }
+    }
+
+    /// The pair of leaf `i` in `label_star`.
+    fn leaf(i: usize) -> (LabelId, LabelId) {
+        (LabelId(0), LabelId(2 * i as u32 + 1))
+    }
+
+    #[test]
+    fn open_reads_the_header_and_fence_never_the_entries() {
+        let one = Counted::open("open", P + 1);
+        let two = Counted::open("open", 2 * P + 1);
+        for c in [&one, &two] {
+            assert!(c.reads() <= 4, "open made {} reads", c.reads());
+            assert_eq!(
+                c.store.io().block_reads,
+                0,
+                "open reads are not block reads"
+            );
+        }
+        assert_eq!((one.store.index_pages(), two.store.index_pages()), (2, 3));
+        // 2P more pairs is 2P more leaves and 2P more isolated nodes —
+        // 4P label bytes each — and one more fence key; not one of the
+        // P · 28 bytes of entries those pairs added to the index.
+        let labels = 2 * P as u64 * 4;
+        assert_eq!(two.bytes() - one.bytes(), labels + 8);
+    }
+
+    #[test]
+    fn a_lookup_reads_its_page_once_and_a_section_is_one_read() {
+        let c = Counted::open("lookup", 2 * P + 1);
+        let (opened, opened_bytes) = (c.reads(), c.bytes());
+        // Leaf P + 3 lives on page 1.
+        let (a, b) = leaf(P + 3);
+        assert!(c.store.has_pair(a, b));
+        assert_eq!(c.reads(), opened + 1, "the first lookup reads one page");
+        assert_eq!(
+            c.bytes() - opened_bytes,
+            index_page_bytes(P) as u64,
+            "and only that page"
+        );
+        assert_eq!(c.store.io().block_reads, 1, "counted as a block read");
+        // The page is kept: more lookups on it, present and absent,
+        // read nothing.
+        let (a2, b2) = leaf(P + 9);
+        assert!(c.store.has_pair(a2, b2));
+        assert!(!c
+            .store
+            .has_pair(LabelId(0), LabelId(2 * (P as u32 + 3) + 2)));
+        assert_eq!(c.reads(), opened + 1);
+        // A section of a fresh pair on the warm page: one read each.
+        assert_eq!(c.store.load_d(a2, b2).len(), 1);
+        assert_eq!(c.reads(), opened + 2, "load_d is one section read");
+        assert_eq!(c.store.load_e(a2, b2).len(), 1);
+        assert_eq!(c.reads(), opened + 3, "load_e is one section read");
+        // A lookup before the first fence key reads nothing at all.
+        assert!(!c.store.has_pair(LabelId(0), LabelId(0)));
+        assert_eq!(c.reads(), opened + 3);
+        assert!(c.store.take_error().is_none());
+    }
 }

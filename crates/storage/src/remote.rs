@@ -10,9 +10,10 @@
 //! feeding the same byte-budgeted [`BlockCache`], so a warm cache
 //! answers repeat queries with **zero** remote reads. Every fetched
 //! payload is CRC-checked client-side twice over: the response frame
-//! carries a CRC-32 of the payload, and the payload itself is a v3
-//! group block with its own trailing CRC (re-verified by
-//! [`PagedStore`]'s block reader, which re-fetches once for retryable
+//! carries a CRC-32 of the payload, and the payload itself is a sealed
+//! region of the store file — a group block, an index page or a
+//! counted section — with its own trailing CRC (re-verified by
+//! [`PagedStore`]'s reader, which re-fetches once for retryable
 //! sources before giving up).
 //!
 //! Each pooled connection gets its read and write timeouts
@@ -286,7 +287,7 @@ impl ConnPool {
 
 /// One shard file's bytes, fetched over the pool. Frame-level CRC
 /// mismatches get one immediate re-request; `is_retryable` additionally
-/// lets the paged reader re-fetch once when a v3 block's own CRC fails
+/// lets the paged reader re-fetch once when a sealed region's own CRC fails
 /// (an on-wire flip the frame CRC missed, or a stale cache of a
 /// rewritten file).
 struct RemoteBlockSource {

@@ -19,7 +19,7 @@
 //! (all shards share the same store handle) are taken per query by the
 //! layers above, not by copying tables.
 //!
-//! The format-v3 paged layout is shard-aligned with these specs: every
+//! The format-v5 paged layout is shard-aligned with these specs: every
 //! destination node's `L` group starts on a fresh fixed-size block, so
 //! no block holds entries of two nodes and the block sets touched by
 //! different shards' root partitions are disjoint

@@ -1,5 +1,5 @@
 //! The manifest-routed store: one [`ClosureSource`] over a snapshot of
-//! v3 shard files described by a v4 `MANIFEST`
+//! v5 shard files described by a v4 `MANIFEST`
 //! ([`crate::write_store_sharded`]), wherever the files' bytes live.
 //!
 //! A [`RoutedStore`] opens only the manifest eagerly — node count,
@@ -21,7 +21,7 @@
 //!   behind a `ktpm blockd` server (`connect`, `addr`, `server_stats`).
 
 use crate::cache::BlockCache;
-use crate::format::crc32;
+use crate::format::file_crc32;
 use crate::iostats::{IoSnapshot, IoStats};
 use crate::manifest::{Manifest, ShardFileMeta};
 use crate::paged::{
@@ -270,15 +270,14 @@ impl ShardedStore {
 
     fn verify_shard(&self, meta: &ShardFileMeta) -> Result<(), StorageError> {
         let path = self.origin.0.join(&meta.name);
-        let bytes = std::fs::read(&path)?;
-        if bytes.len() as u64 != meta.file_len {
+        let (file_len, content_crc) = file_crc32(&path)?;
+        if file_len != meta.file_len {
             return Err(StorageError::BadFormat(format!(
-                "file is {} byte(s), manifest sealed {}",
-                bytes.len(),
+                "file is {file_len} byte(s), manifest sealed {}",
                 meta.file_len
             )));
         }
-        if crc32(&bytes) != meta.content_crc {
+        if content_crc != meta.content_crc {
             return Err(StorageError::BadFormat(
                 "whole-file content hash does not match the manifest".into(),
             ));
@@ -293,16 +292,18 @@ impl ShardedStore {
 /// Loads (or synthesizes) the manifest a block server should announce
 /// for `store_path`, returning it with the directory its shard files
 /// live in. Accepts whatever [`open_local_store`] does: a snapshot
-/// directory, a `MANIFEST` path, or a plain single v3 file — the latter
+/// directory, a `MANIFEST` path, or a plain single v5 file — the latter
 /// gets a synthesized one-file manifest, so `ktpm blockd` can serve any
-/// snapshot.
+/// snapshot. The file's checksum is streamed, so a store larger than
+/// RAM can be served; its routing walks every index page, and a page
+/// that fails its checks fails the call instead of dropping pairs.
 pub fn load_snapshot_manifest(store_path: &Path) -> Result<(Manifest, PathBuf), StorageError> {
     let store = match open_local_store(store_path, 1)? {
         LocalStore::Sharded(snapshot) => return Ok((snapshot.manifest, snapshot.origin.0)),
         LocalStore::Paged(store) => store,
     };
-    // A single v3 file: synthesize the one-file manifest.
-    let bytes = std::fs::read(store_path)?;
+    // A single v5 file: synthesize the one-file manifest.
+    let (file_len, content_crc) = file_crc32(store_path)?;
     let labels: Vec<LabelId> = (0..store.num_nodes())
         .map(|i| store.node_label(NodeId(i as u32)))
         .collect();
@@ -323,10 +324,10 @@ pub fn load_snapshot_manifest(store_path: &Path) -> Result<(Manifest, PathBuf), 
             labels,
             shards: vec![ShardFileMeta {
                 name,
-                file_len: bytes.len() as u64,
-                content_crc: crc32(&bytes),
+                file_len,
+                content_crc,
             }],
-            routing: store.pair_keys().into_iter().map(|k| (k, 0)).collect(),
+            routing: store.try_pair_keys()?.into_iter().map(|k| (k, 0)).collect(),
         },
         dir,
     ))

@@ -208,7 +208,8 @@ pub trait ClosureSource: Send + Sync {
     /// The backends with an index override it with a lookup:
     /// [`crate::MemStore`] and [`crate::LiveStore`] probe their table
     /// map (the latter under its read lock), [`crate::PagedStore`]
-    /// binary-searches its verified on-disk index,
+    /// binary-searches its index fence, then the one index page it
+    /// lands on (read and verified on first touch),
     /// [`crate::ShardedStore`] and [`crate::RemoteStore`] binary-search
     /// the manifest's verified routing table.
     fn has_pair(&self, src_label: LabelId, dst_label: LabelId) -> bool {

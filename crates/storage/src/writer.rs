@@ -1,5 +1,5 @@
 //! Serializes a [`ClosureTables`] into the on-disk store format —
-//! single-file v3 snapshots and sharded multi-file v3 snapshots with a
+//! single-file v5 snapshots and sharded multi-file v5 snapshots with a
 //! v4 `MANIFEST` ([`write_store_sharded`]).
 
 use crate::format::*;
@@ -11,9 +11,11 @@ use ktpm_graph::{LabelId, NodeId};
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
-/// Writes the closure store file for `tables` at `path` (format v3:
+/// Writes the closure store file for `tables` at `path` (format v5:
 /// paged group blocks, CRC-32 per block, block capacity
-/// `DEFAULT_BLOCK_EDGES` (64) entries; see the `format` module docs).
+/// `DEFAULT_BLOCK_EDGES` (64) entries, a paged index of
+/// `INDEX_PAGE_ENTRIES` (128) entries a page; see the `format` module
+/// docs).
 /// Use [`write_store_v3`] to choose the block capacity.
 ///
 /// Pairs are written in sorted key order so the output is deterministic.
@@ -21,7 +23,7 @@ pub fn write_store(tables: &ClosureTables, path: &Path) -> Result<(), StorageErr
     write_store_inner(tables, path, DEFAULT_BLOCK_EDGES, None)
 }
 
-/// Writes a v3 store with an explicit on-disk block capacity (in `L`
+/// Writes a v5 store with an explicit on-disk block capacity (in `L`
 /// entries per block). Small capacities force multi-block groups and
 /// cache churn — useful in tests; `DEFAULT_BLOCK_EDGES` (64) is the
 /// production default. `block_entries == 0` is
@@ -39,7 +41,7 @@ pub fn write_store_v3(
     write_store_inner(tables, path, block_entries, None)
 }
 
-/// Writes a sharded snapshot: one v3 shard file per partition of
+/// Writes a sharded snapshot: one v5 shard file per partition of
 /// `spec`'s split (so `spec.of()` files — any member of the split
 /// names the same layout) plus a CRC'd v4 `MANIFEST` in `dir`, all
 /// sharing the block capacity `block_entries`. Label pairs are routed
@@ -80,11 +82,11 @@ pub fn write_store_sharded(
         let path = dir.join(&name);
         write_store_inner(tables, &path, block_entries, Some(keys))?;
         // Seal the exact bytes just written: length + whole-file CRC.
-        let bytes = std::fs::read(&path)?;
+        let (file_len, content_crc) = file_crc32(&path)?;
         shards.push(ShardFileMeta {
             name,
-            file_len: bytes.len() as u64,
-            content_crc: crc32(&bytes),
+            file_len,
+            content_crc,
         });
     }
 
@@ -125,7 +127,7 @@ fn write_store_inner(
     // Header: magic, counts, block capacity, labels, crc over
     // everything past the magic.
     let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC_V3);
+    buf.extend_from_slice(MAGIC_V5);
     let n = tables.num_nodes();
     let num_labels = (0..n)
         .map(|i| tables.label(NodeId(i as u32)).0 + 1)
@@ -146,14 +148,17 @@ fn write_store_inner(
     };
     keys.sort_unstable();
 
-    // Per-pair sections.
-    let mut index_entries: Vec<(u32, u32, u64, u64, u64)> = Vec::with_capacity(keys.len());
+    // Per-pair sections: D, E and the directory back to back, so an
+    // index entry needs only D's offset and the three counts.
+    let mut index_entries: Vec<(u32, u32, u64, u32, u32, u32)> = Vec::with_capacity(keys.len());
     for &(a, b) in &keys {
         let table = tables.pair(a, b).expect("key from iter_pairs");
         let d_off = offset;
+        let groups = table.dst_nodes().len() as u32;
+        let e_count = table.min_out().len() as u32;
         let mut buf = Vec::new();
         // D section: min incoming distance per destination node.
-        put_u32(&mut buf, table.dst_nodes().len() as u32);
+        put_u32(&mut buf, groups);
         for &v in table.dst_nodes() {
             put_u32(&mut buf, v.0);
             put_u32(
@@ -165,9 +170,8 @@ fn write_store_inner(
         emit(&mut w, &buf, &mut offset)?;
 
         // E section.
-        let e_off = offset;
         let mut buf = Vec::new();
-        put_u32(&mut buf, table.min_out().len() as u32);
+        put_u32(&mut buf, e_count);
         for &(s, d, dist) in table.min_out() {
             put_u32(&mut buf, s.0);
             put_u32(&mut buf, d.0);
@@ -179,11 +183,9 @@ fn write_store_inner(
         // L directory + blocks. Directory entries carry the absolute
         // offset of a group's first block, so compute the blocks' base
         // first (past the directory and its trailing CRC).
-        let dir_off = offset;
-        let dir_bytes = 4 + table.dst_nodes().len() * (4 + 8 + 4) + 4;
-        let mut groups_base = dir_off + dir_bytes as u64;
+        let mut groups_base = offset + section_bytes(groups, DIR_ENTRY_BYTES);
         let mut buf = Vec::new();
-        put_u32(&mut buf, table.dst_nodes().len() as u32);
+        put_u32(&mut buf, groups);
         for &v in table.dst_nodes() {
             let len = table.incoming(v).len();
             put_u32(&mut buf, v.0);
@@ -208,23 +210,38 @@ fn write_store_inner(
             }
         }
         emit(&mut w, &buf, &mut offset)?;
-        index_entries.push((a.0, b.0, d_off, e_off, dir_off));
+        index_entries.push((a.0, b.0, d_off, groups, e_count, groups));
     }
 
-    // Index + footer.
-    let index_off = offset;
+    // Index pages (each zero-padded and sealed like a group block),
+    // then the head with one fence key per page, then the footer.
     let mut buf = Vec::new();
+    let mut fence = Vec::new();
+    for page in index_entries.chunks(INDEX_PAGE_ENTRIES) {
+        fence.push((page[0].0, page[0].1));
+        let from = buf.len();
+        for &(a, b, d_off, d_count, e_count, dir_count) in page {
+            put_u32(&mut buf, a);
+            put_u32(&mut buf, b);
+            put_u64(&mut buf, d_off);
+            put_u32(&mut buf, d_count);
+            put_u32(&mut buf, e_count);
+            put_u32(&mut buf, dir_count);
+        }
+        buf.resize(from + INDEX_PAGE_ENTRIES * INDEX_ENTRY_BYTES, 0);
+        seal(&mut buf, from);
+    }
+    let head_off = offset + buf.len() as u64;
+    let from = buf.len();
     put_u32(&mut buf, index_entries.len() as u32);
-    for (a, b, d, e, dir) in index_entries {
+    put_u32(&mut buf, INDEX_PAGE_ENTRIES as u32);
+    for (a, b) in fence {
         put_u32(&mut buf, a);
         put_u32(&mut buf, b);
-        put_u64(&mut buf, d);
-        put_u64(&mut buf, e);
-        put_u64(&mut buf, dir);
     }
-    seal(&mut buf, 0);
-    put_u64(&mut buf, index_off);
-    buf.extend_from_slice(MAGIC_V3);
+    seal(&mut buf, from);
+    put_u64(&mut buf, head_off);
+    buf.extend_from_slice(MAGIC_V5);
     emit(&mut w, &buf, &mut offset)?;
     w.flush()?;
     Ok(())

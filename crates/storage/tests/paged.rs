@@ -1,12 +1,13 @@
-//! Paged (format v3) store suite: lazy verified block fetch, the LRU
-//! block cache, shard-aligned placement, and corruption handling.
+//! Paged (format v5) store suite: lazy verified block fetch, the LRU
+//! block cache, shard-aligned placement, the paged pair index, and
+//! corruption handling.
 
 use ktpm_closure::ClosureTables;
-use ktpm_graph::fixtures::paper_graph;
+use ktpm_graph::fixtures::{label_star, paper_graph};
 use ktpm_graph::{GraphBuilder, LabeledGraph, NodeId};
 use ktpm_storage::{
-    load_snapshot_manifest, open_store_auto, write_store, write_store_v3, ClosureSource, MemStore,
-    PagedStore, ShardSpec, StorageError,
+    blockproto::crc32, load_snapshot_manifest, open_store_auto, write_store, write_store_v3,
+    ClosureSource, MemStore, PagedStore, ShardSpec, StorageError, INDEX_PAGE_ENTRIES,
 };
 
 fn tempfile(name: &str) -> std::path::PathBuf {
@@ -99,12 +100,14 @@ fn check_equivalent(mem: &MemStore, paged: &PagedStore) {
 }
 
 #[test]
-fn v3_is_the_default_and_roundtrips_against_mem() {
+fn v5_is_the_default_and_roundtrips_against_mem() {
     let g = paper_graph();
     let tables = ClosureTables::compute(&g);
     let path = tempfile("default-roundtrip");
     write_store(&tables, &path).unwrap();
-    assert_eq!(&std::fs::read(&path).unwrap()[..8], b"KTPMCLO3");
+    let bytes = std::fs::read(&path).unwrap();
+    assert_eq!(&bytes[..8], b"KTPMCLO5");
+    assert_eq!(&bytes[bytes.len() - 8..], b"KTPMCLO5");
     let paged = PagedStore::open(&path).unwrap();
     paged.verify().unwrap();
     let mem = MemStore::new(tables);
@@ -244,7 +247,7 @@ fn groups_never_share_blocks_so_shards_touch_disjoint_ranges() {
 
 #[test]
 fn bit_rot_in_every_block_is_surfaced_never_panics() {
-    // Flip a byte in EVERY v3 group block (payload and CRC positions):
+    // Flip a byte in EVERY group block (payload and CRC positions):
     // the scrub must report Corrupt each time, and all read paths must
     // degrade (empty/partial/exhausted cursor) without panicking.
     let g = paper_graph();
@@ -328,74 +331,244 @@ fn truncation_at_every_byte_errors_never_panics() {
     std::fs::remove_file(&path).ok();
 }
 
+/// The byte geometry of a v5 file's paged index, read off its footer
+/// and head, with the two ways to re-seal a hand-edited region.
+struct IndexLayout {
+    head_off: usize,
+    footer: usize,
+    pages_off: usize,
+    num_pages: usize,
+}
+
+const ENTRY: usize = 28;
+const PAGE: usize = INDEX_PAGE_ENTRIES * ENTRY + 4;
+
+impl IndexLayout {
+    fn of(bytes: &[u8]) -> Self {
+        let footer = bytes.len() - 16;
+        let head_off = u64::from_le_bytes(bytes[footer..footer + 8].try_into().unwrap()) as usize;
+        let num_pages = (footer - head_off - 12) / 8;
+        IndexLayout {
+            head_off,
+            footer,
+            pages_off: head_off - num_pages * PAGE,
+            num_pages,
+        }
+    }
+
+    /// Byte offset of global entry `i`.
+    fn entry(&self, i: usize) -> usize {
+        let (p, j) = (i / INDEX_PAGE_ENTRIES, i % INDEX_PAGE_ENTRIES);
+        self.pages_off + p * PAGE + j * ENTRY
+    }
+
+    /// Byte offset of fence key `p` in the head.
+    fn fence(&self, p: usize) -> usize {
+        self.head_off + 8 + p * 8
+    }
+
+    fn reseal_page(&self, file: &mut [u8], p: usize) {
+        let at = self.pages_off + p * PAGE;
+        let sum = crc32(&file[at..at + PAGE - 4]);
+        file[at + PAGE - 4..at + PAGE].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    fn reseal_head(&self, file: &mut [u8]) {
+        let sum = crc32(&file[self.head_off..self.footer - 4]);
+        file[self.footer - 4..self.footer].copy_from_slice(&sum.to_le_bytes());
+    }
+}
+
 #[test]
-fn misordered_or_duplicate_index_entries_are_refused_at_open() {
-    // The v3 index must be strictly ascending by label pair (the reader
-    // binary-searches it as stored). Hand-build files that break the
-    // order but carry a VALID index checksum — so this is a writer that
-    // ignores the format, not bit rot — and expect a pointed BadFormat
-    // from every open path, never a store that misses lookups.
-    const ENTRY: usize = 32;
-    let tables = ClosureTables::compute(&paper_graph());
+fn misordered_or_duplicate_index_entries_are_refused_at_open_or_first_touch() {
+    // The v5 index must be strictly ascending by label pair, across
+    // pages (the reader binary-searches the fence, then a page, as
+    // stored). Hand-build files that break the order but carry VALID
+    // checksums — a writer that ignores the format, not bit rot — and
+    // expect a pointed BadFormat, never a store that misses lookups:
+    // at open for the head (fence, counts), and for a page's entries
+    // from the first lookup that lands on the page and from verify().
+    // Three pages: label_star(2P + 1) has exactly 2P + 1 pairs.
+    let p = INDEX_PAGE_ENTRIES;
+    let tables = ClosureTables::compute(&label_star(2 * p + 1));
     let src = tempfile("index-order-src");
     write_store(&tables, &src).unwrap();
     let bytes = std::fs::read(&src).unwrap();
     std::fs::remove_file(&src).ok();
-    let footer = bytes.len() - 16;
-    let index_off = u64::from_le_bytes(bytes[footer..footer + 8].try_into().unwrap()) as usize;
-    let count = u32::from_le_bytes(bytes[index_off..index_off + 4].try_into().unwrap()) as usize;
-    assert!(count >= 3, "fixture needs a few pairs");
-    let entries = index_off + 4;
-    let crc_at = entries + count * ENTRY;
-    assert_eq!(crc_at + 4, footer, "the index runs up to the footer");
-    let reseal = |mut file: Vec<u8>| {
-        let sum = ktpm_storage::blockproto::crc32(&file[index_off..crc_at]);
-        file[crc_at..crc_at + 4].copy_from_slice(&sum.to_le_bytes());
-        file
+    let ix = IndexLayout::of(&bytes);
+    assert_eq!(ix.num_pages, 3, "the fixture spans three index pages");
+    let key = |file: &[u8], i: usize| {
+        let at = ix.entry(i);
+        let u = |o: usize| u32::from_le_bytes(file[o..o + 4].try_into().unwrap());
+        (ktpm_graph::LabelId(u(at)), ktpm_graph::LabelId(u(at + 4)))
     };
-
-    // Entries 0 and 2 swapped: every offset still points at the right
-    // sections, only the order is wrong.
-    let mut swapped = bytes.clone();
-    let (e0, e2) = (entries, entries + 2 * ENTRY);
-    let first = swapped[e0..e0 + ENTRY].to_vec();
-    swapped.copy_within(e2..e2 + ENTRY, e0);
-    swapped[e2..e2 + ENTRY].copy_from_slice(&first);
-    // Entry 1 re-keyed to entry 0's pair: a duplicate key.
-    let mut duplicate = bytes.clone();
-    duplicate.copy_within(entries..entries + 8, entries + ENTRY);
-
+    let swap = |file: &mut [u8], i: usize, j: usize| {
+        let first = file[ix.entry(i)..ix.entry(i) + ENTRY].to_vec();
+        file.copy_within(ix.entry(j)..ix.entry(j) + ENTRY, ix.entry(i));
+        file[ix.entry(j)..ix.entry(j) + ENTRY].copy_from_slice(&first);
+    };
     let path = tempfile("index-order");
-    for (what, file) in [("swapped", swapped), ("duplicate", duplicate)] {
-        // Without the reseal it is plain corruption, caught by the CRC.
+
+    // Page cases: (what, edited file before its page is resealed, the
+    // page edited, the message the reader must give, a key on that
+    // page to look up).
+    let mut swapped = bytes.clone();
+    swap(&mut swapped, 1, 2); // inside page 0, first key kept
+    let mut duplicate = bytes.clone();
+    duplicate.copy_within(ix.entry(p + 4)..ix.entry(p + 4) + 8, ix.entry(p + 5));
+    let mut past_next_fence = bytes.clone();
+    let next = ix.entry(2 * p);
+    past_next_fence.copy_within(next..next + 8, ix.entry(2 * p - 1));
+    let mut off_fence = bytes.clone();
+    let (fence1, second) = (ix.fence(1), ix.entry(p + 1));
+    off_fence.copy_within(second..second + 8, fence1);
+    ix.reseal_head(&mut off_fence);
+    let page_cases = [
+        ("swapped", swapped, 0, "index entry 2", key(&bytes, 5)),
+        (
+            "duplicate",
+            duplicate,
+            1,
+            "index entry 133",
+            key(&bytes, p + 9),
+        ),
+        (
+            "past the next fence",
+            past_next_fence,
+            1,
+            "index entry 256",
+            key(&bytes, p + 1),
+        ),
+        (
+            "off its fence key",
+            off_fence,
+            1,
+            "fence key",
+            key(&bytes, p + 9),
+        ),
+    ];
+    for (what, file, page, says, probe) in page_cases {
+        // Without the page's reseal it is plain corruption, caught by
+        // the page's CRC — on first touch, not at open.
+        if what != "off its fence key" {
+            std::fs::write(&path, &file).unwrap();
+            let store = PagedStore::open(&path).expect("a page's bytes are not read at open");
+            assert!(!store.has_pair(probe.0, probe.1), "{what}: stale CRC");
+            assert!(
+                matches!(store.take_error(), Some(StorageError::Corrupt { .. })),
+                "{what}: a stale page checksum is Corrupt on first touch"
+            );
+            assert!(
+                matches!(store.verify(), Err(StorageError::Corrupt { .. })),
+                "{what}: and in the scrub"
+            );
+        }
+        let mut file = file;
+        ix.reseal_page(&mut file, page);
+        std::fs::write(&path, &file).unwrap();
+        let pointed = |res: Option<StorageError>| {
+            let msg = match &res {
+                Some(StorageError::BadFormat(m)) => m.clone(),
+                _ => String::new(),
+            };
+            let order = says.starts_with("index entry");
+            assert!(
+                msg.contains(says) && (!order || msg.contains("ascending")),
+                "{what}: expected a pointed BadFormat naming {says:?}, got {res:?}"
+            );
+        };
+        for store in [
+            PagedStore::open(&path).expect("a sealed page opens"),
+            PagedStore::open_with_cache_bytes(&path, 0).unwrap(),
+        ] {
+            assert!(!store.has_pair(probe.0, probe.1), "{what}");
+            pointed(store.take_error());
+            pointed(store.verify().err());
+        }
+        let auto = open_store_auto(&path, None).unwrap();
+        let _ = auto.load_d(probe.0, probe.1);
+        pointed(auto.take_error());
+        // The other pages still serve: page 2 was never edited.
+        let store = PagedStore::open(&path).unwrap();
+        let far = key(&bytes, 2 * p);
+        assert!(store.has_pair(far.0, far.1), "{what}: page 2 is intact");
+        assert!(store.take_error().is_none(), "{what}: page 2 reads clean");
+    }
+
+    // Head cases: refused at open, by every open path.
+    let mut fence_swapped = bytes.clone();
+    let (f0, f1) = (ix.fence(0), ix.fence(1));
+    let first = fence_swapped[f0..f0 + 8].to_vec();
+    fence_swapped.copy_within(f1..f1 + 8, f0);
+    fence_swapped[f1..f1 + 8].copy_from_slice(&first);
+    let mut more_pairs = bytes.clone();
+    more_pairs[ix.head_off..ix.head_off + 4].copy_from_slice(&(3 * p as u32 + 1).to_le_bytes());
+    let mut no_pairs = bytes.clone();
+    no_pairs[ix.head_off..ix.head_off + 4].copy_from_slice(&0u32.to_le_bytes());
+    let head_cases = [
+        ("fence out of order", fence_swapped, "ascending"),
+        ("num_pairs past the fence", more_pairs, "fence key"),
+        ("num_pairs short of the fence", no_pairs, "fence key"),
+    ];
+    for (what, file, says) in head_cases {
         std::fs::write(&path, &file).unwrap();
         assert!(
             matches!(PagedStore::open(&path), Err(StorageError::Corrupt { .. })),
-            "{what}: a stale index checksum is Corrupt"
+            "{what}: a stale head checksum is Corrupt at open"
         );
-        std::fs::write(&path, reseal(file)).unwrap();
+        let mut file = file;
+        ix.reseal_head(&mut file);
+        std::fs::write(&path, &file).unwrap();
         for res in [
             PagedStore::open(&path).map(|_| ()),
             open_store_auto(&path, None).map(|_| ()),
         ] {
             assert!(
-                matches!(&res, Err(StorageError::BadFormat(m)) if m.contains("ascending")),
-                "{what}: expected a pointed BadFormat, got {res:?}"
+                matches!(&res, Err(StorageError::BadFormat(m)) if m.contains(says)),
+                "{what}: expected a pointed BadFormat at open, got {res:?}"
             );
         }
     }
-    // The untouched bytes still open: the harness itself is sound.
-    std::fs::write(&path, reseal(bytes)).unwrap();
+
+    // The untouched bytes, resealed, still open: the harness is sound.
+    let mut clean = bytes.clone();
+    for page in 0..ix.num_pages {
+        ix.reseal_page(&mut clean, page);
+    }
+    ix.reseal_head(&mut clean);
+    assert_eq!(clean, bytes, "resealing untouched regions changes nothing");
+    std::fs::write(&path, &clean).unwrap();
     PagedStore::open(&path).unwrap().verify().unwrap();
     std::fs::remove_file(&path).ok();
 }
 
 #[test]
-fn paged_store_rejects_v1_and_v2_files() {
+fn a_synthesized_manifest_seals_the_file_it_describes() {
+    // `load_snapshot_manifest` streams the file's checksum instead of
+    // reading it whole; what it announces must be the file's own length
+    // and CRC-32. The store spans several 64 KiB read buffers.
+    let tables = ClosureTables::compute(&dense_graph(200, 6));
+    let path = tempfile("synth-manifest");
+    write_store_v3(&tables, &path, 2).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    assert!(bytes.len() > 3 * 64 * 1024, "{} bytes", bytes.len());
+    let (manifest, _) = load_snapshot_manifest(&path).unwrap();
+    let meta = &manifest.shards[0];
+    assert_eq!(meta.file_len, bytes.len() as u64);
+    assert_eq!(meta.content_crc, crc32(&bytes));
+    let mem = MemStore::new(tables);
+    let routed: Vec<_> = manifest.routing.iter().map(|&(k, _)| k).collect();
+    assert_eq!(routed, mem.pair_keys(), "every pair is routed");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn paged_store_rejects_v1_v2_and_v3_files() {
     // The retired layouts are recognised by their magic only to be
     // refused: every open path gives the same pointed BadFormat, however
-    // much (or little) file follows the magic.
-    for magic in [b"KTPMCLO1", b"KTPMCLO2"] {
+    // much (or little) file follows the magic — v3 included, whose
+    // body v5 kept: it is refused by name, never half-read.
+    for magic in [b"KTPMCLO1", b"KTPMCLO2", b"KTPMCLO3"] {
         for filler in [0usize, 12, 4096] {
             let path = tempfile(&format!("reject-{}-{filler}", magic[7] as char));
             let mut bytes = magic.to_vec();
@@ -422,12 +595,12 @@ fn paged_store_rejects_v1_and_v2_files() {
 
 #[test]
 fn open_store_auto_dispatches_on_version() {
-    // A v3 file opens behind the paged reader and reads like memory
+    // A v5 file opens behind the paged reader and reads like memory
     // (the v4 MANIFEST arm is `sharded.rs`'s; the refused v1/v2 magics
     // are the test above).
     let g = paper_graph();
     let tables = ClosureTables::compute(&g);
-    let path = tempfile("auto-v3");
+    let path = tempfile("auto-v5");
     write_store(&tables, &path).unwrap();
     let store = open_store_auto(&path, Some(0)).unwrap();
     let mem = MemStore::new(tables.clone());

@@ -3,7 +3,7 @@
 //! damaged file must fail cleanly — at open, at the scrub, or through
 //! `take_error()` — never by panicking and never silently.
 //!
-//! One on-disk format (v3) and one reader ([`PagedStore`]); what is
+//! One on-disk format (v5) and one reader ([`PagedStore`]); what is
 //! specific to paging — the block cache, budgets, block placement — is
 //! in `paged.rs`.
 

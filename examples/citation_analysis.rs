@@ -38,7 +38,7 @@ fn main() {
     let mut path = std::env::temp_dir();
     path.push("ktpm-citation-demo.bin");
     write_store(&tables, &path).expect("write closure store");
-    // v3 paged store: group regions are fixed-size CRC-checked blocks,
+    // v5 paged store: group regions are fixed-size CRC-checked blocks,
     // fetched lazily through a byte-budgeted LRU cache.
     let store: SharedSource = PagedStore::open(&path)
         .expect("open closure store")

@@ -250,7 +250,7 @@ impl Executor {
     }
 
     /// The store's cumulative I/O counters — blocks/bytes/edges read
-    /// and, on the paged (format-v3) backend, block-cache
+    /// and, on the paged (format-v5) backend, block-cache
     /// hit/miss/eviction counts plus the resident-bytes gauge. This is
     /// what `ktpm query --iostats` and the servers' `STATS` line print.
     pub fn io(&self) -> ktpm_storage::IoSnapshot {

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! ktpm closure <graph.txt> <store.tc>          precompute + persist the closure
-//! ktpm closure <graph.txt> <dir> --shards <n>  ... as a sharded snapshot: n v3
+//! ktpm closure <graph.txt> <dir> --shards <n>  ... as a sharded snapshot: n v5
 //!                                              shard files + a v4 MANIFEST
 //! ktpm query   <graph.txt> <query.txt> [opts]  run a top-k twig query
 //! ktpm serve   <graph.txt> [opts]              run the TCP query service
@@ -28,7 +28,7 @@
 //!                     files the query's label pairs touch are opened.
 //!                     `tcp://host:port` connects to `ktpm blockd` and
 //!                     fetches blocks remotely on demand. Files in the
-//!                     retired v1/v2 layouts are refused: re-run
+//!                     retired v1/v2/v3 layouts are refused: re-run
 //!                     `ktpm closure`
 //!   --block-cache-bytes <n>
 //!                     byte budget for the block cache (default 8 MiB;
@@ -276,7 +276,7 @@ fn cmd_closure(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let tables = ClosureTables::compute(&g);
     let stats = tables.stats();
     let wrote = match shards {
-        // Sharded snapshot: one v3 file per partition + a v4 MANIFEST
+        // Sharded snapshot: one v5 file per partition + a v4 MANIFEST
         // in the output directory; open it via the MANIFEST path.
         Some(n) if n > 0 => {
             let spec = ShardSpec::new(0, n);
@@ -652,8 +652,9 @@ fn cmd_blockd(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 /// `ktpm store verify <store>`: re-checks every checksum in a
-/// persisted snapshot. A store file is opened (header and index
-/// checksums) and scrubbed section by section and block by block. A
+/// persisted snapshot. A store file is opened (header and index head
+/// checksums) and scrubbed index page by page, section by section and
+/// block by block. A
 /// sharded snapshot (MANIFEST path or directory) checks the manifest
 /// CRC, then every shard file's length and whole-file content hash
 /// against it, then scrubs each shard; the first corrupt file is named
@@ -685,7 +686,8 @@ fn cmd_store(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             store.verify().map_err(named)?;
             let io = store.io();
             println!(
-                "{store_arg}: OK (v3 paged, {} blocks / {} bytes scrubbed, {:?})",
+                "{store_arg}: OK (v5 paged, {} index pages, {} blocks / {} bytes scrubbed, {:?})",
+                store.index_pages(),
                 io.block_reads,
                 io.bytes_read,
                 t.elapsed()

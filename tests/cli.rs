@@ -50,7 +50,7 @@ fn store_verify_passes_a_clean_file_and_names_what_is_wrong_with_a_bad_one() {
     ktpm(&["closure", &graph, &store]);
 
     let ok = ktpm(&["store", "verify", &store]);
-    assert!(ok.contains("OK (v3 paged"), "{ok}");
+    assert!(ok.contains("OK (v5 paged, 1 index pages"), "{ok}");
 
     // A retired layout: refused with the way forward, not "bad magic".
     std::fs::write(&bad, [&b"KTPMCLO2"[..], &[0u8; 64]].concat()).unwrap();
@@ -59,23 +59,32 @@ fn store_verify_passes_a_clean_file_and_names_what_is_wrong_with_a_bad_one() {
         err.contains("v1/v2") && err.contains("ktpm closure"),
         "{err}"
     );
+    // v3 too — refused by its magic, whatever follows it.
+    let mut v3 = std::fs::read(&store).unwrap();
+    v3[..8].copy_from_slice(b"KTPMCLO3");
+    std::fs::write(&bad, &v3).unwrap();
+    let err = ktpm_fails(&["store", "verify", &bad]);
+    assert!(err.contains("v3") && err.contains("ktpm closure"), "{err}");
 
-    // A v3 file whose index is checksum-valid but out of order (entries
-    // 0 and 1 swapped, CRC re-sealed): the operator must read which
-    // index entry is wrong — not be told to use a different reader.
+    // A v5 file whose index page is checksum-valid but out of order
+    // (entries 1 and 2 of page 0 swapped, its first key kept, the
+    // page's CRC re-sealed): the operator must read which index entry
+    // is wrong — not be told to use a different reader.
     let mut bytes = std::fs::read(&store).unwrap();
     let footer = bytes.len() - 16;
-    let index_off = u64::from_le_bytes(bytes[footer..footer + 8].try_into().unwrap()) as usize;
-    let (e0, e1) = (index_off + 4, index_off + 4 + 32);
-    let first = bytes[e0..e1].to_vec();
-    bytes.copy_within(e1..e1 + 32, e0);
-    bytes[e1..e1 + 32].copy_from_slice(&first);
-    let sum = ktpm::storage::blockproto::crc32(&bytes[index_off..footer - 4]);
-    bytes[footer - 4..footer].copy_from_slice(&sum.to_le_bytes());
+    let head_off = u64::from_le_bytes(bytes[footer..footer + 8].try_into().unwrap()) as usize;
+    let page = ktpm::storage::INDEX_PAGE_ENTRIES * 28;
+    let page0 = head_off - (page + 4); // the fixture's index is one page
+    let (e1, e2) = (page0 + 28, page0 + 56);
+    let first = bytes[e1..e2].to_vec();
+    bytes.copy_within(e2..e2 + 28, e1);
+    bytes[e2..e2 + 28].copy_from_slice(&first);
+    let sum = ktpm::storage::blockproto::crc32(&bytes[page0..page0 + page]);
+    bytes[page0 + page..page0 + page + 4].copy_from_slice(&sum.to_le_bytes());
     std::fs::write(&bad, &bytes).unwrap();
     let err = ktpm_fails(&["store", "verify", &bad]);
     assert!(
-        err.contains("index entry 1") && err.contains("ascending"),
+        err.contains("index entry 2") && err.contains("ascending"),
         "{err}"
     );
     assert!(!err.contains("open it with"), "{err}");

@@ -269,7 +269,7 @@ fn file_store_end_to_end_agrees_with_memory() {
 
 #[test]
 fn paged_store_end_to_end_agrees_with_memory_under_a_tight_cache() {
-    // The v3 paged tier with a cache budget far below the closure size:
+    // The v5 paged tier with a cache budget far below the closure size:
     // every algorithm must still stream the exact MemStore results while
     // resident bytes stay bounded.
     let mut rng = StdRng::seed_from_u64(6100);

@@ -789,7 +789,7 @@ proptest! {
     ) {
         // The paged tier must be observationally invisible: every
         // algorithm — the four tree engines, DP-B/DP-P and kGPM —
-        // streaming over a v3 PagedStore (tiny on-disk blocks, a cache
+        // streaming over a v5 PagedStore (tiny on-disk blocks, a cache
         // budget from "a handful of blocks" to unlimited, arbitrary
         // shard counts, a next/next_batch resume split) must be
         // element-for-element identical to the same stream over a

@@ -70,7 +70,7 @@ fn remote_tier_is_byte_identical_to_local_paged_serving() {
     let g = dense_graph(48, 5);
     let tables = ClosureTables::compute(&g);
 
-    // The same snapshot twice: one single v3 file, one 3-way sharded.
+    // The same snapshot twice: one single v5 file, one 3-way sharded.
     let file = tempdir("local.tc");
     write_store(&tables, &file).unwrap();
     let dir = tempdir("sharded");
