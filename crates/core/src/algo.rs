@@ -3,10 +3,9 @@
 //! Every execution surface — the `ktpm::api` facade, `ktpm query`,
 //! the wire protocol's `OPEN <algo> …`, the bench drivers — selects an
 //! engine through this one enum, so the set of names, their parsing and
-//! their per-algorithm capabilities cannot drift between layers. (The
-//! enum lived in `ktpm-service` until the facade redesign; it moved
-//! here because core owns the engines and the [`crate::build_stream`]
-//! dispatch that constructs them.)
+//! their per-algorithm capabilities cannot drift between layers. It
+//! lives in core because core owns the engines and the
+//! [`crate::build_stream`] dispatch that constructs them.
 
 use crate::plan::{QueryForm, QueryPlan};
 use crate::stream::{build_stream, BoxedMatchStream};

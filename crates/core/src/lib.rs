@@ -36,10 +36,10 @@
 //! engines are byte-identical for a query (canonical order), and the
 //! kGPM stream is byte-identical across shard counts and tree
 //! matchers, so the algorithm choice is purely a performance decision.
-//! The root crate's
-//! `ktpm::api` module wraps this in an `Executor`/`QueryBuilder`
-//! facade; the serving layer, CLI and `benchmark/` all go through the
-//! same dispatch.
+//! [`Executor`] / [`QueryBuilder`] wrap this — text to plan to stream
+//! — for one store; the root crate re-exports them as `ktpm::api`, the
+//! serving layer's engine runs over one `Executor`, and `benchmark/`
+//! calls the same dispatch.
 //!
 //! ## Parallel partitioned execution
 //!
@@ -127,6 +127,7 @@ mod decompose;
 mod dpb;
 mod dpp;
 mod enhanced;
+mod executor;
 mod kgpm;
 mod lawler;
 mod lazylist;
@@ -147,6 +148,7 @@ pub use dpp::DpPEnumerator;
 #[doc(hidden)]
 pub use enhanced::TopkEnCounters;
 pub use enhanced::TopkEnEnumerator;
+pub use executor::{tree_then_pattern, ApiError, Executor, QueryBuilder};
 pub use kgpm::{GraphMatch, KgpmStats, KgpmStream};
 #[doc(hidden)]
 pub use lawler::TopkCounters;

@@ -47,9 +47,9 @@ use std::sync::{Arc, OnceLock};
 /// Canonicalizes query text so semantically identical requests share
 /// one plan-cache entry: lines trimmed, inner whitespace collapsed,
 /// blank lines dropped. Line *order* is preserved (it defines the
-/// tree's BFS numbering). The serving layer and the `ktpm::api` facade
-/// both key their plan caches by `(`[`QueryForm`]`, this text)`, so
-/// their entries interoperate.
+/// tree's BFS numbering). The serving layer keys its plan cache by
+/// `(`[`QueryForm`]`, this text)`, and [`crate::Executor`] reads text
+/// in this form.
 pub fn canonical_query_text(query: &str) -> String {
     query
         .lines()

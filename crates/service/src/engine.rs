@@ -1,23 +1,20 @@
-//! The query engine: shared store + session table + result cache +
-//! worker pool, behind a cloneable [`ServiceHandle`].
+//! The query engine: sessions + result cache + plan cache + metrics
+//! over one [`Executor`], behind a cloneable [`ServiceHandle`].
 
 use crate::cache::{CacheKey, PlanCache, ResultCache};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::session::{Session, SessionId, SessionTable};
 use crate::ServiceConfig;
-use ktpm_core::{canonical_query_text, PlanError, QueryForm, QueryPlan, ScoredMatch};
+use ktpm_core::{
+    canonical_query_text, tree_then_pattern, Algo, Executor, PlanError, QueryForm, QueryPlan,
+    ScoredMatch,
+};
 use ktpm_exec::WorkerPool;
 use ktpm_graph::{GraphDelta, LabelInterner};
 use ktpm_storage::{SharedSource, StorageError};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-// The canonical algorithm registry moved to `ktpm_core` (the facade
-// redesign): one enum shared by the wire protocol, CLI, bench drivers
-// and the `ktpm::api` builder. Re-exported here so service embedders
-// keep their `ktpm_service::Algo` imports.
-pub use ktpm_core::{Algo, AlgoCaps};
 
 /// Errors surfaced to service clients.
 ///
@@ -229,11 +226,17 @@ pub struct WarmReport {
     pub plan_bytes: u64,
 }
 
-/// The shared engine state; use [`QueryEngine::new`] to get a
-/// [`ServiceHandle`].
+/// The shared engine state — what serving adds to an [`Executor`]:
+/// sessions, the result and plan caches, metrics and the request pool.
+/// Use [`QueryEngine::new`] to get a [`ServiceHandle`].
 pub struct QueryEngine {
-    interner: LabelInterner,
-    source: SharedSource,
+    /// The store, the interner and the shard pool `Algo::Par` / kgpm
+    /// sessions run on: every plan and every stream is built here.
+    /// The shard pool is kept apart from `pool` — request jobs block
+    /// waiting for shard jobs, shard jobs never block — so the two
+    /// cannot wait on each other however many parallel sessions pile
+    /// in.
+    exec: Executor,
     sessions: SessionTable,
     cache: Mutex<ResultCache>,
     /// Cross-session query-plan cache (keyed by query form and
@@ -243,11 +246,6 @@ pub struct QueryEngine {
     plans: Mutex<PlanCache>,
     metrics: ServiceMetrics,
     pool: WorkerPool,
-    /// Separate pool for `ParTopk` shard jobs. Request jobs (on `pool`)
-    /// block waiting for shard jobs; shard jobs never block — keeping
-    /// the two on distinct pools rules out circular waits no matter how
-    /// many parallel sessions pile in.
-    shard_pool: Arc<WorkerPool>,
     next_id: AtomicU64,
     config: ServiceConfig,
 }
@@ -272,8 +270,11 @@ impl QueryEngine {
     ) -> ServiceHandle {
         ServiceHandle {
             engine: Arc::new(QueryEngine {
-                interner,
-                source,
+                exec: Executor::with_pool(
+                    interner,
+                    source,
+                    Arc::new(WorkerPool::new(config.parallel.shards)),
+                ),
                 sessions: SessionTable::new(),
                 cache: Mutex::new(ResultCache::new(config.cache_capacity)),
                 plans: Mutex::new(PlanCache::with_byte_budget(
@@ -282,7 +283,6 @@ impl QueryEngine {
                 )),
                 metrics: ServiceMetrics::default(),
                 pool: WorkerPool::new(config.workers),
-                shard_pool: Arc::new(WorkerPool::new(config.parallel.shards)),
                 next_id: AtomicU64::new(1),
                 config,
             }),
@@ -301,10 +301,6 @@ impl ServiceHandle {
         let e = &self.engine;
         let key: CacheKey = (algo.name(), canonical_query_text(query));
         let cached = e.cache.lock().expect("cache lock").get(&key);
-        match &cached {
-            Some(_) => e.metrics.cache_hit(),
-            None => e.metrics.cache_miss(),
-        }
         // The plan cache is keyed by the text and the form the
         // algorithm reads it in: one tree plan feeds every tree
         // algorithm, kgpm gets the pattern plan of the same text. A hit
@@ -317,33 +313,20 @@ impl ServiceHandle {
             .plans
             .lock()
             .expect("plan cache lock")
-            .get_or_insert(&plan_key, || {
-                QueryPlan::from_text(plan_key.0, &plan_key.1, &e.interner, &e.source)
-            });
+            .get_or_insert(&plan_key, || e.exec.build_plan(plan_key.0, &plan_key.1));
         let (plan, plan_hit) = built.map_err(|err| {
             e.metrics.error();
             ServiceError::from(err)
         })?;
-        if plan_hit {
-            e.metrics.plan_hit();
-        } else {
-            e.metrics.plan_miss();
-        }
         // Plan construction may have read the store (pattern plans
         // touch the undirected mirror): surface a degraded store now
         // rather than handing out a session over silently missing data.
-        if let Some(err) = e.source.take_error() {
+        if let Some(err) = e.exec.source().take_error() {
             e.metrics.error();
             return Err(ServiceError::storage_failed(&err));
         }
-        let session = Session::new(
-            algo,
-            plan_key.1,
-            plan,
-            cached.as_ref(),
-            e.config.parallel,
-            Arc::clone(&e.shard_pool),
-        );
+        let cache_hit = cached.is_some();
+        let session = Session::new(algo, plan_key.1, plan, cached.as_ref());
         let id = SessionId(e.next_id.fetch_add(1, Ordering::Relaxed));
         let max = e.config.max_sessions;
         // Cap check and insert are atomic (one table lock); on a full
@@ -354,6 +337,17 @@ impl ServiceHandle {
                 e.metrics.error();
                 return Err(ServiceError::SessionLimit(max));
             }
+        }
+        // The hit/miss counters count sessions: a failed OPEN is none.
+        if cache_hit {
+            e.metrics.cache_hit();
+        } else {
+            e.metrics.cache_miss();
+        }
+        if plan_hit {
+            e.metrics.plan_hit();
+        } else {
+            e.metrics.plan_miss();
         }
         e.metrics.session_opened();
         Ok(id)
@@ -392,13 +386,13 @@ impl ServiceHandle {
                     detail: detail.to_string(),
                 });
             }
-            let adv = session.advance(n);
+            let adv = session.advance(n, &engine.exec, &engine.config.parallel);
             // The infallible read API degrades to empty results on
             // storage failures and parks the first error in the store;
             // recover it *before* publishing anything — a batch (or
             // prefix) produced over a degraded store may be missing
             // matches and must reach neither the client nor the cache.
-            if let Some(err) = engine.source.take_error() {
+            if let Some(err) = engine.exec.source().take_error() {
                 let failure = ServiceError::storage_failed(&err);
                 if let ServiceError::StorageFailed { code, detail } = &failure {
                     session.poison(code, detail.clone());
@@ -469,22 +463,16 @@ impl ServiceHandle {
         let mut report = WarmReport::default();
         let mut plans: Vec<Arc<QueryPlan>> = Vec::new();
         for text in queries {
-            // Tree first: a text that plans as a rooted tree warms the
-            // plan every tree algorithm shares. Only a text that does
-            // not parse as a tree (typically cyclic) is retried as a
-            // graph pattern, warming the plan a kgpm `OPEN` of it will
-            // hit — and skipped when that fails too (not a pattern
+            // A text that plans as a rooted tree warms the plan every
+            // tree algorithm shares; one that does not (typically
+            // cyclic) warms the pattern plan a kgpm `OPEN` of it will
+            // hit — and is skipped when that fails too (not a pattern
             // either, or no mirror on this backend).
             let mut key = (QueryForm::Tree, canonical_query_text(text));
             let mut cache = e.plans.lock().expect("plan cache lock");
-            let mut build = |key: &(QueryForm, String)| {
-                cache.get_or_insert(key, || {
-                    QueryPlan::from_text(key.0, &key.1, &e.interner, &e.source)
-                })
-            };
-            let built = build(&key).or_else(|_| {
-                key.0 = QueryForm::Pattern;
-                build(&key)
+            let built = tree_then_pattern(|form| {
+                key.0 = form;
+                cache.get_or_insert(&key, || e.exec.build_plan(form, &key.1))
             });
             drop(cache);
             let Ok((plan, hit)) = built else {
@@ -529,7 +517,7 @@ impl ServiceHandle {
     /// all state — graph, closure, caches, sessions — untouched.
     pub fn apply_delta(&self, delta: &GraphDelta) -> Result<UpdateReport, ServiceError> {
         let e = &self.engine;
-        let report = e.source.apply_delta(delta).map_err(|err| {
+        let report = e.exec.source().apply_delta(delta).map_err(|err| {
             e.metrics.error();
             ServiceError::Update(err)
         })?;
@@ -577,7 +565,7 @@ impl ServiceHandle {
     /// The store's current graph version (0 forever on snapshot
     /// backends).
     pub fn graph_version(&self) -> u64 {
-        self.engine.source.graph_version()
+        self.engine.exec.source().graph_version()
     }
 
     /// Evicts sessions idle past the TTL (also runs opportunistically
@@ -628,8 +616,8 @@ impl ServiceHandle {
             plan_largest_bytes,
             plan_bytes_limit: e.config.plan_cache_max_bytes.unwrap_or(0),
             workers: e.pool.width(),
-            graph_version: e.source.graph_version(),
-            io: e.source.io(),
+            graph_version: e.exec.source().graph_version(),
+            io: e.exec.source().io(),
             metrics: e.metrics.snapshot(),
         }
     }
@@ -662,8 +650,7 @@ mod tests {
 
     #[test]
     fn algo_names_roundtrip() {
-        // `Algo` moved to ktpm_core; the re-export (and the wire names)
-        // must stay intact for embedders.
+        // The wire names must stay intact for clients.
         for a in Algo::ALL {
             assert_eq!(Algo::parse(a.name()), Some(a));
         }
@@ -940,8 +927,10 @@ mod tests {
             let err = h.open("C -> ", algo).unwrap_err();
             assert_eq!(err.code(), "bad-query", "{algo:?}");
         }
-        assert_eq!(h.stats().metrics.errors, 4);
-        assert_eq!(h.stats().plan_entries, 0, "failed OPENs cache no plan");
+        let s = h.stats();
+        assert_eq!(s.metrics.errors, 4);
+        assert_eq!(s.plan_entries, 0, "failed OPENs cache no plan");
+        assert_eq!(s.metrics.cache_misses, 0, "failed OPENs are no sessions");
     }
 
     #[test]

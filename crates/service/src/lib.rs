@@ -9,16 +9,19 @@
 //! enumeration state alive across requests:
 //!
 //! * [`QueryEngine`] / [`ServiceHandle`] — the in-process API. The
-//!   engine owns a shared thread-safe closure store
-//!   (`Arc<dyn ClosureSource>`), a session table, a result cache, and a
-//!   worker pool; the handle is a cheap clone shared across client
-//!   threads.
+//!   engine is sessions + caches + metrics over one
+//!   [`ktpm_core::Executor`] — the same surface `ktpm query` and the
+//!   `ktpm::api` facade run on, which holds the closure store, the
+//!   label interner and the shard pool and builds every plan and
+//!   stream. The engine adds a session table, a result cache, a plan
+//!   cache, metrics and a request worker pool; the handle is a cheap
+//!   clone shared across client threads.
 //! * **Sessions** ([`SessionId`]) — a client opens a session for a
 //!   `(query, algorithm)` pair and repeatedly asks for "next n"
 //!   matches. The session parks a live `Box<dyn MatchStream + Send>`
-//!   built by [`ktpm_core::build_stream`] (the one dispatch every
-//!   algorithm shares) so resuming never pays setup again; each `NEXT`
-//!   is one batched `next_batch` pull. Idle sessions are evicted after
+//!   built by the executor over [`ktpm_core::build_stream`] (the one
+//!   dispatch every algorithm shares) so resuming never pays setup
+//!   again; each `NEXT` is one batched `next_batch` pull. Idle sessions are evicted after
 //!   a TTL.
 //! * **Result cache** — an LRU keyed by the canonicalized query text
 //!   plus algorithm, holding the longest match prefix any session has
@@ -59,9 +62,10 @@
 //! ## Embedding
 //!
 //! ```
-//! use ktpm_service::{Algo, QueryEngine, ServiceConfig};
 //! use ktpm_closure::ClosureTables;
+//! use ktpm_core::Algo;
 //! use ktpm_graph::fixtures::citation_graph;
+//! use ktpm_service::{QueryEngine, ServiceConfig};
 //! use ktpm_storage::MemStore;
 //!
 //! let g = citation_graph();
@@ -84,13 +88,7 @@ mod server;
 mod session;
 
 pub use cache::{CacheKey, CachedPrefix, PlanCache, ResultCache};
-pub use engine::{
-    Algo, AlgoCaps, NextBatch, QueryEngine, ServiceError, ServiceHandle, UpdateReport, WarmReport,
-};
-// The pool moved to `ktpm-exec` so core's `ParTopk` and the batch CLI
-// schedule shard jobs on the same implementation; re-exported here for
-// embedders that imported it from the service crate.
-pub use ktpm_exec::WorkerPool;
+pub use engine::{NextBatch, QueryEngine, ServiceError, ServiceHandle, UpdateReport, WarmReport};
 pub use metrics::{MetricsSnapshot, ServiceMetrics};
 // `respond` and `serve_connection` are public so alternative front ends
 // (the `ktpm-net` event loop) render through the exact same path as the
@@ -143,9 +141,10 @@ pub struct ServiceConfig {
     /// disables the budget and its per-lookup sizing walk. Surfaced in
     /// `STATS` as `plan_cache_bytes_limit` (0 = off).
     pub plan_cache_max_bytes: Option<u64>,
-    /// Shard policy for [`Algo::Par`] sessions; also sizes the engine's
-    /// dedicated shard-job pool (kept separate from the request pool so
-    /// blocked requests can never starve their own shard jobs).
+    /// Shard policy for [`ktpm_core::Algo::Par`] sessions; also sizes
+    /// the engine's dedicated shard-job pool (kept separate from the
+    /// request pool so blocked requests can never starve their own shard
+    /// jobs).
     pub parallel: ktpm_core::ParallelPolicy,
 }
 

@@ -5,7 +5,7 @@
 //! ```text
 //! OPEN <algo> <query>      algo: topk | topk-en | par | brute |
 //!                          dp-b | dp-p | kgpm (one const list,
-//!                          [`crate::Algo::ALL`] — the canonical
+//!                          [`ktpm_core::Algo::ALL`] — the canonical
 //!                          registry in `ktpm_core`, shared with the
 //!                          CLI and the `ktpm::api` facade; names are
 //!                          case-insensitive like the verbs, so

@@ -1,8 +1,9 @@
 //! The TCP front end: an accept loop, one thread per connection, plus a
 //! janitor thread driving session-TTL eviction.
 
-use crate::engine::{Algo, ServiceError, ServiceHandle};
+use crate::engine::{ServiceError, ServiceHandle};
 use crate::protocol::{parse_request, render_next, Request};
+use ktpm_core::Algo;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -5,9 +5,10 @@
 //!
 //! * an `Arc` to the query's shared [`QueryPlan`] (from the engine's
 //!   plan cache) and, once the client outruns the result cache, a live
-//!   [`ktpm_core::MatchStream`] built *from* that plan by the single
-//!   [`ktpm_core::build_stream`] dispatch — so a session of a hot
-//!   query never repeats candidate discovery, run-time-graph
+//!   [`ktpm_core::MatchStream`] built *from* that plan by the engine's
+//!   [`Executor`] (the single [`ktpm_core::build_stream`] dispatch, on
+//!   the engine's shard pool and [`ParallelPolicy`]) — so a session of
+//!   a hot query never repeats candidate discovery, run-time-graph
 //!   construction or the `bs` pass, and the stream (`'static + Send`)
 //!   can hop between worker threads between requests. Each `NEXT` is
 //!   served by **one** batched `next_batch` pull, not a per-match
@@ -25,9 +26,7 @@
 //! [`SessionTable::sweep`].
 
 use crate::cache::{CacheKey, CachedPrefix};
-use crate::engine::Algo;
-use ktpm_core::{build_stream, BoxedMatchStream, ParallelPolicy, QueryPlan, ScoredMatch};
-use ktpm_exec::WorkerPool;
+use ktpm_core::{Algo, BoxedMatchStream, Executor, ParallelPolicy, QueryPlan, ScoredMatch};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -59,10 +58,7 @@ pub struct Session {
     /// The shared per-query setup plan; holding the `Arc` keeps the
     /// plan alive even if the engine's plan cache evicts it.
     plan: Arc<QueryPlan>,
-    /// Shard policy + pool for `Algo::Par` sessions (engine-wide).
-    parallel: ParallelPolicy,
-    shard_pool: Arc<WorkerPool>,
-    /// The parked live stream ([`ktpm_core::build_stream`] — the one
+    /// The parked live stream ([`Executor::build_stream`] — the one
     /// canonical algorithm dispatch), created on first demand the
     /// buffer cannot satisfy. Every algorithm streams the canonical
     /// `(score, assignment)` order, so `par` sessions, cached prefixes
@@ -109,8 +105,6 @@ impl Session {
         canonical: String,
         plan: Arc<QueryPlan>,
         cached: Option<&CachedPrefix>,
-        parallel: ParallelPolicy,
-        shard_pool: Arc<WorkerPool>,
     ) -> Self {
         let (buffer, complete) = match cached {
             Some(p) => (p.matches.as_ref().clone(), p.complete),
@@ -120,8 +114,6 @@ impl Session {
             algo,
             canonical,
             plan,
-            parallel,
-            shard_pool,
             iter: None,
             published_len: buffer.len(),
             buffer,
@@ -178,8 +170,14 @@ impl Session {
 
     /// Produces the next `n` matches (fewer at stream end), advancing
     /// the cursor. Resuming is O(new work): earlier batches are never
-    /// recomputed.
-    pub(crate) fn advance(&mut self, n: usize) -> Advance {
+    /// recomputed. The first live pull builds the stream through
+    /// `exec` under the engine-wide shard `parallel` policy.
+    pub(crate) fn advance(
+        &mut self,
+        n: usize,
+        exec: &Executor,
+        parallel: &ParallelPolicy,
+    ) -> Advance {
         // `n == 0` is pinned by the wire protocol: report "0 more,
         // stream not finished" without touching (or even creating) the
         // enumerator — a zero-sized probe must never trigger setup.
@@ -193,8 +191,7 @@ impl Session {
         let want = self.pos.saturating_add(n);
         let was_complete = self.complete;
         if self.buffer.len() < want && !self.complete {
-            let (algo, plan, parallel, shard_pool) =
-                (self.algo, &self.plan, &self.parallel, &self.shard_pool);
+            let (algo, plan) = (self.algo, &self.plan);
             let prefix = self.buffer.len();
             let it = self.iter.get_or_insert_with(|| {
                 // First live pull: fast-forward past the prefix the
@@ -203,7 +200,7 @@ impl Session {
                 // a cached prefix can be arbitrarily long, and holding
                 // it all in one throwaway Vec would spike memory.
                 const SKIP_CHUNK: usize = 1024;
-                let mut it = build_stream(algo, plan, parallel, Arc::clone(shard_pool));
+                let mut it = exec.build_stream(algo, plan, parallel);
                 let mut skip = Vec::with_capacity(prefix.min(SKIP_CHUNK));
                 let mut remaining = prefix;
                 while remaining > 0 {
@@ -407,13 +404,18 @@ mod tests {
     use ktpm_graph::fixtures::citation_graph;
     use ktpm_query::TreeQuery;
     use ktpm_storage::MemStore;
+    use std::sync::OnceLock;
 
-    fn pol() -> ParallelPolicy {
-        ParallelPolicy::default()
-    }
-
-    fn pool() -> Arc<WorkerPool> {
-        ktpm_exec::default_pool()
+    /// One batch through the executor an engine would pass (only its
+    /// pool is used: a session streams from its own plan).
+    fn pull(s: &mut Session, n: usize) -> Advance {
+        static EXEC: OnceLock<Executor> = OnceLock::new();
+        let exec = EXEC.get_or_init(|| {
+            let g = citation_graph();
+            let store = MemStore::new(ClosureTables::compute(&g)).into_shared();
+            Executor::new(g.interner().clone(), store)
+        });
+        s.advance(n, exec, &ParallelPolicy::default())
     }
 
     fn plan() -> Arc<QueryPlan> {
@@ -437,31 +439,17 @@ mod tests {
     #[test]
     fn batched_advance_equals_one_shot() {
         let p = plan();
-        let mut a = Session::new(
-            Algo::TopkEn,
-            "C -> E\nC -> S".into(),
-            Arc::clone(&p),
-            None,
-            pol(),
-            pool(),
-        );
-        let mut b = Session::new(
-            Algo::TopkEn,
-            "C -> E\nC -> S".into(),
-            p,
-            None,
-            pol(),
-            pool(),
-        );
+        let mut a = Session::new(Algo::TopkEn, "C -> E\nC -> S".into(), Arc::clone(&p), None);
+        let mut b = Session::new(Algo::TopkEn, "C -> E\nC -> S".into(), p, None);
         let mut batched = Vec::new();
         loop {
-            let adv = a.advance(2);
+            let adv = pull(&mut a, 2);
             batched.extend(adv.matches);
             if adv.exhausted {
                 break;
             }
         }
-        let oneshot = b.advance(100);
+        let oneshot = pull(&mut b, 100);
         assert!(oneshot.exhausted);
         assert_eq!(batched, oneshot.matches);
         assert_eq!(batched.len(), 5); // Figure 1: five matches total
@@ -471,51 +459,30 @@ mod tests {
     fn cached_prefix_serves_then_falls_back_to_live() {
         let p = plan();
         // Produce the full stream once.
-        let mut warm = Session::new(
-            Algo::TopkEn,
-            "C -> E\nC -> S".into(),
-            Arc::clone(&p),
-            None,
-            pol(),
-            pool(),
-        );
-        let all = warm.advance(100).matches;
+        let mut warm = Session::new(Algo::TopkEn, "C -> E\nC -> S".into(), Arc::clone(&p), None);
+        let all = pull(&mut warm, 100).matches;
         // New session with only the first two matches cached.
         let cached = CachedPrefix {
             matches: Arc::new(all[..2].to_vec()),
             complete: false,
         };
-        let mut s = Session::new(
-            Algo::TopkEn,
-            "C -> E\nC -> S".into(),
-            p,
-            Some(&cached),
-            pol(),
-            pool(),
-        );
-        let first = s.advance(2);
+        let mut s = Session::new(Algo::TopkEn, "C -> E\nC -> S".into(), p, Some(&cached));
+        let first = pull(&mut s, 2);
         assert_eq!(first.matches, all[..2].to_vec());
         assert!(s.iter.is_none(), "cache must satisfy the first batch");
-        let rest = s.advance(100);
+        let rest = pull(&mut s, 100);
         assert!(rest.exhausted);
         assert_eq!(rest.matches, all[2..].to_vec());
     }
 
     #[test]
     fn advance_publishes_growing_prefixes() {
-        let mut s = Session::new(
-            Algo::TopkEn,
-            "C -> E\nC -> S".into(),
-            plan(),
-            None,
-            pol(),
-            pool(),
-        );
-        let a = s.advance(2);
+        let mut s = Session::new(Algo::TopkEn, "C -> E\nC -> S".into(), plan(), None);
+        let a = pull(&mut s, 2);
         let p = a.publish.expect("new matches must be published");
         assert_eq!(p.matches.len(), 2);
         assert!(!p.complete);
-        let b = s.advance(100);
+        let b = pull(&mut s, 100);
         let p = b.publish.expect("completion must be published");
         assert_eq!(p.matches.len(), 5);
         assert!(p.complete);
@@ -528,43 +495,29 @@ mod tests {
         // session, and the survivor must resume off its parked pool —
         // no re-enumeration, stream identical to an uninterrupted run.
         let p = plan();
-        let mut oneshot = Session::new(
-            Algo::Topk,
-            "C -> E\nC -> S".into(),
-            Arc::clone(&p),
-            None,
-            pol(),
-            pool(),
-        );
-        let want = oneshot.advance(100).matches;
+        let mut oneshot = Session::new(Algo::Topk, "C -> E\nC -> S".into(), Arc::clone(&p), None);
+        let want = pull(&mut oneshot, 100).matches;
         assert_eq!(want.len(), 5);
 
         let table = SessionTable::new();
         table
             .insert_capped(
                 SessionId(1),
-                Session::new(
-                    Algo::Topk,
-                    "C -> E\nC -> S".into(),
-                    Arc::clone(&p),
-                    None,
-                    pol(),
-                    pool(),
-                ),
+                Session::new(Algo::Topk, "C -> E\nC -> S".into(), Arc::clone(&p), None),
                 10,
             )
             .unwrap_or_else(|_| panic!("table has room"));
         table
             .insert_capped(
                 SessionId(2),
-                Session::new(Algo::Topk, "C -> E\nC -> S".into(), p, None, pol(), pool()),
+                Session::new(Algo::Topk, "C -> E\nC -> S".into(), p, None),
                 10,
             )
             .unwrap_or_else(|_| panic!("table has room"));
         // Session 1 produces a prefix (its enumerator + pool go live),
         // then parks.
         let slot = table.get(SessionId(1)).expect("live");
-        let first = slot.session.lock().unwrap().advance(2).matches;
+        let first = pull(&mut slot.session.lock().unwrap(), 2).matches;
         assert_eq!(first, want[..2].to_vec());
         assert!(slot.session.lock().unwrap().iter.is_some());
         // Session 2 idles past the TTL; session 1 stays fresh.
@@ -576,7 +529,7 @@ mod tests {
         // The survivor resumes exactly where its pool left off.
         let slot = table.get(SessionId(1)).expect("survived the sweep");
         let mut s = slot.session.lock().unwrap();
-        let rest = s.advance(100);
+        let rest = pull(&mut s, 100);
         assert!(rest.exhausted);
         assert_eq!(rest.matches, want[2..].to_vec());
     }
@@ -588,28 +541,14 @@ mod tests {
         table
             .insert_capped(
                 SessionId(1),
-                Session::new(
-                    Algo::TopkEn,
-                    "C -> E\nC -> S".into(),
-                    Arc::clone(&p),
-                    None,
-                    pol(),
-                    pool(),
-                ),
+                Session::new(Algo::TopkEn, "C -> E\nC -> S".into(), Arc::clone(&p), None),
                 10,
             )
             .unwrap_or_else(|_| panic!("table has room"));
         table
             .insert_capped(
                 SessionId(2),
-                Session::new(
-                    Algo::TopkEn,
-                    "C -> E\nC -> S".into(),
-                    p,
-                    None,
-                    pol(),
-                    pool(),
-                ),
+                Session::new(Algo::TopkEn, "C -> E\nC -> S".into(), p, None),
                 10,
             )
             .unwrap_or_else(|_| panic!("table has room"));

@@ -8,11 +8,12 @@
 //! algorithms.
 
 use ktpm_closure::ClosureTables;
+use ktpm_core::Algo;
 use ktpm_core::{topk_full, ParallelPolicy, ScoredMatch, ShardEngine};
 use ktpm_graph::fixtures::{citation_graph, paper_graph};
 use ktpm_graph::{LabeledGraph, Score};
 use ktpm_query::TreeQuery;
-use ktpm_service::{protocol, Algo, QueryEngine, Server, ServiceConfig, ServiceHandle, SessionId};
+use ktpm_service::{protocol, QueryEngine, Server, ServiceConfig, ServiceHandle, SessionId};
 use ktpm_storage::MemStore;
 use ktpm_workload::{generate, GraphSpec};
 use std::io::{BufRead, BufReader, Write};
@@ -284,7 +285,11 @@ fn cache_hits_serve_identical_results() {
         let warm: Vec<ScoredMatch> = a.matches.into_iter().chain(b.matches).collect();
         assert_eq!(warm, cold.matches, "warm run {i}");
         handle.close(id).unwrap();
-        assert_eq!(handle.stats().metrics.cache_hits, i as u64 + 1);
+        let m = handle.stats().metrics;
+        assert_eq!(m.cache_hits, i as u64 + 1);
+        // Canonical text keys the plan too: the scrambled-whitespace
+        // OPEN is a plan hit, not a second plan.
+        assert_eq!((m.plan_hits, m.plan_misses), (i as u64 + 1, 1));
     }
 
     // A different algorithm is a different cache key (scores must still
@@ -293,7 +298,10 @@ fn cache_hits_serve_identical_results() {
     let full = handle.next(id, 100).unwrap();
     handle.close(id).unwrap();
     assert_eq!(scores(&full.matches), scores(&cold.matches));
-    assert_eq!(handle.stats().metrics.cache_misses, 2);
+    let stats = handle.stats();
+    assert_eq!(stats.metrics.cache_misses, 2);
+    // ...but the same tree plan: every tree algorithm shares it.
+    assert_eq!((stats.metrics.plan_hits, stats.plan_entries), (3, 1));
 }
 
 #[test]
@@ -474,6 +482,11 @@ fn session_cap_holds_under_concurrent_opens() {
         handle.open("C -> E", Algo::TopkEn),
         Err(ktpm_service::ServiceError::SessionLimit(4))
     ));
+    // The hit/miss counters count sessions: the refused opens add none.
+    let m = handle.stats().metrics;
+    assert_eq!(m.sessions_opened, 4);
+    assert_eq!(m.cache_hits + m.cache_misses, 4);
+    assert_eq!(m.plan_hits + m.plan_misses, 4);
 }
 
 #[test]

@@ -7,8 +7,9 @@
 //!    constructors, and `Algo::ALL` streams are byte-identical;
 //! 2. the pull primitive is **batched** (`next_batch`): one virtual
 //!    call per batch, which is how `ktpm serve` answers `NEXT <s> n`;
-//! 3. repeated runs share setup through a plan (`plan_for` /
-//!    `plan_cache`) — warm runs do zero candidate discovery.
+//! 3. repeated runs share setup through a plan handle (`plan_for`,
+//!    then `.plan(…)` on each run) — warm runs do zero candidate
+//!    discovery.
 //!
 //! Run with: `cargo run --example api_facade`
 

@@ -438,7 +438,7 @@ fn cmd_query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         if repeat > 1 { " across all runs" } else { "" }
     );
     if iostats {
-        let io = exec.io();
+        let io = exec.source().io();
         println!(
             "# iostats: block_reads={} bytes_read={} edges_read={} d_entries={} e_entries={} \
              cache_hits={} cache_misses={} cache_evictions={} cache_bytes_resident={} \

@@ -26,7 +26,8 @@
 //! let store = MemStore::new(ClosureTables::compute(&g)).into_shared();
 //!
 //! // Online: top-k matches through the facade — one builder for every
-//! // algorithm (Topk, Topk-EN, ParTopk, brute), one identical stream.
+//! // algorithm (`Algo::ALL`: the tree engines, DP-B/DP-P, kGPM), one
+//! // identical stream per query form.
 //! // The twig query is the paper's Figure 1: C -> E, C -> S (both `//`).
 //! let exec = Executor::new(g.interner().clone(), store);
 //! let matches = exec.query("C -> E\nC -> S").unwrap().k(10).topk().unwrap();
@@ -57,11 +58,11 @@
 //! | [`closure`] | transitive closure, label-pair tables, incremental repair |
 //! | [`storage`] | on-disk closure store, block cursors, I/O accounting |
 //! | [`runtime`] | run-time graph `G_R` construction |
-//! | [`core`] | **Algorithms 1–3** (`Topk`, `ComputeFirst`, `Topk-EN`) + `ParTopk`, the DP-B / DP-P baselines, the kGPM pattern engine (`KgpmStream`, pattern plans, `decompose`), the [`core::MatchStream`] surface, [`core::Algo`] registry |
-//! | [`api`] | **the facade**: `Executor` / `QueryBuilder` → `Box<dyn MatchStream + Send>` (tree *and* graph-pattern queries) |
+//! | [`core`] | **Algorithms 1–3** (`Topk`, `ComputeFirst`, `Topk-EN`) + `ParTopk`, the DP-B / DP-P baselines, the kGPM pattern engine (`KgpmStream`, pattern plans, `decompose`), the [`core::MatchStream`] surface, [`core::Algo`] registry, and the in-process surface over them: [`core::Executor`] / [`core::QueryBuilder`] |
+//! | [`api`] | **the facade**: re-exports `Executor` / `QueryBuilder` / `ApiError` from [`core`] (text → plan → `Box<dyn MatchStream + Send>`, tree *and* graph-pattern queries), with their docs and examples |
 //! | [`workload`] | seeded dataset & query generators (the scaled §6 families) |
 //! | [`exec`] | shared worker pool scheduling shard jobs and request batches |
-//! | [`service`] | concurrent query service: sessions, result cache, TCP protocol |
+//! | [`service`] | concurrent query service: sessions, result and plan caches, metrics over one [`core::Executor`], TCP protocol |
 //! | [`net`] | event-driven TCP front end: readiness loop, pipelining, backpressure |
 //!
 //! ## Serving

@@ -712,7 +712,7 @@ proptest! {
                     (2, Some(_)) => GraphDelta::new().delete_edge(u, v),
                     _ => continue,
                 };
-                let report = live.apply_delta(&delta).unwrap();
+                let report = live.source().apply_delta(&delta).unwrap();
                 version += 1;
                 prop_assert_eq!(report.version, version);
                 let (g2, _) = g.apply_delta(&delta).unwrap();
