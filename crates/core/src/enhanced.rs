@@ -41,8 +41,8 @@
 //!
 //! The parked set is indexed, not hashed, so each successor costs O(1)
 //! bookkeeping:
-//! - Every slot list has a flat id, the loader's: the root list is 0,
-//!   and list `(u, pi)` is `base[u] + pi`.
+//! - Every slot list has a flat id, as `SlotLists` numbers them: the
+//!   root list is 0, and list `(u, pi)` is `base[u] + pi`.
 //! - A list's parked candidates form an intrusive chain: `Parked.next`
 //!   links them, and `parked_head` holds each list's newest. A sweep
 //!   walks the chain and unlinks the candidates promoted since the last
@@ -118,7 +118,7 @@ pub struct TopkEnEnumerator<'s> {
     entrants: Vec<CandidateSpec>,
     /// Every candidate ever parked, by park id.
     parked: Vec<Parked>,
-    /// Per flat list id (the loader's): the newest park id on the
+    /// Per flat list id: the newest park id on the
     /// list's chain, `NO_PARK` for none.
     parked_head: Vec<u32>,
     /// Per flat list id: the sweep epoch that last swept it.
@@ -172,7 +172,7 @@ impl<'s> TopkEnEnumerator<'s> {
         query: &ResolvedQuery,
         source: SharedSource,
         bound: BoundMode,
-        setup: &LazySetup,
+        setup: &Arc<LazySetup>,
     ) -> TopkEnEnumerator<'static> {
         let mut lists = SlotLists::default();
         let loader =
@@ -208,7 +208,7 @@ impl<'s> TopkEnEnumerator<'s> {
         // Capacity hint: every root candidate pops at least once before
         // the stream ends, so the root bucket size is a cheap estimate.
         let hint = loader.candidates().len(QNodeId(0)).clamp(16, 1 << 16);
-        let lists_n = loader.num_lists();
+        let lists_n = lists.num_ids();
         TopkEnEnumerator {
             query: query.clone(),
             core: LawlerCore::new(query.tree()),
@@ -260,8 +260,7 @@ impl<'s> TopkEnEnumerator<'s> {
             0
         } else {
             let p = self.core.parent_of(spec.pos);
-            self.loader
-                .list_id(spec.pos, self.q.row(spec.parent)[p as usize])
+            self.lists.id(spec.pos, self.q.row(spec.parent)[p as usize])
         }
     }
 

@@ -11,7 +11,7 @@
 use crate::bs::BsData;
 use crate::lazylist::LazySortedList;
 use crate::matches::{CandidateSpec, Child, ScoredMatch, NO_PARENT};
-use crate::plan::QueryPlan;
+use crate::plan::{LazySetup, QueryPlan};
 use ktpm_graph::Score;
 use ktpm_query::{QNodeId, TreeQuery};
 use ktpm_runtime::{GraphRef, RuntimeGraph};
@@ -113,24 +113,42 @@ impl SlotTemplates {
     }
 }
 
-/// Deferred list construction state for [`SlotLists::from_templates`]:
-/// slot lists are copied out of the shared templates the first time
-/// they are touched, so an enumerator restricted to a few roots only
-/// pays for the lists its matches actually reach (and the template
-/// itself is only *built* by the first toucher across all sharers).
+/// Where a deferred [`SlotLists`] fills a list from on first touch.
+#[derive(Debug, Clone)]
+enum FillSource {
+    /// `Topk` ([`SlotLists::from_templates`]): a copy of the shared
+    /// template, so an enumerator restricted to a few roots only pays
+    /// for the lists its matches actually reach (and the template
+    /// itself is only *built* by the first toucher across all sharers).
+    Templates(Arc<SlotTemplates>),
+    /// `Topk-EN` ([`SlotLists::seeded`]): the list's `E`-seed row in
+    /// the plan's lazy half (empty for an unseeded list), so a session
+    /// builds only the seeded lists it touches.
+    Seeds(Arc<LazySetup>),
+}
+
+/// Deferred list construction state: its source, and which lists have
+/// been filled.
 #[derive(Debug, Clone)]
 struct SlotFill {
-    templates: Arc<SlotTemplates>,
-    /// Per `(u, parent_idx)`: whether the local copy has been made.
-    built: Vec<Vec<bool>>,
+    source: FillSource,
+    /// Per flat list id: whether the local list has been filled.
+    built: Vec<bool>,
 }
 
 /// The `L`/`H` lists of every `(parent candidate, child slot)` pair plus
 /// the root list (root candidates keyed by `bs`).
+///
+/// Lists have flat ids: the root list is 0, and slot list `(u, pi)` is
+/// `base[u] + pi`.
 #[derive(Debug, Clone, Default)]
 pub struct SlotLists {
-    /// `lists[u][parent_idx]` for query nodes `u >= 1`; `lists[0]` empty.
-    pub(crate) lists: Vec<Vec<LazySortedList>>,
+    /// Every slot list by flat id; entry 0 stands in for the root list,
+    /// which lives in `root`, and stays empty.
+    lists: Vec<LazySortedList>,
+    /// `base[u]`: the flat id of `(u, 0)` for `u >= 1`; `base[0] = 0`
+    /// and `base[n_T]` is the number of ids.
+    base: Vec<u32>,
     /// Root candidates keyed by `bs` (§3.3 "organized in a similar way").
     pub(crate) root: LazySortedList,
     /// When set, non-root lists fill lazily on first access.
@@ -138,41 +156,51 @@ pub struct SlotLists {
 }
 
 impl SlotLists {
+    /// Empty lists shaped for `tree`, whose node `p` has
+    /// `n_cands(p)` candidates; filled on first touch from `fill`,
+    /// when given.
+    fn shaped(
+        tree: &TreeQuery,
+        n_cands: impl Fn(QNodeId) -> usize,
+        fill: Option<FillSource>,
+    ) -> Self {
+        let mut base = Vec::with_capacity(tree.len() + 1);
+        base.extend([0, 1]);
+        for u in tree.node_ids().skip(1) {
+            let p = tree.parent(u).expect("non-root");
+            base.push(base[u.index()] + n_cands(p) as u32);
+        }
+        let n = base[tree.len()] as usize;
+        let mut lists = Vec::with_capacity(n);
+        lists.resize_with(n, LazySortedList::default);
+        SlotLists {
+            lists,
+            base,
+            root: LazySortedList::default(),
+            fill: fill.map(|source| SlotFill {
+                source,
+                built: vec![false; n],
+            }),
+        }
+    }
+
     /// Builds all lists eagerly from a run-time graph and its `bs` data —
     /// the O(m_R) initialization of §3.3.
     pub fn build_full(rg: &RuntimeGraph, bs: &BsData) -> Self {
         let tree = rg.query().tree();
-        let n_t = tree.len();
-        let mut lists: Vec<Vec<LazySortedList>> = Vec::with_capacity(n_t);
-        lists.push(Vec::new());
-        for ui in 1..n_t {
-            let u = QNodeId(ui as u32);
+        let mut lists = Self::shaped(tree, |p| rg.candidates().len(p), None);
+        for u in tree.node_ids().skip(1) {
             let p = tree.parent(u).expect("non-root");
-            let mut per_parent = Vec::with_capacity(rg.candidates().len(p));
             for pi in 0..rg.candidates().len(p) as u32 {
-                if !bs.is_valid(p, pi) {
-                    per_parent.push(LazySortedList::default());
-                    continue;
-                }
-                let items: Vec<(Score, u32)> = rg
-                    .edges(u, pi)
-                    .iter()
-                    .filter(|&&(j, _)| bs.is_valid(u, j))
-                    .map(|&(j, d)| (bs.bs(u, j) + d as Score, j))
-                    .collect();
-                per_parent.push(LazySortedList::new(items));
+                *lists.slot(u.0, pi) = Self::fill_slot(rg, bs, u.0, pi);
             }
-            lists.push(per_parent);
         }
         let root_items: Vec<(Score, u32)> = (0..rg.candidates().len(tree.root()) as u32)
             .filter(|&i| bs.is_valid(tree.root(), i))
             .map(|i| (bs.bs(tree.root(), i), i))
             .collect();
-        SlotLists {
-            lists,
-            root: LazySortedList::new(root_items),
-            fill: None,
-        }
+        lists.root = LazySortedList::new(root_items);
+        lists
     }
 
     /// Builds the root list eagerly — restricted to root candidates whose
@@ -184,24 +212,23 @@ impl SlotLists {
     /// shared: every list a previous sharer already touched is a clone,
     /// not a rebuild, and first touches race safely on their `OnceLock`s.
     pub fn from_templates(templates: Arc<SlotTemplates>, shard: ShardSpec) -> Self {
-        let tree = templates.rg.query().tree();
-        let n_t = tree.len();
-        let mut lists: Vec<Vec<LazySortedList>> = Vec::with_capacity(n_t);
-        lists.push(Vec::new());
-        for ui in 1..n_t {
-            let p = tree.parent(QNodeId(ui as u32)).expect("non-root");
-            lists.push(vec![
-                LazySortedList::default();
-                templates.rg.candidates().len(p)
-            ]);
-        }
         let root = templates.root_list(shard);
-        let built = lists.iter().map(|per| vec![false; per.len()]).collect();
-        SlotLists {
-            lists,
-            root,
-            fill: Some(SlotFill { templates, built }),
-        }
+        let rg = Arc::clone(&templates.rg);
+        let mut lists = Self::shaped(
+            rg.query().tree(),
+            |p| rg.candidates().len(p),
+            Some(FillSource::Templates(templates)),
+        );
+        lists.root = root;
+        lists
+    }
+
+    /// Empty lists for a lazily-loaded run (Algorithm 3) over `setup`:
+    /// the root list starts empty, and each slot list starts as its
+    /// `E`-seed row, filled the first time the list is touched.
+    pub(crate) fn seeded(tree: &TreeQuery, setup: Arc<LazySetup>) -> Self {
+        let shape = Arc::clone(&setup);
+        Self::shaped(tree, |p| shape.cands.len(p), Some(FillSource::Seeds(setup)))
     }
 
     /// Materializes the deferred list of child slot `u` under parent
@@ -222,44 +249,52 @@ impl SlotLists {
         LazySortedList::new(items)
     }
 
-    /// Allocates empty lists shaped for a lazily-loaded run (Algorithm 3).
-    pub fn empty_shaped(tree: &TreeQuery, parent_cand_counts: &[usize]) -> Self {
-        let mut lists: Vec<Vec<LazySortedList>> = Vec::with_capacity(tree.len());
-        lists.push(Vec::new());
-        for ui in 1..tree.len() {
-            let u = QNodeId(ui as u32);
-            let p = tree.parent(u).expect("non-root");
-            lists.push(vec![
-                LazySortedList::default();
-                parent_cand_counts[p.index()]
-            ]);
+    /// The flat id of slot list `(u, pi)`, 0 for the root list
+    /// (`u == 0`).
+    #[inline]
+    pub(crate) fn id(&self, u: u32, pi: u32) -> u32 {
+        if u == 0 {
+            0
+        } else {
+            self.base[u as usize] + pi
         }
-        SlotLists {
-            lists,
-            root: LazySortedList::default(),
-            fill: None,
-        }
+    }
+
+    /// How many flat list ids there are.
+    pub(crate) fn num_ids(&self) -> usize {
+        self.lists.len()
     }
 
     /// The list of child slot `u` under parent candidate `pi`,
     /// materializing it first in deferred mode.
     #[inline]
     pub(crate) fn slot(&mut self, u: u32, pi: u32) -> &mut LazySortedList {
+        debug_assert_ne!(u, 0, "the root list is not a slot list");
+        let id = self.id(u, pi) as usize;
         if let Some(f) = &mut self.fill {
-            if !f.built[u as usize][pi as usize] {
-                f.built[u as usize][pi as usize] = true;
-                self.lists[u as usize][pi as usize] = if Arc::strong_count(&f.templates) == 1 {
+            if !f.built[id] {
+                f.built[id] = true;
+                self.lists[id] = match &f.source {
                     // Sole holder of the templates (a transient one-run
                     // plan): nobody can ever share the template cell,
                     // so build the list straight into this enumerator
                     // and skip the fill-then-clone round-trip.
-                    Self::fill_slot(&f.templates.rg, &f.templates.bs, u, pi)
-                } else {
-                    f.templates.slot(u, pi).clone()
+                    FillSource::Templates(t) if Arc::strong_count(t) == 1 => {
+                        Self::fill_slot(&t.rg, &t.bs, u, pi)
+                    }
+                    FillSource::Templates(t) => t.slot(u, pi).clone(),
+                    FillSource::Seeds(setup) => LazySortedList::new(
+                        setup.seeds[u as usize]
+                            .rows
+                            .of(pi)
+                            .iter()
+                            .map(|&(dist, ci)| (dist as Score, ci))
+                            .collect(),
+                    ),
                 };
             }
         }
-        &mut self.lists[u as usize][pi as usize]
+        &mut self.lists[id]
     }
 
     /// Mutable access to the slot list of child query node `u` under

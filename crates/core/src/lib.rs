@@ -97,12 +97,18 @@
 //!   known at divide time, so "promote the next best" is a cursor
 //!   bump, not a heap operation.
 //! * **No hashing in `Topk-EN`'s bookkeeping.** The plan resolves the
-//!   §4.1 `E`-seeds once, into one CSR per query node in
-//!   candidate-index space. A session replays them by walking it, and
-//!   a cursor load tests "already seeded?" by binary search in one
-//!   candidate's slice. Parked candidates chain per flat list id
-//!   through an index in their own record. One expansion batch sweeps
-//!   each dirtied list once (an epoch stamp per list), and the loader
+//!   §4.1 `E`-seeds once, in candidate-index space, both ways round:
+//!   one row per parent candidate, in the list's rank order, and one
+//!   parent list per child candidate. A session does not replay them:
+//!   a seeded slot list is filled from its row on first touch, and the
+//!   loader derives its start state (`b̄s`, activation, `Q_g`) from the
+//!   rows' first entries in one pass. A cursor load tests "already
+//!   seeded?" by binary search in one candidate's parent list, and
+//!   candidate lookups binary-search the ascending candidate list
+//!   instead of hashing. Per-candidate loader state is one flat array
+//!   per field. Parked candidates chain per flat list id through an
+//!   index in their own record. One expansion batch sweeps each
+//!   dirtied list once (an epoch stamp per list), and the loader
 //!   reuses one insert buffer.
 //! * **Lifetime.** Pool and queues belong to one enumerator and
 //!   live as long as it does: a parked service session keeps them (the

@@ -23,9 +23,18 @@
 //! `Q_g` is a binary heap with versioned lazy deletion instead of the
 //! paper's Fibonacci heap — same delete-min asymptotics, better
 //! constants (documented deviation).
+//!
+//! Initialization (Lines 1–3) is a pure function of the query and the
+//! store, so it lives in the plan's lazy half ([`LazySetup`]) and a
+//! loader reads it instead of replaying it: the `E`-seeded slot lists
+//! are filled from the plan's seed rows the first time they are
+//! touched ([`SlotLists`]' deferred fill), and the counts, bounds and
+//! `Q_g` entries the seeds imply are derived from the rows' first
+//! entries in one pass. Per-candidate state is one flat array per
+//! field, indexed by [`CandidateSets::flat`].
 
 use crate::lawler::SlotLists;
-use crate::plan::{LazySetup, SeedCsr};
+use crate::plan::LazySetup;
 use ktpm_graph::{Dist, NodeId, Score, INF_DIST};
 use ktpm_query::{EdgeKind, QNodeId, ResolvedQuery};
 use ktpm_runtime::CandidateSets;
@@ -46,9 +55,13 @@ pub enum BoundMode {
     Loose,
 }
 
+/// A candidate's incoming cursor, which also carries its `eᵥ` once
+/// loading starts: before, `eᵥ` is the setup's `dᵅᵥ`, so a session
+/// copies no bounds.
 enum CursorState {
     Unopened,
-    Open(Box<dyn EdgeCursor + Send>),
+    /// The open cursor and the last distance it loaded.
+    Open(Box<dyn EdgeCursor + Send>, Dist),
     Exhausted,
 }
 
@@ -56,34 +69,23 @@ enum CursorState {
 pub struct PriorityLoader<'s> {
     source: SourceRef<'s>,
     query: ResolvedQuery,
-    /// Shared with the setup cache that discovered them (cheap to hand
-    /// to every loader of a hot query).
-    cands: Arc<CandidateSets>,
+    /// The plan's lazy half, shared read-only: candidate sets, initial
+    /// `eᵥ` bounds, `E`-seeds and cursor labels (cursor opens are hot,
+    /// and a loader must not ask the store for the labels again).
+    setup: Arc<LazySetup>,
     bound: BoundMode,
-    // Per query node u.
-    children_count: Vec<u32>,
-    remaining_edges: Vec<Score>,
-    // Per (query node u, candidate i).
-    bs_bar: Vec<Vec<Score>>,
-    nonempty: Vec<Vec<u32>>,
-    active: Vec<Vec<bool>>,
-    ev: Vec<Vec<Dist>>,
-    version: Vec<Vec<u32>>,
-    cursor: Vec<Vec<CursorState>>,
-    /// Per query node: the setup's `E`-seeds, shared. The seeds of
-    /// `(u, i)` are the parent indices whose list already holds this
-    /// child's edge, so a cursor load skips them.
-    seeds: Vec<Arc<SeedCsr>>,
-    /// Per query node: distinct source labels of its incoming closure
-    /// tables — the setup's, shared (cursor opens are hot, and a loader
-    /// must not ask the store for them again).
-    src_labels: Arc<Vec<Vec<ktpm_graph::LabelId>>>,
+    // Per candidate, at its `CandidateSets::flat` position.
+    /// `b̄s`, or `Score::MAX` while some child slot is still empty (the
+    /// candidate is inactive).
+    bs_bar: Vec<Score>,
+    /// How many of the candidate's child slots hold an edge.
+    nonempty: Vec<u32>,
+    version: Vec<u32>,
+    cursor: Vec<CursorState>,
+    /// Per root candidate: whether it is in the root list.
     root_final: Vec<bool>,
     /// `(lb, u, i, version)` min-heap with lazy deletion.
     qg: BinaryHeap<Reverse<(Score, u32, u32, u32)>>,
-    /// Flat list ids: the root list is 0, slot list `(u, pi)` is
-    /// `list_base[u] + pi`; `list_base[n_T]` is the list count.
-    list_base: Vec<u32>,
     /// Flat ids of the lists touched since the last
     /// [`Self::clear_dirty`], in touch order, repeats included.
     dirty: Vec<u32>,
@@ -138,92 +140,90 @@ impl<'s> PriorityLoader<'s> {
         lists: &mut SlotLists,
         shard: ShardSpec,
     ) -> Self {
-        let setup = LazySetup::discover(query, source.get(), shard);
+        let setup = Arc::new(LazySetup::discover(query, source.get(), shard));
         Self::from_setup(query, source, bound, lists, &setup)
     }
 
     /// Builds a loader from an already-discovered [`LazySetup`] (a
-    /// `QueryPlan`'s cached §4.1 initialization): candidate sets and
-    /// `E`-seeds are shared, `eᵥ` bounds copied, and the seeds replayed
-    /// by a walk over their CSRs — so construction performs **no**
-    /// storage reads. Per-loader state (cursors, `Q_g`, loaded edges)
-    /// starts fresh, exactly as a cold build would.
+    /// `QueryPlan`'s cached §4.1 initialization), reading its start
+    /// state instead of replaying it — so construction performs **no**
+    /// storage reads and inserts nothing. `lists` become the setup's
+    /// seeded slot lists, each filled from its `E`-seed row the first
+    /// time it is touched. In one pass over the seed rows' first
+    /// entries, each parent of seeded leaves gets its non-empty slot
+    /// count and, once every slot holds an edge, its `b̄s` (the sum of
+    /// the slot minima) and its `Q_g` entry; `Q_g` is then built with
+    /// one heapify. Cursors, loaded edges and `Q_g` stay per loader.
     pub(crate) fn from_setup(
         query: &ResolvedQuery,
         source: SourceRef<'s>,
         bound: BoundMode,
         lists: &mut SlotLists,
-        setup: &LazySetup,
+        setup: &Arc<LazySetup>,
     ) -> Self {
         let tree = query.tree();
-        let n_t = tree.len();
-        let cands = Arc::clone(&setup.cands);
-        *lists = SlotLists::empty_shaped(
-            tree,
-            &(0..n_t)
-                .map(|u| cands.len(QNodeId(u as u32)))
-                .collect::<Vec<_>>(),
-        );
-        let children_count: Vec<u32> = tree
-            .node_ids()
-            .map(|u| tree.children(u).len() as u32)
-            .collect();
-        let remaining_edges: Vec<Score> =
-            tree.node_ids().map(|u| tree.remaining_edges(u)).collect();
-        let sizes: Vec<usize> = (0..n_t).map(|u| cands.len(QNodeId(u as u32))).collect();
-        let mut list_base = vec![0, 1];
-        for u in tree.node_ids().skip(1) {
-            let p = tree.parent(u).expect("non-root");
-            list_base.push(list_base[u.index()] + sizes[p.index()] as u32);
+        let cands = &setup.cands;
+        let n = cands.total();
+        *lists = SlotLists::seeded(tree, Arc::clone(setup));
+        let mut bs_bar = vec![Score::MAX; n];
+        let mut nonempty = vec![0; n];
+        let mut seeds = 0;
+        for u in tree.node_ids() {
+            let kids = tree.children(u);
+            if kids.is_empty() {
+                // Leaves are trivially active with b̄s = 0.
+                bs_bar[cands.span(u)].fill(0);
+                continue;
+            }
+            // Line 1: "for each loaded Eᵅᵦ there must be an edge (u, u')
+            // in T ... and u' is a leaf" — a seeded slot starts at its
+            // row's first entry.
+            let kid_seeds = kids
+                .iter()
+                .map(|c| setup.seeds[c.index()].count() as u64)
+                .sum::<u64>();
+            if kid_seeds == 0 {
+                continue;
+            }
+            seeds += kid_seeds;
+            for pi in 0..cands.len(u) as u32 {
+                let firsts = kids
+                    .iter()
+                    .filter_map(|c| setup.seeds[c.index()].rows.of(pi).first());
+                let (count, total) = firsts.fold((0, 0), |(n, t), &(d, _)| (n + 1, t + d as Score));
+                let f = cands.flat(u, pi);
+                nonempty[f] = count;
+                if count == kids.len() as u32 {
+                    bs_bar[f] = total;
+                }
+            }
         }
         let mut loader = PriorityLoader {
             source,
             query: query.clone(),
-            cands,
+            setup: Arc::clone(setup),
             bound,
-            children_count,
-            remaining_edges,
-            bs_bar: sizes.iter().map(|&n| vec![Score::MAX; n]).collect(),
-            nonempty: sizes.iter().map(|&n| vec![0; n]).collect(),
-            active: sizes.iter().map(|&n| vec![false; n]).collect(),
-            ev: setup.evs.clone(),
-            version: sizes.iter().map(|&n| vec![0; n]).collect(),
-            cursor: sizes
-                .iter()
-                .map(|&n| (0..n).map(|_| CursorState::Unopened).collect())
-                .collect(),
-            seeds: setup.seeds.clone(),
-            src_labels: Arc::clone(&setup.src_labels),
-            root_final: vec![false; sizes[0]],
+            bs_bar,
+            nonempty,
+            version: vec![0; n],
+            cursor: (0..n).map(|_| CursorState::Unopened).collect(),
+            root_final: vec![false; cands.len(QNodeId(0))],
             qg: BinaryHeap::new(),
-            list_base,
             dirty: Vec::new(),
             inserts: Vec::new(),
-            edges_inserted: 0,
+            edges_inserted: seeds,
         };
-        // Leaves are trivially active with b̄s = 0.
+        // Every active candidate enters `Q_g` at version 0.
+        let mut entries = Vec::with_capacity(n);
         for u in tree.node_ids() {
-            if !tree.is_leaf(u) {
-                continue;
-            }
-            for i in 0..loader.cands.len(u) as u32 {
-                loader.active[u.index()][i as usize] = true;
-                loader.bs_bar[u.index()][i as usize] = 0;
-                loader.push_qg(u.0, i);
-            }
-        }
-        // Replay the E-seeds (Line 1: "for each loaded Eᵅᵦ there must
-        // be an edge (u, u') in T ... and u' is a leaf"). They are in
-        // this setup's index space already: a root-shard restriction
-        // dropped out-of-shard parents when it was made.
-        for u in tree.node_ids().skip(1) {
-            let seeds = Arc::clone(&loader.seeds[u.index()]);
-            for ci in 0..seeds.len() as u32 {
-                for &(pi, dist) in seeds.of(ci) {
-                    loader.note_insert(lists, u.0, pi, dist as Score, ci);
+            for i in 0..cands.len(u) as u32 {
+                let lb = loader.lb(u.0, i);
+                if lb != Score::MAX {
+                    entries.push(Reverse((lb, u.0, i, 0)));
                 }
             }
         }
+        loader.qg = BinaryHeap::from(entries);
         loader
     }
 
@@ -241,7 +241,8 @@ impl<'s> PriorityLoader<'s> {
         let Some(Reverse((_, u, i, _))) = self.qg.pop() else {
             return false;
         };
-        self.version[u as usize][i as usize] += 1;
+        let f = self.flat(u, i);
+        self.version[f] += 1;
         if u == 0 {
             self.finalize_root(lists, i);
             return true;
@@ -257,9 +258,10 @@ impl<'s> PriorityLoader<'s> {
             self.clean_qg();
             let &Reverse((_, u, i, _)) = self.qg.peek()?;
             self.qg.pop();
-            self.version[u as usize][i as usize] += 1;
+            let f = self.flat(u, i);
+            self.version[f] += 1;
             if u == 0 {
-                let score = self.bs_bar[0][i as usize];
+                let score = self.bs_bar[i as usize];
                 self.finalize_root(lists, i);
                 return Some(score);
             }
@@ -269,12 +271,12 @@ impl<'s> PriorityLoader<'s> {
 
     /// Candidate sets (shared with the enumeration layer).
     pub fn candidates(&self) -> &CandidateSets {
-        self.cands.as_ref()
+        &self.setup.cands
     }
 
     /// Flat ids of the slot lists touched since the last
-    /// [`Self::clear_dirty`]: 0 is the root list. Ids may repeat —
-    /// callers dedup.
+    /// [`Self::clear_dirty`], as [`SlotLists`] numbers them: 0 is the
+    /// root list. Ids may repeat — callers dedup.
     pub fn dirty(&self) -> &[u32] {
         &self.dirty
     }
@@ -293,39 +295,40 @@ impl<'s> PriorityLoader<'s> {
         std::mem::swap(&mut self.dirty, buf);
     }
 
-    /// The flat id of slot list `(u, pi)` — 0 for the root list
-    /// (`u == 0`) — as [`Self::dirty`] reports it.
-    #[inline]
-    pub(crate) fn list_id(&self, u: u32, pi: u32) -> u32 {
-        if u == 0 {
-            0
-        } else {
-            self.list_base[u as usize] + pi
-        }
-    }
-
-    /// How many flat list ids there are.
-    pub(crate) fn num_lists(&self) -> usize {
-        *self.list_base.last().expect("the root list") as usize
-    }
-
     /// Total edges inserted into lists (the measured `m'_R`).
     pub fn edges_inserted(&self) -> u64 {
         self.edges_inserted
     }
 
+    /// The flat position of candidate `i` of query node `u`.
+    #[inline]
+    fn flat(&self, u: u32, i: u32) -> usize {
+        self.setup.cands.flat(QNodeId(u), i)
+    }
+
+    /// `eᵥ`: the setup's `dᵅᵥ` until the cursor opens, then the last
+    /// loaded distance, and ∞ once nothing is left to load.
+    fn ev(&self, f: usize) -> Dist {
+        match self.cursor[f] {
+            CursorState::Unopened => self.setup.evs[f],
+            CursorState::Open(_, last) => last,
+            CursorState::Exhausted => INF_DIST,
+        }
+    }
+
     fn lb(&self, u: u32, i: u32) -> Score {
-        let base = self.bs_bar[u as usize][i as usize];
+        let f = self.flat(u, i);
+        let base = self.bs_bar[f];
         if u == 0 || base == Score::MAX {
             return base;
         }
-        let ev = self.ev[u as usize][i as usize];
+        let ev = self.ev(f);
         if ev == INF_DIST {
             return Score::MAX;
         }
         let mut lb = base + ev as Score;
         if self.bound == BoundMode::Tight {
-            lb += self.remaining_edges[u as usize];
+            lb += self.query.tree().remaining_edges(QNodeId(u));
         }
         lb
     }
@@ -335,13 +338,13 @@ impl<'s> PriorityLoader<'s> {
         if lb == Score::MAX {
             return; // exhausted or inactive: never re-enters Q_g
         }
-        let ver = self.version[u as usize][i as usize];
+        let ver = self.version[self.flat(u, i)];
         self.qg.push(Reverse((lb, u, i, ver)));
     }
 
     fn clean_qg(&mut self) {
         while let Some(&Reverse((_, u, i, ver))) = self.qg.peek() {
-            if self.version[u as usize][i as usize] != ver {
+            if self.version[self.flat(u, i)] != ver {
                 self.qg.pop();
             } else {
                 break;
@@ -352,7 +355,7 @@ impl<'s> PriorityLoader<'s> {
     fn finalize_root(&mut self, lists: &mut SlotLists, i: u32) {
         if !self.root_final[i as usize] {
             self.root_final[i as usize] = true;
-            lists.root.insert(self.bs_bar[0][i as usize], i);
+            lists.root.insert(self.bs_bar[i as usize], i);
             self.dirty.push(0);
         }
     }
@@ -360,41 +363,37 @@ impl<'s> PriorityLoader<'s> {
     /// Inserts one loaded edge into the slot list of `(parent(u), pi)` and
     /// propagates activation / b̄s decrease upward (Lines 12–13).
     fn note_insert(&mut self, lists: &mut SlotLists, u: u32, pi: u32, key: Score, ci: u32) {
-        let p = self
-            .query
-            .tree()
+        let tree = self.query.tree();
+        let p = tree
             .parent(QNodeId(u))
-            .expect("note_insert is for non-root nodes")
-            .0;
+            .expect("note_insert is for non-root nodes");
+        let pf = self.setup.cands.flat(p, pi);
         let list = lists.slot(u, pi);
         let old_first = list.first();
         list.insert(key, ci);
         self.edges_inserted += 1;
-        self.dirty.push(self.list_id(u, pi));
+        self.dirty.push(lists.id(u, pi));
         match old_first {
             None => {
-                self.nonempty[p as usize][pi as usize] += 1;
-                if self.nonempty[p as usize][pi as usize] == self.children_count[p as usize] {
+                self.nonempty[pf] += 1;
+                if self.nonempty[pf] == tree.children(p).len() as u32 {
                     // Activation: compute b̄s from the slot minima.
-                    let tree = self.query.tree();
                     let mut total: Score = 0;
-                    for &c in tree.children(QNodeId(p)) {
+                    for &c in tree.children(p) {
                         total += lists
                             .slot(c.0, pi)
                             .first()
                             .expect("slot counted as non-empty")
                             .0;
                     }
-                    self.bs_bar[p as usize][pi as usize] = total;
-                    self.active[p as usize][pi as usize] = true;
-                    self.push_qg(p, pi);
+                    self.bs_bar[pf] = total;
+                    self.push_qg(p.0, pi);
                 }
             }
-            Some((old_key, _)) if key < old_key && self.active[p as usize][pi as usize] => {
-                let entry = &mut self.bs_bar[p as usize][pi as usize];
-                *entry -= old_key - key;
-                self.version[p as usize][pi as usize] += 1;
-                self.push_qg(p, pi);
+            Some((old_key, _)) if key < old_key && self.bs_bar[pf] != Score::MAX => {
+                self.bs_bar[pf] -= old_key - key;
+                self.version[pf] += 1;
+                self.push_qg(p.0, pi);
             }
             _ => {}
         }
@@ -406,28 +405,23 @@ impl<'s> PriorityLoader<'s> {
     fn expand(&mut self, lists: &mut SlotLists, u: u32, i: u32) {
         let un = QNodeId(u);
         let tree = self.query.tree();
-        let p = tree.parent(un).expect("non-root").0;
+        let p = tree.parent(un).expect("non-root");
         let direct_only = tree.edge_kind(un) == EdgeKind::Child;
-        let bsv = self.bs_bar[u as usize][i as usize];
+        let f = self.flat(u, i);
+        let bsv = self.bs_bar[f];
         debug_assert_ne!(bsv, Score::MAX, "expanded nodes are active");
-        if matches!(self.cursor[u as usize][i as usize], CursorState::Unopened) {
-            let cur = self.open_cursor(un, i);
-            self.cursor[u as usize][i as usize] = cur;
+        if matches!(self.cursor[f], CursorState::Unopened) {
+            self.cursor[f] = self.open_cursor(un, i, self.setup.evs[f]);
         }
         // The parent indices whose list an `E`-seed already filled with
         // this candidate's edge, ascending.
-        let seeds = Arc::clone(&self.seeds[u as usize]);
-        let seeded = seeds.of(i);
+        let setup = Arc::clone(&self.setup);
+        let seeded = setup.seeds[u as usize].parents.of(i);
         let mut inserts = std::mem::take(&mut self.inserts);
-        loop {
-            let CursorState::Open(cursor) = &mut self.cursor[u as usize][i as usize] else {
-                self.ev[u as usize][i as usize] = INF_DIST;
-                break;
-            };
+        while let CursorState::Open(cursor, _) = &mut self.cursor[f] {
             let block = cursor.next_block();
             if block.is_empty() {
-                self.cursor[u as usize][i as usize] = CursorState::Exhausted;
-                self.ev[u as usize][i as usize] = INF_DIST;
+                self.cursor[f] = CursorState::Exhausted;
                 break;
             }
             let done_after = cursor.remaining() == 0;
@@ -442,8 +436,8 @@ impl<'s> PriorityLoader<'s> {
                     useless_tail = true;
                     break;
                 }
-                if let Some(pi) = self.cands.index_of(QNodeId(p), w) {
-                    if seeded.binary_search_by_key(&pi, |&(s, _)| s).is_err() {
+                if let Some(pi) = setup.cands.index_of(p, w) {
+                    if seeded.binary_search(&pi).is_err() {
                         inserts.push((pi, bsv + dist as Score));
                     }
                 }
@@ -452,11 +446,12 @@ impl<'s> PriorityLoader<'s> {
                 self.note_insert(lists, u, pi, key, i);
             }
             if useless_tail || done_after {
-                self.cursor[u as usize][i as usize] = CursorState::Exhausted;
-                self.ev[u as usize][i as usize] = INF_DIST;
+                self.cursor[f] = CursorState::Exhausted;
                 break;
             }
-            self.ev[u as usize][i as usize] = last_dist;
+            if let CursorState::Open(_, last) = &mut self.cursor[f] {
+                *last = last_dist;
+            }
             // Line 14: keep loading while the next block estimate still
             // tops Q_g; otherwise re-enter the queue with the new bound.
             let next_lb = self.lb(u, i);
@@ -473,12 +468,12 @@ impl<'s> PriorityLoader<'s> {
 
     /// Opens the incoming cursor of candidate `i` of `u`. Multi-label
     /// parents (wildcards) get an eager merged cursor.
-    fn open_cursor(&mut self, u: QNodeId, i: u32) -> CursorState {
-        let v = self.cands.node(u, i);
-        let src_labels = &self.src_labels[u.index()];
+    fn open_cursor(&self, u: QNodeId, i: u32, ev: Dist) -> CursorState {
+        let v = self.setup.cands.node(u, i);
+        let src_labels = &self.setup.src_labels[u.index()];
         match src_labels.len() {
             0 => CursorState::Exhausted,
-            1 => CursorState::Open(self.source.get().incoming_cursor(src_labels[0], v)),
+            1 => CursorState::Open(self.source.get().incoming_cursor(src_labels[0], v), ev),
             _ => {
                 // Wildcard-labeled parent: merge all labels' lists eagerly.
                 let mut parts = Vec::with_capacity(src_labels.len());
@@ -494,11 +489,14 @@ impl<'s> PriorityLoader<'s> {
                     }
                     parts.push(all);
                 }
-                CursorState::Open(Box::new(VecCursor {
-                    entries: merge_sorted_blocks(parts),
-                    pos: 0,
-                    block: 64,
-                }))
+                CursorState::Open(
+                    Box::new(VecCursor {
+                        entries: merge_sorted_blocks(parts),
+                        pos: 0,
+                        block: 64,
+                    }),
+                    ev,
+                )
             }
         }
     }

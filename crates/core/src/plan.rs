@@ -27,7 +27,11 @@
 //!   `D`/`E` tables — never a whole `L` pair region — so over the
 //!   paged (format-v5) store the lazy half fetches **zero** group
 //!   blocks; edge lists stream later, block by verified block, only
-//!   as the Topk-EN priority loader demands them.
+//!   as the Topk-EN priority loader demands them. The half is also the
+//!   session's start state: the `E`-seeds are kept as one row per
+//!   parent candidate, in slot-list rank order, so a session fills a
+//!   seeded list from its row on first touch instead of replaying
+//!   every seed.
 //!
 //! Per-enumerator state (heaps, cursors, materialized list prefixes)
 //! stays private to each enumerator; the plan only shares what is
@@ -192,78 +196,148 @@ pub(crate) struct FullSetup {
     pub(crate) slots: Arc<SlotTemplates>,
 }
 
-/// One query node's §4.1 `E`-seeds in candidate-index space, as a CSR:
-/// the seeds of child candidate `ci` are
-/// `entries[offsets[ci]..offsets[ci + 1]]`, each a
-/// `(parent candidate index, dist)` pair, ascending by parent index.
-/// A node without seeds (the root, an inner node, a `/` edge, or no
-/// `E` entry at all) holds no offsets.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct SeedCsr {
+/// A compressed sparse row table over one query node's candidates (or
+/// its parent's): the entries of key `k` are
+/// `entries[offsets[k]..offsets[k + 1]]`. A table without entries holds
+/// no offsets either.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct SeedCsr<T> {
     offsets: Vec<u32>,
-    entries: Vec<(u32, Dist)>,
+    entries: Vec<T>,
 }
 
-impl SeedCsr {
-    /// Builds the CSR of a node with `n_cands` candidates from
-    /// `(child index, parent index, dist)` triples in any order. A
-    /// repeated `(child, parent)` pair keeps its smallest distance.
-    fn from_triples(n_cands: usize, mut seeds: Vec<(u32, u32, Dist)>) -> SeedCsr {
-        if seeds.is_empty() {
+impl<T> Default for SeedCsr<T> {
+    fn default() -> Self {
+        SeedCsr {
+            offsets: Vec::new(),
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl<T: Copy> SeedCsr<T> {
+    /// The table of `n_keys` keys holding `pairs`, given as
+    /// `(key, entry)` ascending by key.
+    fn from_sorted(n_keys: usize, pairs: impl ExactSizeIterator<Item = (u32, T)>) -> Self {
+        if pairs.len() == 0 {
             return SeedCsr::default();
         }
-        seeds.sort_unstable();
-        seeds.dedup_by_key(|&mut (ci, pi, _)| (ci, pi));
-        let mut offsets = vec![0u32; n_cands + 1];
-        for &(ci, _, _) in &seeds {
-            offsets[ci as usize + 1] += 1;
+        let mut offsets = vec![0u32; n_keys + 1];
+        let mut entries = Vec::with_capacity(pairs.len());
+        for (k, e) in pairs {
+            offsets[k as usize + 1] += 1;
+            entries.push(e);
         }
         for i in 1..offsets.len() {
             offsets[i] += offsets[i - 1];
         }
-        let entries = seeds.into_iter().map(|(_, pi, d)| (pi, d)).collect();
         SeedCsr { offsets, entries }
     }
 
-    /// The seeds of child candidate `ci`, ascending by parent index.
+    /// The entries of key `k`.
     #[inline]
-    pub(crate) fn of(&self, ci: u32) -> &[(u32, Dist)] {
-        match self.offsets.get(ci as usize..ci as usize + 2) {
+    pub(crate) fn of(&self, k: u32) -> &[T] {
+        match self.offsets.get(k as usize..k as usize + 2) {
             Some(&[lo, hi]) => &self.entries[lo as usize..hi as usize],
             _ => &[],
         }
     }
 
-    /// Number of child candidates the CSR spans (0 without seeds).
+    /// Number of keys the table spans (0 without entries).
     pub(crate) fn len(&self) -> usize {
         self.offsets.len().saturating_sub(1)
     }
 
-    /// Heap bytes: 4 per offset, 8 per seed.
+    /// Heap bytes: 4 per offset, the entry width per entry.
     fn approx_bytes(&self) -> u64 {
-        self.offsets.len() as u64 * 4 + self.entries.len() as u64 * 8
+        (self.offsets.len() * 4 + self.entries.len() * std::mem::size_of::<T>()) as u64
     }
 
-    /// This CSR with every parent index `pi` renamed `map[pi]`, and
-    /// dropped where that is `u32::MAX`. `map` must be increasing on
-    /// the indices it keeps, so each slice stays sorted.
-    fn remap_parents(&self, map: &[u32]) -> SeedCsr {
-        let mut offsets = Vec::with_capacity(self.offsets.len());
+    /// The table whose key `k` holds the `k`-th of `rows`.
+    fn from_rows<R: IntoIterator<Item = T>>(rows: impl Iterator<Item = R>) -> Self {
+        let mut offsets = vec![0];
         let mut entries = Vec::new();
-        offsets.push(0);
-        for ci in 0..self.len() as u32 {
-            entries.extend(
-                self.of(ci)
-                    .iter()
-                    .filter(|&&(pi, _)| map[pi as usize] != u32::MAX)
-                    .map(|&(pi, d)| (map[pi as usize], d)),
-            );
+        for row in rows {
+            entries.extend(row);
             offsets.push(entries.len() as u32);
         }
         if entries.is_empty() {
             return SeedCsr::default();
         }
         SeedCsr { offsets, entries }
+    }
+
+    /// This table with key `k` renamed `map[k]`, and dropped where that
+    /// is `u32::MAX`. `map` must be increasing on the keys it keeps.
+    fn restrict_keys(&self, map: &[u32]) -> Self {
+        let kept = (0..map.len() as u32).filter(|&k| map[k as usize] != u32::MAX);
+        Self::from_rows(kept.map(|k| self.of(k).iter().copied()))
+    }
+}
+
+impl SeedCsr<u32> {
+    /// This table with every entry `e` renamed `map[e]`, and dropped
+    /// where that is `u32::MAX`. `map` must be increasing on the entries
+    /// it keeps, so each key's entries stay sorted.
+    fn remap_entries(&self, map: &[u32]) -> Self {
+        Self::from_rows((0..self.len() as u32).map(|k| {
+            self.of(k)
+                .iter()
+                .map(|&e| map[e as usize])
+                .filter(|&to| to != u32::MAX)
+        }))
+    }
+}
+
+/// One query node's §4.1 `E`-seeds in candidate-index space, kept both
+/// ways round. A node without seeds (the root, an inner node, a `/`
+/// edge, or no `E` entry at all) holds two empty tables.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct NodeSeeds {
+    /// Keyed by parent candidate `pi`: the seeded slot list `(u, pi)`
+    /// as `(dist, child index)` pairs, ascending — the list's elements
+    /// in rank order (a leaf's key is its distance). A session fills the
+    /// list from this row the first time it touches it.
+    pub(crate) rows: SeedCsr<(Dist, u32)>,
+    /// Keyed by child candidate `ci`: the parent indices whose list a
+    /// seed already filled with `ci`'s edge, ascending. A cursor load of
+    /// `ci`'s incoming edges skips them.
+    pub(crate) parents: SeedCsr<u32>,
+}
+
+impl NodeSeeds {
+    /// The seeds of a node with `n_children` candidates under a parent
+    /// with `n_parents`, from `(child index, parent index, dist)` triples
+    /// in any order. A repeated `(child, parent)` pair keeps its
+    /// smallest distance.
+    fn from_triples(n_children: usize, n_parents: usize, mut seeds: Vec<(u32, u32, Dist)>) -> Self {
+        seeds.sort_unstable();
+        seeds.dedup_by_key(|&mut (ci, pi, _)| (ci, pi));
+        let parents = SeedCsr::from_sorted(n_children, seeds.iter().map(|&(ci, pi, _)| (ci, pi)));
+        seeds.sort_unstable_by_key(|&(ci, pi, d)| (pi, d, ci));
+        let rows = SeedCsr::from_sorted(n_parents, seeds.iter().map(|&(ci, pi, d)| (pi, (d, ci))));
+        NodeSeeds { rows, parents }
+    }
+
+    /// These seeds with every parent index `pi` renamed `map[pi]`, and
+    /// dropped where that is `u32::MAX` (`map` increasing on the kept
+    /// indices).
+    fn restrict_parents(&self, map: &[u32]) -> Self {
+        NodeSeeds {
+            rows: self.rows.restrict_keys(map),
+            parents: self.parents.remap_entries(map),
+        }
+    }
+
+    /// Number of seeds.
+    pub(crate) fn count(&self) -> usize {
+        self.rows.entries.len()
+    }
+
+    /// Heap bytes of both tables: 8 per seed and 4 per parent offset in
+    /// the rows, 4 per seed and 4 per child offset in the parent lists.
+    fn approx_bytes(&self) -> u64 {
+        self.rows.approx_bytes() + self.parents.approx_bytes()
     }
 }
 
@@ -273,15 +347,22 @@ fn is_seeded(tree: &ktpm_query::TreeQuery, u: QNodeId) -> bool {
 }
 
 /// The lazy-loading half of a plan: everything `Topk-EN`'s
-/// initialization (§4.1) reads from storage, captured once.
+/// initialization (§4.1) reads from storage, captured once, and the
+/// start state a session reads instead of replaying it. Sessions share
+/// it read-only (`Arc`): a seeded slot list is filled from its row into
+/// the session's own lists on first touch, and every per-candidate
+/// array a session mutates is the session's own.
+#[derive(Debug)]
 pub(crate) struct LazySetup {
     /// `D`-mode candidate sets (root = full label bucket).
-    pub(crate) cands: Arc<CandidateSets>,
-    /// Initial `eᵥ` lower bounds per candidate (`dᵅᵥ`).
-    pub(crate) evs: Vec<Vec<Dist>>,
-    /// Per query node: its `E`-seeds over `cands`' indices. Shared, so
-    /// a loader keeps them to skip seeded edges its cursors return.
-    pub(crate) seeds: Vec<Arc<SeedCsr>>,
+    pub(crate) cands: CandidateSets,
+    /// Initial `eᵥ` lower bounds (`dᵅᵥ`), one per candidate in
+    /// [`CandidateSets::flat`] order.
+    pub(crate) evs: Vec<Dist>,
+    /// Per query node: its `E`-seeds over `cands`' indices. `Arc`, so
+    /// the root shards of one setup share every node below the root's
+    /// children.
+    pub(crate) seeds: Vec<Arc<NodeSeeds>>,
     /// Per query node: the distinct source labels of its incoming
     /// closure tables, ascending — the cursors a loader opens for one
     /// of its candidates. Resolved with the rest of the half, so
@@ -543,25 +624,24 @@ impl QueryPlan {
     }
 
     /// Approximate heap bytes held by this plan's materialized halves,
-    /// estimated from candidate-list and slot-template lengths (`STATS`
-    /// surfaces the per-plan total through the service's plan cache).
-    /// A cold plan reports ~0; the estimate grows as halves and slot
-    /// lists materialize.
+    /// estimated from candidate, edge, seed and slot-template counts
+    /// (`STATS` surfaces the per-plan total through the service's plan
+    /// cache). A cold plan reports 0; the estimate grows as halves and
+    /// slot lists materialize.
     pub fn approx_bytes(&self) -> u64 {
         let mut total = 0u64;
         if let Some(fs) = self.full.get() {
             let stats = fs.rg.stats();
-            // Run-time graph: one (u32, u32) entry per edge plus the
-            // candidate index maps; bs: one Score per candidate.
+            // Run-time graph: one (u32, u32) entry per edge plus a 4 B
+            // node id per candidate; bs: one Score per candidate.
             total += stats.edges as u64 * 8 + stats.nodes as u64 * 4;
             total += stats.nodes as u64 * 8;
             total += fs.slots.approx_bytes() as u64;
         }
         if let Some(lz) = self.lazy.get() {
-            let tree = self.query.tree();
-            let cand_total: u64 = tree.node_ids().map(|u| lz.cands.len(u) as u64).sum();
-            // Candidate node ids + eᵥ bounds + the seed CSRs.
-            total += cand_total * 8;
+            // A 4 B node id and a 4 B eᵥ bound per candidate, plus both
+            // seed tables of every node.
+            total += lz.cands.total() as u64 * 8;
             total += lz.seeds.iter().map(|s| s.approx_bytes()).sum::<u64>();
         }
         total
@@ -593,14 +673,17 @@ impl QueryPlan {
 impl LazySetup {
     /// §4.1 initialization against storage: `D`-table candidate
     /// discovery plus the `E`-seed edges of `//` leaves, resolved once
-    /// into candidate-index space ([`SeedCsr`]), where `shard` drops
+    /// into candidate-index space ([`NodeSeeds`]), where `shard` drops
     /// the seeds of out-of-shard roots.
     ///
-    /// A loader may replay the seeds in any order. Lists rank equal
-    /// keys by candidate index, so a list's ranks do not depend on the
-    /// order its elements arrived in. `Q_g` breaks equal bounds on
-    /// `(u, i)` before the version, so which node pops next does not
-    /// depend on how often a bound was lowered on the way there.
+    /// A loader reads its start state off this setup in any order.
+    /// Lists rank equal keys by candidate index, so a list's ranks do
+    /// not depend on the order its elements arrived in. `Q_g` breaks
+    /// equal bounds on `(u, i)` before the version, so which node pops
+    /// next does not depend on how often a bound was lowered on the way
+    /// there — nor on whether it was lowered at all: a session's `Q_g`
+    /// entries all start at version 0 and pop in the order a replay of
+    /// the seeds would.
     pub(crate) fn discover(
         query: &ResolvedQuery,
         source: &dyn ClosureSource,
@@ -628,11 +711,11 @@ impl LazySetup {
                         }
                     }
                 }
-                Arc::new(SeedCsr::from_triples(cands.len(u), triples))
+                Arc::new(NodeSeeds::from_triples(cands.len(u), cands.len(p), triples))
             })
             .collect();
         LazySetup {
-            cands: Arc::new(cands),
+            cands,
             evs,
             seeds,
             src_labels: src_labels_of(&pairs),
@@ -653,12 +736,12 @@ impl LazySetup {
         let tree = query.tree();
         let n_t = tree.len();
         let mut cands: Vec<Vec<NodeId>> = vec![Vec::new(); n_t];
-        let mut evs: Vec<Vec<Dist>> = vec![Vec::new(); n_t];
+        let mut evs: Vec<Dist> = Vec::new();
         // Per query node: run-time-graph candidate index → index in
         // `cands` (`u32::MAX`: no incoming edge, not a lazy candidate).
         let mut lazy_index: Vec<Vec<u32>> = vec![Vec::new(); n_t];
         cands[0] = rg.candidates().of(tree.root()).to_vec();
-        evs[0] = vec![0; cands[0].len()];
+        evs.resize(cands[0].len(), 0);
         lazy_index[0] = (0..cands[0].len() as u32).collect();
         for u in tree.node_ids().skip(1) {
             let p = tree.parent(u).expect("non-root");
@@ -674,7 +757,7 @@ impl LazySetup {
                 if let Some(d) = b {
                     index[ci] = cands[u.index()].len() as u32;
                     cands[u.index()].push(rg.candidates().node(u, ci as u32));
-                    evs[u.index()].push(d);
+                    evs.push(d);
                 }
             }
             lazy_index[u.index()] = index;
@@ -708,11 +791,12 @@ impl LazySetup {
                         triples.push((lazy_index[u.index()][ci as usize], lazy_pi, dist));
                     }
                 }
-                Arc::new(SeedCsr::from_triples(cands[u.index()].len(), triples))
+                let (n_children, n_parents) = (cands[u.index()].len(), cands[p.index()].len());
+                Arc::new(NodeSeeds::from_triples(n_children, n_parents, triples))
             })
             .collect();
         LazySetup {
-            cands: Arc::new(CandidateSets::from_lists(cands)),
+            cands: CandidateSets::from_lists(cands),
             evs,
             seeds,
             // The half's one label-pair resolution: index probes, plus
@@ -722,23 +806,24 @@ impl LazySetup {
     }
 
     /// This setup with the root bucket of `query` (the query it was
-    /// built for) restricted to `shard`. Non-root sets and the seeds of
-    /// nodes below the root's children are shard-independent and
-    /// shared; the seeds of the root's children are renamed to the
-    /// restricted root indices, dropping out-of-shard parents.
-    pub(crate) fn restrict_root(&self, query: &ResolvedQuery, shard: ShardSpec) -> LazySetup {
+    /// built for) restricted to `shard`; the full shard is this setup
+    /// itself. Non-root sets and the seeds of nodes below the root's
+    /// children are shard-independent and shared. The seeds of the
+    /// root's children keep only the rows of in-shard roots, and their
+    /// child-keyed parent lists are renamed to the restricted root
+    /// indices.
+    pub(crate) fn restrict_root(
+        self: &Arc<Self>,
+        query: &ResolvedQuery,
+        shard: ShardSpec,
+    ) -> Arc<LazySetup> {
         if shard.is_full() {
-            return LazySetup {
-                cands: Arc::clone(&self.cands),
-                evs: self.evs.clone(),
-                seeds: self.seeds.clone(),
-                src_labels: Arc::clone(&self.src_labels),
-            };
+            return Arc::clone(self);
         }
         let root = QNodeId(0);
-        let cands = Arc::new(self.cands.restrict_root(shard));
-        let mut evs = self.evs.clone();
-        evs[0] = vec![0; cands.len(root)];
+        let cands = self.cands.restrict_root(shard);
+        let mut evs = vec![0; cands.len(root)];
+        evs.extend_from_slice(&self.evs[self.cands.len(root)..]);
         let mut kept = 0;
         let root_index: Vec<u32> = self
             .cands
@@ -756,16 +841,18 @@ impl LazySetup {
         let seeds = tree
             .node_ids()
             .map(|u| match tree.parent(u) {
-                Some(p) if p == root => Arc::new(self.seeds[u.index()].remap_parents(&root_index)),
+                Some(p) if p == root => {
+                    Arc::new(self.seeds[u.index()].restrict_parents(&root_index))
+                }
                 _ => Arc::clone(&self.seeds[u.index()]),
             })
             .collect();
-        LazySetup {
+        Arc::new(LazySetup {
             cands,
             evs,
             seeds,
             src_labels: Arc::clone(&self.src_labels),
-        }
+        })
     }
 }
 
@@ -835,23 +922,32 @@ mod tests {
                     "candidates of {u:?}, query {query:?}"
                 );
                 assert_eq!(
-                    discovered.evs[u.index()],
-                    derived.evs[u.index()],
+                    discovered.evs[discovered.cands.span(u)],
+                    derived.evs[derived.cands.span(u)],
                     "ev bounds of {u:?}, query {query:?}"
                 );
             }
             // Seeds: same (child node, parent index, dist) multiset; the
-            // tied witness may differ, so compare that projection.
+            // tied witness may differ, so compare that projection. Each
+            // setup's child-keyed parent lists are its rows transposed.
             let canon = |s: &LazySetup| {
-                let mut v: Vec<_> = q
-                    .tree()
-                    .node_ids()
-                    .flat_map(|u| {
-                        let csr = &s.seeds[u.index()];
-                        (0..csr.len() as u32)
-                            .flat_map(move |ci| csr.of(ci).iter().map(move |&(pi, d)| (u, pi, d)))
-                    })
-                    .collect();
+                let (mut by_row, mut by_child) = (Vec::new(), Vec::new());
+                for u in q.tree().node_ids() {
+                    let seeds = &s.seeds[u.index()];
+                    for pi in 0..seeds.rows.len() as u32 {
+                        let row = seeds.rows.of(pi);
+                        assert!(row.windows(2).all(|w| w[0] < w[1]), "row order");
+                        by_row.extend(row.iter().map(|&(d, ci)| (u, pi, d, ci)));
+                    }
+                    for ci in 0..seeds.parents.len() as u32 {
+                        by_child.extend(seeds.parents.of(ci).iter().map(|&pi| (u, ci, pi)));
+                    }
+                }
+                let mut transposed: Vec<_> =
+                    by_row.iter().map(|&(u, pi, _, ci)| (u, ci, pi)).collect();
+                transposed.sort_unstable();
+                assert_eq!(transposed, by_child, "child-keyed lists, query {query:?}");
+                let mut v: Vec<_> = by_row.into_iter().map(|(u, pi, d, _)| (u, pi, d)).collect();
                 v.sort_unstable();
                 v
             };
@@ -879,7 +975,7 @@ mod tests {
         ] {
             let q = TreeQuery::parse(query).unwrap().resolve(g.interner());
             let store = MemStore::new(ClosureTables::compute(&g));
-            let full = LazySetup::discover(&q, &store, ShardSpec::full());
+            let full = Arc::new(LazySetup::discover(&q, &store, ShardSpec::full()));
             for n in [2, 3] {
                 for shard in ShardSpec::split(n) {
                     let own = LazySetup::discover(&q, &store, shard);
@@ -897,7 +993,7 @@ mod tests {
 
     #[test]
     fn memory_estimate_tracks_materialized_halves() {
-        // A cold plan reports ~0 bytes (nothing forced); after an
+        // A cold plan reports 0 bytes (nothing forced); after an
         // enumerator materializes the full half, the estimate reflects
         // the loaded graph + touched slot templates.
         let g = paper_graph();
@@ -905,7 +1001,22 @@ mod tests {
         assert_eq!(plan.approx_bytes(), 0);
         let n = TopkEnumerator::from_plan(&plan).count();
         assert!(n > 0);
-        assert!(plan.approx_bytes() > 0, "warm plan reports its footprint");
+        let full = plan.approx_bytes();
+        assert!(full > 0, "warm plan reports its footprint");
+        // The lazy half, at its real widths. Candidates: a = {v1, v2}
+        // (the root bucket), b = {v3, v4}, c = {v5, v6}: 6 × (4 B node
+        // id + 4 B eᵥ) = 48. Both leaves are seeded, one nearest seed
+        // per a-node: per leaf, rows 3 offsets × 4 + 2 seeds × 8 = 28
+        // and parent lists 3 offsets × 4 + 2 seeds × 4 = 20, so 96.
+        let lazy = 48 + 2 * (28 + 20);
+        let discovered = plan_for(&g, "a -> b\na -> c");
+        let _ = TopkEnEnumerator::from_plan(&discovered);
+        assert_eq!(discovered.approx_bytes(), lazy, "discovered lazy half");
+        let _ = TopkEnEnumerator::from_plan(&plan);
+        assert_eq!(plan.approx_bytes(), full + lazy, "derived lazy half");
+        // A whole session adds nothing to the plan.
+        assert_eq!(TopkEnEnumerator::from_plan(&discovered).count(), n);
+        assert_eq!(discovered.approx_bytes(), lazy);
     }
 
     #[test]

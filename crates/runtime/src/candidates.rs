@@ -9,19 +9,29 @@
 //!   candidates come from the `Dᵅᵦ` tables (only nodes with at least one
 //!   incoming closure edge from the parent label can ever be matched),
 //!   which is both what §4.1 loads at initialization and a useful pruning.
+//!
+//! A candidate's dense index is its position in its node's list, which
+//! ascends strictly by data node id. So the reverse lookup
+//! ([`CandidateSets::index_of`]) is a binary search of that list: no
+//! per-node hash map is built or kept.
 
 use ktpm_graph::{Dist, LabelId, NodeId};
 use ktpm_query::{EdgeKind, QNodeId, QueryLabel, ResolvedQuery};
 use ktpm_storage::{ClosureSource, ShardSpec};
-use std::collections::HashMap;
 
 /// Candidate sets `V_u` for every query node, with dense per-node indices.
+///
+/// All sets live in one flat array, node after node: candidate `i` of
+/// `u` sits at [`Self::flat`]`(u, i)`, so per-candidate state elsewhere
+/// can be one flat array too.
 #[derive(Debug, Clone)]
 pub struct CandidateSets {
-    /// `cands[u]` — candidate data nodes of query node `u`, ascending.
-    cands: Vec<Vec<NodeId>>,
-    /// `index[u]` — reverse map data node -> dense candidate index.
-    index: Vec<HashMap<NodeId, u32>>,
+    /// Every node's candidates, node 0's first; each node's run is
+    /// strictly ascending, and a candidate's index is its position in
+    /// its run.
+    nodes: Vec<NodeId>,
+    /// `base[u]..base[u + 1]` is `u`'s run in `nodes`.
+    base: Vec<u32>,
 }
 
 impl CandidateSets {
@@ -40,17 +50,15 @@ impl CandidateSets {
                 }
             }
         }
-        Self::finish(cands)
+        Self::from_lists(cands)
     }
 
     /// Priority-mode discovery from `D` tables: the root keeps its full
     /// label bucket; every other node keeps only nodes with at least one
     /// incoming closure edge from the parent's label. Returns the sets and
-    /// the initial `eᵥ` lower bounds (`dᵅᵥ`, §4.1) per candidate.
-    pub fn from_d_tables(
-        query: &ResolvedQuery,
-        source: &dyn ClosureSource,
-    ) -> (Self, Vec<Vec<Dist>>) {
+    /// the initial `eᵥ` lower bounds (`dᵅᵥ`, §4.1) per candidate, in
+    /// [`Self::flat`] order.
+    pub fn from_d_tables(query: &ResolvedQuery, source: &dyn ClosureSource) -> (Self, Vec<Dist>) {
         let pairs = edge_label_pairs(query, source);
         Self::from_d_tables_sharded(query, source, &pairs, ShardSpec::full())
     }
@@ -66,10 +74,11 @@ impl CandidateSets {
         source: &dyn ClosureSource,
         pairs: &[Vec<(LabelId, LabelId)>],
         shard: ShardSpec,
-    ) -> (Self, Vec<Vec<Dist>>) {
-        let n_t = query.len();
-        let mut cands: Vec<Vec<NodeId>> = vec![Vec::new(); n_t];
-        let mut evs: Vec<Vec<Dist>> = vec![Vec::new(); n_t];
+    ) -> (Self, Vec<Dist>) {
+        let mut nodes = Vec::new();
+        let mut evs = Vec::new();
+        let mut base = Vec::with_capacity(query.len() + 1);
+        base.push(0);
         // Root: full label bucket (root nodes need no incoming edges),
         // restricted to the requested shard.
         for i in 0..source.num_nodes() {
@@ -79,113 +88,134 @@ impl CandidateSets {
             }
             let l = source.node_label(v);
             match query.label(query.tree().root()) {
-                QueryLabel::Label(ql) if ql == l => cands[0].push(v),
-                QueryLabel::Wildcard => cands[0].push(v),
+                QueryLabel::Label(ql) if ql == l => nodes.push(v),
+                QueryLabel::Wildcard => nodes.push(v),
                 _ => {}
             }
         }
-        evs[0] = vec![0; cands[0].len()];
+        evs.resize(nodes.len(), 0);
+        base.push(nodes.len() as u32);
         // Non-root: D-table driven.
+        let mut list: Vec<(NodeId, Dist)> = Vec::new();
         for u in query.tree().node_ids().skip(1) {
             let direct_only = query.tree().edge_kind(u) == EdgeKind::Child;
-            let mut merged: HashMap<NodeId, Dist> = HashMap::new();
+            list.clear();
             for &(a, b) in &pairs[u.index()] {
-                for (v, d) in source.load_d(a, b) {
-                    merged
-                        .entry(v)
-                        .and_modify(|cur| *cur = (*cur).min(d))
-                        .or_insert(d);
+                list.extend(source.load_d(a, b));
+            }
+            // One entry per node, at its smallest distance over the
+            // edge's label pairs.
+            list.sort_unstable();
+            list.dedup_by_key(|&mut (v, _)| v);
+            for &(v, d) in &list {
+                if !direct_only || d == 1 {
+                    nodes.push(v);
+                    evs.push(d);
                 }
             }
-            let mut list: Vec<(NodeId, Dist)> = merged
-                .into_iter()
-                .filter(|&(_, d)| !direct_only || d == 1)
-                .collect();
-            list.sort_unstable_by_key(|&(v, _)| v);
-            for (v, d) in list {
-                cands[u.index()].push(v);
-                evs[u.index()].push(d);
-            }
+            base.push(nodes.len() as u32);
         }
-        (Self::finish(cands), evs)
+        (Self::from_flat(nodes, base), evs)
     }
 
     /// Wraps externally discovered candidate lists (one per query node,
     /// each strictly ascending by data node id — checked in debug
-    /// builds), building the reverse indices.
+    /// builds).
     /// Used by setup caches that derive candidate sets from an already
     /// loaded run-time graph instead of re-sweeping storage.
     pub fn from_lists(cands: Vec<Vec<NodeId>>) -> Self {
-        Self::finish(cands)
+        let mut base = Vec::with_capacity(cands.len() + 1);
+        base.push(0);
+        for list in &cands {
+            base.push(base[base.len() - 1] + list.len() as u32);
+        }
+        Self::from_flat(cands.concat(), base)
     }
 
     /// These sets with the *root* bucket restricted to `shard` (query
     /// node 0); every other set is copied unchanged, mirroring
-    /// [`Self::from_d_tables_sharded`]. Each call deep-clones the lists
-    /// and rebuilds the reverse indices — O(total candidates) — so that
-    /// root candidate indices stay dense; callers taking many shards of
-    /// one query pay that copy per shard (still far cheaper than the
-    /// per-shard storage sweeps it replaces).
+    /// [`Self::from_d_tables_sharded`]. Each call copies the flat array
+    /// — O(total candidates) — so that root candidate indices stay
+    /// dense; callers taking many shards of one query pay that copy per
+    /// shard (still far cheaper than the per-shard storage sweeps it
+    /// replaces).
     pub fn restrict_root(&self, shard: ShardSpec) -> Self {
-        let mut cands = self.cands.clone();
-        cands[0].retain(|&v| shard.contains(v));
-        Self::finish(cands)
+        let root = self.of(QNodeId(0));
+        let mut nodes: Vec<NodeId> = root
+            .iter()
+            .copied()
+            .filter(|&v| shard.contains(v))
+            .collect();
+        let dropped = (root.len() - nodes.len()) as u32;
+        nodes.extend_from_slice(&self.nodes[root.len()..]);
+        let base = std::iter::once(0)
+            .chain(self.base[1..].iter().map(|&b| b - dropped))
+            .collect();
+        Self::from_flat(nodes, base)
     }
 
-    fn finish(cands: Vec<Vec<NodeId>>) -> Self {
+    fn from_flat(nodes: Vec<NodeId>, base: Vec<u32>) -> Self {
+        let sets = CandidateSets { nodes, base };
         // Candidate index order is data node id order: `Topk` compares
         // assignments by index and emits them by node, and its
         // canonical `(score, assignment)` stream is only correct while
-        // the two agree.
+        // the two agree — and `index_of` binary-searches on it.
         debug_assert!(
-            cands.iter().all(|l| l.windows(2).all(|w| w[0] < w[1])),
+            (0..sets.base.len() - 1)
+                .all(|u| sets.of(QNodeId(u as u32)).windows(2).all(|w| w[0] < w[1])),
             "every candidate list must be strictly ascending by node id"
         );
-        let index = cands
-            .iter()
-            .map(|list| {
-                list.iter()
-                    .enumerate()
-                    .map(|(i, &v)| (v, i as u32))
-                    .collect()
-            })
-            .collect();
-        CandidateSets { cands, index }
+        sets
     }
 
     /// Candidates of query node `u`, ascending by data node id.
     #[inline]
     pub fn of(&self, u: QNodeId) -> &[NodeId] {
-        &self.cands[u.index()]
+        &self.nodes[self.span(u)]
     }
 
-    /// Dense index of data node `v` within `u`'s candidate set.
+    /// The positions of `u`'s candidates in the flat numbering
+    /// ([`Self::flat`]).
+    #[inline]
+    pub fn span(&self, u: QNodeId) -> std::ops::Range<usize> {
+        self.base[u.index()] as usize..self.base[u.index() + 1] as usize
+    }
+
+    /// The flat position of candidate `i` of `u`: unique across all
+    /// query nodes, below [`Self::total`].
+    #[inline]
+    pub fn flat(&self, u: QNodeId, i: u32) -> usize {
+        self.base[u.index()] as usize + i as usize
+    }
+
+    /// Dense index of data node `v` within `u`'s candidate set: a
+    /// binary search of the ascending list, O(log |V_u|).
     #[inline]
     pub fn index_of(&self, u: QNodeId, v: NodeId) -> Option<u32> {
-        self.index[u.index()].get(&v).copied()
+        self.of(u).binary_search(&v).ok().map(|i| i as u32)
     }
 
     /// The data node at a dense index.
     #[inline]
     pub fn node(&self, u: QNodeId, idx: u32) -> NodeId {
-        self.cands[u.index()][idx as usize]
+        self.nodes[self.flat(u, idx)]
     }
 
     /// Number of candidates of `u`.
     #[inline]
     pub fn len(&self, u: QNodeId) -> usize {
-        self.cands[u.index()].len()
+        self.span(u).len()
     }
 
     /// Whether any query node has an empty candidate set (no matches).
     pub fn any_empty(&self) -> bool {
-        self.cands.iter().any(Vec::is_empty)
+        self.base.windows(2).any(|w| w[0] == w[1])
     }
 
     /// Total candidates across all query nodes (the paper's `n_R`, with
     /// per-query-node copies counted separately as §5 prescribes).
     pub fn total(&self) -> usize {
-        self.cands.iter().map(Vec::len).sum()
+        self.nodes.len()
     }
 }
 
@@ -298,7 +328,7 @@ mod tests {
             .unwrap();
         assert_eq!(sets.of(b_node), &[NodeId(2), NodeId(3)]);
         // d^a_{v3} = 1 (v1->v3); d^a_{v4} = 2 (v1->v3->v4).
-        assert_eq!(evs[b_node.index()], vec![1, 2]);
+        assert_eq!(evs[sets.span(b_node)], [1, 2]);
     }
 
     #[test]
@@ -332,7 +362,7 @@ mod tests {
             // Every non-root set (and its bounds) is untouched.
             for u in q.tree().node_ids().skip(1) {
                 assert_eq!(part.of(u), full.of(u));
-                assert_eq!(evs[u.index()], full_evs[u.index()]);
+                assert_eq!(evs[part.span(u)], full_evs[full.span(u)]);
             }
         }
         roots_seen.sort_unstable();

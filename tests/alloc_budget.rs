@@ -5,7 +5,10 @@
 //! this workload). Each engine has its own bound, about 1.5× what it
 //! reads on this workload, so a regression in one is not hidden by the
 //! headroom of another. Rendering a `NEXT` page is bounded the same
-//! way: one buffer sized up front, not a string per number.
+//! way: one buffer sized up front, not a string per number. A
+//! `Topk-EN` session on a warm plan starts from the plan's lazy half
+//! instead of replaying its `E`-seeds, so its construction is bounded
+//! by a count independent of the candidate and seed counts.
 //! Its own test binary because it installs a counting global allocator;
 //! one `#[test]`, so nothing else allocates while it counts.
 
@@ -66,6 +69,16 @@ fn enumeration_allocates_less_than_once_per_match() {
         let q = TreeQuery::parse(&text)
             .expect("wildcard star parses")
             .resolve(g.interner());
+        let plan = QueryPlan::new(q.clone(), Arc::clone(&store));
+        drop(TopkEnEnumerator::from_plan(&plan)); // builds the lazy half
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let session = TopkEnEnumerator::from_plan(&plan);
+        let start = ALLOCS.load(Ordering::Relaxed) - before;
+        drop(session);
+        assert!(
+            start <= 64,
+            "a warm-plan Topk-EN session on {text:?} took {start} allocations to start (bound 64)"
+        );
         let rg = RuntimeGraph::load(&q, store.as_ref());
         let runs = [
             drain(TopkEnumerator::new(&rg)),

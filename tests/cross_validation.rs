@@ -335,3 +335,88 @@ fn on_demand_store_agrees_with_memory() {
     // Only the labels the query touches were swept.
     assert!(od.sweeps() <= 4, "swept {} labels", od.sweeps());
 }
+
+/// Pulls `chunks[s]` matches at a time from each of `sessions`,
+/// round-robin, until each has `cap`. Session `s` starts before round
+/// `starts[s]` (built by `open`), so a late session begins on a plan
+/// the others have already pulled through. Returns every stream.
+fn interleave<I: Iterator<Item = ScoredMatch>>(
+    open: impl Fn() -> I,
+    chunks: &[usize],
+    starts: &[usize],
+    cap: usize,
+) -> (Vec<I>, Vec<Vec<ScoredMatch>>) {
+    let mut sessions: Vec<Option<I>> = chunks.iter().map(|_| None).collect();
+    let mut got = vec![Vec::new(); chunks.len()];
+    let mut round = 0;
+    while got.iter().any(|g| g.len() < cap) {
+        for s in 0..chunks.len() {
+            if round == starts[s] {
+                sessions[s] = Some(open());
+            }
+            if let Some(it) = &mut sessions[s] {
+                let n = chunks[s].min(cap - got[s].len());
+                got[s].extend(it.by_ref().take(n));
+            }
+        }
+        round += 1;
+    }
+    (sessions.into_iter().map(Option::unwrap).collect(), got)
+}
+
+#[test]
+fn sessions_sharing_one_warm_plan_are_independent() {
+    // Topk-EN sessions read their start state (candidate sets, eᵥ
+    // bounds, the E-seed rows their slot lists fill from) off the
+    // plan's shared lazy half. Sessions interleaved on one plan must
+    // each stream, and count, exactly what a session on a fresh plan
+    // does: a session writing into anything shared shows up here.
+    let mut rng = StdRng::seed_from_u64(3600);
+    let g = random_graph(&mut rng, 120, 4, 3);
+    // Seeded leaves (`L1`, the wildcard `*#1`) under the inner node
+    // `L2`, and a `/` edge into `L3`.
+    let q = TreeQuery::parse("L0 -> L2\nL2 -> L1\nL2 -> *#1\nL0 => L3")
+        .unwrap()
+        .resolve(g.interner());
+    let store = MemStore::with_block_edges(ClosureTables::compute(&g), 2).into_shared();
+    let fresh_plan = || QueryPlan::new(q.clone(), Arc::clone(&store));
+    let cap = 300;
+    let want: Vec<ScoredMatch> = TopkEnEnumerator::from_plan(&fresh_plan())
+        .take(cap + 1)
+        .collect();
+    assert!(want.len() > cap, "the stream outlasts every session");
+    let (chunks, starts) = ([1, 7, 50, 7], [0, 0, 0, 3]);
+
+    // The plan's lazy half is discovered by the first session.
+    let plan = fresh_plan();
+    let (sessions, got) = interleave(|| TopkEnEnumerator::from_plan(&plan), &chunks, &starts, cap);
+    for (s, (session, stream)) in sessions.iter().zip(&got).enumerate() {
+        assert_eq!(stream[..], want[..cap], "session {s}'s stream");
+        let mut alone = TopkEnEnumerator::from_plan(&fresh_plan());
+        assert_eq!(alone.by_ref().take(cap).count(), cap);
+        assert_eq!(
+            session.counters(),
+            alone.counters(),
+            "session {s}'s counters"
+        );
+    }
+
+    let pool = Arc::new(WorkerPool::new(2));
+    for shards in [2, 3] {
+        let policy = ParallelPolicy {
+            shards,
+            batch: 8,
+            engine: ShardEngine::Lazy,
+        };
+        let plan = fresh_plan();
+        let open = || ParTopk::from_plan(&plan, &policy, Arc::clone(&pool));
+        let (_, got) = interleave(open, &chunks, &starts, cap);
+        for (s, stream) in got.iter().enumerate() {
+            assert_eq!(
+                stream[..],
+                want[..cap],
+                "{shards}-shard session {s}'s stream"
+            );
+        }
+    }
+}
