@@ -43,7 +43,7 @@ use crate::lawler::SlotTemplates;
 use ktpm_graph::{Dist, LabelId, LabelInterner, NodeId, Score};
 use ktpm_query::{EdgeKind, GraphQuery, QNodeId, QueryLabel, ResolvedQuery, TreeQuery};
 use ktpm_runtime::{edge_label_pairs, CandidateSets, RuntimeGraph};
-use ktpm_storage::{ClosureSource, DeltaReport, ShardSpec, SharedSource};
+use ktpm_storage::{ClosureSource, DeltaReport, Sections, ShardSpec, SharedSource};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -692,8 +692,17 @@ impl LazySetup {
         // Every edge's label pairs, resolved once for all three reads
         // below (`D` candidates, `E` seeds, the loader's cursor labels).
         let pairs = edge_label_pairs(query, source);
-        let (cands, evs) = CandidateSets::from_d_tables_sharded(query, source, &pairs, shard);
         let tree = query.tree();
+        // What this half reads of each edge's pairs, announced at once:
+        // every `D`, the seeded edges' `E`, and the directory the first
+        // cursor on the pair reads.
+        source.prefetch(&pairs, &|u| Sections {
+            d: true,
+            e: is_seeded(tree, QNodeId(u as u32)),
+            directory: true,
+            blocks: false,
+        });
+        let (cands, evs) = CandidateSets::from_d_tables_sharded(query, source, &pairs, shard);
         let seeds = tree
             .node_ids()
             .map(|u| {
@@ -1283,6 +1292,74 @@ mod tests {
                 "discovered vs derived cursor labels, query {text:?}"
             );
         }
+    }
+
+    #[test]
+    fn prefetching_plan_halves_stream_what_memory_streams() {
+        // Each plan half announces its reads to the store before it
+        // makes them (`ClosureSource::prefetch`). Over a paged file and
+        // a 3-file snapshot, cold plans of either half first must
+        // stream exactly what memory streams, and every table load the
+        // lazy half makes after its prefetch must be a cache hit.
+        let mut b = ktpm_graph::GraphBuilder::new();
+        let nodes: Vec<NodeId> = (0..40)
+            .map(|i| b.add_node(&format!("L{}", i % 10)))
+            .collect();
+        for i in 0..nodes.len() {
+            for step in [1, 3, 7] {
+                if let Some(&to) = nodes.get(i + step) {
+                    b.add_edge(nodes[i], to, 1 + (i % 3) as u32);
+                }
+            }
+        }
+        let g = b.build().unwrap();
+        let tables = ClosureTables::compute(&g);
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("ktpm-plan-prefetch-{}", std::process::id()));
+        let file = dir.with_extension("tc");
+        ktpm_storage::write_store_v3(&tables, &file, 2).unwrap();
+        ktpm_storage::write_store_sharded(&tables, &dir, &ShardSpec::new(0, 3), 2).unwrap();
+        let stores = || -> [(&str, SharedSource); 2] {
+            [
+                (
+                    "paged",
+                    ktpm_storage::open_store_auto(&file, Some(0)).unwrap(),
+                ),
+                (
+                    "sharded",
+                    ktpm_storage::open_store_auto(&dir, Some(0)).unwrap(),
+                ),
+            ]
+        };
+        for text in [
+            "L0 -> L1\nL0 -> L2\nL1 -> L3\nL1 -> L4\nL2 -> L5\nL3 -> L7\nL4 -> L8",
+            "L2 -> L3\nL2 => L5\nL3 -> L9\nL5 -> L6",
+        ] {
+            let q = TreeQuery::parse(text).unwrap().resolve(g.interner());
+            let want = topk_full(&q, &MemStore::new(tables.clone()), usize::MAX);
+            assert!(!want.is_empty(), "query {text:?}");
+            for (tier, store) in stores() {
+                let plan = QueryPlan::new(q.clone(), Arc::clone(&store));
+                let before = store.io();
+                plan.lazy();
+                let io = store.io().since(&before);
+                assert_eq!(
+                    io.cache_hits, io.cache_misses,
+                    "{tier}: each prefetched table found once, query {text:?}"
+                );
+                let en: Vec<_> = TopkEnEnumerator::from_plan(&plan).collect();
+                assert_eq!(en, want, "{tier}: Topk-EN stream, query {text:?}");
+                assert!(store.take_error().is_none(), "{tier}");
+            }
+            for (tier, store) in stores() {
+                let plan = QueryPlan::new(q.clone(), Arc::clone(&store));
+                let full: Vec<_> = TopkEnumerator::from_plan(&plan).collect();
+                assert_eq!(full, want, "{tier}: Topk stream, query {text:?}");
+                assert!(store.take_error().is_none(), "{tier}");
+            }
+        }
+        std::fs::remove_file(&file).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! [`BlockServer`] serves the raw bytes of a snapshot's shard files
 //! over the length-prefixed binary protocol in
-//! [`ktpm_storage::blockproto`]: `FETCH file-id offset len`,
+//! [`ktpm_storage::blockproto`]: `FETCH (file-id offset len)…`,
 //! `MANIFEST`, and `STATS`. It is deliberately dumb — no closure
 //! parsing, no query engine, just ranged reads with a CRC-32 over each
 //! served payload — so one server scales to any number of query-side
@@ -15,17 +15,21 @@
 //! keeps one request in flight per connection and at most
 //! `pool_size` idle ones, so a thread per connection is a thread per
 //! in-flight request, and a request is answered the moment its bytes
-//! arrive. A request is at most [`blockproto::FETCH_REQUEST_BYTES`]
-//! long and is read into a stack buffer; a peer announcing a longer one
-//! is dropped instead of buffered. A `FETCH` streams its range from the
-//! file through one fixed stack buffer, so a connection holds no heap
-//! in proportion to what it serves, however large the range. Shard
-//! files are opened lazily, per connection, on its first `FETCH` and
-//! held open after that.
+//! arrive. A request is at most [`blockproto::MAX_REQUEST_BYTES`] long
+//! (a `FETCH` of [`blockproto::MAX_FETCH_RANGES`] ranges) and is read
+//! into a stack buffer of that size; a peer announcing a longer one is
+//! dropped instead of buffered. A `FETCH` checks every range before it
+//! answers, then seals each range with its own CRC and streams the
+//! ranges from their files through one fixed stack buffer, so a
+//! connection holds no heap in proportion to what it serves, however
+//! large the batch or the range. Shard files are opened lazily, per
+//! connection, on the first `FETCH` that names them and held open
+//! after that. `STATS` reports `fetches` (requests, one per round trip
+//! however many ranges it carries), `fetch_ranges` and `fetch_bytes`.
 //!
 //! For fault-injection tests, [`BlockServer::inject_bit_flips`] makes
-//! the next *n* `FETCH` responses carry a single flipped payload bit
-//! (with the frame CRC computed over the flipped bytes, so only the
+//! the next *n* ranges served carry a single flipped payload bit (with
+//! the range's CRC computed over the flipped bytes, so only the
 //! client's block verification can catch it).
 
 use ktpm_storage::{blockproto, load_snapshot_manifest, Manifest, StorageError};
@@ -46,6 +50,7 @@ use std::time::Duration;
 struct Counters {
     connections: AtomicU64,
     fetches: AtomicU64,
+    fetch_ranges: AtomicU64,
     fetch_bytes: AtomicU64,
     manifests: AtomicU64,
     stats: AtomicU64,
@@ -83,9 +88,10 @@ impl Served {
     fn stats_text(&self) -> String {
         let c = &self.counters;
         format!(
-            "connections={}\nfetches={}\nfetch_bytes={}\nmanifests={}\nstats={}\nerrors={}\nopen_connections={}\n",
+            "connections={}\nfetches={}\nfetch_ranges={}\nfetch_bytes={}\nmanifests={}\nstats={}\nerrors={}\nopen_connections={}\n",
             c.connections.load(Ordering::Relaxed),
             c.fetches.load(Ordering::Relaxed),
+            c.fetch_ranges.load(Ordering::Relaxed),
             c.fetch_bytes.load(Ordering::Relaxed),
             c.manifests.load(Ordering::Relaxed),
             c.stats.load(Ordering::Relaxed),
@@ -145,7 +151,7 @@ impl BlockServer {
     }
 
     /// Fault injection for tests: corrupt one payload bit in each of
-    /// the next `n` `FETCH` responses.
+    /// the next `n` ranges served, in request order.
     pub fn inject_bit_flips(&self, n: u32) {
         self.served.flip.fetch_add(n, Ordering::Relaxed);
     }
@@ -234,7 +240,7 @@ fn accept_loop(listener: &TcpListener, served: &Arc<Served>) {
 /// or a request longer than any valid one (a desynced or hostile peer).
 fn serve_connection(mut stream: &TcpStream, served: &Served) {
     let mut files: Vec<Option<File>> = (0..served.manifest.shards.len()).map(|_| None).collect();
-    let mut req = [0u8; blockproto::FETCH_REQUEST_BYTES];
+    let mut req = [0u8; blockproto::MAX_REQUEST_BYTES];
     loop {
         let mut len = [0u8; 4];
         if stream.read_exact(&mut len).is_err() {
@@ -293,69 +299,126 @@ fn answer(
 /// Payload bytes a `FETCH` reads from its file at a time.
 const CHUNK_BYTES: usize = 64 * 1024;
 
-/// Answers a `FETCH` with `[len | STATUS_OK | crc | data]` through one
-/// stack buffer, or returns the error text to answer with. The CRC
-/// precedes the data, so a range longer than the buffer is read twice:
-/// to seal the CRC, then to send (a read error then, after the header
-/// went out, drops the connection).
+/// Answers a `FETCH` of n ranges with `[len | STATUS_OK | (crc | data)
+/// × n]`, or returns the error text to answer with. Every range is
+/// checked against its file before a byte goes out, so a bad range
+/// costs the request, not the connection. The response is built in one
+/// stack buffer and written whenever the next range does not fit, so a
+/// batch of small ranges is one write. Each range is sealed with its
+/// own CRC, which precedes its data: a range longer than the buffer is
+/// read twice, to seal the CRC, then to send. A read error after part
+/// of the response went out drops the connection.
 fn fetch(
     out: &mut impl Write,
     payload: &[u8],
     served: &Served,
     files: &mut [Option<File>],
 ) -> Result<io::Result<()>, String> {
-    let (id, offset, len) = blockproto::decode_fetch(payload).ok_or("malformed FETCH request")?;
-    if len as usize > blockproto::MAX_FRAME_BYTES - 5 {
-        return Err("FETCH length exceeds the frame cap".into());
-    }
-    let meta = served.manifest.shards.get(id as usize);
-    let meta = meta.ok_or_else(|| format!("no shard file with id {id}"))?;
-    let name = meta.name.as_str();
-    if offset.saturating_add(u64::from(len)) > meta.file_len {
-        return Err(format!("range {offset}+{len} is past the end of {name}"));
-    }
-    let slot = &mut files[id as usize];
-    if slot.is_none() {
-        *slot = Some(File::open(served.dir.join(name)).map_err(|e| format!("open {name}: {e}"))?);
-    }
-    let file = slot.as_mut().expect("opened above");
-    // Injected fault: flip one payload bit *before* sealing the frame
-    // CRC, so only client-side block verification can catch it.
-    let flip = &served.flip;
-    let flip = flip.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
-    let flip_at = flip.is_ok().then_some(len as usize / 2);
-    let mut buf = [0u8; 9 + CHUNK_BYTES];
-    // Reads the range one chunk at a time into `buf[9..end]` and hands
-    // `each` the buffer up to `end` and the chunk's payload position.
-    let mut pass = |each: &mut dyn FnMut(&[u8], usize) -> io::Result<()>, buf: &mut [u8]| {
-        file.seek(SeekFrom::Start(offset))?;
-        for pos in (0..len as usize).step_by(CHUNK_BYTES) {
-            let end = 9 + CHUNK_BYTES.min(len as usize - pos);
-            file.read_exact(&mut buf[9..end])?;
-            if let Some(i) = flip_at.filter(|i| (pos..pos + end - 9).contains(i)) {
-                buf[9 + i - pos] ^= 0x01;
-            }
-            each(&buf[..end], pos)?;
+    let ranges = blockproto::decode_fetch_ranges(payload).ok_or("malformed FETCH request")?;
+    let n = ranges.len() as u64;
+    let mut frame = 1usize;
+    let mut bytes = 0u64;
+    for (id, offset, len) in ranges.clone() {
+        let meta = served.manifest.shards.get(id as usize);
+        let meta = meta.ok_or_else(|| format!("no shard file with id {id}"))?;
+        let name = meta.name.as_str();
+        if offset.saturating_add(u64::from(len)) > meta.file_len {
+            return Err(format!("range {offset}+{len} is past the end of {name}"));
         }
-        Ok(())
-    };
-    let mut crc = blockproto::CRC_INIT;
-    let mut seal = |chunk: &[u8], _| {
-        crc = blockproto::crc32_update(crc, &chunk[9..]);
-        Ok(())
-    };
-    pass(&mut seal, &mut buf).map_err(|e| format!("read {name}@{offset}+{len}: {e}"))?;
+        frame = frame
+            .checked_add(4 + len as usize)
+            .filter(|&f| f <= blockproto::MAX_FRAME_BYTES)
+            .ok_or("FETCH response exceeds the frame cap")?;
+        bytes += u64::from(len);
+        let slot = &mut files[id as usize];
+        if slot.is_none() {
+            *slot =
+                Some(File::open(served.dir.join(name)).map_err(|e| format!("open {name}: {e}"))?);
+        }
+    }
     let c = &served.counters;
     c.fetches.fetch_add(1, Ordering::Relaxed);
-    c.fetch_bytes.fetch_add(u64::from(len), Ordering::Relaxed);
-    buf[..4].copy_from_slice(&(5 + len).to_le_bytes());
+    c.fetch_ranges.fetch_add(n, Ordering::Relaxed);
+    c.fetch_bytes.fetch_add(bytes, Ordering::Relaxed);
+    let mut buf = [0u8; 9 + CHUNK_BYTES];
+    buf[..4].copy_from_slice(&(frame as u32).to_le_bytes());
     buf[4] = blockproto::STATUS_OK;
-    buf[5..9].copy_from_slice(&blockproto::crc32_finish(crc).to_le_bytes());
-    if len as usize <= CHUNK_BYTES {
-        // The first pass left the whole range in the buffer.
-        return Ok(out.write_all(&buf[..9 + len as usize]));
+    let mut fill = 5;
+    let mut sent = false;
+    for (id, offset, len) in ranges {
+        let (file, len) = (
+            files[id as usize].as_mut().expect("opened above"),
+            len as usize,
+        );
+        // Injected fault: flip one payload bit *before* sealing the
+        // range's CRC, so only client-side block verification can
+        // catch it.
+        let flip = &served.flip;
+        let flip = flip.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
+        let flip_at = flip.is_ok().then_some(len / 2);
+        if fill + 4 + len > buf.len() && fill > 0 {
+            if let Err(e) = out.write_all(&buf[..fill]) {
+                return Ok(Err(e));
+            }
+            (fill, sent) = (0, true);
+        }
+        let at = fill + 4;
+        let mut crc = blockproto::CRC_INIT;
+        let mut seal = |chunk: &[u8], _| {
+            crc = blockproto::crc32_update(crc, &chunk[at..]);
+            Ok(())
+        };
+        let read = read_range(file, offset, len, flip_at, &mut buf, at, &mut seal);
+        match read {
+            Err(e) if sent => return Ok(Err(e)),
+            Err(e) => {
+                let name = &served.manifest.shards[id as usize].name;
+                return Err(format!("read {name}@{offset}+{len}: {e}"));
+            }
+            Ok(()) => {}
+        }
+        buf[fill..at].copy_from_slice(&blockproto::crc32_finish(crc).to_le_bytes());
+        if at + len <= buf.len() {
+            // The seal pass left the whole range in the buffer.
+            fill = at + len;
+            continue;
+        }
+        // A range longer than the buffer (which was flushed for it)
+        // goes out chunk by chunk, its CRC with the first.
+        let mut send =
+            |chunk: &[u8], pos| out.write_all(if pos == 0 { chunk } else { &chunk[at..] });
+        let read = read_range(file, offset, len, flip_at, &mut buf, at, &mut send);
+        (fill, sent) = (0, true);
+        if let Err(e) = read {
+            return Ok(Err(e));
+        }
     }
-    // The header in `buf[..9]` goes out with the first chunk.
-    let mut send = |chunk: &[u8], pos| out.write_all(&chunk[if pos == 0 { 0 } else { 9 }..]);
-    Ok(pass(&mut send, &mut buf))
+    Ok(out.write_all(&buf[..fill]))
+}
+
+/// Reads `len` bytes at `offset` of `file` into `buf[at..]`, at most
+/// `buf.len() - at` at a time, flipping payload byte `flip_at`, and
+/// hands `each` the buffer up to each chunk's end and the chunk's
+/// position in the range.
+fn read_range(
+    file: &mut File,
+    offset: u64,
+    len: usize,
+    flip_at: Option<usize>,
+    buf: &mut [u8],
+    at: usize,
+    each: &mut dyn FnMut(&[u8], usize) -> io::Result<()>,
+) -> io::Result<()> {
+    file.seek(SeekFrom::Start(offset))?;
+    let mut pos = 0;
+    while pos < len {
+        let n = (buf.len() - at).min(len - pos);
+        file.read_exact(&mut buf[at..at + n])?;
+        if let Some(i) = flip_at.filter(|i| (pos..pos + n).contains(i)) {
+            buf[at + i - pos] ^= 0x01;
+        }
+        each(&buf[..at + n], pos)?;
+        pos += n;
+    }
+    Ok(())
 }

@@ -9,9 +9,11 @@
 //! behind per closed connection.
 
 use ktpm_closure::ClosureTables;
+use ktpm_core::{QueryPlan, TopkEnEnumerator, TopkEnumerator};
 use ktpm_graph::fixtures::label_star;
 use ktpm_graph::{GraphBuilder, LabelId, LabeledGraph, NodeId};
 use ktpm_net::BlockServer;
+use ktpm_query::{ResolvedQuery, TreeQuery};
 use ktpm_storage::{
     blockproto, open_store_uri, write_store, write_store_sharded, ClosureSource, MemStore,
     PagedStore, RemoteOptions, RemoteStore, ShardSpec, ShardedStore, StorageError,
@@ -244,8 +246,27 @@ fn killing_blockd_mid_stream_degrades_cleanly_and_recovers_nothing_stale() {
     let pairs = store.pair_keys();
     let (a, b) = pairs[0];
     assert!(!store.load_d(a, b).is_empty(), "server is up");
+    // A second store builds a plan's lazy half, prefetch included,
+    // while the server is up; its cursors have pulled nothing yet.
+    let planned = RemoteStore::connect_with(&server.local_addr().to_string(), fast_opts())
+        .unwrap()
+        .into_shared();
+    let plan = QueryPlan::new(resolve(&g, "L0 -> L1\nL0 -> L2\nL1 -> L3"), planned.clone());
+    let stream = TopkEnEnumerator::from_plan(&plan);
+    let fetched = planned.io().remote_fetches;
 
     server.shutdown();
+
+    // The server died between the prefetch and the first cursor pull:
+    // the stream ends (truncated) instead of hanging, and says why.
+    let streamed = stream.count();
+    assert_eq!(planned.io().remote_fetches, fetched, "nothing more arrived");
+    match planned.take_error() {
+        Some(StorageError::Remote { detail, .. }) => {
+            assert!(detail.contains("attempt"), "{detail}")
+        }
+        other => panic!("expected StorageError::Remote after {streamed} match(es), got {other:?}"),
+    }
 
     // Every further read returns empty — no panic, no hang — and the
     // first failure is retrievable as a Remote error.
@@ -321,6 +342,101 @@ fn served_bit_flip_is_caught_by_client_crc_retried_once_then_surfaced() {
         ),
         "unexpected error {err}"
     );
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `text` parsed and resolved against `g`'s labels.
+fn resolve(g: &LabeledGraph, text: &str) -> ResolvedQuery {
+    TreeQuery::parse(text).unwrap().resolve(g.interner())
+}
+
+#[test]
+fn a_flipped_range_in_a_prefetch_batch_is_dropped_and_read_again_on_demand() {
+    // A served bit flip inside a prefetch batch: the range fails its
+    // section CRC, so it is neither cached nor recorded as an error,
+    // and the demand read fetches it again, clean, in one more round
+    // trip. The stream is memory's either way.
+    let g = dense_graph(30, 4);
+    let tables = ClosureTables::compute(&g);
+    let mem = MemStore::new(tables.clone()).into_shared();
+    let path = tempdir("prefetch-flip.tc");
+    write_store(&tables, &path).unwrap();
+    let server = BlockServer::spawn(&path, ("127.0.0.1", 0)).unwrap();
+    let q = resolve(&g, "L0 -> L1\nL0 -> L2\nL1 -> L3");
+    let want: Vec<_> = TopkEnEnumerator::from_plan(&QueryPlan::new(q.clone(), mem)).collect();
+    assert!(!want.is_empty());
+    let run = |flips: u32| {
+        let store = RemoteStore::connect_with(&server.local_addr().to_string(), fast_opts())
+            .unwrap()
+            .into_shared();
+        // Open the one store file and read its one index page, off the
+        // query's pairs: the prefetch's first batch is then its
+        // sections, and the flip lands on the first of them.
+        assert!(store.has_pair(LabelId(3), LabelId(0)));
+        assert!(!store.load_d(LabelId(3), LabelId(0)).is_empty());
+        server.inject_bit_flips(flips);
+        let plan = QueryPlan::new(q.clone(), store.clone());
+        let got: Vec<_> = TopkEnEnumerator::from_plan(&plan).collect();
+        assert_eq!(got, want, "{flips} flip(s)");
+        assert!(
+            store.take_error().is_none(),
+            "{flips} flip(s): nothing recorded"
+        );
+        store.io()
+    };
+    let (clean, flipped) = (run(0), run(1));
+    assert_eq!(
+        flipped.remote_retries, 0,
+        "the demand read was clean at once"
+    );
+    assert_eq!(flipped.remote_fetches, clean.remote_fetches + 1);
+    assert_eq!(
+        flipped.cache_hits + 1,
+        clean.cache_hits,
+        "the flipped range was not cached"
+    );
+    server.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn cold_remote_plans_stream_like_memory_in_a_few_batches() {
+    // Over a 3-file snapshot behind a block server, a cold plan of
+    // either half streams memory's matches; its prefetch makes the
+    // half's table and block reads a handful of round trips.
+    let g = dense_graph(36, 5);
+    let tables = ClosureTables::compute(&g);
+    let mem = MemStore::new(tables.clone()).into_shared();
+    let dir = tempdir("prefetch-plans");
+    write_store_sharded(&tables, &dir, &ShardSpec::new(0, 3), 4).unwrap();
+    let server = BlockServer::spawn(&dir, ("127.0.0.1", 0)).unwrap();
+    let q = resolve(&g, "L0 -> L1\nL0 -> L2\nL1 -> L3\nL2 -> L4\nL3 -> L0#2");
+    let mem_plan = QueryPlan::new(q.clone(), mem);
+    let want: Vec<_> = TopkEnumerator::from_plan(&mem_plan).collect();
+    assert!(!want.is_empty());
+    let connect = || {
+        RemoteStore::connect(&server.local_addr().to_string())
+            .unwrap()
+            .into_shared()
+    };
+    let store = connect();
+    let plan = QueryPlan::new(q.clone(), store.clone());
+    let before = store.io().remote_fetches;
+    let stream = TopkEnEnumerator::from_plan(&plan);
+    let lazy = store.io().remote_fetches - before;
+    assert_eq!(stream.collect::<Vec<_>>(), want);
+    let store = connect();
+    let plan = QueryPlan::new(q, store.clone());
+    let before = store.io().remote_fetches;
+    plan.runtime_graph();
+    let full = store.io().remote_fetches - before;
+    assert_eq!(TopkEnumerator::from_plan(&plan).collect::<Vec<_>>(), want);
+    // At most three files: an open of two batches, then two (lazy) or
+    // three (full) rounds each.
+    assert!(lazy <= 3 * (2 + 2), "lazy half: {lazy} round trips");
+    assert!(full <= 3 * (2 + 3), "full half: {full} round trips");
+    assert!(store.take_error().is_none());
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -541,6 +657,112 @@ fn nothing_is_left_open_after_500_connect_fetch_close_cycles() {
     await_open_connections(&mut stats, 1);
     assert_eq!(stat(&mut stats, "connections"), 501);
     assert_eq!(stat(&mut stats, "fetches"), 500);
+    server.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+/// A `FETCH` of `ranges` of file 0, answered OK: each range's
+/// `(crc, data)`, split by the requested lengths.
+fn fetch_batch(s: &mut TcpStream, ranges: &[(u64, u32)]) -> Vec<(u32, Vec<u8>)> {
+    let req = blockproto::encode_fetch_ranges(ranges.iter().map(|&(off, len)| (0, off, len)));
+    let resp = round_trip(s, &req).expect("FETCH answered");
+    assert_eq!(resp.first(), Some(&blockproto::STATUS_OK));
+    let mut body = &resp[1..];
+    let out = ranges
+        .iter()
+        .map(|&(_, len)| {
+            let (crc, rest) = body.split_at(4);
+            let (data, rest) = rest.split_at(len as usize);
+            body = rest;
+            (u32::from_le_bytes(crc.try_into().unwrap()), data.to_vec())
+        })
+        .collect();
+    assert!(body.is_empty(), "the response is exactly the ranges");
+    out
+}
+
+#[test]
+fn a_batched_fetch_answers_each_range_as_a_single_fetch_does() {
+    let path = tempdir("batch.tc");
+    write_store(&ClosureTables::compute(&dense_graph(200, 4)), &path).unwrap();
+    let file_len = std::fs::metadata(&path).unwrap().len();
+    assert!(file_len > 300_000, "store of {file_len} bytes");
+    let server = BlockServer::spawn(&path, ("127.0.0.1", 0)).unwrap();
+    let mut s = connect(server.local_addr(), 10);
+
+    // The single-range request is the n = 1 case, byte for byte.
+    assert_eq!(
+        blockproto::encode_fetch_ranges([(0, 7, 300)]),
+        blockproto::encode_fetch(0, 7, 300)
+    );
+    assert_eq!(
+        blockproto::encode_fetch(0, 7, 300).len(),
+        blockproto::FETCH_REQUEST_BYTES
+    );
+
+    // Out of file order, one range longer than the server's 64 KiB
+    // buffer, one empty, the rest of assorted small lengths.
+    let ranges = |n: usize| -> Vec<(u64, u32)> {
+        (0..n)
+            .map(|i| match i {
+                1 => (1_000, 70_000),
+                3 => (file_len - 5, 0),
+                _ => {
+                    let off = (i as u64 * 7_919 + 131) * 97 % (file_len - 5_000);
+                    (file_len - 5_000 - off, 1 + (i as u32 * 37) % 4_100)
+                }
+            })
+            .collect()
+    };
+    for n in [2, 17, blockproto::MAX_FETCH_RANGES] {
+        let ranges = ranges(n);
+        let batch = fetch_batch(&mut s, &ranges);
+        for (&(off, len), got) in ranges.iter().zip(&batch) {
+            let single = round_trip(&mut s, &blockproto::encode_fetch(0, off, len)).unwrap();
+            assert_eq!(single[0], blockproto::STATUS_OK);
+            assert_eq!(
+                single[1..5],
+                got.0.to_le_bytes(),
+                "n = {n}: the CRC of {off}+{len}"
+            );
+            assert_eq!(single[5..], got.1[..], "n = {n}: the bytes of {off}+{len}");
+            assert_eq!(got.0, blockproto::crc32(&got.1), "sealed per range");
+        }
+    }
+    assert_eq!(stat(&mut s, "fetch_ranges"), 2 + 17 + 256 + 2 + 17 + 256);
+
+    // A bad range, or a response over the frame cap, fails the whole
+    // request with STATUS_ERR; the connection stays usable.
+    let past_end = [(0, 10), (file_len - 4, 8)];
+    let cap = blockproto::MAX_FRAME_BYTES as u64;
+    let over_cap = vec![(0, file_len as u32); (cap / file_len + 1) as usize];
+    assert!(over_cap.len() <= blockproto::MAX_FETCH_RANGES);
+    for bad in [&past_end[..], &over_cap[..]] {
+        let req = blockproto::encode_fetch_ranges(bad.iter().map(|&(off, len)| (0, off, len)));
+        let resp = round_trip(&mut s, &req).expect("answered, not dropped");
+        assert_eq!(
+            resp[0],
+            blockproto::STATUS_ERR,
+            "{}",
+            String::from_utf8_lossy(&resp[1..])
+        );
+        fetch_ok(&mut s, 64);
+    }
+    assert_eq!(stat(&mut s, "errors"), 2);
+
+    // One record past the cap is longer than any request: dropped and
+    // counted, like any oversized announcement.
+    let mut hostile = connect(server.local_addr(), 10);
+    let too_many = vec![(0u64, 8u32); blockproto::MAX_FETCH_RANGES + 1];
+    let req = blockproto::encode_fetch_ranges(too_many.iter().map(|&(off, len)| (0, off, len)));
+    assert_eq!(
+        req.len(),
+        blockproto::MAX_REQUEST_BYTES + blockproto::FETCH_RANGE_BYTES
+    );
+    blockproto::write_frame(&mut hostile, &req).unwrap();
+    assert_hung_up(&mut hostile);
+    assert_eq!(stat(&mut s, "errors"), 3, "the drop is counted");
+    fetch_ok(&mut s, 64);
     server.shutdown();
     std::fs::remove_file(&path).ok();
 }

@@ -3,7 +3,7 @@
 use crate::candidates::{edge_label_pairs, CandidateSets};
 use ktpm_graph::{Dist, NodeId};
 use ktpm_query::{EdgeKind, QNodeId, ResolvedQuery};
-use ktpm_storage::ClosureSource;
+use ktpm_storage::{ClosureSource, Sections};
 use std::sync::Arc;
 
 /// A run-time graph held either by borrow (one-shot queries) or by
@@ -80,6 +80,11 @@ impl RuntimeGraph {
             }
         }
         let pairs = edge_label_pairs(query, source);
+        // Every pair is read whole, below: announce it at once.
+        source.prefetch(&pairs, &|_| Sections {
+            blocks: true,
+            ..Sections::default()
+        });
         let mut edges = 0;
         for u in query.tree().node_ids().skip(1) {
             let p = query.tree().parent(u).expect("non-root");

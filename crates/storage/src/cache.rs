@@ -114,6 +114,16 @@ impl BlockCache {
             .retain(|&(key, stamp)| map.get(&key).is_some_and(|s| s.stamp == stamp));
     }
 
+    /// Whether `key` is cached, without refreshing its recency.
+    pub(crate) fn contains(&self, key: BlockKey) -> bool {
+        self.map.contains_key(&key)
+    }
+
+    /// The byte budget; `0` means unlimited.
+    pub(crate) fn budget(&self) -> u64 {
+        self.budget
+    }
+
     /// Live blocks currently cached.
     pub(crate) fn len(&self) -> usize {
         self.map.len()

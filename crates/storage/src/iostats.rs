@@ -30,7 +30,8 @@ struct Counters {
 /// A point-in-time copy of the counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IoSnapshot {
-    /// Positioned block fetches issued (file) or simulated (memory).
+    /// Positioned block fetches issued (file) or simulated (memory):
+    /// one per range read, whether it was read alone or in a batch.
     pub block_reads: u64,
     /// Bytes transferred (logical for [`crate::MemStore`]).
     pub bytes_read: u64,
@@ -57,7 +58,8 @@ pub struct IoSnapshot {
     /// [`crate::RemoteStore`] (a query that touches only some label
     /// pairs opens only their owning files).
     pub files_opened: u64,
-    /// `FETCH` requests answered by a remote block server
+    /// `FETCH` requests answered by a remote block server — round
+    /// trips: a batch of many ranges counts one
     /// ([`crate::RemoteStore`] only; every other backend leaves the
     /// four `remote_*` counters at 0).
     pub remote_fetches: u64,

@@ -11,9 +11,10 @@
 //! bounded by `--block-cache-bytes` while enumeration streams the
 //! paper's §5 block-at-a-time I/O model.
 //!
-//! The pair index is read the same way. An open reads four things —
-//! header, labels, footer, index head — and checks them, so it costs
-//! O(labels + pages), not O(pairs). A lookup binary-searches the
+//! The pair index is read the same way. An open reads four things in
+//! two batches — header and footer, then labels and index head — and
+//! checks them, so it costs O(labels + pages), not O(pairs), and two
+//! round trips on a remote source. A lookup binary-searches the
 //! head's fence of page first-keys, then the one page it lands on; that
 //! page is read (one counted read), CRC-checked and order-checked on
 //! its first touch and kept for the store's lifetime, so a warm lookup
@@ -35,6 +36,16 @@
 //! file a distinct `file_id` and one shared cache, so the byte budget
 //! bounds the whole snapshot.
 //!
+//! A plan half names every label pair it will read before its first
+//! read, and [`ClosureSource::prefetch`] takes that list: the store
+//! reads it in rounds of one [`BlockSource::read_many`] batch each —
+//! the index pages the pairs land on, then their `D`/`E` sections and
+//! directories, then (for a half that loads pairs whole) their group
+//! blocks. Each range passes the check its demand read makes and goes
+//! where that read looks, so the reads that follow are cache hits. On
+//! a local file a batch is a loop of reads; over the network it is one
+//! round trip.
+//!
 //! Cache traffic is accounted in [`IoStats`]: `cache_hits` /
 //! `cache_misses` / `cache_evictions` plus the `cache_bytes_resident`
 //! gauge, alongside the usual block/byte/edge counters (which, here,
@@ -52,7 +63,7 @@
 use crate::cache::BlockCache;
 use crate::format::*;
 use crate::iostats::{IoSnapshot, IoStats};
-use crate::source::{ClosureSource, EdgeCursor, StorageError};
+use crate::source::{ClosureSource, EdgeCursor, Sections, StorageError};
 use ktpm_closure::ClosureTables;
 use ktpm_graph::{undirect, Dist, LabelId, LabeledGraph, NodeId};
 use std::collections::HashMap;
@@ -83,6 +94,20 @@ fn pair_at(bytes: &[u8], o: usize) -> (LabelId, LabelId) {
 /// The label pair of index record `i` of a verified page.
 fn key_at(page: &[u8], i: usize) -> (LabelId, LabelId) {
     pair_at(page, i * INDEX_ENTRY_BYTES)
+}
+
+/// The entry of `key` in a verified page, by binary search.
+fn find_entry(page: &[u8], key: (LabelId, LabelId)) -> Option<IndexEntry> {
+    let (mut lo, mut hi) = (0, page.len() / INDEX_ENTRY_BYTES);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        match key_at(page, mid).cmp(&key) {
+            std::cmp::Ordering::Less => lo = mid + 1,
+            std::cmp::Ordering::Greater => hi = mid,
+            std::cmp::Ordering::Equal => return Some(IndexEntry::at(page, mid)),
+        }
+    }
+    None
 }
 
 /// One index entry: where a pair's `D` section starts and how many
@@ -144,6 +169,14 @@ struct Section {
 }
 
 impl Section {
+    /// The section's length, count prefix and CRC included.
+    fn bytes(&self) -> Result<usize, StorageError> {
+        usize::try_from(section_bytes(self.count, self.width)).map_err(|_| StorageError::Corrupt {
+            offset: self.off,
+            needed: usize::MAX,
+        })
+    }
+
     /// The offset past the section. Saturates: a garbage offset then
     /// fails the read's bounds check instead of wrapping.
     fn end(&self) -> u64 {
@@ -232,6 +265,24 @@ pub(crate) trait BlockSource: Send + Sync {
     /// [`StorageError::Remote`] for a failed remote fetch).
     fn read_at(&self, off: u64, bytes: usize) -> Result<Vec<u8>, StorageError>;
 
+    /// Reads every `(offset, bytes)` range of `ranges` — a batch — and
+    /// hands each one that arrives intact to `got`, with its position
+    /// in `ranges`. A range left out failed a transport check (a
+    /// remote frame CRC) and is not re-requested; an error ends the
+    /// batch. Default: one [`Self::read_at`] per range, in order — what
+    /// a local file does; a remote source carries the whole batch in
+    /// as few round trips as its protocol allows.
+    fn read_many(
+        &self,
+        ranges: &[(u64, usize)],
+        got: &mut dyn FnMut(usize, Vec<u8>),
+    ) -> Result<(), StorageError> {
+        for (i, &(off, bytes)) in ranges.iter().enumerate() {
+            got(i, self.read_at(off, bytes)?);
+        }
+        Ok(())
+    }
+
     /// Total length of the file, fixed at open.
     fn len(&self) -> u64;
 
@@ -288,6 +339,70 @@ impl BlockSource for LocalFile {
     }
 }
 
+/// The group-block and index-page check: the region's trailing CRC-32
+/// seals it.
+fn check_sealed(off: u64, buf: &[u8]) -> Result<(), StorageError> {
+    if seal_holds(buf) {
+        Ok(())
+    } else {
+        Err(StorageError::Corrupt {
+            offset: off,
+            needed: buf.len(),
+        })
+    }
+}
+
+/// The section check: the count prefix is the one the index promised,
+/// and the trailing CRC-32 seals the section.
+fn check_section(s: Section, buf: &[u8]) -> Result<(), StorageError> {
+    let count = u32::from_le_bytes(buf[..4].try_into().expect("sliced 4"));
+    if count != s.count {
+        return Err(StorageError::Corrupt {
+            offset: s.off,
+            needed: 4,
+        });
+    }
+    check_sealed(s.off, buf)
+}
+
+/// A checked section's entry bytes: its count prefix and CRC dropped,
+/// in place.
+fn section_entries(mut buf: Vec<u8>) -> Vec<u8> {
+    buf.truncate(buf.len() - 4);
+    buf.drain(..4);
+    buf
+}
+
+/// Decodes a pair's checked directory entries.
+fn decode_directory(entry: &IndexEntry, buf: &[u8]) -> Result<Vec<DirEntry>, StorageError> {
+    let mut pos = 0;
+    let mut dir = Vec::with_capacity(entry.dir_count as usize);
+    for _ in 0..entry.dir_count {
+        let v = NodeId(get_u32(buf, &mut pos)?);
+        let off = get_u64(buf, &mut pos)?;
+        let len = get_u32(buf, &mut pos)?;
+        dir.push((v, off, len));
+    }
+    Ok(dir)
+}
+
+/// Reads `ranges` as one batch into the matching slots of `out`; a
+/// range the batch left out is read again alone, under
+/// [`BlockSource::read_at`]'s own retry.
+fn read_batch(
+    source: &dyn BlockSource,
+    ranges: &[(u64, usize)],
+    out: &mut [Option<Vec<u8>>],
+) -> Result<(), StorageError> {
+    source.read_many(ranges, &mut |i, buf| out[i] = Some(buf))?;
+    for (slot, &(off, bytes)) in out.iter_mut().zip(ranges) {
+        if slot.is_none() {
+            *slot = Some(source.read_at(off, bytes)?);
+        }
+    }
+    Ok(())
+}
+
 /// A sticky first-error slot shared by a store, its cursors, and (for
 /// multi-file snapshots) all member files. The infallible read paths
 /// record the first error they swallow; [`ErrorSlot::take`] hands it
@@ -326,10 +441,7 @@ impl PagedShared {
     /// against the file length before buffers are allocated — a corrupt
     /// on-disk count must neither size an allocation nor read past EOF.
     fn read_vec(&self, off: u64, bytes: usize) -> Result<Vec<u8>, StorageError> {
-        if off
-            .checked_add(bytes as u64)
-            .is_none_or(|end| end > self.source.len())
-        {
+        if !self.in_bounds(off, bytes) {
             return Err(StorageError::Corrupt {
                 offset: off,
                 needed: bytes,
@@ -338,6 +450,12 @@ impl PagedShared {
         let buf = self.source.read_at(off, bytes)?;
         self.io.add_block(bytes as u64);
         Ok(buf)
+    }
+
+    /// Whether `bytes` at `off` lie inside the file.
+    fn in_bounds(&self, off: u64, bytes: usize) -> bool {
+        off.checked_add(bytes as u64)
+            .is_some_and(|end| end <= self.source.len())
     }
 
     fn block_bytes(&self) -> usize {
@@ -371,16 +489,7 @@ impl PagedShared {
     /// it, `bytes` in all — through [`Self::read_checked`]; returns it
     /// whole, checksum included.
     fn read_sealed(&self, off: u64, bytes: usize) -> Result<Vec<u8>, StorageError> {
-        self.read_checked(off, bytes, |buf| {
-            if seal_holds(buf) {
-                Ok(())
-            } else {
-                Err(StorageError::Corrupt {
-                    offset: off,
-                    needed: bytes,
-                })
-            }
-        })
+        self.read_checked(off, bytes, |buf| check_sealed(off, buf))
     }
 
     /// Reads and CRC-verifies the group block at `off`, bypassing the
@@ -406,22 +515,72 @@ impl PagedShared {
             return Ok(data);
         }
         self.io.add_cache_miss();
-        let data = Arc::new(load()?);
+        Ok(self.insert(off, load()?))
+    }
+
+    /// Inserts verified bytes at `off` into the block cache, under its
+    /// budget.
+    fn insert(&self, off: u64, data: Vec<u8>) -> Arc<Vec<u8>> {
+        let data = Arc::new(data);
         let (evicted, resident) = self
             .cache
             .lock()
             .expect("block cache")
-            .insert(key, Arc::clone(&data));
+            .insert((self.file_id, off), Arc::clone(&data));
         if evicted > 0 {
             self.io.add_cache_evictions(evicted);
         }
         self.io.set_cache_resident(resident);
-        Ok(data)
+        data
     }
 
     /// The group block at `off`, through the cache.
     fn fetch_block(&self, off: u64) -> Result<Arc<Vec<u8>>, StorageError> {
         self.cached(off, || self.read_block_verified(off))
+    }
+}
+
+/// Where a prefetched range goes once it passes its check.
+#[derive(Clone, Copy)]
+enum Want {
+    /// Index page `p`, into its `OnceLock`.
+    Page(usize),
+    /// A `D` or `E` section, into the block cache.
+    Table(Section),
+    /// A pair's directory, into the directory cache.
+    Directory((LabelId, LabelId), IndexEntry),
+    /// A group block, into the block cache.
+    Block,
+}
+
+/// One prefetch round: the ranges to read and, for each, where it goes.
+struct Batch {
+    ranges: Vec<(u64, usize)>,
+    wants: Vec<Want>,
+}
+
+impl Batch {
+    fn with_capacity(n: usize) -> Self {
+        Batch {
+            ranges: Vec::with_capacity(n),
+            wants: Vec::with_capacity(n),
+        }
+    }
+
+    fn reserve(&mut self, n: usize) {
+        self.ranges.reserve(n);
+        self.wants.reserve(n);
+    }
+
+    fn push(&mut self, range: (u64, usize), want: Want) {
+        self.ranges.push(range);
+        self.wants.push(want);
+    }
+
+    /// Whether a range at `off` is already asked for (two query edges
+    /// may share a label pair).
+    fn has(&self, off: u64) -> bool {
+        self.ranges.iter().any(|&(o, _)| o == off)
     }
 }
 
@@ -479,8 +638,9 @@ impl PagedStore {
     /// constructor behind standalone opens, [`crate::ShardedStore`]
     /// member files (shared `cache`/`io`/`errors`, distinct
     /// `file_id`s), and [`crate::RemoteStore`] (network-backed
-    /// source). Four reads — header, labels, footer, index head — all
-    /// verified here: O(labels + pages), whatever the pair count.
+    /// source). Two batches — header and footer, then labels and index
+    /// head — all verified here: O(labels + pages), whatever the pair
+    /// count, and two round trips on a remote source.
     pub(crate) fn from_source(
         source: Box<dyn BlockSource>,
         cache: Arc<Mutex<BlockCache>>,
@@ -490,13 +650,13 @@ impl PagedStore {
     ) -> Result<Self, StorageError> {
         const HEAD_LEN: usize = 20; // magic + nodes + labels + block_entries
         let len = source.len();
-        let head = source.read_at(0, len.min(HEAD_LEN as u64) as usize)?;
-        let magic = &head[..head.len().min(8)];
-        refuse_legacy_magic(magic)?;
         if len < FOOTER_LEN + HEAD_LEN as u64 {
             // Too short to hold header + footer. Require at least half
             // the magic before diagnosing a damaged store rather than
             // "not our file at all".
+            let head = source.read_at(0, len.min(HEAD_LEN as u64) as usize)?;
+            let magic = &head[..head.len().min(8)];
+            refuse_legacy_magic(magic)?;
             if magic.len() < 4 || magic != &MAGIC_V5[..magic.len()] {
                 return Err(StorageError::BadFormat("bad magic".into()));
             }
@@ -505,7 +665,14 @@ impl PagedStore {
                 needed: (FOOTER_LEN + HEAD_LEN as u64 - len) as usize,
             });
         }
-        if magic != MAGIC_V5 {
+        let foot_range = (len - FOOTER_LEN, FOOTER_LEN as usize);
+        let mut first = [None, None];
+        read_batch(source.as_ref(), &[(0, HEAD_LEN), foot_range], &mut first)?;
+        let [Some(head), Some(foot)] = first else {
+            unreachable!("read_batch fills every slot");
+        };
+        refuse_legacy_magic(&head[..8])?;
+        if head[..8] != MAGIC_V5[..] {
             return Err(StorageError::BadFormat("bad magic".into()));
         }
         let mut pos = 8;
@@ -524,8 +691,34 @@ impl PagedStore {
                 offset: HEAD_LEN as u64,
                 needed: num_nodes.saturating_mul(4),
             })?;
-        // Labels + their trailing header CRC in one read.
-        let tail = source.read_at(HEAD_LEN as u64, label_bytes + 4)?;
+        // The index head is everything between the offset the footer
+        // names and the footer itself; a damaged footer names nothing,
+        // and is reported after the labels' checksum, as a footer read
+        // after them would be.
+        let index_head = if &foot[8..] == MAGIC_V5 {
+            let head_off = u64::from_le_bytes(foot[..8].try_into().expect("sliced 8"));
+            (len - FOOTER_LEN)
+                .checked_sub(head_off)
+                .filter(|&n| n >= 12)
+                .map(|n| (head_off, n as usize))
+                .ok_or(StorageError::Corrupt {
+                    offset: head_off,
+                    needed: 12,
+                })
+        } else {
+            Err(StorageError::Corrupt {
+                offset: len - 8,
+                needed: 8,
+            })
+        };
+        // Labels + their trailing header CRC, and the index head.
+        let labels_range = (HEAD_LEN as u64, label_bytes + 4);
+        let mut second = [None, None];
+        match &index_head {
+            Ok(range) => read_batch(source.as_ref(), &[labels_range, *range], &mut second)?,
+            Err(_) => read_batch(source.as_ref(), &[labels_range], &mut second[..1])?,
+        }
+        let tail = second[0].take().expect("read_batch fills every slot");
         let label_buf = &tail[..label_bytes];
         // Eager header verification: counts + block capacity + labels.
         let state = crc32_update(CRC_INIT, &head[8..HEAD_LEN]);
@@ -541,25 +734,8 @@ impl PagedStore {
             .chunks_exact(4)
             .map(|c| LabelId(u32::from_le_bytes(c.try_into().expect("chunked to 4"))))
             .collect();
-        // Footer, then the index head: everything between the
-        // offset the footer names and the footer itself, in one read
-        // (one round trip on a remote source).
-        let foot = source.read_at(len - FOOTER_LEN, FOOTER_LEN as usize)?;
-        if &foot[8..] != MAGIC_V5 {
-            return Err(StorageError::Corrupt {
-                offset: len - 8,
-                needed: 8,
-            });
-        }
-        let head_off = u64::from_le_bytes(foot[..8].try_into().expect("sliced 8"));
-        let head_len = (len - FOOTER_LEN)
-            .checked_sub(head_off)
-            .filter(|&n| n >= 12)
-            .ok_or(StorageError::Corrupt {
-                offset: head_off,
-                needed: 12,
-            })?;
-        let head = source.read_at(head_off, head_len as usize)?;
+        let (head_off, _) = index_head?;
+        let head = second[1].take().expect("read_batch fills every slot");
         let body_start = (HEAD_LEN + label_bytes + 4) as u64;
         let index = PagedIndex::parse_head(&head, head_off, body_start)?;
         Ok(PagedStore {
@@ -687,26 +863,46 @@ impl PagedStore {
         Ok(slot.get_or_init(|| page))
     }
 
-    /// One counted read of page `p`, checked: its CRC, then its order —
-    /// it starts at its fence key, ascends strictly, ends below the
-    /// next page's fence key, and holds only zeros past `num_pairs`.
+    /// One counted read of page `p`, checked ([`Self::check_page`]).
     /// Returns its live entries, padding and checksum dropped.
     fn read_page(&self, p: usize) -> Result<Vec<u8>, StorageError> {
+        let (off, bytes) = self.page_range(p);
+        let mut page = self
+            .shared
+            .read_checked(off, bytes, |buf| self.check_page(p, buf))?;
+        page.truncate(self.page_live_bytes(p));
+        Ok(page)
+    }
+
+    /// Where page `p` lies: its offset and its sealed length.
+    fn page_range(&self, p: usize) -> (u64, usize) {
+        let bytes = index_page_bytes(self.index.page_entries);
+        (self.index.pages_off + (p * bytes) as u64, bytes)
+    }
+
+    /// Bytes of page `p`'s live entries.
+    fn page_live_bytes(&self, p: usize) -> usize {
         let ix = &self.index;
-        let page_bytes = index_page_bytes(ix.page_entries);
-        let off = ix.pages_off + (p * page_bytes) as u64;
-        let mut page = self.shared.read_sealed(off, page_bytes)?;
+        ix.page_entries.min(ix.num_pairs - p * ix.page_entries) * INDEX_ENTRY_BYTES
+    }
+
+    /// The index-page check, on the whole sealed page: its CRC, then
+    /// its order — it starts at its fence key, ascends strictly, ends
+    /// below the next page's fence key, and holds only zeros past
+    /// `num_pairs`.
+    fn check_page(&self, p: usize, page: &[u8]) -> Result<(), StorageError> {
+        let ix = &self.index;
+        check_sealed(self.page_range(p).0, page)?;
         let first = p * ix.page_entries;
-        let n = ix.page_entries.min(ix.num_pairs - first);
-        let live = n * INDEX_ENTRY_BYTES;
-        if page[live..page_bytes - 4].iter().any(|&b| b != 0) {
+        let live = self.page_live_bytes(p);
+        let n = live / INDEX_ENTRY_BYTES;
+        if page[live..page.len() - 4].iter().any(|&b| b != 0) {
             return Err(StorageError::BadFormat(format!(
                 "index page {p} holds entries past the head's {} pair(s)",
                 ix.num_pairs
             )));
         }
-        page.truncate(live);
-        let (key, fence) = (key_at(&page, 0), ix.fence[p]);
+        let (key, fence) = (key_at(page, 0), ix.fence[p]);
         if key != fence {
             return Err(StorageError::BadFormat(format!(
                 "index page {p} starts at pair ({}, {}), but its fence key is ({}, {})",
@@ -714,43 +910,42 @@ impl PagedStore {
             )));
         }
         for i in 1..n {
-            let (prev, key) = (key_at(&page, i - 1), key_at(&page, i));
+            let (prev, key) = (key_at(page, i - 1), key_at(page, i));
             if prev >= key {
                 return Err(pair_order_error("index", first + i, prev, key));
             }
         }
         if let Some(&next) = ix.fence.get(p + 1) {
-            let last = key_at(&page, n - 1);
+            let last = key_at(page, n - 1);
             if last >= next {
                 return Err(pair_order_error("index", first + n, last, next));
             }
         }
-        Ok(page)
+        Ok(())
+    }
+
+    /// The page a lookup of `key` lands on: the last whose fence key is
+    /// at most `key`; `None` before the first.
+    fn page_of(&self, key: (LabelId, LabelId)) -> Option<usize> {
+        self.index
+            .fence
+            .partition_point(|&k| k <= key)
+            .checked_sub(1)
     }
 
     /// The index entry of `(a, b)`, if the pair is non-empty: a binary
     /// search of the fence, then of the one page it names.
     fn entry(&self, a: LabelId, b: LabelId) -> Result<Option<IndexEntry>, StorageError> {
-        let key = (a, b);
-        let Some(p) = self
-            .index
-            .fence
-            .partition_point(|&k| k <= key)
-            .checked_sub(1)
-        else {
+        let Some(p) = self.page_of((a, b)) else {
             return Ok(None);
         };
-        let page = self.page(p)?;
-        let (mut lo, mut hi) = (0, page.len() / INDEX_ENTRY_BYTES);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match key_at(page, mid).cmp(&key) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Ok(Some(IndexEntry::at(page, mid))),
-            }
-        }
-        Ok(None)
+        Ok(find_entry(self.page(p)?, (a, b)))
+    }
+
+    /// As [`Self::entry`], but only if its page is already read: a
+    /// lookup that reads nothing.
+    fn loaded_entry(&self, key: (LabelId, LabelId)) -> Option<IndexEntry> {
+        find_entry(self.index.pages[self.page_of(key)?].get()?, key)
     }
 
     /// As [`Self::entry`], but on the infallible read paths: an error
@@ -773,34 +968,14 @@ impl PagedStore {
     }
 
     /// Reads a counted section in one read — its length is known from
-    /// the index — checking that its count prefix equals the index's
-    /// and its trailing CRC. Returns exactly the entry bytes.
+    /// the index — checked ([`check_section`]). Returns exactly the
+    /// entry bytes.
     fn read_section(&self, s: Section) -> Result<Vec<u8>, StorageError> {
-        let bytes = usize::try_from(section_bytes(s.count, s.width)).map_err(|_| {
-            StorageError::Corrupt {
-                offset: s.off,
-                needed: usize::MAX,
-            }
-        })?;
-        let mut buf = self.shared.read_checked(s.off, bytes, |buf| {
-            let count = u32::from_le_bytes(buf[..4].try_into().expect("sliced 4"));
-            if count != s.count {
-                return Err(StorageError::Corrupt {
-                    offset: s.off,
-                    needed: 4,
-                });
-            }
-            if !seal_holds(buf) {
-                return Err(StorageError::Corrupt {
-                    offset: s.off,
-                    needed: bytes,
-                });
-            }
-            Ok(())
-        })?;
-        buf.truncate(bytes - 4);
-        buf.drain(..4);
-        Ok(buf)
+        let bytes = s.bytes()?;
+        let buf = self
+            .shared
+            .read_checked(s.off, bytes, |buf| check_section(s, buf))?;
+        Ok(section_entries(buf))
     }
 
     /// The cached verified D/E section fetch: entry bytes keyed by the
@@ -812,16 +987,7 @@ impl PagedStore {
 
     /// Reads and decodes one pair's `L` directory, uncached.
     fn read_directory(&self, entry: &IndexEntry) -> Result<Vec<DirEntry>, StorageError> {
-        let buf = self.read_section(entry.dir())?;
-        let mut pos = 0;
-        let mut dir = Vec::with_capacity(entry.dir_count as usize);
-        for _ in 0..entry.dir_count {
-            let v = NodeId(get_u32(&buf, &mut pos)?);
-            let off = get_u64(&buf, &mut pos)?;
-            let len = get_u32(&buf, &mut pos)?;
-            dir.push((v, off, len));
-        }
-        Ok(dir)
+        decode_directory(entry, &self.read_section(entry.dir())?)
     }
 
     fn directory(
@@ -853,6 +1019,180 @@ impl PagedStore {
                 None
             }
         }
+    }
+
+    /// [`ClosureSource::prefetch`] over the pairs `mine` keeps (a member
+    /// file of a snapshot sees only the pairs routed to it), in rounds
+    /// of one batch each: the index pages the pairs land on, then their
+    /// `D`/`E` sections and directories, then — for pairs read whole —
+    /// their group blocks. Each range passes the same check its demand
+    /// read makes and goes where that read looks: the page's
+    /// `OnceLock`, the block cache or the directory cache. A range that
+    /// fails is dropped, never recorded; cached regions are skipped;
+    /// block-cache bytes stop when they would exceed `room`, which is
+    /// what is left of the prefetch's budget ([`Self::prefetch_room`],
+    /// shared by the member files of a snapshot).
+    pub(crate) fn prefetch_where(
+        &self,
+        pairs: &[Vec<(LabelId, LabelId)>],
+        sections: &dyn Fn(usize) -> Sections,
+        mine: &dyn Fn((LabelId, LabelId)) -> bool,
+        room: &mut u64,
+    ) {
+        let wants = || {
+            pairs.iter().enumerate().flat_map(move |(u, keys)| {
+                let s = sections(u);
+                keys.iter().filter(move |&&k| mine(k)).map(move |&k| (k, s))
+            })
+        };
+        // The rounds before the block round ask at most three ranges a
+        // pair: two tables and a directory.
+        let mut batch = Batch::with_capacity(3 * pairs.iter().map(Vec::len).sum::<usize>());
+        for (key, _) in wants() {
+            if let Some(p) = self.page_of(key) {
+                let range = self.page_range(p);
+                if self.index.pages[p].get().is_none() && !batch.has(range.0) {
+                    batch.push(range, Want::Page(p));
+                }
+            }
+        }
+        self.fetch(&mut batch);
+
+        // Whether `bytes` more fit the budget; once one does not,
+        // nothing more goes into the block cache.
+        let mut fits = |bytes: usize| match room.checked_sub(bytes as u64) {
+            Some(left) => {
+                *room = left;
+                true
+            }
+            None => {
+                *room = 0;
+                false
+            }
+        };
+        {
+            let cache = self.shared.cache.lock().expect("block cache");
+            let dirs = self.dirs.lock().expect("dir cache");
+            for (key, s) in wants() {
+                let Some(entry) = self.loaded_entry(key) else {
+                    continue;
+                };
+                for table in [s.d.then(|| entry.d()), s.e.then(|| entry.e())]
+                    .into_iter()
+                    .flatten()
+                {
+                    let Ok(bytes) = table.bytes() else { continue };
+                    if !cache.contains((self.shared.file_id, table.off))
+                        && self.shared.in_bounds(table.off, bytes)
+                        && !batch.has(table.off)
+                        && fits(bytes - 8)
+                    {
+                        batch.push((table.off, bytes), Want::Table(table));
+                    }
+                }
+                let dir = entry.dir();
+                if (s.directory || s.blocks) && !dirs.contains_key(&key) {
+                    if let Ok(bytes) = dir.bytes() {
+                        if self.shared.in_bounds(dir.off, bytes) && !batch.has(dir.off) {
+                            batch.push((dir.off, bytes), Want::Directory(key, entry));
+                        }
+                    }
+                }
+            }
+        }
+        self.fetch(&mut batch);
+
+        let block_bytes = self.shared.block_bytes();
+        let payload = self.shared.block_entries * L_ENTRY_BYTES;
+        {
+            let cache = self.shared.cache.lock().expect("block cache");
+            let dirs = self.dirs.lock().expect("dir cache");
+            // Every group of every pair read whole, as `(offset,
+            // blocks)`: once however many edges share the pair.
+            let be = self.shared.block_entries;
+            let groups = || {
+                wants()
+                    .enumerate()
+                    .filter(|&(i, (key, s))| s.blocks && !wants().take(i).any(|(k, _)| k == key))
+                    .filter_map(|(_, (key, _))| dirs.get(&key))
+                    .flat_map(|dir| dir.iter())
+                    .map(|&(_, off, len)| (off, v3_group_blocks(len as usize, be) as u64))
+            };
+            batch.reserve(groups().map(|(_, n)| n as usize).sum());
+            'pairs: for (group_off, blocks) in groups() {
+                for k in 0..blocks {
+                    let off = group_off + k * block_bytes as u64;
+                    if cache.contains((self.shared.file_id, off))
+                        || !self.shared.in_bounds(off, block_bytes)
+                    {
+                        continue;
+                    }
+                    if !fits(payload) {
+                        break 'pairs;
+                    }
+                    batch.push((off, block_bytes), Want::Block);
+                }
+            }
+        }
+        self.fetch(&mut batch);
+    }
+
+    /// The block-cache bytes one prefetch may fill: the cache's byte
+    /// budget, so that nothing it fetched evicts anything else it
+    /// fetched (unbounded for an unbounded cache).
+    pub(crate) fn prefetch_room(&self) -> u64 {
+        match self.shared.cache.lock().expect("block cache").budget() {
+            0 => u64::MAX,
+            budget => budget,
+        }
+    }
+
+    /// Reads one prefetch round's batch and stores what passes its
+    /// checks; then empties the batch for the next round.
+    fn fetch(&self, batch: &mut Batch) {
+        if batch.ranges.is_empty() {
+            return;
+        }
+        let shared = &self.shared;
+        let stored = |i: usize, mut buf: Vec<u8>| {
+            shared.io.add_block(buf.len() as u64);
+            let off = batch.ranges[i].0;
+            match batch.wants[i] {
+                Want::Page(p) => {
+                    if self.check_page(p, &buf).is_ok() {
+                        buf.truncate(self.page_live_bytes(p));
+                        // A concurrent lookup may have kept it first.
+                        let _ = self.index.pages[p].set(buf);
+                    }
+                }
+                Want::Table(table) => {
+                    if check_section(table, &buf).is_ok() {
+                        shared.io.add_cache_miss();
+                        shared.insert(off, section_entries(buf));
+                    }
+                }
+                Want::Directory(key, entry) => {
+                    if check_section(entry.dir(), &buf).is_ok() {
+                        if let Ok(dir) = decode_directory(&entry, &section_entries(buf)) {
+                            let mut dirs = self.dirs.lock().expect("dir cache");
+                            dirs.entry(key).or_insert_with(|| Arc::new(dir));
+                        }
+                    }
+                }
+                Want::Block => {
+                    if check_sealed(off, &buf).is_ok() {
+                        buf.truncate(shared.block_entries * L_ENTRY_BYTES);
+                        shared.io.add_cache_miss();
+                        shared.insert(off, buf);
+                    }
+                }
+            }
+        };
+        // An error drops the rest of the round: every read it would
+        // have served fetches on demand instead.
+        let _ = shared.source.read_many(&batch.ranges, &mut { stored });
+        batch.ranges.clear();
+        batch.wants.clear();
     }
 
     /// Reads one group's entries `[from, len)` through the block cache.
@@ -1020,6 +1360,10 @@ impl ClosureSource for PagedStore {
         })))
     }
 
+    fn prefetch(&self, pairs: &[Vec<(LabelId, LabelId)>], sections: &dyn Fn(usize) -> Sections) {
+        self.prefetch_where(pairs, sections, &|_| true, &mut self.prefetch_room());
+    }
+
     fn take_error(&self) -> Option<StorageError> {
         self.shared.errors.take()
     }
@@ -1151,7 +1495,8 @@ mod tests {
 
     const P: usize = INDEX_PAGE_ENTRIES;
 
-    /// A [`LocalFile`] that counts every read reaching it, and its
+    /// A [`LocalFile`] that counts every read and every batch reaching
+    /// it — one round trip each, were the file remote — and their
     /// bytes.
     struct Counting {
         file: LocalFile,
@@ -1159,11 +1504,32 @@ mod tests {
         bytes: Arc<AtomicU64>,
     }
 
+    impl Counting {
+        fn open(path: &Path, reads: &Arc<AtomicU64>, bytes: &Arc<AtomicU64>) -> Self {
+            Counting {
+                file: LocalFile::open(path).unwrap(),
+                reads: Arc::clone(reads),
+                bytes: Arc::clone(bytes),
+            }
+        }
+    }
+
     impl BlockSource for Counting {
         fn read_at(&self, off: u64, bytes: usize) -> Result<Vec<u8>, StorageError> {
             self.reads.fetch_add(1, Ordering::Relaxed);
             self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
             self.file.read_at(off, bytes)
+        }
+
+        fn read_many(
+            &self,
+            ranges: &[(u64, usize)],
+            got: &mut dyn FnMut(usize, Vec<u8>),
+        ) -> Result<(), StorageError> {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+            let bytes: usize = ranges.iter().map(|&(_, b)| b).sum();
+            self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+            self.file.read_many(ranges, got)
         }
 
         fn len(&self) -> u64 {
@@ -1187,15 +1553,23 @@ mod tests {
             path.push(format!("ktpm-paged-unit-{}-{name}-{m}", std::process::id()));
             let tables = ClosureTables::compute(&label_star(m));
             crate::write_store(&tables, &path).unwrap();
+            Self::over(path, 0)
+        }
+
+        /// A store over `web()` in blocks of 4 entries, with a block
+        /// cache of `budget` bytes.
+        fn web(name: &str, budget: u64) -> Self {
+            let mut path = std::env::temp_dir();
+            path.push(format!("ktpm-paged-unit-{}-web-{name}", std::process::id()));
+            crate::write_store_v3(&ClosureTables::compute(&web()), &path, 4).unwrap();
+            Self::over(path, budget)
+        }
+
+        fn over(path: PathBuf, budget: u64) -> Self {
             let (reads, bytes) = (Arc::default(), Arc::default());
-            let source = Counting {
-                file: LocalFile::open(&path).unwrap(),
-                reads: Arc::clone(&reads),
-                bytes: Arc::clone(&bytes),
-            };
             let store = PagedStore::from_source(
-                Box::new(source),
-                Arc::new(Mutex::new(BlockCache::new(0))),
+                Box::new(Counting::open(&path, &reads, &bytes)),
+                Arc::new(Mutex::new(BlockCache::new(budget))),
                 IoStats::new(),
                 0,
                 ErrorSlot::default(),
@@ -1280,5 +1654,254 @@ mod tests {
         assert!(!c.store.has_pair(LabelId(0), LabelId(0)));
         assert_eq!(c.reads(), opened + 3);
         assert!(c.store.take_error().is_none());
+    }
+
+    /// A deterministic 90-node graph over 24 labels, three weighted
+    /// out-edges a node: ≈ 400 label pairs (four index pages) and
+    /// groups of several 4-entry blocks.
+    fn web() -> LabeledGraph {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut b = ktpm_graph::GraphBuilder::new();
+        let nodes: Vec<_> = (0..90)
+            .map(|i| b.add_node(&format!("L{}", i % 24)))
+            .collect();
+        for &u in &nodes {
+            for _ in 0..3 {
+                let v = nodes[(next() % 90) as usize];
+                if v != u {
+                    b.add_edge(u, v, (next() % 5 + 1) as u32);
+                }
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// A 9-edge plan's `edge_label_pairs`: entry 0 (the root) empty,
+    /// then one pair each, spread across the whole pair index.
+    fn nine_edges(keys: &[(LabelId, LabelId)]) -> Vec<Vec<(LabelId, LabelId)>> {
+        let step = keys.len() / 9;
+        std::iter::once(Vec::new())
+            .chain((0..9).map(|i| vec![keys[i * step + i % 3]]))
+            .collect()
+    }
+
+    /// What a lazy half reads: every `D`, the odd edges' `E` (standing
+    /// in for the seeded ones), every directory.
+    fn lazy(u: usize) -> Sections {
+        Sections {
+            d: true,
+            e: u % 2 == 1,
+            directory: true,
+            blocks: false,
+        }
+    }
+
+    /// What a full half reads: every pair whole.
+    fn full(_: usize) -> Sections {
+        Sections {
+            blocks: true,
+            ..Sections::default()
+        }
+    }
+
+    fn sorted<T: Ord>(mut v: Vec<T>) -> Vec<T> {
+        v.sort_unstable();
+        v
+    }
+
+    /// The reads a lazy half makes after its prefetch — every `D`, the
+    /// seeded `E`s, a cursor on every `D` node — checked against
+    /// memory. Returns how many were table loads.
+    fn lazy_reads(
+        store: &dyn ClosureSource,
+        mem: &crate::MemStore,
+        pairs: &[Vec<(LabelId, LabelId)>],
+    ) -> u64 {
+        let mut tables = 0;
+        for (u, keys) in pairs.iter().enumerate() {
+            for &(a, b) in keys {
+                let d = store.load_d(a, b);
+                assert_eq!(d, mem.load_d(a, b), "D ({a:?}, {b:?})");
+                tables += 1;
+                if lazy(u).e {
+                    assert_eq!(store.load_e(a, b), mem.load_e(a, b), "E ({a:?}, {b:?})");
+                    tables += 1;
+                }
+                for &(v, _) in &d {
+                    let _ = store.incoming_cursor(a, v);
+                }
+            }
+        }
+        tables
+    }
+
+    /// The reads a full half makes after its prefetch: every pair
+    /// whole, checked against memory.
+    fn full_reads(
+        store: &dyn ClosureSource,
+        mem: &crate::MemStore,
+        pairs: &[Vec<(LabelId, LabelId)>],
+    ) {
+        for &(a, b) in pairs.iter().flatten() {
+            let want = sorted(mem.load_pair(a, b));
+            assert_eq!(sorted(store.load_pair(a, b)), want, "L ({a:?}, {b:?})");
+        }
+    }
+
+    #[test]
+    fn a_cold_plan_half_is_one_batch_a_round_and_then_all_hits() {
+        let tables = ClosureTables::compute(&web());
+        let mem = crate::MemStore::new(tables);
+        let keys = mem.pair_keys();
+        assert!(
+            keys.len() > 3 * P,
+            "{} pairs: the index spans pages",
+            keys.len()
+        );
+        let pairs = nine_edges(&keys);
+
+        // The lazy half: index pages, then sections and directories.
+        let c = Counted::web("lazy", 0);
+        assert_eq!(c.reads(), 2, "an open is two batches");
+        c.store.prefetch(&pairs, &lazy);
+        assert_eq!(c.reads(), 2 + 2, "a cold lazy half is two batches");
+        assert_eq!(c.store.io().edges_read, 0, "and reads no group block");
+        let (fetched, hits) = (c.reads(), c.store.io().cache_hits);
+        let tables = lazy_reads(&c.store, &mem, &pairs);
+        assert_eq!(c.reads(), fetched, "every later read is a hit");
+        assert_eq!(c.store.io().cache_hits - hits, tables);
+        assert_eq!(c.store.cache_blocks() as u64, tables, "sections only");
+        // Warm: nothing left to fetch.
+        c.store.prefetch(&pairs, &lazy);
+        assert_eq!(c.reads(), fetched, "a warm lazy prefetch reads nothing");
+
+        // The full half: index pages, directories, group blocks.
+        let c = Counted::web("full", 0);
+        c.store.prefetch(&pairs, &full);
+        assert_eq!(c.reads(), 2 + 3, "a cold full half is three batches");
+        let fetched = c.reads();
+        full_reads(&c.store, &mem, &pairs);
+        assert_eq!(c.reads(), fetched, "every later read is a hit");
+        let io = c.store.io();
+        assert_eq!(
+            io.cache_hits, io.cache_misses,
+            "each block read once, found once"
+        );
+        c.store.prefetch(&pairs, &full);
+        c.store.prefetch(&pairs, &lazy);
+        assert_eq!(
+            c.reads(),
+            fetched + 1,
+            "warm blocks; only the E/D sections are new"
+        );
+        assert!(c.store.take_error().is_none());
+    }
+
+    #[test]
+    fn a_prefetch_stops_at_the_cache_budget_and_evicts_nothing_it_fetched() {
+        let mem = crate::MemStore::new(ClosureTables::compute(&web()));
+        let pairs = nine_edges(&mem.pair_keys());
+        let budget = 5 * (4 * L_ENTRY_BYTES) as u64;
+        let c = Counted::web("budget", budget);
+        c.store.prefetch(&pairs, &full);
+        let io = c.store.io();
+        assert_eq!(io.cache_evictions, 0);
+        assert!(
+            io.cache_bytes_resident <= budget,
+            "{} bytes",
+            io.cache_bytes_resident
+        );
+        assert_eq!(c.store.cache_blocks(), 5, "the budget's worth, no more");
+        // The rest is read on demand, and every answer is right.
+        full_reads(&c.store, &mem, &pairs);
+        assert!(c.store.take_error().is_none());
+    }
+
+    #[test]
+    fn a_sharded_prefetch_is_one_batch_a_round_per_touched_file() {
+        let tables = ClosureTables::compute(&web());
+        let mem = crate::MemStore::new(tables.clone());
+        let pairs = nine_edges(&mem.pair_keys());
+        let mut dir = std::env::temp_dir();
+        dir.push(format!(
+            "ktpm-paged-unit-{}-web-sharded",
+            std::process::id()
+        ));
+        let manifest =
+            crate::write_store_sharded(&tables, &dir, &crate::ShardSpec::new(0, 3), 4).unwrap();
+        let touched: Vec<u32> = {
+            let mut t: Vec<u32> = pairs
+                .iter()
+                .flatten()
+                .map(|&(a, b)| manifest.shard_of(a, b).unwrap())
+                .collect();
+            t.sort_unstable();
+            t.dedup();
+            t
+        };
+        assert_eq!(touched.len(), 3, "the edges touch every file");
+        // One routed store over counting member files sharing a cache
+        // of `budget` bytes; `reads[f]` counts file f's reads and
+        // batches.
+        let routed = |sections: &dyn Fn(usize) -> Sections, budget: u64| {
+            let reads: Vec<Arc<AtomicU64>> = (0..3).map(|_| Arc::default()).collect();
+            let (io, errors) = (IoStats::new(), ErrorSlot::default());
+            let opener: crate::sharded::Opener = {
+                let (dir, reads, io, errors) =
+                    (dir.clone(), reads.clone(), io.clone(), errors.clone());
+                let cache = Arc::new(Mutex::new(BlockCache::new(budget)));
+                Box::new(move |shard, meta| {
+                    let source = Counting::open(
+                        &dir.join(&meta.name),
+                        &reads[shard as usize],
+                        &Arc::default(),
+                    );
+                    PagedStore::from_source(
+                        Box::new(source),
+                        Arc::clone(&cache),
+                        io.clone(),
+                        shard,
+                        errors.clone(),
+                    )
+                })
+            };
+            let store = crate::RoutedStore::new(manifest.clone(), opener, io, errors, ());
+            store.prefetch(&pairs, sections);
+            let counts = |reads: &[Arc<AtomicU64>]| -> Vec<u64> {
+                reads.iter().map(|r| r.load(Ordering::Relaxed)).collect()
+            };
+            let after = counts(&reads);
+            (store, reads, after, counts)
+        };
+
+        let (store, reads, after, counts) = routed(&lazy, 0);
+        // Per file: its open (two batches), then a round each for its
+        // index pages and its sections.
+        assert_eq!(after, vec![2 + 2; 3]);
+        lazy_reads(&store, &mem, &pairs);
+        assert_eq!(counts(&reads), after, "every later read is a hit");
+
+        let (store, reads, after, counts) = routed(&full, 0);
+        assert_eq!(after, vec![2 + 3; 3]);
+        full_reads(&store, &mem, &pairs);
+        assert_eq!(counts(&reads), after, "every later read is a hit");
+        assert!(store.take_error().is_none());
+
+        // The files share one cache, so they share one budget.
+        let budget = 5 * (4 * L_ENTRY_BYTES) as u64;
+        let (store, ..) = routed(&full, budget);
+        let io = store.io();
+        assert_eq!(io.cache_evictions, 0);
+        assert_eq!(io.cache_misses, 5, "the budget's worth, no more");
+        assert_eq!(io.cache_bytes_resident, budget);
+        full_reads(&store, &mem, &pairs);
+        assert!(store.take_error().is_none());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -9,12 +9,19 @@
 //! bytes through [`RemoteBlockSource`]s — one per shard file, all
 //! feeding the same byte-budgeted [`BlockCache`], so a warm cache
 //! answers repeat queries with **zero** remote reads. Every fetched
-//! payload is CRC-checked client-side twice over: the response frame
-//! carries a CRC-32 of the payload, and the payload itself is a sealed
-//! region of the store file — a group block, an index page or a
-//! counted section — with its own trailing CRC (re-verified by
-//! [`PagedStore`]'s reader, which re-fetches once for retryable
-//! sources before giving up).
+//! payload is CRC-checked client-side twice over: the response carries
+//! a CRC-32 of each range, and each range is a sealed region of the
+//! store file — a group block, an index page or a counted section —
+//! with its own trailing CRC (re-verified by [`PagedStore`]'s reader,
+//! which re-fetches once for retryable sources before giving up).
+//!
+//! A round trip costs far more than the bytes it carries, so reads
+//! that are known together travel together: one `FETCH` carries up to
+//! [`MAX_FETCH_RANGES`](blockproto::MAX_FETCH_RANGES) ranges. A member
+//! file's open is two such batches, and a plan half's
+//! [`crate::ClosureSource::prefetch`] is one batch per round (index
+//! pages, sections, group blocks) per member file it touches; a demand
+//! miss after that is a single-range `FETCH`.
 //!
 //! Each pooled connection gets its read and write timeouts
 //! ([`RemoteOptions::request_timeout`]) once, when it connects, and
@@ -47,9 +54,14 @@ use std::time::Duration;
 /// length followed by that many payload bytes, capped at
 /// [`MAX_FRAME_BYTES`](blockproto::MAX_FRAME_BYTES). Request payloads start with an opcode byte:
 ///
-/// * [`OP_FETCH`](blockproto::OP_FETCH) — `u32 file_id`, `u64 offset`, `u32 len`: read a
-///   byte range of one shard file (file ids index the manifest's
-///   shard list);
+/// * [`OP_FETCH`](blockproto::OP_FETCH) — n ≥ 1 **range records** of
+///   `u32 file_id`, `u64 offset`, `u32 len`
+///   ([`FETCH_RANGE_BYTES`](blockproto::FETCH_RANGE_BYTES) each): read
+///   n byte ranges of the snapshot's shard files (file ids index the
+///   manifest's shard list) in one round trip. At most
+///   [`MAX_FETCH_RANGES`](blockproto::MAX_FETCH_RANGES) records, so a
+///   request is at most [`MAX_REQUEST_BYTES`](blockproto::MAX_REQUEST_BYTES)
+///   long; the single-range request is 17 bytes;
 /// * [`OP_MANIFEST`](blockproto::OP_MANIFEST) — no operands: the snapshot's encoded v4
 ///   `MANIFEST` (synthesized for single-file stores);
 /// * [`OP_STATS`](blockproto::OP_STATS) — no operands: server counters as `key=value` text,
@@ -57,18 +69,23 @@ use std::time::Duration;
 ///
 /// Response payloads start with a status byte — [`STATUS_OK`](blockproto::STATUS_OK) or
 /// [`STATUS_ERR`](blockproto::STATUS_ERR) (body = UTF-8 error text). A `FETCH` OK body is
-/// `u32 crc32(data)` followed by the data, so clients detect on-wire
-/// corruption without trusting the transport.
+/// one `u32 crc32(data)` followed by the data per range, in request
+/// order, so clients detect on-wire corruption of each range without
+/// trusting the transport; the lengths are the request's. A `FETCH`
+/// one of whose ranges is past its file's end, or whose response would
+/// exceed the frame cap, is answered `STATUS_ERR` as a whole. The
+/// single-range request and its response are the n = 1 case, byte for
+/// byte.
 pub mod blockproto {
     use std::io::{self, Read, Write};
 
-    /// The CRC-32 (IEEE) that seals a `FETCH` OK body — the store
-    /// format's own, so server and client share one implementation.
-    /// The streaming form (`CRC_INIT`, `crc32_update`, `crc32_finish`)
-    /// lets a server seal a range it never holds whole.
+    /// The CRC-32 (IEEE) that seals each range of a `FETCH` OK body —
+    /// the store format's own, so server and client share one
+    /// implementation. The streaming form (`CRC_INIT`, `crc32_update`,
+    /// `crc32_finish`) lets a server seal a range it never holds whole.
     pub use crate::format::{crc32, crc32_finish, crc32_update, CRC_INIT};
 
-    /// Opcode: read a byte range of one shard file.
+    /// Opcode: read byte ranges of the shard files.
     pub const OP_FETCH: u8 = 1;
     /// Opcode: fetch the snapshot's encoded v4 `MANIFEST`.
     pub const OP_MANIFEST: u8 = 2;
@@ -80,19 +97,27 @@ pub mod blockproto {
     pub const STATUS_ERR: u8 = 1;
     /// Upper bound on any frame's payload — a desynced or hostile peer
     /// cannot make us allocate unboundedly. `ktpm blockd` holds
-    /// requests to the tighter [`FETCH_REQUEST_BYTES`], the longest
+    /// requests to the tighter [`MAX_REQUEST_BYTES`], the longest
     /// request there is.
     pub const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
-    /// Byte length of an encoded `FETCH` request payload.
-    pub const FETCH_REQUEST_BYTES: usize = 17;
+    /// Byte length of one `FETCH` range record.
+    pub const FETCH_RANGE_BYTES: usize = 16;
+    /// Most range records one `FETCH` may carry; a client splits a
+    /// longer batch into several requests.
+    pub const MAX_FETCH_RANGES: usize = 256;
+    /// Byte length of an encoded single-range `FETCH` request payload.
+    pub const FETCH_REQUEST_BYTES: usize = 1 + FETCH_RANGE_BYTES;
+    /// Byte length of the longest request payload: a `FETCH` of
+    /// [`MAX_FETCH_RANGES`] ranges.
+    pub const MAX_REQUEST_BYTES: usize = 1 + FETCH_RANGE_BYTES * MAX_FETCH_RANGES;
 
     /// Writes one length-prefixed frame. A request-sized payload goes
     /// out with its length prefix in one `write` from a stack buffer:
     /// one syscall and one TCP segment, no allocation.
     pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
         let len = (payload.len() as u32).to_le_bytes();
-        if payload.len() <= FETCH_REQUEST_BYTES {
-            let mut buf = [0u8; 4 + FETCH_REQUEST_BYTES];
+        if payload.len() <= MAX_REQUEST_BYTES {
+            let mut buf = [0u8; 4 + MAX_REQUEST_BYTES];
             buf[..4].copy_from_slice(&len);
             buf[4..4 + payload.len()].copy_from_slice(payload);
             w.write_all(&buf[..4 + payload.len()])?;
@@ -119,26 +144,48 @@ pub mod blockproto {
         Ok(buf)
     }
 
-    /// Encodes a `FETCH` request payload.
+    /// Encodes a single-range `FETCH` request payload.
     pub fn encode_fetch(file_id: u32, offset: u64, len: u32) -> Vec<u8> {
-        let mut b = Vec::with_capacity(FETCH_REQUEST_BYTES);
+        encode_fetch_ranges([(file_id, offset, len)])
+    }
+
+    /// Encodes a `FETCH` request payload of `(file_id, offset, len)`
+    /// range records, in the order given. The caller keeps to
+    /// [`MAX_FETCH_RANGES`]; a longer request is dropped by the server.
+    pub fn encode_fetch_ranges(
+        ranges: impl IntoIterator<Item = (u32, u64, u32), IntoIter: ExactSizeIterator>,
+    ) -> Vec<u8> {
+        let ranges = ranges.into_iter();
+        let mut b = Vec::with_capacity(1 + FETCH_RANGE_BYTES * ranges.len());
         b.push(OP_FETCH);
-        b.extend_from_slice(&file_id.to_le_bytes());
-        b.extend_from_slice(&offset.to_le_bytes());
-        b.extend_from_slice(&len.to_le_bytes());
+        for (file_id, offset, len) in ranges {
+            b.extend_from_slice(&file_id.to_le_bytes());
+            b.extend_from_slice(&offset.to_le_bytes());
+            b.extend_from_slice(&len.to_le_bytes());
+        }
         b
     }
 
-    /// Decodes a `FETCH` request payload (opcode byte included);
-    /// `None` if malformed.
-    pub fn decode_fetch(payload: &[u8]) -> Option<(u32, u64, u32)> {
-        if payload.len() != FETCH_REQUEST_BYTES || payload[0] != OP_FETCH {
+    /// Decodes a `FETCH` request payload (opcode byte included) into
+    /// its `(file_id, offset, len)` range records; `None` if malformed
+    /// — no record, a partial record, or more than
+    /// [`MAX_FETCH_RANGES`].
+    pub fn decode_fetch_ranges(
+        payload: &[u8],
+    ) -> Option<impl ExactSizeIterator<Item = (u32, u64, u32)> + Clone + '_> {
+        let (&op, records) = payload.split_first()?;
+        let n = records.len() / FETCH_RANGE_BYTES;
+        if op != OP_FETCH
+            || records.len() % FETCH_RANGE_BYTES != 0
+            || !(1..=MAX_FETCH_RANGES).contains(&n)
+        {
             return None;
         }
-        let file_id = u32::from_le_bytes(payload[1..5].try_into().ok()?);
-        let offset = u64::from_le_bytes(payload[5..13].try_into().ok()?);
-        let len = u32::from_le_bytes(payload[13..17].try_into().ok()?);
-        Some((file_id, offset, len))
+        Some(records.chunks_exact(FETCH_RANGE_BYTES).map(|r| {
+            let u32_at = |o: usize| u32::from_le_bytes(r[o..o + 4].try_into().expect("4 bytes"));
+            let offset = u64::from_le_bytes(r[4..12].try_into().expect("8 bytes"));
+            (u32_at(0), offset, u32_at(12))
+        }))
     }
 }
 
@@ -286,10 +333,12 @@ impl ConnPool {
 }
 
 /// One shard file's bytes, fetched over the pool. Frame-level CRC
-/// mismatches get one immediate re-request; `is_retryable` additionally
-/// lets the paged reader re-fetch once when a sealed region's own CRC fails
-/// (an on-wire flip the frame CRC missed, or a stale cache of a
-/// rewritten file).
+/// mismatches on a single read get one immediate re-request;
+/// `is_retryable` additionally lets the paged reader re-fetch once when
+/// a sealed region's own CRC fails (an on-wire flip the frame CRC
+/// missed, or a stale cache of a rewritten file). A batch
+/// ([`BlockSource::read_many`]) is one `FETCH` of many ranges per round
+/// trip; a range whose frame CRC fails is left out, not re-requested.
 struct RemoteBlockSource {
     pool: Arc<ConnPool>,
     file_id: u32,
@@ -297,20 +346,74 @@ struct RemoteBlockSource {
     io: IoStats,
 }
 
+impl RemoteBlockSource {
+    /// One `FETCH` of every range in `ranges` (at least two, within the
+    /// protocol's caps): one round trip, counted as one remote fetch.
+    /// Hands `got` each range whose frame CRC holds, numbered from
+    /// `base`.
+    fn fetch_batch(
+        &self,
+        ranges: &[(u64, usize)],
+        base: usize,
+        got: &mut dyn FnMut(usize, Vec<u8>),
+    ) -> Result<(), StorageError> {
+        let req = blockproto::encode_fetch_ranges(
+            ranges
+                .iter()
+                .map(|&(off, bytes)| (self.file_id, off, bytes as u32)),
+        );
+        let mut body = self.pool.request(&req)?;
+        let data: usize = ranges.iter().map(|&(_, bytes)| bytes).sum();
+        if body.len() != data + 4 * ranges.len() {
+            self.io.add_remote_error();
+            return Err(StorageError::Remote {
+                addr: self.pool.addr.clone(),
+                detail: format!(
+                    "fetch of {} range(s) from file {}: a {}-byte response, not {}",
+                    ranges.len(),
+                    self.file_id,
+                    body.len(),
+                    data + 4 * ranges.len()
+                ),
+            });
+        }
+        self.io.add_remote_fetch(data as u64);
+        // Every range but the first is copied out of the frame; the
+        // first keeps the frame's own buffer, stripped in place.
+        let mut pos = 4 + ranges[0].1;
+        for (i, &(_, bytes)) in ranges.iter().enumerate().skip(1) {
+            let range = &body[pos..pos + 4 + bytes];
+            if crc_sealed(range) {
+                got(base + i, range[4..].to_vec());
+            }
+            pos += 4 + bytes;
+        }
+        body.truncate(4 + ranges[0].1);
+        if crc_sealed(&body) {
+            body.drain(..4);
+            got(base, body);
+        }
+        Ok(())
+    }
+}
+
+/// Whether a `(u32 crc, data)` response range holds its frame CRC.
+fn crc_sealed(range: &[u8]) -> bool {
+    let (crc, data) = range.split_at(4);
+    crc32(data) == u32::from_le_bytes(crc.try_into().expect("4 bytes"))
+}
+
 impl BlockSource for RemoteBlockSource {
     fn read_at(&self, off: u64, bytes: usize) -> Result<Vec<u8>, StorageError> {
         let req = blockproto::encode_fetch(self.file_id, off, bytes as u32);
         for attempt in 0..2 {
             let mut body = self.pool.request(&req)?;
-            if body.len() == bytes + 4 {
-                let stored = u32::from_le_bytes(body[..4].try_into().expect("4 bytes"));
-                if crc32(&body[4..]) == stored {
-                    self.io.add_remote_fetch(bytes as u64);
-                    // Strip the frame checksum in place: the payload is
-                    // the buffer the frame was read into, not a copy.
-                    body.drain(..4);
-                    return Ok(body);
-                }
+            if body.len() == bytes + 4 && crc_sealed(&body) {
+                self.io.add_remote_fetch(bytes as u64);
+                // Strip the frame checksum in place: the payload is
+                // the buffer the frame was read into, not a copy.
+                body.drain(..4);
+                return Ok(body);
             }
             if attempt == 0 {
                 self.io.add_remote_retry();
@@ -324,6 +427,35 @@ impl BlockSource for RemoteBlockSource {
                 self.file_id
             ),
         })
+    }
+
+    /// One `FETCH` per [`MAX_FETCH_RANGES`](blockproto::MAX_FETCH_RANGES)
+    /// ranges or [`MAX_FRAME_BYTES`](blockproto::MAX_FRAME_BYTES) of
+    /// response, whichever comes first; a lone range is [`Self::read_at`].
+    /// A failed request ends the batch.
+    fn read_many(
+        &self,
+        ranges: &[(u64, usize)],
+        got: &mut dyn FnMut(usize, Vec<u8>),
+    ) -> Result<(), StorageError> {
+        let mut first = 0;
+        while first < ranges.len() {
+            let mut end = first + 1;
+            let mut frame = 1 + 4 + ranges[first].1;
+            while end < ranges.len()
+                && end - first < blockproto::MAX_FETCH_RANGES
+                && frame + 4 + ranges[end].1 <= blockproto::MAX_FRAME_BYTES
+            {
+                frame += 4 + ranges[end].1;
+                end += 1;
+            }
+            match &ranges[first..end] {
+                &[(off, bytes)] => got(first, self.read_at(off, bytes)?),
+                batch => self.fetch_batch(batch, first, got)?,
+            }
+            first = end;
+        }
+        Ok(())
     }
 
     fn len(&self) -> u64 {

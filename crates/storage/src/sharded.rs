@@ -27,7 +27,7 @@ use crate::manifest::{Manifest, ShardFileMeta};
 use crate::paged::{
     open_local_store, ErrorSlot, LocalFile, LocalStore, PagedStore, DEFAULT_BLOCK_CACHE_BYTES,
 };
-use crate::source::{ClosureSource, EdgeCursor, StorageError};
+use crate::source::{ClosureSource, EdgeCursor, Sections, StorageError};
 use crate::table;
 use ktpm_graph::{Dist, LabelId, NodeId};
 use std::path::{Path, PathBuf};
@@ -173,6 +173,29 @@ impl<O: Send + Sync> ClosureSource for RoutedStore<O> {
 
     fn reset_io(&self) {
         self.io.reset();
+    }
+
+    /// Split by member file: each file the pairs route to is opened
+    /// (as the half's first read of it would) and prefetches only its
+    /// own pairs, so a round is one batch per touched file. The files
+    /// share one cache, so they share one budget.
+    fn prefetch(&self, pairs: &[Vec<(LabelId, LabelId)>], sections: &dyn Fn(usize) -> Sections) {
+        let mut done: Vec<u32> = Vec::new();
+        let mut room = None;
+        for &(a, b) in pairs.iter().flatten() {
+            let Some(shard) = self.manifest.shard_of(a, b) else {
+                continue;
+            };
+            if done.contains(&shard) {
+                continue;
+            }
+            done.push(shard);
+            if let Some(member) = self.member(a, b) {
+                let routed = |(x, y)| self.manifest.shard_of(x, y) == Some(shard);
+                let room = room.get_or_insert_with(|| member.prefetch_room());
+                member.prefetch_where(pairs, sections, &routed, room);
+            }
+        }
     }
 
     fn take_error(&self) -> Option<StorageError> {

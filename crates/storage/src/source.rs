@@ -173,6 +173,22 @@ impl From<SharedSource> for SourceRef<'static> {
     }
 }
 
+/// Which of a label pair's stored regions a plan half is about to
+/// read — the second argument of [`ClosureSource::prefetch`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Sections {
+    /// The `D` section ([`ClosureSource::load_d`]).
+    pub d: bool,
+    /// The `E` section ([`ClosureSource::load_e`]).
+    pub e: bool,
+    /// The `L` directory, which the first cursor on the pair
+    /// ([`ClosureSource::incoming_cursor`]) reads.
+    pub directory: bool,
+    /// The directory and every group block
+    /// ([`ClosureSource::load_pair`]).
+    pub blocks: bool,
+}
+
 /// The storage interface of §3.1/§4.1: label-pair tables over the
 /// transitive closure. Implemented by [`crate::PagedStore`] (real block
 /// I/O), [`crate::MemStore`] and the other backends the crate docs
@@ -273,6 +289,31 @@ pub trait ClosureSource: Send + Sync {
     fn undirected(&self) -> Option<SharedSource> {
         None
     }
+
+    /// A hint that a plan half is about to read `sections(u)` of every
+    /// label pair in `pairs[u]` — the shape
+    /// `ktpm_runtime::edge_label_pairs` returns, one entry per query
+    /// node. A backend whose reads are round trips may fetch those
+    /// regions now, together, so that the reads that follow are cache
+    /// hits.
+    ///
+    /// Contract:
+    /// - it is a hint: every read answers the same with or without it;
+    /// - it reads exactly what `sections` names of `pairs` (and the
+    ///   index it takes to find them), nothing else, skips what is
+    ///   already cached, and puts no more into a byte-budgeted cache
+    ///   than its budget, so nothing it fetched evicts anything else
+    ///   it fetched;
+    /// - it never records an error of its own: a region that fails to
+    ///   arrive or fails a check is dropped, and the read that needs it
+    ///   fetches it again under the usual retry and error policy.
+    ///
+    /// Default: a no-op — in-memory backends have nothing to fetch.
+    /// [`crate::PagedStore`] fetches in rounds, one batch each
+    /// (index pages, then sections, then group blocks), and
+    /// [`crate::ShardedStore`] / [`crate::RemoteStore`] split the
+    /// hint by member file.
+    fn prefetch(&self, _pairs: &[Vec<(LabelId, LabelId)>], _sections: &dyn Fn(usize) -> Sections) {}
 
     /// Takes (and clears) the first storage error this source silently
     /// degraded over since the last call. The read API is infallible by
