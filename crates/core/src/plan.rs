@@ -42,7 +42,7 @@ use crate::decompose::decompose;
 use crate::lawler::SlotTemplates;
 use ktpm_graph::{Dist, LabelId, LabelInterner, NodeId, Score};
 use ktpm_query::{EdgeKind, GraphQuery, QNodeId, QueryLabel, ResolvedQuery, TreeQuery};
-use ktpm_runtime::{edge_label_pairs, CandidateSets, RuntimeGraph};
+use ktpm_runtime::{edge_label_pairs, prefetch_edge_label_pairs, CandidateSets, RuntimeGraph};
 use ktpm_storage::{ClosureSource, DeltaReport, Sections, ShardSpec, SharedSource};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -689,14 +689,13 @@ impl LazySetup {
         source: &dyn ClosureSource,
         shard: ShardSpec,
     ) -> LazySetup {
-        // Every edge's label pairs, resolved once for all three reads
-        // below (`D` candidates, `E` seeds, the loader's cursor labels).
-        let pairs = edge_label_pairs(query, source);
         let tree = query.tree();
-        // What this half reads of each edge's pairs, announced at once:
-        // every `D`, the seeded edges' `E`, and the directory the first
-        // cursor on the pair reads.
-        source.prefetch(&pairs, &|u| Sections {
+        // Every edge's label pairs, resolved once for all three reads
+        // below (`D` candidates, `E` seeds, the loader's cursor labels),
+        // after announcing what this half reads of them at once: every
+        // `D`, the seeded edges' `E`, and the directory the first cursor
+        // on the pair reads.
+        let pairs = prefetch_edge_label_pairs(query, source, &|u| Sections {
             d: true,
             e: is_seeded(tree, QNodeId(u as u32)),
             directory: true,

@@ -441,6 +441,117 @@ fn cold_remote_plans_stream_like_memory_in_a_few_batches() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A 120-node graph over 30 labels: ≈ 900 label pairs, so a store's
+/// paged index spans about seven pages.
+fn paged_graph() -> LabeledGraph {
+    dense_graph(120, 30)
+}
+
+/// The index page `key` lives on in a single file holding `keys`.
+fn page_of(keys: &[(LabelId, LabelId)], key: (LabelId, LabelId)) -> usize {
+    keys.binary_search(&key).expect("a stored pair") / INDEX_PAGE_ENTRIES
+}
+
+#[test]
+fn a_cold_plan_half_announces_its_pairs_before_it_probes_them() {
+    // Over one remote file, each half's edge probes land on several
+    // index pages. The half hands its candidate pairs to its prefetch
+    // first, so those pages arrive in its first round instead of one
+    // demand `FETCH` each: an open of two batches, then two (lazy) or
+    // three (full) rounds.
+    let g = paged_graph();
+    let tables = ClosureTables::compute(&g);
+    let keys = MemStore::new(tables.clone()).pair_keys();
+    let mem = MemStore::new(tables.clone()).into_shared();
+    let path = tempdir("probe-order.tc");
+    write_store(&tables, &path).unwrap();
+    let server = BlockServer::spawn(&path, ("127.0.0.1", 0)).unwrap();
+    let q = resolve(&g, "L0 -> L7\nL7 -> L14\nL14 -> L21\nL21 -> L28");
+    let pages: std::collections::BTreeSet<usize> = [(0, 7), (7, 14), (14, 21), (21, 28)]
+        .into_iter()
+        .map(|(a, b)| page_of(&keys, (LabelId(a), LabelId(b))))
+        .collect();
+    assert!(pages.len() >= 3, "the edges land on pages {pages:?}");
+    let want: Vec<_> = TopkEnumerator::from_plan(&QueryPlan::new(q.clone(), mem))
+        .take(200)
+        .collect();
+    assert!(!want.is_empty());
+    let connect = || {
+        RemoteStore::connect(&server.local_addr().to_string())
+            .unwrap()
+            .into_shared()
+    };
+    let store = connect();
+    let plan = QueryPlan::new(q.clone(), store.clone());
+    let before = store.io().remote_fetches;
+    let stream = TopkEnEnumerator::from_plan(&plan);
+    let lazy = store.io().remote_fetches - before;
+    assert_eq!(stream.take(200).collect::<Vec<_>>(), want);
+    let store = connect();
+    let plan = QueryPlan::new(q, store.clone());
+    let before = store.io().remote_fetches;
+    plan.runtime_graph();
+    let full = store.io().remote_fetches - before;
+    assert_eq!(
+        TopkEnumerator::from_plan(&plan)
+            .take(200)
+            .collect::<Vec<_>>(),
+        want
+    );
+    assert_eq!((lazy, full), (2 + 2, 2 + 3), "round trips (lazy, full)");
+    assert!(store.take_error().is_none());
+    server.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn wildcard_queries_over_tcp_read_each_file_s_index_in_one_batch() {
+    // A wildcard edge enumerates the store's pair keys, which a snapshot
+    // keeps only in its shard files' paged indexes: each file is opened
+    // (two batches) and its unread index pages arrive in one more batch,
+    // never one round trip a page. The streams are memory's.
+    let g = paged_graph();
+    let tables = ClosureTables::compute(&g);
+    let mem = MemStore::new(tables.clone());
+    let keys = mem.pair_keys();
+    assert!(
+        keys.len() / 3 > 2 * INDEX_PAGE_ENTRIES,
+        "{} pairs: each of three files spans three pages",
+        keys.len()
+    );
+    let mem = mem.into_shared();
+    let dir = tempdir("wildcard");
+    write_store_sharded(&tables, &dir, &ShardSpec::new(0, 3), 4).unwrap();
+    let server = BlockServer::spawn(&dir, ("127.0.0.1", 0)).unwrap();
+    let connect = || RemoteStore::connect(&server.local_addr().to_string()).unwrap();
+
+    let store = connect();
+    let before = store.io().remote_fetches;
+    assert_eq!(store.pair_keys(), keys);
+    let cost = store.io().remote_fetches - before;
+    assert_eq!(store.files_open(), 3);
+    assert!(cost <= 3 * (2 + 1), "pair_keys: {cost} round trips");
+
+    let q = resolve(&g, "L0 -> *#1\nL0 -> L7\n*#1 -> L14");
+    let want: Vec<_> = TopkEnumerator::from_plan(&QueryPlan::new(q.clone(), mem))
+        .take(200)
+        .collect();
+    assert!(!want.is_empty());
+    let lazy = connect().into_shared();
+    let plan = QueryPlan::new(q.clone(), lazy.clone());
+    let got: Vec<_> = TopkEnEnumerator::from_plan(&plan).take(200).collect();
+    assert_eq!(got, want, "topk-en over tcp://");
+    let full = connect().into_shared();
+    let plan = QueryPlan::new(q, full.clone());
+    let got: Vec<_> = TopkEnumerator::from_plan(&plan).take(200).collect();
+    assert_eq!(got, want, "topk over tcp://");
+    for store in [lazy, full] {
+        assert!(store.take_error().is_none());
+    }
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn open_store_uri_dispatches_tcp_and_local_paths() {
     let g = dense_graph(24, 4);

@@ -17,7 +17,7 @@
 
 use ktpm_graph::{Dist, LabelId, NodeId};
 use ktpm_query::{EdgeKind, QNodeId, QueryLabel, ResolvedQuery};
-use ktpm_storage::{ClosureSource, ShardSpec};
+use ktpm_storage::{ClosureSource, Sections, ShardSpec};
 
 /// Candidate sets `V_u` for every query node, with dense per-node indices.
 ///
@@ -236,15 +236,49 @@ pub fn label_pairs(
     p: QNodeId,
     u: QNodeId,
 ) -> Vec<(LabelId, LabelId)> {
-    resolve_pairs(query.label(p), query.label(u), source, &mut None)
+    let (src, dst) = (query.label(p), query.label(u));
+    let mut pairs = candidate_pairs(src, dst, source, &mut None);
+    if is_probed(src, dst) {
+        pairs.retain(|&(a, b)| source.has_pair(a, b));
+    }
+    pairs
 }
 
 /// [`label_pairs`] of every query edge at once: entry `u` holds the
 /// pairs of edge `(parent(u), u)` (the root's entry is empty). The
 /// store's pair keys are enumerated at most once, and only if some edge
-/// has a wildcard endpoint — plan halves resolve their edges through
-/// this, once, and carry the result.
+/// has a wildcard endpoint.
 pub fn edge_label_pairs(
+    query: &ResolvedQuery,
+    source: &dyn ClosureSource,
+) -> Vec<Vec<(LabelId, LabelId)>> {
+    let mut pairs = edge_candidate_pairs(query, source);
+    keep_stored_pairs(query, source, &mut pairs);
+    pairs
+}
+
+/// [`edge_label_pairs`] for a plan half about to read `sections(u)` of
+/// edge `u`'s pairs — what each half resolves its edges through, once.
+/// The half's one [`ClosureSource::prefetch`] is handed every candidate
+/// pair *before* any is probed: a concrete edge's one pair unprobed, a
+/// wildcard edge's from `pair_keys`. On a paged store the probes then
+/// find their index pages already read, in the prefetch's first round,
+/// instead of paying a demand read each — a round trip apiece on a
+/// remote store. The prefetch skips a pair its index does not hold, so
+/// an absent candidate costs only the page its probe would read anyway.
+pub fn prefetch_edge_label_pairs(
+    query: &ResolvedQuery,
+    source: &dyn ClosureSource,
+    sections: &dyn Fn(usize) -> Sections,
+) -> Vec<Vec<(LabelId, LabelId)>> {
+    let mut pairs = edge_candidate_pairs(query, source);
+    source.prefetch(&pairs, sections);
+    keep_stored_pairs(query, source, &mut pairs);
+    pairs
+}
+
+/// Every edge's candidate pairs, the concrete edges' unprobed.
+fn edge_candidate_pairs(
     query: &ResolvedQuery,
     source: &dyn ClosureSource,
 ) -> Vec<Vec<(LabelId, LabelId)>> {
@@ -252,15 +286,39 @@ pub fn edge_label_pairs(
     let mut keys = None;
     tree.node_ids()
         .map(|u| match tree.parent(u) {
-            Some(p) => resolve_pairs(query.label(p), query.label(u), source, &mut keys),
+            Some(p) => candidate_pairs(query.label(p), query.label(u), source, &mut keys),
             None => Vec::new(),
         })
         .collect()
 }
 
-/// One edge's pairs; `keys` memoizes the store's pair keys across the
-/// wildcard edges of one query.
-fn resolve_pairs(
+/// Drops the concrete edges' candidates the store does not hold; a
+/// wildcard edge's came from the store's own keys.
+fn keep_stored_pairs(
+    query: &ResolvedQuery,
+    source: &dyn ClosureSource,
+    pairs: &mut [Vec<(LabelId, LabelId)>],
+) {
+    let tree = query.tree();
+    for u in tree.node_ids() {
+        if let Some(p) = tree.parent(u) {
+            if is_probed(query.label(p), query.label(u)) {
+                pairs[u.index()].retain(|&(a, b)| source.has_pair(a, b));
+            }
+        }
+    }
+}
+
+/// Whether an edge's candidates need a [`ClosureSource::has_pair`]
+/// probe: both endpoints concrete.
+fn is_probed(src: QueryLabel, dst: QueryLabel) -> bool {
+    matches!((src, dst), (QueryLabel::Label(_), QueryLabel::Label(_)))
+}
+
+/// One edge's candidate pairs: a concrete edge's one pair, unprobed, or
+/// the store's keys a wildcard admits; `keys` memoizes the store's pair
+/// keys across the wildcard edges of one query.
+fn candidate_pairs(
     src: QueryLabel,
     dst: QueryLabel,
     source: &dyn ClosureSource,
@@ -273,13 +331,7 @@ fn resolve_pairs(
     };
     match (src, dst) {
         (QueryLabel::Unmatchable, _) | (_, QueryLabel::Unmatchable) => Vec::new(),
-        (QueryLabel::Label(a), QueryLabel::Label(b)) => {
-            if source.has_pair(a, b) {
-                vec![(a, b)]
-            } else {
-                Vec::new()
-            }
-        }
+        (QueryLabel::Label(a), QueryLabel::Label(b)) => vec![(a, b)],
         _ => keys
             .get_or_insert_with(|| source.pair_keys())
             .iter()

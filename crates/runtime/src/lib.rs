@@ -22,5 +22,5 @@
 mod candidates;
 mod rgraph;
 
-pub use candidates::{edge_label_pairs, label_pairs, CandidateSets};
+pub use candidates::{edge_label_pairs, label_pairs, prefetch_edge_label_pairs, CandidateSets};
 pub use rgraph::{GraphRef, RuntimeGraph, RuntimeStats};

@@ -1,6 +1,6 @@
 //! The fully-loaded run-time graph.
 
-use crate::candidates::{edge_label_pairs, CandidateSets};
+use crate::candidates::{prefetch_edge_label_pairs, CandidateSets};
 use ktpm_graph::{Dist, NodeId};
 use ktpm_query::{EdgeKind, QNodeId, ResolvedQuery};
 use ktpm_storage::{ClosureSource, Sections};
@@ -79,9 +79,8 @@ impl RuntimeGraph {
                 None => adj.push(Vec::new()),
             }
         }
-        let pairs = edge_label_pairs(query, source);
         // Every pair is read whole, below: announce it at once.
-        source.prefetch(&pairs, &|_| Sections {
+        let pairs = prefetch_edge_label_pairs(query, source, &|_| Sections {
             blocks: true,
             ..Sections::default()
         });

@@ -1,9 +1,9 @@
 //! Binary layout of the closure store files.
 //!
 //! One closure-file layout is written and read — **version 5** — plus
-//! the **version 4** `MANIFEST` that routes a sharded snapshot over a
-//! set of v5 files. All integers are little-endian; every checksum is
-//! CRC-32 (IEEE).
+//! the **version 6** `MANIFEST` that routes a sharded snapshot over a
+//! set of v5 files by key range. All integers are little-endian; every
+//! checksum is CRC-32 (IEEE).
 //!
 //! ## Version 5: the closure file
 //!
@@ -87,55 +87,66 @@
 //! ignores the format, not bit rot — damaged bytes fail their CRC
 //! first): at open for the fence, by the lookup that touches a bad
 //! page otherwise — never served as a store that would miss lookups.
-//! The same decision holds for the v4 manifest's routing table below:
-//! [`crate::Manifest`] keeps the decoded array and
-//! [`crate::Manifest::shard_of`] binary-searches it, so
-//! [`crate::Manifest::decode`] refuses a checksum-valid routing table
-//! that is not strictly ascending by `(a, b)`.
+//! The same decision holds for the v6 manifest's fences below:
+//! [`crate::Manifest::shard_of`] binary-searches them as stored, so
+//! [`crate::Manifest::decode`] refuses checksum-valid fences that are
+//! not non-decreasing.
 //!
-//! ## Version 4: the sharded-snapshot `MANIFEST`
+//! ## Version 6: the sharded-snapshot `MANIFEST`
 //!
-//! Version 4 (magic `KTPMCLO4`) is not a new closure-file layout — it
+//! Version 6 (magic `KTPMCLO6`) is not a new closure-file layout — it
 //! is the **manifest** of a sharded snapshot written by
-//! [`crate::write_store_sharded`]: one small routing file (`MANIFEST`)
-//! next to a set of plain v5 shard files, each holding a disjoint
-//! subset of the label-pair tables. Readers ([`crate::ShardedStore`],
+//! [`crate::write_store_sharded`]: one small file (`MANIFEST`) next to
+//! a set of plain v5 shard files. The writer gives each file a
+//! contiguous, equal-count run of the ascending pair keys, so a file is
+//! described by its **fence** — its first key — and owns every key from
+//! its fence up to the next file's. Readers ([`crate::ShardedStore`],
 //! [`crate::RemoteStore`]) open the manifest, answer
-//! `num_nodes`/`node_label`/`pair_keys` from it directly, and open a
-//! shard file only when a query first touches a label pair routed to
-//! it.
+//! `num_nodes`/`node_label` from it directly, and route a label pair by
+//! a binary search of the fences to the one file whose range holds it,
+//! which they open on first touch; that file's own paged index says
+//! whether the pair is present. A key before the first fence, or in
+//! the range of a file holding no pair, opens nothing.
 //!
 //! ```text
-//! magic "KTPMCLO4"
+//! magic "KTPMCLO6"
 //! u32 shard_count, u32 block_entries, u32 num_nodes, u32 num_labels
 //! labels: num_nodes * u32
 //! per shard (shard_count times, in file-id order):
 //!   u32 name_len, name_len bytes (UTF-8 file name, no path),
-//!   u64 file_len, u32 content_crc32 (over the whole shard file)
-//! routing: u32 pair_count, pair_count * (u32 a, u32 b, u32 shard),
-//!          strictly ascending (a, b)
+//!   u64 file_len, u32 content_crc32 (over the whole shard file),
+//!   u32 pair_count, u32 first_a, u32 first_b (the fence: its first key)
+//!   — fences non-decreasing; a file holding no pair carries the next
+//!   file's fence ((0, 0) when no file holds a pair)
 //! u32 crc32 over everything past the magic
 //! ```
 //!
-//! The trailing CRC-32 covers every byte after the magic, so any
-//! truncation or bit flip in the manifest is detected at open. Shard
-//! file names are stored without directory components and resolved
-//! relative to the manifest's parent directory. The per-file
+//! The manifest is O(labels + files), whatever the pair count. The
+//! trailing CRC-32 covers every byte after the magic, so any truncation
+//! or bit flip in the manifest is detected at open; every count is
+//! checked against the bytes left before anything is allocated for it.
+//! Shard file names are stored without directory components and
+//! resolved relative to the manifest's parent directory. The per-file
 //! `content_crc32` lets `ktpm store verify` prove a shard file is the
-//! exact one the writer sealed before scrubbing its sections. A shard's
-//! **file id** is its position in the manifest's shard list — the id
-//! the remote `FETCH` protocol and the shared block-cache key use.
+//! exact one the writer sealed before scrubbing its sections, and the
+//! scrub checks that the file holds `pair_count` keys inside its fence
+//! range. A shard's **file id** is its position in the manifest's shard
+//! list — the id the remote `FETCH` protocol and the shared block-cache
+//! key use.
 //!
-//! ## Versions 1, 2 and 3: recognised, refused
+//! ## Versions 1–4: recognised, refused
 //!
 //! The magics `KTPMCLO1` (no checksums), `KTPMCLO2` (per-section
 //! checksums, packed group regions) and `KTPMCLO3` (v5's body behind
 //! one whole index, read and checked in full at every open) belong to
-//! layouts this crate wrote before v5 and no longer reads or writes.
-//! Every open path recognises them only to refuse them with one
-//! pointed [`StorageError::BadFormat`] ([`refuse_legacy_magic`]): a
-//! closure file is derived data, so the upgrade is to re-run
-//! `ktpm closure`.
+//! layouts this crate wrote before v5 and no longer reads or writes;
+//! `KTPMCLO4` is the manifest before v6, which routed each label pair
+//! through a table of its own (12 bytes a pair, a second copy of the
+//! shard files' indexes). Every open path recognises them only to
+//! refuse them with one pointed [`StorageError::BadFormat`]
+//! ([`refuse_legacy_magic`]): a closure file is derived data, so the
+//! upgrade is to re-run `ktpm closure` (with `--shards` for a
+//! snapshot).
 
 use crate::source::StorageError;
 use ktpm_graph::LabelId;
@@ -143,27 +154,32 @@ use ktpm_graph::LabelId;
 /// Version-5 magic: the closure file ([`crate::write_store`] writes
 /// it, [`crate::PagedStore`] reads it).
 pub const MAGIC_V5: &[u8; 8] = b"KTPMCLO5";
-/// Version-4 magic: the `MANIFEST` of a sharded snapshot (routing +
+/// Version-6 magic: the `MANIFEST` of a sharded snapshot (key ranges +
 /// integrity metadata over a set of v5 shard files; see the module
 /// docs). Read by [`crate::ShardedStore`] / [`crate::RemoteStore`].
-pub const MAGIC_V4: &[u8; 8] = b"KTPMCLO4";
+pub const MAGIC_V6: &[u8; 8] = b"KTPMCLO6";
 pub const FOOTER_LEN: u64 = 8 + 8;
 
-/// Refuses the retired v1/v2/v3 layouts by their magic (`KTPMCLO1`,
-/// `KTPMCLO2`, `KTPMCLO3`) — the one error every open path gives them;
-/// any other magic is the caller's to judge.
+/// Refuses the retired layouts by their magic — the v1/v2/v3 closure
+/// files (`KTPMCLO1`, `KTPMCLO2`, `KTPMCLO3`) and the v4 manifest
+/// (`KTPMCLO4`) — with the one error every open path gives them; any
+/// other magic is the caller's to judge.
 pub fn refuse_legacy_magic(magic: &[u8]) -> Result<(), StorageError> {
-    if matches!(magic, b"KTPMCLO1" | b"KTPMCLO2" | b"KTPMCLO3") {
-        return Err(StorageError::BadFormat(
+    match magic {
+        b"KTPMCLO1" | b"KTPMCLO2" | b"KTPMCLO3" => Err(StorageError::BadFormat(
             "format v1/v2/v3 store: no longer readable — re-run `ktpm closure`".into(),
-        ));
+        )),
+        b"KTPMCLO4" => Err(StorageError::BadFormat(
+            "format v4 MANIFEST (a per-pair routing table): no longer readable — rewrite \
+             the snapshot with `ktpm closure --shards`"
+                .into(),
+        )),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
-/// The refusal every on-disk pair array shares — the v5 index, its
-/// fence and the v4 routing table (see "Index order" in the module
-/// docs): entry `i`'s `key` does not sort strictly above its
+/// The refusal every on-disk pair array shares — the v5 index and its
+/// fence (see "Index order" in the module docs): entry `i`'s `key` does not sort strictly above its
 /// predecessor's. The comparison stays in each parser's loop; only the
 /// error is built here.
 #[cold]
@@ -488,14 +504,14 @@ mod tests {
 
     #[test]
     fn legacy_magics_are_refused_and_only_those() {
-        for legacy in [b"KTPMCLO1", b"KTPMCLO2", b"KTPMCLO3"] {
+        for legacy in [b"KTPMCLO1", b"KTPMCLO2", b"KTPMCLO3", b"KTPMCLO4"] {
             let err = refuse_legacy_magic(legacy).unwrap_err();
             assert!(
                 matches!(&err, StorageError::BadFormat(m) if m.contains("ktpm closure")),
                 "{err}"
             );
         }
-        for other in [&MAGIC_V5[..], &MAGIC_V4[..], b"KTPMXXX9", b"KTPM", b""] {
+        for other in [&MAGIC_V5[..], &MAGIC_V6[..], b"KTPMXXX9", b"KTPM", b""] {
             refuse_legacy_magic(other).unwrap();
         }
     }

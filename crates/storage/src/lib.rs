@@ -36,8 +36,11 @@
 //!
 //! **Manifest-routed** — one store ([`RoutedStore`], a single `impl
 //! ClosureSource`) over a multi-file v5 snapshot
-//! ([`write_store_sharded`]) and its CRC'd v4 `MANIFEST`: label pairs are routed to owning shard files,
-//! each opened lazily as a member [`PagedStore`], all sharing one
+//! ([`write_store_sharded`]) and its CRC'd v6 `MANIFEST`: each shard
+//! file owns one contiguous range of label pairs, and a pair is routed
+//! by a binary search of the files' first keys to the one file whose
+//! range holds it. Files are opened lazily as member [`PagedStore`]s,
+//! whose own paged indexes answer pair membership, all sharing one
 //! byte-budgeted block cache. Two public aliases name where the shard
 //! files live:
 //!
@@ -49,8 +52,9 @@
 //!   [`StorageError::Remote`] instead of hanging.
 //!
 //! [`open_store_auto`] / [`open_store_uri`] open whatever a `--store`
-//! argument names. The retired v1/v2/v3 file layouts are recognised by
-//! their magic only to be refused (re-run `ktpm closure`).
+//! argument names. The retired v1/v2/v3 file layouts and the v4
+//! manifest are recognised by their magic only to be refused (re-run
+//! `ktpm closure`).
 //!
 //! All counters live in [`IoStats`] snapshots so experiments can report
 //! edges/blocks/bytes read per phase (Figures 6(c)–6(f)), including the
@@ -71,7 +75,7 @@ mod source;
 mod table;
 mod writer;
 
-pub use format::{DEFAULT_BLOCK_EDGES, INDEX_PAGE_ENTRIES, MAGIC_V4};
+pub use format::{DEFAULT_BLOCK_EDGES, INDEX_PAGE_ENTRIES, MAGIC_V6};
 pub use iostats::{IoSnapshot, IoStats};
 pub use live::LiveStore;
 pub use manifest::{Manifest, ShardFileMeta};

@@ -957,8 +957,38 @@ impl PagedStore {
         })
     }
 
-    /// Every label pair in index order, walking every page.
+    /// Label pairs in the store, from the index head.
+    pub(crate) fn pair_count(&self) -> usize {
+        self.index.num_pairs
+    }
+
+    /// The store's first label pair, from the index head's fence;
+    /// `None` when it holds none.
+    pub(crate) fn first_key(&self) -> Option<(LabelId, LabelId)> {
+        self.index.fence.first().copied()
+    }
+
+    /// The store's last label pair (the last page read on first
+    /// touch); `None` when it holds none.
+    pub(crate) fn last_key(&self) -> Result<Option<(LabelId, LabelId)>, StorageError> {
+        let Some(p) = self.index.pages.len().checked_sub(1) else {
+            return Ok(None);
+        };
+        let page = self.page(p)?;
+        Ok(Some(key_at(page, page.len() / INDEX_ENTRY_BYTES - 1)))
+    }
+
+    /// Every label pair in index order, walking every page. The pages
+    /// not yet read arrive in one batch — a prefetch's page round — and
+    /// any the batch dropped is read again on demand.
     pub(crate) fn try_pair_keys(&self) -> Result<Vec<(LabelId, LabelId)>, StorageError> {
+        let missing =
+            || (0..self.index.pages.len()).filter(|&p| self.index.pages[p].get().is_none());
+        let mut batch = Batch::with_capacity(missing().count());
+        for p in missing() {
+            batch.push(self.page_range(p), Want::Page(p));
+        }
+        self.fetch(&mut batch);
         let mut keys = Vec::with_capacity(self.index.num_pairs);
         for p in 0..self.index.pages.len() {
             let page = self.page(p)?;
@@ -1429,7 +1459,7 @@ impl EdgeCursor for PagedCursor {
 pub enum LocalStore {
     /// A single v5 closure file.
     Paged(PagedStore),
-    /// A sharded snapshot: a v4 `MANIFEST` routing over v5 shard files.
+    /// A sharded snapshot: a v6 `MANIFEST` routing over v5 shard files.
     Sharded(crate::ShardedStore),
 }
 
@@ -1439,10 +1469,11 @@ pub enum LocalStore {
 /// * a directory is a sharded snapshot and must contain a `MANIFEST`
 ///   (otherwise a pointed [`StorageError::BadFormat`] naming the path
 ///   to pass, not a raw io error);
-/// * a file starting with the v4 magic is such a `MANIFEST` itself;
+/// * a file starting with the v6 magic is such a `MANIFEST` itself;
 /// * any other file is opened as a single v5 closure file — where a
-///   retired v1/v2/v3 magic is refused with the pointer to `ktpm closure`
-///   and anything else unknown is "bad magic".
+///   retired v1/v2/v3 magic (or a v4 manifest's) is refused with the
+///   pointer to `ktpm closure` and anything else unknown is "bad
+///   magic".
 ///
 /// [`open_store_auto`], [`crate::load_snapshot_manifest`] (`ktpm
 /// blockd`) and `ktpm store verify` all resolve their path here.
@@ -1462,7 +1493,7 @@ pub fn open_local_store(path: &Path, cache_bytes: u64) -> Result<LocalStore, Sto
     // Sniff the magic on the handle the v5 reader then keeps.
     let mut file = std::fs::File::open(path)?;
     let mut head = [0u8; 8];
-    if file.read_exact(&mut head).is_ok() && &head == MAGIC_V4 {
+    if file.read_exact(&mut head).is_ok() && &head == MAGIC_V6 {
         return crate::ShardedStore::open_with_cache_bytes(path, cache_bytes)
             .map(LocalStore::Sharded);
     }
@@ -1835,16 +1866,16 @@ mod tests {
         ));
         let manifest =
             crate::write_store_sharded(&tables, &dir, &crate::ShardSpec::new(0, 3), 4).unwrap();
-        let touched: Vec<u32> = {
-            let mut t: Vec<u32> = pairs
-                .iter()
-                .flatten()
-                .map(|&(a, b)| manifest.shard_of(a, b).unwrap())
-                .collect();
-            t.sort_unstable();
-            t.dedup();
-            t
-        };
+        // The files whose fence ranges hold an edge's pair.
+        let touched: Vec<usize> = (0..3)
+            .filter(|&f| {
+                let (from, to) = manifest.range_of(f);
+                pairs
+                    .iter()
+                    .flatten()
+                    .any(|&k| k >= from && to.is_none_or(|to| k < to))
+            })
+            .collect();
         assert_eq!(touched.len(), 3, "the edges touch every file");
         // One routed store over counting member files sharing a cache
         // of `budget` bytes; `reads[f]` counts file f's reads and

@@ -4,9 +4,12 @@
 //! local one does not: the wire protocol, the connection pool, the
 //! network [`BlockSource`], and `connect` / `addr` / `server_stats`.
 //!
-//! The store connects, pulls the snapshot's v4 `MANIFEST` (so all
-//! metadata queries are answered locally), and then reads shard-file
-//! bytes through [`RemoteBlockSource`]s — one per shard file, all
+//! The store connects and pulls the snapshot's v6 `MANIFEST`: the node
+//! labels and one key range per shard file, O(labels + files) bytes
+//! whatever the pair count, so labels are answered locally. Pair
+//! membership and `pair_keys` come from each member file's own paged
+//! index, read like any other region of the file. The store then reads
+//! shard-file bytes through [`RemoteBlockSource`]s — one per shard file, all
 //! feeding the same byte-budgeted [`BlockCache`], so a warm cache
 //! answers repeat queries with **zero** remote reads. Every fetched
 //! payload is CRC-checked client-side twice over: the response carries
@@ -62,7 +65,7 @@ use std::time::Duration;
 ///   [`MAX_FETCH_RANGES`](blockproto::MAX_FETCH_RANGES) records, so a
 ///   request is at most [`MAX_REQUEST_BYTES`](blockproto::MAX_REQUEST_BYTES)
 ///   long; the single-range request is 17 bytes;
-/// * [`OP_MANIFEST`](blockproto::OP_MANIFEST) — no operands: the snapshot's encoded v4
+/// * [`OP_MANIFEST`](blockproto::OP_MANIFEST) — no operands: the snapshot's encoded v6
 ///   `MANIFEST` (synthesized for single-file stores);
 /// * [`OP_STATS`](blockproto::OP_STATS) — no operands: server counters as `key=value` text,
 ///   one per line.
@@ -87,7 +90,7 @@ pub mod blockproto {
 
     /// Opcode: read byte ranges of the shard files.
     pub const OP_FETCH: u8 = 1;
-    /// Opcode: fetch the snapshot's encoded v4 `MANIFEST`.
+    /// Opcode: fetch the snapshot's encoded v6 `MANIFEST`.
     pub const OP_MANIFEST: u8 = 2;
     /// Opcode: fetch server counters as `key=value` text.
     pub const OP_STATS: u8 = 3;

@@ -1,13 +1,20 @@
 //! The manifest-routed store: one [`ClosureSource`] over a snapshot of
-//! v5 shard files described by a v4 `MANIFEST`
+//! v5 shard files described by a v6 `MANIFEST`
 //! ([`crate::write_store_sharded`]), wherever the files' bytes live.
 //!
-//! A [`RoutedStore`] opens only the manifest eagerly — node count,
-//! labels, and pair keys are all answered from it — and opens a shard
-//! file lazily the first time a query touches a label pair routed to
-//! it (counted as `files_opened` in [`IoStats`]). All member files
-//! share **one** byte-budgeted [`BlockCache`] (namespaced by file id),
-//! one set of I/O counters and one error slot, so the cache budget
+//! A [`RoutedStore`] opens only the manifest eagerly — node count and
+//! labels are answered from it — and routes a label pair by a binary
+//! search of the files' fences (first keys) to the one file whose key
+//! range holds it. That file is opened lazily the first time a query
+//! touches a pair in its range (counted as `files_opened` in
+//! [`IoStats`]), and its own paged index answers whether the pair is
+//! there: the snapshot keeps one copy of its pair set, in the shard
+//! files. A pair before the first fence, or in the range of a file
+//! holding no pair, opens nothing. [`ClosureSource::pair_keys`] is the
+//! members' keys end to end — already ascending, since the ranges are —
+//! and reads each member's missing index pages in one batch. All member
+//! files share **one** byte-budgeted [`BlockCache`] (namespaced by file
+//! id), one set of I/O counters and one error slot, so the cache budget
 //! bounds the whole snapshot, not each file.
 //!
 //! Routing, lazy opening and the whole [`ClosureSource`] surface are
@@ -74,12 +81,17 @@ impl<O> RoutedStore<O> {
         }
     }
 
-    /// The member store owning `(a, b)`, opened lazily on first touch
-    /// (counted as `files_opened`); `None` for an unrouted pair. An
-    /// open failure is recorded in the error slot and the shard
-    /// degrades to empty, like every infallible read path.
+    /// The member store whose key range holds `(a, b)`
+    /// ([`Manifest::shard_of`]); see [`Self::member_at`].
     fn member(&self, a: LabelId, b: LabelId) -> Option<&PagedStore> {
-        let shard = self.manifest.shard_of(a, b)?;
+        self.member_at(self.manifest.shard_of(a, b)?)
+    }
+
+    /// Member file `shard`, opened lazily on first touch (counted as
+    /// `files_opened`). An open failure is recorded in the error slot
+    /// and the shard degrades to empty, like every infallible read
+    /// path.
+    fn member_at(&self, shard: u32) -> Option<&PagedStore> {
         let meta = self.manifest.shards.get(shard as usize)?;
         self.slots[shard as usize]
             .get_or_init(|| match (self.opener)(shard, meta) {
@@ -127,12 +139,27 @@ impl<O: Send + Sync> ClosureSource for RoutedStore<O> {
         self.manifest.node_label(v)
     }
 
+    /// Every member's keys, in file order: the ranges ascend, so the
+    /// concatenation does. Opens every file that holds a pair.
     fn pair_keys(&self) -> Vec<(LabelId, LabelId)> {
-        self.manifest.pair_keys()
+        let mut keys = Vec::with_capacity(self.manifest.pair_count() as usize);
+        for (shard, meta) in self.manifest.shards.iter().enumerate() {
+            if meta.pair_count == 0 {
+                continue;
+            }
+            let Some(member) = self.member_at(shard as u32) else {
+                continue;
+            };
+            match member.try_pair_keys() {
+                Ok(member_keys) => keys.extend(member_keys),
+                Err(e) => self.errors.record(e),
+            }
+        }
+        keys
     }
 
     fn has_pair(&self, a: LabelId, b: LabelId) -> bool {
-        self.manifest.shard_of(a, b).is_some()
+        self.member(a, b).is_some_and(|s| s.has_pair(a, b))
     }
 
     fn load_d(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, Dist)> {
@@ -190,7 +217,7 @@ impl<O: Send + Sync> ClosureSource for RoutedStore<O> {
                 continue;
             }
             done.push(shard);
-            if let Some(member) = self.member(a, b) {
+            if let Some(member) = self.member_at(shard) {
                 let routed = |(x, y)| self.manifest.shard_of(x, y) == Some(shard);
                 let room = room.get_or_insert_with(|| member.prefetch_room());
                 member.prefetch_where(pairs, sections, &routed, room);
@@ -210,7 +237,7 @@ pub struct SnapshotDir(PathBuf);
 /// A sharded multi-file snapshot opened from its `MANIFEST` — the
 /// local tier of [`RoutedStore`]; see the module docs. Constructed by
 /// [`ShardedStore::open`] or dispatched by [`crate::open_store_auto`]
-/// (on the manifest path, a file with the v4 magic, or the snapshot
+/// (on the manifest path, a file with the v6 magic, or the snapshot
 /// directory).
 pub type ShardedStore = RoutedStore<SnapshotDir>;
 
@@ -276,13 +303,14 @@ impl ShardedStore {
     /// Scrubs the whole snapshot: for every shard file, checks its
     /// length and whole-file content hash against the manifest, then
     /// re-verifies every section and group block
-    /// ([`PagedStore::verify`]). The first failure is returned as
-    /// [`StorageError::CorruptShard`], naming the file and carrying
-    /// the inner offset. Scrub reads bypass (and never pollute) the
-    /// shared block cache.
+    /// ([`PagedStore::verify`]), then that it holds the manifest's
+    /// pair count, every key inside its fence range. The first failure
+    /// is returned as [`StorageError::CorruptShard`], naming the file
+    /// and carrying the inner offset. Scrub reads bypass (and never
+    /// pollute) the shared block cache.
     pub fn verify(&self) -> Result<(), StorageError> {
-        for meta in &self.manifest.shards {
-            self.verify_shard(meta)
+        for (shard, meta) in self.manifest.shards.iter().enumerate() {
+            self.verify_shard(shard, meta)
                 .map_err(|e| StorageError::CorruptShard {
                     file: meta.name.clone(),
                     error: Box::new(e),
@@ -291,7 +319,7 @@ impl ShardedStore {
         Ok(())
     }
 
-    fn verify_shard(&self, meta: &ShardFileMeta) -> Result<(), StorageError> {
+    fn verify_shard(&self, shard: usize, meta: &ShardFileMeta) -> Result<(), StorageError> {
         let path = self.origin.0.join(&meta.name);
         let (file_len, content_crc) = file_crc32(&path)?;
         if file_len != meta.file_len {
@@ -308,7 +336,28 @@ impl ShardedStore {
         // A scrub-private store: verify() bypasses the cache, and this
         // keeps scrub failures out of the serving error slot.
         let store = PagedStore::open_with_cache_bytes(&path, 1)?;
-        store.verify()
+        store.verify()?;
+        if store.pair_count() != meta.pair_count as usize {
+            return Err(StorageError::BadFormat(format!(
+                "file holds {} pair(s), manifest sealed {}",
+                store.pair_count(),
+                meta.pair_count
+            )));
+        }
+        let (from, to) = self.manifest.range_of(shard);
+        if let (Some(first), Some(last)) = (store.first_key(), store.last_key()?) {
+            if first < from || to.is_some_and(|to| last >= to) {
+                let show = |k: (LabelId, LabelId)| format!("({}, {})", k.0 .0, k.1 .0);
+                return Err(StorageError::BadFormat(format!(
+                    "file holds pairs {} to {}, outside its fence range from {}{}",
+                    show(first),
+                    show(last),
+                    show(from),
+                    to.map_or(String::new(), |to| format!(" up to {}", show(to)))
+                )));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -318,8 +367,8 @@ impl ShardedStore {
 /// directory, a `MANIFEST` path, or a plain single v5 file — the latter
 /// gets a synthesized one-file manifest, so `ktpm blockd` can serve any
 /// snapshot. The file's checksum is streamed, so a store larger than
-/// RAM can be served; its routing walks every index page, and a page
-/// that fails its checks fails the call instead of dropping pairs.
+/// RAM can be served; its one fence and pair count come from the index
+/// head the open verified, so no index page is read.
 pub fn load_snapshot_manifest(store_path: &Path) -> Result<(Manifest, PathBuf), StorageError> {
     let store = match open_local_store(store_path, 1)? {
         LocalStore::Sharded(snapshot) => return Ok((snapshot.manifest, snapshot.origin.0)),
@@ -349,8 +398,9 @@ pub fn load_snapshot_manifest(store_path: &Path) -> Result<(Manifest, PathBuf), 
                 name,
                 file_len,
                 content_crc,
+                pair_count: store.pair_count() as u32,
+                first_key: store.first_key().unwrap_or((LabelId(0), LabelId(0))),
             }],
-            routing: store.try_pair_keys()?.into_iter().map(|k| (k, 0)).collect(),
         },
         dir,
     ))

@@ -227,7 +227,13 @@ pub trait ClosureSource: Send + Sync {
     /// binary-searches its index fence, then the one index page it
     /// lands on (read and verified on first touch),
     /// [`crate::ShardedStore`] and [`crate::RemoteStore`] binary-search
-    /// the manifest's verified routing table.
+    /// the manifest's fences for the one member file whose key range
+    /// holds the pair and ask that file's paged index — so on a cold
+    /// store a probe may open the file and read an index page, a round
+    /// trip each on the remote tier. A plan half therefore announces
+    /// its candidate pairs to [`Self::prefetch`] before it probes them
+    /// (`ktpm_runtime::prefetch_edge_label_pairs`), and the probes find
+    /// their pages read.
     fn has_pair(&self, src_label: LabelId, dst_label: LabelId) -> bool {
         self.pair_keys().contains(&(src_label, dst_label))
     }

@@ -1,6 +1,6 @@
 //! Serializes a [`ClosureTables`] into the on-disk store format —
 //! single-file v5 snapshots and sharded multi-file v5 snapshots with a
-//! v4 `MANIFEST` ([`write_store_sharded`]).
+//! v6 `MANIFEST` ([`write_store_sharded`]).
 
 use crate::format::*;
 use crate::manifest::{Manifest, ShardFileMeta};
@@ -43,11 +43,14 @@ pub fn write_store_v3(
 
 /// Writes a sharded snapshot: one v5 shard file per partition of
 /// `spec`'s split (so `spec.of()` files — any member of the split
-/// names the same layout) plus a CRC'd v4 `MANIFEST` in `dir`, all
-/// sharing the block capacity `block_entries`. Label pairs are routed
-/// round-robin over their sorted order, so shards stay balanced and
-/// the layout is deterministic; the manifest records the explicit
-/// pair → file routing, so readers never depend on the rule.
+/// names the same layout) plus a CRC'd v6 `MANIFEST` in `dir`, all
+/// sharing the block capacity `block_entries`. File `i` of `n` holds
+/// the ascending pair keys `[i·P/n, (i+1)·P/n)` of all `P`: one
+/// contiguous run each, their sizes at most one apart, so shards stay
+/// balanced and the layout is deterministic. The manifest records each
+/// file's first key (its fence) and pair count; a file left without a
+/// pair (fewer pairs than files) takes the next file's fence, or
+/// `(0, 0)` when there are no pairs at all.
 ///
 /// `dir` is created if missing. Open the snapshot via
 /// [`crate::open_store_auto`] on `dir/MANIFEST` (or on `dir` itself).
@@ -68,25 +71,28 @@ pub fn write_store_sharded(
 
     let mut keys: Vec<_> = tables.iter_pairs().map(|(k, _)| k).collect();
     keys.sort_unstable();
-    let mut routing = Vec::with_capacity(keys.len());
-    let mut owned: Vec<Vec<(LabelId, LabelId)>> = vec![Vec::new(); shard_count as usize];
-    for (i, &key) in keys.iter().enumerate() {
-        let shard = (i % shard_count as usize) as u32;
-        routing.push((key, shard));
-        owned[shard as usize].push(key);
-    }
-
-    let mut shards = Vec::with_capacity(shard_count as usize);
-    for (shard, keys) in owned.iter().enumerate() {
+    let files = shard_count as usize;
+    // Where file `i`'s run starts; the last file's run is never empty
+    // while there is a pair, so an empty run's fence is a later file's.
+    let start = |i: usize| i * keys.len() / files;
+    let mut shards = Vec::with_capacity(files);
+    for shard in 0..files {
+        let run = &keys[start(shard)..start(shard + 1)];
+        let first_key = keys
+            .get(start(shard))
+            .copied()
+            .unwrap_or((LabelId(0), LabelId(0)));
         let name = format!("shard-{shard:04}.tc");
         let path = dir.join(&name);
-        write_store_inner(tables, &path, block_entries, Some(keys))?;
+        write_store_inner(tables, &path, block_entries, Some(run))?;
         // Seal the exact bytes just written: length + whole-file CRC.
         let (file_len, content_crc) = file_crc32(&path)?;
         shards.push(ShardFileMeta {
             name,
             file_len,
             content_crc,
+            pair_count: run.len() as u32,
+            first_key,
         });
     }
 
@@ -98,7 +104,6 @@ pub fn write_store_sharded(
         num_labels,
         labels,
         shards,
-        routing,
     };
     std::fs::write(dir.join("MANIFEST"), manifest.encode())?;
     Ok(manifest)

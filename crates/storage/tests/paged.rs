@@ -556,9 +556,18 @@ fn a_synthesized_manifest_seals_the_file_it_describes() {
     let meta = &manifest.shards[0];
     assert_eq!(meta.file_len, bytes.len() as u64);
     assert_eq!(meta.content_crc, crc32(&bytes));
-    let mem = MemStore::new(tables);
-    let routed: Vec<_> = manifest.routing.iter().map(|&(k, _)| k).collect();
-    assert_eq!(routed, mem.pair_keys(), "every pair is routed");
+    // One file, one fence: the file's first key and its pair count, so
+    // every pair falls in its range.
+    let keys = MemStore::new(tables).pair_keys();
+    assert_eq!(manifest.shards.len(), 1);
+    assert_eq!(meta.pair_count as usize, keys.len());
+    assert_eq!(meta.first_key, keys[0]);
+    assert_eq!(manifest.range_of(0), (keys[0], None));
+    assert_eq!(
+        manifest.encode().len(),
+        8 + 16 + 4 * manifest.labels.len() + 4 + meta.name.len() + 8 + 4 + 12 + 4,
+        "O(labels), not O(pairs)"
+    );
     std::fs::remove_file(&path).ok();
 }
 
@@ -596,7 +605,7 @@ fn paged_store_rejects_v1_v2_and_v3_files() {
 #[test]
 fn open_store_auto_dispatches_on_version() {
     // A v5 file opens behind the paged reader and reads like memory
-    // (the v4 MANIFEST arm is `sharded.rs`'s; the refused v1/v2 magics
+    // (the v6 MANIFEST arm is `sharded.rs`'s; the refused v1/v2 magics
     // are the test above).
     let g = paper_graph();
     let tables = ClosureTables::compute(&g);

@@ -1,15 +1,30 @@
-//! Sharded (format v4) snapshot suite: multi-file writes routed by the
-//! CRC'd MANIFEST, lazy per-shard file opens sharing one block cache,
-//! `open_store_auto` dispatch, and whole-snapshot scrubbing.
+//! Sharded snapshot suite: multi-file writes routed by the key ranges
+//! of a CRC'd v6 MANIFEST, lazy per-shard file opens sharing one block
+//! cache, `open_store_auto` dispatch, and whole-snapshot scrubbing.
 
 use ktpm_closure::ClosureTables;
-use ktpm_graph::fixtures::paper_graph;
-use ktpm_graph::{GraphBuilder, LabeledGraph, NodeId};
+use ktpm_graph::fixtures::{label_star, paper_graph};
+use ktpm_graph::{GraphBuilder, LabelId, LabeledGraph, NodeId};
 use ktpm_storage::{
     load_snapshot_manifest, open_store_auto, write_store_sharded, ClosureSource, EdgeCursor,
-    MemStore, ShardSpec, ShardedStore, StorageError,
+    Manifest, MemStore, ShardSpec, ShardedStore, StorageError,
 };
 use std::path::PathBuf;
+
+/// The keys of `keys` inside file `shard`'s fence range, read off the
+/// manifest's fences directly.
+fn in_range(
+    manifest: &Manifest,
+    shard: usize,
+    keys: &[(LabelId, LabelId)],
+) -> Vec<(LabelId, LabelId)> {
+    let from = manifest.shards[shard].first_key;
+    let to = manifest.shards.get(shard + 1).map(|s| s.first_key);
+    keys.iter()
+        .copied()
+        .filter(|&k| k >= from && to.is_none_or(|to| k < to))
+        .collect()
+}
 
 fn tempdir(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -102,6 +117,18 @@ fn sharded_roundtrips_against_mem_across_shard_counts_and_block_sizes() {
             let manifest =
                 write_store_sharded(&tables, &dir, &ShardSpec::new(0, shards), be).unwrap();
             assert_eq!(manifest.shards.len(), shards as usize);
+            // Contiguous runs of the ascending keys, their sizes at
+            // most one apart, each inside its own fence range.
+            let keys = mem.pair_keys();
+            let runs: Vec<_> = (0..shards as usize)
+                .map(|f| in_range(&manifest, f, &keys))
+                .collect();
+            assert_eq!(runs.concat(), keys, "{shards} files");
+            for (f, run) in runs.iter().enumerate() {
+                assert_eq!(manifest.shards[f].pair_count as usize, run.len());
+                let spread = run.len().abs_diff(keys.len() / shards as usize);
+                assert!(spread <= 1, "file {f} of {shards}: {} pairs", run.len());
+            }
             let store = ShardedStore::open(&dir.join("MANIFEST")).unwrap();
             store.verify().unwrap();
             check_equivalent(&mem, &store);
@@ -139,28 +166,29 @@ fn queries_open_only_the_files_their_pairs_route_to() {
     let tables = ClosureTables::compute(&g);
     let dir = tempdir("lazy");
     let manifest = write_store_sharded(&tables, &dir, &ShardSpec::new(0, 3), 64).unwrap();
+    let keys = MemStore::new(tables).pair_keys();
     let store = ShardedStore::open(&dir.join("MANIFEST")).unwrap();
     assert_eq!(store.files_open(), 0, "opening the manifest opens no shard");
 
-    // Touch exactly the pairs routed to shard 0: only that file opens.
-    let owned: Vec<_> = manifest
-        .routing
-        .iter()
-        .filter(|&&(_, s)| s == 0)
-        .map(|&(k, _)| k)
-        .collect();
+    // Touch exactly the pairs in shard 0's range: only that file opens.
+    let owned = in_range(&manifest, 0, &keys);
     assert!(!owned.is_empty());
     for (a, b) in owned {
+        assert!(store.has_pair(a, b));
         store.load_d(a, b);
         store.load_e(a, b);
     }
     assert_eq!(store.files_open(), 1, "only the owning shard file opened");
     assert_eq!(store.io().files_opened, 1);
 
-    // An unrouted pair degrades to empty without opening anything.
-    let absent = ktpm_graph::LabelId(manifest.num_labels);
+    // An absent pair past the last key lies in the last file's range:
+    // that file's own index answers it, so that file — and only it —
+    // opens.
+    let absent = LabelId(manifest.num_labels);
+    assert!(!store.has_pair(absent, absent));
     assert!(store.load_d(absent, absent).is_empty());
-    assert_eq!(store.files_open(), 1);
+    assert_eq!(store.files_open(), 2);
+    assert!(store.take_error().is_none());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -267,12 +295,8 @@ fn missing_shard_file_degrades_to_empty_with_a_sticky_error() {
     let manifest = write_store_sharded(&tables, &dir, &ShardSpec::new(0, 3), 64).unwrap();
     std::fs::remove_file(dir.join("shard-0002.tc")).unwrap();
     let store = ShardedStore::open(&dir.join("MANIFEST")).unwrap();
-    let lost: Vec<_> = manifest
-        .routing
-        .iter()
-        .filter(|&&(_, s)| s == 2)
-        .map(|&(k, _)| k)
-        .collect();
+    let mem = MemStore::new(tables);
+    let lost = in_range(&manifest, 2, &mem.pair_keys());
     assert!(!lost.is_empty());
     for (a, b) in lost {
         assert!(store.load_d(a, b).is_empty());
@@ -282,15 +306,146 @@ fn missing_shard_file_degrades_to_empty_with_a_sticky_error() {
     assert!(err.to_string().contains("shard"), "{err}");
     assert!(store.take_error().is_none(), "take_error drains the slot");
     // Pairs on healthy shards still answer.
-    let ok: Vec<_> = manifest
-        .routing
-        .iter()
-        .filter(|&&(_, s)| s == 0)
-        .map(|&(k, _)| k)
-        .collect();
-    let mem = MemStore::new(tables);
+    let ok = in_range(&manifest, 0, &mem.pair_keys());
+    assert!(!ok.is_empty());
     for (a, b) in ok {
         assert_eq!(store.load_d(a, b), mem.load_d(a, b));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn fewer_pairs_than_files_leaves_files_that_never_open() {
+    // `label_star(2)` has the two pairs (0, 1) and (0, 3); over five
+    // files, three hold none. Every pair is still found, a file holding
+    // no pair is never opened, and a pair before the first fence opens
+    // nothing at all.
+    let tables = ClosureTables::compute(&label_star(2));
+    let mem = MemStore::new(tables.clone());
+    let dir = tempdir("sparse");
+    let manifest = write_store_sharded(&tables, &dir, &ShardSpec::new(0, 5), 4).unwrap();
+    let counts: Vec<u32> = manifest.shards.iter().map(|s| s.pair_count).collect();
+    assert_eq!(counts, [0, 0, 1, 0, 1]);
+    let store = ShardedStore::open(&dir.join("MANIFEST")).unwrap();
+    assert!(
+        !store.has_pair(LabelId(0), LabelId(0)),
+        "below the first fence"
+    );
+    assert!(store.load_d(LabelId(0), LabelId(0)).is_empty());
+    assert_eq!(
+        store.files_open(),
+        0,
+        "a pair before the first fence opens nothing"
+    );
+    check_equivalent(&mem, &store);
+    assert_eq!(store.pair_keys(), mem.pair_keys());
+    assert_eq!(
+        store.files_open(),
+        2,
+        "only the files holding a pair opened"
+    );
+    assert_eq!(store.io().files_opened, 2);
+    store.verify().unwrap();
+    assert!(store.take_error().is_none());
+    std::fs::remove_dir_all(&dir).ok();
+
+    // No pair at all: every file is empty, and nothing ever opens.
+    let tables = ClosureTables::compute(&label_star(0));
+    let dir = tempdir("no-pairs");
+    write_store_sharded(&tables, &dir, &ShardSpec::new(0, 3), 4).unwrap();
+    let store = ShardedStore::open(&dir.join("MANIFEST")).unwrap();
+    assert!(store.pair_keys().is_empty());
+    assert!(!store.has_pair(LabelId(0), LabelId(0)));
+    assert!(!store.has_pair(LabelId(7), LabelId(7)));
+    assert_eq!(store.files_open(), 0);
+    store.verify().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn verify_refuses_fences_that_disagree_with_a_member_s_keys() {
+    let g = dense_graph(30, 4);
+    let tables = ClosureTables::compute(&g);
+    let keys = MemStore::new(tables.clone()).pair_keys();
+    let dir = tempdir("fences");
+    let manifest = write_store_sharded(&tables, &dir, &ShardSpec::new(0, 3), 4).unwrap();
+    let file1 = in_range(&manifest, 1, &keys);
+    assert!(file1.len() >= 2);
+    // Hand-built manifests: still sealed and ordered, so they decode;
+    // only the scrub, which reads the members, can tell.
+    let raised = {
+        // File 1's fence above its own first key: that key falls in
+        // file 0's range instead.
+        let mut m = manifest.clone();
+        m.shards[1].first_key = file1[1];
+        m
+    };
+    let lowered = {
+        // File 2's fence at file 1's last key: that key falls outside
+        // file 1's range.
+        let mut m = manifest.clone();
+        m.shards[2].first_key = file1[file1.len() - 1];
+        m
+    };
+    let recounted = {
+        let mut m = manifest.clone();
+        m.shards[1].pair_count += 1;
+        m
+    };
+    for (what, m, says) in [
+        ("raised", raised, "fence range"),
+        ("lowered", lowered, "fence range"),
+        ("recounted", recounted, "pair(s)"),
+    ] {
+        std::fs::write(dir.join("MANIFEST"), m.encode()).unwrap();
+        let store = ShardedStore::open(&dir.join("MANIFEST")).unwrap();
+        match store.verify() {
+            Err(StorageError::CorruptShard { file, error }) => {
+                assert_eq!(file, "shard-0001.tc", "{what}");
+                assert!(
+                    matches!(&*error, StorageError::BadFormat(m) if m.contains(says)),
+                    "{what}: {error}"
+                );
+            }
+            other => panic!("{what}: expected CorruptShard, got {other:?}"),
+        }
+    }
+    std::fs::write(dir.join("MANIFEST"), manifest.encode()).unwrap();
+    ShardedStore::open(&dir.join("MANIFEST"))
+        .unwrap()
+        .verify()
+        .unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_v4_manifest_is_refused_on_every_open_path() {
+    let tables = ClosureTables::compute(&paper_graph());
+    let dir = tempdir("v4");
+    write_store_sharded(&tables, &dir, &ShardSpec::new(0, 2), 64).unwrap();
+    let path = dir.join("MANIFEST");
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[..8].copy_from_slice(b"KTPMCLO4");
+    std::fs::write(&path, &bytes).unwrap();
+    for (via, res) in [
+        ("ShardedStore::open", ShardedStore::open(&path).map(|_| ())),
+        (
+            "open_store_auto(MANIFEST)",
+            open_store_auto(&path, None).map(|_| ()),
+        ),
+        (
+            "open_store_auto(dir)",
+            open_store_auto(&dir, None).map(|_| ()),
+        ),
+        (
+            "load_snapshot_manifest",
+            load_snapshot_manifest(&dir).map(|_| ()),
+        ),
+    ] {
+        assert!(
+            matches!(&res, Err(StorageError::BadFormat(m)) if m.contains("ktpm closure --shards")),
+            "{via}: {res:?}"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -3,7 +3,7 @@
 //! ```text
 //! ktpm closure <graph.txt> <store.tc>          precompute + persist the closure
 //! ktpm closure <graph.txt> <dir> --shards <n>  ... as a sharded snapshot: n v5
-//!                                              shard files + a v4 MANIFEST
+//!                                              shard files + a v6 MANIFEST
 //! ktpm query   <graph.txt> <query.txt> [opts]  run a top-k twig query
 //! ktpm serve   <graph.txt> [opts]              run the TCP query service
 //! ktpm blockd  --store <path> [--listen a]     serve a snapshot's raw blocks
@@ -276,8 +276,9 @@ fn cmd_closure(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let tables = ClosureTables::compute(&g);
     let stats = tables.stats();
     let wrote = match shards {
-        // Sharded snapshot: one v5 file per partition + a v4 MANIFEST
-        // in the output directory; open it via the MANIFEST path.
+        // Sharded snapshot: one v5 file per contiguous run of pairs + a
+        // v6 MANIFEST of their key ranges in the output directory; open
+        // it via the MANIFEST path.
         Some(n) if n > 0 => {
             let spec = ShardSpec::new(0, n);
             let manifest = write_store_sharded(
@@ -286,10 +287,18 @@ fn cmd_closure(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 &spec,
                 block_entries.unwrap_or(DEFAULT_BLOCK_EDGES),
             )?;
+            let show = |k: (LabelId, LabelId)| format!("({}, {})", k.0 .0, k.1 .0);
+            let ranges: Vec<String> = (0..manifest.shards.len())
+                .map(|i| match manifest.range_of(i) {
+                    (from, Some(to)) => format!("[{}, {})", show(from), show(to)),
+                    (from, None) => format!("[{}, end)", show(from)),
+                })
+                .collect();
             format!(
-                "{out_path}/MANIFEST ({} shard files, {} routed pairs)",
+                "{out_path}/MANIFEST ({} shard files, {} pairs; key ranges {})",
                 manifest.shards.len(),
-                manifest.routing.len()
+                manifest.pair_count(),
+                ranges.join(" ")
             )
         }
         Some(_) => return Err("--shards needs a nonzero count".into()),
@@ -677,7 +686,7 @@ fn cmd_store(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         LocalStore::Sharded(store) => {
             store.verify().map_err(named)?;
             println!(
-                "{store_arg}: OK (v4 sharded, manifest + {} shard file(s) scrubbed, {:?})",
+                "{store_arg}: OK (v6 sharded, manifest + {} shard file(s) scrubbed, {:?})",
                 store.shard_count(),
                 t.elapsed()
             );
