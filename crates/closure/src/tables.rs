@@ -56,15 +56,20 @@ impl PairTable {
         min_out.sort_unstable_by_key(|&(s, _, _)| s);
 
         // Incoming layout: group by destination, sort groups by (dist, src).
+        // The groups are counted first, so both group vectors are sized
+        // exactly: a closure holds tens of thousands of tables, and
+        // push-growth slack in each adds up.
         triples.sort_unstable_by_key(|&(s, d, w)| (d, w, s));
-        let mut dst_nodes = Vec::new();
-        let mut dst_offsets = vec![0u32];
+        let groups = triples.windows(2).filter(|w| w[0].1 != w[1].1).count()
+            + usize::from(!triples.is_empty());
+        let mut dst_nodes = Vec::with_capacity(groups);
+        let mut dst_offsets = Vec::with_capacity(groups + 1);
+        dst_offsets.push(0u32);
         let mut in_entries = Vec::with_capacity(triples.len());
         for (s, d, w) in triples {
             if dst_nodes.last() != Some(&d) {
                 dst_nodes.push(d);
                 dst_offsets.push(in_entries.len() as u32);
-                *dst_offsets.last_mut().unwrap() = in_entries.len() as u32;
             }
             in_entries.push((s, w));
             *dst_offsets.last_mut().unwrap() = in_entries.len() as u32;
@@ -147,7 +152,12 @@ pub struct ClosureStats {
 pub struct ClosureTables {
     num_nodes: usize,
     labels: Vec<LabelId>,
-    pairs: HashMap<PairKey, PairTable>,
+    /// The non-empty pairs, strictly ascending; a pair is found by binary
+    /// search. A sorted array costs 8 bytes a pair where a hash map
+    /// costs a bucket of key and table, a third of them empty.
+    keys: Vec<PairKey>,
+    /// `keys[i]`'s table at position `i`.
+    tables: Vec<PairTable>,
     total_edges: usize,
 }
 
@@ -200,18 +210,19 @@ impl ClosureTables {
                 merged.entry(k).or_default().append(&mut v);
             }
         }
-        let mut total = 0;
-        let pairs: HashMap<PairKey, PairTable> = merged
+        let mut merged: Vec<_> = merged.into_iter().collect();
+        merged.sort_unstable_by_key(|&(k, _)| k);
+        let total = merged.iter().map(|(_, triples)| triples.len()).sum();
+        let keys = merged.iter().map(|&(k, _)| k).collect();
+        let tables = merged
             .into_iter()
-            .map(|(k, triples)| {
-                total += triples.len();
-                (k, PairTable::from_triples(triples))
-            })
+            .map(|(_, triples)| PairTable::from_triples(triples))
             .collect();
         ClosureTables {
             num_nodes: n,
             labels: g.nodes().map(|v| g.label(v)).collect(),
-            pairs,
+            keys,
+            tables,
             total_edges: total,
         }
     }
@@ -233,12 +244,13 @@ impl ClosureTables {
 
     /// The `Lᵅᵦ` table for a label pair, if non-empty.
     pub fn pair(&self, src_label: LabelId, dst_label: LabelId) -> Option<&PairTable> {
-        self.pairs.get(&(src_label, dst_label))
+        let i = self.keys.binary_search(&(src_label, dst_label)).ok()?;
+        Some(&self.tables[i])
     }
 
-    /// Iterates all non-empty tables.
+    /// Iterates all non-empty tables, in ascending key order.
     pub fn iter_pairs(&self) -> impl Iterator<Item = (PairKey, &PairTable)> {
-        self.pairs.iter().map(|(&k, t)| (k, t))
+        self.keys.iter().copied().zip(&self.tables)
     }
 
     /// All tables whose *destination* label is `dst_label` — needed to
@@ -247,10 +259,9 @@ impl ClosureTables {
         &self,
         dst_label: LabelId,
     ) -> impl Iterator<Item = (LabelId, &PairTable)> {
-        self.pairs
-            .iter()
-            .filter(move |((_, b), _)| *b == dst_label)
-            .map(|(&(a, _), t)| (a, t))
+        self.iter_pairs()
+            .filter(move |&((_, b), _)| b == dst_label)
+            .map(|((a, _), t)| (a, t))
     }
 
     /// Point lookup `δ_min(u, v)`.
@@ -262,21 +273,31 @@ impl ClosureTables {
     /// Replaces one `Lᵅᵦ` table from raw triples, dropping it when empty.
     /// Edge accounting stays consistent; used by the incremental repair.
     pub(crate) fn set_pair_triples(&mut self, key: PairKey, triples: Vec<(NodeId, NodeId, Dist)>) {
-        if let Some(old) = self.pairs.remove(&key) {
-            self.total_edges -= old.num_edges();
+        let at = self.keys.binary_search(&key);
+        if let Ok(i) = at {
+            self.total_edges -= self.tables[i].num_edges();
         }
-        if !triples.is_empty() {
-            self.total_edges += triples.len();
-            self.pairs.insert(key, PairTable::from_triples(triples));
+        self.total_edges += triples.len();
+        match (at, triples.is_empty()) {
+            (Ok(i), false) => self.tables[i] = PairTable::from_triples(triples),
+            (Ok(i), true) => {
+                self.keys.remove(i);
+                self.tables.remove(i);
+            }
+            (Err(i), false) => {
+                self.keys.insert(i, key);
+                self.tables.insert(i, PairTable::from_triples(triples));
+            }
+            (Err(_), true) => {}
         }
     }
 
     /// θ — average edges per non-empty label-pair type.
     pub fn theta(&self) -> f64 {
-        if self.pairs.is_empty() {
+        if self.keys.is_empty() {
             0.0
         } else {
-            self.total_edges as f64 / self.pairs.len() as f64
+            self.total_edges as f64 / self.keys.len() as f64
         }
     }
 
@@ -285,7 +306,7 @@ impl ClosureTables {
         ClosureStats {
             nodes: self.num_nodes,
             edges: self.total_edges,
-            pairs: self.pairs.len(),
+            pairs: self.keys.len(),
             theta: self.theta(),
         }
     }

@@ -32,6 +32,41 @@
 //! `Q_g` entries the seeds imply are derived from the rows' first
 //! entries in one pass. Per-candidate state is one flat array per
 //! field, indexed by [`CandidateSets::flat`].
+//!
+//! # Reading ahead along `Q_g`
+//!
+//! Expansion opens the `Lᵅᵥ` cursors one at a time, in `Q_g` order, and
+//! on the remote tier each first block is a round trip. So before a
+//! candidate opens its cursor, the loader offers the store its run
+//! ([`ClosureSource::prefetch_incoming`]). Only when the store says the
+//! open is a round trip — the block is neither cached nor local — does
+//! the loader list what it expects to open next: the runs of the
+//! `READ_AHEAD` (B) lowest-key `Q_g` entries that are live (current
+//! version), not roots, unopened and not yet announced, and whose
+//! parent has a single source label (a wildcard parent merges eagerly
+//! and is skipped, as the cursor open does). The store fetches the
+//! offered run's first block and theirs in one batch per file; each
+//! later open among them is then a cache hit. The scan is
+//! O(|Q_g| log B) and runs only on such an open, so a store that never
+//! makes a round trip — memory, a local file — never pays for it.
+//! Listed runs are marked announced in their cursor state and are not
+//! offered again. Edges are counted when a cursor delivers them, so
+//! reading ahead never grows the loaded `m'_R`.
+//!
+//! B was chosen by simulating the rule in the loader over the
+//! benchmark's `remote-cold` queries (k = 20); a miss is an open whose
+//! run was not yet announced, one round trip each:
+//!
+//! | B | misses before the first match | misses after | blocks read ahead, never used |
+//! |---|---|---|---|
+//! | 0 | 15.0 | 31.9 | 0 |
+//! | 4 | 3.6 | 6.1 | 0.1 |
+//! | 8 | 3.3 | 2.3 | 0.3 |
+//! | **16** | **3.3** | **0.4** | **0.3** |
+//! | 32 / 64 | 3.3 | 0.2 | 0.3 |
+//!
+//! The misses left come from candidates that enter `Q_g` only after
+//! another candidate is expanded.
 
 use crate::lawler::SlotLists;
 use crate::plan::LazySetup;
@@ -55,11 +90,19 @@ pub enum BoundMode {
     Loose,
 }
 
+/// How many more runs a cursor open that costs a round trip announces
+/// to the store: the B of the module docs' read-ahead rule, where its
+/// table shows why 16.
+const READ_AHEAD: usize = 16;
+
 /// A candidate's incoming cursor, which also carries its `eᵥ` once
 /// loading starts: before, `eᵥ` is the setup's `dᵅᵥ`, so a session
 /// copies no bounds.
 enum CursorState {
     Unopened,
+    /// Not yet open, but announced to the store by an earlier open's
+    /// read-ahead; `eᵥ` is still `dᵅᵥ`.
+    Announced,
     /// The open cursor and the last distance it loaded.
     Open(Box<dyn EdgeCursor + Send>, Dist),
     Exhausted,
@@ -310,7 +353,7 @@ impl<'s> PriorityLoader<'s> {
     /// loaded distance, and ∞ once nothing is left to load.
     fn ev(&self, f: usize) -> Dist {
         match self.cursor[f] {
-            CursorState::Unopened => self.setup.evs[f],
+            CursorState::Unopened | CursorState::Announced => self.setup.evs[f],
             CursorState::Open(_, last) => last,
             CursorState::Exhausted => INF_DIST,
         }
@@ -410,8 +453,15 @@ impl<'s> PriorityLoader<'s> {
         let f = self.flat(u, i);
         let bsv = self.bs_bar[f];
         debug_assert_ne!(bsv, Score::MAX, "expanded nodes are active");
-        if matches!(self.cursor[f], CursorState::Unopened) {
-            self.cursor[f] = self.open_cursor(un, i, self.setup.evs[f]);
+        match self.cursor[f] {
+            CursorState::Unopened => {
+                self.read_ahead(un, i);
+                self.cursor[f] = self.open_cursor(un, i, self.setup.evs[f]);
+            }
+            CursorState::Announced => {
+                self.cursor[f] = self.open_cursor(un, i, self.setup.evs[f]);
+            }
+            CursorState::Open(..) | CursorState::Exhausted => {}
         }
         // The parent indices whose list an `E`-seed already filled with
         // this candidate's edge, ascending.
@@ -464,6 +514,51 @@ impl<'s> PriorityLoader<'s> {
             }
         }
         self.inserts = inserts;
+    }
+
+    /// The read-ahead rule (module docs), before candidate `i` of `u`
+    /// opens its cursor: offers the store its run, and, if the store
+    /// says the open is a round trip, the runs of the [`READ_AHEAD`]
+    /// lowest-key live `Q_g` entries that are not roots, whose cursors
+    /// are unopened and unannounced, and whose parents have one source
+    /// label. Every run offered is marked announced, so none is offered
+    /// twice. A wildcard parent's cursor merges eagerly and is skipped.
+    fn read_ahead(&mut self, u: QNodeId, i: u32) {
+        let setup = &*self.setup;
+        let &[a] = &setup.src_labels[u.index()][..] else {
+            return;
+        };
+        let cursor = &mut self.cursor;
+        cursor[setup.cands.flat(u, i)] = CursorState::Announced;
+        let (qg, version) = (&self.qg, &self.version);
+        let run = (a, setup.cands.node(u, i));
+        self.source.get().prefetch_incoming(run, &mut |runs| {
+            // A max-heap of the smallest keys seen: O(|Q_g| log B).
+            let mut best = BinaryHeap::with_capacity(READ_AHEAD);
+            for &Reverse((lb, u, i, ver)) in qg.iter() {
+                let f = setup.cands.flat(QNodeId(u), i);
+                if u == 0
+                    || version[f] != ver
+                    || !matches!(cursor[f], CursorState::Unopened)
+                    || setup.src_labels[u as usize].len() != 1
+                {
+                    continue;
+                }
+                let key = (lb, u, i);
+                if best.len() == READ_AHEAD {
+                    if best.peek().is_some_and(|&worst| key >= worst) {
+                        continue;
+                    }
+                    best.pop();
+                }
+                best.push(key);
+            }
+            for (_, u, i) in best.into_sorted_vec() {
+                let u = QNodeId(u);
+                cursor[setup.cands.flat(u, i)] = CursorState::Announced;
+                runs.push((setup.src_labels[u.index()][0], setup.cands.node(u, i)));
+            }
+        });
     }
 
     /// Opens the incoming cursor of candidate `i` of `u`. Multi-label
@@ -530,9 +625,11 @@ mod tests {
     use super::*;
     use ktpm_closure::ClosureTables;
     use ktpm_graph::fixtures::paper_graph;
+    use ktpm_graph::LabelId;
     use ktpm_graph::LabeledGraph;
     use ktpm_query::TreeQuery;
-    use ktpm_storage::MemStore;
+    use ktpm_storage::{IncomingRun, IoSnapshot, MemStore};
+    use std::sync::Mutex;
 
     fn first_score(g: &LabeledGraph, query: &str, bound: BoundMode) -> (Option<Score>, u64) {
         let q = TreeQuery::parse(query).unwrap().resolve(g.interner());
@@ -629,6 +726,181 @@ mod tests {
             loader.edges_inserted() < full,
             "lazy loading must not materialize the full run-time graph ({} vs {full})",
             loader.edges_inserted()
+        );
+    }
+
+    /// `MemStore`'s answers from a store on which every cursor open the
+    /// loader offers costs a round trip: each offer asks for the
+    /// read-ahead, and the store records the list, offered run first.
+    struct Ahead {
+        inner: MemStore,
+        lists: Mutex<Vec<Vec<IncomingRun>>>,
+    }
+
+    impl Ahead {
+        fn new(inner: MemStore) -> Self {
+            Ahead {
+                inner,
+                lists: Mutex::new(Vec::new()),
+            }
+        }
+
+        fn lists(&self) -> Vec<Vec<IncomingRun>> {
+            std::mem::take(&mut self.lists.lock().unwrap())
+        }
+    }
+
+    impl ClosureSource for Ahead {
+        fn num_nodes(&self) -> usize {
+            self.inner.num_nodes()
+        }
+        fn node_label(&self, v: NodeId) -> LabelId {
+            self.inner.node_label(v)
+        }
+        fn pair_keys(&self) -> Vec<(LabelId, LabelId)> {
+            self.inner.pair_keys()
+        }
+        fn has_pair(&self, a: LabelId, b: LabelId) -> bool {
+            self.inner.has_pair(a, b)
+        }
+        fn load_d(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, Dist)> {
+            self.inner.load_d(a, b)
+        }
+        fn load_e(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, NodeId, Dist)> {
+            self.inner.load_e(a, b)
+        }
+        fn load_pair(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, NodeId, Dist)> {
+            self.inner.load_pair(a, b)
+        }
+        fn incoming_cursor(&self, a: LabelId, v: NodeId) -> Box<dyn EdgeCursor + Send> {
+            self.inner.incoming_cursor(a, v)
+        }
+        fn lookup_dist(&self, u: NodeId, v: NodeId) -> Option<Dist> {
+            self.inner.lookup_dist(u, v)
+        }
+        fn io(&self) -> IoSnapshot {
+            self.inner.io()
+        }
+        fn reset_io(&self) {
+            self.inner.reset_io()
+        }
+        fn prefetch_incoming(&self, run: IncomingRun, more: &mut dyn FnMut(&mut Vec<IncomingRun>)) {
+            let mut runs = vec![run];
+            more(&mut runs);
+            self.lists.lock().unwrap().push(runs);
+        }
+    }
+
+    /// A 300-node workload graph over five labels.
+    fn workload_graph() -> LabeledGraph {
+        ktpm_workload::generate(&ktpm_workload::GraphSpec {
+            nodes: 300,
+            labels: 5,
+            label_skew: 0.3,
+            avg_out_degree: 3.0,
+            community: 40,
+            cross_fraction: 0.1,
+            weight_range: (1, 3),
+            seed: 0x5EED,
+        })
+    }
+
+    #[test]
+    fn read_ahead_offers_each_run_once_and_changes_no_answer() {
+        // Over a store where every offered open is a round trip, a
+        // session streams memory's matches and loads the same edges;
+        // each open offers a run no earlier list held, with at most
+        // READ_AHEAD runs announced behind it, and no run is listed
+        // twice. The announced runs then open without an offer.
+        use crate::TopkEnEnumerator;
+        let g = workload_graph();
+        let tables = ClosureTables::compute(&g);
+        let mut announced = 0;
+        for text in [
+            "L0 -> L1\nL0 -> L2\nL1 -> L3\nL2 -> L4",
+            "L1 -> L0\nL1 -> L2\nL2 -> L3",
+            "L2 -> L3\nL3 -> L4\nL3 -> L0\nL4 -> L1",
+        ] {
+            let q = TreeQuery::parse(text).unwrap().resolve(g.interner());
+            let mem = MemStore::with_block_edges(tables.clone(), 2);
+            let ahead = Ahead::new(MemStore::with_block_edges(tables.clone(), 2));
+            let want: Vec<_> = TopkEnEnumerator::new(&q, &mem).take(300).collect();
+            let got: Vec<_> = TopkEnEnumerator::new(&q, &ahead).take(300).collect();
+            assert!(!want.is_empty(), "{text}");
+            assert_eq!(got, want, "{text}");
+            assert_eq!(ahead.io().edges_read, mem.io().edges_read, "{text}");
+            let lists = ahead.lists();
+            let mut seen = std::collections::HashSet::new();
+            for list in &lists {
+                assert!(list.len() <= 1 + READ_AHEAD, "{text}: {} runs", list.len());
+                for &run in list {
+                    assert!(seen.insert(run), "{text}: {run:?} listed twice");
+                }
+                announced += list.len() - 1;
+            }
+        }
+        assert!(announced > 0, "no open read ahead");
+    }
+
+    #[test]
+    fn read_ahead_announces_the_lowest_live_unopened_keys() {
+        // The runs behind an offered open are exactly the READ_AHEAD
+        // smallest `Q_g` keys among live, non-root entries whose cursor
+        // is unopened and unannounced, lowest first; each is then
+        // marked announced. Checked from the start state and after
+        // expansions.
+        let g = workload_graph();
+        let q = TreeQuery::parse("L0 -> L1\nL0 -> L2\nL1 -> L3\nL2 -> L4")
+            .unwrap()
+            .resolve(g.interner());
+        let store = Ahead::new(MemStore::with_block_edges(ClosureTables::compute(&g), 2));
+        let mut lists = SlotLists::default();
+        let mut loader = PriorityLoader::new(&q, &store, BoundMode::Tight, &mut lists);
+        let mut full = 0;
+        for _ in 0..4 {
+            let eligible = |l: &PriorityLoader<'_>| {
+                let live = |u: u32, i: u32, ver: u32| {
+                    let f = l.flat(u, i);
+                    u != 0
+                        && l.version[f] == ver
+                        && matches!(l.cursor[f], CursorState::Unopened)
+                        && l.setup.src_labels[u as usize].len() == 1
+                };
+                let mut keys: Vec<(Score, u32, u32)> =
+                    l.qg.iter()
+                        .filter(|&&Reverse((_, u, i, ver))| live(u, i, ver))
+                        .map(|&Reverse((lb, u, i, _))| (lb, u, i))
+                        .collect();
+                keys.sort_unstable();
+                keys
+            };
+            store.lists();
+            let keys = eligible(&loader);
+            let Some(&(_, u, i)) = keys.first() else {
+                break;
+            };
+            let run_of = |&(_, u, i): &(Score, u32, u32)| {
+                let u = QNodeId(u);
+                (
+                    loader.setup.src_labels[u.index()][0],
+                    loader.setup.cands.node(u, i),
+                )
+            };
+            let want: Vec<_> = keys.iter().take(1 + READ_AHEAD).map(run_of).collect();
+            full += usize::from(want.len() == 1 + READ_AHEAD);
+            loader.read_ahead(QNodeId(u), i);
+            assert_eq!(store.lists(), vec![want]);
+            for key in keys.iter().take(1 + READ_AHEAD) {
+                let f = loader.flat(key.1, key.2);
+                assert!(matches!(loader.cursor[f], CursorState::Announced));
+            }
+            for _ in 0..3 {
+                loader.expand_top(&mut lists);
+            }
+        }
+        assert!(
+            full > 0,
+            "no list was full: the check compared short lists only"
         );
     }
 }

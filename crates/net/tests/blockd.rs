@@ -16,7 +16,7 @@ use ktpm_net::BlockServer;
 use ktpm_query::{ResolvedQuery, TreeQuery};
 use ktpm_storage::{
     blockproto, open_store_uri, write_store, write_store_sharded, ClosureSource, MemStore,
-    PagedStore, RemoteOptions, RemoteStore, ShardSpec, ShardedStore, StorageError,
+    PagedStore, RemoteOptions, RemoteStore, Sections, ShardSpec, ShardedStore, StorageError,
     INDEX_PAGE_ENTRIES,
 };
 use std::io::{ErrorKind, Read, Write};
@@ -548,6 +548,124 @@ fn wildcard_queries_over_tcp_read_each_file_s_index_in_one_batch() {
     for store in [lazy, full] {
         assert!(store.take_error().is_none());
     }
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Round trips a cold `Topk-EN` session may make over `tcp://` after
+/// its plan half's (7–10 on the queries below, against 110–159
+/// single-block reads over the local file): the cursor opens whose runs
+/// entered `Q_g` only after an earlier read-ahead, each a round trip
+/// that reads the next runs ahead again.
+const CURSOR_TRIPS: u64 = 12;
+
+#[test]
+fn topk_en_over_tcp_reads_its_cursors_ahead_in_a_few_round_trips() {
+    // Topk-EN opens its cursors one at a time, in `Q_g` order. Over
+    // tcp:// a cold open fetches its own first block and those of the
+    // next runs on `Q_g` in one FETCH, so each session streams memory's
+    // matches, loads the same edges as over the local file, and makes
+    // at most CURSOR_TRIPS round trips after its plan half's — where
+    // the local file reads one block per cursor open.
+    let g = dense_graph(240, 5);
+    let tables = ClosureTables::compute(&g);
+    let mem = MemStore::new(tables.clone()).into_shared();
+    let path = tempdir("read-ahead.tc");
+    write_store(&tables, &path).unwrap();
+    let server = BlockServer::spawn(&path, ("127.0.0.1", 0)).unwrap();
+    let mut opens = 0;
+    for text in [
+        "L0 -> L1\nL0 -> L2\nL1 -> L3\nL2 -> L4",
+        "L1 -> L0\nL1 -> L2\nL2 -> L3",
+        "L2 -> L3\nL3 -> L4\nL3 -> L0\nL4 -> L1",
+        "L4 -> L0\nL4 -> L1\nL4 -> L2",
+    ] {
+        let q = resolve(&g, text);
+        let want: Vec<_> = TopkEnEnumerator::from_plan(&QueryPlan::new(q.clone(), mem.clone()))
+            .take(20)
+            .collect();
+        assert!(!want.is_empty(), "{text}");
+        let session = |store: ktpm_storage::SharedSource| {
+            let plan = QueryPlan::new(q.clone(), store.clone());
+            let stream = TopkEnEnumerator::from_plan(&plan);
+            let before = store.io();
+            assert_eq!(stream.take(20).collect::<Vec<_>>(), want, "{text}");
+            assert!(store.take_error().is_none(), "{text}");
+            (before, store.io())
+        };
+        let (before, local) = session(PagedStore::open(&path).unwrap().into_shared());
+        let local_opens = local.block_reads - before.block_reads;
+        opens += local_opens;
+        let remote = RemoteStore::connect(&server.local_addr().to_string()).unwrap();
+        let (before, after) = session(remote.into_shared());
+        assert_eq!(after.edges_read, local.edges_read, "{text}: edges loaded");
+        let trips = after.remote_fetches - before.remote_fetches;
+        assert!(
+            trips <= CURSOR_TRIPS,
+            "{text}: {trips} round trips for {local_opens} cursor reads"
+        );
+    }
+    assert!(
+        opens > 4 * CURSOR_TRIPS,
+        "{opens} cursor reads over the local file"
+    );
+    server.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_read_ahead_batch_is_one_fetch_per_touched_file() {
+    // Over a 3-file snapshot, an offered cold open whose read-ahead
+    // list spans every file fetches the listed first blocks in one
+    // FETCH per file; every listed open is then a cache hit, and reads
+    // what memory holds.
+    let g = dense_graph(90, 5);
+    let tables = ClosureTables::compute(&g);
+    let mem = MemStore::new(tables.clone());
+    let dir = tempdir("read-ahead-files");
+    let manifest = write_store_sharded(&tables, &dir, &ShardSpec::new(0, 3), 4).unwrap();
+    let server = BlockServer::spawn(&dir, ("127.0.0.1", 0)).unwrap();
+    let store = RemoteStore::connect(&server.local_addr().to_string()).unwrap();
+    // One pair from each file, its directory read as a lazy half would.
+    let pairs: Vec<(LabelId, LabelId)> = manifest.shards.iter().map(|m| m.first_key).collect();
+    let lazy = |_| Sections {
+        d: true,
+        directory: true,
+        ..Sections::default()
+    };
+    store.prefetch(&[Vec::new(), pairs.clone()], &lazy);
+    assert_eq!(store.files_open(), 3);
+    let runs: Vec<Vec<(LabelId, NodeId)>> = pairs
+        .iter()
+        .map(|&(a, b)| mem.load_d(a, b).into_iter().map(|(v, _)| (a, v)).collect())
+        .collect();
+    assert!(runs.iter().all(|r| r.len() >= 2), "{runs:?}");
+    // The offered run is file 0's first; the rest interleave the files.
+    let mut list = vec![runs[0][0]];
+    for k in 0..runs.iter().map(Vec::len).max().unwrap() {
+        for (f, file_runs) in runs.iter().enumerate() {
+            if (f, k) != (0, 0) && list.len() <= 16 {
+                list.extend(file_runs.get(k));
+            }
+        }
+    }
+    let before = store.io().remote_fetches;
+    let mut asked = 0;
+    store.prefetch_incoming(list[0], &mut |more| {
+        asked += 1;
+        more.extend(&list[1..]);
+    });
+    assert_eq!(asked, 1);
+    assert_eq!(store.io().remote_fetches - before, 3, "one FETCH per file");
+    for &(a, v) in &list {
+        store.prefetch_incoming((a, v), &mut |_| asked += 1);
+        let block = store.incoming_cursor(a, v).next_block();
+        let whole = mem.tables().pair(a, mem.node_label(v)).unwrap().incoming(v);
+        assert_eq!(block, whole[..block.len()], "run ({a:?}, {v:?})");
+    }
+    assert_eq!(asked, 1, "every listed open finds its block cached");
+    assert_eq!(store.io().remote_fetches - before, 3, "and reads nothing");
+    assert!(store.take_error().is_none());
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -88,7 +88,7 @@ pub use remote::{blockproto, open_store_uri, RemoteOptions, RemoteStore};
 pub use shard::ShardSpec;
 pub use sharded::{load_snapshot_manifest, RoutedStore, ShardedStore};
 pub use source::{
-    merge_sorted_blocks, ClosureSource, DeltaReport, EdgeCursor, Sections, SharedSource, SourceRef,
-    StorageError,
+    merge_sorted_blocks, ClosureSource, DeltaReport, EdgeCursor, IncomingRun, Sections,
+    SharedSource, SourceRef, StorageError,
 };
 pub use writer::{write_store, write_store_sharded, write_store_v3};

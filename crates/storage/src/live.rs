@@ -98,9 +98,7 @@ impl ClosureSource for LiveStore {
 
     fn pair_keys(&self) -> Vec<(LabelId, LabelId)> {
         let inner = self.inner.read().expect("live store poisoned");
-        let mut keys: Vec<_> = inner.tables.iter_pairs().map(|(k, _)| k).collect();
-        keys.sort_unstable();
-        keys
+        inner.tables.iter_pairs().map(|(k, _)| k).collect()
     }
 
     fn has_pair(&self, a: LabelId, b: LabelId) -> bool {

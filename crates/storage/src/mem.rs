@@ -70,9 +70,7 @@ impl ClosureSource for MemStore {
     }
 
     fn pair_keys(&self) -> Vec<(LabelId, LabelId)> {
-        let mut keys: Vec<_> = self.tables.iter_pairs().map(|(k, _)| k).collect();
-        keys.sort_unstable();
-        keys
+        self.tables.iter_pairs().map(|(k, _)| k).collect()
     }
 
     fn has_pair(&self, a: LabelId, b: LabelId) -> bool {

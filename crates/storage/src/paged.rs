@@ -46,6 +46,13 @@
 //! a local file a batch is a loop of reads; over the network it is one
 //! round trip.
 //!
+//! A cursor open reads its run's first block. Over the network
+//! ([`BlockSource::is_remote`]) an open whose block is not cached asks
+//! the loader for the runs it expects to open next
+//! ([`ClosureSource::prefetch_incoming`]) and reads all their first
+//! blocks in one batch, through the same check; a local file reads
+//! none ahead, since there is no round trip to save.
+//!
 //! Cache traffic is accounted in [`IoStats`]: `cache_hits` /
 //! `cache_misses` / `cache_evictions` plus the `cache_bytes_resident`
 //! gauge, alongside the usual block/byte/edge counters (which, here,
@@ -63,7 +70,7 @@
 use crate::cache::BlockCache;
 use crate::format::*;
 use crate::iostats::{IoSnapshot, IoStats};
-use crate::source::{ClosureSource, EdgeCursor, Sections, StorageError};
+use crate::source::{ClosureSource, EdgeCursor, IncomingRun, Sections, StorageError};
 use ktpm_closure::ClosureTables;
 use ktpm_graph::{undirect, Dist, LabelId, LabeledGraph, NodeId};
 use std::collections::HashMap;
@@ -80,6 +87,12 @@ pub const DEFAULT_BLOCK_CACHE_BYTES: u64 = 8 * 1024 * 1024;
 type DirEntry = (NodeId, u64, u32);
 
 type DirCache = HashMap<(LabelId, LabelId), Arc<Vec<DirEntry>>>;
+
+/// `v`'s group in a pair's directory, by binary search.
+fn group_of(dir: &[DirEntry], v: NodeId) -> Option<DirEntry> {
+    let i = dir.binary_search_by_key(&v, |&(n, _, _)| n).ok()?;
+    Some(dir[i])
+}
 
 /// The `(u32 a, u32 b)` label pair at byte `o` of a checked buffer.
 fn pair_at(bytes: &[u8], o: usize) -> (LabelId, LabelId) {
@@ -286,11 +299,18 @@ pub(crate) trait BlockSource: Send + Sync {
     /// Total length of the file, fixed at open.
     fn len(&self) -> u64;
 
-    /// Whether a failed CRC check is worth one re-read (true for
-    /// remote sources, where the wire — not the medium — may have
-    /// flipped a bit; false for local files, where a re-read would
-    /// return the same rotten bytes).
-    fn is_retryable(&self) -> bool {
+    /// Whether every read is a round trip to another machine — true
+    /// for the remote source, false for a local file. It answers two
+    /// questions:
+    /// - is a failed CRC check worth one re-read? Over the network the
+    ///   wire, not the medium, may have flipped a bit; a local re-read
+    ///   returns the same rotten bytes;
+    /// - is reading ahead worth it? On the remote source a batch of
+    ///   first blocks costs one round trip where each demand read costs
+    ///   one; a local read has no round trip to save, and blocks read
+    ///   ahead of the first match only delay it
+    ///   ([`ClosureSource::prefetch_incoming`]).
+    fn is_remote(&self) -> bool {
         false
     }
 }
@@ -463,7 +483,7 @@ impl PagedShared {
     }
 
     /// One counted read of `bytes` at `off`, accepted only if `check`
-    /// passes. On a retryable source (remote), a `Corrupt` earns
+    /// passes. On a remote source, a `Corrupt` earns
     /// exactly one counted re-read — the flip may have happened on the
     /// wire — before the error stands.
     fn read_checked(
@@ -477,7 +497,7 @@ impl PagedShared {
             check(&buf).map(|()| buf)
         };
         match once() {
-            Err(StorageError::Corrupt { .. }) if self.source.is_retryable() => {
+            Err(StorageError::Corrupt { .. }) if self.source.is_remote() => {
                 self.io.add_remote_retry();
                 once()
             }
@@ -1177,6 +1197,69 @@ impl PagedStore {
         }
     }
 
+    /// Where the first group block of `run` — the incoming edges of `v`
+    /// from `a`-labeled sources — lies, found in its pair's resident
+    /// directory; `None` when that directory is not resident or the run
+    /// is empty. Reads nothing.
+    fn first_block(&self, dirs: &DirCache, (a, v): IncomingRun) -> Option<u64> {
+        let (_, off, len) = group_of(dirs.get(&(a, self.node_label(v)))?, v)?;
+        (len > 0).then_some(off)
+    }
+
+    /// Whether a cursor opened on `run` now would make a round trip for
+    /// its first block: the source is remote, and the block, found
+    /// through its resident directory, is not cached.
+    pub(crate) fn incoming_is_remote_miss(&self, run: IncomingRun) -> bool {
+        if !self.shared.source.is_remote() {
+            return false;
+        }
+        let off = self.first_block(&self.dirs.lock().expect("dir cache"), run);
+        off.is_some_and(|off| {
+            let cache = self.shared.cache.lock().expect("block cache");
+            !cache.contains((self.shared.file_id, off))
+        })
+    }
+
+    /// [`ClosureSource::prefetch_incoming`]'s batch over the runs `mine`
+    /// keeps (a member file of a snapshot sees only the runs routed to
+    /// it): the first group block of each, in list order, in one
+    /// [`BlockSource::read_many`]. A run is skipped when its directory
+    /// is not resident, its block is cached or already in the batch or
+    /// out of bounds; the batch stops once a block would exceed `room`.
+    /// Each block passes the demand read's check ([`Self::fetch`]).
+    pub(crate) fn prefetch_first_blocks(
+        &self,
+        runs: &[IncomingRun],
+        mine: &dyn Fn(IncomingRun) -> bool,
+        room: &mut u64,
+    ) {
+        let block_bytes = self.shared.block_bytes();
+        let payload = (self.shared.block_entries * L_ENTRY_BYTES) as u64;
+        let mut batch = Batch::with_capacity(runs.len());
+        {
+            let cache = self.shared.cache.lock().expect("block cache");
+            let dirs = self.dirs.lock().expect("dir cache");
+            for &run in runs.iter().filter(|&&run| mine(run)) {
+                let Some(off) = self.first_block(&dirs, run) else {
+                    continue;
+                };
+                if cache.contains((self.shared.file_id, off))
+                    || batch.has(off)
+                    || !self.shared.in_bounds(off, block_bytes)
+                {
+                    continue;
+                }
+                let Some(left) = room.checked_sub(payload) else {
+                    *room = 0;
+                    break;
+                };
+                *room = left;
+                batch.push((off, block_bytes), Want::Block);
+            }
+        }
+        self.fetch(&mut batch);
+    }
+
     /// Reads one prefetch round's batch and stores what passes its
     /// checks; then empties the batch for the next round.
     fn fetch(&self, batch: &mut Batch) {
@@ -1344,11 +1427,9 @@ impl ClosureSource for PagedStore {
     }
 
     fn incoming_cursor(&self, a: LabelId, v: NodeId) -> Box<dyn EdgeCursor + Send> {
-        let entry = self.directory_noted(a, self.node_label(v)).and_then(|dir| {
-            dir.binary_search_by_key(&v, |&(n, _, _)| n)
-                .ok()
-                .map(|i| dir[i])
-        });
+        let entry = self
+            .directory_noted(a, self.node_label(v))
+            .and_then(|dir| group_of(&dir, v));
         let (group_off, len) = match entry {
             Some((_, off, len)) => (off, len as usize),
             None => (0, 0),
@@ -1364,8 +1445,7 @@ impl ClosureSource for PagedStore {
     fn lookup_dist(&self, u: NodeId, v: NodeId) -> Option<Dist> {
         let a = self.node_label(u);
         let dir = self.directory_noted(a, self.node_label(v))?;
-        let i = dir.binary_search_by_key(&v, |&(n, _, _)| n).ok()?;
-        let (_, off, len) = dir[i];
+        let (_, off, len) = group_of(&dir, v)?;
         let mut group = Vec::with_capacity(len as usize);
         if let Err(e) = self.read_group_range(off, len as usize, 0, &mut group) {
             self.shared.errors.record(e);
@@ -1392,6 +1472,14 @@ impl ClosureSource for PagedStore {
 
     fn prefetch(&self, pairs: &[Vec<(LabelId, LabelId)>], sections: &dyn Fn(usize) -> Sections) {
         self.prefetch_where(pairs, sections, &|_| true, &mut self.prefetch_room());
+    }
+
+    fn prefetch_incoming(&self, run: IncomingRun, more: &mut dyn FnMut(&mut Vec<IncomingRun>)) {
+        if self.incoming_is_remote_miss(run) {
+            let mut runs = vec![run];
+            more(&mut runs);
+            self.prefetch_first_blocks(&runs, &|_| true, &mut self.prefetch_room());
+        }
     }
 
     fn take_error(&self) -> Option<StorageError> {
@@ -1528,11 +1616,14 @@ mod tests {
 
     /// A [`LocalFile`] that counts every read and every batch reaching
     /// it — one round trip each, were the file remote — and their
-    /// bytes.
+    /// bytes, and the batches alone. With `remote` set it answers
+    /// [`BlockSource::is_remote`] as the network source does.
     struct Counting {
         file: LocalFile,
         reads: Arc<AtomicU64>,
         bytes: Arc<AtomicU64>,
+        batches: Arc<AtomicU64>,
+        remote: bool,
     }
 
     impl Counting {
@@ -1541,6 +1632,8 @@ mod tests {
                 file: LocalFile::open(path).unwrap(),
                 reads: Arc::clone(reads),
                 bytes: Arc::clone(bytes),
+                batches: Arc::default(),
+                remote: false,
             }
         }
     }
@@ -1558,6 +1651,7 @@ mod tests {
             got: &mut dyn FnMut(usize, Vec<u8>),
         ) -> Result<(), StorageError> {
             self.reads.fetch_add(1, Ordering::Relaxed);
+            self.batches.fetch_add(1, Ordering::Relaxed);
             let bytes: usize = ranges.iter().map(|&(_, b)| b).sum();
             self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
             self.file.read_many(ranges, got)
@@ -1565,6 +1659,10 @@ mod tests {
 
         fn len(&self) -> u64 {
             self.file.len()
+        }
+
+        fn is_remote(&self) -> bool {
+            self.remote
         }
     }
 
@@ -1575,6 +1673,7 @@ mod tests {
         store: PagedStore,
         reads: Arc<AtomicU64>,
         bytes: Arc<AtomicU64>,
+        batches: Arc<AtomicU64>,
         path: PathBuf,
     }
 
@@ -1584,22 +1683,32 @@ mod tests {
             path.push(format!("ktpm-paged-unit-{}-{name}-{m}", std::process::id()));
             let tables = ClosureTables::compute(&label_star(m));
             crate::write_store(&tables, &path).unwrap();
-            Self::over(path, 0)
+            Self::over(path, 0, false)
         }
 
         /// A store over `web()` in blocks of 4 entries, with a block
         /// cache of `budget` bytes.
         fn web(name: &str, budget: u64) -> Self {
+            Self::web_as(name, budget, false)
+        }
+
+        /// As [`Self::web`], over a source that is `remote` or not.
+        fn web_as(name: &str, budget: u64, remote: bool) -> Self {
             let mut path = std::env::temp_dir();
             path.push(format!("ktpm-paged-unit-{}-web-{name}", std::process::id()));
             crate::write_store_v3(&ClosureTables::compute(&web()), &path, 4).unwrap();
-            Self::over(path, budget)
+            Self::over(path, budget, remote)
         }
 
-        fn over(path: PathBuf, budget: u64) -> Self {
+        fn over(path: PathBuf, budget: u64, remote: bool) -> Self {
             let (reads, bytes) = (Arc::default(), Arc::default());
+            let source = Counting {
+                remote,
+                ..Counting::open(&path, &reads, &bytes)
+            };
+            let batches = Arc::clone(&source.batches);
             let store = PagedStore::from_source(
-                Box::new(Counting::open(&path, &reads, &bytes)),
+                Box::new(source),
                 Arc::new(Mutex::new(BlockCache::new(budget))),
                 IoStats::new(),
                 0,
@@ -1610,6 +1719,7 @@ mod tests {
                 store,
                 reads,
                 bytes,
+                batches,
                 path,
             }
         }
@@ -1620,6 +1730,10 @@ mod tests {
 
         fn bytes(&self) -> u64 {
             self.bytes.load(Ordering::Relaxed)
+        }
+
+        fn batches(&self) -> u64 {
+            self.batches.load(Ordering::Relaxed)
         }
     }
 
@@ -1831,6 +1945,89 @@ mod tests {
             fetched + 1,
             "warm blocks; only the E/D sections are new"
         );
+        assert!(c.store.take_error().is_none());
+    }
+
+    /// Every run of `pairs` — `(a, v)` for each `D` node `v` of each
+    /// pair `(a, b)` — in plan order: the cursors a lazy half's loader
+    /// may open.
+    fn runs_of(mem: &crate::MemStore, pairs: &[Vec<(LabelId, LabelId)>]) -> Vec<IncomingRun> {
+        let runs = pairs.iter().flatten();
+        runs.flat_map(|&(a, b)| mem.load_d(a, b).into_iter().map(move |(v, _)| (a, v)))
+            .collect()
+    }
+
+    /// The first block a cursor on `run` yields, checked against the
+    /// run's prefix in memory.
+    fn first_block(store: &dyn ClosureSource, mem: &crate::MemStore, (a, v): IncomingRun) {
+        let block = store.incoming_cursor(a, v).next_block();
+        let whole = mem.tables().pair(a, mem.node_label(v)).unwrap().incoming(v);
+        assert!(!block.is_empty());
+        assert_eq!(block, whole[..block.len()], "run ({a:?}, {v:?})");
+    }
+
+    #[test]
+    fn a_local_file_never_reads_ahead() {
+        // Over a local file, an offered cursor open never asks for more
+        // runs and sends no batch after the plan half's prefetch: every
+        // first block is a demand read, exactly as without the offer.
+        let mem = crate::MemStore::new(ClosureTables::compute(&web()));
+        let pairs = nine_edges(&mem.pair_keys());
+        let runs = runs_of(&mem, &pairs);
+        let open_all = |c: &Counted, offer: bool| {
+            c.store.prefetch(&pairs, &lazy);
+            let (reads, batches) = (c.reads(), c.batches());
+            for (k, &run) in runs.iter().enumerate() {
+                if offer {
+                    c.store.prefetch_incoming(run, &mut |_| {
+                        panic!("a local file asked for runs to read ahead at run {k}")
+                    });
+                }
+                first_block(&c.store, &mem, run);
+            }
+            assert_eq!(c.batches(), batches, "a batch after the plan half's");
+            assert!(c.store.take_error().is_none());
+            (c.reads() - reads, c.store.io())
+        };
+        let (offered, offered_io) = open_all(&Counted::web("offered", 0), true);
+        let (demand, demand_io) = open_all(&Counted::web("demand", 0), false);
+        assert_eq!(offered, demand, "reads after the prefetch");
+        assert_eq!(offered_io.block_reads, demand_io.block_reads);
+        assert_eq!(offered_io.cache_misses, demand_io.cache_misses);
+    }
+
+    #[test]
+    fn a_remote_open_reads_the_runs_announced_behind_it_in_one_batch() {
+        // Over a remote source, a cold open asks for the runs to read
+        // ahead once and fetches the first block of its own run and of
+        // each announced one in one batch; their opens are then cache
+        // hits. An open whose block is cached asks for nothing.
+        let mem = crate::MemStore::new(ClosureTables::compute(&web()));
+        let pairs = nine_edges(&mem.pair_keys());
+        let runs = runs_of(&mem, &pairs);
+        assert!(runs.len() > 18, "{} runs", runs.len());
+        let c = Counted::web_as("ahead", 0, true);
+        c.store.prefetch(&pairs, &lazy);
+        let (reads, misses) = (c.reads(), c.store.io().cache_misses);
+        let mut asked = 0;
+        c.store.prefetch_incoming(runs[0], &mut |list| {
+            asked += 1;
+            assert_eq!(list, &runs[..1], "the offered run comes first");
+            list.extend(&runs[1..17]);
+        });
+        assert_eq!((asked, c.reads()), (1, reads + 1), "one ask, one batch");
+        assert_eq!(c.batches(), 2 + 2 + 1);
+        assert_eq!(c.store.io().cache_misses - misses, 17, "17 first blocks");
+        for &run in &runs[..17] {
+            c.store.prefetch_incoming(run, &mut |_| asked += 1);
+            first_block(&c.store, &mem, run);
+        }
+        assert_eq!((asked, c.reads()), (1, reads + 1), "cached: all hits");
+        // A run left out of the list is the next round trip.
+        c.store.prefetch_incoming(runs[17], &mut |_| asked += 1);
+        assert_eq!((asked, c.reads()), (2, reads + 2));
+        first_block(&c.store, &mem, runs[17]);
+        assert_eq!(c.reads(), reads + 2);
         assert!(c.store.take_error().is_none());
     }
 

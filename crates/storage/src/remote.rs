@@ -16,15 +16,22 @@
 //! a CRC-32 of each range, and each range is a sealed region of the
 //! store file — a group block, an index page or a counted section —
 //! with its own trailing CRC (re-verified by [`PagedStore`]'s reader,
-//! which re-fetches once for retryable sources before giving up).
+//! which re-fetches once from a remote source before giving up).
 //!
 //! A round trip costs far more than the bytes it carries, so reads
 //! that are known together travel together: one `FETCH` carries up to
 //! [`MAX_FETCH_RANGES`](blockproto::MAX_FETCH_RANGES) ranges. A member
 //! file's open is two such batches, and a plan half's
 //! [`crate::ClosureSource::prefetch`] is one batch per round (index
-//! pages, sections, group blocks) per member file it touches; a demand
-//! miss after that is a single-range `FETCH`.
+//! pages, sections, group blocks) per member file it touches. A
+//! `Topk-EN` session then opens its cursors one at a time; an open
+//! whose first block is not cached offers the store the runs the
+//! loader expects to open next
+//! ([`crate::ClosureSource::prefetch_incoming`]), and their first
+//! blocks travel with its own, one `FETCH` per member file. A demand
+//! miss after that — a cursor's later block, a run that entered the
+//! loader's queue after the last read-ahead — is a single-range
+//! `FETCH`.
 //!
 //! Each pooled connection gets its read and write timeouts
 //! ([`RemoteOptions::request_timeout`]) once, when it connects, and
@@ -337,9 +344,10 @@ impl ConnPool {
 
 /// One shard file's bytes, fetched over the pool. Frame-level CRC
 /// mismatches on a single read get one immediate re-request;
-/// `is_retryable` additionally lets the paged reader re-fetch once when
+/// `is_remote` additionally lets the paged reader re-fetch once when
 /// a sealed region's own CRC fails (an on-wire flip the frame CRC
-/// missed, or a stale cache of a rewritten file). A batch
+/// missed, or a stale cache of a rewritten file), and read cursor
+/// blocks ahead of the loader. A batch
 /// ([`BlockSource::read_many`]) is one `FETCH` of many ranges per round
 /// trip; a range whose frame CRC fails is left out, not re-requested.
 struct RemoteBlockSource {
@@ -465,7 +473,7 @@ impl BlockSource for RemoteBlockSource {
         self.len
     }
 
-    fn is_retryable(&self) -> bool {
+    fn is_remote(&self) -> bool {
         true
     }
 }

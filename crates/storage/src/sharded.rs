@@ -34,7 +34,7 @@ use crate::manifest::{Manifest, ShardFileMeta};
 use crate::paged::{
     open_local_store, ErrorSlot, LocalFile, LocalStore, PagedStore, DEFAULT_BLOCK_CACHE_BYTES,
 };
-use crate::source::{ClosureSource, EdgeCursor, Sections, StorageError};
+use crate::source::{ClosureSource, EdgeCursor, IncomingRun, Sections, StorageError};
 use crate::table;
 use ktpm_graph::{Dist, LabelId, NodeId};
 use std::path::{Path, PathBuf};
@@ -222,6 +222,36 @@ impl<O: Send + Sync> ClosureSource for RoutedStore<O> {
                 let room = room.get_or_insert_with(|| member.prefetch_room());
                 member.prefetch_where(pairs, sections, &routed, room);
             }
+        }
+    }
+
+    /// Split by member file: the runs go to the files their pairs route
+    /// to, one batch per file, the file of `run` first. Only files
+    /// already open take part: a run's directory, which the batch
+    /// needs, is resident only in a file a plan half has read.
+    fn prefetch_incoming(&self, run: IncomingRun, more: &mut dyn FnMut(&mut Vec<IncomingRun>)) {
+        let route = |(a, v): IncomingRun| {
+            let shard = self.manifest.shard_of(a, self.manifest.node_label(v))?;
+            Some((shard, self.slots[shard as usize].get()?.as_ref()?))
+        };
+        if !route(run).is_some_and(|(_, member)| member.incoming_is_remote_miss(run)) {
+            return;
+        }
+        let mut runs = vec![run];
+        more(&mut runs);
+        let mut done: Vec<u32> = Vec::new();
+        let mut room = None;
+        for &r in &runs {
+            let Some((shard, member)) = route(r) else {
+                continue;
+            };
+            if done.contains(&shard) {
+                continue;
+            }
+            done.push(shard);
+            let routed = |r| route(r).is_some_and(|(s, _)| s == shard);
+            let room = room.get_or_insert_with(|| member.prefetch_room());
+            member.prefetch_first_blocks(&runs, &routed, room);
         }
     }
 

@@ -136,6 +136,11 @@ pub trait EdgeCursor {
     }
 }
 
+/// One run of `Lᵅᵥ`: `(α, v)`, the incoming closure edges of `v` from
+/// `α`-labeled sources — what one [`ClosureSource::incoming_cursor`]
+/// reads.
+pub type IncomingRun = (LabelId, NodeId);
+
 /// A thread-safe, shared handle to a closure store — what the serving
 /// layer passes around (one store, many concurrent queries).
 pub type SharedSource = Arc<dyn ClosureSource>;
@@ -314,12 +319,40 @@ pub trait ClosureSource: Send + Sync {
     ///   arrive or fails a check is dropped, and the read that needs it
     ///   fetches it again under the usual retry and error policy.
     ///
+    /// Cost: one call per plan half, before its first read; rounds of
+    /// one batch each, a round trip each on the remote tier.
+    ///
     /// Default: a no-op — in-memory backends have nothing to fetch.
     /// [`crate::PagedStore`] fetches in rounds, one batch each
     /// (index pages, then sections, then group blocks), and
     /// [`crate::ShardedStore`] / [`crate::RemoteStore`] split the
     /// hint by member file.
     fn prefetch(&self, _pairs: &[Vec<(LabelId, LabelId)>], _sections: &dyn Fn(usize) -> Sections) {}
+
+    /// A hint that a loader is about to open
+    /// [`Self::incoming_cursor`] on `run` — `(src label, v)`, the
+    /// incoming edges of `v` from that label. When that open would cost
+    /// a round trip, a backend may call `more` once; `more` appends to
+    /// the list the runs the loader expects to open next, `run` itself
+    /// already first. The backend then fetches the first block of every
+    /// run on the list together, so that each of those opens is a cache
+    /// hit. A run that `more` lists is not offered again.
+    ///
+    /// Contract: that of [`Self::prefetch`] — a hint that changes no
+    /// answer, reads only the listed runs' first blocks, skips what is
+    /// cached, stays within the cache budget and records no error. It
+    /// reads no index page and no directory: a run whose pair directory
+    /// is not resident is skipped.
+    ///
+    /// Cost: a call that reads nothing costs a cache probe and never
+    /// calls `more`, whose scan of the loader's queue is
+    /// O(|Q_g| log B) for B read-ahead runs. So only a backend whose
+    /// reads are round trips calls it. Default: a no-op — in-memory
+    /// backends have nothing to fetch, and a local file has no round
+    /// trip to save. [`crate::PagedStore`] over the remote source reads
+    /// the list in one batch, and [`crate::RemoteStore`] splits it by
+    /// member file, one batch per file.
+    fn prefetch_incoming(&self, _run: IncomingRun, _more: &mut dyn FnMut(&mut Vec<IncomingRun>)) {}
 
     /// Takes (and clears) the first storage error this source silently
     /// degraded over since the last call. The read API is infallible by

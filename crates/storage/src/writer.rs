@@ -69,8 +69,8 @@ pub fn write_store_sharded(
     let shard_count = spec.of();
     std::fs::create_dir_all(dir)?;
 
-    let mut keys: Vec<_> = tables.iter_pairs().map(|(k, _)| k).collect();
-    keys.sort_unstable();
+    // Ascending: `iter_pairs` walks the keys in order.
+    let keys: Vec<_> = tables.iter_pairs().map(|(k, _)| k).collect();
     let files = shard_count as usize;
     // Where file `i`'s run starts; the last file's run is never empty
     // while there is a pair, so an empty run's fence is a later file's.
@@ -113,8 +113,8 @@ fn write_store_inner(
     tables: &ClosureTables,
     path: &Path,
     block_entries: usize,
-    // When set, emit only this subset of label pairs (a shard file);
-    // `None` emits every pair in sorted order.
+    // When set, emit only this ascending run of label pairs (a shard
+    // file); `None` emits every pair.
     only_pairs: Option<&[(LabelId, LabelId)]>,
 ) -> Result<(), StorageError> {
     let file = std::fs::File::create(path)?;
@@ -147,11 +147,12 @@ fn write_store_inner(
     seal(&mut buf, 8);
     emit(&mut w, &buf, &mut offset)?;
 
-    let mut keys: Vec<_> = match only_pairs {
-        Some(subset) => subset.to_vec(),
+    // Ascending either way, as the index needs: `iter_pairs` walks the
+    // keys in order, and a shard's run is a slice of them.
+    let keys: Vec<_> = match only_pairs {
+        Some(run) => run.to_vec(),
         None => tables.iter_pairs().map(|(k, _)| k).collect(),
     };
-    keys.sort_unstable();
 
     // Per-pair sections: D, E and the directory back to back, so an
     // index entry needs only D's offset and the three counts.
