@@ -3,9 +3,8 @@
 //! pair index read page by page.
 //!
 //! A [`PagedStore`] never materializes a group region: every `L` read
-//! — block cursors, whole-pair loads, point lookups — goes through
-//! [`fetch_block`](PagedShared::fetch_block), which serves the block
-//! from the cache or reads it off disk, verifies its CRC-32 *before*
+//! — block cursors, whole-pair loads, point lookups — takes its group
+//! block from the cache, or reads it, verifies its CRC-32 *before*
 //! anything consumes it, and inserts it under the byte budget. This is
 //! the backend for closures that exceed RAM: resident bytes are
 //! bounded by `--block-cache-bytes` while enumeration streams the
@@ -36,22 +35,27 @@
 //! file a distinct `file_id` and one shared cache, so the byte budget
 //! bounds the whole snapshot.
 //!
-//! A plan half names every label pair it will read before its first
-//! read, and [`ClosureSource::prefetch`] takes that list: the store
-//! reads it in rounds of one [`BlockSource::read_many`] batch each —
-//! the index pages the pairs land on, then their `D`/`E` sections and
-//! directories, then (for a half that loads pairs whole) their group
-//! blocks. Each range passes the check its demand read makes and goes
-//! where that read looks, so the reads that follow are cache hits. On
-//! a local file a batch is a loop of reads; over the network it is one
-//! round trip.
+//! **One read path.** Every read is a batch through
+//! [`PagedShared::fetch`]: each range is bounds-checked, read, checked
+//! by what it is read for ([`Want`]) and kept where the reads that
+//! follow look — the page's `OnceLock`, the block cache or the
+//! directory cache; on a remote source a range that fails its check,
+//! or that the batch left out, is read once more. A demand read is a
+//! cache probe plus a batch of one, and returns its range's error. A
+//! prefetch drops its errors: [`ClosureSource::prefetch`] takes the
+//! label pairs a plan half names before its first read and reads them
+//! in rounds of one batch — the index pages they land on, their
+//! `D`/`E` sections and directories, then (for a half that loads pairs
+//! whole) their group blocks — so the reads that follow are cache
+//! hits. On a local file a batch is a loop of reads; over the network
+//! it is one round trip.
 //!
 //! A cursor open reads its run's first block. Over the network
 //! ([`BlockSource::is_remote`]) an open whose block is not cached asks
 //! the loader for the runs it expects to open next
 //! ([`ClosureSource::prefetch_incoming`]) and reads all their first
-//! blocks in one batch, through the same check; a local file reads
-//! none ahead, since there is no round trip to save.
+//! blocks in one batch; a local file reads none ahead, since there is
+//! no round trip to save.
 //!
 //! Cache traffic is accounted in [`IoStats`]: `cache_hits` /
 //! `cache_misses` / `cache_evictions` plus the `cache_bytes_resident`
@@ -94,14 +98,19 @@ fn group_of(dir: &[DirEntry], v: NodeId) -> Option<DirEntry> {
     Some(dir[i])
 }
 
+/// The little-endian `u32` at byte `o` of a checked buffer.
+fn le32(bytes: &[u8], o: usize) -> u32 {
+    u32::from_le_bytes(bytes[o..o + 4].try_into().expect("4 bytes"))
+}
+
 /// The `(u32 a, u32 b)` label pair at byte `o` of a checked buffer.
 fn pair_at(bytes: &[u8], o: usize) -> (LabelId, LabelId) {
-    let at = |o: usize| {
-        LabelId(u32::from_le_bytes(
-            bytes[o..o + 4].try_into().expect("4 bytes"),
-        ))
-    };
-    (at(o), at(o + 4))
+    (LabelId(le32(bytes, o)), LabelId(le32(bytes, o + 4)))
+}
+
+/// The `(u32 src, u32 dist)` `L` entry of a checked block.
+fn edge(entry: &[u8]) -> (NodeId, Dist) {
+    (NodeId(le32(entry, 0)), le32(entry, 4))
 }
 
 /// The label pair of index record `i` of a verified page.
@@ -138,12 +147,11 @@ impl IndexEntry {
     /// Decodes record `i` of a verified page (its key is [`key_at`]).
     fn at(page: &[u8], i: usize) -> Self {
         let rec = &page[i * INDEX_ENTRY_BYTES + 8..(i + 1) * INDEX_ENTRY_BYTES];
-        let u32_at = |o: usize| u32::from_le_bytes(rec[o..o + 4].try_into().expect("4 bytes"));
         IndexEntry {
             d_off: u64::from_le_bytes(rec[..8].try_into().expect("8 bytes")),
-            d_count: u32_at(8),
-            e_count: u32_at(12),
-            dir_count: u32_at(16),
+            d_count: le32(rec, 8),
+            e_count: le32(rec, 12),
+            dir_count: le32(rec, 16),
         }
     }
 
@@ -182,12 +190,14 @@ struct Section {
 }
 
 impl Section {
-    /// The section's length, count prefix and CRC included.
-    fn bytes(&self) -> Result<usize, StorageError> {
-        usize::try_from(section_bytes(self.count, self.width)).map_err(|_| StorageError::Corrupt {
-            offset: self.off,
-            needed: usize::MAX,
-        })
+    /// The section's `(offset, length)`, count prefix and CRC included.
+    fn range(&self) -> Result<(u64, usize), StorageError> {
+        let (offset, needed) = (self.off, usize::MAX);
+        let bytes = usize::try_from(section_bytes(self.count, self.width));
+        Ok((
+            offset,
+            bytes.map_err(|_| StorageError::Corrupt { offset, needed })?,
+        ))
     }
 
     /// The offset past the section. Saturates: a garbage offset then
@@ -200,6 +210,7 @@ impl Section {
 
 /// The paged pair index, its head verified at open; see the `format`
 /// docs.
+#[derive(Default)]
 struct PagedIndex {
     num_pairs: usize,
     page_entries: usize,
@@ -267,6 +278,64 @@ impl PagedIndex {
             pages: (0..num_pages).map(|_| OnceLock::new()).collect(),
         })
     }
+
+    /// Where page `p` lies: its offset and its sealed length.
+    fn page_range(&self, p: usize) -> (u64, usize) {
+        let bytes = index_page_bytes(self.page_entries);
+        (self.pages_off + (p * bytes) as u64, bytes)
+    }
+
+    /// Bytes of page `p`'s live entries.
+    fn page_live_bytes(&self, p: usize) -> usize {
+        self.page_entries
+            .min(self.num_pairs - p * self.page_entries)
+            * INDEX_ENTRY_BYTES
+    }
+
+    /// The index-page check, on the whole sealed page: its CRC, then
+    /// its order — it starts at its fence key, ascends strictly, ends
+    /// below the next page's fence key, and holds only zeros past
+    /// `num_pairs`.
+    fn check_page(&self, p: usize, page: &[u8]) -> Result<(), StorageError> {
+        check_sealed(self.page_range(p).0, page)?;
+        let live = self.page_live_bytes(p);
+        if page[live..page.len() - 4].iter().any(|&b| b != 0) {
+            return Err(StorageError::BadFormat(format!(
+                "index page {p} holds entries past the head's {} pair(s)",
+                self.num_pairs
+            )));
+        }
+        let (key, fence) = (key_at(page, 0), self.fence[p]);
+        if key != fence {
+            return Err(StorageError::BadFormat(format!(
+                "index page {p} starts at pair ({}, {}), but its fence key is ({}, {})",
+                key.0 .0, key.1 .0, fence.0 .0, fence.1 .0
+            )));
+        }
+        // Key i of the page, the next page's fence key after the last.
+        let (n, next) = (live / INDEX_ENTRY_BYTES, self.fence.get(p + 1).copied());
+        let key = |i: usize| (i < n).then(|| key_at(page, i)).or(next);
+        let first = p * self.page_entries;
+        for i in 1..=n {
+            let prev = key_at(page, i - 1);
+            if let Some(key) = key(i).filter(|&key| prev >= key) {
+                return Err(pair_order_error("index", first + i, prev, key));
+            }
+        }
+        Ok(())
+    }
+
+    /// The page a lookup of `key` lands on: the last whose fence key is
+    /// at most `key`; `None` before the first.
+    fn page_of(&self, key: (LabelId, LabelId)) -> Option<usize> {
+        self.fence.partition_point(|&k| k <= key).checked_sub(1)
+    }
+
+    /// The index entry of `key`, but only if its page is already read:
+    /// a lookup that reads nothing.
+    fn loaded_entry(&self, key: (LabelId, LabelId)) -> Option<IndexEntry> {
+        find_entry(self.pages[self.page_of(key)?].get()?, key)
+    }
 }
 
 /// A positioned byte source over one sealed v5 store file — the seam
@@ -281,10 +350,10 @@ pub(crate) trait BlockSource: Send + Sync {
     /// Reads every `(offset, bytes)` range of `ranges` — a batch — and
     /// hands each one that arrives intact to `got`, with its position
     /// in `ranges`. A range left out failed a transport check (a
-    /// remote frame CRC) and is not re-requested; an error ends the
-    /// batch. Default: one [`Self::read_at`] per range, in order — what
-    /// a local file does; a remote source carries the whole batch in
-    /// as few round trips as its protocol allows.
+    /// remote frame CRC), and the store reads it again. An error ends
+    /// the batch. Default: one [`Self::read_at`] per range, in order —
+    /// what a local file does; a remote source carries the whole batch
+    /// in as few round trips as its protocol allows.
     fn read_many(
         &self,
         ranges: &[(u64, usize)],
@@ -302,9 +371,10 @@ pub(crate) trait BlockSource: Send + Sync {
     /// Whether every read is a round trip to another machine — true
     /// for the remote source, false for a local file. It answers two
     /// questions:
-    /// - is a failed CRC check worth one re-read? Over the network the
-    ///   wire, not the medium, may have flipped a bit; a local re-read
-    ///   returns the same rotten bytes;
+    /// - is a range that failed its CRC check, or that a batch left
+    ///   out, worth one re-read, on demand or in a prefetch? Over the
+    ///   network the wire, not the medium, may have flipped a bit; a
+    ///   local re-read returns the same rotten bytes;
     /// - is reading ahead worth it? On the remote source a batch of
     ///   first blocks costs one round trip where each demand read costs
     ///   one; a local read has no round trip to save, and blocks read
@@ -375,8 +445,7 @@ fn check_sealed(off: u64, buf: &[u8]) -> Result<(), StorageError> {
 /// The section check: the count prefix is the one the index promised,
 /// and the trailing CRC-32 seals the section.
 fn check_section(s: Section, buf: &[u8]) -> Result<(), StorageError> {
-    let count = u32::from_le_bytes(buf[..4].try_into().expect("sliced 4"));
-    if count != s.count {
+    if le32(buf, 0) != s.count {
         return Err(StorageError::Corrupt {
             offset: s.off,
             needed: 4,
@@ -393,34 +462,12 @@ fn section_entries(mut buf: Vec<u8>) -> Vec<u8> {
     buf
 }
 
-/// Decodes a pair's checked directory entries.
-fn decode_directory(entry: &IndexEntry, buf: &[u8]) -> Result<Vec<DirEntry>, StorageError> {
-    let mut pos = 0;
-    let mut dir = Vec::with_capacity(entry.dir_count as usize);
-    for _ in 0..entry.dir_count {
-        let v = NodeId(get_u32(buf, &mut pos)?);
-        let off = get_u64(buf, &mut pos)?;
-        let len = get_u32(buf, &mut pos)?;
-        dir.push((v, off, len));
-    }
-    Ok(dir)
-}
-
-/// Reads `ranges` as one batch into the matching slots of `out`; a
-/// range the batch left out is read again alone, under
-/// [`BlockSource::read_at`]'s own retry.
-fn read_batch(
-    source: &dyn BlockSource,
-    ranges: &[(u64, usize)],
-    out: &mut [Option<Vec<u8>>],
-) -> Result<(), StorageError> {
-    source.read_many(ranges, &mut |i, buf| out[i] = Some(buf))?;
-    for (slot, &(off, bytes)) in out.iter_mut().zip(ranges) {
-        if slot.is_none() {
-            *slot = Some(source.read_at(off, bytes)?);
-        }
-    }
-    Ok(())
+/// Takes `bytes` from `room`, what is left of a prefetch's block-cache
+/// budget; `false` once they do not fit, and then nothing more does.
+fn take_room(room: &mut u64, bytes: u64) -> bool {
+    let left = room.checked_sub(bytes);
+    *room = left.unwrap_or(0);
+    left.is_some()
 }
 
 /// A sticky first-error slot shared by a store, its cursors, and (for
@@ -444,6 +491,88 @@ impl ErrorSlot {
     }
 }
 
+/// What a range is read for: the check it must pass and where it is
+/// kept.
+#[derive(Clone, Copy)]
+enum Want {
+    /// The open's header reads and `verify`'s index head: checked by
+    /// the caller, kept nowhere, not a block read.
+    Head,
+    /// Index page `p`, into its `OnceLock`.
+    Page(usize),
+    /// A `D` or `E` section, into the block cache.
+    Table(Section),
+    /// A pair's directory, decoded into the directory cache.
+    Directory((LabelId, LabelId), IndexEntry),
+    /// A group block, into the block cache.
+    Block,
+    /// `verify`'s scrub of a section (`Some`) or a group block, checked
+    /// as above and kept nowhere.
+    Scrub(Option<Section>),
+}
+
+/// What a range that passed its check yields.
+enum Got {
+    /// Nothing: it is kept where its demand read looks, or scrubbed.
+    Kept,
+    /// A `Head` read, or a scrubbed section's entries.
+    Bytes(Vec<u8>),
+    /// A section's entries or a block's payload, in the block cache.
+    Cached(Arc<Vec<u8>>),
+}
+
+impl Got {
+    /// The bytes of a `Head` read or a scrubbed section.
+    fn bytes(self) -> Vec<u8> {
+        match self {
+            Got::Bytes(buf) => buf,
+            _ => unreachable!("only head reads and scrubbed sections yield bytes"),
+        }
+    }
+}
+
+/// One range of a batch: what it is read for and its outcome (`None`:
+/// never delivered).
+struct Slot {
+    want: Want,
+    got: Option<Result<Got, StorageError>>,
+}
+
+/// One prefetch round: the ranges to read and, for each, its slot.
+#[derive(Default)]
+struct Batch {
+    ranges: Vec<(u64, usize)>,
+    slots: Vec<Slot>,
+}
+
+impl Batch {
+    fn reserve(&mut self, n: usize) {
+        self.ranges.reserve(n);
+        self.slots.reserve(n);
+    }
+
+    fn push(&mut self, range: (u64, usize), want: Want) {
+        self.ranges.push(range);
+        self.slots.push(Slot { want, got: None });
+    }
+
+    /// Whether a range at `off` is already asked for (two query edges
+    /// may share a label pair).
+    fn has(&self, off: u64) -> bool {
+        self.ranges.iter().any(|&(o, _)| o == off)
+    }
+
+    /// Reads the round, drops its outcomes — a prefetch records no
+    /// error — and empties the batch for the next round.
+    fn fetch(&mut self, shared: &PagedShared) {
+        shared.fetch(&self.ranges, &mut self.slots);
+        self.ranges.clear();
+        self.slots.clear();
+    }
+}
+
+/// What a read of one store file needs, shared by the store and its
+/// cursors.
 struct PagedShared {
     source: Box<dyn BlockSource>,
     io: IoStats,
@@ -454,99 +583,163 @@ struct PagedShared {
     /// This file's id within its snapshot (0 for standalone stores).
     file_id: u32,
     errors: ErrorSlot,
+    /// The paged pair index: head checked at open, each page on the
+    /// lookup that first lands on it.
+    index: PagedIndex,
+    dirs: Mutex<DirCache>,
 }
 
 impl PagedShared {
-    /// One positioned read = one counted block fetch, validated
-    /// against the file length before buffers are allocated — a corrupt
-    /// on-disk count must neither size an allocation nor read past EOF.
-    fn read_vec(&self, off: u64, bytes: usize) -> Result<Vec<u8>, StorageError> {
-        if !self.in_bounds(off, bytes) {
-            return Err(StorageError::Corrupt {
-                offset: off,
-                needed: bytes,
-            });
-        }
-        let buf = self.source.read_at(off, bytes)?;
-        self.io.add_block(bytes as u64);
-        Ok(buf)
-    }
-
-    /// Whether `bytes` at `off` lie inside the file.
-    fn in_bounds(&self, off: u64, bytes: usize) -> bool {
-        off.checked_add(bytes as u64)
-            .is_some_and(|end| end <= self.source.len())
-    }
-
     fn block_bytes(&self) -> usize {
         v3_block_bytes(self.block_entries)
     }
 
-    /// One counted read of `bytes` at `off`, accepted only if `check`
-    /// passes. On a remote source, a `Corrupt` earns
-    /// exactly one counted re-read — the flip may have happened on the
-    /// wire — before the error stands.
-    fn read_checked(
-        &self,
-        off: u64,
-        bytes: usize,
-        check: impl Fn(&[u8]) -> Result<(), StorageError>,
-    ) -> Result<Vec<u8>, StorageError> {
-        let once = || {
-            let buf = self.read_vec(off, bytes)?;
-            check(&buf).map(|()| buf)
+    /// Blocks of a group of `len` entries.
+    fn group_blocks(&self, len: u32) -> u64 {
+        v3_group_blocks(len as usize, self.block_entries) as u64
+    }
+
+    /// The one read path: reads `ranges` as one batch, checks and keeps
+    /// each by its slot's [`Want`] ([`Self::keep`]), and leaves each
+    /// outcome in its slot. A range past the end of the file is never
+    /// read: a corrupt count must neither size an allocation nor read
+    /// past EOF. On a remote source the ranges that failed their check
+    /// with [`StorageError::Corrupt`], or that the batch left out, are
+    /// read once more, as one batch. An error of the source itself
+    /// ends the batch.
+    fn fetch(&self, ranges: &[(u64, usize)], slots: &mut [Slot]) {
+        let len = self.source.len();
+        let fits = |&(off, bytes): &(u64, usize)| off <= len && bytes as u64 <= len - off;
+        let read = if ranges.iter().all(fits) {
+            self.read(ranges, slots, &|i| i)
+        } else {
+            self.read_where(ranges, slots, |_, range| fits(range))
         };
-        match once() {
-            Err(StorageError::Corrupt { .. }) if self.source.is_remote() => {
-                self.io.add_remote_retry();
-                once()
-            }
-            other => other,
+        if read && self.source.is_remote() {
+            self.read_where(ranges, slots, |slot, range| {
+                let again = fits(range)
+                    && matches!(slot.got, None | Some(Err(StorageError::Corrupt { .. })));
+                if again {
+                    self.io.add_remote_retry();
+                }
+                again
+            });
         }
     }
 
-    /// Reads the sealed region at `off` — payload plus the CRC-32 over
-    /// it, `bytes` in all — through [`Self::read_checked`]; returns it
-    /// whole, checksum included.
-    fn read_sealed(&self, off: u64, bytes: usize) -> Result<Vec<u8>, StorageError> {
-        self.read_checked(off, bytes, |buf| check_sealed(off, buf))
-    }
-
-    /// Reads and CRC-verifies the group block at `off`, bypassing the
-    /// cache (also the scrub path); returns the padded payload only.
-    fn read_block_verified(&self, off: u64) -> Result<Vec<u8>, StorageError> {
-        let mut buf = self.read_sealed(off, self.block_bytes())?;
-        buf.truncate(self.block_entries * L_ENTRY_BYTES);
-        Ok(buf)
-    }
-
-    /// The lazy verified fetch of the bytes at `off` in this file: a
-    /// cache hit, or `load` (a checked read) + budgeted insert. Group
-    /// blocks and `D`/`E` sections both funnel through here, so bytes
-    /// are verified exactly once per residency.
-    fn cached(
+    /// Reads, as one batch, the ranges whose slot `pick` selects.
+    fn read_where(
         &self,
-        off: u64,
-        load: impl FnOnce() -> Result<Vec<u8>, StorageError>,
-    ) -> Result<Arc<Vec<u8>>, StorageError> {
-        let key = (self.file_id, off);
-        if let Some(data) = self.cache.lock().expect("block cache").get(key) {
-            self.io.add_cache_hit();
-            return Ok(data);
+        ranges: &[(u64, usize)],
+        slots: &mut [Slot],
+        mut pick: impl FnMut(&Slot, &(u64, usize)) -> bool,
+    ) -> bool {
+        let at: Vec<usize> = (0..ranges.len())
+            .filter(|&i| pick(&slots[i], &ranges[i]))
+            .collect();
+        let picked: Vec<(u64, usize)> = at.iter().map(|&i| ranges[i]).collect();
+        for &i in &at {
+            slots[i].got = None;
         }
-        self.io.add_cache_miss();
-        Ok(self.insert(off, load()?))
+        self.read(&picked, slots, &|j| at[j])
+    }
+
+    /// Reads `ranges` — range `j` for `slots[at(j)]` — and keeps each
+    /// as it arrives. A lone range is one [`BlockSource::read_at`], a
+    /// batch one [`BlockSource::read_many`]. An error of the source
+    /// goes to the first range not delivered; `false` then.
+    fn read(
+        &self,
+        ranges: &[(u64, usize)],
+        slots: &mut [Slot],
+        at: &dyn Fn(usize) -> usize,
+    ) -> bool {
+        let mut got = |j: usize, buf: Vec<u8>| {
+            let slot = &mut slots[at(j)];
+            slot.got = Some(self.keep(ranges[j].0, slot.want, buf));
+        };
+        let read = match *ranges {
+            [] => Ok(()),
+            [(off, bytes)] => self.source.read_at(off, bytes).map(|buf| got(0, buf)),
+            _ => self.source.read_many(ranges, &mut got),
+        };
+        let Err(e) = read else {
+            return true;
+        };
+        if let Some(j) = (0..ranges.len()).find(|&j| slots[at(j)].got.is_none()) {
+            slots[at(j)].got = Some(Err(e));
+        }
+        false
+    }
+
+    /// Checks the bytes read at `off` by `want` and keeps them there.
+    /// All but a `Head` read count as block reads.
+    fn keep(&self, off: u64, want: Want, mut buf: Vec<u8>) -> Result<Got, StorageError> {
+        if !matches!(want, Want::Head) {
+            self.io.add_block(buf.len() as u64);
+        }
+        match want {
+            Want::Head => Ok(Got::Bytes(buf)),
+            Want::Page(p) => {
+                self.index.check_page(p, &buf)?;
+                buf.truncate(self.index.page_live_bytes(p));
+                // A concurrent lookup may have kept it first.
+                let _ = self.index.pages[p].set(buf);
+                Ok(Got::Kept)
+            }
+            Want::Table(s) => {
+                check_section(s, &buf)?;
+                Ok(Got::Cached(self.insert(off, section_entries(buf))))
+            }
+            Want::Directory(key, entry) => {
+                check_section(entry.dir(), &buf)?;
+                let dir = self.decode_directory(entry.dir().off, &section_entries(buf))?;
+                let mut dirs = self.dirs.lock().expect("dir cache");
+                dirs.entry(key).or_insert_with(|| Arc::new(dir));
+                Ok(Got::Kept)
+            }
+            Want::Block => {
+                check_sealed(off, &buf)?;
+                buf.truncate(self.block_entries * L_ENTRY_BYTES);
+                Ok(Got::Cached(self.insert(off, buf)))
+            }
+            Want::Scrub(Some(s)) => {
+                check_section(s, &buf)?;
+                Ok(Got::Bytes(section_entries(buf)))
+            }
+            Want::Scrub(None) => check_sealed(off, &buf).map(|()| Got::Kept),
+        }
+    }
+
+    /// Reads `ranges`, each for `want`, as one batch built on the stack;
+    /// each range's outcome, one never delivered being corrupt.
+    fn read_n<const N: usize>(
+        &self,
+        ranges: [(u64, usize); N],
+        want: Want,
+    ) -> [Result<Got, StorageError>; N] {
+        let mut slots = ranges.map(|_| Slot { want, got: None });
+        self.fetch(&ranges, &mut slots);
+        std::array::from_fn(|i| {
+            let (offset, needed) = ranges[i];
+            let got = slots[i].got.take();
+            got.unwrap_or(Err(StorageError::Corrupt { offset, needed }))
+        })
+    }
+
+    /// A demand read: `range` for `want`, a batch of one.
+    fn read_one(&self, range: (u64, usize), want: Want) -> Result<Got, StorageError> {
+        let [got] = self.read_n([range], want);
+        got
     }
 
     /// Inserts verified bytes at `off` into the block cache, under its
-    /// budget.
+    /// budget: a cache miss.
     fn insert(&self, off: u64, data: Vec<u8>) -> Arc<Vec<u8>> {
+        self.io.add_cache_miss();
         let data = Arc::new(data);
-        let (evicted, resident) = self
-            .cache
-            .lock()
-            .expect("block cache")
-            .insert((self.file_id, off), Arc::clone(&data));
+        let mut cache = self.cache.lock().expect("block cache");
+        let (evicted, resident) = cache.insert((self.file_id, off), Arc::clone(&data));
         if evicted > 0 {
             self.io.add_cache_evictions(evicted);
         }
@@ -554,53 +747,71 @@ impl PagedShared {
         data
     }
 
-    /// The group block at `off`, through the cache.
-    fn fetch_block(&self, off: u64) -> Result<Arc<Vec<u8>>, StorageError> {
-        self.cached(off, || self.read_block_verified(off))
-    }
-}
-
-/// Where a prefetched range goes once it passes its check.
-#[derive(Clone, Copy)]
-enum Want {
-    /// Index page `p`, into its `OnceLock`.
-    Page(usize),
-    /// A `D` or `E` section, into the block cache.
-    Table(Section),
-    /// A pair's directory, into the directory cache.
-    Directory((LabelId, LabelId), IndexEntry),
-    /// A group block, into the block cache.
-    Block,
-}
-
-/// One prefetch round: the ranges to read and, for each, where it goes.
-struct Batch {
-    ranges: Vec<(u64, usize)>,
-    wants: Vec<Want>,
-}
-
-impl Batch {
-    fn with_capacity(n: usize) -> Self {
-        Batch {
-            ranges: Vec::with_capacity(n),
-            wants: Vec::with_capacity(n),
+    /// A section's entries or a group block's payload through the block
+    /// cache: a hit, or a demand read that puts it there — so bytes are
+    /// verified exactly once per residency.
+    fn cached(&self, range: (u64, usize), want: Want) -> Result<Arc<Vec<u8>>, StorageError> {
+        let key = (self.file_id, range.0);
+        let hit = self.cache.lock().expect("block cache").get(key);
+        if let Some(data) = hit {
+            self.io.add_cache_hit();
+            return Ok(data);
+        }
+        match self.read_one(range, want)? {
+            Got::Cached(data) => Ok(data),
+            _ => unreachable!("tables and blocks are kept in the block cache"),
         }
     }
 
-    fn reserve(&mut self, n: usize) {
-        self.ranges.reserve(n);
-        self.wants.reserve(n);
+    /// The group block at `off`, through the cache.
+    fn fetch_block(&self, off: u64) -> Result<Arc<Vec<u8>>, StorageError> {
+        self.cached((off, self.block_bytes()), Want::Block)
     }
 
-    fn push(&mut self, range: (u64, usize), want: Want) {
-        self.ranges.push(range);
-        self.wants.push(want);
+    /// Page `p`'s verified entries: read and checked by the first
+    /// lookup that lands on the page, then kept — a warm lookup takes
+    /// no lock and allocates nothing. A page that fails its checks is
+    /// not kept; the next lookup re-reads it and fails again.
+    fn page(&self, p: usize) -> Result<&[u8], StorageError> {
+        let slot = &self.index.pages[p];
+        if slot.get().is_none() {
+            self.read_one(self.index.page_range(p), Want::Page(p))?;
+        }
+        Ok(slot.get().expect("a page that passed its checks is kept"))
     }
 
-    /// Whether a range at `off` is already asked for (two query edges
-    /// may share a label pair).
-    fn has(&self, off: u64) -> bool {
-        self.ranges.iter().any(|&(o, _)| o == off)
+    /// Decodes the checked entries of the directory at `dir_off`. A
+    /// group whose blocks would end past the index pages, where the
+    /// writer puts every group, is corrupt: its `len` must size nothing.
+    fn decode_directory(&self, dir_off: u64, buf: &[u8]) -> Result<Vec<DirEntry>, StorageError> {
+        let bb = self.block_bytes() as u64;
+        let mut dir = Vec::with_capacity(buf.len() / DIR_ENTRY_BYTES);
+        for (i, e) in buf.chunks_exact(DIR_ENTRY_BYTES).enumerate() {
+            let off = u64::from_le_bytes(e[4..12].try_into().expect("8 bytes"));
+            let len = le32(e, 12);
+            let blocks = self.group_blocks(len).checked_mul(bb);
+            let end = blocks.and_then(|bytes| off.checked_add(bytes));
+            if end.is_none_or(|end| end > self.index.pages_off) {
+                let offset = dir_off + 4 + (i * DIR_ENTRY_BYTES) as u64;
+                let needed = DIR_ENTRY_BYTES;
+                return Err(StorageError::Corrupt { offset, needed });
+            }
+            dir.push((NodeId(le32(e, 0)), off, len));
+        }
+        Ok(dir)
+    }
+
+    /// Pushes the group block at `off` onto `batch` unless it is cached;
+    /// `false`, pushing nothing, once its payload would exceed `room`.
+    fn push_block(&self, cache: &BlockCache, batch: &mut Batch, off: u64, room: &mut u64) -> bool {
+        if cache.contains((self.file_id, off)) {
+            return true;
+        }
+        if !take_room(room, (self.block_entries * L_ENTRY_BYTES) as u64) {
+            return false;
+        }
+        batch.push((off, self.block_bytes()), Want::Block);
+        true
     }
 }
 
@@ -610,10 +821,6 @@ impl Batch {
 pub struct PagedStore {
     shared: Arc<PagedShared>,
     labels: Vec<LabelId>,
-    /// The paged pair index: head checked at open, each page on the
-    /// lookup that first lands on it.
-    index: PagedIndex,
-    dirs: Mutex<DirCache>,
     /// The data graph, when attached ([`PagedStore::with_graph`]) —
     /// enables the lazily-built undirected mirror for graph patterns.
     graph: Option<LabeledGraph>,
@@ -669,31 +876,38 @@ impl PagedStore {
         errors: ErrorSlot,
     ) -> Result<Self, StorageError> {
         const HEAD_LEN: usize = 20; // magic + nodes + labels + block_entries
-        let len = source.len();
+
+        // The reader, before the header names its block capacity and
+        // the index head its pages.
+        let mut shared = PagedShared {
+            source,
+            io,
+            cache,
+            block_entries: 0,
+            file_id,
+            errors,
+            index: PagedIndex::default(),
+            dirs: Mutex::default(),
+        };
+        let len = shared.source.len();
+        let foot_off = len.saturating_sub(FOOTER_LEN);
+        let head_range = (0, len.min(HEAD_LEN as u64) as usize);
+        let foot_range = (foot_off, (len - foot_off) as usize);
+        let [head, foot] = shared.read_n([head_range, foot_range], Want::Head);
+        let (head, foot) = (head?.bytes(), foot?.bytes());
+        // A file too short to hold header + footer needs at least half
+        // the magic to be diagnosed as a damaged store rather than "not
+        // our file at all".
+        let magic = &head[..head.len().min(8)];
+        refuse_legacy_magic(magic)?;
+        if magic.len() < 4 || magic != &MAGIC_V5[..magic.len()] {
+            return Err(StorageError::BadFormat("bad magic".into()));
+        }
         if len < FOOTER_LEN + HEAD_LEN as u64 {
-            // Too short to hold header + footer. Require at least half
-            // the magic before diagnosing a damaged store rather than
-            // "not our file at all".
-            let head = source.read_at(0, len.min(HEAD_LEN as u64) as usize)?;
-            let magic = &head[..head.len().min(8)];
-            refuse_legacy_magic(magic)?;
-            if magic.len() < 4 || magic != &MAGIC_V5[..magic.len()] {
-                return Err(StorageError::BadFormat("bad magic".into()));
-            }
             return Err(StorageError::Corrupt {
                 offset: len,
                 needed: (FOOTER_LEN + HEAD_LEN as u64 - len) as usize,
             });
-        }
-        let foot_range = (len - FOOTER_LEN, FOOTER_LEN as usize);
-        let mut first = [None, None];
-        read_batch(source.as_ref(), &[(0, HEAD_LEN), foot_range], &mut first)?;
-        let [Some(head), Some(foot)] = first else {
-            unreachable!("read_batch fills every slot");
-        };
-        refuse_legacy_magic(&head[..8])?;
-        if head[..8] != MAGIC_V5[..] {
-            return Err(StorageError::BadFormat("bad magic".into()));
         }
         let mut pos = 8;
         let num_nodes = get_u32(&head, &mut pos)? as usize;
@@ -733,12 +947,13 @@ impl PagedStore {
         };
         // Labels + their trailing header CRC, and the index head.
         let labels_range = (HEAD_LEN as u64, label_bytes + 4);
-        let mut second = [None, None];
-        match &index_head {
-            Ok(range) => read_batch(source.as_ref(), &[labels_range, *range], &mut second)?,
-            Err(_) => read_batch(source.as_ref(), &[labels_range], &mut second[..1])?,
-        }
-        let tail = second[0].take().expect("read_batch fills every slot");
+        let (tail, index_bytes) = match index_head {
+            Ok(range) => {
+                let [tail, index_bytes] = shared.read_n([labels_range, range], Want::Head);
+                (tail?.bytes(), Ok((range.0, index_bytes?.bytes())))
+            }
+            Err(e) => (shared.read_one(labels_range, Want::Head)?.bytes(), Err(e)),
+        };
         let label_buf = &tail[..label_bytes];
         // Eager header verification: counts + block capacity + labels.
         let state = crc32_update(CRC_INIT, &head[8..HEAD_LEN]);
@@ -754,22 +969,13 @@ impl PagedStore {
             .chunks_exact(4)
             .map(|c| LabelId(u32::from_le_bytes(c.try_into().expect("chunked to 4"))))
             .collect();
-        let (head_off, _) = index_head?;
-        let head = second[1].take().expect("read_batch fills every slot");
+        let (head_off, index_bytes) = index_bytes?;
         let body_start = (HEAD_LEN + label_bytes + 4) as u64;
-        let index = PagedIndex::parse_head(&head, head_off, body_start)?;
+        shared.index = PagedIndex::parse_head(&index_bytes, head_off, body_start)?;
+        shared.block_entries = block_entries;
         Ok(PagedStore {
-            shared: Arc::new(PagedShared {
-                source,
-                io,
-                cache,
-                block_entries,
-                file_id,
-                errors,
-            }),
+            shared: Arc::new(shared),
             labels,
-            index,
-            dirs: Mutex::new(HashMap::new()),
             graph: None,
             mirror: OnceLock::new(),
         })
@@ -826,43 +1032,43 @@ impl PagedStore {
         let bb = self.shared.block_bytes() as u64;
         Ok(dir
             .iter()
-            .map(|&(v, off, len)| {
-                let blocks = v3_group_blocks(len as usize, self.shared.block_entries) as u64;
-                (v, off..off + blocks * bb)
-            })
+            .map(|&(v, off, len)| (v, off..off + self.shared.group_blocks(len) * bb))
             .collect())
     }
 
     /// Number of pages in the pair index.
     pub fn index_pages(&self) -> usize {
-        self.index.pages.len()
+        self.shared.index.pages.len()
     }
 
     /// Scrubs the whole snapshot: re-reads and re-checks the index
     /// head, walks every index page (through the same first-touch
     /// verification lookups use), and re-verifies every
-    /// `D`/`E`/directory section and **every group block**, reading
-    /// sections and blocks straight from disk (the block cache is
-    /// neither consulted nor polluted). The header was verified at
-    /// open. Returns the first failure: [`StorageError::Corrupt`] for
-    /// damaged bytes, [`StorageError::BadFormat`] for a checksum-valid
-    /// page out of order.
+    /// `D`/`E`/directory section and **every group block**, through the
+    /// checks every read makes but keeping nothing: the block cache is
+    /// neither consulted nor polluted. The header was verified at open.
+    /// Returns the first failure: [`StorageError::Corrupt`] for damaged
+    /// bytes, [`StorageError::BadFormat`] for a checksum-valid page out
+    /// of order.
     pub fn verify(&self) -> Result<(), StorageError> {
-        let ix = &self.index;
-        let head_len = self.shared.source.len() - FOOTER_LEN - ix.head_off;
-        let head = self.shared.read_vec(ix.head_off, head_len as usize)?;
-        PagedIndex::parse_head(&head, ix.head_off, ix.pages_off)?;
-        let bb = self.shared.block_bytes() as u64;
+        let s = &self.shared;
+        let ix = &s.index;
+        let head_len = s.source.len() - FOOTER_LEN - ix.head_off;
+        let head = s.read_one((ix.head_off, head_len as usize), Want::Head)?;
+        PagedIndex::parse_head(&head.bytes(), ix.head_off, ix.pages_off)?;
+        let bb = s.block_bytes() as u64;
         for p in 0..ix.pages.len() {
-            let page = self.page(p)?;
+            let page = s.page(p)?;
             for i in 0..page.len() / INDEX_ENTRY_BYTES {
                 let entry = IndexEntry::at(page, i);
-                self.read_section(entry.d())?;
-                self.read_section(entry.e())?;
-                for (_, off, len) in self.read_directory(&entry)? {
-                    let blocks = v3_group_blocks(len as usize, self.shared.block_entries) as u64;
-                    for k in 0..blocks {
-                        self.shared.read_block_verified(off + k * bb)?;
+                for table in [entry.d(), entry.e()] {
+                    s.read_one(table.range()?, Want::Scrub(Some(table)))?;
+                }
+                let dir = entry.dir();
+                let dir_bytes = s.read_one(dir.range()?, Want::Scrub(Some(dir)))?.bytes();
+                for (_, off, len) in s.decode_directory(dir.off, &dir_bytes)? {
+                    for k in 0..s.group_blocks(len) {
+                        s.read_one((off + k * bb, bb as usize), Want::Scrub(None))?;
                     }
                 }
             }
@@ -870,131 +1076,33 @@ impl PagedStore {
         Ok(())
     }
 
-    /// Page `p`'s verified entries: read and checked by the first
-    /// lookup that lands on the page, then kept — a warm lookup takes
-    /// no lock and allocates nothing. A page that fails its checks is
-    /// not kept; the next lookup re-reads it and fails again.
-    fn page(&self, p: usize) -> Result<&[u8], StorageError> {
-        let slot = &self.index.pages[p];
-        if let Some(page) = slot.get() {
-            return Ok(page);
-        }
-        let page = self.read_page(p)?;
-        Ok(slot.get_or_init(|| page))
-    }
-
-    /// One counted read of page `p`, checked ([`Self::check_page`]).
-    /// Returns its live entries, padding and checksum dropped.
-    fn read_page(&self, p: usize) -> Result<Vec<u8>, StorageError> {
-        let (off, bytes) = self.page_range(p);
-        let mut page = self
-            .shared
-            .read_checked(off, bytes, |buf| self.check_page(p, buf))?;
-        page.truncate(self.page_live_bytes(p));
-        Ok(page)
-    }
-
-    /// Where page `p` lies: its offset and its sealed length.
-    fn page_range(&self, p: usize) -> (u64, usize) {
-        let bytes = index_page_bytes(self.index.page_entries);
-        (self.index.pages_off + (p * bytes) as u64, bytes)
-    }
-
-    /// Bytes of page `p`'s live entries.
-    fn page_live_bytes(&self, p: usize) -> usize {
-        let ix = &self.index;
-        ix.page_entries.min(ix.num_pairs - p * ix.page_entries) * INDEX_ENTRY_BYTES
-    }
-
-    /// The index-page check, on the whole sealed page: its CRC, then
-    /// its order — it starts at its fence key, ascends strictly, ends
-    /// below the next page's fence key, and holds only zeros past
-    /// `num_pairs`.
-    fn check_page(&self, p: usize, page: &[u8]) -> Result<(), StorageError> {
-        let ix = &self.index;
-        check_sealed(self.page_range(p).0, page)?;
-        let first = p * ix.page_entries;
-        let live = self.page_live_bytes(p);
-        let n = live / INDEX_ENTRY_BYTES;
-        if page[live..page.len() - 4].iter().any(|&b| b != 0) {
-            return Err(StorageError::BadFormat(format!(
-                "index page {p} holds entries past the head's {} pair(s)",
-                ix.num_pairs
-            )));
-        }
-        let (key, fence) = (key_at(page, 0), ix.fence[p]);
-        if key != fence {
-            return Err(StorageError::BadFormat(format!(
-                "index page {p} starts at pair ({}, {}), but its fence key is ({}, {})",
-                key.0 .0, key.1 .0, fence.0 .0, fence.1 .0
-            )));
-        }
-        for i in 1..n {
-            let (prev, key) = (key_at(page, i - 1), key_at(page, i));
-            if prev >= key {
-                return Err(pair_order_error("index", first + i, prev, key));
-            }
-        }
-        if let Some(&next) = ix.fence.get(p + 1) {
-            let last = key_at(page, n - 1);
-            if last >= next {
-                return Err(pair_order_error("index", first + n, last, next));
-            }
-        }
-        Ok(())
-    }
-
-    /// The page a lookup of `key` lands on: the last whose fence key is
-    /// at most `key`; `None` before the first.
-    fn page_of(&self, key: (LabelId, LabelId)) -> Option<usize> {
-        self.index
-            .fence
-            .partition_point(|&k| k <= key)
-            .checked_sub(1)
-    }
-
     /// The index entry of `(a, b)`, if the pair is non-empty: a binary
     /// search of the fence, then of the one page it names.
     fn entry(&self, a: LabelId, b: LabelId) -> Result<Option<IndexEntry>, StorageError> {
-        let Some(p) = self.page_of((a, b)) else {
+        let Some(p) = self.shared.index.page_of((a, b)) else {
             return Ok(None);
         };
-        Ok(find_entry(self.page(p)?, (a, b)))
-    }
-
-    /// As [`Self::entry`], but only if its page is already read: a
-    /// lookup that reads nothing.
-    fn loaded_entry(&self, key: (LabelId, LabelId)) -> Option<IndexEntry> {
-        find_entry(self.index.pages[self.page_of(key)?].get()?, key)
-    }
-
-    /// As [`Self::entry`], but on the infallible read paths: an error
-    /// degrades to `None` and is recorded in the error slot.
-    fn entry_noted(&self, a: LabelId, b: LabelId) -> Option<IndexEntry> {
-        self.entry(a, b).unwrap_or_else(|e| {
-            self.shared.errors.record(e);
-            None
-        })
+        Ok(find_entry(self.shared.page(p)?, (a, b)))
     }
 
     /// Label pairs in the store, from the index head.
     pub(crate) fn pair_count(&self) -> usize {
-        self.index.num_pairs
+        self.shared.index.num_pairs
     }
 
     /// The store's first label pair, from the index head's fence;
     /// `None` when it holds none.
     pub(crate) fn first_key(&self) -> Option<(LabelId, LabelId)> {
-        self.index.fence.first().copied()
+        self.shared.index.fence.first().copied()
     }
 
     /// The store's last label pair (the last page read on first
     /// touch); `None` when it holds none.
     pub(crate) fn last_key(&self) -> Result<Option<(LabelId, LabelId)>, StorageError> {
-        let Some(p) = self.index.pages.len().checked_sub(1) else {
+        let Some(p) = self.shared.index.pages.len().checked_sub(1) else {
             return Ok(None);
         };
-        let page = self.page(p)?;
+        let page = self.shared.page(p)?;
         Ok(Some(key_at(page, page.len() / INDEX_ENTRY_BYTES - 1)))
     }
 
@@ -1002,86 +1110,76 @@ impl PagedStore {
     /// not yet read arrive in one batch — a prefetch's page round — and
     /// any the batch dropped is read again on demand.
     pub(crate) fn try_pair_keys(&self) -> Result<Vec<(LabelId, LabelId)>, StorageError> {
-        let missing =
-            || (0..self.index.pages.len()).filter(|&p| self.index.pages[p].get().is_none());
-        let mut batch = Batch::with_capacity(missing().count());
+        let ix = &self.shared.index;
+        let missing = || (0..ix.pages.len()).filter(|&p| ix.pages[p].get().is_none());
+        let mut batch = Batch::default();
+        batch.reserve(missing().count());
         for p in missing() {
-            batch.push(self.page_range(p), Want::Page(p));
+            batch.push(ix.page_range(p), Want::Page(p));
         }
-        self.fetch(&mut batch);
-        let mut keys = Vec::with_capacity(self.index.num_pairs);
-        for p in 0..self.index.pages.len() {
-            let page = self.page(p)?;
+        batch.fetch(&self.shared);
+        let mut keys = Vec::with_capacity(ix.num_pairs);
+        for p in 0..ix.pages.len() {
+            let page = self.shared.page(p)?;
             keys.extend((0..page.len() / INDEX_ENTRY_BYTES).map(|i| key_at(page, i)));
         }
         Ok(keys)
     }
 
-    /// Reads a counted section in one read — its length is known from
-    /// the index — checked ([`check_section`]). Returns exactly the
-    /// entry bytes.
-    fn read_section(&self, s: Section) -> Result<Vec<u8>, StorageError> {
-        let bytes = s.bytes()?;
-        let buf = self
-            .shared
-            .read_checked(s.off, bytes, |buf| check_section(s, buf))?;
-        Ok(section_entries(buf))
-    }
-
-    /// The cached verified D/E section fetch: entry bytes keyed by the
-    /// section's offset in the shared block cache, so warm table loads
-    /// re-read nothing — locally or over the network.
-    fn fetch_section(&self, s: Section) -> Result<Arc<Vec<u8>>, StorageError> {
-        self.shared.cached(s.off, || self.read_section(s))
-    }
-
-    /// Reads and decodes one pair's `L` directory, uncached.
-    fn read_directory(&self, entry: &IndexEntry) -> Result<Vec<DirEntry>, StorageError> {
-        decode_directory(entry, &self.read_section(entry.dir())?)
-    }
-
+    /// Pair `(a, b)`'s directory: from the directory cache, or a demand
+    /// read that puts it there; `None` when the pair is empty.
     fn directory(
         &self,
         a: LabelId,
         b: LabelId,
     ) -> Result<Option<Arc<Vec<DirEntry>>>, StorageError> {
-        if let Some(dir) = self.dirs.lock().expect("dir cache").get(&(a, b)) {
-            return Ok(Some(dir.clone()));
+        let dirs = &self.shared.dirs;
+        let resident = || dirs.lock().expect("dir cache").get(&(a, b)).cloned();
+        if let Some(dir) = resident() {
+            return Ok(Some(dir));
         }
         let Some(entry) = self.entry(a, b)? else {
             return Ok(None);
         };
-        let dir = Arc::new(self.read_directory(&entry)?);
-        self.dirs
-            .lock()
-            .expect("dir cache")
-            .insert((a, b), dir.clone());
-        Ok(Some(dir))
+        self.shared
+            .read_one(entry.dir().range()?, Want::Directory((a, b), entry))?;
+        // Directories are never evicted.
+        Ok(resident())
     }
 
-    /// As [`Self::directory`], but on the infallible read paths: an
-    /// error degrades to `None` and is recorded in the error slot.
-    fn directory_noted(&self, a: LabelId, b: LabelId) -> Option<Arc<Vec<DirEntry>>> {
-        match self.directory(a, b) {
-            Ok(dir) => dir,
-            Err(e) => {
-                self.shared.errors.record(e);
-                None
-            }
-        }
+    /// What a read on the infallible paths yields: its value, or — its
+    /// error recorded in the error slot — the empty one.
+    fn noted<T: Default>(&self, read: Result<T, StorageError>) -> T {
+        read.unwrap_or_else(|e| {
+            self.shared.errors.record(e);
+            T::default()
+        })
+    }
+
+    /// Pair `(a, b)`'s `D` or `E` section (`which`), keyed by its offset
+    /// in the block cache, so a warm load reads nothing; `None` when the
+    /// pair is empty or the read failed.
+    fn table(
+        &self,
+        a: LabelId,
+        b: LabelId,
+        which: fn(&IndexEntry) -> Section,
+    ) -> Option<Arc<Vec<u8>>> {
+        let s = which(&self.noted(self.entry(a, b))?);
+        let read = s
+            .range()
+            .and_then(|r| self.shared.cached(r, Want::Table(s)));
+        self.noted(read.map(Some))
     }
 
     /// [`ClosureSource::prefetch`] over the pairs `mine` keeps (a member
     /// file of a snapshot sees only the pairs routed to it), in rounds
     /// of one batch each: the index pages the pairs land on, then their
     /// `D`/`E` sections and directories, then — for pairs read whole —
-    /// their group blocks. Each range passes the same check its demand
-    /// read makes and goes where that read looks: the page's
-    /// `OnceLock`, the block cache or the directory cache. A range that
-    /// fails is dropped, never recorded; cached regions are skipped;
-    /// block-cache bytes stop when they would exceed `room`, which is
-    /// what is left of the prefetch's budget ([`Self::prefetch_room`],
-    /// shared by the member files of a snapshot).
+    /// their group blocks. Cached regions are skipped; block-cache
+    /// bytes stop when they would exceed `room`, which is what is left
+    /// of the prefetch's budget ([`Self::prefetch_room`], shared by the
+    /// member files of a snapshot).
     pub(crate) fn prefetch_where(
         &self,
         pairs: &[Vec<(LabelId, LabelId)>],
@@ -1089,6 +1187,7 @@ impl PagedStore {
         mine: &dyn Fn((LabelId, LabelId)) -> bool,
         room: &mut u64,
     ) {
+        let s = &self.shared;
         let wants = || {
             pairs.iter().enumerate().flat_map(move |(u, keys)| {
                 let s = sections(u);
@@ -1097,94 +1196,76 @@ impl PagedStore {
         };
         // The rounds before the block round ask at most three ranges a
         // pair: two tables and a directory.
-        let mut batch = Batch::with_capacity(3 * pairs.iter().map(Vec::len).sum::<usize>());
+        let mut batch = Batch::default();
+        batch.reserve(3 * pairs.iter().map(Vec::len).sum::<usize>());
         for (key, _) in wants() {
-            if let Some(p) = self.page_of(key) {
-                let range = self.page_range(p);
-                if self.index.pages[p].get().is_none() && !batch.has(range.0) {
-                    batch.push(range, Want::Page(p));
-                }
+            let Some(p) = s.index.page_of(key) else {
+                continue;
+            };
+            let range = s.index.page_range(p);
+            if s.index.pages[p].get().is_none() && !batch.has(range.0) {
+                batch.push(range, Want::Page(p));
             }
         }
-        self.fetch(&mut batch);
+        batch.fetch(s);
 
-        // Whether `bytes` more fit the budget; once one does not,
-        // nothing more goes into the block cache.
-        let mut fits = |bytes: usize| match room.checked_sub(bytes as u64) {
-            Some(left) => {
-                *room = left;
-                true
-            }
-            None => {
-                *room = 0;
-                false
-            }
-        };
         {
-            let cache = self.shared.cache.lock().expect("block cache");
-            let dirs = self.dirs.lock().expect("dir cache");
-            for (key, s) in wants() {
-                let Some(entry) = self.loaded_entry(key) else {
+            let cache = s.cache.lock().expect("block cache");
+            let dirs = s.dirs.lock().expect("dir cache");
+            for (key, sec) in wants() {
+                let Some(entry) = s.index.loaded_entry(key) else {
                     continue;
                 };
-                for table in [s.d.then(|| entry.d()), s.e.then(|| entry.e())]
+                for table in [sec.d.then(|| entry.d()), sec.e.then(|| entry.e())]
                     .into_iter()
                     .flatten()
                 {
-                    let Ok(bytes) = table.bytes() else { continue };
-                    if !cache.contains((self.shared.file_id, table.off))
-                        && self.shared.in_bounds(table.off, bytes)
+                    let Ok(range) = table.range() else { continue };
+                    if !cache.contains((s.file_id, table.off))
                         && !batch.has(table.off)
-                        && fits(bytes - 8)
+                        && take_room(room, range.1 as u64 - 8)
                     {
-                        batch.push((table.off, bytes), Want::Table(table));
+                        batch.push(range, Want::Table(table));
                     }
                 }
                 let dir = entry.dir();
-                if (s.directory || s.blocks) && !dirs.contains_key(&key) {
-                    if let Ok(bytes) = dir.bytes() {
-                        if self.shared.in_bounds(dir.off, bytes) && !batch.has(dir.off) {
-                            batch.push((dir.off, bytes), Want::Directory(key, entry));
-                        }
+                if (sec.directory || sec.blocks) && !dirs.contains_key(&key) && !batch.has(dir.off)
+                {
+                    if let Ok(range) = dir.range() {
+                        batch.push(range, Want::Directory(key, entry));
                     }
                 }
             }
         }
-        self.fetch(&mut batch);
+        batch.fetch(s);
 
-        let block_bytes = self.shared.block_bytes();
-        let payload = self.shared.block_entries * L_ENTRY_BYTES;
         {
-            let cache = self.shared.cache.lock().expect("block cache");
-            let dirs = self.dirs.lock().expect("dir cache");
+            let cache = s.cache.lock().expect("block cache");
+            let dirs = s.dirs.lock().expect("dir cache");
             // Every group of every pair read whole, as `(offset,
-            // blocks)`: once however many edges share the pair.
-            let be = self.shared.block_entries;
+            // blocks)`: once however many edges share the pair. Groups
+            // never share a block, so no block is asked for twice.
             let groups = || {
                 wants()
                     .enumerate()
-                    .filter(|&(i, (key, s))| s.blocks && !wants().take(i).any(|(k, _)| k == key))
+                    .filter(|&(i, (key, sec))| {
+                        sec.blocks && !wants().take(i).any(|(k, _)| k == key)
+                    })
                     .filter_map(|(_, (key, _))| dirs.get(&key))
                     .flat_map(|dir| dir.iter())
-                    .map(|&(_, off, len)| (off, v3_group_blocks(len as usize, be) as u64))
+                    .map(|&(_, off, len)| (off, s.group_blocks(len)))
             };
             batch.reserve(groups().map(|(_, n)| n as usize).sum());
+            let bb = s.block_bytes() as u64;
             'pairs: for (group_off, blocks) in groups() {
                 for k in 0..blocks {
-                    let off = group_off + k * block_bytes as u64;
-                    if cache.contains((self.shared.file_id, off))
-                        || !self.shared.in_bounds(off, block_bytes)
-                    {
-                        continue;
-                    }
-                    if !fits(payload) {
+                    if !s.push_block(&cache, &mut batch, group_off + k * bb, room) {
                         break 'pairs;
                     }
-                    batch.push((off, block_bytes), Want::Block);
                 }
             }
         }
-        self.fetch(&mut batch);
+        batch.fetch(s);
     }
 
     /// The block-cache bytes one prefetch may fill: the cache's byte
@@ -1210,127 +1291,58 @@ impl PagedStore {
     /// its first block: the source is remote, and the block, found
     /// through its resident directory, is not cached.
     pub(crate) fn incoming_is_remote_miss(&self, run: IncomingRun) -> bool {
-        if !self.shared.source.is_remote() {
+        let s = &self.shared;
+        if !s.source.is_remote() {
             return false;
         }
-        let off = self.first_block(&self.dirs.lock().expect("dir cache"), run);
-        off.is_some_and(|off| {
-            let cache = self.shared.cache.lock().expect("block cache");
-            !cache.contains((self.shared.file_id, off))
-        })
+        let off = self.first_block(&s.dirs.lock().expect("dir cache"), run);
+        let cache = s.cache.lock().expect("block cache");
+        off.is_some_and(|off| !cache.contains((s.file_id, off)))
     }
 
     /// [`ClosureSource::prefetch_incoming`]'s batch over the runs `mine`
     /// keeps (a member file of a snapshot sees only the runs routed to
     /// it): the first group block of each, in list order, in one
-    /// [`BlockSource::read_many`]. A run is skipped when its directory
-    /// is not resident, its block is cached or already in the batch or
-    /// out of bounds; the batch stops once a block would exceed `room`.
-    /// Each block passes the demand read's check ([`Self::fetch`]).
+    /// batch. A run is skipped when its directory is not resident or
+    /// its block is already in the batch or cached; the batch stops
+    /// once a block would exceed `room`.
     pub(crate) fn prefetch_first_blocks(
         &self,
         runs: &[IncomingRun],
         mine: &dyn Fn(IncomingRun) -> bool,
         room: &mut u64,
     ) {
-        let block_bytes = self.shared.block_bytes();
-        let payload = (self.shared.block_entries * L_ENTRY_BYTES) as u64;
-        let mut batch = Batch::with_capacity(runs.len());
+        let s = &self.shared;
+        let mut batch = Batch::default();
+        batch.reserve(runs.len());
         {
-            let cache = self.shared.cache.lock().expect("block cache");
-            let dirs = self.dirs.lock().expect("dir cache");
+            let cache = s.cache.lock().expect("block cache");
+            let dirs = s.dirs.lock().expect("dir cache");
             for &run in runs.iter().filter(|&&run| mine(run)) {
                 let Some(off) = self.first_block(&dirs, run) else {
                     continue;
                 };
-                if cache.contains((self.shared.file_id, off))
-                    || batch.has(off)
-                    || !self.shared.in_bounds(off, block_bytes)
-                {
-                    continue;
-                }
-                let Some(left) = room.checked_sub(payload) else {
-                    *room = 0;
+                if !batch.has(off) && !s.push_block(&cache, &mut batch, off, room) {
                     break;
-                };
-                *room = left;
-                batch.push((off, block_bytes), Want::Block);
-            }
-        }
-        self.fetch(&mut batch);
-    }
-
-    /// Reads one prefetch round's batch and stores what passes its
-    /// checks; then empties the batch for the next round.
-    fn fetch(&self, batch: &mut Batch) {
-        if batch.ranges.is_empty() {
-            return;
-        }
-        let shared = &self.shared;
-        let stored = |i: usize, mut buf: Vec<u8>| {
-            shared.io.add_block(buf.len() as u64);
-            let off = batch.ranges[i].0;
-            match batch.wants[i] {
-                Want::Page(p) => {
-                    if self.check_page(p, &buf).is_ok() {
-                        buf.truncate(self.page_live_bytes(p));
-                        // A concurrent lookup may have kept it first.
-                        let _ = self.index.pages[p].set(buf);
-                    }
-                }
-                Want::Table(table) => {
-                    if check_section(table, &buf).is_ok() {
-                        shared.io.add_cache_miss();
-                        shared.insert(off, section_entries(buf));
-                    }
-                }
-                Want::Directory(key, entry) => {
-                    if check_section(entry.dir(), &buf).is_ok() {
-                        if let Ok(dir) = decode_directory(&entry, &section_entries(buf)) {
-                            let mut dirs = self.dirs.lock().expect("dir cache");
-                            dirs.entry(key).or_insert_with(|| Arc::new(dir));
-                        }
-                    }
-                }
-                Want::Block => {
-                    if check_sealed(off, &buf).is_ok() {
-                        buf.truncate(shared.block_entries * L_ENTRY_BYTES);
-                        shared.io.add_cache_miss();
-                        shared.insert(off, buf);
-                    }
                 }
             }
-        };
-        // An error drops the rest of the round: every read it would
-        // have served fetches on demand instead.
-        let _ = shared.source.read_many(&batch.ranges, &mut { stored });
-        batch.ranges.clear();
-        batch.wants.clear();
+        }
+        batch.fetch(s);
     }
 
-    /// Reads one group's entries `[from, len)` through the block cache.
-    /// Every touched block is verified on (first) fetch.
-    fn read_group_range(
+    /// Reads the `len` entries of the group at `group_off` through the
+    /// block cache. Every touched block is verified on (first) fetch.
+    fn read_group(
         &self,
         group_off: u64,
         len: usize,
-        from: usize,
         out: &mut Vec<(NodeId, Dist)>,
     ) -> Result<(), StorageError> {
-        let be = self.shared.block_entries;
-        let bb = self.shared.block_bytes() as u64;
-        let mut i = from;
-        while i < len {
-            let block_idx = i / be;
-            let block = self.shared.fetch_block(group_off + block_idx as u64 * bb)?;
-            let upto = len.min((block_idx + 1) * be);
-            let mut pos = (i % be) * L_ENTRY_BYTES;
-            for _ in i..upto {
-                let s = get_u32(&block, &mut pos)?;
-                let d = get_u32(&block, &mut pos)?;
-                out.push((NodeId(s), d));
-            }
-            i = upto;
+        let (be, bb) = (self.shared.block_entries, self.shared.block_bytes());
+        for k in 0..len.div_ceil(be) {
+            let block = self.shared.fetch_block(group_off + (k * bb) as u64)?;
+            let entries = &block[..be.min(len - k * be) * L_ENTRY_BYTES];
+            out.extend(entries.chunks_exact(L_ENTRY_BYTES).map(edge));
         }
         Ok(())
     }
@@ -1346,65 +1358,37 @@ impl ClosureSource for PagedStore {
     }
 
     fn pair_keys(&self) -> Vec<(LabelId, LabelId)> {
-        self.try_pair_keys().unwrap_or_else(|e| {
-            self.shared.errors.record(e);
-            Vec::new()
-        })
+        self.noted(self.try_pair_keys())
     }
 
     fn has_pair(&self, a: LabelId, b: LabelId) -> bool {
-        self.entry_noted(a, b).is_some()
+        self.noted(self.entry(a, b)).is_some()
     }
 
     fn load_d(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, Dist)> {
-        let Some(entry) = self.entry_noted(a, b) else {
+        let Some(buf) = self.table(a, b, IndexEntry::d) else {
             return Vec::new();
         };
-        let inner = || -> Result<Vec<(NodeId, Dist)>, StorageError> {
-            let buf = self.fetch_section(entry.d())?;
-            let count = buf.len() / 8;
-            let mut pos = 0;
-            let mut out = Vec::with_capacity(count);
-            for _ in 0..count {
-                let v = NodeId(get_u32(&buf, &mut pos)?);
-                let dist = get_u32(&buf, &mut pos)?;
-                out.push((v, dist));
-            }
-            self.shared.io.add_d_entries(count as u64);
-            Ok(out)
-        };
-        inner().unwrap_or_else(|e| {
-            self.shared.errors.record(e);
-            Vec::new()
-        })
+        self.shared
+            .io
+            .add_d_entries((buf.len() / D_ENTRY_BYTES) as u64);
+        buf.chunks_exact(D_ENTRY_BYTES).map(edge).collect()
     }
 
     fn load_e(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, NodeId, Dist)> {
-        let Some(entry) = self.entry_noted(a, b) else {
+        let Some(buf) = self.table(a, b, IndexEntry::e) else {
             return Vec::new();
         };
-        let inner = || -> Result<Vec<(NodeId, NodeId, Dist)>, StorageError> {
-            let buf = self.fetch_section(entry.e())?;
-            let count = buf.len() / 12;
-            let mut pos = 0;
-            let mut out = Vec::with_capacity(count);
-            for _ in 0..count {
-                let s = NodeId(get_u32(&buf, &mut pos)?);
-                let d = NodeId(get_u32(&buf, &mut pos)?);
-                let dist = get_u32(&buf, &mut pos)?;
-                out.push((s, d, dist));
-            }
-            self.shared.io.add_e_entries(count as u64);
-            Ok(out)
-        };
-        inner().unwrap_or_else(|e| {
-            self.shared.errors.record(e);
-            Vec::new()
-        })
+        self.shared
+            .io
+            .add_e_entries((buf.len() / E_ENTRY_BYTES) as u64);
+        buf.chunks_exact(E_ENTRY_BYTES)
+            .map(|c| (NodeId(le32(c, 0)), NodeId(le32(c, 4)), le32(c, 8)))
+            .collect()
     }
 
     fn load_pair(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, NodeId, Dist)> {
-        let Some(dir) = self.directory_noted(a, b) else {
+        let Some(dir) = self.noted(self.directory(a, b)) else {
             return Vec::new();
         };
         let mut out = Vec::new();
@@ -1415,7 +1399,7 @@ impl ClosureSource for PagedStore {
             // A corrupt block degrades to a partial result, like every
             // corrupt read on the infallible trait methods — recorded
             // in the error slot.
-            if let Err(e) = self.read_group_range(off, len as usize, 0, &mut group) {
+            if let Err(e) = self.read_group(off, len as usize, &mut group) {
                 self.shared.errors.record(e);
                 break;
             }
@@ -1427,27 +1411,22 @@ impl ClosureSource for PagedStore {
     }
 
     fn incoming_cursor(&self, a: LabelId, v: NodeId) -> Box<dyn EdgeCursor + Send> {
-        let entry = self
-            .directory_noted(a, self.node_label(v))
-            .and_then(|dir| group_of(&dir, v));
-        let (group_off, len) = match entry {
-            Some((_, off, len)) => (off, len as usize),
-            None => (0, 0),
-        };
+        let dir = self.noted(self.directory(a, self.node_label(v)));
+        let (_, group_off, len) = dir.and_then(|dir| group_of(&dir, v)).unwrap_or((v, 0, 0));
         Box::new(PagedCursor {
             shared: self.shared.clone(),
             group_off,
-            len,
+            len: len as usize,
             pos: 0,
         })
     }
 
     fn lookup_dist(&self, u: NodeId, v: NodeId) -> Option<Dist> {
         let a = self.node_label(u);
-        let dir = self.directory_noted(a, self.node_label(v))?;
+        let dir = self.noted(self.directory(a, self.node_label(v)))?;
         let (_, off, len) = group_of(&dir, v)?;
         let mut group = Vec::with_capacity(len as usize);
-        if let Err(e) = self.read_group_range(off, len as usize, 0, &mut group) {
+        if let Err(e) = self.read_group(off, len as usize, &mut group) {
             self.shared.errors.record(e);
             return None;
         }
@@ -1518,17 +1497,11 @@ impl EdgeCursor for PagedCursor {
         };
         let upto = self.len.min((block_idx + 1) * be);
         let take = upto - self.pos;
-        let mut out = Vec::with_capacity(take);
-        let mut pos = (self.pos % be) * L_ENTRY_BYTES;
-        for _ in 0..take {
-            let Ok(s) = get_u32(&block, &mut pos) else {
-                break;
-            };
-            let Ok(d) = get_u32(&block, &mut pos) else {
-                break;
-            };
-            out.push((NodeId(s), d));
-        }
+        let from = (self.pos % be) * L_ENTRY_BYTES;
+        let out = block[from..from + take * L_ENTRY_BYTES]
+            .chunks_exact(L_ENTRY_BYTES)
+            .map(edge)
+            .collect();
         self.pos = upto;
         self.shared.io.add_edges(take as u64);
         out
@@ -1604,7 +1577,6 @@ pub fn open_store_auto(
         LocalStore::Sharded(store) => store.into_shared(),
     })
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1617,13 +1589,17 @@ mod tests {
     /// A [`LocalFile`] that counts every read and every batch reaching
     /// it — one round trip each, were the file remote — and their
     /// bytes, and the batches alone. With `remote` set it answers
-    /// [`BlockSource::is_remote`] as the network source does.
+    /// [`BlockSource::is_remote`] as the network source does. `rot`
+    /// holds a byte offset and a count of flips: while the count lasts
+    /// (`u64::MAX`: for good), every read covering that byte delivers
+    /// it with its low bit flipped, and uses up one flip.
     struct Counting {
         file: LocalFile,
         reads: Arc<AtomicU64>,
         bytes: Arc<AtomicU64>,
         batches: Arc<AtomicU64>,
         remote: bool,
+        rot: Arc<Mutex<(u64, u64)>>,
     }
 
     impl Counting {
@@ -1634,6 +1610,19 @@ mod tests {
                 bytes: Arc::clone(bytes),
                 batches: Arc::default(),
                 remote: false,
+                rot: Arc::default(),
+            }
+        }
+
+        /// Applies `rot` to `buf`, read at `off`.
+        fn rot(&self, off: u64, buf: &mut [u8]) {
+            let mut rot = self.rot.lock().unwrap();
+            let (at, left) = *rot;
+            if left > 0 && (off..off + buf.len() as u64).contains(&at) {
+                buf[(at - off) as usize] ^= 1;
+                if left != u64::MAX {
+                    rot.1 -= 1;
+                }
             }
         }
     }
@@ -1642,7 +1631,9 @@ mod tests {
         fn read_at(&self, off: u64, bytes: usize) -> Result<Vec<u8>, StorageError> {
             self.reads.fetch_add(1, Ordering::Relaxed);
             self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-            self.file.read_at(off, bytes)
+            let mut buf = self.file.read_at(off, bytes)?;
+            self.rot(off, &mut buf);
+            Ok(buf)
         }
 
         fn read_many(
@@ -1654,7 +1645,10 @@ mod tests {
             self.batches.fetch_add(1, Ordering::Relaxed);
             let bytes: usize = ranges.iter().map(|&(_, b)| b).sum();
             self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-            self.file.read_many(ranges, got)
+            self.file.read_many(ranges, &mut |i, mut buf| {
+                self.rot(ranges[i].0, &mut buf);
+                got(i, buf)
+            })
         }
 
         fn len(&self) -> u64 {
@@ -1674,6 +1668,7 @@ mod tests {
         reads: Arc<AtomicU64>,
         bytes: Arc<AtomicU64>,
         batches: Arc<AtomicU64>,
+        rot: Arc<Mutex<(u64, u64)>>,
         path: PathBuf,
     }
 
@@ -1706,7 +1701,7 @@ mod tests {
                 remote,
                 ..Counting::open(&path, &reads, &bytes)
             };
-            let batches = Arc::clone(&source.batches);
+            let (batches, rot) = (Arc::clone(&source.batches), Arc::clone(&source.rot));
             let store = PagedStore::from_source(
                 Box::new(source),
                 Arc::new(Mutex::new(BlockCache::new(budget))),
@@ -1720,6 +1715,7 @@ mod tests {
                 reads,
                 bytes,
                 batches,
+                rot,
                 path,
             }
         }
@@ -2131,5 +2127,131 @@ mod tests {
         full_reads(&store, &mem, &pairs);
         assert!(store.take_error().is_none());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_range_kind_reads_pristine_or_fails_on_both_paths_and_tiers() {
+        // One bit of one range of each kind rots, for one read or for
+        // good, and the range is read on demand or through a prefetch,
+        // from a local or a remote source. A read yields memory's data
+        // or an error, never other data; a remote source reads a
+        // range that failed its check once more, a local one never; a
+        // prefetch records nothing; a demand read records its error.
+        let mem = crate::MemStore::new(ClosureTables::compute(&web()));
+        let keys = mem.pair_keys();
+        // A pair on page 1 or later, with `D` entries and groups.
+        let i = (P..keys.len())
+            .find(|&i| !mem.load_pair(keys[i].0, keys[i].1).is_empty())
+            .expect("a pair with groups");
+        let (a, b) = keys[i];
+        let probe = Counted::web("rot-probe", 0);
+        let entry = probe.store.entry(a, b).unwrap().expect("stored");
+        let group = probe.store.directory(a, b).unwrap().expect("stored")[0].1;
+        let record = (i % P * INDEX_ENTRY_BYTES) as u64;
+        let key_byte = probe.store.shared.index.page_range(i / P).0 + record + 4;
+        let only = |f: fn(&mut Sections)| {
+            let mut s = Sections::default();
+            f(&mut s);
+            s
+        };
+        // Each kind: the byte that rots (the key's `b`, the first `D`
+        // node, the first directory node, the first group's first
+        // source) and what a prefetch of the pair reads.
+        let kinds = [
+            ("page", key_byte, only(|s| s.d = true)),
+            ("table", entry.d_off + 4, only(|s| s.d = true)),
+            (
+                "directory",
+                entry.dir().off + 4,
+                only(|s| s.directory = true),
+            ),
+            ("block", group, only(|s| s.blocks = true)),
+        ];
+        // The page and the table are read through `D`, the rest
+        // through the whole pair.
+        let read = |store: &dyn ClosureSource, kind: &str| -> Vec<(NodeId, NodeId, Dist)> {
+            match kind {
+                "page" | "table" => store
+                    .load_d(a, b)
+                    .into_iter()
+                    .map(|(v, d)| (v, v, d))
+                    .collect(),
+                _ => sorted(store.load_pair(a, b)),
+            }
+        };
+        let mut row = 0;
+        for (kind, at, sections) in kinds {
+            let want = read(&mem, kind);
+            assert!(!want.is_empty());
+            for remote in [false, true] {
+                for prefetch in [false, true] {
+                    for persistent in [false, true] {
+                        let name = format!(
+                            "{kind}: remote {remote}, prefetch {prefetch}, persistent {persistent}"
+                        );
+                        let c = Counted::web_as(&format!("rot-{row}"), 0, remote);
+                        row += 1;
+                        *c.rot.lock().unwrap() = (at, if persistent { u64::MAX } else { 1 });
+                        let retries = || c.store.io().remote_retries;
+                        if prefetch {
+                            c.store.prefetch(&[vec![(a, b)]], &|_| sections);
+                            assert!(c.store.take_error().is_none(), "{name}: recorded");
+                            assert_eq!(retries(), remote as u64, "{name}: prefetch re-reads");
+                        }
+                        let before = retries();
+                        let got = read(&c.store, kind);
+                        let error = c.store.take_error();
+                        let clean = !persistent && (remote || prefetch);
+                        assert_eq!(got == want, clean, "{name}: {got:?}");
+                        assert_eq!(error.is_some(), !clean, "{name}: {error:?}");
+                        let again = remote && (persistent || !prefetch);
+                        assert_eq!(retries() - before, again as u64, "{name}: demand re-reads");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_directory_group_past_the_blocks_is_refused_before_it_sizes_anything() {
+        // The first group of one pair's directory claims u32::MAX
+        // entries, the section's CRC resealed. The open accepts the
+        // file (directories are read on first touch); every read
+        // through the directory degrades with a recorded error instead
+        // of sizing an allocation by that count; the scrub refuses it.
+        let mem = crate::MemStore::new(ClosureTables::compute(&web()));
+        let (a, b) = mem
+            .pair_keys()
+            .into_iter()
+            .find(|&(a, b)| !mem.load_pair(a, b).is_empty())
+            .expect("a pair with groups");
+        let c = Counted::web("overrun", 0);
+        let entry = c.store.entry(a, b).unwrap().expect("stored");
+        let v = c.store.directory(a, b).unwrap().expect("stored")[0].0;
+        let (off, bytes) = entry.dir().range().unwrap();
+        let mut file = std::fs::read(&c.path).unwrap();
+        let section = &mut file[off as usize..off as usize + bytes];
+        section[4 + 12..4 + 16].copy_from_slice(&u32::MAX.to_le_bytes());
+        let crc = crc32(&section[..bytes - 4]);
+        section[bytes - 4..].copy_from_slice(&crc.to_le_bytes());
+        let path = c.path.with_extension("overrun");
+        std::fs::write(&path, &file).unwrap();
+        let store = PagedStore::open(&path).unwrap();
+        let corrupt = |store: &PagedStore| {
+            let error = store.take_error();
+            assert!(
+                matches!(error, Some(StorageError::Corrupt { .. })),
+                "{error:?}"
+            );
+        };
+        let (u, _, _) = mem.load_pair(a, b).into_iter().find(|t| t.1 == v).unwrap();
+        assert_eq!(store.lookup_dist(u, v), None);
+        corrupt(&store);
+        assert!(store.load_pair(a, b).is_empty());
+        corrupt(&store);
+        assert!(store.incoming_cursor(a, v).next_block().is_empty());
+        corrupt(&store);
+        assert!(matches!(store.verify(), Err(StorageError::Corrupt { .. })));
+        std::fs::remove_file(&path).ok();
     }
 }

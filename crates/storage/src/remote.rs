@@ -343,13 +343,13 @@ impl ConnPool {
 }
 
 /// One shard file's bytes, fetched over the pool. Frame-level CRC
-/// mismatches on a single read get one immediate re-request;
-/// `is_remote` additionally lets the paged reader re-fetch once when
-/// a sealed region's own CRC fails (an on-wire flip the frame CRC
-/// missed, or a stale cache of a rewritten file), and read cursor
-/// blocks ahead of the loader. A batch
+/// mismatches on a single read get one immediate re-request. A batch
 /// ([`BlockSource::read_many`]) is one `FETCH` of many ranges per round
-/// trip; a range whose frame CRC fails is left out, not re-requested.
+/// trip; a range whose frame CRC fails is left out of it. `is_remote`
+/// lets the paged reader read once more — on demand and in a prefetch
+/// alike — every range a batch left out or whose sealed region's own
+/// CRC fails (an on-wire flip the frame CRC missed, or a stale cache
+/// of a rewritten file), and read cursor blocks ahead of the loader.
 struct RemoteBlockSource {
     pool: Arc<ConnPool>,
     file_id: u32,

@@ -121,6 +121,31 @@ impl<O> RoutedStore<O> {
             .filter(|s| matches!(s.get(), Some(Some(_))))
             .count()
     }
+
+    /// Calls `each` once per member file `items` route to, in the order
+    /// they first do (a file `member` yields no store for is skipped),
+    /// with a test of whether an item routes there and the room left of
+    /// one prefetch budget: the files share one cache.
+    fn per_member<'a, T: Copy>(
+        &'a self,
+        items: impl Iterator<Item = T>,
+        shard_of: impl Fn(T) -> Option<u32>,
+        member: impl Fn(u32) -> Option<&'a PagedStore>,
+        mut each: impl FnMut(&PagedStore, &dyn Fn(T) -> bool, &mut u64),
+    ) {
+        let mut done: Vec<u32> = Vec::new();
+        let mut room = None;
+        for shard in items.filter_map(&shard_of) {
+            if done.contains(&shard) {
+                continue;
+            }
+            done.push(shard);
+            if let Some(member) = member(shard) {
+                let room = room.get_or_insert_with(|| member.prefetch_room());
+                each(member, &|item| shard_of(item) == Some(shard), room);
+            }
+        }
+    }
 }
 
 impl<O: Send + Sync + 'static> RoutedStore<O> {
@@ -204,25 +229,14 @@ impl<O: Send + Sync> ClosureSource for RoutedStore<O> {
 
     /// Split by member file: each file the pairs route to is opened
     /// (as the half's first read of it would) and prefetches only its
-    /// own pairs, so a round is one batch per touched file. The files
-    /// share one cache, so they share one budget.
+    /// own pairs, so a round is one batch per touched file.
     fn prefetch(&self, pairs: &[Vec<(LabelId, LabelId)>], sections: &dyn Fn(usize) -> Sections) {
-        let mut done: Vec<u32> = Vec::new();
-        let mut room = None;
-        for &(a, b) in pairs.iter().flatten() {
-            let Some(shard) = self.manifest.shard_of(a, b) else {
-                continue;
-            };
-            if done.contains(&shard) {
-                continue;
-            }
-            done.push(shard);
-            if let Some(member) = self.member_at(shard) {
-                let routed = |(x, y)| self.manifest.shard_of(x, y) == Some(shard);
-                let room = room.get_or_insert_with(|| member.prefetch_room());
-                member.prefetch_where(pairs, sections, &routed, room);
-            }
-        }
+        self.per_member(
+            pairs.iter().flatten().copied(),
+            |(a, b)| self.manifest.shard_of(a, b),
+            |shard| self.member_at(shard),
+            |member, routed, room| member.prefetch_where(pairs, sections, routed, room),
+        );
     }
 
     /// Split by member file: the runs go to the files their pairs route
@@ -230,29 +244,20 @@ impl<O: Send + Sync> ClosureSource for RoutedStore<O> {
     /// already open take part: a run's directory, which the batch
     /// needs, is resident only in a file a plan half has read.
     fn prefetch_incoming(&self, run: IncomingRun, more: &mut dyn FnMut(&mut Vec<IncomingRun>)) {
-        let route = |(a, v): IncomingRun| {
-            let shard = self.manifest.shard_of(a, self.manifest.node_label(v))?;
-            Some((shard, self.slots[shard as usize].get()?.as_ref()?))
-        };
-        if !route(run).is_some_and(|(_, member)| member.incoming_is_remote_miss(run)) {
+        let shard_of = |(a, v): IncomingRun| self.manifest.shard_of(a, self.manifest.node_label(v));
+        let open = |shard: u32| self.slots[shard as usize].get()?.as_ref();
+        let miss = shard_of(run).and_then(open);
+        if !miss.is_some_and(|member| member.incoming_is_remote_miss(run)) {
             return;
         }
         let mut runs = vec![run];
         more(&mut runs);
-        let mut done: Vec<u32> = Vec::new();
-        let mut room = None;
-        for &r in &runs {
-            let Some((shard, member)) = route(r) else {
-                continue;
-            };
-            if done.contains(&shard) {
-                continue;
-            }
-            done.push(shard);
-            let routed = |r| route(r).is_some_and(|(s, _)| s == shard);
-            let room = room.get_or_insert_with(|| member.prefetch_room());
-            member.prefetch_first_blocks(&runs, &routed, room);
-        }
+        self.per_member(
+            runs.iter().copied(),
+            shard_of,
+            open,
+            |member, routed, room| member.prefetch_first_blocks(&runs, routed, room),
+        );
     }
 
     fn take_error(&self) -> Option<StorageError> {
