@@ -7,10 +7,10 @@
 //! lives in core because core owns the engines and the
 //! [`crate::build_stream`] dispatch that constructs them.
 
+use crate::exec::WorkerPool;
 use crate::plan::{QueryForm, QueryPlan};
 use crate::stream::{build_stream, BoxedMatchStream};
 use crate::ParallelPolicy;
-use ktpm_exec::WorkerPool;
 use std::sync::Arc;
 
 /// The algorithms behind the single [`crate::MatchStream`] surface.
@@ -25,8 +25,6 @@ pub enum Algo {
     /// `ParTopk`: root-partitioned parallel execution per a
     /// [`crate::ParallelPolicy`]. Emits exactly the `topk_full` stream.
     Par,
-    /// The exhaustive test oracle (exponential; tiny inputs only).
-    Brute,
     /// DP-B (ICDE'13 baseline): bottom-up dynamic programming over the
     /// full run-time graph, whose per-node frontiers pop in the
     /// canonical order.
@@ -49,9 +47,7 @@ pub struct AlgoCaps {
     /// without it instead of silently running sequentially.
     pub sharded: bool,
     /// A warm [`QueryPlan`] removes *all* per-stream setup: building a
-    /// stream does no work proportional to the match count. (`Brute`
-    /// shares the plan's run-time graph but still materializes the
-    /// whole match set per stream, so it does not qualify.)
+    /// stream does no work proportional to the match count.
     pub plan_reuse: bool,
 }
 
@@ -63,11 +59,10 @@ impl Algo {
     /// [`Algo::parse`]), `ktpm query --algo` and the `ktpm::api`
     /// builder route through it, and all render errors with
     /// [`Algo::valid_names`] — the lists cannot drift.
-    pub const ALL: [Algo; 7] = [
+    pub const ALL: [Algo; 6] = [
         Algo::Topk,
         Algo::TopkEn,
         Algo::Par,
-        Algo::Brute,
         Algo::DpB,
         Algo::DpP,
         Algo::Kgpm,
@@ -79,7 +74,6 @@ impl Algo {
             Algo::Topk => "topk",
             Algo::TopkEn => "topk-en",
             Algo::Par => "par",
-            Algo::Brute => "brute",
             Algo::DpB => "dp-b",
             Algo::DpP => "dp-p",
             Algo::Kgpm => "kgpm",
@@ -100,7 +94,7 @@ impl Algo {
         Algo::ALL.into_iter().find(|a| a.name() == lower)
     }
 
-    /// `"topk | topk-en | par | brute | dp-b | dp-p | kgpm"` — every
+    /// `"topk | topk-en | par | dp-b | dp-p | kgpm"` — every
     /// [`Algo::ALL`] name,
     /// for error messages (rendered from the const, so it can never go
     /// stale against the algorithm list).
@@ -131,10 +125,6 @@ impl Algo {
             Algo::Par => AlgoCaps {
                 sharded: true,
                 plan_reuse: true,
-            },
-            Algo::Brute => AlgoCaps {
-                sharded: false,
-                plan_reuse: false,
             },
             // DP-B builds its slot lists from the plan's cached full
             // setup; DP-P's priority loading *is* per-stream work.
@@ -177,9 +167,12 @@ mod tests {
             assert_eq!(Algo::parse(a.name()), Some(a));
         }
         assert_eq!(Algo::parse("nope"), None);
+        // The exhaustive oracle is for tests (`crate::brute`), not a
+        // dispatchable engine.
+        assert_eq!(Algo::parse("brute"), None);
         assert_eq!(
             Algo::valid_names(),
-            "topk | topk-en | par | brute | dp-b | dp-p | kgpm"
+            "topk | topk-en | par | dp-b | dp-p | kgpm"
         );
     }
 
@@ -189,7 +182,7 @@ mod tests {
         assert_eq!(Algo::parse("TOPK"), Some(Algo::Topk));
         assert_eq!(Algo::parse("Topk-EN"), Some(Algo::TopkEn));
         assert_eq!(Algo::parse("PAR"), Some(Algo::Par));
-        assert_eq!(Algo::parse("BrUtE"), Some(Algo::Brute));
+        assert_eq!(Algo::parse("DpP"), Some(Algo::DpP));
         assert_eq!(Algo::parse("KGPM"), Some(Algo::Kgpm));
         assert_eq!(Algo::parse("DP-B"), Some(Algo::DpB));
     }
@@ -205,15 +198,13 @@ mod tests {
         for a in [Algo::Par, Algo::Kgpm] {
             assert!(a.caps().sharded, "{a:?}");
         }
-        for a in [Algo::Topk, Algo::TopkEn, Algo::Brute, Algo::DpB, Algo::DpP] {
+        for a in [Algo::Topk, Algo::TopkEn, Algo::DpB, Algo::DpP] {
             assert!(!a.caps().sharded, "{a:?}");
         }
         for a in [Algo::Topk, Algo::TopkEn, Algo::Par, Algo::DpB, Algo::Kgpm] {
             assert!(a.caps().plan_reuse, "{a:?}");
         }
-        for a in [Algo::Brute, Algo::DpP] {
-            assert!(!a.caps().plan_reuse, "{a:?}");
-        }
+        assert!(!Algo::DpP.caps().plan_reuse);
         for a in Algo::ALL {
             let want = if a == Algo::Kgpm {
                 QueryForm::Pattern

@@ -5,9 +5,9 @@
 //! inputs inside tests and cross-algorithm validation.
 
 use crate::matches::ScoredMatch;
+use crate::runtime::RuntimeGraph;
 use ktpm_graph::Score;
 use ktpm_query::QNodeId;
-use ktpm_runtime::RuntimeGraph;
 
 /// All matches of the query, sorted by `(score, assignment)`.
 pub fn all_matches(rg: &RuntimeGraph) -> Vec<ScoredMatch> {

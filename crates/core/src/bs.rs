@@ -7,9 +7,9 @@
 //! edges pointing at them — the paper's "safely remove `v` from `G_R`"
 //! step in §3.3.
 
+use crate::runtime::RuntimeGraph;
 use ktpm_graph::Score;
 use ktpm_query::QNodeId;
-use ktpm_runtime::RuntimeGraph;
 
 /// `bs` values and validity flags per `(query node, candidate index)`.
 #[derive(Debug, Clone)]

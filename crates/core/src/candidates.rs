@@ -5,7 +5,7 @@
 //! * **Full mode** ([`CandidateSets::from_labels`]) — every data node with
 //!   the right label is a candidate (§3.2's `V_i`); wildcards admit every
 //!   node.
-//! * **Priority mode** ([`CandidateSets::from_d_tables`]) — non-root
+//! * **Priority mode** ([`CandidateSets::from_d_tables_sharded`]) — non-root
 //!   candidates come from the `Dᵅᵦ` tables (only nodes with at least one
 //!   incoming closure edge from the parent label can ever be matched),
 //!   which is both what §4.1 loads at initialization and a useful pruning.
@@ -25,7 +25,7 @@ use ktpm_storage::{ClosureSource, Sections, ShardSpec};
 /// `u` sits at [`Self::flat`]`(u, i)`, so per-candidate state elsewhere
 /// can be one flat array too.
 #[derive(Debug, Clone)]
-pub struct CandidateSets {
+pub(crate) struct CandidateSets {
     /// Every node's candidates, node 0's first; each node's run is
     /// strictly ascending, and a candidate's index is its position in
     /// its run.
@@ -36,7 +36,7 @@ pub struct CandidateSets {
 
 impl CandidateSets {
     /// Full-mode discovery: all nodes carrying the query label.
-    pub fn from_labels(query: &ResolvedQuery, source: &dyn ClosureSource) -> Self {
+    pub(crate) fn from_labels(query: &ResolvedQuery, source: &dyn ClosureSource) -> Self {
         let n_t = query.len();
         let mut cands: Vec<Vec<NodeId>> = vec![Vec::new(); n_t];
         for i in 0..source.num_nodes() {
@@ -53,23 +53,17 @@ impl CandidateSets {
         Self::from_lists(cands)
     }
 
-    /// Priority-mode discovery from `D` tables: the root keeps its full
-    /// label bucket; every other node keeps only nodes with at least one
-    /// incoming closure edge from the parent's label. Returns the sets and
-    /// the initial `eᵥ` lower bounds (`dᵅᵥ`, §4.1) per candidate, in
-    /// [`Self::flat`] order.
-    pub fn from_d_tables(query: &ResolvedQuery, source: &dyn ClosureSource) -> (Self, Vec<Dist>) {
-        let pairs = edge_label_pairs(query, source);
-        Self::from_d_tables_sharded(query, source, &pairs, ShardSpec::full())
-    }
-
-    /// As [`Self::from_d_tables`] with the *root* bucket restricted to
-    /// `shard`. Non-root sets are untouched: a shard owns every match
-    /// whose root lies in it, and subtree nodes are unconstrained.
+    /// Priority-mode discovery from `D` tables: the root keeps its label
+    /// bucket, restricted to `shard`; every other node keeps only nodes
+    /// with at least one incoming closure edge from the parent's label.
+    /// Returns the sets and the initial `eᵥ` lower bounds (`dᵅᵥ`, §4.1)
+    /// per candidate, in [`Self::flat`] order. Non-root sets do not
+    /// depend on `shard`: a shard owns every match whose root lies in
+    /// it, and subtree nodes are unconstrained.
     /// `pairs` is the query's [`edge_label_pairs`] over `source`, which
     /// the caller resolves once and reuses for everything else it reads
     /// per edge.
-    pub fn from_d_tables_sharded(
+    pub(crate) fn from_d_tables_sharded(
         query: &ResolvedQuery,
         source: &dyn ClosureSource,
         pairs: &[Vec<(LabelId, LabelId)>],
@@ -123,7 +117,7 @@ impl CandidateSets {
     /// builds).
     /// Used by setup caches that derive candidate sets from an already
     /// loaded run-time graph instead of re-sweeping storage.
-    pub fn from_lists(cands: Vec<Vec<NodeId>>) -> Self {
+    pub(crate) fn from_lists(cands: Vec<Vec<NodeId>>) -> Self {
         let mut base = Vec::with_capacity(cands.len() + 1);
         base.push(0);
         for list in &cands {
@@ -139,7 +133,7 @@ impl CandidateSets {
     /// dense; callers taking many shards of one query pay that copy per
     /// shard (still far cheaper than the per-shard storage sweeps it
     /// replaces).
-    pub fn restrict_root(&self, shard: ShardSpec) -> Self {
+    pub(crate) fn restrict_root(&self, shard: ShardSpec) -> Self {
         let root = self.of(QNodeId(0));
         let mut nodes: Vec<NodeId> = root
             .iter()
@@ -170,51 +164,46 @@ impl CandidateSets {
 
     /// Candidates of query node `u`, ascending by data node id.
     #[inline]
-    pub fn of(&self, u: QNodeId) -> &[NodeId] {
+    pub(crate) fn of(&self, u: QNodeId) -> &[NodeId] {
         &self.nodes[self.span(u)]
     }
 
     /// The positions of `u`'s candidates in the flat numbering
     /// ([`Self::flat`]).
     #[inline]
-    pub fn span(&self, u: QNodeId) -> std::ops::Range<usize> {
+    pub(crate) fn span(&self, u: QNodeId) -> std::ops::Range<usize> {
         self.base[u.index()] as usize..self.base[u.index() + 1] as usize
     }
 
     /// The flat position of candidate `i` of `u`: unique across all
     /// query nodes, below [`Self::total`].
     #[inline]
-    pub fn flat(&self, u: QNodeId, i: u32) -> usize {
+    pub(crate) fn flat(&self, u: QNodeId, i: u32) -> usize {
         self.base[u.index()] as usize + i as usize
     }
 
     /// Dense index of data node `v` within `u`'s candidate set: a
     /// binary search of the ascending list, O(log |V_u|).
     #[inline]
-    pub fn index_of(&self, u: QNodeId, v: NodeId) -> Option<u32> {
+    pub(crate) fn index_of(&self, u: QNodeId, v: NodeId) -> Option<u32> {
         self.of(u).binary_search(&v).ok().map(|i| i as u32)
     }
 
     /// The data node at a dense index.
     #[inline]
-    pub fn node(&self, u: QNodeId, idx: u32) -> NodeId {
+    pub(crate) fn node(&self, u: QNodeId, idx: u32) -> NodeId {
         self.nodes[self.flat(u, idx)]
     }
 
     /// Number of candidates of `u`.
     #[inline]
-    pub fn len(&self, u: QNodeId) -> usize {
+    pub(crate) fn len(&self, u: QNodeId) -> usize {
         self.span(u).len()
-    }
-
-    /// Whether any query node has an empty candidate set (no matches).
-    pub fn any_empty(&self) -> bool {
-        self.base.windows(2).any(|w| w[0] == w[1])
     }
 
     /// Total candidates across all query nodes (the paper's `n_R`, with
     /// per-query-node copies counted separately as §5 prescribes).
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.nodes.len()
     }
 }
@@ -266,7 +255,7 @@ pub fn edge_label_pairs(
 /// instead of paying a demand read each — a round trip apiece on a
 /// remote store. The prefetch skips a pair its index does not hold, so
 /// an absent candidate costs only the page its probe would read anyway.
-pub fn prefetch_edge_label_pairs(
+pub(crate) fn prefetch_edge_label_pairs(
     query: &ResolvedQuery,
     source: &dyn ClosureSource,
     sections: &dyn Fn(usize) -> Sections,
@@ -355,13 +344,18 @@ mod tests {
         (MemStore::new(ClosureTables::compute(&g)), q)
     }
 
+    fn from_d_tables(q: &ResolvedQuery, store: &MemStore) -> (CandidateSets, Vec<Dist>) {
+        let pairs = edge_label_pairs(q, store);
+        CandidateSets::from_d_tables_sharded(q, store, &pairs, ShardSpec::full())
+    }
+
     #[test]
     fn full_mode_uses_label_buckets() {
         let (store, q) = setup("a -> b\na -> c\nc -> d\nc -> e");
         let sets = CandidateSets::from_labels(&q, &store);
         assert_eq!(sets.of(QNodeId(0)), &[NodeId(0), NodeId(1)]); // v1, v2
         assert_eq!(sets.total(), 10); // 2 per label, 5 query nodes
-        assert!(!sets.any_empty());
+        assert!(q.tree().node_ids().all(|u| sets.len(u) == 2));
         assert_eq!(sets.index_of(QNodeId(0), NodeId(1)), Some(1));
         assert_eq!(sets.node(QNodeId(0), 1), NodeId(1));
     }
@@ -369,7 +363,7 @@ mod tests {
     #[test]
     fn d_mode_prunes_unreachable_candidates() {
         let (store, q) = setup("a -> b\na -> c\nc -> d\nc -> e");
-        let (sets, evs) = CandidateSets::from_d_tables(&q, &store);
+        let (sets, evs) = from_d_tables(&q, &store);
         // Root keeps both a-nodes.
         assert_eq!(sets.len(QNodeId(0)), 2);
         // b-candidates reachable from a: v3 (dist 1) and v4 (dist 2).
@@ -388,7 +382,7 @@ mod tests {
         // '/' edge from c to e: direct edges only. v9 has δ(v5,v9)=1 so it
         // stays; but with parent b -> e nothing is at distance 1.
         let (store, q) = setup("c => e");
-        let (sets, _) = CandidateSets::from_d_tables(&q, &store);
+        let (sets, _) = from_d_tables(&q, &store);
         let e_node = QNodeId(1);
         assert_eq!(sets.of(e_node), &[NodeId(8)]); // only v9 (δ(v5,v9)=1)
     }
@@ -396,7 +390,7 @@ mod tests {
     #[test]
     fn sharded_d_mode_partitions_only_the_root_bucket() {
         let (store, q) = setup("a -> b\na -> c\nc -> d\nc -> e");
-        let (full, full_evs) = CandidateSets::from_d_tables(&q, &store);
+        let (full, full_evs) = from_d_tables(&q, &store);
         let shards = ShardSpec::split(3);
         let mut roots_seen = Vec::new();
         for &s in &shards {
@@ -432,7 +426,7 @@ mod tests {
     fn unmatchable_label_is_empty() {
         let (store, q) = setup("a -> nosuchlabel");
         let sets = CandidateSets::from_labels(&q, &store);
-        assert!(sets.any_empty());
+        assert_eq!(sets.len(QNodeId(1)), 0);
     }
 
     #[test]

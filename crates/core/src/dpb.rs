@@ -40,9 +40,9 @@ use crate::bs::BsData;
 use crate::lawler::SlotLists;
 use crate::matches::ScoredMatch;
 use crate::plan::QueryPlan;
+use crate::runtime::RuntimeGraph;
 use ktpm_graph::Score;
 use ktpm_query::TreeQuery;
-use ktpm_runtime::RuntimeGraph;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::ops::Deref;

@@ -131,11 +131,11 @@ impl Iterator for DpPEnumerator<'_> {
 mod tests {
     use super::*;
     use crate::dpb::DpBEnumerator;
+    use crate::runtime::RuntimeGraph;
     use ktpm_closure::ClosureTables;
     use ktpm_graph::fixtures::{citation_graph, paper_graph};
     use ktpm_graph::LabeledGraph;
     use ktpm_query::TreeQuery;
-    use ktpm_runtime::RuntimeGraph;
     use ktpm_storage::MemStore;
 
     fn compare(g: &LabeledGraph, query: &str, k: usize) {

@@ -479,12 +479,12 @@ impl Iterator for TopkEnEnumerator<'_> {
 mod tests {
     use super::*;
     use crate::lawler::TopkEnumerator;
+    use crate::runtime::RuntimeGraph;
     use crate::{DpBEnumerator, DpPEnumerator};
     use ktpm_closure::ClosureTables;
     use ktpm_graph::fixtures::{citation_graph, paper_graph};
     use ktpm_graph::LabeledGraph;
     use ktpm_query::TreeQuery;
-    use ktpm_runtime::RuntimeGraph;
     use ktpm_storage::MemStore;
 
     fn compare_with_full(g: &LabeledGraph, query: &str, k: usize) {

@@ -1,10 +1,8 @@
-//! # ktpm-exec
-//!
 //! A fixed-size worker pool for query execution, shared by every layer
 //! that schedules CPU-bound jobs: the service engine runs request
-//! batches on one, and the parallel partitioned enumerator (`ParTopk`
-//! in `ktpm-core`) scatters per-shard jobs on another — both from the
-//! batch CLI and from `ktpm serve`.
+//! batches on one, and the parallel partitioned enumerator
+//! ([`crate::ParTopk`]) scatters per-shard jobs on another — both from
+//! the batch CLI and from `ktpm serve`.
 //!
 //! Deliberately minimal (std-only, no external executor): one shared
 //! MPMC-by-mutex job queue drained by N threads. Jobs are short and
@@ -146,99 +144,5 @@ impl Drop for WorkerPool {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn executes_all_jobs_across_workers() {
-        let pool = WorkerPool::new(4);
-        assert_eq!(pool.width(), 4);
-        let counter = Arc::new(AtomicUsize::new(0));
-        for _ in 0..100 {
-            let c = Arc::clone(&counter);
-            pool.execute(move || {
-                c.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        drop(pool); // join
-        assert_eq!(counter.load(Ordering::SeqCst), 100);
-    }
-
-    #[test]
-    fn run_returns_job_result() {
-        let pool = WorkerPool::new(2);
-        let results: Vec<usize> = (0..10).map(|i| pool.run(move || i * i)).collect();
-        assert_eq!(results, (0..10).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn scatter_preserves_submission_order() {
-        let pool = WorkerPool::new(4);
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..32usize)
-            .map(|i| {
-                Box::new(move || {
-                    // Stagger so completion order scrambles.
-                    std::thread::sleep(std::time::Duration::from_micros(((32 - i) * 50) as u64));
-                    i * 10
-                }) as Box<dyn FnOnce() -> usize + Send>
-            })
-            .collect();
-        let out = pool.scatter(jobs);
-        assert_eq!(out, (0..32).map(|i| i * 10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn scatter_of_nothing_is_empty() {
-        let pool = WorkerPool::new(1);
-        let out: Vec<u8> = pool.scatter(Vec::new());
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn scatter_panics_if_any_job_panics() {
-        let pool = WorkerPool::new(2);
-        let jobs: Vec<Box<dyn FnOnce() -> u32 + Send>> = vec![
-            Box::new(|| 1),
-            Box::new(|| panic!("bad shard")),
-            Box::new(|| 3),
-        ];
-        let observed =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.scatter(jobs)));
-        assert!(observed.is_err(), "caller must observe the panic");
-        // The pool survives.
-        assert_eq!(pool.run(|| 41 + 1), 42);
-    }
-
-    #[test]
-    fn panicking_job_does_not_kill_the_pool() {
-        let pool = WorkerPool::new(1);
-        // The panic surfaces on the caller thread...
-        let observed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(|| -> usize { panic!("bad query") })
-        }));
-        assert!(observed.is_err(), "caller must observe the panic");
-        // ...but the single worker survives and serves the next job.
-        assert_eq!(pool.run(|| 41 + 1), 42);
-    }
-
-    #[test]
-    fn zero_width_is_clamped_to_one() {
-        let pool = WorkerPool::new(0);
-        assert_eq!(pool.width(), 1);
-        assert_eq!(pool.run(|| 7), 7);
-    }
-
-    #[test]
-    fn default_pool_is_shared_and_alive() {
-        let a = default_pool();
-        let b = default_pool();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert!(a.width() >= 2);
-        assert_eq!(a.run(|| 5), 5);
     }
 }

@@ -11,11 +11,11 @@
 //! layer's engine runs over one: both front ends read text in the same
 //! forms and stream the same bytes.
 
+use crate::exec::WorkerPool;
 use crate::{
     canonical_query_text, Algo, BoxedMatchStream, ParallelPolicy, PlanError, QueryForm, QueryPlan,
     ScoredMatch, ShardEngine,
 };
-use ktpm_exec::WorkerPool;
 use ktpm_graph::LabelInterner;
 use ktpm_query::{GraphQuery, ResolvedQuery};
 use ktpm_storage::SharedSource;
@@ -86,7 +86,7 @@ impl Executor {
     /// streams run on the process-wide default worker pool; use
     /// [`Executor::with_pool`] to supply your own.
     pub fn new(interner: LabelInterner, source: impl Into<SharedSource>) -> Executor {
-        Executor::with_pool(interner, source, ktpm_exec::default_pool())
+        Executor::with_pool(interner, source, crate::exec::default_pool())
     }
 
     /// As [`Executor::new`] with an explicit worker pool for

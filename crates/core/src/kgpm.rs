@@ -30,11 +30,11 @@
 
 use crate::dpb::DpBEnumerator;
 use crate::enhanced::TopkEnEnumerator;
+use crate::exec::WorkerPool;
 use crate::matches::ScoredMatch;
 use crate::parallel::{ParTopk, ParallelPolicy, ShardEngine};
 use crate::plan::{PatternMeta, QueryPlan};
 use crate::stream::{BoxedMatchStream, MatchStream, StreamState};
-use ktpm_exec::WorkerPool;
 use ktpm_graph::{NodeId, NodeRow, Score};
 use ktpm_storage::SharedSource;
 use std::cmp::Reverse;
@@ -257,7 +257,7 @@ pub(crate) mod tests {
         let stream: BoxedMatchStream = Box::new(KgpmStream::from_plan(
             plan,
             policy,
-            ktpm_exec::default_pool(),
+            crate::exec::default_pool(),
         ));
         stream
             .map(|m: ScoredMatch| (m.score, m.assignment.to_vec()))
@@ -331,7 +331,7 @@ pub(crate) mod tests {
             Algo::Kgpm,
             &plan,
             &ParallelPolicy::default(),
-            ktpm_exec::default_pool(),
+            crate::exec::default_pool(),
         )
         .collect();
         let want = oracle(&g, &q);
@@ -346,7 +346,7 @@ pub(crate) mod tests {
                     Algo::Kgpm,
                     &plan,
                     &ParallelPolicy::default(),
-                    ktpm_exec::default_pool(),
+                    crate::exec::default_pool(),
                 ),
                 k,
             )
@@ -363,7 +363,7 @@ pub(crate) mod tests {
         let mut stream = KgpmStream::from_plan(
             &plan,
             &ParallelPolicy::with_shards(1),
-            ktpm_exec::default_pool(),
+            crate::exec::default_pool(),
         );
         let mut out = Vec::new();
         while !stream.next_batch(16, &mut out).is_done() {}

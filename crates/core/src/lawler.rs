@@ -12,9 +12,9 @@ use crate::bs::BsData;
 use crate::lazylist::LazySortedList;
 use crate::matches::{CandidateSpec, Child, ScoredMatch, NO_PARENT};
 use crate::plan::{LazySetup, QueryPlan};
+use crate::rgraph::{GraphRef, RuntimeGraph};
 use ktpm_graph::Score;
 use ktpm_query::{QNodeId, TreeQuery};
-use ktpm_runtime::{GraphRef, RuntimeGraph};
 use ktpm_storage::ShardSpec;
 use std::sync::{Arc, OnceLock};
 

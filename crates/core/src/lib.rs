@@ -23,7 +23,7 @@
 //!   [`QueryPlan::new_pattern`]).
 //!
 //! `Topk-GT` (§5, general twigs) is not a separate algorithm: the
-//! run-time graph is per-query-node (see `ktpm-runtime`), so duplicate
+//! run-time graph is per-query-node (see [`runtime`]), so duplicate
 //! labels, wildcards and `/` edges flow through the same enumerators.
 //!
 //! ## One enumeration surface
@@ -44,12 +44,12 @@
 //! ## Parallel partitioned execution
 //!
 //! [`ParTopk`] splits the root candidate set into [`ShardSpec`] shards,
-//! runs an independent enumerator per shard on a shared worker pool and
-//! lazily k-way-merges the streams. The merged stream equals
-//! [`topk_full`] *exactly* (order, scores, witnesses) because both
-//! emit the workspace's **canonical order** — ascending
-//! `(score, assignment)`, the deterministic tie-break defined in
-//! [`partition`]. Every enumerator pops in that order natively (its
+//! runs an independent enumerator per shard on a shared worker pool
+//! ([`exec::WorkerPool`]) and lazily k-way-merges the streams. The
+//! merged stream equals [`topk_full`] *exactly* (order, scores,
+//! witnesses) because both emit the workspace's **canonical order** —
+//! ascending `(score, assignment)`, the deterministic tie-break defined
+//! in [`partition`]. Every enumerator pops in that order natively (its
 //! heap compares `(score, assignment row)`), so `k` matches cost `k`
 //! pops and a shard's stream — full or lazy — is the full stream
 //! filtered to its roots.
@@ -129,10 +129,12 @@
 mod algo;
 pub mod brute;
 mod bs;
+mod candidates;
 mod decompose;
 mod dpb;
 mod dpp;
 mod enhanced;
+pub mod exec;
 mod executor;
 mod kgpm;
 mod lawler;
@@ -144,6 +146,8 @@ mod mtree;
 pub mod parallel;
 pub mod partition;
 mod plan;
+mod rgraph;
+pub mod runtime;
 pub mod stream;
 
 pub use algo::{Algo, AlgoCaps};
@@ -176,7 +180,7 @@ use ktpm_storage::ClosureSource;
 /// every other execution mode (including [`ParTopk`]) reproduces
 /// exactly.
 pub fn topk_full(query: &ResolvedQuery, source: &dyn ClosureSource, k: usize) -> Vec<ScoredMatch> {
-    let rg = ktpm_runtime::RuntimeGraph::load(query, source);
+    let rg = runtime::RuntimeGraph::load(query, source);
     TopkEnumerator::new(&rg).take(k).collect()
 }
 
@@ -184,4 +188,101 @@ pub fn topk_full(query: &ResolvedQuery, source: &dyn ClosureSource, k: usize) ->
 /// the canonical `(score, assignment)` order.
 pub fn topk_en(query: &ResolvedQuery, source: &dyn ClosureSource, k: usize) -> Vec<ScoredMatch> {
     TopkEnEnumerator::new(query, source).take(k).collect()
+}
+
+// Tests of the `exec` worker pool. They sit at the crate root so that
+// their test paths stay `tests::…`, the names the suite lists them by.
+#[cfg(test)]
+mod tests {
+    use crate::exec::{default_pool, WorkerPool};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    #[test]
+    fn executes_all_jobs_across_workers() {
+        let pool = WorkerPool::new(4);
+        assert_eq!(pool.width(), 4);
+        let counter = Arc::new(AtomicUsize::new(0));
+        for _ in 0..100 {
+            let c = Arc::clone(&counter);
+            pool.execute(move || {
+                c.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        drop(pool); // join
+        assert_eq!(counter.load(Ordering::SeqCst), 100);
+    }
+
+    #[test]
+    fn run_returns_job_result() {
+        let pool = WorkerPool::new(2);
+        let results: Vec<usize> = (0..10).map(|i| pool.run(move || i * i)).collect();
+        assert_eq!(results, (0..10).map(|i| i * i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn scatter_preserves_submission_order() {
+        let pool = WorkerPool::new(4);
+        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..32usize)
+            .map(|i| {
+                Box::new(move || {
+                    // Stagger so completion order scrambles.
+                    std::thread::sleep(std::time::Duration::from_micros(((32 - i) * 50) as u64));
+                    i * 10
+                }) as Box<dyn FnOnce() -> usize + Send>
+            })
+            .collect();
+        let out = pool.scatter(jobs);
+        assert_eq!(out, (0..32).map(|i| i * 10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn scatter_of_nothing_is_empty() {
+        let pool = WorkerPool::new(1);
+        let out: Vec<u8> = pool.scatter(Vec::new());
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn scatter_panics_if_any_job_panics() {
+        let pool = WorkerPool::new(2);
+        let jobs: Vec<Box<dyn FnOnce() -> u32 + Send>> = vec![
+            Box::new(|| 1),
+            Box::new(|| panic!("bad shard")),
+            Box::new(|| 3),
+        ];
+        let observed =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.scatter(jobs)));
+        assert!(observed.is_err(), "caller must observe the panic");
+        // The pool survives.
+        assert_eq!(pool.run(|| 41 + 1), 42);
+    }
+
+    #[test]
+    fn panicking_job_does_not_kill_the_pool() {
+        let pool = WorkerPool::new(1);
+        // The panic surfaces on the caller thread...
+        let observed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.run(|| -> usize { panic!("bad query") })
+        }));
+        assert!(observed.is_err(), "caller must observe the panic");
+        // ...but the single worker survives and serves the next job.
+        assert_eq!(pool.run(|| 41 + 1), 42);
+    }
+
+    #[test]
+    fn zero_width_is_clamped_to_one() {
+        let pool = WorkerPool::new(0);
+        assert_eq!(pool.width(), 1);
+        assert_eq!(pool.run(|| 7), 7);
+    }
+
+    #[test]
+    fn default_pool_is_shared_and_alive() {
+        let a = default_pool();
+        let b = default_pool();
+        assert!(Arc::ptr_eq(&a, &b));
+        assert!(a.width() >= 2);
+        assert_eq!(a.run(|| 5), 5);
+    }
 }

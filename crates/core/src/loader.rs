@@ -68,11 +68,11 @@
 //! The misses left come from candidates that enter `Q_g` only after
 //! another candidate is expanded.
 
+use crate::candidates::CandidateSets;
 use crate::lawler::SlotLists;
 use crate::plan::LazySetup;
 use ktpm_graph::{Dist, NodeId, Score, INF_DIST};
 use ktpm_query::{EdgeKind, QNodeId, ResolvedQuery};
-use ktpm_runtime::CandidateSets;
 use ktpm_storage::{
     merge_sorted_blocks, ClosureSource, EdgeCursor, ShardSpec, SharedSource, SourceRef,
 };
@@ -313,7 +313,7 @@ impl<'s> PriorityLoader<'s> {
     }
 
     /// Candidate sets (shared with the enumeration layer).
-    pub fn candidates(&self) -> &CandidateSets {
+    pub(crate) fn candidates(&self) -> &CandidateSets {
         &self.setup.cands
     }
 
@@ -721,7 +721,7 @@ mod tests {
         // E-seeding covers all c->d edges; expansion should only have
         // loaded incoming edges of v5 (the popped c-node), i.e. far fewer
         // than the full runtime graph (9 closure edges among labels).
-        let full = ktpm_runtime::RuntimeGraph::load(&q, &store).num_edges() as u64;
+        let full = crate::runtime::RuntimeGraph::load(&q, &store).num_edges() as u64;
         assert!(
             loader.edges_inserted() < full,
             "lazy loading must not materialize the full run-time graph ({} vs {full})",

@@ -31,7 +31,7 @@ mod tests {
             engine: matcher,
             ..ParallelPolicy::default()
         };
-        let mut stream = KgpmStream::from_plan(plan, &policy, ktpm_exec::default_pool());
+        let mut stream = KgpmStream::from_plan(plan, &policy, crate::exec::default_pool());
         let mut out = Vec::new();
         while out.len() < k {
             let Some(m) = MatchStream::next(&mut stream) else {

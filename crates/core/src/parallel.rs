@@ -19,7 +19,7 @@
 //! ## Scheduling
 //!
 //! Shard work runs as **finite jobs** on a shared [`WorkerPool`]
-//! (`ktpm-exec`): setup plus one batch of matches per job, enumerator
+//! ([`crate::exec`]): setup plus one batch of matches per job, enumerator
 //! state handed back to the caller between batches. Jobs never block on
 //! other jobs, so any number of concurrent `ParTopk` runs share one
 //! pool without deadlock, and a `ParTopk` parked inside a service
@@ -29,10 +29,10 @@
 //! (at most one batch of lookahead per shard).
 
 use crate::enhanced::TopkEnEnumerator;
+use crate::exec::WorkerPool;
 use crate::lawler::TopkEnumerator;
 use crate::matches::ScoredMatch;
 use crate::plan::QueryPlan;
-use ktpm_exec::WorkerPool;
 use ktpm_graph::{NodeRow, Score};
 use ktpm_query::ResolvedQuery;
 use ktpm_storage::{ShardSpec, SharedSource};
@@ -374,7 +374,7 @@ mod tests {
     use ktpm_storage::MemStore;
 
     fn pool() -> Arc<WorkerPool> {
-        ktpm_exec::default_pool()
+        crate::exec::default_pool()
     }
 
     fn check(g: &LabeledGraph, query: &str) {

@@ -38,11 +38,12 @@
 //! provably identical across sessions of one query.
 
 use crate::bs::BsData;
+use crate::candidates::{edge_label_pairs, prefetch_edge_label_pairs, CandidateSets};
 use crate::decompose::decompose;
 use crate::lawler::SlotTemplates;
+use crate::runtime::RuntimeGraph;
 use ktpm_graph::{Dist, LabelId, LabelInterner, NodeId, Score};
 use ktpm_query::{EdgeKind, GraphQuery, QNodeId, QueryLabel, ResolvedQuery, TreeQuery};
-use ktpm_runtime::{edge_label_pairs, prefetch_edge_label_pairs, CandidateSets, RuntimeGraph};
 use ktpm_storage::{ClosureSource, DeltaReport, Sections, ShardSpec, SharedSource};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

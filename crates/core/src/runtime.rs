@@ -1,5 +1,3 @@
-//! # ktpm-runtime
-//!
 //! Run-time graph construction (§3.1 of the paper).
 //!
 //! The run-time graph `G_R` is the subgraph of the transitive closure
@@ -7,7 +5,7 @@
 //! `G_R` iff some query edge `(u, u')` has `l(u) = l(v)` and
 //! `l(u') = l(v')`.
 //!
-//! This crate generalizes the paper's per-label formulation to a
+//! This module generalizes the paper's per-label formulation to a
 //! **per-query-node** one: each query node `u` owns a candidate set
 //! `V_u` (§3.2's `V_i`), and edges are grouped per `(parent candidate,
 //! child query node)` — identical to the paper's `v.childrenᵅ` when node
@@ -17,10 +15,7 @@
 //!
 //! [`RuntimeGraph`] is the fully-loaded form consumed by `Topk` and
 //! `DP-B`; the priority-based algorithms assemble the same structures
-//! lazily (see `ktpm-core`) and reuse [`CandidateSets`].
+//! lazily (see [`crate::PriorityLoader`]) and reuse its candidate sets.
 
-mod candidates;
-mod rgraph;
-
-pub use candidates::{edge_label_pairs, label_pairs, prefetch_edge_label_pairs, CandidateSets};
-pub use rgraph::{GraphRef, RuntimeGraph, RuntimeStats};
+pub use crate::candidates::{edge_label_pairs, label_pairs};
+pub use crate::rgraph::{RuntimeGraph, RuntimeStats};

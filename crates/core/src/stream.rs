@@ -7,7 +7,7 @@
 //! exactly one iterator interface over many internal algorithms. This
 //! module is that interface for this workspace: every engine —
 //! `Topk`, `Topk-EN`, `ParTopk`, the `DP-B`/`DP-P` baselines, the
-//! `kGPM` pattern engine, the brute oracle — is consumed as a
+//! `kGPM` pattern engine — is consumed as a
 //! `Box<dyn MatchStream + Send>` in the **canonical**
 //! `(score, assignment)` order, so sessions, the CLI, the bench
 //! drivers and embedders stop dispatching on the algorithm themselves.
@@ -35,11 +35,10 @@
 //! After `Done`, every later call appends nothing and returns `Done`.
 
 use crate::algo::Algo;
-use crate::brute;
+use crate::exec::WorkerPool;
 use crate::matches::ScoredMatch;
 use crate::parallel::{ParTopk, ParallelPolicy};
 use crate::plan::QueryPlan;
-use ktpm_exec::WorkerPool;
 use std::sync::Arc;
 
 /// Whether a [`MatchStream`] may produce more matches; see the module
@@ -134,24 +133,6 @@ native_match_stream!(
     ParTopk,
 );
 
-/// Pre-materialized streams (the brute oracle, cached replays): a
-/// batch is one `extend`, and exhaustion is reported eagerly (the
-/// length is known).
-impl MatchStream for std::vec::IntoIter<ScoredMatch> {
-    fn next_batch(&mut self, n: usize, out: &mut Vec<ScoredMatch>) -> StreamState {
-        out.extend(self.by_ref().take(n));
-        if self.len() == 0 {
-            StreamState::Done
-        } else {
-            StreamState::More
-        }
-    }
-
-    fn next(&mut self) -> Option<ScoredMatch> {
-        Iterator::next(self)
-    }
-}
-
 /// A stream truncated after `k` matches (the builder's `.k(…)`).
 struct Limited {
     inner: BoxedMatchStream,
@@ -203,8 +184,8 @@ pub fn limit(stream: BoxedMatchStream, k: usize) -> BoxedMatchStream {
 /// **The** algorithm dispatch: builds `algo`'s stream from a shared
 /// [`QueryPlan`]. Every arm emits the canonical `(score, assignment)`
 /// order, so the choice of engine changes performance characteristics
-/// only — never the stream. The tree arms but `Brute` box a raw
-/// enumerator, whose heap order *is* the canonical order: `n` matches
+/// only — never the stream. The tree arms box a raw enumerator, whose
+/// heap order *is* the canonical order: `n` matches
 /// cost `n` pops. On a warm plan, no arm repeats candidate discovery
 /// (see [`QueryPlan`]).
 ///
@@ -223,9 +204,6 @@ pub fn build_stream(
         Algo::Topk => Box::new(crate::TopkEnumerator::from_plan(plan)),
         Algo::TopkEn => Box::new(crate::TopkEnEnumerator::from_plan(plan)),
         Algo::Par => Box::new(ParTopk::from_plan(plan, policy, pool)),
-        // `all_matches` already sorts by `(score, assignment)` — the
-        // canonical order.
-        Algo::Brute => Box::new(brute::all_matches(plan.runtime_graph()).into_iter()),
         Algo::DpB => Box::new(crate::DpBEnumerator::from_plan(plan)),
         Algo::DpP => Box::new(crate::DpPEnumerator::from_plan(plan)),
         // The one engine over *pattern* plans; panics on a tree plan
@@ -251,7 +229,7 @@ mod tests {
     }
 
     fn pool() -> Arc<WorkerPool> {
-        ktpm_exec::default_pool()
+        crate::exec::default_pool()
     }
 
     #[test]
@@ -333,7 +311,7 @@ mod tests {
                 }
             }
             if brute_feasible {
-                let mut all = brute::all_matches(plan.runtime_graph());
+                let mut all = crate::brute::all_matches(plan.runtime_graph());
                 all.truncate(want.len());
                 assert_eq!(all, want, "brute, {n_t}-node twig");
             }

@@ -187,7 +187,7 @@ impl ResultCache {
 ///
 /// Unlike the result cache, the key carries **no algorithm**, only the
 /// form it reads the text in ([`ktpm_core::Algo::form`]): one tree plan
-/// feeds `topk`, `topk-en`, `par`, `brute` and the DP sessions alike
+/// feeds `topk`, `topk-en`, `par` and the DP sessions alike
 /// (each algorithm materializes the plan half it needs, at most once),
 /// and `kgpm` sessions of the same text share one pattern plan. The
 /// cached value is the plan handle — registering a plan is cheap; the

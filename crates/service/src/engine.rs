@@ -5,11 +5,11 @@ use crate::cache::{CacheKey, PlanCache, ResultCache};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::session::{Session, SessionId, SessionTable};
 use crate::ServiceConfig;
+use ktpm_core::exec::WorkerPool;
 use ktpm_core::{
     canonical_query_text, tree_then_pattern, Algo, Executor, PlanError, QueryForm, QueryPlan,
     ScoredMatch,
 };
-use ktpm_exec::WorkerPool;
 use ktpm_graph::{GraphDelta, LabelInterner};
 use ktpm_storage::{SharedSource, StorageError};
 use std::fmt;
@@ -657,7 +657,7 @@ mod tests {
         assert_eq!(Algo::parse("nope"), None);
         assert_eq!(
             Algo::valid_names(),
-            "topk | topk-en | par | brute | dp-b | dp-p | kgpm"
+            "topk | topk-en | par | dp-b | dp-p | kgpm"
         );
     }
 

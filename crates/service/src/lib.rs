@@ -30,7 +30,7 @@
 //!   transparently falls back to live enumeration.
 //! * **Plan cache** — an LRU of [`ktpm_core::QueryPlan`]s keyed by
 //!   query form and canonical text (no algorithm: one tree plan feeds
-//!   `topk`, `topk-en`, `par`, `brute` and the DP sessions; `kgpm`
+//!   `topk`, `topk-en`, `par` and the DP sessions; `kgpm`
 //!   reads the text as a pattern and gets its own plan). A plan holds the
 //!   per-query setup the paper's algorithms pay up front — candidate
 //!   discovery, the run-time graph, the `bs` pass, slot-list

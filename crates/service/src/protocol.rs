@@ -3,8 +3,8 @@
 //! Requests are single lines, UTF-8, `\n`-terminated:
 //!
 //! ```text
-//! OPEN <algo> <query>      algo: topk | topk-en | par | brute |
-//!                          dp-b | dp-p | kgpm (one const list,
+//! OPEN <algo> <query>      algo: topk | topk-en | par | dp-b |
+//!                          dp-p | kgpm (one const list,
 //!                          [`ktpm_core::Algo::ALL`] — the canonical
 //!                          registry in `ktpm_core`, shared with the
 //!                          CLI and the `ktpm::api` facade; names are

@@ -367,7 +367,7 @@ mod tests {
             "OPEN TOPK C -> E; C -> S",
             "open Topk-EN C -> E; C -> S",
             "OPEN PAR C -> E; C -> S",
-            "OPEN Brute C -> E; C -> S",
+            "OPEN dP-b C -> E; C -> S",
         ] {
             let resp = respond(&h, line);
             assert!(resp.starts_with("OK "), "{line:?} -> {resp:?}");
@@ -394,6 +394,9 @@ mod tests {
             );
         }
         assert!(err.contains(&Algo::valid_names()), "{err:?}");
+        // The exhaustive test oracle is not served.
+        let err = respond(&h, "OPEN brute C -> E; C -> S");
+        assert!(err.starts_with("ERR unknown-algo"), "{err:?}");
     }
 
     #[test]

@@ -362,7 +362,7 @@ fn warm_opens_share_the_plan_across_algorithms_with_zero_discovery() {
     // Warm opens: different algorithms, different result-cache keys —
     // all plan hits, zero discovery sweeps, zero reads entirely for
     // the full-graph algorithms.
-    for (i, algo) in [Algo::Par, Algo::Brute, Algo::Topk].into_iter().enumerate() {
+    for (i, algo) in [Algo::Par, Algo::DpB, Algo::Topk].into_iter().enumerate() {
         let id = handle.open(query, algo).unwrap();
         let warm = handle.next(id, 100).unwrap();
         handle.close(id).unwrap();

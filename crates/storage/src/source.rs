@@ -219,7 +219,7 @@ pub trait ClosureSource: Send + Sync {
     /// Contract: `has_pair(a, b) == pair_keys().contains(&(a, b))`, at
     /// every graph version. A query edge with two concrete labels
     /// resolves its closure table through this probe
-    /// (`ktpm_runtime::label_pairs`), so plan building costs what the
+    /// (`ktpm_core::runtime::label_pairs`), so plan building costs what the
     /// query touches, not the size of the store's pair index; only
     /// wildcard edges enumerate [`Self::pair_keys`].
     ///
@@ -237,7 +237,7 @@ pub trait ClosureSource: Send + Sync {
     /// store a probe may open the file and read an index page, a round
     /// trip each on the remote tier. A plan half therefore announces
     /// its candidate pairs to [`Self::prefetch`] before it probes them
-    /// (`ktpm_runtime::prefetch_edge_label_pairs`), and the probes find
+    /// (`ktpm-core`'s `prefetch_edge_label_pairs`), and the probes find
     /// their pages read.
     fn has_pair(&self, src_label: LabelId, dst_label: LabelId) -> bool {
         self.pair_keys().contains(&(src_label, dst_label))
@@ -303,7 +303,7 @@ pub trait ClosureSource: Send + Sync {
 
     /// A hint that a plan half is about to read `sections(u)` of every
     /// label pair in `pairs[u]` — the shape
-    /// `ktpm_runtime::edge_label_pairs` returns, one entry per query
+    /// `ktpm_core::runtime::edge_label_pairs` returns, one entry per query
     /// node. A backend whose reads are round trips may fetch those
     /// regions now, together, so that the reads that follow are cache
     /// hits.

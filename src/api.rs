@@ -4,7 +4,7 @@
 //! here).
 //!
 //! Every engine in this workspace — `Topk`, `Topk-EN`, `ParTopk`,
-//! DP-B/DP-P, the kGPM graph-pattern engine, the brute oracle — emits
+//! DP-B/DP-P and the kGPM graph-pattern engine — emits
 //! a canonical ranked match stream; this module is the one place
 //! callers select and run them, replacing the per-algorithm
 //! constructor special-casing the CLI, bench drivers and examples used
@@ -138,7 +138,7 @@ mod tests {
             engine: ShardEngine::Lazy,
             ..ParallelPolicy::default()
         };
-        let mtree_plus = KgpmStream::from_plan(&plan, &policy, ktpm_exec::default_pool());
+        let mtree_plus = KgpmStream::from_plan(&plan, &policy, ktpm_core::exec::default_pool());
         let want: Vec<ScoredMatch> = limit(Box::new(mtree_plus), 10).collect();
         assert!(!want.is_empty());
         assert_eq!(got, want);

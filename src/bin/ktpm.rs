@@ -44,7 +44,7 @@
 //!                     first= the first match, rest= the remaining k-1
 //!                     (of the last run under --repeat)
 //!   --algo <name>     any name in the shared `Algo` registry:
-//!                     topk | topk-en | par | brute | dp-b | dp-p | kgpm
+//!                     topk | topk-en | par | dp-b | dp-p | kgpm
 //!                     (default topk-en). `kgpm` reads the query as an
 //!                     undirected graph pattern — cycles allowed, `=>`
 //!                     child edges not
@@ -432,7 +432,6 @@ fn cmd_query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 match (algo, run == 1) {
                     // `plan_reuse` capability: warm runs skip setup.
                     (a, false) if a.caps().plan_reuse => "warm: shared plan",
-                    (Algo::Brute, false) => "brute: re-materializes each run",
                     (Algo::DpP, false) => "dp-p: streams from the closure each run",
                     (_, _) => "cold: builds the plan",
                 }

@@ -37,7 +37,7 @@
 //!
 //! ## One enumeration surface
 //!
-//! All seven engines — the four tree engines, DP-B/DP-P and the kGPM
+//! All six engines — the three tree engines, DP-B/DP-P and the kGPM
 //! graph-pattern engine — run behind one object-safe trait,
 //! [`core::MatchStream`], whose primitive is **batched pull**
 //! (`next_batch(n, &mut out)` — one virtual call per batch, not per
@@ -57,11 +57,9 @@
 //! | [`query`] | twig queries (`//`, `/`, `*`, duplicates), graph patterns, text format |
 //! | [`closure`] | transitive closure, label-pair tables, incremental repair |
 //! | [`storage`] | on-disk closure store, block cursors, I/O accounting |
-//! | [`runtime`] | run-time graph `G_R` construction |
-//! | [`core`] | **Algorithms 1–3** (`Topk`, `ComputeFirst`, `Topk-EN`) + `ParTopk`, the DP-B / DP-P baselines, the kGPM pattern engine (`KgpmStream`, pattern plans, `decompose`), the [`core::MatchStream`] surface, [`core::Algo`] registry, and the in-process surface over them: [`core::Executor`] / [`core::QueryBuilder`] |
+//! | [`core`] | **Algorithms 1–3** (`Topk`, `ComputeFirst`, `Topk-EN`) + `ParTopk`, the DP-B / DP-P baselines, the kGPM pattern engine (`KgpmStream`, pattern plans, `decompose`), the [`core::MatchStream`] surface, [`core::Algo`] registry, and the in-process surface over them: [`core::Executor`] / [`core::QueryBuilder`]; modules [`runtime`] (run-time graph `G_R` construction) and [`exec`] (the shared worker pool scheduling shard jobs and request batches), re-exported here at `ktpm::runtime` / `ktpm::exec` |
 //! | [`api`] | **the facade**: re-exports `Executor` / `QueryBuilder` / `ApiError` from [`core`] (text → plan → `Box<dyn MatchStream + Send>`, tree *and* graph-pattern queries), with their docs and examples |
 //! | [`workload`] | seeded dataset & query generators (the scaled §6 families) |
-//! | [`exec`] | shared worker pool scheduling shard jobs and request batches |
 //! | [`service`] | concurrent query service: sessions, result and plan caches, metrics over one [`core::Executor`], TCP protocol |
 //! | [`net`] | event-driven TCP front end: readiness loop, pipelining, backpressure |
 //!
@@ -110,11 +108,10 @@ pub mod api;
 
 pub use ktpm_closure as closure;
 pub use ktpm_core as core;
-pub use ktpm_exec as exec;
+pub use ktpm_core::{exec, runtime};
 pub use ktpm_graph as graph;
 pub use ktpm_net as net;
 pub use ktpm_query as query;
-pub use ktpm_runtime as runtime;
 pub use ktpm_service as service;
 pub use ktpm_storage as storage;
 pub use ktpm_workload as workload;
@@ -130,7 +127,7 @@ pub mod prelude {
         QueryPlan, ScoredMatch, ShardEngine, ShardSpec, SpanningTree, StreamState,
         TopkEnEnumerator, TopkEnumerator,
     };
-    pub use ktpm_exec::WorkerPool;
+    pub use ktpm_core::{exec::WorkerPool, runtime::RuntimeGraph};
     pub use ktpm_graph::{
         Dist, GraphBuilder, GraphDelta, LabelId, LabeledGraph, NodeId, NodeRow, Score, INF_DIST,
         INF_SCORE,
@@ -139,7 +136,6 @@ pub mod prelude {
     pub use ktpm_query::{
         EdgeKind, GraphQuery, QNodeId, ResolvedQuery, TreeQuery, TreeQueryBuilder,
     };
-    pub use ktpm_runtime::RuntimeGraph;
     pub use ktpm_service::{
         NextBatch, PlanCache, QueryEngine, Server, ServiceConfig, ServiceHandle, SessionId,
         UpdateReport, WarmReport,

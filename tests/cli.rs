@@ -396,6 +396,13 @@ fn query_errors_name_the_form_the_algorithm_needs() {
             "error: unsupported option: graph patterns need a store with an undirected \
              mirror — attach the graph (MemStore::with_graph, LiveStore, OnDemandStore)\n",
         ),
+        // The exhaustive oracle is a test helper, not an engine.
+        (
+            "child.txt",
+            &["--algo", "brute"][..],
+            "error: unknown algorithm \"brute\" \
+             (expected topk | topk-en | par | dp-b | dp-p | kgpm)\n",
+        ),
     ] {
         let q = file(query);
         let args: Vec<&str> = ["query", graph.as_str(), q.as_str()]

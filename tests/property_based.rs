@@ -432,11 +432,6 @@ proptest! {
                     Algo::Par => ParTopk::from_plan(&plan, &policy, Arc::clone(&pool))
                         .take(k)
                         .collect(),
-                    Algo::Brute => {
-                        let mut all = ktpm::core::brute::all_matches(plan.runtime_graph());
-                        all.truncate(k);
-                        all
-                    }
                     Algo::DpB => DpBEnumerator::from_plan(&plan).take(k).collect(),
                     Algo::DpP => DpPEnumerator::from_plan(&plan).take(k).collect(),
                     Algo::Kgpm => unreachable!("filtered out"),
