@@ -45,7 +45,6 @@ use ktpm_graph::Score;
 use ktpm_query::TreeQuery;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::ops::Deref;
 use std::sync::Arc;
 
 /// A subtree match's candidate indices over the whole query, in
@@ -267,40 +266,35 @@ impl DpEngine {
     }
 }
 
-/// DP-B over a fully-loaded run-time graph, generic over how the graph
-/// is held: borrowed (`&RuntimeGraph`, the classic single-query path)
-/// or shared (`Arc<RuntimeGraph>`, the `'static` form
-/// [`crate::build_stream`] builds from a [`QueryPlan`]). Yields
-/// matches in the canonical `(score, assignment)` order natively.
-pub struct DpBEnumerator<R: Deref<Target = RuntimeGraph> = Arc<RuntimeGraph>> {
-    rg: R,
+/// DP-B over a fully-loaded, shared run-time graph. Yields matches in
+/// the canonical `(score, assignment)` order natively.
+pub struct DpBEnumerator {
+    rg: Arc<RuntimeGraph>,
     lists: SlotLists,
     engine: DpEngine,
     rank: usize,
 }
 
-impl<'g> DpBEnumerator<&'g RuntimeGraph> {
+impl DpBEnumerator {
     /// Builds lists (O(m_R)) and the DP structures.
-    pub fn new(rg: &'g RuntimeGraph) -> Self {
-        let bs = BsData::compute(rg);
-        Self::from_parts(rg, SlotLists::build_full(rg, &bs))
+    pub fn new(rg: Arc<RuntimeGraph>) -> Self {
+        let bs = BsData::compute(&rg);
+        let lists = SlotLists::build_full(&rg, &bs);
+        Self::from_parts(rg, lists)
     }
-}
 
-impl DpBEnumerator<Arc<RuntimeGraph>> {
-    /// The `'static` plan-backed form: reuses the plan's shared
-    /// run-time graph and `bs` pass (a warm plan repeats neither), only
-    /// the per-stream slot lists are built here (they are mutated as
-    /// the enumeration advances, so they cannot be shared).
+    /// The plan-backed form [`crate::build_stream`] uses: reuses the
+    /// plan's shared run-time graph and `bs` pass (a warm plan repeats
+    /// neither), only the per-stream slot lists are built here (they
+    /// are mutated as the enumeration advances, so they cannot be
+    /// shared).
     pub fn from_plan(plan: &QueryPlan) -> Self {
         let rg = Arc::clone(plan.runtime_graph());
         let lists = SlotLists::build_full(&rg, plan.bs_data());
         Self::from_parts(rg, lists)
     }
-}
 
-impl<R: Deref<Target = RuntimeGraph>> DpBEnumerator<R> {
-    fn from_parts(rg: R, lists: SlotLists) -> Self {
+    fn from_parts(rg: Arc<RuntimeGraph>, lists: SlotLists) -> Self {
         let engine = DpEngine::new(rg.query().tree());
         DpBEnumerator {
             rg,
@@ -311,7 +305,7 @@ impl<R: Deref<Target = RuntimeGraph>> DpBEnumerator<R> {
     }
 }
 
-impl<R: Deref<Target = RuntimeGraph>> Iterator for DpBEnumerator<R> {
+impl Iterator for DpBEnumerator {
     type Item = ScoredMatch;
 
     fn next(&mut self) -> Option<ScoredMatch> {
@@ -341,9 +335,9 @@ mod tests {
     fn compare(g: &LabeledGraph, query: &str, k: usize) {
         let q = TreeQuery::parse(query).unwrap().resolve(g.interner());
         let store = MemStore::new(ClosureTables::compute(g));
-        let rg = RuntimeGraph::load(&q, &store);
-        let lawler: Vec<ScoredMatch> = TopkEnumerator::new(&rg).take(k).collect();
-        let dpb: Vec<ScoredMatch> = DpBEnumerator::new(&rg).take(k).collect();
+        let rg = Arc::new(RuntimeGraph::load(&q, &store));
+        let lawler: Vec<ScoredMatch> = TopkEnumerator::new(Arc::clone(&rg)).take(k).collect();
+        let dpb: Vec<ScoredMatch> = DpBEnumerator::new(rg).take(k).collect();
         assert_eq!(lawler, dpb, "query {query:?}");
     }
 
@@ -366,7 +360,7 @@ mod tests {
             .resolve(g.interner());
         let store = MemStore::new(ClosureTables::compute(&g));
         let rg = RuntimeGraph::load(&q, &store);
-        let all: Vec<_> = DpBEnumerator::new(&rg).take(500).collect();
+        let all: Vec<_> = DpBEnumerator::new(Arc::new(rg)).take(500).collect();
         let mut seen = HashSet::new();
         for m in &all {
             assert!(seen.insert(m.assignment.clone()), "duplicate match");

@@ -27,39 +27,26 @@ use crate::loader::{BoundMode, PriorityLoader};
 use crate::matches::ScoredMatch;
 use crate::plan::QueryPlan;
 use ktpm_query::ResolvedQuery;
-use ktpm_storage::{ClosureSource, SharedSource};
+use ktpm_storage::SharedSource;
 use std::sync::Arc;
 
 /// The DP-P enumerator. Yields matches in the canonical
 /// `(score, assignment)` order.
-pub struct DpPEnumerator<'s> {
+pub struct DpPEnumerator {
     query: ResolvedQuery,
     lists: SlotLists,
-    loader: PriorityLoader<'s>,
+    loader: PriorityLoader,
     engine: Option<DpEngine>,
     /// Matches emitted so far: the next one is the current engine
     /// build's rank `emitted + 1`.
     emitted: usize,
 }
 
-impl<'s> DpPEnumerator<'s> {
+impl DpPEnumerator {
     /// Runs the §4.1 initialization (D/E tables only).
-    pub fn new(query: &ResolvedQuery, source: &'s dyn ClosureSource) -> Self {
+    pub fn new(query: &ResolvedQuery, source: SharedSource) -> Self {
         let mut lists = SlotLists::default();
         let loader = PriorityLoader::new(query, source, BoundMode::Loose, &mut lists);
-        DpPEnumerator {
-            query: query.clone(),
-            lists,
-            loader,
-            engine: None,
-            emitted: 0,
-        }
-    }
-
-    /// The `'static` shared-ownership form used by long-lived streams.
-    pub fn new_shared(query: &ResolvedQuery, source: SharedSource) -> DpPEnumerator<'static> {
-        let mut lists = SlotLists::default();
-        let loader = PriorityLoader::new_shared(query, source, BoundMode::Loose, &mut lists);
         DpPEnumerator {
             query: query.clone(),
             lists,
@@ -74,8 +61,8 @@ impl<'s> DpPEnumerator<'s> {
     /// §4.1 initialization against storage (hence
     /// `plan_reuse: false` in [`crate::Algo::caps`]); the plan supplies
     /// the query and the shared store handle.
-    pub fn from_plan(plan: &QueryPlan) -> DpPEnumerator<'static> {
-        Self::new_shared(plan.query(), Arc::clone(plan.source()))
+    pub fn from_plan(plan: &QueryPlan) -> Self {
+        Self::new(plan.query(), Arc::clone(plan.source()))
     }
 
     /// Edges loaded from storage so far.
@@ -95,7 +82,7 @@ impl<'s> DpPEnumerator<'s> {
     }
 }
 
-impl Iterator for DpPEnumerator<'_> {
+impl Iterator for DpPEnumerator {
     type Item = ScoredMatch;
 
     fn next(&mut self) -> Option<ScoredMatch> {
@@ -142,8 +129,10 @@ mod tests {
         let q = TreeQuery::parse(query).unwrap().resolve(g.interner());
         let store = MemStore::with_block_edges(ClosureTables::compute(g), 2);
         let rg = RuntimeGraph::load(&q, &store);
-        let dpb: Vec<ScoredMatch> = DpBEnumerator::new(&rg).take(k).collect();
-        let dpp: Vec<ScoredMatch> = DpPEnumerator::new(&q, &store).take(k).collect();
+        let dpb: Vec<ScoredMatch> = DpBEnumerator::new(Arc::new(rg)).take(k).collect();
+        let dpp: Vec<ScoredMatch> = DpPEnumerator::new(&q, store.into_shared())
+            .take(k)
+            .collect();
         assert_eq!(dpb, dpp, "query {query:?}");
     }
 
@@ -166,7 +155,7 @@ mod tests {
             .resolve(g.interner());
         let store = MemStore::with_block_edges(ClosureTables::compute(&g), 1);
         let full = RuntimeGraph::load(&q, &store).num_edges() as u64;
-        let mut dpp = DpPEnumerator::new(&q, &store);
+        let mut dpp = DpPEnumerator::new(&q, store.into_shared());
         let top1 = dpp.next().unwrap();
         assert_eq!(top1.score, 4);
         assert!(dpp.edges_loaded() <= full);
@@ -179,7 +168,7 @@ mod tests {
             .unwrap()
             .resolve(g.interner());
         let store = MemStore::new(ClosureTables::compute(&g));
-        let all: Vec<_> = DpPEnumerator::new(&q, &store).collect();
+        let all: Vec<_> = DpPEnumerator::new(&q, store.into_shared()).collect();
         assert_eq!(all.len(), 5);
         assert!(all.windows(2).all(|w| w[0].score <= w[1].score));
     }

@@ -59,7 +59,7 @@ use crate::matches::{CandidateSpec, Child, HeapEntry, ScoredMatch, NO_PARENT};
 use crate::plan::{LazySetup, QueryPlan};
 use ktpm_graph::Score;
 use ktpm_query::{QNodeId, ResolvedQuery};
-use ktpm_storage::{ClosureSource, SharedSource, SourceRef};
+use ktpm_storage::SharedSource;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
@@ -106,11 +106,11 @@ struct Parked {
 /// Specs name their generating popped match by **entrant id**: the
 /// index of its row in `Q`'s pool, so the parked machinery reads any
 /// position of any earlier match with one slice index.
-pub struct TopkEnEnumerator<'s> {
+pub struct TopkEnEnumerator {
     query: ResolvedQuery,
     core: LawlerCore,
     lists: SlotLists,
-    loader: PriorityLoader<'s>,
+    loader: PriorityLoader,
     /// Certified candidates, ordered by `(score, row)`.
     q: RowQueue,
     /// The spec each `Q` entrant entered with, by entrant id: a child's
@@ -136,19 +136,22 @@ pub struct TopkEnEnumerator<'s> {
     pops: u64,
 }
 
-impl<'s> TopkEnEnumerator<'s> {
+impl TopkEnEnumerator {
     /// Builds the enumerator (runs the §4.1 initialization; no edges
-    /// beyond `D`/`E` tables are loaded until iteration starts).
-    pub fn new(query: &ResolvedQuery, source: &'s dyn ClosureSource) -> Self {
+    /// beyond `D`/`E` tables are loaded until iteration starts). It
+    /// owns its shared store handle, so it can be parked in a session
+    /// table, resumed later, and moved between worker threads.
+    pub fn new(query: &ResolvedQuery, source: SharedSource) -> Self {
         Self::with_bound(query, source, BoundMode::Tight)
     }
 
-    /// As [`Self::new`] over a shared (`Arc`) source. The returned
-    /// `TopkEnEnumerator<'static>` owns everything it needs — it can be
-    /// parked in a session table, resumed later, and moved between
-    /// worker threads (it is `Send`).
-    pub fn new_shared(query: &ResolvedQuery, source: SharedSource) -> TopkEnEnumerator<'static> {
-        Self::with_bound_shared(query, source, BoundMode::Tight)
+    /// As [`Self::new`] with an explicit bound mode (the loose mode is
+    /// DP-P's trigger; the §4.2 entry of `tests/paper_claims.rs` compares
+    /// the two).
+    pub fn with_bound(query: &ResolvedQuery, source: SharedSource, bound: BoundMode) -> Self {
+        let mut lists = SlotLists::default();
+        let loader = PriorityLoader::new(query, source, bound, &mut lists);
+        Self::from_parts(query, loader, lists)
     }
 
     /// Algorithm 3 over a shared [`QueryPlan`]: the §4.1 candidate
@@ -157,7 +160,7 @@ impl<'s> TopkEnEnumerator<'s> {
     /// enumerator on a warm plan performs **zero** storage reads. Edge
     /// loading during iteration stays lazy and per-enumerator, exactly
     /// as with [`Self::new`].
-    pub fn from_plan(plan: &QueryPlan) -> TopkEnEnumerator<'static> {
+    pub fn from_plan(plan: &QueryPlan) -> Self {
         Self::from_setup(
             plan.query(),
             Arc::clone(plan.source()),
@@ -173,38 +176,13 @@ impl<'s> TopkEnEnumerator<'s> {
         source: SharedSource,
         bound: BoundMode,
         setup: &Arc<LazySetup>,
-    ) -> TopkEnEnumerator<'static> {
-        let mut lists = SlotLists::default();
-        let loader =
-            PriorityLoader::from_setup(query, SourceRef::Shared(source), bound, &mut lists, setup);
-        TopkEnEnumerator::from_parts(query, loader, lists)
-    }
-
-    /// As [`Self::new_shared`] with an explicit bound mode.
-    pub fn with_bound_shared(
-        query: &ResolvedQuery,
-        source: SharedSource,
-        bound: BoundMode,
-    ) -> TopkEnEnumerator<'static> {
-        let mut lists = SlotLists::default();
-        let loader = PriorityLoader::new_shared(query, source, bound, &mut lists);
-        TopkEnEnumerator::from_parts(query, loader, lists)
-    }
-
-    /// As [`Self::new`] with an explicit bound mode (the loose mode is
-    /// DP-P's trigger; the §4.2 entry of `tests/paper_claims.rs` compares
-    /// the two).
-    pub fn with_bound(
-        query: &ResolvedQuery,
-        source: &'s dyn ClosureSource,
-        bound: BoundMode,
     ) -> Self {
         let mut lists = SlotLists::default();
-        let loader = PriorityLoader::new(query, source, bound, &mut lists);
+        let loader = PriorityLoader::from_setup(query, source, bound, &mut lists, setup);
         Self::from_parts(query, loader, lists)
     }
 
-    fn from_parts(query: &ResolvedQuery, loader: PriorityLoader<'s>, lists: SlotLists) -> Self {
+    fn from_parts(query: &ResolvedQuery, loader: PriorityLoader, lists: SlotLists) -> Self {
         // Capacity hint: every root candidate pops at least once before
         // the stream ends, so the root bucket size is a cheap estimate.
         let hint = loader.candidates().len(QNodeId(0)).clamp(16, 1 << 16);
@@ -450,7 +428,7 @@ impl<'s> TopkEnEnumerator<'s> {
     }
 }
 
-impl Iterator for TopkEnEnumerator<'_> {
+impl Iterator for TopkEnEnumerator {
     type Item = ScoredMatch;
 
     fn next(&mut self) -> Option<ScoredMatch> {
@@ -491,8 +469,11 @@ mod tests {
         let q = TreeQuery::parse(query).unwrap().resolve(g.interner());
         let store = MemStore::with_block_edges(ClosureTables::compute(g), 2);
         let rg = RuntimeGraph::load(&q, &store);
-        let full: Vec<Score> = TopkEnumerator::new(&rg).take(k).map(|m| m.score).collect();
-        let en: Vec<Score> = TopkEnEnumerator::new(&q, &store)
+        let full: Vec<Score> = TopkEnumerator::new(Arc::new(rg))
+            .take(k)
+            .map(|m| m.score)
+            .collect();
+        let en: Vec<Score> = TopkEnEnumerator::new(&q, store.into_shared())
             .take(k)
             .map(|m| m.score)
             .collect();
@@ -547,20 +528,20 @@ mod tests {
     /// parts, against the raw `Topk` stream over the fully loaded graph.
     fn assert_raw_streams_equal(
         q: &ResolvedQuery,
-        store: &MemStore,
+        store: SharedSource,
         k: usize,
         pause: usize,
     ) -> Result<usize, String> {
-        let rg = RuntimeGraph::load(q, store);
-        let want: Vec<ScoredMatch> = TopkEnumerator::new(&rg).take(k).collect();
-        let mut en = TopkEnEnumerator::new(q, store);
+        let rg = Arc::new(RuntimeGraph::load(q, store.as_ref()));
+        let want: Vec<ScoredMatch> = TopkEnumerator::new(Arc::clone(&rg)).take(k).collect();
+        let mut en = TopkEnEnumerator::new(q, Arc::clone(&store));
         let en_got = pull_split(&mut en, k, pause);
         if en.counters().pops != en_got.len() as u64 {
             return Err(format!("{:?} for {} matches", en.counters(), en_got.len()));
         }
         let streams = [
             ("Topk-EN", en_got),
-            ("DP-B", pull_split(&mut DpBEnumerator::new(&rg), k, pause)),
+            ("DP-B", pull_split(&mut DpBEnumerator::new(rg), k, pause)),
             (
                 "DP-P",
                 pull_split(&mut DpPEnumerator::new(q, store), k, pause),
@@ -625,7 +606,7 @@ mod tests {
                 if let Some(q) = query {
                     let q = q.resolve(g.interner());
                     let store = MemStore::with_block_edges(ClosureTables::compute(&g), block);
-                    let checked = assert_raw_streams_equal(&q, &store, k, pause);
+                    let checked = assert_raw_streams_equal(&q, store.into_shared(), k, pause);
                     prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
                 }
             }
@@ -661,7 +642,7 @@ mod tests {
                 let q = TreeQuery::parse(shape).unwrap().resolve(g.interner());
                 for block in 1..=4 {
                     let store = MemStore::with_block_edges(ClosureTables::compute(&g), block);
-                    let n = assert_raw_streams_equal(&q, &store, 3_000, 1_000)
+                    let n = assert_raw_streams_equal(&q, store.into_shared(), 3_000, 1_000)
                         .unwrap_or_else(|e| panic!("{}-node twig, block {block}: {e}", q.len()));
                     assert!(n >= 200, "{}-node twig streams only {n}", q.len());
                 }
@@ -679,7 +660,7 @@ mod tests {
         let (q, store) = crate::lawler::tests::tie_star();
         let n_t = q.len() as u64;
         let full_edges = RuntimeGraph::load(&q, &store).num_edges() as u64;
-        let mut it = TopkEnEnumerator::new(&q, &store);
+        let mut it = TopkEnEnumerator::new(&q, store.into_shared());
         assert_eq!(
             (it.counters().pops, it.counters().q_pushes),
             (0, 0),
@@ -711,7 +692,7 @@ mod tests {
             .resolve(g.interner());
         let store = MemStore::with_block_edges(ClosureTables::compute(&g), 1);
         let full_edges = RuntimeGraph::load(&q, &store).num_edges() as u64;
-        let mut en = TopkEnEnumerator::new(&q, &store);
+        let mut en = TopkEnEnumerator::new(&q, store.into_shared());
         let top1 = en.next().unwrap();
         assert_eq!(top1.score, 4);
         assert!(
@@ -728,7 +709,7 @@ mod tests {
             .unwrap()
             .resolve(g.interner());
         let store = MemStore::new(ClosureTables::compute(&g));
-        let mut en = TopkEnEnumerator::new(&q, &store);
+        let mut en = TopkEnEnumerator::new(&q, store.into_shared());
         let all: Vec<_> = en.by_ref().collect();
         assert_eq!(all.len(), 5);
         assert_eq!(en.next(), None);
@@ -740,7 +721,7 @@ mod tests {
         let g = paper_graph();
         let q = TreeQuery::parse("s -> a").unwrap().resolve(g.interner());
         let store = MemStore::new(ClosureTables::compute(&g));
-        assert_eq!(TopkEnEnumerator::new(&q, &store).count(), 0);
+        assert_eq!(TopkEnEnumerator::new(&q, store.into_shared()).count(), 0);
     }
 
     #[test]
@@ -751,19 +732,17 @@ mod tests {
             .unwrap()
             .resolve(g.interner());
         let store = MemStore::with_block_edges(ClosureTables::compute(&g), 2);
-        let borrowed: Vec<Score> = TopkEnEnumerator::new(&q, &store).map(|m| m.score).collect();
-        let mut shared = TopkEnEnumerator::new_shared(&q, store.into_shared());
+        let want = crate::brute::all_matches(&RuntimeGraph::load(&q, &store));
+        let mut shared = TopkEnEnumerator::new(&q, store.into_shared());
         assert_send(&shared);
-        // Drive it from another thread — the whole point of `new_shared`.
-        let scores: Vec<Score> = std::thread::spawn(move || {
-            let first = shared.next().map(|m| m.score);
-            first
-                .into_iter()
-                .chain(shared.by_ref().map(|m| m.score))
-                .collect()
+        // The enumerator owns its store handle, so another thread can
+        // drive it.
+        let got: Vec<ScoredMatch> = std::thread::spawn(move || {
+            let first = shared.next();
+            first.into_iter().chain(shared.by_ref()).collect()
         })
         .join()
         .unwrap();
-        assert_eq!(borrowed, scores);
+        assert_eq!(want, got);
     }
 }

@@ -12,7 +12,7 @@ use crate::bs::BsData;
 use crate::lazylist::LazySortedList;
 use crate::matches::{CandidateSpec, Child, ScoredMatch, NO_PARENT};
 use crate::plan::{LazySetup, QueryPlan};
-use crate::rgraph::{GraphRef, RuntimeGraph};
+use crate::rgraph::RuntimeGraph;
 use ktpm_graph::Score;
 use ktpm_query::{QNodeId, TreeQuery};
 use ktpm_storage::ShardSpec;
@@ -678,8 +678,8 @@ struct Entrant {
 /// Per match: one pop, ≤ 2 pushes, ≤ 2·n_T row words, and a tie compare
 /// of O(n_T) worst case — O(n_T · log k) on a fully tied stream,
 /// O(n_T + log k) otherwise.
-pub struct TopkEnumerator<'g> {
-    rg: GraphRef<'g>,
+pub struct TopkEnumerator {
+    rg: Arc<RuntimeGraph>,
     core: LawlerCore,
     lists: SlotLists,
     /// Global queue `Q`, ordered by `(score, row)`.
@@ -703,9 +703,11 @@ pub struct TopkEnumerator<'g> {
     promotions: u64,
 }
 
-impl<'g> TopkEnumerator<'g> {
-    /// Builds the enumerator: O(m_R) list construction + top-1.
-    pub fn new(rg: &'g RuntimeGraph) -> Self {
+impl TopkEnumerator {
+    /// Builds the enumerator: O(m_R) list construction + top-1. The
+    /// graph is shared, not copied; the enumerator owns its handle, so
+    /// it can be parked in a session table and moved across threads.
+    pub fn new(rg: Arc<RuntimeGraph>) -> Self {
         Self::with_side_queues(rg, true)
     }
 
@@ -713,43 +715,23 @@ impl<'g> TopkEnumerator<'g> {
     /// §3.3 entry of `tests/paper_claims.rs` compares the two): off,
     /// every child enters `Q` with a row of its own — the same stream at
     /// up to `n_T` pushes per pop.
-    pub fn with_side_queues(rg: &'g RuntimeGraph, use_side_queues: bool) -> Self {
-        Self::with_graph(GraphRef::Borrowed(rg), use_side_queues)
+    pub fn with_side_queues(rg: Arc<RuntimeGraph>, use_side_queues: bool) -> Self {
+        let bs = BsData::compute(&rg);
+        let lists = SlotLists::build_full(&rg, &bs);
+        Self::from_lists(rg, lists, use_side_queues)
     }
 
-    /// As [`Self::new`] over a shared (`Arc`) run-time graph. The
-    /// returned `TopkEnumerator<'static>` owns its graph handle, so it
-    /// can be parked in a session table and moved across threads; the
-    /// graph itself is shared, not copied.
-    pub fn new_shared(rg: Arc<RuntimeGraph>) -> TopkEnumerator<'static> {
-        TopkEnumerator::with_graph(GraphRef::Shared(rg), true)
-    }
-
-    /// The partitioned form: enumerates only matches whose *root* data
-    /// node lies in `shard`, over a run-time graph and `bs` data shared
-    /// with the other shards of the same query. Lists build on demand
-    /// ([`SlotLists::from_templates`]), so `P` shard enumerators don't
-    /// each repeat the O(m_R) list construction. The stream is exactly
-    /// what [`Self::new`] produces, filtered to the shard's roots.
-    pub fn new_sharded(
-        rg: Arc<RuntimeGraph>,
-        bs: Arc<BsData>,
-        shard: ShardSpec,
-    ) -> TopkEnumerator<'static> {
-        Self::from_templates(Arc::new(SlotTemplates::new(rg, bs)), shard)
-    }
-
-    /// As [`Self::new_sharded`] over *shared* [`SlotTemplates`]:
-    /// several enumerators — the shards of one `ParTopk` run, or any
-    /// number of sessions of one cached [`QueryPlan`] — fill each slot
-    /// list once between them instead of once each.
-    pub fn from_templates(
-        templates: Arc<SlotTemplates>,
-        shard: ShardSpec,
-    ) -> TopkEnumerator<'static> {
+    /// The partitioned form over *shared* [`SlotTemplates`]: enumerates
+    /// only matches whose *root* data node lies in `shard` — exactly
+    /// what [`Self::new`] produces, filtered to the shard's roots. Lists
+    /// build on demand ([`SlotLists::from_templates`]), so several
+    /// enumerators — the shards of one `ParTopk` run, or any number of
+    /// sessions of one cached [`QueryPlan`] — fill each slot list once
+    /// between them instead of once each.
+    pub fn from_templates(templates: Arc<SlotTemplates>, shard: ShardSpec) -> Self {
         let rg = Arc::clone(templates.runtime_graph());
         let lists = SlotLists::from_templates(templates, shard);
-        TopkEnumerator::from_lists(GraphRef::Shared(rg), lists, true)
+        Self::from_lists(rg, lists, true)
     }
 
     /// Algorithm 1 over a shared [`QueryPlan`]: the run-time graph,
@@ -757,7 +739,7 @@ impl<'g> TopkEnumerator<'g> {
     /// first use, shared ever after), so constructing this enumerator
     /// on a warm plan performs **zero** candidate discovery or storage
     /// I/O.
-    pub fn from_plan(plan: &QueryPlan) -> TopkEnumerator<'static> {
+    pub fn from_plan(plan: &QueryPlan) -> Self {
         Self::from_templates(Arc::clone(plan.slot_templates()), ShardSpec::full())
     }
 
@@ -774,15 +756,8 @@ impl<'g> TopkEnumerator<'g> {
         }
     }
 
-    fn with_graph(rg: GraphRef<'g>, use_side_queues: bool) -> Self {
-        let g = rg.get();
-        let bs = BsData::compute(g);
-        let lists = SlotLists::build_full(g, &bs);
-        Self::from_lists(rg, lists, use_side_queues)
-    }
-
-    fn from_lists(rg: GraphRef<'g>, mut lists: SlotLists, use_side_queues: bool) -> Self {
-        let tree = rg.get().query().tree();
+    fn from_lists(rg: Arc<RuntimeGraph>, mut lists: SlotLists, use_side_queues: bool) -> Self {
+        let tree = rg.query().tree();
         let mut core = LawlerCore::new(tree);
         let init = core.initial_candidate(&mut lists);
         // Capacity hint: every root candidate enters `Q` at least once
@@ -820,7 +795,7 @@ impl<'g> TopkEnumerator<'g> {
     }
 }
 
-impl Iterator for TopkEnumerator<'_> {
+impl Iterator for TopkEnumerator {
     type Item = ScoredMatch;
 
     fn next(&mut self) -> Option<ScoredMatch> {
@@ -869,7 +844,7 @@ impl Iterator for TopkEnumerator<'_> {
         }
         self.side_runs.push((start, self.side_pool.len() as u32));
         self.div_buf = children;
-        let rg = self.rg.get();
+        let rg = &self.rg;
         let row = self.q.row(id);
         let assignment = rg
             .query()
@@ -894,7 +869,7 @@ pub(crate) mod tests {
         let q = TreeQuery::parse(query).unwrap().resolve(g.interner());
         let store = MemStore::new(ClosureTables::compute(g));
         let rg = RuntimeGraph::load(&q, &store);
-        TopkEnumerator::with_side_queues(&rg, side)
+        TopkEnumerator::with_side_queues(Arc::new(rg), side)
             .take(k)
             .collect()
     }
@@ -974,14 +949,18 @@ pub(crate) mod tests {
             .resolve(g.interner());
         let store = MemStore::new(ClosureTables::compute(&g));
         let rg = Arc::new(RuntimeGraph::load(&q, &store));
-        let borrowed: Vec<Score> = TopkEnumerator::new(&rg).take(50).map(|m| m.score).collect();
-        let mut shared = TopkEnumerator::new_shared(rg);
+        let want: Vec<ScoredMatch> = crate::brute::all_matches(&rg)
+            .into_iter()
+            .take(50)
+            .collect();
+        let mut shared = TopkEnumerator::new(rg);
         assert_send(&shared);
-        let scores: Vec<Score> =
-            std::thread::spawn(move || shared.by_ref().take(50).map(|m| m.score).collect())
-                .join()
-                .unwrap();
-        assert_eq!(borrowed, scores);
+        // The enumerator owns its graph handle, so another thread can
+        // drive it.
+        let got: Vec<ScoredMatch> = std::thread::spawn(move || shared.by_ref().take(50).collect())
+            .join()
+            .unwrap();
+        assert_eq!(want, got);
     }
 
     #[test]
@@ -997,19 +976,19 @@ pub(crate) mod tests {
         let store = MemStore::new(ClosureTables::compute(&g));
         let rg = Arc::new(RuntimeGraph::load(&q, &store));
         let bs = Arc::new(BsData::compute(&rg));
-        let full: Vec<ScoredMatch> = TopkEnumerator::new(&rg).collect();
+        let templates = Arc::new(SlotTemplates::new(Arc::clone(&rg), bs));
+        let full: Vec<ScoredMatch> = TopkEnumerator::new(rg).collect();
         assert!(!full.is_empty());
 
         let one: Vec<ScoredMatch> =
-            TopkEnumerator::new_sharded(Arc::clone(&rg), Arc::clone(&bs), ShardSpec::full())
-                .collect();
+            TopkEnumerator::from_templates(Arc::clone(&templates), ShardSpec::full()).collect();
         assert_eq!(one, full);
 
         for n in [2usize, 3, 5] {
             let mut total = 0;
             for spec in ShardSpec::split(n) {
                 let part: Vec<ScoredMatch> =
-                    TopkEnumerator::new_sharded(Arc::clone(&rg), Arc::clone(&bs), spec).collect();
+                    TopkEnumerator::from_templates(Arc::clone(&templates), spec).collect();
                 let want: Vec<ScoredMatch> = full
                     .iter()
                     .filter(|m| spec.contains(m.assignment[0]))
@@ -1299,12 +1278,12 @@ pub(crate) mod tests {
                     let store = ktpm_storage::MemStore::new(
                         ktpm_closure::ClosureTables::compute(&g),
                     );
-                    let rg = RuntimeGraph::load(&resolved, &store);
+                    let rg = Arc::new(RuntimeGraph::load(&resolved, &store));
                     let want = canonical_prefix(CloneEnumerator::new(&rg), k);
                     // Split consumption at `pause` to exercise parked
                     // state across the resume boundary.
                     let j = pause.min(k);
-                    let mut it = TopkEnumerator::new(&rg);
+                    let mut it = TopkEnumerator::new(rg);
                     let mut got: Vec<ScoredMatch> = it.by_ref().take(j).collect();
                     got.extend(it.by_ref().take(k - j));
                     prop_assert_eq!(it.counters().pops, got.len() as u64);
@@ -1342,9 +1321,9 @@ pub(crate) mod tests {
     #[test]
     fn k_matches_cost_k_pops_and_two_rows_each() {
         let (q, store) = tie_star();
-        let rg = RuntimeGraph::load(&q, &store);
+        let rg = Arc::new(RuntimeGraph::load(&q, &store));
         let n_t = q.len() as u64;
-        let mut it = TopkEnumerator::new(&rg);
+        let mut it = TopkEnumerator::new(Arc::clone(&rg));
         assert_eq!(
             it.counters(),
             TopkCounters {
@@ -1383,7 +1362,7 @@ pub(crate) mod tests {
         // same stream (`side_queues_do_not_change_results`), no
         // promotions, up to n_T pushes a pop — never fewer in total
         // than with them, which only defer pushes.
-        let mut flat = TopkEnumerator::with_side_queues(&rg, false);
+        let mut flat = TopkEnumerator::with_side_queues(rg, false);
         assert_eq!(flat.by_ref().take(3_000).count(), 3_000);
         let c = flat.counters();
         assert_eq!((c.pops, c.promotions), (3_000, 0));
@@ -1418,7 +1397,7 @@ pub(crate) mod tests {
         let tc = ClosureTables::compute(&g);
         let store = MemStore::new(tc);
         let rg = RuntimeGraph::load(&q, &store);
-        let all: Vec<_> = TopkEnumerator::new(&rg).collect();
+        let all: Vec<_> = TopkEnumerator::new(Arc::new(rg)).collect();
         for m in &all {
             let mut total: Score = 0;
             for u in q.tree().node_ids().skip(1) {

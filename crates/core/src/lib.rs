@@ -65,6 +65,12 @@
 //! candidate discovery on a warm plan; the serving layer keeps a
 //! cross-session cache of plans keyed by canonical query text.
 //!
+//! Every engine owns its inputs. `Topk` and DP-B hold an
+//! `Arc<RuntimeGraph>`; `Topk-EN`, DP-P and their [`PriorityLoader`]
+//! hold a [`ktpm_storage::SharedSource`]. So a one-off query
+//! ([`topk_full`], [`topk_en`]) and a session parked between `NEXT`s
+//! build the same engine, and any engine can move across threads.
+//!
 //! ## Hot path memory layout
 //!
 //! The paper's optimality argument is about enumeration *delay*, so
@@ -173,7 +179,8 @@ pub use stream::{build_stream, limit, BoxedMatchStream, MatchStream, StreamState
 pub use ktpm_storage::ShardSpec;
 
 use ktpm_query::ResolvedQuery;
-use ktpm_storage::ClosureSource;
+use ktpm_storage::{ClosureSource, SharedSource};
+use std::sync::Arc;
 
 /// Convenience: top-k via Algorithm 1 (full run-time graph load), in
 /// the canonical `(score, assignment)` order — the reference stream
@@ -181,12 +188,12 @@ use ktpm_storage::ClosureSource;
 /// exactly.
 pub fn topk_full(query: &ResolvedQuery, source: &dyn ClosureSource, k: usize) -> Vec<ScoredMatch> {
     let rg = runtime::RuntimeGraph::load(query, source);
-    TopkEnumerator::new(&rg).take(k).collect()
+    TopkEnumerator::new(Arc::new(rg)).take(k).collect()
 }
 
 /// Convenience: top-k via Algorithm 3 (priority-based lazy load), in
 /// the canonical `(score, assignment)` order.
-pub fn topk_en(query: &ResolvedQuery, source: &dyn ClosureSource, k: usize) -> Vec<ScoredMatch> {
+pub fn topk_en(query: &ResolvedQuery, source: SharedSource, k: usize) -> Vec<ScoredMatch> {
     TopkEnEnumerator::new(query, source).take(k).collect()
 }
 

@@ -73,9 +73,7 @@ use crate::lawler::SlotLists;
 use crate::plan::LazySetup;
 use ktpm_graph::{Dist, NodeId, Score, INF_DIST};
 use ktpm_query::{EdgeKind, QNodeId, ResolvedQuery};
-use ktpm_storage::{
-    merge_sorted_blocks, ClosureSource, EdgeCursor, ShardSpec, SharedSource, SourceRef,
-};
+use ktpm_storage::{merge_sorted_blocks, EdgeCursor, ShardSpec, SharedSource};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -109,8 +107,8 @@ enum CursorState {
 }
 
 /// The priority loader; see module docs.
-pub struct PriorityLoader<'s> {
-    source: SourceRef<'s>,
+pub struct PriorityLoader {
+    source: SharedSource,
     query: ResolvedQuery,
     /// The plan's lazy half, shared read-only: candidate sets, initial
     /// `eᵥ` bounds, `E`-seeds and cursor labels (cursor opens are hot,
@@ -138,52 +136,23 @@ pub struct PriorityLoader<'s> {
     edges_inserted: u64,
 }
 
-impl<'s> PriorityLoader<'s> {
+impl PriorityLoader {
     /// Initialization (Algorithm 2 Lines 1–3): loads the `D` tables for
     /// every query edge and the `E` tables for `//` edges into leaves;
-    /// activates leaves and `E`-completed nodes; seeds `Q_g`.
+    /// activates leaves and `E`-completed nodes; seeds `Q_g`. The
+    /// loader owns its shared store handle, so it can live inside a
+    /// long-running session and move across worker threads.
     pub fn new(
-        query: &ResolvedQuery,
-        source: &'s dyn ClosureSource,
-        bound: BoundMode,
-        lists: &mut SlotLists,
-    ) -> Self {
-        Self::with_source(
-            query,
-            SourceRef::Borrowed(source),
-            bound,
-            lists,
-            ShardSpec::full(),
-        )
-    }
-
-    /// As [`Self::new`] over a shared (`Arc`) source: the loader owns a
-    /// reference-counted handle instead of a borrow, so the resulting
-    /// `PriorityLoader<'static>` can live inside long-running sessions
-    /// and move across worker threads.
-    pub fn new_shared(
         query: &ResolvedQuery,
         source: SharedSource,
         bound: BoundMode,
         lists: &mut SlotLists,
-    ) -> PriorityLoader<'static> {
-        PriorityLoader::with_source(
-            query,
-            SourceRef::Shared(source),
-            bound,
-            lists,
-            ShardSpec::full(),
-        )
-    }
-
-    fn with_source(
-        query: &ResolvedQuery,
-        source: SourceRef<'s>,
-        bound: BoundMode,
-        lists: &mut SlotLists,
-        shard: ShardSpec,
     ) -> Self {
-        let setup = Arc::new(LazySetup::discover(query, source.get(), shard));
+        let setup = Arc::new(LazySetup::discover(
+            query,
+            source.as_ref(),
+            ShardSpec::full(),
+        ));
         Self::from_setup(query, source, bound, lists, &setup)
     }
 
@@ -199,7 +168,7 @@ impl<'s> PriorityLoader<'s> {
     /// one heapify. Cursors, loaded edges and `Q_g` stay per loader.
     pub(crate) fn from_setup(
         query: &ResolvedQuery,
-        source: SourceRef<'s>,
+        source: SharedSource,
         bound: BoundMode,
         lists: &mut SlotLists,
         setup: &Arc<LazySetup>,
@@ -532,7 +501,7 @@ impl<'s> PriorityLoader<'s> {
         cursor[setup.cands.flat(u, i)] = CursorState::Announced;
         let (qg, version) = (&self.qg, &self.version);
         let run = (a, setup.cands.node(u, i));
-        self.source.get().prefetch_incoming(run, &mut |runs| {
+        self.source.prefetch_incoming(run, &mut |runs| {
             // A max-heap of the smallest keys seen: O(|Q_g| log B).
             let mut best = BinaryHeap::with_capacity(READ_AHEAD);
             for &Reverse((lb, u, i, ver)) in qg.iter() {
@@ -568,12 +537,12 @@ impl<'s> PriorityLoader<'s> {
         let src_labels = &self.setup.src_labels[u.index()];
         match src_labels.len() {
             0 => CursorState::Exhausted,
-            1 => CursorState::Open(self.source.get().incoming_cursor(src_labels[0], v), ev),
+            1 => CursorState::Open(self.source.incoming_cursor(src_labels[0], v), ev),
             _ => {
                 // Wildcard-labeled parent: merge all labels' lists eagerly.
                 let mut parts = Vec::with_capacity(src_labels.len());
                 for &a in src_labels {
-                    let mut cur = self.source.get().incoming_cursor(a, v);
+                    let mut cur = self.source.incoming_cursor(a, v);
                     let mut all = Vec::new();
                     loop {
                         let b = cur.next_block();
@@ -628,14 +597,14 @@ mod tests {
     use ktpm_graph::LabelId;
     use ktpm_graph::LabeledGraph;
     use ktpm_query::TreeQuery;
-    use ktpm_storage::{IncomingRun, IoSnapshot, MemStore};
+    use ktpm_storage::{ClosureSource, IncomingRun, IoSnapshot, MemStore};
     use std::sync::Mutex;
 
     fn first_score(g: &LabeledGraph, query: &str, bound: BoundMode) -> (Option<Score>, u64) {
         let q = TreeQuery::parse(query).unwrap().resolve(g.interner());
-        let store = MemStore::with_block_edges(ClosureTables::compute(g), 2);
+        let store = MemStore::with_block_edges(ClosureTables::compute(g), 2).into_shared();
         let mut lists = SlotLists::default();
-        let mut loader = PriorityLoader::new(&q, &store, bound, &mut lists);
+        let mut loader = PriorityLoader::new(&q, store, bound, &mut lists);
         let s = loader.compute_first(&mut lists);
         (s, loader.edges_inserted())
     }
@@ -712,16 +681,16 @@ mod tests {
         let q = TreeQuery::parse("a -> b\na -> c\nc -> d")
             .unwrap()
             .resolve(g.interner());
-        let store = MemStore::with_block_edges(ClosureTables::compute(&g), 1);
+        let store = MemStore::with_block_edges(ClosureTables::compute(&g), 1).into_shared();
         let mut lists = SlotLists::default();
-        let mut loader = PriorityLoader::new(&q, &store, BoundMode::Tight, &mut lists);
+        let mut loader = PriorityLoader::new(&q, Arc::clone(&store), BoundMode::Tight, &mut lists);
         let s = loader.compute_first(&mut lists);
         // Top-1: v1 with b=v2 (1) + best c-child: v5 with 1 + bs(v5)=1 -> 3.
         assert_eq!(s, Some(3));
         // E-seeding covers all c->d edges; expansion should only have
         // loaded incoming edges of v5 (the popped c-node), i.e. far fewer
         // than the full runtime graph (9 closure edges among labels).
-        let full = crate::runtime::RuntimeGraph::load(&q, &store).num_edges() as u64;
+        let full = crate::runtime::RuntimeGraph::load(&q, store.as_ref()).num_edges() as u64;
         assert!(
             loader.edges_inserted() < full,
             "lazy loading must not materialize the full run-time graph ({} vs {full})",
@@ -822,10 +791,10 @@ mod tests {
             "L2 -> L3\nL3 -> L4\nL3 -> L0\nL4 -> L1",
         ] {
             let q = TreeQuery::parse(text).unwrap().resolve(g.interner());
-            let mem = MemStore::with_block_edges(tables.clone(), 2);
-            let ahead = Ahead::new(MemStore::with_block_edges(tables.clone(), 2));
-            let want: Vec<_> = TopkEnEnumerator::new(&q, &mem).take(300).collect();
-            let got: Vec<_> = TopkEnEnumerator::new(&q, &ahead).take(300).collect();
+            let mem = Arc::new(MemStore::with_block_edges(tables.clone(), 2));
+            let ahead = Arc::new(Ahead::new(MemStore::with_block_edges(tables.clone(), 2)));
+            let want: Vec<_> = TopkEnEnumerator::new(&q, mem.clone()).take(300).collect();
+            let got: Vec<_> = TopkEnEnumerator::new(&q, ahead.clone()).take(300).collect();
             assert!(!want.is_empty(), "{text}");
             assert_eq!(got, want, "{text}");
             assert_eq!(ahead.io().edges_read, mem.io().edges_read, "{text}");
@@ -853,12 +822,15 @@ mod tests {
         let q = TreeQuery::parse("L0 -> L1\nL0 -> L2\nL1 -> L3\nL2 -> L4")
             .unwrap()
             .resolve(g.interner());
-        let store = Ahead::new(MemStore::with_block_edges(ClosureTables::compute(&g), 2));
+        let store = Arc::new(Ahead::new(MemStore::with_block_edges(
+            ClosureTables::compute(&g),
+            2,
+        )));
         let mut lists = SlotLists::default();
-        let mut loader = PriorityLoader::new(&q, &store, BoundMode::Tight, &mut lists);
+        let mut loader = PriorityLoader::new(&q, store.clone(), BoundMode::Tight, &mut lists);
         let mut full = 0;
         for _ in 0..4 {
-            let eligible = |l: &PriorityLoader<'_>| {
+            let eligible = |l: &PriorityLoader| {
                 let live = |u: u32, i: u32, ver: u32| {
                     let f = l.flat(u, i);
                     u != 0

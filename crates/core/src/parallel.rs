@@ -91,8 +91,8 @@ impl ParallelPolicy {
 /// enumerators are hundreds of bytes and hop between the caller and
 /// pool workers every batch.
 enum ShardIter {
-    Full(Box<TopkEnumerator<'static>>),
-    Lazy(Box<TopkEnEnumerator<'static>>),
+    Full(Box<TopkEnumerator>),
+    Lazy(Box<TopkEnEnumerator>),
 }
 
 impl Iterator for ShardIter {

@@ -4,41 +4,6 @@ use crate::candidates::{prefetch_edge_label_pairs, CandidateSets};
 use ktpm_graph::{Dist, NodeId};
 use ktpm_query::{EdgeKind, QNodeId, ResolvedQuery};
 use ktpm_storage::{ClosureSource, Sections};
-use std::sync::Arc;
-
-/// A run-time graph held either by borrow (one-shot queries) or by
-/// shared ownership (session-resident enumerators that must be
-/// `'static` and `Send`). `RuntimeGraph` is plain immutable data, so a
-/// shared handle needs no locking.
-pub(crate) enum GraphRef<'g> {
-    /// Borrowed for the duration of one query.
-    Borrowed(&'g RuntimeGraph),
-    /// Shared ownership; the `'static` variant used by sessions.
-    Shared(Arc<RuntimeGraph>),
-}
-
-impl GraphRef<'_> {
-    /// The underlying graph.
-    #[inline]
-    pub(crate) fn get(&self) -> &RuntimeGraph {
-        match self {
-            GraphRef::Borrowed(g) => g,
-            GraphRef::Shared(a) => a.as_ref(),
-        }
-    }
-}
-
-impl<'g> From<&'g RuntimeGraph> for GraphRef<'g> {
-    fn from(g: &'g RuntimeGraph) -> Self {
-        GraphRef::Borrowed(g)
-    }
-}
-
-impl From<Arc<RuntimeGraph>> for GraphRef<'static> {
-    fn from(g: Arc<RuntimeGraph>) -> Self {
-        GraphRef::Shared(g)
-    }
-}
 
 /// Size statistics of a run-time graph (Table 3 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -126,10 +126,10 @@ macro_rules! native_match_stream {
 }
 
 native_match_stream!(
-    crate::TopkEnumerator<'static>,
-    crate::TopkEnEnumerator<'static>,
+    crate::TopkEnumerator,
+    crate::TopkEnEnumerator,
     crate::DpBEnumerator,
-    crate::DpPEnumerator<'static>,
+    crate::DpPEnumerator,
     ParTopk,
 );
 

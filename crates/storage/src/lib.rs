@@ -89,6 +89,6 @@ pub use shard::ShardSpec;
 pub use sharded::{load_snapshot_manifest, RoutedStore, ShardedStore};
 pub use source::{
     merge_sorted_blocks, ClosureSource, DeltaReport, EdgeCursor, IncomingRun, Sections,
-    SharedSource, SourceRef, StorageError,
+    SharedSource, StorageError,
 };
 pub use writer::{write_store, write_store_sharded, write_store_v3};

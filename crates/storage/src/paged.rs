@@ -75,8 +75,7 @@ use crate::cache::BlockCache;
 use crate::format::*;
 use crate::iostats::{IoSnapshot, IoStats};
 use crate::source::{ClosureSource, EdgeCursor, IncomingRun, Sections, StorageError};
-use ktpm_closure::ClosureTables;
-use ktpm_graph::{undirect, Dist, LabelId, LabeledGraph, NodeId};
+use ktpm_graph::{Dist, LabelId, NodeId};
 use std::collections::HashMap;
 use std::io::{Read, Seek, SeekFrom};
 use std::ops::Range;
@@ -821,10 +820,6 @@ impl PagedShared {
 pub struct PagedStore {
     shared: Arc<PagedShared>,
     labels: Vec<LabelId>,
-    /// The data graph, when attached ([`PagedStore::with_graph`]) —
-    /// enables the lazily-built undirected mirror for graph patterns.
-    graph: Option<LabeledGraph>,
-    mirror: OnceLock<crate::SharedSource>,
 }
 
 impl PagedStore {
@@ -976,18 +971,7 @@ impl PagedStore {
         Ok(PagedStore {
             shared: Arc::new(shared),
             labels,
-            graph: None,
-            mirror: OnceLock::new(),
         })
-    }
-
-    /// Attaches the data graph, enabling [`ClosureSource::undirected`]
-    /// (graph patterns need the bidirectional closure, which only the
-    /// graph — not its persisted directed closure — can produce).
-    /// Returns `self`.
-    pub fn with_graph(mut self, graph: LabeledGraph) -> Self {
-        self.graph = Some(graph);
-        self
     }
 
     /// Wraps the store in a [`crate::SharedSource`] for concurrent use.
@@ -1442,13 +1426,6 @@ impl ClosureSource for PagedStore {
         self.shared.io.reset();
     }
 
-    fn undirected(&self) -> Option<crate::SharedSource> {
-        let g = self.graph.as_ref()?;
-        Some(Arc::clone(self.mirror.get_or_init(|| {
-            crate::MemStore::new(ClosureTables::compute(&undirect(g))).into_shared()
-        })))
-    }
-
     fn prefetch(&self, pairs: &[Vec<(LabelId, LabelId)>], sections: &dyn Fn(usize) -> Sections) {
         self.prefetch_where(pairs, sections, &|_| true, &mut self.prefetch_room());
     }
@@ -1580,7 +1557,9 @@ pub fn open_store_auto(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ktpm_closure::ClosureTables;
     use ktpm_graph::fixtures::label_star;
+    use ktpm_graph::LabeledGraph;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 

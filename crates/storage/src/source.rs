@@ -145,39 +145,6 @@ pub type IncomingRun = (LabelId, NodeId);
 /// layer passes around (one store, many concurrent queries).
 pub type SharedSource = Arc<dyn ClosureSource>;
 
-/// A closure source held either by borrow (the classic single-query
-/// path) or by shared ownership (long-lived enumeration sessions that
-/// must outlive their creator's stack frame).
-pub enum SourceRef<'s> {
-    /// Borrowed for the duration of one query.
-    Borrowed(&'s dyn ClosureSource),
-    /// Shared ownership; the `'static` variant used by sessions.
-    Shared(SharedSource),
-}
-
-impl SourceRef<'_> {
-    /// The underlying source.
-    #[inline]
-    pub fn get(&self) -> &dyn ClosureSource {
-        match self {
-            SourceRef::Borrowed(s) => *s,
-            SourceRef::Shared(a) => a.as_ref(),
-        }
-    }
-}
-
-impl<'s> From<&'s dyn ClosureSource> for SourceRef<'s> {
-    fn from(s: &'s dyn ClosureSource) -> Self {
-        SourceRef::Borrowed(s)
-    }
-}
-
-impl From<SharedSource> for SourceRef<'static> {
-    fn from(s: SharedSource) -> Self {
-        SourceRef::Shared(s)
-    }
-}
-
 /// Which of a label pair's stored regions a plan half is about to
 /// read — the second argument of [`ClosureSource::prefetch`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -631,27 +631,6 @@ fn open_store_auto_dispatches_on_version() {
 }
 
 #[test]
-fn undirected_mirror_serves_graph_patterns() {
-    let g = paper_graph();
-    let tables = ClosureTables::compute(&g);
-    let path = tempfile("undirected");
-    write_store(&tables, &path).unwrap();
-    let paged = PagedStore::open(&path).unwrap().with_graph(g.clone());
-    let mirror = paged.undirected().expect("graph attached");
-    let mem = MemStore::new(tables).with_graph(g);
-    let mem_mirror = mem.undirected().expect("graph attached");
-    assert_eq!(mirror.pair_keys(), mem_mirror.pair_keys());
-    for (a, b) in mirror.pair_keys() {
-        let mut pp = mirror.load_pair(a, b);
-        let mut pm = mem_mirror.load_pair(a, b);
-        pp.sort_unstable();
-        pm.sort_unstable();
-        assert_eq!(pp, pm);
-    }
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
 fn verify_bypasses_and_does_not_pollute_the_cache() {
     let g = dense_graph(30, 3);
     let tables = ClosureTables::compute(&g);

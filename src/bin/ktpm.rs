@@ -119,6 +119,12 @@
 //!                       a warmed query does zero candidate discovery.
 //! ```
 //!
+//! Every subcommand checks its arguments before it reads a file: an
+//! option's missing or unparsable value is an error that names the
+//! option (`error: -k: invalid digit found in string`), and an
+//! argument starting with `-` that the subcommand does not know is
+//! refused by name (`error: unknown query option "--algoo"`).
+//!
 //! `ktpm query` runs every algorithm through the `ktpm::api` facade
 //! (`Executor`/`QueryBuilder` → one `MatchStream`): algorithm names
 //! come from the shared `Algo` registry (case-insensitive) — there is
@@ -224,6 +230,28 @@ fn main() -> ExitCode {
     }
 }
 
+/// The arguments a subcommand walks, flag by flag.
+type Args<'a> = std::slice::Iter<'a, String>;
+
+/// The value after `flag`, parsed; a missing or unparsable value is an
+/// error that names the flag.
+fn value<T: std::str::FromStr>(it: &mut Args, flag: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+/// `arg` as a positional argument of `cmd`; an argument that looks like
+/// an option `cmd` does not have is refused by name.
+fn operand(cmd: &str, arg: &str) -> Result<String, String> {
+    if arg.starts_with('-') {
+        return Err(format!("unknown {cmd} option {arg:?}"));
+    }
+    Ok(arg.to_string())
+}
+
 fn load_graph(path: &str) -> Result<LabeledGraph, Box<dyn std::error::Error>> {
     let f = std::fs::File::open(path)?;
     Ok(ktpm::graph::io::read_graph(BufReader::new(f))?)
@@ -261,11 +289,9 @@ fn cmd_closure(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--shards" => shards = Some(it.next().ok_or("--shards needs a count")?.parse()?),
-            "--block-entries" => {
-                block_entries = Some(it.next().ok_or("--block-entries needs a count")?.parse()?)
-            }
-            other => positional.push(other.to_string()),
+            "--shards" => shards = Some(value(&mut it, a)?),
+            "--block-entries" => block_entries = Some(value(&mut it, a)?),
+            other => positional.push(operand("closure", other)?),
         }
     }
     let [graph_path, out_path] = positional.as_slice() else {
@@ -338,21 +364,15 @@ fn cmd_query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "-k" => k = it.next().ok_or("-k needs a value")?.parse()?,
-            "--store" => store_path = Some(it.next().ok_or("--store needs a path")?.clone()),
-            "--algo" => algo = Some(it.next().ok_or("--algo needs a name")?.clone()),
-            "--parallel" => parallel = Some(it.next().ok_or("--parallel needs a count")?.parse()?),
-            "--repeat" => repeat = it.next().ok_or("--repeat needs a count")?.parse()?,
+            "-k" => k = value(&mut it, a)?,
+            "--store" => store_path = Some(value(&mut it, a)?),
+            "--algo" => algo = Some(value(&mut it, a)?),
+            "--parallel" => parallel = Some(value(&mut it, a)?),
+            "--repeat" => repeat = value(&mut it, a)?,
             "--on-demand" => on_demand = true,
-            "--block-cache-bytes" => {
-                block_cache_bytes = Some(
-                    it.next()
-                        .ok_or("--block-cache-bytes needs a byte count")?
-                        .parse()?,
-                )
-            }
+            "--block-cache-bytes" => block_cache_bytes = Some(value(&mut it, a)?),
             "--iostats" => iostats = true,
-            other => positional.push(other.to_string()),
+            other => positional.push(operand("query", other)?),
         }
     }
     let repeat = repeat.max(1);
@@ -507,65 +527,43 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--addr" => addr = it.next().ok_or("--addr needs host:port")?.clone(),
-            "--store" => store_path = Some(it.next().ok_or("--store needs a path")?.clone()),
-            "--block-cache-bytes" => {
-                block_cache_bytes = Some(
-                    it.next()
-                        .ok_or("--block-cache-bytes needs a byte count")?
-                        .parse()?,
-                )
-            }
-            "--warm" => warm_path = Some(it.next().ok_or("--warm needs a file")?.clone()),
+            "--addr" => addr = value(&mut it, a)?,
+            "--store" => store_path = Some(value(&mut it, a)?),
+            "--block-cache-bytes" => block_cache_bytes = Some(value(&mut it, a)?),
+            "--warm" => warm_path = Some(value(&mut it, a)?),
             "--on-demand" => on_demand = true,
             "--event-loop" => event_loop = true,
             "--net-workers" => {
                 event_loop = true;
-                net_config.workers = it.next().ok_or("--net-workers needs a count")?.parse()?;
+                net_config.workers = value(&mut it, a)?;
             }
             "--pipeline" => {
                 event_loop = true;
-                net_config.max_pipeline = it.next().ok_or("--pipeline needs a count")?.parse()?;
+                net_config.max_pipeline = value(&mut it, a)?;
             }
             "--write-buf" => {
                 event_loop = true;
-                net_config.max_write_buffer =
-                    it.next().ok_or("--write-buf needs a byte count")?.parse()?;
+                net_config.max_write_buffer = value(&mut it, a)?;
             }
             "--idle-timeout" => {
-                let secs: u64 = it.next().ok_or("--idle-timeout needs seconds")?.parse()?;
+                let secs: u64 = value(&mut it, a)?;
                 config.idle_timeout = (secs > 0).then(|| std::time::Duration::from_secs(secs));
             }
             "--sweep-interval-ms" => {
-                config.sweep_interval = std::time::Duration::from_millis(
-                    it.next()
-                        .ok_or("--sweep-interval-ms needs millis")?
-                        .parse()?,
-                )
+                config.sweep_interval = std::time::Duration::from_millis(value(&mut it, a)?)
             }
-            "--workers" => config.workers = it.next().ok_or("--workers needs a count")?.parse()?,
-            "--parallel" => {
-                config.parallel.shards = it.next().ok_or("--parallel needs a count")?.parse()?
-            }
-            "--ttl" => {
-                config.session_ttl =
-                    std::time::Duration::from_secs(it.next().ok_or("--ttl needs seconds")?.parse()?)
-            }
-            "--plan-cache" => {
-                config.plan_cache_capacity =
-                    it.next().ok_or("--plan-cache needs a count")?.parse()?
-            }
+            "--workers" => config.workers = value(&mut it, a)?,
+            "--parallel" => config.parallel.shards = value(&mut it, a)?,
+            "--ttl" => config.session_ttl = std::time::Duration::from_secs(value(&mut it, a)?),
+            "--plan-cache" => config.plan_cache_capacity = value(&mut it, a)?,
             "--plan-cache-bytes" => {
                 // 0 means "off" here exactly as in STATS
                 // (plan_cache_bytes_limit=0): Some(0) would instead
                 // evict every plan but the one in use.
-                let bytes: u64 = it
-                    .next()
-                    .ok_or("--plan-cache-bytes needs a count")?
-                    .parse()?;
+                let bytes: u64 = value(&mut it, a)?;
                 config.plan_cache_max_bytes = (bytes > 0).then_some(bytes);
             }
-            other => positional.push(other.to_string()),
+            other => positional.push(operand("serve", other)?),
         }
     }
     let [graph_path] = positional.as_slice() else {
@@ -641,8 +639,8 @@ fn cmd_blockd(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--store" => store = Some(it.next().ok_or("--store needs a path")?.clone()),
-            "--listen" => listen = it.next().ok_or("--listen needs host:port")?.clone(),
+            "--store" => store = Some(value(&mut it, a)?),
+            "--listen" => listen = value(&mut it, a)?,
             other => return Err(format!("unknown blockd option {other:?}").into()),
         }
     }
@@ -677,9 +675,10 @@ fn cmd_store(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     if sub != "verify" {
         return Err(format!("unknown store subcommand {sub:?} (expected verify)").into());
     }
+    let store_arg = operand("store verify", store_arg)?;
     let named = |e: StorageError| format!("{store_arg}: {e}");
     let t = std::time::Instant::now();
-    match open_local_store(std::path::Path::new(store_arg), DEFAULT_BLOCK_CACHE_BYTES)
+    match open_local_store(std::path::Path::new(&store_arg), DEFAULT_BLOCK_CACHE_BYTES)
         .map_err(named)?
     {
         LocalStore::Sharded(store) => {

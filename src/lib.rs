@@ -117,6 +117,14 @@ pub use ktpm_storage as storage;
 pub use ktpm_workload as workload;
 
 /// The most common imports in one place.
+///
+/// Every engine owns its inputs: the lazy-loading ones (`topk_en`,
+/// `TopkEnEnumerator`, `DpPEnumerator`) take a [`storage::SharedSource`]
+/// (`MemStore::into_shared`, `open_store_auto`, …) and the full-load
+/// ones (`TopkEnumerator`, `DpBEnumerator`) an `Arc<RuntimeGraph>`, so
+/// any of them can be kept by a session and moved across threads.
+/// `topk_full` only reads its store while it loads the run-time graph,
+/// so it borrows a `&dyn ClosureSource`.
 pub mod prelude {
     pub use crate::api::{ApiError, Executor, QueryBuilder};
     pub use ktpm_closure::{sssp, ClosureTables};

@@ -81,8 +81,8 @@ fn enumeration_allocates_less_than_once_per_match() {
         );
         let rg = RuntimeGraph::load(&q, store.as_ref());
         let runs = [
-            drain(TopkEnumerator::new(&rg)),
-            drain(TopkEnEnumerator::new(&q, store.as_ref())),
+            drain(TopkEnumerator::new(Arc::new(rg))),
+            drain(TopkEnEnumerator::new(&q, Arc::clone(&store))),
             drain(ParTopk::new(
                 &q,
                 Arc::clone(&store),

@@ -413,3 +413,55 @@ fn query_errors_name_the_form_the_algorithm_needs() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn every_subcommand_names_the_flag_of_a_bad_value_and_refuses_an_unknown_option() {
+    // Arguments are checked before any file is read, so the paths
+    // need not exist.
+    for (args, want) in [
+        (
+            &["closure", "g.txt", "out.tc", "--shards", "x"][..],
+            "error: --shards: invalid digit found in string\n",
+        ),
+        (
+            &["closure", "g.txt", "out.tc", "--shard", "2"][..],
+            "error: unknown closure option \"--shard\"\n",
+        ),
+        (
+            &["query", "g.txt", "q.txt", "-k", "abc"][..],
+            "error: -k: invalid digit found in string\n",
+        ),
+        (
+            &["query", "g.txt", "q.txt", "--algoo", "topk"][..],
+            "error: unknown query option \"--algoo\"\n",
+        ),
+        (
+            &["query", "g.txt", "q.txt", "--k", "3"][..],
+            "error: unknown query option \"--k\"\n",
+        ),
+        (
+            &["serve", "g.txt", "--workers", "x"][..],
+            "error: --workers: invalid digit found in string\n",
+        ),
+        (
+            &["serve", "g.txt", "--worker", "2"][..],
+            "error: unknown serve option \"--worker\"\n",
+        ),
+        (
+            &["blockd", "--store", "s.tc", "--listen"][..],
+            "error: --listen needs a value\n",
+        ),
+        (
+            &["blockd", "--store", "s.tc", "--port", "1"][..],
+            "error: unknown blockd option \"--port\"\n",
+        ),
+        (
+            &["store", "verify", "--deep"][..],
+            "error: unknown store verify option \"--deep\"\n",
+        ),
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(1), "ktpm {args:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), want, "ktpm {args:?}");
+    }
+}

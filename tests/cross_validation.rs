@@ -75,25 +75,34 @@ struct QueryOpts {
 
 fn check_one(g: &LabeledGraph, q: &TreeQuery, k: usize, block_edges: usize) {
     let resolved = q.resolve(g.interner());
-    let store = MemStore::with_block_edges(ClosureTables::compute(g), block_edges);
-    let rg = RuntimeGraph::load(&resolved, &store);
+    let store = Arc::new(MemStore::with_block_edges(
+        ClosureTables::compute(g),
+        block_edges,
+    ));
+    let rg = Arc::new(RuntimeGraph::load(&resolved, store.as_ref()));
 
     let oracle: Vec<Score> = ktpm::core::brute::topk_scores(&rg, k);
-    let topk: Vec<Score> = TopkEnumerator::new(&rg).take(k).map(|m| m.score).collect();
+    let topk: Vec<Score> = TopkEnumerator::new(Arc::clone(&rg))
+        .take(k)
+        .map(|m| m.score)
+        .collect();
     assert_eq!(topk, oracle, "Topk vs oracle");
-    let no_side: Vec<Score> = TopkEnumerator::with_side_queues(&rg, false)
+    let no_side: Vec<Score> = TopkEnumerator::with_side_queues(Arc::clone(&rg), false)
         .take(k)
         .map(|m| m.score)
         .collect();
     assert_eq!(no_side, oracle, "Topk (no side queues) vs oracle");
-    let en: Vec<Score> = TopkEnEnumerator::new(&resolved, &store)
+    let en: Vec<Score> = TopkEnEnumerator::new(&resolved, Arc::clone(&store) as SharedSource)
         .take(k)
         .map(|m| m.score)
         .collect();
     assert_eq!(en, oracle, "Topk-EN vs oracle");
-    let dpb: Vec<Score> = DpBEnumerator::new(&rg).take(k).map(|m| m.score).collect();
+    let dpb: Vec<Score> = DpBEnumerator::new(Arc::clone(&rg))
+        .take(k)
+        .map(|m| m.score)
+        .collect();
     assert_eq!(dpb, oracle, "DP-B vs oracle");
-    let dpp: Vec<Score> = DpPEnumerator::new(&resolved, &store)
+    let dpp: Vec<Score> = DpPEnumerator::new(&resolved, Arc::clone(&store) as SharedSource)
         .take(k)
         .map(|m| m.score)
         .collect();
@@ -102,7 +111,7 @@ fn check_one(g: &LabeledGraph, q: &TreeQuery, k: usize, block_edges: usize) {
     // ParTopk must reproduce `topk_full` *exactly* — order, scores and
     // witnesses — for every shard count and either shard engine. Tiny
     // batches force the refill/merge machinery through its paces.
-    let want_exact = topk_full(&resolved, &store, k);
+    let want_exact = topk_full(&resolved, store.as_ref(), k);
     let shared: SharedSource =
         MemStore::with_block_edges(store.tables().clone(), block_edges).into_shared();
     for engine in [ShardEngine::Full, ShardEngine::Lazy] {
@@ -124,7 +133,7 @@ fn check_one(g: &LabeledGraph, q: &TreeQuery, k: usize, block_edges: usize) {
     }
 
     // Every Topk match must be structurally valid (labels + distances).
-    for m in TopkEnumerator::new(&rg).take(k) {
+    for m in TopkEnumerator::new(rg).take(k) {
         for u in resolved.tree().node_ids().skip(1) {
             let p = resolved.tree().parent(u).unwrap();
             let d = store
@@ -260,8 +269,8 @@ fn file_store_end_to_end_agrees_with_memory() {
     write_store(&tables, &path).unwrap();
     let file = open_store_auto(&path, None).unwrap();
     let mem = MemStore::new(tables);
-    let from_mem: Vec<ScoredMatch> = topk_en(&resolved, &mem, 20);
-    let from_file: Vec<ScoredMatch> = topk_en(&resolved, file.as_ref(), 20);
+    let from_mem: Vec<ScoredMatch> = topk_en(&resolved, mem.into_shared(), 20);
+    let from_file: Vec<ScoredMatch> = topk_en(&resolved, Arc::clone(&file), 20);
     assert_eq!(from_mem, from_file);
     assert!(file.take_error().is_none());
     std::fs::remove_file(&path).ok();
@@ -281,16 +290,17 @@ fn paged_store_end_to_end_agrees_with_memory_under_a_tight_cache() {
     path.push(format!("ktpm-xval-paged-{}.bin", std::process::id()));
     write_store_v3(&tables, &path, 2).unwrap();
     let budget = 6 * (2 * 8) as u64; // six 2-entry block payloads
-    let paged = PagedStore::open_with_cache_bytes(&path, budget).unwrap();
+    let paged = Arc::new(PagedStore::open_with_cache_bytes(&path, budget).unwrap());
     let mem = MemStore::with_block_edges(tables, 2);
-    let from_mem: Vec<Score> = TopkEnEnumerator::new(&resolved, &mem)
+    let from_mem: Vec<Score> = TopkEnEnumerator::new(&resolved, mem.into_shared())
         .take(20)
         .map(|m| m.score)
         .collect();
-    let from_paged: Vec<Score> = TopkEnEnumerator::new(&resolved, &paged)
-        .take(20)
-        .map(|m| m.score)
-        .collect();
+    let from_paged: Vec<Score> =
+        TopkEnEnumerator::new(&resolved, Arc::clone(&paged) as SharedSource)
+            .take(20)
+            .map(|m| m.score)
+            .collect();
     assert_eq!(from_mem, from_paged);
     let io = paged.io();
     assert!(
@@ -309,25 +319,25 @@ fn on_demand_store_agrees_with_memory() {
     let g = random_graph(&mut rng, 25, 5, 3);
     let q = TreeQuery::parse("L0 -> L1\nL0 -> L2\nL2 -> L3").unwrap();
     let resolved = q.resolve(g.interner());
-    let mem = MemStore::with_block_edges(ClosureTables::compute(&g), 2);
-    let od = OnDemandStore::with_block_edges(g.clone(), 2);
-    let from_mem: Vec<Score> = TopkEnEnumerator::new(&resolved, &mem)
+    let mem = Arc::new(MemStore::with_block_edges(ClosureTables::compute(&g), 2));
+    let od = Arc::new(OnDemandStore::with_block_edges(g.clone(), 2));
+    let from_mem: Vec<Score> = TopkEnEnumerator::new(&resolved, Arc::clone(&mem) as SharedSource)
         .take(20)
         .map(|m| m.score)
         .collect();
-    let from_od: Vec<Score> = TopkEnEnumerator::new(&resolved, &od)
+    let from_od: Vec<Score> = TopkEnEnumerator::new(&resolved, Arc::clone(&od) as SharedSource)
         .take(20)
         .map(|m| m.score)
         .collect();
     assert_eq!(from_mem, from_od);
     // Full-load path too.
-    let rg_mem = RuntimeGraph::load(&resolved, &mem);
-    let rg_od = RuntimeGraph::load(&resolved, &od);
-    let a: Vec<Score> = TopkEnumerator::new(&rg_mem)
+    let rg_mem = RuntimeGraph::load(&resolved, mem.as_ref());
+    let rg_od = RuntimeGraph::load(&resolved, od.as_ref());
+    let a: Vec<Score> = TopkEnumerator::new(Arc::new(rg_mem))
         .take(20)
         .map(|m| m.score)
         .collect();
-    let b: Vec<Score> = TopkEnumerator::new(&rg_od)
+    let b: Vec<Score> = TopkEnumerator::new(Arc::new(rg_od))
         .take(20)
         .map(|m| m.score)
         .collect();

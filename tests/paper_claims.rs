@@ -119,25 +119,22 @@ fn at_each_k<I: Iterator, C>(mut it: I, counters: impl Fn(&I) -> C) -> Vec<(usiz
         .collect()
 }
 
-fn topk_counters(rg: &RuntimeGraph, side_queues: bool) -> Vec<(usize, usize, TopkCounters)> {
-    let it = if side_queues {
-        TopkEnumerator::new(rg)
-    } else {
-        TopkEnumerator::with_side_queues(rg, false)
-    };
+fn topk_counters(rg: &Arc<RuntimeGraph>, side_queues: bool) -> Vec<(usize, usize, TopkCounters)> {
+    let it = TopkEnumerator::with_side_queues(Arc::clone(rg), side_queues);
     at_each_k(it, TopkEnumerator::counters)
 }
 
 fn topk_en_counters(
     q: &ResolvedQuery,
-    store: &MemStore,
+    store: SharedSource,
     tight: bool,
 ) -> Vec<(usize, usize, TopkEnCounters)> {
-    let it = if tight {
-        TopkEnEnumerator::new(q, store)
+    let bound = if tight {
+        BoundMode::Tight
     } else {
-        TopkEnEnumerator::with_bound(q, store, BoundMode::Loose)
+        BoundMode::Loose
     };
+    let it = TopkEnEnumerator::with_bound(q, store, bound);
     at_each_k(it, TopkEnEnumerator::counters)
 }
 
@@ -150,7 +147,7 @@ fn topk_en_loads_a_fraction_of_the_run_time_graph() {
     for ds in datasets() {
         for (size, q) in ds.all_queries() {
             let m_r = RuntimeGraph::load(q, ds.store.as_ref()).stats().edges as u64;
-            let loaded: Vec<u64> = topk_en_counters(q, &ds.store, true)
+            let loaded: Vec<u64> = topk_en_counters(q, ds.shared(), true)
                 .iter()
                 .map(|(_, _, c)| c.edges_loaded)
                 .collect();
@@ -174,8 +171,8 @@ fn tight_loader_bound_loads_no_more_than_the_loose_one() {
     let (mut strict_at_1, mut queries) = (0, 0);
     for ds in datasets() {
         for (size, q) in ds.all_queries() {
-            let tight = topk_en_counters(q, &ds.store, true);
-            let loose = topk_en_counters(q, &ds.store, false);
+            let tight = topk_en_counters(q, ds.shared(), true);
+            let loose = topk_en_counters(q, ds.shared(), false);
             for ((k, _, t), (_, _, l)) in tight.iter().zip(&loose) {
                 assert!(
                     t.edges_loaded <= l.edges_loaded,
@@ -202,11 +199,11 @@ fn tight_loader_bound_loads_no_more_than_the_loose_one() {
 fn k_matches_cost_k_pops() {
     for ds in datasets() {
         for (size, q) in ds.all_queries() {
-            let rg = RuntimeGraph::load(q, ds.store.as_ref());
+            let rg = Arc::new(RuntimeGraph::load(q, ds.store.as_ref()));
             for (k, matches, c) in topk_counters(&rg, true) {
                 assert_eq!(c.pops, matches as u64, "Topk {} T{size} k = {k}", ds.name);
             }
-            for (k, matches, c) in topk_en_counters(q, &ds.store, true) {
+            for (k, matches, c) in topk_en_counters(q, ds.shared(), true) {
                 assert_eq!(
                     c.pops, matches as u64,
                     "Topk-EN {} T{size} k = {k}",
@@ -227,7 +224,7 @@ fn side_queues_bound_queue_entrants_per_pop() {
     let mut worst_without: f64 = 0.0;
     for ds in datasets() {
         for (size, q) in ds.all_queries() {
-            let rg = RuntimeGraph::load(q, ds.store.as_ref());
+            let rg = Arc::new(RuntimeGraph::load(q, ds.store.as_ref()));
             let with = topk_counters(&rg, true);
             let without = topk_counters(&rg, false);
             for ((k, _, w), (_, _, wo)) in with.iter().zip(&without) {
@@ -378,8 +375,11 @@ fn algorithms_agree_on_prepared_dataset() {
     for ds in datasets() {
         for q in ds.of_size(20) {
             let rg = RuntimeGraph::load(q, ds.store.as_ref());
-            let a: Vec<_> = TopkEnumerator::new(&rg).take(10).map(|m| m.score).collect();
-            let b: Vec<_> = TopkEnEnumerator::new(q, ds.store.as_ref())
+            let a: Vec<_> = TopkEnumerator::new(Arc::new(rg))
+                .take(10)
+                .map(|m| m.score)
+                .collect();
+            let b: Vec<_> = TopkEnEnumerator::new(q, ds.shared())
                 .take(10)
                 .map(|m| m.score)
                 .collect();
