@@ -21,4 +21,4 @@ mod tables;
 
 pub use dijkstra::sssp;
 pub use repair::{RepairOutcome, RepairStats};
-pub use tables::{ClosureStats, ClosureTables, PairKey, PairTable};
+pub use tables::{ClosureStats, ClosureTables, PairKey, PairTable, SharedRuns};

@@ -12,24 +12,36 @@
 use crate::dijkstra::sssp;
 use ktpm_graph::{Dist, LabelId, LabeledGraph, NodeId, INF_DIST};
 use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// A label pair `(source label, destination label)` identifying one table.
 pub type PairKey = (LabelId, LabelId);
 
+/// Every `(source, dist)` run of one table, shared with each reader
+/// that holds them.
+pub type SharedRuns = Arc<[(NodeId, Dist)]>;
+
 /// One `Lᵅᵦ` table: all closure edges from α-labeled to β-labeled nodes,
 /// grouped by destination node with each group sorted by distance — the
 /// exact on-disk layout §4.1 describes.
+///
+/// A table is immutable once built; a closure repair replaces it whole.
+/// Its runs are shared (`Arc`), so a reader can hold one past the
+/// table's replacement without copying it. The other arrays are sized
+/// exactly (see `from_triples`), so they are boxed, without a `Vec`'s
+/// capacity word.
 #[derive(Debug, Clone, Default)]
 pub struct PairTable {
     /// Destination nodes with at least one incoming edge, ascending.
-    dst_nodes: Vec<NodeId>,
+    dst_nodes: Box<[NodeId]>,
     /// Group boundaries into `in_entries`; `len == dst_nodes.len() + 1`.
-    dst_offsets: Vec<u32>,
+    dst_offsets: Box<[u32]>,
     /// `(source, dist)` runs per destination, each sorted by `(dist, src)`.
-    in_entries: Vec<(NodeId, Dist)>,
+    in_entries: SharedRuns,
     /// `Eᵅᵦ`: for every source with at least one edge in this table, its
     /// minimum-distance outgoing edge. Sorted by source.
-    min_out: Vec<(NodeId, NodeId, Dist)>,
+    min_out: Box<[(NodeId, NodeId, Dist)]>,
 }
 
 impl PairTable {
@@ -75,10 +87,10 @@ impl PairTable {
             *dst_offsets.last_mut().unwrap() = in_entries.len() as u32;
         }
         PairTable {
-            dst_nodes,
-            dst_offsets,
-            in_entries,
-            min_out,
+            dst_nodes: dst_nodes.into_boxed_slice(),
+            dst_offsets: dst_offsets.into_boxed_slice(),
+            in_entries: in_entries.into(),
+            min_out: min_out.into_boxed_slice(),
         }
     }
 
@@ -95,13 +107,20 @@ impl PairTable {
 
     /// `Lᵅᵥ`: incoming closure edges of `v`, sorted by `(dist, src)`.
     pub fn incoming(&self, v: NodeId) -> &[(NodeId, Dist)] {
+        &self.in_entries[self.incoming_range(v)]
+    }
+
+    /// `Lᵅᵥ` as a share of the table's runs: every run, and `v`'s range
+    /// in them (empty when `v` has no incoming edge here). The share
+    /// keeps the run readable after the table is replaced.
+    pub fn incoming_shared(&self, v: NodeId) -> (SharedRuns, Range<usize>) {
+        (Arc::clone(&self.in_entries), self.incoming_range(v))
+    }
+
+    fn incoming_range(&self, v: NodeId) -> Range<usize> {
         match self.dst_nodes.binary_search(&v) {
-            Ok(i) => {
-                let lo = self.dst_offsets[i] as usize;
-                let hi = self.dst_offsets[i + 1] as usize;
-                &self.in_entries[lo..hi]
-            }
-            Err(_) => &[],
+            Ok(i) => self.dst_offsets[i] as usize..self.dst_offsets[i + 1] as usize,
+            Err(_) => 0..0,
         }
     }
 

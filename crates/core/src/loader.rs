@@ -73,7 +73,7 @@ use crate::lawler::SlotLists;
 use crate::plan::LazySetup;
 use ktpm_graph::{Dist, NodeId, Score, INF_DIST};
 use ktpm_query::{EdgeKind, QNodeId, ResolvedQuery};
-use ktpm_storage::{merge_sorted_blocks, EdgeCursor, ShardSpec, SharedSource};
+use ktpm_storage::{EdgeCursor, ShardSpec, SharedSource};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -132,6 +132,8 @@ pub struct PriorityLoader {
     dirty: Vec<u32>,
     /// Reused buffer of one block's `(parent index, key)` inserts.
     inserts: Vec<(u32, Score)>,
+    /// Reused buffer of one pulled block's `(source, dist)` entries.
+    block: Vec<(NodeId, Dist)>,
     /// Edges inserted into lists so far (reported as loaded `m'_R`).
     edges_inserted: u64,
 }
@@ -223,6 +225,7 @@ impl PriorityLoader {
             qg: BinaryHeap::new(),
             dirty: Vec::new(),
             inserts: Vec::new(),
+            block: Vec::new(),
             edges_inserted: seeds,
         };
         // Every active candidate enters `Q_g` at version 0.
@@ -437,9 +440,10 @@ impl PriorityLoader {
         let setup = Arc::clone(&self.setup);
         let seeded = setup.seeds[u as usize].parents.of(i);
         let mut inserts = std::mem::take(&mut self.inserts);
+        let mut block = std::mem::take(&mut self.block);
         while let CursorState::Open(cursor, _) = &mut self.cursor[f] {
-            let block = cursor.next_block();
-            if block.is_empty() {
+            block.clear();
+            if cursor.fill_block(&mut block) == 0 {
                 self.cursor[f] = CursorState::Exhausted;
                 break;
             }
@@ -447,7 +451,7 @@ impl PriorityLoader {
             let mut last_dist = 0;
             let mut useless_tail = false;
             inserts.clear();
-            for (w, dist) in block {
+            for &(w, dist) in &block {
                 last_dist = dist;
                 if direct_only && dist > 1 {
                     // Blocks are distance-ascending: nothing else can
@@ -483,6 +487,7 @@ impl PriorityLoader {
             }
         }
         self.inserts = inserts;
+        self.block = block;
     }
 
     /// The read-ahead rule (module docs), before candidate `i` of `u`
@@ -539,23 +544,18 @@ impl PriorityLoader {
             0 => CursorState::Exhausted,
             1 => CursorState::Open(self.source.incoming_cursor(src_labels[0], v), ev),
             _ => {
-                // Wildcard-labeled parent: merge all labels' lists eagerly.
-                let mut parts = Vec::with_capacity(src_labels.len());
+                // Wildcard-labeled parent: read every label's run into
+                // one list and sort it once (wildcards are rare; §5
+                // notes they make the run-time graph large regardless).
+                let mut entries = Vec::new();
                 for &a in src_labels {
                     let mut cur = self.source.incoming_cursor(a, v);
-                    let mut all = Vec::new();
-                    loop {
-                        let b = cur.next_block();
-                        if b.is_empty() {
-                            break;
-                        }
-                        all.extend(b);
-                    }
-                    parts.push(all);
+                    while cur.fill_block(&mut entries) > 0 {}
                 }
+                entries.sort_unstable_by_key(|&(s, d)| (d, s));
                 CursorState::Open(
                     Box::new(VecCursor {
-                        entries: merge_sorted_blocks(parts),
+                        entries,
                         pos: 0,
                         block: 64,
                     }),
@@ -574,14 +574,11 @@ struct VecCursor {
 }
 
 impl EdgeCursor for VecCursor {
-    fn next_block(&mut self) -> Vec<(NodeId, Dist)> {
-        if self.pos >= self.entries.len() {
-            return Vec::new();
-        }
+    fn fill_block(&mut self, out: &mut Vec<(NodeId, Dist)>) -> usize {
         let take = (self.entries.len() - self.pos).min(self.block);
-        let out = self.entries[self.pos..self.pos + take].to_vec();
+        out.extend_from_slice(&self.entries[self.pos..self.pos + take]);
         self.pos += take;
-        out
+        take
     }
 
     fn remaining(&self) -> usize {
@@ -772,6 +769,36 @@ mod tests {
             weight_range: (1, 3),
             seed: 0x5EED,
         })
+    }
+
+    #[test]
+    fn wildcard_parents_stream_like_the_oracle() {
+        // A wildcard parent's cursor reads every source label's run into
+        // one list and sorts it once; Topk-EN must still stream exactly
+        // the brute-force oracle's matches, in its order.
+        use crate::{runtime::RuntimeGraph, TopkEnEnumerator};
+        let cases = [
+            (paper_graph(), "*#1 -> d"),
+            // '/' stops at the first entry past distance 1, so the
+            // merged run must be in distance order across labels.
+            (paper_graph(), "*#1 => d"),
+            (paper_graph(), "*#1 -> d\n*#1 -> e"),
+            (paper_graph(), "a -> *#1\n*#1 -> d\n*#1 -> s"),
+            (workload_graph(), "*#1 -> L3"),
+            (workload_graph(), "L0 -> *#1\n*#1 -> L2"),
+        ];
+        for (g, text) in cases {
+            let q = TreeQuery::parse(text).unwrap().resolve(g.interner());
+            let store = MemStore::with_block_edges(ClosureTables::compute(&g), 2).into_shared();
+            let mut lists = SlotLists::default();
+            let loader = PriorityLoader::new(&q, Arc::clone(&store), BoundMode::Tight, &mut lists);
+            let widest = loader.setup.src_labels.iter().map(Vec::len).max();
+            assert!(widest >= Some(2), "{text}: no wildcard parent");
+            let want = crate::brute::all_matches(&RuntimeGraph::load(&q, store.as_ref()));
+            assert!(!want.is_empty(), "{text}");
+            let got: Vec<_> = TopkEnEnumerator::new(&q, store).collect();
+            assert_eq!(got, want, "{text}");
+        }
     }
 
     #[test]

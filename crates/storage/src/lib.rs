@@ -11,7 +11,8 @@
 //!
 //! **Table-backed** — an in-memory `PairTable` per label pair, read
 //! through one private module (`table.rs`: the four bulk reads, the
-//! logical I/O accounting, the one copy-the-run-up-front cursor). The
+//! logical I/O accounting, the one cursor, which shares its run with
+//! the table and copies nothing). The
 //! three stores differ only in where a pair's table comes from:
 //!
 //! * [`MemStore`] — precomputed tables, for tests and pure-CPU
@@ -88,7 +89,6 @@ pub use remote::{blockproto, open_store_uri, RemoteOptions, RemoteStore};
 pub use shard::ShardSpec;
 pub use sharded::{load_snapshot_manifest, RoutedStore, ShardedStore};
 pub use source::{
-    merge_sorted_blocks, ClosureSource, DeltaReport, EdgeCursor, IncomingRun, Sections,
-    SharedSource, StorageError,
+    ClosureSource, DeltaReport, EdgeCursor, IncomingRun, Sections, SharedSource, StorageError,
 };
 pub use writer::{write_store, write_store_sharded, write_store_v3};

@@ -4,7 +4,8 @@
 //! [`LiveStore`] pairs the data graph with its closure tables behind one
 //! `RwLock`. Reads (the whole [`ClosureSource`] surface) take the shared
 //! lock and answer through the shared table read path (`table.rs`),
-//! whose cursors copy their entry run up front — so an update can
+//! whose cursors share their entry run with the table they opened on.
+//! A delta replaces a table rather than changing it, so an update can
 //! never tear an in-flight block stream. [`LiveStore::apply_delta`]
 //! takes the exclusive lock, validates and applies the delta to the
 //! graph, repairs the closure incrementally
@@ -384,18 +385,37 @@ mod tests {
         assert_eq!(m.lookup_dist(u, v), Some(1));
     }
 
+    /// The blocks `cur` has left, in order.
+    fn drain(cur: &mut Box<dyn EdgeCursor + Send>) -> Vec<Vec<(NodeId, Dist)>> {
+        std::iter::from_fn(|| Some(cur.next_block()).filter(|b| !b.is_empty())).collect()
+    }
+
+    /// Every block of `a`'s cursor into `v`, in order.
+    fn blocks(s: &dyn ClosureSource, a: LabelId, v: NodeId) -> Vec<Vec<(NodeId, Dist)>> {
+        drain(&mut s.incoming_cursor(a, v))
+    }
+
     #[test]
     fn open_cursor_survives_concurrent_update() {
+        // A delta that rewrites the very run a cursor is streaming: the
+        // open cursor keeps streaming the run it was opened on, block for
+        // block, and a cursor opened after the delta streams the new run.
         let g = paper_graph();
         let a = g.interner().get("a").unwrap();
-        let e = g.edges().next().unwrap();
+        let (v1, v5) = (NodeId(0), NodeId(4));
+        let delta = GraphDelta::new().set_weight(v1, v5, 9);
+        let (g2, _) = g.apply_delta(&delta).unwrap();
+        let mem = |g: &LabeledGraph| MemStore::with_block_edges(ClosureTables::compute(g), 1);
+        let old = blocks(&mem(&g), a, v5);
+        let new = blocks(&mem(&g2), a, v5);
+        assert_eq!(old.len(), 2, "the delta must land mid-stream");
+        assert_ne!(old, new, "the delta must change the streamed run");
         let s = LiveStore::new(g).with_block_edges(1);
-        let mut cur = s.incoming_cursor(a, NodeId(4));
-        let first = cur.next_block();
-        s.apply_delta(&GraphDelta::new().set_weight(e.from, e.to, 9))
-            .unwrap();
-        // The cursor keeps streaming its opening-time snapshot.
-        let rest = cur.next_block();
-        assert_eq!(first.len() + rest.len() + cur.remaining(), 2);
+        let mut cur = s.incoming_cursor(a, v5);
+        let mut got = vec![cur.next_block()];
+        s.apply_delta(&delta).unwrap();
+        got.extend(drain(&mut cur));
+        assert_eq!(got, old, "an open cursor streams its own version");
+        assert_eq!(blocks(&s, a, v5), new, "a later cursor streams the new run");
     }
 }

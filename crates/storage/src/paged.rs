@@ -1443,7 +1443,7 @@ impl ClosureSource for PagedStore {
     }
 }
 
-/// A block cursor over one group: each `next_block` call yields the
+/// A block cursor over one group: each `fill_block` call yields the
 /// rest of the current on-disk block (so reads stay block-aligned and
 /// every fragment comes off a CRC-verified, cache-resident block).
 struct PagedCursor {
@@ -1454,9 +1454,9 @@ struct PagedCursor {
 }
 
 impl EdgeCursor for PagedCursor {
-    fn next_block(&mut self) -> Vec<(NodeId, Dist)> {
+    fn fill_block(&mut self, out: &mut Vec<(NodeId, Dist)>) -> usize {
         if self.pos >= self.len {
-            return Vec::new();
+            return 0;
         }
         let be = self.shared.block_entries;
         let block_idx = self.pos / be;
@@ -1469,19 +1469,20 @@ impl EdgeCursor for PagedCursor {
                 // refuse the truncated stream.
                 self.shared.errors.record(e);
                 self.pos = self.len;
-                return Vec::new();
+                return 0;
             }
         };
         let upto = self.len.min((block_idx + 1) * be);
         let take = upto - self.pos;
         let from = (self.pos % be) * L_ENTRY_BYTES;
-        let out = block[from..from + take * L_ENTRY_BYTES]
-            .chunks_exact(L_ENTRY_BYTES)
-            .map(edge)
-            .collect();
+        out.extend(
+            block[from..from + take * L_ENTRY_BYTES]
+                .chunks_exact(L_ENTRY_BYTES)
+                .map(edge),
+        );
         self.pos = upto;
         self.shared.io.add_edges(take as u64);
-        out
+        take
     }
 
     fn remaining(&self) -> usize {

@@ -122,10 +122,24 @@ pub struct DeltaReport {
 
 /// A block-at-a-time cursor over `Lᵅᵥ`: the incoming closure edges of one
 /// node from one source label, in ascending distance order (§4.1).
+///
+/// [`EdgeCursor::fill_block`] is the one read to implement: it appends
+/// into a buffer the caller owns, so a caller that pulls many blocks
+/// reuses one buffer. [`EdgeCursor::next_block`] is a wrapper that
+/// returns each block in a fresh `Vec`.
 pub trait EdgeCursor {
-    /// Loads the next block of `(source, dist)` entries. An empty vector
-    /// means the list is exhausted.
-    fn next_block(&mut self) -> Vec<(NodeId, Dist)>;
+    /// Loads the next block of `(source, dist)` entries and appends it
+    /// to `out`, which it never clears. Returns how many entries it
+    /// appended; 0 means the list is exhausted.
+    fn fill_block(&mut self, out: &mut Vec<(NodeId, Dist)>) -> usize;
+
+    /// The next block in a new vector; an empty vector means the list
+    /// is exhausted.
+    fn next_block(&mut self) -> Vec<(NodeId, Dist)> {
+        let mut out = Vec::new();
+        self.fill_block(&mut out);
+        out
+    }
 
     /// Entries not yet returned.
     fn remaining(&self) -> usize;
@@ -336,24 +350,6 @@ pub trait ClosureSource: Send + Sync {
     }
 }
 
-/// Merges pre-sorted `(src, dist)` blocks from several cursors into a
-/// single ascending-distance stream, used for wildcard query nodes whose
-/// incoming lists span every source label.
-///
-/// This is an eager k-way merge of whole lists (wildcards are rare; §5
-/// notes they make the run-time graph large regardless).
-pub fn merge_sorted_blocks(mut lists: Vec<Vec<(NodeId, Dist)>>) -> Vec<(NodeId, Dist)> {
-    match lists.len() {
-        0 => Vec::new(),
-        1 => lists.pop().unwrap(),
-        _ => {
-            let mut all: Vec<(NodeId, Dist)> = lists.into_iter().flatten().collect();
-            all.sort_unstable_by_key(|&(s, d)| (d, s));
-            all
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,32 +367,5 @@ mod tests {
         assert_send_sync::<crate::ShardedStore>();
         assert_send_sync::<crate::RemoteStore>();
         assert_send_sync::<SharedSource>();
-    }
-
-    #[test]
-    fn merge_empty() {
-        assert!(merge_sorted_blocks(vec![]).is_empty());
-    }
-
-    #[test]
-    fn merge_single_passthrough() {
-        let l = vec![(NodeId(3), 1), (NodeId(1), 5)];
-        assert_eq!(merge_sorted_blocks(vec![l.clone()]), l);
-    }
-
-    #[test]
-    fn merge_orders_by_distance_then_node() {
-        let a = vec![(NodeId(0), 2), (NodeId(1), 4)];
-        let b = vec![(NodeId(5), 1), (NodeId(2), 2)];
-        let merged = merge_sorted_blocks(vec![a, b]);
-        assert_eq!(
-            merged,
-            vec![
-                (NodeId(5), 1),
-                (NodeId(0), 2),
-                (NodeId(2), 2),
-                (NodeId(1), 4)
-            ]
-        );
     }
 }

@@ -13,17 +13,18 @@
 //!   `count * entry + 4` bytes, an `L` run is `8` bytes an entry), so
 //!   "edges loaded" comparisons work identically on every tier. An
 //!   absent pair (`None`) reads nothing and counts nothing;
-//! * **the cursor rule** — [`TableCursor`] copies its entry run when it
-//!   is opened and never looks at the table again, so it holds no
-//!   borrow and no lock, and a [`crate::LiveStore`] delta that rebuilds
-//!   the pair mid-stream cannot tear it: the cursor keeps streaming the
-//!   graph version it was opened against (whether that stream is still
-//!   wanted is the serving layer's version fence to decide).
+//! * **the cursor rule** — [`TableCursor`] shares its entry run with
+//!   the table (an `Arc` and a range) and copies nothing, on open or on
+//!   a pull. It holds no borrow and no lock, and a table is never
+//!   changed in place: a [`crate::LiveStore`] delta that rebuilds the
+//!   pair mid-stream replaces the table, so the cursor keeps streaming
+//!   the graph version it was opened against (whether that stream is
+//!   still wanted is the serving layer's version fence to decide).
 
 use crate::format::L_ENTRY_BYTES;
 use crate::iostats::IoStats;
 use crate::source::EdgeCursor;
-use ktpm_closure::PairTable;
+use ktpm_closure::{PairTable, SharedRuns};
 use ktpm_graph::{Dist, NodeId};
 
 /// `Dᵅᵦ` of `table`: per destination node its minimum incoming
@@ -65,45 +66,50 @@ pub(crate) fn load_pair(table: Option<&PairTable>, io: &IoStats) -> Vec<(NodeId,
 }
 
 /// A cursor over `v`'s incoming run in `table` (ascending distance),
-/// copied now — see the module docs — and served `block_edges` entries
-/// a pull. `table` must be the pair `(α, label(v))`; `None` is the
-/// empty cursor.
+/// sharing the run — see the module docs — and serving `block_edges`
+/// entries a pull. `table` must be the pair `(α, label(v))`; `None` is
+/// the empty cursor.
 pub(crate) fn incoming_cursor(
     table: Option<&PairTable>,
     v: NodeId,
     io: &IoStats,
     block_edges: usize,
 ) -> Box<dyn EdgeCursor + Send> {
+    let (run, range) =
+        table.map_or_else(|| (SharedRuns::default(), 0..0), |t| t.incoming_shared(v));
     Box::new(TableCursor {
         io: io.clone(),
-        entries: table.map(|t| t.incoming(v).to_vec()).unwrap_or_default(),
-        pos: 0,
+        run,
+        pos: range.start,
+        end: range.end,
         block_edges,
     })
 }
 
 struct TableCursor {
     io: IoStats,
-    entries: Vec<(NodeId, Dist)>,
+    /// The table's runs; this cursor streams `run[pos..end]`.
+    run: SharedRuns,
     pos: usize,
+    end: usize,
     block_edges: usize,
 }
 
 impl EdgeCursor for TableCursor {
-    fn next_block(&mut self) -> Vec<(NodeId, Dist)> {
-        if self.pos >= self.entries.len() {
-            return Vec::new();
+    fn fill_block(&mut self, out: &mut Vec<(NodeId, Dist)>) -> usize {
+        let take = (self.end - self.pos).min(self.block_edges);
+        if take == 0 {
+            return 0;
         }
-        let take = (self.entries.len() - self.pos).min(self.block_edges);
-        let out = self.entries[self.pos..self.pos + take].to_vec();
+        out.extend_from_slice(&self.run[self.pos..self.pos + take]);
         self.pos += take;
         self.io.add_block((take * L_ENTRY_BYTES) as u64);
         self.io.add_edges(take as u64);
-        out
+        take
     }
 
     fn remaining(&self) -> usize {
-        self.entries.len() - self.pos
+        self.end - self.pos
     }
 }
 
@@ -122,9 +128,14 @@ mod tests {
     );
 
     /// Drives every read of the table path over every label pair —
-    /// present or absent — and every `(source label, node)` cursor.
-    fn transcript(s: &dyn ClosureSource, labels: &[LabelId]) -> Transcript {
+    /// present or absent — and every `(source label, node)` cursor,
+    /// pulling blocks with `next_block`, or with `fill_block` into one
+    /// buffer the whole transcript reuses (`fill`).
+    fn transcript(s: &dyn ClosureSource, labels: &[LabelId], fill: bool) -> Transcript {
         let (mut pairs, mut triples) = (Vec::new(), Vec::new());
+        let sentinel = (NodeId(u32::MAX), Dist::MAX);
+        let mut buf = vec![sentinel];
+        let mut filled = vec![sentinel];
         for &a in labels {
             for &b in labels {
                 pairs.push(s.load_d(a, b));
@@ -137,13 +148,24 @@ mod tests {
                 let mut cur = s.incoming_cursor(a, v);
                 pairs.push(vec![(v, cur.remaining() as Dist)]);
                 loop {
-                    let block = cur.next_block();
+                    let block = if fill {
+                        let before = buf.len();
+                        let n = cur.fill_block(&mut buf);
+                        assert_eq!(buf.len(), before + n, "{a:?} -> {v:?}: count");
+                        buf[before..].to_vec()
+                    } else {
+                        cur.next_block()
+                    };
                     if block.is_empty() {
                         break;
                     }
+                    filled.extend_from_slice(&block);
                     pairs.push(block);
                 }
             }
+        }
+        if fill {
+            assert_eq!(buf, filled, "fill_block appends and never clears");
         }
         (pairs, triples, s.io())
     }
@@ -152,18 +174,32 @@ mod tests {
     fn the_three_table_backed_stores_read_and_count_identically() {
         // One read path, three ways to find a table: the same sequence
         // must return the same contents in the same cursor blocks AND
-        // cost the same logical I/O, counter for counter.
+        // cost the same logical I/O, counter for counter, whether the
+        // cursors are drained by `next_block` or by `fill_block`.
         let g = paper_graph();
         let mut labels: Vec<LabelId> = g.nodes().map(|v| g.label(v)).collect();
         labels.sort_unstable();
         labels.dedup();
         labels.push(LabelId(labels.len() as u32 + 7)); // labels nothing
-        let mem = MemStore::with_block_edges(ClosureTables::compute(&g), 2);
-        let want = transcript(&mem, &labels);
+        let tables = ClosureTables::compute(&g);
+        let mem = || MemStore::with_block_edges(tables.clone(), 2);
+        let want = transcript(&mem(), &labels, false);
         assert!(want.2.edges_read > 0 && want.2.d_entries > 0 && want.2.e_entries > 0);
-        let live = LiveStore::new(g.clone()).with_block_edges(2);
-        assert_eq!(transcript(&live, &labels), want, "LiveStore");
-        let on_demand = OnDemandStore::with_block_edges(g, 2);
-        assert_eq!(transcript(&on_demand, &labels), want, "OnDemandStore");
+        for fill in [false, true] {
+            let stores: [(&str, Box<dyn ClosureSource>); 3] = [
+                ("MemStore", Box::new(mem())),
+                (
+                    "LiveStore",
+                    Box::new(LiveStore::new(g.clone()).with_block_edges(2)),
+                ),
+                (
+                    "OnDemandStore",
+                    Box::new(OnDemandStore::with_block_edges(g.clone(), 2)),
+                ),
+            ];
+            for (name, s) in stores {
+                assert_eq!(transcript(&*s, &labels, fill), want, "{name}, fill {fill}");
+            }
+        }
     }
 }

@@ -10,6 +10,8 @@ use ktpm_storage::{
     ClosureSource, MemStore, PagedStore, ShardSpec, StorageError, INDEX_PAGE_ENTRIES,
 };
 
+mod common;
+
 fn tempfile(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("ktpm-paged-test-{}-{}", std::process::id(), name));
@@ -118,7 +120,8 @@ fn v5_is_the_default_and_roundtrips_against_mem() {
 #[test]
 fn tiny_blocks_roundtrip_across_block_boundaries() {
     // block_entries=1..3 force every group across many blocks; content
-    // must still be identical to memory, including resumed cursors.
+    // must still be identical to memory, including resumed cursors,
+    // whichever read drains them.
     let g = dense_graph(48, 5);
     let tables = ClosureTables::compute(&g);
     for be in 1..=3usize {
@@ -129,6 +132,7 @@ fn tiny_blocks_roundtrip_across_block_boundaries() {
         paged.verify().unwrap();
         let mem = MemStore::new(tables.clone());
         check_equivalent(&mem, &paged);
+        common::assert_pulls_agree(|| PagedStore::open(&path).unwrap());
         std::fs::remove_file(&path).ok();
     }
 }

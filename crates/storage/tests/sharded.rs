@@ -11,6 +11,8 @@ use ktpm_storage::{
 };
 use std::path::PathBuf;
 
+mod common;
+
 /// The keys of `keys` inside file `shard`'s fence range, read off the
 /// manifest's fences directly.
 fn in_range(
@@ -133,6 +135,7 @@ fn sharded_roundtrips_against_mem_across_shard_counts_and_block_sizes() {
             store.verify().unwrap();
             check_equivalent(&mem, &store);
             assert!(store.take_error().is_none(), "no swallowed errors");
+            common::assert_pulls_agree(|| ShardedStore::open(&dir.join("MANIFEST")).unwrap());
             std::fs::remove_dir_all(&dir).ok();
         }
     }

@@ -192,7 +192,8 @@ use ktpm::api::Executor;
 use ktpm::net::{EventServer, NetConfig};
 use ktpm::prelude::*;
 use ktpm::service::{QueryEngine, Server, ServiceConfig};
-use std::io::BufReader;
+use std::io::{BufReader, ErrorKind};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -241,6 +242,26 @@ where
 {
     let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
     v.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+/// `addr`, the value of the address option `flag`, resolved. An
+/// address that does not resolve is refused by its option before any
+/// file is read.
+fn socket_addrs(flag: &str, addr: &str) -> Result<Vec<SocketAddr>, String> {
+    addr.to_socket_addrs()
+        .map(Iterator::collect)
+        .map_err(|e| format!("{flag} {addr:?}: {e}"))
+}
+
+/// A front end's start-up error, where a failure to bind names the
+/// address option `flag`.
+fn bind_error(flag: &str, addr: &str, e: std::io::Error) -> Box<dyn std::error::Error> {
+    match e.kind() {
+        ErrorKind::AddrInUse | ErrorKind::AddrNotAvailable => {
+            format!("{flag} {addr:?}: {e}").into()
+        }
+        _ => e.into(),
+    }
 }
 
 /// `arg` as a positional argument of `cmd`; an argument that looks like
@@ -569,6 +590,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let [graph_path] = positional.as_slice() else {
         return Err(format!("usage: {SERVE_USAGE}").into());
     };
+    let addrs = socket_addrs("--addr", &addr)?;
     let g = load_graph(graph_path)?;
     let t = std::time::Instant::now();
     // Unlike `query`, the default in-memory store here is a LiveStore:
@@ -604,11 +626,12 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
     // Either front end serves the same protocol over the same handle;
     // the boxed server is held only to keep its threads alive.
+    let named = |e| bind_error("--addr", &addr, e);
     let (local_addr, front_end, _server): (_, _, Box<dyn std::any::Any>) = if event_loop {
-        let s = EventServer::spawn(handle, addr.as_str(), net_config)?;
+        let s = EventServer::spawn(handle, &addrs[..], net_config).map_err(named)?;
         (s.local_addr(), "event loop", Box::new(s))
     } else {
-        let s = Server::spawn(handle, addr.as_str())?;
+        let s = Server::spawn(handle, &addrs[..]).map_err(named)?;
         (s.local_addr(), "thread per connection", Box::new(s))
     };
     println!(
@@ -645,7 +668,12 @@ fn cmd_blockd(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     let store = store.ok_or("usage: ktpm blockd --store <path> [--listen host:port]")?;
-    let server = BlockServer::spawn(std::path::Path::new(&store), listen.as_str())?;
+    let addrs = socket_addrs("--listen", &listen)?;
+    let server =
+        BlockServer::spawn(std::path::Path::new(&store), &addrs[..]).map_err(|e| match e {
+            StorageError::Io(e) => bind_error("--listen", &listen, e),
+            e => e.into(),
+        })?;
     println!("blockd serving {} on {}", store, server.local_addr());
     println!(
         "point query-side stores at --store tcp://{}",

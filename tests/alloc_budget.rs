@@ -61,7 +61,7 @@ fn enumeration_allocates_less_than_once_per_match() {
     // (engine, allocations, matches, budget per match)
     let mut totals = [
         ("Topk", 0, 0, 0.01),
-        ("Topk-EN", 0, 0, 0.10),
+        ("Topk-EN", 0, 0, 0.06),
         ("ParTopk/1", 0, 0, 0.03),
     ];
     for (root, fanout) in [("L0", 2), ("L7", 2), ("L0", 3)] {

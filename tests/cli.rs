@@ -271,6 +271,51 @@ fn query_over_ktpm_blockd_prints_the_local_store_rows() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn a_front_end_that_cannot_bind_names_its_address_option() {
+    // The port is taken, so the bind fails only after the files are
+    // read; the error still names the option that gave the address.
+    let (dir, graph) = citation_fixture("bind", &[]);
+    let store = dir.join("store.tc").to_string_lossy().into_owned();
+    ktpm(&["closure", &graph, &store]);
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = taken.local_addr().unwrap().to_string();
+    for (args, flag) in [
+        (&["serve", &graph, "--addr", &addr][..], "--addr"),
+        (
+            &["blockd", "--store", &store, "--listen", &addr][..],
+            "--listen",
+        ),
+    ] {
+        // A bind that wrongly succeeds serves forever: kill it.
+        let mut child = KillOnDrop(
+            Command::new(env!("CARGO_BIN_EXE_ktpm"))
+                .args(args)
+                .stdout(Stdio::null())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("spawn ktpm"),
+        );
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        let status = loop {
+            if let Some(status) = child.0.try_wait().unwrap() {
+                break status;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "ktpm {args:?} bound {addr}"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        };
+        let mut stderr = String::new();
+        std::io::Read::read_to_string(&mut child.0.stderr.take().unwrap(), &mut stderr).unwrap();
+        assert_eq!(status.code(), Some(1), "ktpm {args:?}: {stderr}");
+        let want = format!("error: {flag} \"{addr}\": ");
+        assert!(stderr.starts_with(&want), "ktpm {args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Writes the citation fixture graph and the given query files into a
 /// fresh temp directory; returns the directory and the graph's path.
 fn citation_fixture(tag: &str, queries: &[(&str, &str)]) -> (std::path::PathBuf, String) {
@@ -458,6 +503,14 @@ fn every_subcommand_names_the_flag_of_a_bad_value_and_refuses_an_unknown_option(
         (
             &["store", "verify", "--deep"][..],
             "error: unknown store verify option \"--deep\"\n",
+        ),
+        (
+            &["serve", "g.txt", "--addr", "nonsense"][..],
+            "error: --addr \"nonsense\": invalid socket address\n",
+        ),
+        (
+            &["blockd", "--store", "s.tc", "--listen", "nonsense"][..],
+            "error: --listen \"nonsense\": invalid socket address\n",
         ),
     ] {
         let out = run(args);
