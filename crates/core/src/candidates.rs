@@ -5,7 +5,7 @@
 //! * **Full mode** ([`CandidateSets::from_labels`]) — every data node with
 //!   the right label is a candidate (§3.2's `V_i`); wildcards admit every
 //!   node.
-//! * **Priority mode** ([`CandidateSets::from_d_tables_sharded`]) — non-root
+//! * **Priority mode** ([`CandidateSets::from_d_tables`]) — non-root
 //!   candidates come from the `Dᵅᵦ` tables (only nodes with at least one
 //!   incoming closure edge from the parent label can ever be matched),
 //!   which is both what §4.1 loads at initialization and a useful pruning.
@@ -17,7 +17,7 @@
 
 use ktpm_graph::{Dist, LabelId, NodeId};
 use ktpm_query::{EdgeKind, QNodeId, QueryLabel, ResolvedQuery};
-use ktpm_storage::{ClosureSource, Sections, ShardSpec};
+use ktpm_storage::{ClosureSource, Sections};
 
 /// Candidate sets `V_u` for every query node, with dense per-node indices.
 ///
@@ -54,32 +54,25 @@ impl CandidateSets {
     }
 
     /// Priority-mode discovery from `D` tables: the root keeps its label
-    /// bucket, restricted to `shard`; every other node keeps only nodes
-    /// with at least one incoming closure edge from the parent's label.
-    /// Returns the sets and the initial `eᵥ` lower bounds (`dᵅᵥ`, §4.1)
-    /// per candidate, in [`Self::flat`] order. Non-root sets do not
-    /// depend on `shard`: a shard owns every match whose root lies in
-    /// it, and subtree nodes are unconstrained.
+    /// bucket; every other node keeps only nodes with at least one
+    /// incoming closure edge from the parent's label. Returns the sets
+    /// and the initial `eᵥ` lower bounds (`dᵅᵥ`, §4.1) per candidate, in
+    /// [`Self::flat`] order.
     /// `pairs` is the query's [`edge_label_pairs`] over `source`, which
     /// the caller resolves once and reuses for everything else it reads
     /// per edge.
-    pub(crate) fn from_d_tables_sharded(
+    pub(crate) fn from_d_tables(
         query: &ResolvedQuery,
         source: &dyn ClosureSource,
         pairs: &[Vec<(LabelId, LabelId)>],
-        shard: ShardSpec,
     ) -> (Self, Vec<Dist>) {
         let mut nodes = Vec::new();
         let mut evs = Vec::new();
         let mut base = Vec::with_capacity(query.len() + 1);
         base.push(0);
-        // Root: full label bucket (root nodes need no incoming edges),
-        // restricted to the requested shard.
+        // Root: full label bucket (root nodes need no incoming edges).
         for i in 0..source.num_nodes() {
             let v = NodeId(i as u32);
-            if !shard.contains(v) {
-                continue;
-            }
             let l = source.node_label(v);
             match query.label(query.tree().root()) {
                 QueryLabel::Label(ql) if ql == l => nodes.push(v),
@@ -124,28 +117,6 @@ impl CandidateSets {
             base.push(base[base.len() - 1] + list.len() as u32);
         }
         Self::from_flat(cands.concat(), base)
-    }
-
-    /// These sets with the *root* bucket restricted to `shard` (query
-    /// node 0); every other set is copied unchanged, mirroring
-    /// [`Self::from_d_tables_sharded`]. Each call copies the flat array
-    /// — O(total candidates) — so that root candidate indices stay
-    /// dense; callers taking many shards of one query pay that copy per
-    /// shard (still far cheaper than the per-shard storage sweeps it
-    /// replaces).
-    pub(crate) fn restrict_root(&self, shard: ShardSpec) -> Self {
-        let root = self.of(QNodeId(0));
-        let mut nodes: Vec<NodeId> = root
-            .iter()
-            .copied()
-            .filter(|&v| shard.contains(v))
-            .collect();
-        let dropped = (root.len() - nodes.len()) as u32;
-        nodes.extend_from_slice(&self.nodes[root.len()..]);
-        let base = std::iter::once(0)
-            .chain(self.base[1..].iter().map(|&b| b - dropped))
-            .collect();
-        Self::from_flat(nodes, base)
     }
 
     fn from_flat(nodes: Vec<NodeId>, base: Vec<u32>) -> Self {
@@ -345,8 +316,7 @@ mod tests {
     }
 
     fn from_d_tables(q: &ResolvedQuery, store: &MemStore) -> (CandidateSets, Vec<Dist>) {
-        let pairs = edge_label_pairs(q, store);
-        CandidateSets::from_d_tables_sharded(q, store, &pairs, ShardSpec::full())
+        CandidateSets::from_d_tables(q, store, &edge_label_pairs(q, store))
     }
 
     #[test]
@@ -385,34 +355,6 @@ mod tests {
         let (sets, _) = from_d_tables(&q, &store);
         let e_node = QNodeId(1);
         assert_eq!(sets.of(e_node), &[NodeId(8)]); // only v9 (δ(v5,v9)=1)
-    }
-
-    #[test]
-    fn sharded_d_mode_partitions_only_the_root_bucket() {
-        let (store, q) = setup("a -> b\na -> c\nc -> d\nc -> e");
-        let (full, full_evs) = from_d_tables(&q, &store);
-        let shards = ShardSpec::split(3);
-        let mut roots_seen = Vec::new();
-        for &s in &shards {
-            let pairs = edge_label_pairs(&q, &store);
-            let (part, evs) = CandidateSets::from_d_tables_sharded(&q, &store, &pairs, s);
-            // Root bucket: exactly the full bucket's members in this shard.
-            let want: Vec<NodeId> = full
-                .of(QNodeId(0))
-                .iter()
-                .copied()
-                .filter(|&v| s.contains(v))
-                .collect();
-            assert_eq!(part.of(QNodeId(0)), want.as_slice());
-            roots_seen.extend(want);
-            // Every non-root set (and its bounds) is untouched.
-            for u in q.tree().node_ids().skip(1) {
-                assert_eq!(part.of(u), full.of(u));
-                assert_eq!(evs[part.span(u)], full_evs[full.span(u)]);
-            }
-        }
-        roots_seen.sort_unstable();
-        assert_eq!(roots_seen, full.of(QNodeId(0)));
     }
 
     #[test]

@@ -283,10 +283,10 @@ impl DpBEnumerator {
         Self::from_parts(rg, lists)
     }
 
-    /// The plan-backed form [`crate::build_stream`] uses: reuses the
-    /// plan's shared run-time graph and `bs` pass (a warm plan repeats
-    /// neither), only the per-stream slot lists are built here (they
-    /// are mutated as the enumeration advances, so they cannot be
+    /// The plan-backed form (the *mtree* kGPM driver of Fig. 9): reuses
+    /// the plan's shared run-time graph and `bs` pass (a warm plan
+    /// repeats neither), only the per-stream slot lists are built here
+    /// (they are mutated as the enumeration advances, so they cannot be
     /// shared).
     pub fn from_plan(plan: &QueryPlan) -> Self {
         let rg = Arc::clone(plan.runtime_graph());

@@ -25,10 +25,8 @@ use crate::dpb::DpEngine;
 use crate::lawler::SlotLists;
 use crate::loader::{BoundMode, PriorityLoader};
 use crate::matches::ScoredMatch;
-use crate::plan::QueryPlan;
 use ktpm_query::ResolvedQuery;
 use ktpm_storage::SharedSource;
-use std::sync::Arc;
 
 /// The DP-P enumerator. Yields matches in the canonical
 /// `(score, assignment)` order.
@@ -43,7 +41,9 @@ pub struct DpPEnumerator {
 }
 
 impl DpPEnumerator {
-    /// Runs the §4.1 initialization (D/E tables only).
+    /// Runs the §4.1 initialization (D/E tables only). DP-P's loading
+    /// *is* its enumeration strategy, so it has no plan-backed form:
+    /// every stream re-runs the initialization against storage.
     pub fn new(query: &ResolvedQuery, source: SharedSource) -> Self {
         let mut lists = SlotLists::default();
         let loader = PriorityLoader::new(query, source, BoundMode::Loose, &mut lists);
@@ -54,15 +54,6 @@ impl DpPEnumerator {
             engine: None,
             emitted: 0,
         }
-    }
-
-    /// The plan-backed form [`crate::build_stream`] uses. DP-P's
-    /// loading *is* its enumeration strategy — it always re-runs the
-    /// §4.1 initialization against storage (hence
-    /// `plan_reuse: false` in [`crate::Algo::caps`]); the plan supplies
-    /// the query and the shared store handle.
-    pub fn from_plan(plan: &QueryPlan) -> Self {
-        Self::new(plan.query(), Arc::clone(plan.source()))
     }
 
     /// Edges loaded from storage so far.
@@ -124,6 +115,7 @@ mod tests {
     use ktpm_graph::LabeledGraph;
     use ktpm_query::TreeQuery;
     use ktpm_storage::MemStore;
+    use std::sync::Arc;
 
     fn compare(g: &LabeledGraph, query: &str, k: usize) {
         let q = TreeQuery::parse(query).unwrap().resolve(g.interner());

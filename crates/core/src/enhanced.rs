@@ -56,7 +56,7 @@
 use crate::lawler::{LawlerCore, Popped, RowQueue, SlotLists};
 use crate::loader::{BoundMode, PriorityLoader};
 use crate::matches::{CandidateSpec, Child, HeapEntry, ScoredMatch, NO_PARENT};
-use crate::plan::{LazySetup, QueryPlan};
+use crate::plan::QueryPlan;
 use ktpm_graph::Score;
 use ktpm_query::{QNodeId, ResolvedQuery};
 use ktpm_storage::SharedSource;
@@ -161,25 +161,15 @@ impl TopkEnEnumerator {
     /// loading during iteration stays lazy and per-enumerator, exactly
     /// as with [`Self::new`].
     pub fn from_plan(plan: &QueryPlan) -> Self {
-        Self::from_setup(
+        let mut lists = SlotLists::default();
+        let loader = PriorityLoader::from_setup(
             plan.query(),
             Arc::clone(plan.source()),
             BoundMode::Tight,
+            &mut lists,
             plan.lazy(),
-        )
-    }
-
-    /// As [`Self::from_plan`] from an explicit setup (used by
-    /// `ParTopk`'s lazy shard engine with root-restricted setups).
-    pub(crate) fn from_setup(
-        query: &ResolvedQuery,
-        source: SharedSource,
-        bound: BoundMode,
-        setup: &Arc<LazySetup>,
-    ) -> Self {
-        let mut lists = SlotLists::default();
-        let loader = PriorityLoader::from_setup(query, source, bound, &mut lists, setup);
-        Self::from_parts(query, loader, lists)
+        );
+        Self::from_parts(plan.query(), loader, lists)
     }
 
     fn from_parts(query: &ResolvedQuery, loader: PriorityLoader, lists: SlotLists) -> Self {
@@ -456,9 +446,9 @@ impl Iterator for TopkEnEnumerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baselines::{DpBEnumerator, DpPEnumerator};
     use crate::lawler::TopkEnumerator;
     use crate::runtime::RuntimeGraph;
-    use crate::{DpBEnumerator, DpPEnumerator};
     use ktpm_closure::ClosureTables;
     use ktpm_graph::fixtures::{citation_graph, paper_graph};
     use ktpm_graph::LabeledGraph;

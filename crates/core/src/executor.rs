@@ -14,7 +14,7 @@
 use crate::exec::WorkerPool;
 use crate::{
     canonical_query_text, Algo, BoxedMatchStream, ParallelPolicy, PlanError, QueryForm, QueryPlan,
-    ScoredMatch, ShardEngine,
+    ScoredMatch,
 };
 use ktpm_graph::LabelInterner;
 use ktpm_query::{GraphQuery, ResolvedQuery};
@@ -31,7 +31,7 @@ pub enum ApiError {
     /// The query text failed to parse.
     BadQuery(String),
     /// A builder option the selected algorithm does not support (e.g.
-    /// `.shards(…)` on a non-sharded engine; see [`Algo::caps`]).
+    /// `.shards(…)` on a non-sharded engine; see [`Algo::sharded`]).
     Unsupported(String),
 }
 
@@ -238,9 +238,9 @@ impl QueryBuilder<'_> {
     }
 
     /// Root-shard count for sharded engines. Rejected at
-    /// [`QueryBuilder::stream`] if the selected algorithm's
-    /// [`Algo::caps`] lack sharding — an explicit error instead of a
-    /// silently sequential run.
+    /// [`QueryBuilder::stream`] if the selected algorithm is not
+    /// [`Algo::sharded`] — an explicit error instead of a silently
+    /// sequential run.
     pub fn shards(mut self, shards: usize) -> Self {
         self.policy.shards = shards;
         self.shards_set = true;
@@ -251,12 +251,6 @@ impl QueryBuilder<'_> {
     /// [`ParallelPolicy::batch`]).
     pub fn batch(mut self, batch: usize) -> Self {
         self.policy.batch = batch;
-        self
-    }
-
-    /// The per-shard engine for [`Algo::Par`] (see [`ShardEngine`]).
-    pub fn shard_engine(mut self, engine: ShardEngine) -> Self {
-        self.policy.engine = engine;
         self
     }
 
@@ -276,7 +270,7 @@ impl QueryBuilder<'_> {
         if let Some(err) = self.deferred_err.take() {
             return Err(err);
         }
-        if self.shards_set && self.policy.shards > 1 && !self.algo.caps().sharded {
+        if self.shards_set && self.policy.shards > 1 && !self.algo.sharded() {
             return Err(ApiError::Unsupported(format!(
                 "algorithm {:?} does not support sharding (asked for {} shards); \
                  use .algo(Algo::Par)",

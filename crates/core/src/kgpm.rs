@@ -9,11 +9,14 @@
 //! and the non-tree edges plus the §5 residual lower bound ride along
 //! as pattern metadata. The stream then composes:
 //!
-//! * a **driver** — a tree-match stream over the spanning tree, in
-//!   non-decreasing tree score: sequentially DP-B (the ICDE'13 *mtree*
-//!   matcher, [`ShardEngine::Full`]) or Topk-EN (*mtree+*,
-//!   [`ShardEngine::Lazy`]); with `shards > 1` the [`ParTopk`]
-//!   root-sharded merger. Each is boxed raw;
+//! * a **driver** — any tree-match stream over the spanning tree, in
+//!   non-decreasing tree score, handed to [`KgpmStream::new`] boxed.
+//!   [`crate::build_stream`] drives with [`crate::ParTopk`] over the
+//!   plan, as it runs `Algo::Par` (with one shard, the
+//!   `TopkEnumerator::from_plan` stream inline). Figure 9's pair are the
+//!   same constructor over other drivers: *mtree*, the ICDE'13 matcher,
+//!   over the DP-B baseline ([`crate::baselines::DpBEnumerator`]), and
+//!   *mtree+* over `Topk-EN`;
 //! * **lazy verification** — each tree match's non-tree edges are
 //!   checked by `lookup_dist` point probes against the mirror
 //!   (disconnected ⇒ rejected), the verified distances added to the
@@ -24,15 +27,11 @@
 //!   score, which proves no later tree match can beat (or tie into)
 //!   them. So the output is the canonical ascending
 //!   `(score, assignment)` order without knowing `k`, whatever order the
-//!   driver breaks its ties in — byte-identical for both drivers and
+//!   driver breaks its ties in — byte-identical for every driver and
 //!   every shard count. Consumers cap with [`crate::limit`]; the heap
 //!   never holds more than the matches of one unresolved score window.
 
-use crate::dpb::DpBEnumerator;
-use crate::enhanced::TopkEnEnumerator;
-use crate::exec::WorkerPool;
 use crate::matches::ScoredMatch;
-use crate::parallel::{ParTopk, ParallelPolicy, ShardEngine};
 use crate::plan::{PatternMeta, QueryPlan};
 use crate::stream::{BoxedMatchStream, MatchStream, StreamState};
 use ktpm_graph::{NodeId, NodeRow, Score};
@@ -61,7 +60,7 @@ pub struct KgpmStats {
 
 /// The streaming kGPM engine; see module docs. Built by
 /// [`crate::build_stream`] for [`crate::Algo::Kgpm`], or directly when
-/// the caller wants [`Self::stats`].
+/// the caller wants [`Self::stats`] or another driver.
 pub struct KgpmStream {
     driver: BoxedMatchStream,
     meta: Arc<PatternMeta>,
@@ -77,30 +76,21 @@ pub struct KgpmStream {
 }
 
 impl KgpmStream {
-    /// Builds the stream from a pattern plan. Sequential engine choice
-    /// (`policy.shards <= 1`): [`ShardEngine::Full`] drives with DP-B
-    /// (mtree), [`ShardEngine::Lazy`] with Topk-EN (mtree+). With more
-    /// shards the driver is [`ParTopk`] over the same plan — the
-    /// output is byte-identical either way.
+    /// The stream over pattern plan `plan`, pulling tree matches from
+    /// `driver`: a canonical tree-match stream built from the same
+    /// plan (the plan's resolved query is the spanning tree). The output
+    /// is byte-identical whichever driver runs.
     ///
     /// # Panics
     ///
     /// If `plan` is not a pattern plan ([`QueryPlan::new_pattern`]);
     /// upstream surfaces validate before dispatching.
-    pub fn from_plan(plan: &QueryPlan, policy: &ParallelPolicy, pool: Arc<WorkerPool>) -> Self {
+    pub fn new(plan: &QueryPlan, driver: BoxedMatchStream) -> Self {
         let meta = Arc::clone(
             plan.pattern_meta()
                 .expect("Algo::Kgpm requires a pattern plan (QueryPlan::new_pattern)"),
         );
         let residual_lb = plan.residual_lb();
-        let driver: BoxedMatchStream = if policy.shards > 1 {
-            Box::new(ParTopk::from_plan(plan, policy, pool))
-        } else {
-            match policy.engine {
-                ShardEngine::Full => Box::new(DpBEnumerator::from_plan(plan)),
-                ShardEngine::Lazy => Box::new(TopkEnEnumerator::from_plan(plan)),
-            }
-        };
         KgpmStream {
             driver,
             meta,
@@ -186,7 +176,8 @@ impl MatchStream for KgpmStream {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::{build_stream, limit, Algo};
+    use crate::baselines::DpBEnumerator;
+    use crate::{build_stream, limit, Algo, ParallelPolicy, TopkEnEnumerator};
     use ktpm_closure::ClosureTables;
     use ktpm_graph::fixtures::{citation_graph, paper_graph};
     use ktpm_graph::{undirect, LabeledGraph};
@@ -253,12 +244,34 @@ pub(crate) mod tests {
         out
     }
 
-    fn collect(plan: &QueryPlan, policy: &ParallelPolicy) -> Vec<(Score, Vec<NodeId>)> {
-        let stream: BoxedMatchStream = Box::new(KgpmStream::from_plan(
-            plan,
-            policy,
-            crate::exec::default_pool(),
-        ));
+    /// The served stream: [`build_stream`]'s `ParTopk` driver.
+    fn served(plan: &QueryPlan, policy: &ParallelPolicy) -> BoxedMatchStream {
+        build_stream(Algo::Kgpm, plan, policy, crate::exec::default_pool())
+    }
+
+    /// Every driver of one pattern plan: the served one with one shard,
+    /// then Figure 9's mtree (DP-B) and mtree+ (`Topk-EN`).
+    fn streams(plan: &QueryPlan) -> [(&'static str, BoxedMatchStream); 3] {
+        [
+            ("served", served(plan, &ParallelPolicy::with_shards(1))),
+            (
+                "mtree",
+                Box::new(KgpmStream::new(
+                    plan,
+                    Box::new(DpBEnumerator::from_plan(plan)),
+                )),
+            ),
+            (
+                "mtree+",
+                Box::new(KgpmStream::new(
+                    plan,
+                    Box::new(TopkEnEnumerator::from_plan(plan)),
+                )),
+            ),
+        ]
+    }
+
+    fn collect(stream: BoxedMatchStream) -> Vec<(Score, Vec<NodeId>)> {
         stream
             .map(|m: ScoredMatch| (m.score, m.assignment.to_vec()))
             .collect()
@@ -294,14 +307,8 @@ pub(crate) mod tests {
         ];
         for (g, q) in cases {
             let want = oracle(g, &q);
-            for engine in [ShardEngine::Full, ShardEngine::Lazy] {
-                let plan = pattern_plan(g, q.clone());
-                let policy = ParallelPolicy {
-                    shards: 1,
-                    engine,
-                    ..ParallelPolicy::default()
-                };
-                assert_eq!(collect(&plan, &policy), want, "{engine:?} on {q:?}");
+            for (driver, stream) in streams(&pattern_plan(g, q.clone())) {
+                assert_eq!(collect(stream), want, "{driver} on {q:?}");
             }
         }
     }
@@ -311,11 +318,11 @@ pub(crate) mod tests {
         let g = paper_graph();
         let q = GraphQuery::new(labels(&["a", "c", "d"]), vec![(0, 1), (1, 2), (0, 2)]).unwrap();
         let plan = pattern_plan(&g, q);
-        let want = collect(&plan, &ParallelPolicy::with_shards(1));
+        let want = collect(served(&plan, &ParallelPolicy::with_shards(1)));
         assert!(!want.is_empty());
         for shards in [2, 3, 5, 16] {
             assert_eq!(
-                collect(&plan, &ParallelPolicy::with_shards(shards)),
+                collect(served(&plan, &ParallelPolicy::with_shards(shards))),
                 want,
                 "{shards} shards"
             );
@@ -360,11 +367,7 @@ pub(crate) mod tests {
         let g = paper_graph();
         let q = GraphQuery::new(labels(&["a", "c", "d"]), vec![(0, 1), (1, 2), (0, 2)]).unwrap();
         let plan = pattern_plan(&g, q);
-        let mut stream = KgpmStream::from_plan(
-            &plan,
-            &ParallelPolicy::with_shards(1),
-            crate::exec::default_pool(),
-        );
+        let mut stream = KgpmStream::new(&plan, Box::new(DpBEnumerator::from_plan(&plan)));
         let mut out = Vec::new();
         while !stream.next_batch(16, &mut out).is_done() {}
         let stats = stream.stats();
@@ -378,13 +381,14 @@ pub(crate) mod tests {
         let g = paper_graph();
         let q = GraphQuery::new(labels(&["a", "c", "d"]), vec![(0, 1), (1, 2), (0, 2)]).unwrap();
         let plan = pattern_plan(&g, q);
-        let cold = collect(&plan, &ParallelPolicy::with_shards(1));
+        let cold = collect(served(&plan, &ParallelPolicy::with_shards(1)));
         plan.source().reset_io();
-        let warm = collect(&plan, &ParallelPolicy::with_shards(1));
+        let warm = collect(served(&plan, &ParallelPolicy::with_shards(1)));
         assert_eq!(cold, warm);
         // Warm: no D/E discovery; only the lookup_dist verification
-        // probes (which do not count block I/O on MemStore) and DP-B's
-        // list build remain — but that reads the plan's cached halves.
+        // probes (which do not count block I/O on MemStore) and the
+        // driver's slot lists remain — built from the plan's cached
+        // templates.
         assert_eq!(plan.source().io().d_entries, 0);
     }
 
@@ -393,14 +397,9 @@ pub(crate) mod tests {
         let g = paper_graph();
         let q = GraphQuery::new(labels(&["a", "zz"]), vec![(0, 1)]).unwrap();
         let plan = pattern_plan(&g, q);
-        assert!(collect(&plan, &ParallelPolicy::default()).is_empty());
-        for engine in [ShardEngine::Full, ShardEngine::Lazy] {
-            let policy = ParallelPolicy {
-                shards: 1,
-                engine,
-                ..ParallelPolicy::default()
-            };
-            assert!(collect(&plan, &policy).is_empty(), "{engine:?}");
+        assert!(collect(served(&plan, &ParallelPolicy::default())).is_empty());
+        for (driver, stream) in streams(&plan) {
+            assert!(collect(stream).is_empty(), "{driver}");
         }
     }
 

@@ -13,9 +13,9 @@
 //!   candidate insertion;
 //! * [`brute`] — an exhaustive reference enumerator used as a test
 //!   oracle by the whole workspace;
-//! * [`DpBEnumerator`] / [`DpPEnumerator`] — the ICDE'13 **DP-B/DP-P**
-//!   baselines the paper compares against (§6), behind the same stream
-//!   surface;
+//! * [`baselines`] — the ICDE'13 **DP-B/DP-P** baselines the paper
+//!   compares against (§6), test references beside [`brute`] that no
+//!   [`Algo`] serves;
 //! * [`KgpmStream`] — the **kGPM** extension (§5): ranked enumeration
 //!   of graph-pattern matches by [`decompose`]-ing the pattern into
 //!   spanning trees, streaming the primary tree and lazily verifying
@@ -51,8 +51,7 @@
 //! ascending `(score, assignment)`, the deterministic tie-break defined
 //! in [`partition`]. Every enumerator pops in that order natively (its
 //! heap compares `(score, assignment row)`), so `k` matches cost `k`
-//! pops and a shard's stream — full or lazy — is the full stream
-//! filtered to its roots.
+//! pops and a shard's stream is the full stream filtered to its roots.
 //!
 //! ## Shared query plans
 //!
@@ -133,6 +132,7 @@
 //! and `enhanced.rs`'s `k_matches_cost_k_pops_and_n_t_rows_each`.
 
 mod algo;
+pub mod baselines;
 pub mod brute;
 mod bs;
 mod candidates;
@@ -156,11 +156,9 @@ mod rgraph;
 pub mod runtime;
 pub mod stream;
 
-pub use algo::{Algo, AlgoCaps};
+pub use algo::Algo;
 pub use bs::BsData;
 pub use decompose::{decompose, SpanningTree};
-pub use dpb::DpBEnumerator;
-pub use dpp::DpPEnumerator;
 #[doc(hidden)]
 pub use enhanced::TopkEnCounters;
 pub use enhanced::TopkEnEnumerator;
@@ -172,7 +170,7 @@ pub use lawler::{SlotLists, SlotTemplates, TopkEnumerator};
 pub use lazylist::LazySortedList;
 pub use loader::{BoundMode, PriorityLoader};
 pub use matches::ScoredMatch;
-pub use parallel::{par_topk, ParTopk, ParallelPolicy, ShardEngine};
+pub use parallel::{par_topk, ParTopk, ParallelPolicy};
 pub use plan::{canonical_query_text, PatternUnsupported, PlanError, QueryForm, QueryPlan};
 pub use stream::{build_stream, limit, BoxedMatchStream, MatchStream, StreamState};
 // Re-exported so callers configuring shards need not depend on storage.

@@ -73,7 +73,7 @@ use crate::lawler::SlotLists;
 use crate::plan::LazySetup;
 use ktpm_graph::{Dist, NodeId, Score, INF_DIST};
 use ktpm_query::{EdgeKind, QNodeId, ResolvedQuery};
-use ktpm_storage::{EdgeCursor, ShardSpec, SharedSource};
+use ktpm_storage::{EdgeCursor, SharedSource};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -150,11 +150,7 @@ impl PriorityLoader {
         bound: BoundMode,
         lists: &mut SlotLists,
     ) -> Self {
-        let setup = Arc::new(LazySetup::discover(
-            query,
-            source.as_ref(),
-            ShardSpec::full(),
-        ));
+        let setup = Arc::new(LazySetup::discover(query, source.as_ref()));
         Self::from_setup(query, source, bound, lists, &setup)
     }
 

@@ -1,37 +1,43 @@
 //! Figure 9's two kGPM systems at a fixed `k`: *mtree*, the ICDE'13
-//! enumerate-and-verify framework driven by DP-B
-//! ([`ShardEngine::Full`](crate::ShardEngine::Full)), and *mtree+*, the
-//! same framework driven by Topk-EN
-//! ([`ShardEngine::Lazy`](crate::ShardEngine::Lazy)). Each is the first
-//! `k` pulls of one sequential [`KgpmStream`](crate::KgpmStream) over a
-//! pattern plan; the tests hold both to the brute-force kGPM oracle.
+//! enumerate-and-verify framework driven by the DP-B baseline
+//! ([`crate::baselines::DpBEnumerator`]), and *mtree+*, the same
+//! framework driven by `Topk-EN`. Each is the first `k` pulls of one
+//! [`KgpmStream`](crate::KgpmStream) over a pattern plan, built with
+//! that driver; the tests hold both to the brute-force kGPM oracle.
 
 mod tests {
+    use crate::baselines::DpBEnumerator;
     use crate::kgpm::tests::{labels, oracle, pattern_plan};
     use crate::{
-        KgpmStats, KgpmStream, MatchStream, ParallelPolicy, QueryPlan, ScoredMatch, ShardEngine,
+        BoxedMatchStream, KgpmStats, KgpmStream, MatchStream, QueryPlan, ScoredMatch,
+        TopkEnEnumerator,
     };
     use ktpm_graph::fixtures::{citation_graph, paper_graph};
     use ktpm_graph::{LabeledGraph, Score};
     use ktpm_query::GraphQuery;
     use std::collections::HashSet;
 
-    /// mtree, then mtree+.
-    const MATCHERS: [ShardEngine; 2] = [ShardEngine::Full, ShardEngine::Lazy];
+    /// A tree-match driver built from a pattern plan.
+    type Matcher = fn(&QueryPlan) -> BoxedMatchStream;
+
+    fn mtree(plan: &QueryPlan) -> BoxedMatchStream {
+        Box::new(DpBEnumerator::from_plan(plan))
+    }
+
+    fn mtree_plus(plan: &QueryPlan) -> BoxedMatchStream {
+        Box::new(TopkEnEnumerator::from_plan(plan))
+    }
+
+    const MATCHERS: [(&str, Matcher); 2] = [("mtree", mtree), ("mtree+", mtree_plus)];
 
     /// The first `k` matches of `plan` under `matcher`, with the
     /// stream's work counters after them.
     fn topk_with_stats(
         plan: &QueryPlan,
         k: usize,
-        matcher: ShardEngine,
+        matcher: Matcher,
     ) -> (Vec<ScoredMatch>, KgpmStats) {
-        let policy = ParallelPolicy {
-            shards: 1,
-            engine: matcher,
-            ..ParallelPolicy::default()
-        };
-        let mut stream = KgpmStream::from_plan(plan, &policy, crate::exec::default_pool());
+        let mut stream = KgpmStream::new(plan, matcher(plan));
         let mut out = Vec::new();
         while out.len() < k {
             let Some(m) = MatchStream::next(&mut stream) else {
@@ -42,7 +48,7 @@ mod tests {
         (out, stream.stats())
     }
 
-    fn topk_scores(plan: &QueryPlan, k: usize, matcher: ShardEngine) -> Vec<Score> {
+    fn topk_scores(plan: &QueryPlan, k: usize, matcher: Matcher) -> Vec<Score> {
         topk_with_stats(plan, k, matcher)
             .0
             .into_iter()
@@ -69,11 +75,11 @@ mod tests {
         for q in &queries {
             let expect = oracle_scores(&g, q, 10);
             let plan = pattern_plan(&g, q.clone());
-            for matcher in MATCHERS {
+            for (name, matcher) in MATCHERS {
                 assert_eq!(
                     topk_scores(&plan, 10, matcher),
                     expect,
-                    "matcher {matcher:?} on {q:?}"
+                    "matcher {name} on {q:?}"
                 );
             }
         }
@@ -85,7 +91,7 @@ mod tests {
         let q = GraphQuery::new(labels(&["C", "E", "S"]), vec![(0, 1), (0, 2)]).unwrap();
         let expect = oracle_scores(&g, &q, 20);
         let plan = pattern_plan(&g, q);
-        assert_eq!(topk_scores(&plan, 20, ShardEngine::Lazy), expect);
+        assert_eq!(topk_scores(&plan, 20, mtree_plus), expect);
     }
 
     #[test]
@@ -93,7 +99,7 @@ mod tests {
         let g = paper_graph();
         let q = GraphQuery::new(labels(&["a", "c", "d"]), vec![(0, 1), (1, 2), (0, 2)]).unwrap();
         let plan = pattern_plan(&g, q.clone());
-        let (matches, stats) = topk_with_stats(&plan, 50, ShardEngine::Lazy);
+        let (matches, stats) = topk_with_stats(&plan, 50, mtree_plus);
         // A pattern plan's source is the undirected mirror.
         let mirror = plan.source();
         let mut seen = HashSet::new();
@@ -115,8 +121,8 @@ mod tests {
         let g = paper_graph();
         let q = GraphQuery::new(labels(&["a", "zz"]), vec![(0, 1)]).unwrap();
         let plan = pattern_plan(&g, q);
-        assert!(topk_scores(&plan, 5, ShardEngine::Lazy).is_empty());
-        assert!(topk_scores(&plan, 5, ShardEngine::Full).is_empty());
+        assert!(topk_scores(&plan, 5, mtree_plus).is_empty());
+        assert!(topk_scores(&plan, 5, mtree).is_empty());
     }
 
     #[test]
@@ -124,6 +130,6 @@ mod tests {
         let g = paper_graph();
         let q = GraphQuery::new(labels(&["a", "b"]), vec![(0, 1)]).unwrap();
         let plan = pattern_plan(&g, q);
-        assert!(topk_scores(&plan, 0, ShardEngine::Lazy).is_empty());
+        assert!(topk_scores(&plan, 0, mtree_plus).is_empty());
     }
 }

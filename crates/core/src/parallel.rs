@@ -7,14 +7,16 @@
 //! order guarantee. Here the decomposition is by **root candidate**:
 //! a [`ktpm_storage::ShardSpec`] split slices the root candidate set
 //! into `P` disjoint, exhaustive shards; each shard runs an independent
-//! sequential enumerator ([`TopkEnumerator`] over a *shared* run-time
-//! graph, or [`TopkEnEnumerator`] over the shared store), and the
-//! shard streams are lazily k-way merged on `(score, assignment)`.
-//! Because each shard's enumerator pops in the canonical order
-//! ([`crate::partition`]) natively — so a shard's stream is exactly the
-//! full stream filtered to the shard's roots, whichever engine runs it
-//! — the merged stream equals [`crate::topk_full`] exactly — order,
-//! scores and witnesses — for every shard count.
+//! sequential [`TopkEnumerator`] over the plan's *shared* run-time graph
+//! and slot templates (the O(m_R) load and `bs` pass happen once per
+//! plan; shards build their slot lists on demand), and the shard
+//! streams are lazily k-way merged on `(score, assignment)`. Any-k
+//! enumeration splits into disjoint subproblems merged by one heap, so
+//! one sequential engine per shard is all the split needs. Because each
+//! shard's enumerator pops in the canonical order ([`crate::partition`])
+//! natively — so a shard's stream is exactly the full stream filtered
+//! to the shard's roots — the merged stream equals [`crate::topk_full`]
+//! exactly — order, scores and witnesses — for every shard count.
 //!
 //! ## Scheduling
 //!
@@ -28,7 +30,6 @@
 //! while skewed streams only pay for what the merge actually consumes
 //! (at most one batch of lookahead per shard).
 
-use crate::enhanced::TopkEnEnumerator;
 use crate::exec::WorkerPool;
 use crate::lawler::TopkEnumerator;
 use crate::matches::ScoredMatch;
@@ -40,31 +41,15 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
-/// Which sequential enumerator runs inside each shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardEngine {
-    /// Algorithm 1 per shard over one *shared* run-time graph: the
-    /// O(m_R) load and `bs` pass happen once, shards build their slot
-    /// lists on demand. Best when several/all shards will be consumed.
-    Full,
-    /// Algorithm 3 per shard: each shard loads lazily from the shared
-    /// store, driven by its own root bucket. Cheapest for tiny `k` on
-    /// huge graphs; candidate discovery is done once per run (shared
-    /// through the plan) and root-restricted per shard.
-    Lazy,
-}
-
 /// How a query is split across shard workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelPolicy {
     /// Number of root shards (1 = sequential execution on the pool).
     pub shards: usize,
     /// Matches pulled from a shard per job: the scheduling grain. It
-    /// also bounds per-shard lookahead: a shard of either engine pops
-    /// exactly what it hands over.
+    /// also bounds per-shard lookahead: a shard pops exactly what it
+    /// hands over.
     pub batch: usize,
-    /// The per-shard enumerator.
-    pub engine: ShardEngine,
 }
 
 impl Default for ParallelPolicy {
@@ -72,13 +57,12 @@ impl Default for ParallelPolicy {
         ParallelPolicy {
             shards: std::thread::available_parallelism().map_or(4, |n| n.get().clamp(1, 8)),
             batch: 64,
-            engine: ShardEngine::Full,
         }
     }
 }
 
 impl ParallelPolicy {
-    /// A policy with `shards` shards and default batch/engine.
+    /// A policy with `shards` shards and the default batch.
     pub fn with_shards(shards: usize) -> Self {
         ParallelPolicy {
             shards,
@@ -87,27 +71,8 @@ impl ParallelPolicy {
     }
 }
 
-/// One shard's sequential enumerator, in canonical order. Boxed: the
-/// enumerators are hundreds of bytes and hop between the caller and
-/// pool workers every batch.
-enum ShardIter {
-    Full(Box<TopkEnumerator>),
-    Lazy(Box<TopkEnEnumerator>),
-}
-
-impl Iterator for ShardIter {
-    type Item = ScoredMatch;
-
-    fn next(&mut self) -> Option<ScoredMatch> {
-        match self {
-            ShardIter::Full(it) => it.next(),
-            ShardIter::Lazy(it) => it.next(),
-        }
-    }
-}
-
 /// Pulls up to `n` matches; the flag is false once the stream ended.
-fn pull(it: &mut ShardIter, n: usize) -> (VecDeque<ScoredMatch>, bool) {
+fn pull(it: &mut TopkEnumerator, n: usize) -> (VecDeque<ScoredMatch>, bool) {
     let mut out = VecDeque::with_capacity(n);
     for _ in 0..n {
         match it.next() {
@@ -119,13 +84,15 @@ fn pull(it: &mut ShardIter, n: usize) -> (VecDeque<ScoredMatch>, bool) {
 }
 
 /// A shard's parked enumerator (`None` once exhausted) plus the batch
-/// buffer the merge drains between refills.
+/// buffer the merge drains between refills. Boxed: the enumerator is
+/// hundreds of bytes and hops between the caller and pool workers
+/// every batch.
 struct ShardStream {
-    iter: Option<ShardIter>,
+    iter: Option<Box<TopkEnumerator>>,
     buf: VecDeque<ScoredMatch>,
 }
 
-type ShardJobResult = (Option<ShardIter>, VecDeque<ScoredMatch>);
+type ShardJobResult = (Option<Box<TopkEnumerator>>, VecDeque<ScoredMatch>);
 
 /// The parallel enumerator's execution mode.
 enum ParInner {
@@ -134,7 +101,7 @@ enum ParInner {
     /// shard stream, driven inline on the calling thread with zero
     /// pool round-trips (`ParTopk/1` used to cost ~2x plain `Topk`
     /// purely in scheduling and buffering overhead).
-    Single(ShardIter),
+    Single(Box<TopkEnumerator>),
     /// The genuinely partitioned form: per-shard batch jobs on the
     /// pool, lazily k-way merged.
     Multi {
@@ -157,25 +124,6 @@ pub struct ParTopk {
     shards: usize,
 }
 
-/// Builds one shard's canonical enumerator per the policy's engine.
-fn shard_iter(plan: &QueryPlan, engine: ShardEngine, spec: ShardSpec) -> ShardIter {
-    match engine {
-        ShardEngine::Full => ShardIter::Full(Box::new(TopkEnumerator::from_templates(
-            Arc::clone(plan.slot_templates()),
-            spec,
-        ))),
-        ShardEngine::Lazy => {
-            let restricted = plan.lazy().restrict_root(plan.query(), spec);
-            ShardIter::Lazy(Box::new(TopkEnEnumerator::from_setup(
-                plan.query(),
-                Arc::clone(plan.source()),
-                crate::BoundMode::Tight,
-                &restricted,
-            )))
-        }
-    }
-}
-
 impl ParTopk {
     /// Splits `query` per `policy` and runs shard setup (plus each
     /// shard's first batch) concurrently on `pool`, over a transient
@@ -191,63 +139,35 @@ impl ParTopk {
         Self::from_plan(&QueryPlan::new(query.clone(), source), policy, pool)
     }
 
-    /// As [`Self::new`] over a shared [`QueryPlan`]: shard setup comes
-    /// from the plan (run-time graph + `bs` + slot templates for
-    /// [`ShardEngine::Full`], cached candidate discovery for
-    /// [`ShardEngine::Lazy`]), built on the plan's first use and shared
-    /// by every later run *and* by the `P` shards of this run. With one
-    /// shard the pool is bypassed entirely (the run drives its single
-    /// canonical shard stream inline).
+    /// As [`Self::new`] over a shared [`QueryPlan`]: shard setup (the
+    /// run-time graph, `bs` and slot templates) comes from the plan,
+    /// built on its first use and shared by every later run *and* by
+    /// the `P` shards of this run. With one shard the pool is bypassed
+    /// entirely: the run drives its single canonical shard stream — the
+    /// [`TopkEnumerator::from_plan`] stream — inline.
     pub fn from_plan(plan: &QueryPlan, policy: &ParallelPolicy, pool: Arc<WorkerPool>) -> ParTopk {
         let batch = policy.batch.max(1);
         let specs = ShardSpec::split(policy.shards);
+        let templates = Arc::clone(plan.slot_templates());
         if specs.len() == 1 {
-            let spec = specs[0];
             return ParTopk {
-                inner: ParInner::Single(shard_iter(plan, policy.engine, spec)),
+                inner: ParInner::Single(Box::new(TopkEnumerator::from_templates(
+                    templates, specs[0],
+                ))),
                 shards: 1,
             };
         }
-        let jobs: Vec<Box<dyn FnOnce() -> ShardJobResult + Send>> = match policy.engine {
-            ShardEngine::Full => {
-                let templates = Arc::clone(plan.slot_templates());
-                specs
-                    .into_iter()
-                    .map(|spec| {
-                        let templates = Arc::clone(&templates);
-                        Box::new(move || {
-                            let mut it = ShardIter::Full(Box::new(TopkEnumerator::from_templates(
-                                templates, spec,
-                            )));
-                            let (buf, alive) = pull(&mut it, batch);
-                            (alive.then_some(it), buf)
-                        }) as Box<dyn FnOnce() -> ShardJobResult + Send>
-                    })
-                    .collect()
-            }
-            ShardEngine::Lazy => {
-                let setup = Arc::clone(plan.lazy());
-                specs
-                    .into_iter()
-                    .map(|spec| {
-                        let setup = Arc::clone(&setup);
-                        let query = plan.query().clone();
-                        let source = Arc::clone(plan.source());
-                        Box::new(move || {
-                            let restricted = setup.restrict_root(&query, spec);
-                            let mut it = ShardIter::Lazy(Box::new(TopkEnEnumerator::from_setup(
-                                &query,
-                                source,
-                                crate::BoundMode::Tight,
-                                &restricted,
-                            )));
-                            let (buf, alive) = pull(&mut it, batch);
-                            (alive.then_some(it), buf)
-                        }) as Box<dyn FnOnce() -> ShardJobResult + Send>
-                    })
-                    .collect()
-            }
-        };
+        let jobs: Vec<Box<dyn FnOnce() -> ShardJobResult + Send>> = specs
+            .into_iter()
+            .map(|spec| {
+                let templates = Arc::clone(&templates);
+                Box::new(move || {
+                    let mut it = Box::new(TopkEnumerator::from_templates(templates, spec));
+                    let (buf, alive) = pull(&mut it, batch);
+                    (alive.then_some(it), buf)
+                }) as Box<dyn FnOnce() -> ShardJobResult + Send>
+            })
+            .collect();
         let results = pool.scatter(jobs);
         let mut shards = Vec::with_capacity(results.len());
         for (iter, buf) in results {
@@ -383,20 +303,11 @@ mod tests {
         let store = MemStore::new(tables.clone());
         let shared = MemStore::with_block_edges(tables, 2).into_shared();
         let want = topk_full(&q, &store, usize::MAX);
-        for engine in [ShardEngine::Full, ShardEngine::Lazy] {
-            for shards in [1usize, 2, 3, 4, 7] {
-                for batch in [1usize, 3, 64] {
-                    let policy = ParallelPolicy {
-                        shards,
-                        batch,
-                        engine,
-                    };
-                    let got = par_topk(&q, Arc::clone(&shared), usize::MAX, &policy, pool());
-                    assert_eq!(
-                        got, want,
-                        "query {query:?} {engine:?} shards {shards} batch {batch}"
-                    );
-                }
+        for shards in [1usize, 2, 3, 4, 7] {
+            for batch in [1usize, 3, 64] {
+                let policy = ParallelPolicy { shards, batch };
+                let got = par_topk(&q, Arc::clone(&shared), usize::MAX, &policy, pool());
+                assert_eq!(got, want, "query {query:?} shards {shards} batch {batch}");
             }
         }
     }

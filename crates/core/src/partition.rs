@@ -35,11 +35,13 @@
 //! The canonical order *is* the heap order of every enumerator: `Topk`
 //! ([`crate::TopkEnumerator`]), `Topk-EN` ([`crate::TopkEnEnumerator`],
 //! whose lists grow while it enumerates but never below a rank a
-//! certified match uses), `DP-B` ([`crate::DpBEnumerator`], whose
-//! per-node frontiers pop in `(score, row)` order) and `DP-P`
-//! ([`crate::DpPEnumerator`], which certifies strictly below its
-//! loader's bound, so a rebuild replays exactly what it emitted). Ties
-//! compare assignment rows, O(n_T) worst case; `k` matches cost `k`
-//! pops, with no look-ahead. So both kinds of `ParTopk` shard and both
-//! of kGPM's tree drivers (mtree over DP-B, mtree+ over `Topk-EN`) are
-//! canonical too, and the brute oracle sorts its own output.
+//! certified match uses), and the test-reference baselines `DP-B`
+//! ([`crate::baselines::DpBEnumerator`], whose per-node frontiers pop
+//! in `(score, row)` order) and `DP-P`
+//! ([`crate::baselines::DpPEnumerator`], which certifies strictly below
+//! its loader's bound, so a rebuild replays exactly what it emitted).
+//! Ties compare assignment rows, O(n_T) worst case; `k` matches cost
+//! `k` pops, with no look-ahead. So every `ParTopk` shard (a `Topk`
+//! enumerator) and every kGPM tree driver — the served `ParTopk`, and
+//! Fig. 9's mtree over DP-B and mtree+ over `Topk-EN` — is canonical
+//! too, and the brute oracle sorts its own output.

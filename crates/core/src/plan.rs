@@ -16,11 +16,11 @@
 //! instead of duplicating work):
 //!
 //! * the **full** half — the loaded [`RuntimeGraph`], its [`BsData`]
-//!   and shared [`SlotTemplates`] — feeding `Topk`, `ParTopk`
-//!   ([`crate::ShardEngine::Full`]) and the brute oracle;
+//!   and shared [`SlotTemplates`] — feeding `Topk`, every `ParTopk`
+//!   shard, the DP-B baseline and the brute oracle;
 //! * the **lazy** half ([`LazySetup`]) — the `D`-table candidate sets,
 //!   initial `eᵥ` bounds and `E`-seed edges of §4.1 — feeding
-//!   `Topk-EN` and `ParTopk`'s lazy shard engine. When the full half
+//!   `Topk-EN`. When the full half
 //!   already exists it is *derived* from the loaded graph instead of
 //!   re-sweeping storage, so a warm plan never repeats candidate
 //!   discovery for any algorithm. Discovery touches only the compact
@@ -44,7 +44,7 @@ use crate::lawler::SlotTemplates;
 use crate::runtime::RuntimeGraph;
 use ktpm_graph::{Dist, LabelId, LabelInterner, NodeId, Score};
 use ktpm_query::{EdgeKind, GraphQuery, QNodeId, QueryLabel, ResolvedQuery, TreeQuery};
-use ktpm_storage::{ClosureSource, DeltaReport, Sections, ShardSpec, SharedSource};
+use ktpm_storage::{ClosureSource, DeltaReport, Sections, SharedSource};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -244,49 +244,9 @@ impl<T: Copy> SeedCsr<T> {
         }
     }
 
-    /// Number of keys the table spans (0 without entries).
-    pub(crate) fn len(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
     /// Heap bytes: 4 per offset, the entry width per entry.
     fn approx_bytes(&self) -> u64 {
         (self.offsets.len() * 4 + self.entries.len() * std::mem::size_of::<T>()) as u64
-    }
-
-    /// The table whose key `k` holds the `k`-th of `rows`.
-    fn from_rows<R: IntoIterator<Item = T>>(rows: impl Iterator<Item = R>) -> Self {
-        let mut offsets = vec![0];
-        let mut entries = Vec::new();
-        for row in rows {
-            entries.extend(row);
-            offsets.push(entries.len() as u32);
-        }
-        if entries.is_empty() {
-            return SeedCsr::default();
-        }
-        SeedCsr { offsets, entries }
-    }
-
-    /// This table with key `k` renamed `map[k]`, and dropped where that
-    /// is `u32::MAX`. `map` must be increasing on the keys it keeps.
-    fn restrict_keys(&self, map: &[u32]) -> Self {
-        let kept = (0..map.len() as u32).filter(|&k| map[k as usize] != u32::MAX);
-        Self::from_rows(kept.map(|k| self.of(k).iter().copied()))
-    }
-}
-
-impl SeedCsr<u32> {
-    /// This table with every entry `e` renamed `map[e]`, and dropped
-    /// where that is `u32::MAX`. `map` must be increasing on the entries
-    /// it keeps, so each key's entries stay sorted.
-    fn remap_entries(&self, map: &[u32]) -> Self {
-        Self::from_rows((0..self.len() as u32).map(|k| {
-            self.of(k)
-                .iter()
-                .map(|&e| map[e as usize])
-                .filter(|&to| to != u32::MAX)
-        }))
     }
 }
 
@@ -320,16 +280,6 @@ impl NodeSeeds {
         NodeSeeds { rows, parents }
     }
 
-    /// These seeds with every parent index `pi` renamed `map[pi]`, and
-    /// dropped where that is `u32::MAX` (`map` increasing on the kept
-    /// indices).
-    fn restrict_parents(&self, map: &[u32]) -> Self {
-        NodeSeeds {
-            rows: self.rows.restrict_keys(map),
-            parents: self.parents.remap_entries(map),
-        }
-    }
-
     /// Number of seeds.
     pub(crate) fn count(&self) -> usize {
         self.rows.entries.len()
@@ -360,10 +310,8 @@ pub(crate) struct LazySetup {
     /// Initial `eᵥ` lower bounds (`dᵅᵥ`), one per candidate in
     /// [`CandidateSets::flat`] order.
     pub(crate) evs: Vec<Dist>,
-    /// Per query node: its `E`-seeds over `cands`' indices. `Arc`, so
-    /// the root shards of one setup share every node below the root's
-    /// children.
-    pub(crate) seeds: Vec<Arc<NodeSeeds>>,
+    /// Per query node: its `E`-seeds over `cands`' indices.
+    pub(crate) seeds: Vec<NodeSeeds>,
     /// Per query node: the distinct source labels of its incoming
     /// closure tables, ascending — the cursors a loader opens for one
     /// of its candidates. Resolved with the rest of the half, so
@@ -665,7 +613,7 @@ impl QueryPlan {
             // D/E sweeps would read — derive instead of re-sweeping.
             Arc::new(match self.full.get() {
                 Some(fs) => LazySetup::derive(&fs.rg, self.source.as_ref()),
-                None => LazySetup::discover(&self.query, self.source.as_ref(), ShardSpec::full()),
+                None => LazySetup::discover(&self.query, self.source.as_ref()),
             })
         })
     }
@@ -674,8 +622,7 @@ impl QueryPlan {
 impl LazySetup {
     /// §4.1 initialization against storage: `D`-table candidate
     /// discovery plus the `E`-seed edges of `//` leaves, resolved once
-    /// into candidate-index space ([`NodeSeeds`]), where `shard` drops
-    /// the seeds of out-of-shard roots.
+    /// into candidate-index space ([`NodeSeeds`]).
     ///
     /// A loader reads its start state off this setup in any order.
     /// Lists rank equal keys by candidate index, so a list's ranks do
@@ -685,11 +632,7 @@ impl LazySetup {
     /// there — nor on whether it was lowered at all: a session's `Q_g`
     /// entries all start at version 0 and pop in the order a replay of
     /// the seeds would.
-    pub(crate) fn discover(
-        query: &ResolvedQuery,
-        source: &dyn ClosureSource,
-        shard: ShardSpec,
-    ) -> LazySetup {
+    pub(crate) fn discover(query: &ResolvedQuery, source: &dyn ClosureSource) -> LazySetup {
         let tree = query.tree();
         // Every edge's label pairs, resolved once for all three reads
         // below (`D` candidates, `E` seeds, the loader's cursor labels),
@@ -702,12 +645,12 @@ impl LazySetup {
             directory: true,
             blocks: false,
         });
-        let (cands, evs) = CandidateSets::from_d_tables_sharded(query, source, &pairs, shard);
+        let (cands, evs) = CandidateSets::from_d_tables(query, source, &pairs);
         let seeds = tree
             .node_ids()
             .map(|u| {
                 if !is_seeded(tree, u) {
-                    return Arc::default();
+                    return NodeSeeds::default();
                 }
                 let p = tree.parent(u).expect("non-root");
                 let mut triples = Vec::new();
@@ -720,7 +663,7 @@ impl LazySetup {
                         }
                     }
                 }
-                Arc::new(NodeSeeds::from_triples(cands.len(u), cands.len(p), triples))
+                NodeSeeds::from_triples(cands.len(u), cands.len(p), triples)
             })
             .collect();
         LazySetup {
@@ -776,7 +719,7 @@ impl LazySetup {
             .node_ids()
             .map(|u| {
                 if !is_seeded(tree, u) {
-                    return Arc::default();
+                    return NodeSeeds::default();
                 }
                 let p = tree.parent(u).expect("non-root");
                 let mut triples = Vec::new();
@@ -801,7 +744,7 @@ impl LazySetup {
                     }
                 }
                 let (n_children, n_parents) = (cands[u.index()].len(), cands[p.index()].len());
-                Arc::new(NodeSeeds::from_triples(n_children, n_parents, triples))
+                NodeSeeds::from_triples(n_children, n_parents, triples)
             })
             .collect();
         LazySetup {
@@ -812,56 +755,6 @@ impl LazySetup {
             // one key enumeration if the query has a wildcard edge.
             src_labels: src_labels_of(&edge_label_pairs(query, source)),
         }
-    }
-
-    /// This setup with the root bucket of `query` (the query it was
-    /// built for) restricted to `shard`; the full shard is this setup
-    /// itself. Non-root sets and the seeds of nodes below the root's
-    /// children are shard-independent and shared. The seeds of the
-    /// root's children keep only the rows of in-shard roots, and their
-    /// child-keyed parent lists are renamed to the restricted root
-    /// indices.
-    pub(crate) fn restrict_root(
-        self: &Arc<Self>,
-        query: &ResolvedQuery,
-        shard: ShardSpec,
-    ) -> Arc<LazySetup> {
-        if shard.is_full() {
-            return Arc::clone(self);
-        }
-        let root = QNodeId(0);
-        let cands = self.cands.restrict_root(shard);
-        let mut evs = vec![0; cands.len(root)];
-        evs.extend_from_slice(&self.evs[self.cands.len(root)..]);
-        let mut kept = 0;
-        let root_index: Vec<u32> = self
-            .cands
-            .of(root)
-            .iter()
-            .map(|&v| {
-                if !shard.contains(v) {
-                    return u32::MAX;
-                }
-                kept += 1;
-                kept - 1
-            })
-            .collect();
-        let tree = query.tree();
-        let seeds = tree
-            .node_ids()
-            .map(|u| match tree.parent(u) {
-                Some(p) if p == root => {
-                    Arc::new(self.seeds[u.index()].restrict_parents(&root_index))
-                }
-                _ => Arc::clone(&self.seeds[u.index()]),
-            })
-            .collect();
-        Arc::new(LazySetup {
-            cands,
-            evs,
-            seeds,
-            src_labels: Arc::clone(&self.src_labels),
-        })
     }
 }
 
@@ -874,6 +767,11 @@ mod tests {
     use ktpm_graph::LabeledGraph;
     use ktpm_query::TreeQuery;
     use ktpm_storage::MemStore;
+
+    /// Number of keys a seed table spans (0 without entries).
+    fn keys<T>(table: &SeedCsr<T>) -> u32 {
+        table.offsets.len().saturating_sub(1) as u32
+    }
 
     fn plan_for(g: &LabeledGraph, query: &str) -> Arc<QueryPlan> {
         let q = TreeQuery::parse(query).unwrap().resolve(g.interner());
@@ -920,7 +818,7 @@ mod tests {
         for query in ["a -> b\na -> c\nc -> d\nc -> e", "a => b", "c -> *#1"] {
             let q = TreeQuery::parse(query).unwrap().resolve(g.interner());
             let store = MemStore::new(ClosureTables::compute(&g)).into_shared();
-            let discovered = LazySetup::discover(&q, store.as_ref(), ShardSpec::full());
+            let discovered = LazySetup::discover(&q, store.as_ref());
             let rg = RuntimeGraph::load(&q, store.as_ref());
             let derived = LazySetup::derive(&rg, store.as_ref());
             assert_eq!(discovered.src_labels, derived.src_labels, "query {query:?}");
@@ -943,12 +841,12 @@ mod tests {
                 let (mut by_row, mut by_child) = (Vec::new(), Vec::new());
                 for u in q.tree().node_ids() {
                     let seeds = &s.seeds[u.index()];
-                    for pi in 0..seeds.rows.len() as u32 {
+                    for pi in 0..keys(&seeds.rows) {
                         let row = seeds.rows.of(pi);
                         assert!(row.windows(2).all(|w| w[0] < w[1]), "row order");
                         by_row.extend(row.iter().map(|&(d, ci)| (u, pi, d, ci)));
                     }
-                    for ci in 0..seeds.parents.len() as u32 {
+                    for ci in 0..keys(&seeds.parents) {
                         by_child.extend(seeds.parents.of(ci).iter().map(|&pi| (u, ci, pi)));
                     }
                 }
@@ -968,36 +866,6 @@ mod tests {
             );
         }
         assert!(seeded > 0, "the queries have E-seeds to compare");
-    }
-
-    #[test]
-    fn restricting_a_setup_equals_discovering_the_shard() {
-        // Candidate sets, eᵥ bounds and seed CSRs of a shard's own
-        // discovery equal the full discovery restricted to it: the
-        // root's children have their parent indices renamed, deeper
-        // nodes are shared unchanged.
-        let g = paper_graph();
-        for query in [
-            "a -> b\na -> c\nc -> d\nc -> e",
-            "c -> *#1",
-            "*#0 -> *#1\n*#0 -> *#2",
-        ] {
-            let q = TreeQuery::parse(query).unwrap().resolve(g.interner());
-            let store = MemStore::new(ClosureTables::compute(&g));
-            let full = Arc::new(LazySetup::discover(&q, &store, ShardSpec::full()));
-            for n in [2, 3] {
-                for shard in ShardSpec::split(n) {
-                    let own = LazySetup::discover(&q, &store, shard);
-                    let restricted = full.restrict_root(&q, shard);
-                    let what = format!("query {query:?}, shard {shard:?} of {n}");
-                    assert_eq!(own.evs, restricted.evs, "{what}");
-                    for u in q.tree().node_ids() {
-                        assert_eq!(own.cands.of(u), restricted.cands.of(u), "{what}");
-                        assert_eq!(own.seeds[u.index()], restricted.seeds[u.index()], "{what}");
-                    }
-                }
-            }
-        }
     }
 
     #[test]
@@ -1318,7 +1186,8 @@ mod tests {
         dir.push(format!("ktpm-plan-prefetch-{}", std::process::id()));
         let file = dir.with_extension("tc");
         ktpm_storage::write_store_v3(&tables, &file, 2).unwrap();
-        ktpm_storage::write_store_sharded(&tables, &dir, &ShardSpec::new(0, 3), 2).unwrap();
+        ktpm_storage::write_store_sharded(&tables, &dir, &ktpm_storage::ShardSpec::new(0, 3), 2)
+            .unwrap();
         let stores = || -> [(&str, SharedSource); 2] {
             [
                 (

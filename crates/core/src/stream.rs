@@ -6,8 +6,8 @@
 //! ranked-enumeration literature (Tziavelis et al., VLDB 2020) present
 //! exactly one iterator interface over many internal algorithms. This
 //! module is that interface for this workspace: every engine —
-//! `Topk`, `Topk-EN`, `ParTopk`, the `DP-B`/`DP-P` baselines, the
-//! `kGPM` pattern engine — is consumed as a
+//! `Topk`, `Topk-EN`, `ParTopk`, the `kGPM` pattern engine — is
+//! consumed as a
 //! `Box<dyn MatchStream + Send>` in the **canonical**
 //! `(score, assignment)` order, so sessions, the CLI, the bench
 //! drivers and embedders stop dispatching on the algorithm themselves.
@@ -92,7 +92,7 @@ impl<'a> Iterator for Box<dyn MatchStream + Send + 'a> {
 }
 
 /// Batches through an engine's own monomorphized `next` loop.
-fn pull_batch(
+pub(crate) fn pull_batch(
     it: &mut impl Iterator<Item = ScoredMatch>,
     n: usize,
     out: &mut Vec<ScoredMatch>,
@@ -113,25 +113,24 @@ fn pull_batch(
 /// loop is the k-way merge: one virtual call per batch, not per match.
 macro_rules! native_match_stream {
     ($($engine:ty),* $(,)?) => {$(
-        impl MatchStream for $engine {
-            fn next_batch(&mut self, n: usize, out: &mut Vec<ScoredMatch>) -> StreamState {
-                pull_batch(self, n, out)
+        impl $crate::MatchStream for $engine {
+            fn next_batch(
+                &mut self,
+                n: usize,
+                out: &mut Vec<$crate::ScoredMatch>,
+            ) -> $crate::StreamState {
+                $crate::stream::pull_batch(self, n, out)
             }
 
-            fn next(&mut self) -> Option<ScoredMatch> {
+            fn next(&mut self) -> Option<$crate::ScoredMatch> {
                 Iterator::next(self)
             }
         }
     )*};
 }
+pub(crate) use native_match_stream;
 
-native_match_stream!(
-    crate::TopkEnumerator,
-    crate::TopkEnEnumerator,
-    crate::DpBEnumerator,
-    crate::DpPEnumerator,
-    ParTopk,
-);
+native_match_stream!(crate::TopkEnumerator, crate::TopkEnEnumerator, ParTopk);
 
 /// A stream truncated after `k` matches (the builder's `.k(…)`).
 struct Limited {
@@ -190,7 +189,9 @@ pub fn limit(stream: BoxedMatchStream, k: usize) -> BoxedMatchStream {
 /// (see [`QueryPlan`]).
 ///
 /// `policy`/`pool` drive [`Algo::Par`] (root sharding + the worker
-/// pool its shard jobs run on); the sequential engines ignore both.
+/// pool its shard jobs run on) and [`Algo::Kgpm`], whose tree driver is
+/// that same `ParTopk` stream over the pattern plan's spanning tree;
+/// the sequential engines ignore both.
 /// This is the single place algorithm names meet constructors — the
 /// serving layer, CLI, bench drivers and the `ktpm::api` facade all
 /// call it instead of matching on the algorithm themselves.
@@ -204,18 +205,19 @@ pub fn build_stream(
         Algo::Topk => Box::new(crate::TopkEnumerator::from_plan(plan)),
         Algo::TopkEn => Box::new(crate::TopkEnEnumerator::from_plan(plan)),
         Algo::Par => Box::new(ParTopk::from_plan(plan, policy, pool)),
-        Algo::DpB => Box::new(crate::DpBEnumerator::from_plan(plan)),
-        Algo::DpP => Box::new(crate::DpPEnumerator::from_plan(plan)),
         // The one engine over *pattern* plans; panics on a tree plan
         // (upstream surfaces validate the plan kind before dispatch).
-        Algo::Kgpm => Box::new(crate::KgpmStream::from_plan(plan, policy, pool)),
+        Algo::Kgpm => {
+            let driver = Box::new(ParTopk::from_plan(plan, policy, pool));
+            Box::new(crate::KgpmStream::new(plan, driver))
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ShardEngine;
+    use crate::baselines::{DpBEnumerator, DpPEnumerator};
     use ktpm_closure::ClosureTables;
     use ktpm_graph::fixtures::{citation_graph, paper_graph};
     use ktpm_graph::LabeledGraph;
@@ -289,26 +291,18 @@ mod tests {
                 .take(want.len())
                 .collect();
             assert_eq!(en, want, "Topk-EN, {n_t}-node twig");
-            let dpb: Vec<ScoredMatch> = crate::DpBEnumerator::from_plan(&plan)
-                .take(want.len())
-                .collect();
+            let dpb: Vec<ScoredMatch> = DpBEnumerator::from_plan(&plan).take(want.len()).collect();
             assert_eq!(dpb, want, "DP-B, {n_t}-node twig");
-            let dpp: Vec<ScoredMatch> = crate::DpPEnumerator::from_plan(&plan)
+            let dpp: Vec<ScoredMatch> = DpPEnumerator::new(plan.query(), Arc::clone(plan.source()))
                 .take(want.len())
                 .collect();
             assert_eq!(dpp, want, "DP-P, {n_t}-node twig");
-            for engine in [ShardEngine::Full, ShardEngine::Lazy] {
-                for shards in [1usize, 2, 3] {
-                    let policy = ParallelPolicy {
-                        shards,
-                        engine,
-                        ..ParallelPolicy::default()
-                    };
-                    let par: Vec<ScoredMatch> = ParTopk::from_plan(&plan, &policy, pool())
-                        .take(want.len())
-                        .collect();
-                    assert_eq!(par, want, "ParTopk/{shards} {engine:?}, {n_t}-node twig");
-                }
+            for shards in [1usize, 2, 3] {
+                let policy = ParallelPolicy::with_shards(shards);
+                let par: Vec<ScoredMatch> = ParTopk::from_plan(&plan, &policy, pool())
+                    .take(want.len())
+                    .collect();
+                assert_eq!(par, want, "ParTopk/{shards}, {n_t}-node twig");
             }
             if brute_feasible {
                 let mut all = crate::brute::all_matches(plan.runtime_graph());

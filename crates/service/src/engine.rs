@@ -655,10 +655,7 @@ mod tests {
             assert_eq!(Algo::parse(a.name()), Some(a));
         }
         assert_eq!(Algo::parse("nope"), None);
-        assert_eq!(
-            Algo::valid_names(),
-            "topk | topk-en | par | dp-b | dp-p | kgpm"
-        );
+        assert_eq!(Algo::valid_names(), "topk | topk-en | par | kgpm");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Requests are single lines, UTF-8, `\n`-terminated:
 //!
 //! ```text
-//! OPEN <algo> <query>      algo: topk | topk-en | par | dp-b |
-//!                          dp-p | kgpm (one const list,
+//! OPEN <algo> <query>      algo: topk | topk-en | par | kgpm
+//!                          (one const list,
 //!                          [`ktpm_core::Algo::ALL`] — the canonical
 //!                          registry in `ktpm_core`, shared with the
 //!                          CLI and the `ktpm::api` facade; names are
@@ -14,9 +14,11 @@
 //!                          newlines, e.g. `OPEN topk-en C -> E; C -> S`.
 //!                          Every tree algorithm streams the identical
 //!                          canonical order; `par` just runs it
-//!                          root-sharded on the engine's shard pool,
-//!                          and `dp-b` / `dp-p` are the ICDE'13
-//!                          baselines behind the same stream surface.
+//!                          root-sharded on the engine's shard pool.
+//!                          The paper's DP-B / DP-P baselines are
+//!                          test references, not served: `OPEN dp-b`
+//!                          answers `ERR unknown-algo`, as
+//!                          `OPEN brute` does.
 //!                          `kgpm` reads the same edge-list text as an
 //!                          **undirected graph pattern** (cycles
 //!                          allowed; `=>`, `*` and `#` are not),

@@ -367,7 +367,7 @@ mod tests {
             "OPEN TOPK C -> E; C -> S",
             "open Topk-EN C -> E; C -> S",
             "OPEN PAR C -> E; C -> S",
-            "OPEN dP-b C -> E; C -> S",
+            "OPEN tOpK-eN C -> E; C -> S",
         ] {
             let resp = respond(&h, line);
             assert!(resp.starts_with("OK "), "{line:?} -> {resp:?}");
@@ -394,9 +394,17 @@ mod tests {
             );
         }
         assert!(err.contains(&Algo::valid_names()), "{err:?}");
-        // The exhaustive test oracle is not served.
-        let err = respond(&h, "OPEN brute C -> E; C -> S");
-        assert!(err.starts_with("ERR unknown-algo"), "{err:?}");
+        // The exhaustive test oracle and the paper's DP baselines are
+        // not served, under any spelling.
+        for line in [
+            "OPEN brute C -> E; C -> S",
+            "OPEN dp-b C -> E; C -> S",
+            "OPEN DPP C -> E; C -> S",
+        ] {
+            let err = respond(&h, line);
+            assert!(err.starts_with("ERR unknown-algo"), "{line:?} -> {err:?}");
+            assert!(err.contains("topk | topk-en | par | kgpm"), "{err:?}");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use ktpm_closure::ClosureTables;
 use ktpm_core::Algo;
-use ktpm_core::{topk_full, ParallelPolicy, ScoredMatch, ShardEngine};
+use ktpm_core::{topk_full, ParallelPolicy, ScoredMatch};
 use ktpm_graph::fixtures::{citation_graph, paper_graph};
 use ktpm_graph::{LabeledGraph, Score};
 use ktpm_query::TreeQuery;
@@ -136,11 +136,7 @@ fn par_sessions_stream_exactly_topk_full() {
     for shards in [1usize, 3] {
         let handle = handle_for(
             &g,
-            ServiceConfig::new().with_parallel(ParallelPolicy {
-                shards,
-                batch: 8,
-                engine: ShardEngine::Full,
-            }),
+            ServiceConfig::new().with_parallel(ParallelPolicy { shards, batch: 8 }),
         );
         for q in &queries {
             let want = oracle(&g, q, 40);
@@ -175,7 +171,6 @@ fn one_par_session_hammered_by_concurrent_clients() {
             .with_parallel(ParallelPolicy {
                 shards: 4,
                 batch: 4,
-                engine: ShardEngine::Full,
             }),
     );
     let query = &queries[1];
@@ -362,7 +357,7 @@ fn warm_opens_share_the_plan_across_algorithms_with_zero_discovery() {
     // Warm opens: different algorithms, different result-cache keys —
     // all plan hits, zero discovery sweeps, zero reads entirely for
     // the full-graph algorithms.
-    for (i, algo) in [Algo::Par, Algo::DpB, Algo::Topk].into_iter().enumerate() {
+    for (i, algo) in [Algo::Par, Algo::Topk].into_iter().enumerate() {
         let id = handle.open(query, algo).unwrap();
         let warm = handle.next(id, 100).unwrap();
         handle.close(id).unwrap();

@@ -43,7 +43,7 @@ fn main() {
     println!("{} matches for {query:?}", reference.len());
     for algo in Algo::ALL {
         let mut b = exec.query(query).expect("valid query").algo(algo);
-        if algo.caps().sharded {
+        if algo.sharded() {
             b = b.shards(2); // capability-gated: rejected on other engines
         }
         let got = b.topk().expect("stream");

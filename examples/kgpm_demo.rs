@@ -1,16 +1,21 @@
 //! Top-k **graph** pattern matching (kGPM, §5): the query is a cyclic
 //! undirected pattern, answered by spanning-tree decomposition with a
-//! pluggable tree driver — `mtree` (DP-B inside, `ShardEngine::Full`)
-//! vs `mtree+` (Topk-EN inside, `ShardEngine::Lazy`), the Figure 9
-//! comparison — all through the same `ktpm::api` facade and
-//! `MatchStream` surface every tree algorithm uses.
+//! pluggable tree driver. The Figure 9 comparison — `mtree` (the DP-B
+//! baseline inside) vs `mtree+` (Topk-EN inside) — builds each
+//! `KgpmStream` over its driver directly; the served stream (the
+//! `ktpm::api` facade, whose driver is `ParTopk`) is byte-identical
+//! to both, for every shard count.
 //!
 //! Run with: `cargo run --release --example kgpm_demo`
 
 use ktpm::api::Executor;
+use ktpm::core::baselines::DpBEnumerator;
 use ktpm::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// A kGPM tree driver, built from the pattern plan.
+type Driver = fn(&QueryPlan) -> BoxedMatchStream;
 
 fn main() {
     // A mid-sized power-law graph (between the scaled GS1 and GS2).
@@ -57,20 +62,21 @@ fn main() {
     );
     println!("\npattern plan built in {:?}", t.elapsed());
 
-    // Figure 9: the same pattern under both tree drivers.
+    // Figure 9: the same pattern under both tree drivers, each run
+    // sequentially on this thread.
     let mut reference = Vec::new();
-    for (name, engine) in [
-        ("mtree  (DP-B driver)", ShardEngine::Full),
-        ("mtree+ (Topk-EN driver)", ShardEngine::Lazy),
-    ] {
+    let drivers: [(&str, Driver); 2] = [
+        ("mtree  (DP-B driver)", |plan| {
+            Box::new(DpBEnumerator::from_plan(plan))
+        }),
+        ("mtree+ (Topk-EN driver)", |plan| {
+            Box::new(TopkEnEnumerator::from_plan(plan))
+        }),
+    ];
+    for (name, driver) in drivers {
         let t = Instant::now();
-        let matches = exec
-            .query_pattern(pattern.clone())
-            .shard_engine(engine)
-            .plan(Arc::clone(&plan))
-            .k(10)
-            .topk()
-            .expect("kgpm stream");
+        let stream = KgpmStream::new(&plan, driver(&plan));
+        let matches: Vec<ScoredMatch> = limit(Box::new(stream), 10).collect();
         println!("{name}: {} matches in {:?}", matches.len(), t.elapsed());
         for (rank, m) in matches.iter().take(5).enumerate() {
             println!(
@@ -87,8 +93,9 @@ fn main() {
         }
     }
 
-    // ParTopk-style root sharding: byte-identical for every shard
-    // count, exactly like `--algo par` on tree queries.
+    // The served stream: the facade drives with ParTopk, root-sharded
+    // and byte-identical for every shard count, exactly like
+    // `--algo par` on tree queries.
     let t = Instant::now();
     let sharded = exec
         .query_pattern(pattern)

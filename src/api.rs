@@ -3,8 +3,8 @@
 //! beside the plan and stream constructors they wrap, and re-exported
 //! here).
 //!
-//! Every engine in this workspace — `Topk`, `Topk-EN`, `ParTopk`,
-//! DP-B/DP-P and the kGPM graph-pattern engine — emits
+//! Every served engine in this workspace — `Topk`, `Topk-EN`,
+//! `ParTopk` and the kGPM graph-pattern engine — emits
 //! a canonical ranked match stream; this module is the one place
 //! callers select and run them, replacing the per-algorithm
 //! constructor special-casing the CLI, bench drivers and examples used
@@ -64,13 +64,13 @@
 
 pub use ktpm_core::{ApiError, Executor, QueryBuilder};
 // Re-exported so `use ktpm::api::*` is self-contained.
-pub use ktpm_core::{AlgoCaps, MatchStream, StreamState};
+pub use ktpm_core::{MatchStream, StreamState};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ktpm_closure::ClosureTables;
-    use ktpm_core::{limit, Algo, KgpmStream, ParallelPolicy, QueryPlan, ScoredMatch, ShardEngine};
+    use ktpm_core::{limit, Algo, KgpmStream, QueryPlan, ScoredMatch, TopkEnEnumerator};
     use ktpm_graph::fixtures::citation_graph;
     use ktpm_graph::GraphDelta;
     use ktpm_query::GraphQuery;
@@ -97,7 +97,7 @@ mod tests {
         // semantics — a different match set); it gets its own tests.
         for algo in Algo::ALL.into_iter().filter(|&a| a != Algo::Kgpm) {
             let mut b = e.query("C -> E\nC -> S").unwrap().algo(algo);
-            if algo.caps().sharded {
+            if algo.sharded() {
                 b = b.shards(3);
             }
             assert_eq!(b.topk().unwrap(), want, "{algo:?}");
@@ -133,16 +133,11 @@ mod tests {
             .into_shared();
         let q = GraphQuery::parse("C -> E\nE -> S\nS -> C").unwrap();
         let plan = QueryPlan::new_pattern(q, g.interner(), &store).unwrap();
-        let policy = ParallelPolicy {
-            shards: 1,
-            engine: ShardEngine::Lazy,
-            ..ParallelPolicy::default()
-        };
-        let mtree_plus = KgpmStream::from_plan(&plan, &policy, ktpm_core::exec::default_pool());
+        let mtree_plus = KgpmStream::new(&plan, Box::new(TopkEnEnumerator::from_plan(&plan)));
         let want: Vec<ScoredMatch> = limit(Box::new(mtree_plus), 10).collect();
         assert!(!want.is_empty());
         assert_eq!(got, want);
-        // Sharded kgpm is byte-identical (Kgpm caps sharding).
+        // Sharded kgpm is byte-identical (Kgpm is a sharded algorithm).
         let sharded = e
             .query("C -> E\nE -> S\nS -> C")
             .unwrap()

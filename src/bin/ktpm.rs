@@ -44,7 +44,7 @@
 //!                     first= the first match, rest= the remaining k-1
 //!                     (of the last run under --repeat)
 //!   --algo <name>     any name in the shared `Algo` registry:
-//!                     topk | topk-en | par | dp-b | dp-p | kgpm
+//!                     topk | topk-en | par | kgpm
 //!                     (default topk-en). `kgpm` reads the query as an
 //!                     undirected graph pattern — cycles allowed, `=>`
 //!                     child edges not
@@ -416,7 +416,7 @@ fn cmd_query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         )
         .into());
     };
-    if parallel.is_some() && !algo.caps().sharded {
+    if parallel.is_some() && !algo.sharded() {
         return Err(format!(
             "--parallel needs a sharded algorithm (got --algo {algo_name}); use par or kgpm"
         )
@@ -470,11 +470,10 @@ fn cmd_query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             println!(
                 "# run {run}/{repeat}: {} matches in {dt:?} ({})",
                 matches.len(),
-                match (algo, run == 1) {
-                    // `plan_reuse` capability: warm runs skip setup.
-                    (a, false) if a.caps().plan_reuse => "warm: shared plan",
-                    (Algo::DpP, false) => "dp-p: streams from the closure each run",
-                    (_, _) => "cold: builds the plan",
+                if run == 1 {
+                    "cold: builds the plan"
+                } else {
+                    "warm: shared plan"
                 }
             );
         }

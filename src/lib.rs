@@ -4,7 +4,7 @@
 //! *"Optimal Enumeration: Efficient Top-k Tree Matching"*, PVLDB 8(5),
 //! 2015 — including the optimal Lawler-based enumerator (`Topk`), the
 //! priority-based `Topk-EN`, the DP-B/DP-P baselines it compares
-//! against, general twig support (duplicate labels, wildcards, `/`
+//! against (as test references, [`core::baselines`]), general twig support (duplicate labels, wildcards, `/`
 //! edges), and the kGPM graph-pattern extension (mtree / mtree+).
 //!
 //! ## Quickstart
@@ -26,7 +26,7 @@
 //! let store = MemStore::new(ClosureTables::compute(&g)).into_shared();
 //!
 //! // Online: top-k matches through the facade — one builder for every
-//! // algorithm (`Algo::ALL`: the tree engines, DP-B/DP-P, kGPM), one
+//! // algorithm (`Algo::ALL`: the three tree engines and kGPM), one
 //! // identical stream per query form.
 //! // The twig query is the paper's Figure 1: C -> E, C -> S (both `//`).
 //! let exec = Executor::new(g.interner().clone(), store);
@@ -37,14 +37,14 @@
 //!
 //! ## One enumeration surface
 //!
-//! All six engines — the three tree engines, DP-B/DP-P and the kGPM
+//! All four served engines — the three tree engines and the kGPM
 //! graph-pattern engine — run behind one object-safe trait,
 //! [`core::MatchStream`], whose primitive is **batched pull**
 //! (`next_batch(n, &mut out)` — one virtual call per batch, not per
 //! match); [`api::Executor`] / [`api::QueryBuilder`] are the
 //! ergonomic front end, and [`core::build_stream`] +
-//! the canonical [`core::Algo`] registry (with per-algorithm
-//! capability flags) are the single dispatch every layer — facade,
+//! the canonical [`core::Algo`] registry (with its per-algorithm
+//! `sharded` flag) are the single dispatch every layer — facade,
 //! serving sessions, CLI, benchmark — goes through. Algorithm
 //! choice is a performance decision only: the streams are
 //! byte-identical.
@@ -57,7 +57,7 @@
 //! | [`query`] | twig queries (`//`, `/`, `*`, duplicates), graph patterns, text format |
 //! | [`closure`] | transitive closure, label-pair tables, incremental repair |
 //! | [`storage`] | on-disk closure store, block cursors, I/O accounting |
-//! | [`core`] | **Algorithms 1–3** (`Topk`, `ComputeFirst`, `Topk-EN`) + `ParTopk`, the DP-B / DP-P baselines, the kGPM pattern engine (`KgpmStream`, pattern plans, `decompose`), the [`core::MatchStream`] surface, [`core::Algo`] registry, and the in-process surface over them: [`core::Executor`] / [`core::QueryBuilder`]; modules [`runtime`] (run-time graph `G_R` construction) and [`exec`] (the shared worker pool scheduling shard jobs and request batches), re-exported here at `ktpm::runtime` / `ktpm::exec` |
+//! | [`core`] | **Algorithms 1–3** (`Topk`, `ComputeFirst`, `Topk-EN`) + `ParTopk`, the DP-B / DP-P baselines (test references, `core::baselines`), the kGPM pattern engine (`KgpmStream`, pattern plans, `decompose`), the [`core::MatchStream`] surface, [`core::Algo`] registry, and the in-process surface over them: [`core::Executor`] / [`core::QueryBuilder`]; modules [`runtime`] (run-time graph `G_R` construction) and [`exec`] (the shared worker pool scheduling shard jobs and request batches), re-exported here at `ktpm::runtime` / `ktpm::exec` |
 //! | [`api`] | **the facade**: re-exports `Executor` / `QueryBuilder` / `ApiError` from [`core`] (text → plan → `Box<dyn MatchStream + Send>`, tree *and* graph-pattern queries), with their docs and examples |
 //! | [`workload`] | seeded dataset & query generators (the scaled §6 families) |
 //! | [`service`] | concurrent query service: sessions, result and plan caches, metrics over one [`core::Executor`], TCP protocol |
@@ -91,12 +91,12 @@
 //!
 //! `ParTopk` ([`core::parallel`]) splits a query's root-candidate set
 //! into `P` disjoint shards ([`storage::ShardSpec`], node-id stride),
-//! runs an independent sequential enumerator per shard on an
+//! runs an independent sequential `Topk` enumerator per shard on an
 //! [`exec::WorkerPool`], and lazily k-way-merges the shard streams.
 //! Every match has exactly one root, so shards partition the match
 //! universe; each stream is in the workspace's **canonical order**
 //! (ascending `(score, assignment)` — [`core::partition`]; natively,
-//! since both shard engines, `Topk` and `Topk-EN`, pop in that order),
+//! since `Topk` pops in that order),
 //! and a `(score, assignment)`-keyed merge of disjoint canonical
 //! streams is itself canonical. Hence `ParTopk` output is
 //! byte-identical to [`core::topk_full`] for *every* shard count —
@@ -119,21 +119,22 @@ pub use ktpm_workload as workload;
 /// The most common imports in one place.
 ///
 /// Every engine owns its inputs: the lazy-loading ones (`topk_en`,
-/// `TopkEnEnumerator`, `DpPEnumerator`) take a [`storage::SharedSource`]
+/// `TopkEnEnumerator`) take a [`storage::SharedSource`]
 /// (`MemStore::into_shared`, `open_store_auto`, …) and the full-load
-/// ones (`TopkEnumerator`, `DpBEnumerator`) an `Arc<RuntimeGraph>`, so
-/// any of them can be kept by a session and moved across threads.
-/// `topk_full` only reads its store while it loads the run-time graph,
-/// so it borrows a `&dyn ClosureSource`.
+/// one (`TopkEnumerator`) an `Arc<RuntimeGraph>`, so any of them can be
+/// kept by a session and moved across threads. `topk_full` only reads
+/// its store while it loads the run-time graph, so it borrows a
+/// `&dyn ClosureSource`. The paper's DP-B / DP-P baselines are test
+/// references, not served engines: they are in [`core::baselines`],
+/// not here.
 pub mod prelude {
     pub use crate::api::{ApiError, Executor, QueryBuilder};
     pub use ktpm_closure::{sssp, ClosureTables};
     pub use ktpm_core::{
         build_stream, canonical_query_text, decompose, limit, par_topk, topk_en, topk_full, Algo,
-        AlgoCaps, BoundMode, BoxedMatchStream, DpBEnumerator, DpPEnumerator, GraphMatch, KgpmStats,
-        KgpmStream, MatchStream, ParTopk, ParallelPolicy, PatternUnsupported, PlanError, QueryForm,
-        QueryPlan, ScoredMatch, ShardEngine, ShardSpec, SpanningTree, StreamState,
-        TopkEnEnumerator, TopkEnumerator,
+        BoundMode, BoxedMatchStream, GraphMatch, KgpmStats, KgpmStream, MatchStream, ParTopk,
+        ParallelPolicy, PatternUnsupported, PlanError, QueryForm, QueryPlan, ScoredMatch,
+        ShardSpec, SpanningTree, StreamState, TopkEnEnumerator, TopkEnumerator,
     };
     pub use ktpm_core::{exec::WorkerPool, runtime::RuntimeGraph};
     pub use ktpm_graph::{

@@ -127,7 +127,7 @@ fn query_over_a_persisted_store_prints_library_matches_and_the_timing_split() {
         .map(|m| (m.score, m.assignment.iter().map(|v| v.0).collect()))
         .collect();
     assert_eq!(want.len(), k, "the fixture query has at least {k} matches");
-    for algo in ["topk-en", "topk", "dp-b", "dp-p"] {
+    for algo in ["topk-en", "topk"] {
         let out = ktpm(&[
             "query",
             &graph,
@@ -257,7 +257,7 @@ fn query_over_ktpm_blockd_prints_the_local_store_rows() {
             .map(str::to_owned)
             .collect()
     };
-    for algo in ["topk-en", "topk", "dp-b", "dp-p"] {
+    for algo in ["topk-en", "topk"] {
         let local = rows(ktpm(&[
             "query", &graph, &query, "--store", &store, "--algo", algo, "-k", "5",
         ]));
@@ -441,12 +441,17 @@ fn query_errors_name_the_form_the_algorithm_needs() {
             "error: unsupported option: graph patterns need a store with an undirected \
              mirror — attach the graph (MemStore::with_graph, LiveStore, OnDemandStore)\n",
         ),
-        // The exhaustive oracle is a test helper, not an engine.
+        // The exhaustive oracle and the paper's DP baselines are test
+        // references, not engines.
         (
             "child.txt",
             &["--algo", "brute"][..],
-            "error: unknown algorithm \"brute\" \
-             (expected topk | topk-en | par | dp-b | dp-p | kgpm)\n",
+            "error: unknown algorithm \"brute\" (expected topk | topk-en | par | kgpm)\n",
+        ),
+        (
+            "child.txt",
+            &["--algo", "dp-b"][..],
+            "error: unknown algorithm \"dp-b\" (expected topk | topk-en | par | kgpm)\n",
         ),
     ] {
         let q = file(query);

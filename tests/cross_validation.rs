@@ -6,6 +6,7 @@
 //! agreement under randomized weighted/duplicate/wildcard workloads is
 //! strong evidence each is right.
 
+use ktpm::core::baselines::{DpBEnumerator, DpPEnumerator};
 use ktpm::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -109,27 +110,21 @@ fn check_one(g: &LabeledGraph, q: &TreeQuery, k: usize, block_edges: usize) {
     assert_eq!(dpp, oracle, "DP-P vs oracle");
 
     // ParTopk must reproduce `topk_full` *exactly* — order, scores and
-    // witnesses — for every shard count and either shard engine. Tiny
-    // batches force the refill/merge machinery through its paces.
+    // witnesses — for every shard count. Tiny batches force the
+    // refill/merge machinery through its paces.
     let want_exact = topk_full(&resolved, store.as_ref(), k);
     let shared: SharedSource =
         MemStore::with_block_edges(store.tables().clone(), block_edges).into_shared();
-    for engine in [ShardEngine::Full, ShardEngine::Lazy] {
-        for shards in [1usize, 2, 5] {
-            let policy = ParallelPolicy {
-                shards,
-                batch: 2,
-                engine,
-            };
-            let got = par_topk(
-                &resolved,
-                Arc::clone(&shared),
-                k,
-                &policy,
-                ktpm::exec::default_pool(),
-            );
-            assert_eq!(got, want_exact, "ParTopk {engine:?} x{shards} vs topk_full");
-        }
+    for shards in [1usize, 2, 5] {
+        let policy = ParallelPolicy { shards, batch: 2 };
+        let got = par_topk(
+            &resolved,
+            Arc::clone(&shared),
+            k,
+            &policy,
+            ktpm::exec::default_pool(),
+        );
+        assert_eq!(got, want_exact, "ParTopk x{shards} vs topk_full");
     }
 
     // Every Topk match must be structurally valid (labels + distances).
@@ -381,6 +376,8 @@ fn sessions_sharing_one_warm_plan_are_independent() {
     // plan's shared lazy half. Sessions interleaved on one plan must
     // each stream, and count, exactly what a session on a fresh plan
     // does: a session writing into anything shared shows up here.
+    // `ParTopk` sessions below share the plan's slot templates the same
+    // way.
     let mut rng = StdRng::seed_from_u64(3600);
     let g = random_graph(&mut rng, 120, 4, 3);
     // Seeded leaves (`L1`, the wildcard `*#1`) under the inner node
@@ -413,11 +410,7 @@ fn sessions_sharing_one_warm_plan_are_independent() {
 
     let pool = Arc::new(WorkerPool::new(2));
     for shards in [2, 3] {
-        let policy = ParallelPolicy {
-            shards,
-            batch: 8,
-            engine: ShardEngine::Lazy,
-        };
+        let policy = ParallelPolicy { shards, batch: 8 };
         let plan = fresh_plan();
         let open = || ParTopk::from_plan(&plan, &policy, Arc::clone(&pool));
         let (_, got) = interleave(open, &chunks, &starts, cap);

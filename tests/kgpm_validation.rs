@@ -1,10 +1,12 @@
-//! Randomized kGPM validation through the `ktpm::api` facade: on
-//! random graphs and random cyclic patterns, both tree drivers —
-//! mtree (DP-B inside, `ShardEngine::Full`) and mtree+ (Topk-EN
-//! inside, `ShardEngine::Lazy`) — must agree with exhaustive
-//! enumeration over the undirected closure, sequentially and sharded.
+//! Randomized kGPM validation: on random graphs and random cyclic
+//! patterns, the served stream (through the `ktpm::api` facade, whose
+//! tree driver is `ParTopk`, sequential and sharded) and Fig. 9's two
+//! drivers — mtree (the DP-B baseline inside) and mtree+ (`Topk-EN`
+//! inside), built directly — must agree with exhaustive enumeration
+//! over the undirected closure.
 
 use ktpm::api::Executor;
+use ktpm::core::baselines::DpBEnumerator;
 use ktpm::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -121,23 +123,28 @@ fn kgpm_matchers_agree_with_oracle_on_random_workloads() {
         };
         let k = rng.random_range(1..12);
         let expect = oracle(&ug, &q, k);
-        for engine in [ShardEngine::Full, ShardEngine::Lazy] {
-            for shards in [1, 3] {
-                let got: Vec<Score> = exec
-                    .query_pattern(q.clone())
-                    .shard_engine(engine)
-                    .shards(shards)
-                    .k(k)
-                    .topk()
-                    .unwrap()
-                    .into_iter()
-                    .map(|m| m.score)
-                    .collect();
-                assert_eq!(
-                    got, expect,
-                    "trial {t}, engine {engine:?}, {shards} shards, q {q:?}"
-                );
-            }
+        for shards in [1, 3] {
+            let got: Vec<Score> = exec
+                .query_pattern(q.clone())
+                .shards(shards)
+                .k(k)
+                .topk()
+                .unwrap()
+                .into_iter()
+                .map(|m| m.score)
+                .collect();
+            assert_eq!(got, expect, "trial {t}, {shards} shards, q {q:?}");
+        }
+        let plan = QueryPlan::new_pattern(q.clone(), g.interner(), exec.source()).unwrap();
+        let drivers: [(&str, BoxedMatchStream); 2] = [
+            ("mtree", Box::new(DpBEnumerator::from_plan(&plan))),
+            ("mtree+", Box::new(TopkEnEnumerator::from_plan(&plan))),
+        ];
+        for (name, driver) in drivers {
+            let got: Vec<Score> = limit(Box::new(KgpmStream::new(&plan, driver)), k)
+                .map(|m| m.score)
+                .collect();
+            assert_eq!(got, expect, "trial {t}, {name}, q {q:?}");
         }
     }
 }

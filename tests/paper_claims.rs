@@ -31,6 +31,7 @@
 //!   drivers enumerate exactly as many tree matches and read as many
 //!   mirror edges, so the entry asserts they are equal.
 
+use ktpm::core::baselines::{DpBEnumerator, DpPEnumerator};
 use ktpm::core::{TopkCounters, TopkEnCounters};
 use ktpm::graph::undirect;
 use ktpm::prelude::*;
@@ -264,6 +265,15 @@ fn run_time_graph_is_a_sliver_of_the_closure() {
     }
 }
 
+/// An engine of the Fig. 6 comparison: a served [`Algo`] or one of the
+/// paper's baselines.
+#[derive(Clone, Copy)]
+enum Engine {
+    Served(Algo),
+    DpB,
+    DpP,
+}
+
 /// Fig. 6 (`edges`): DP-B and `Topk` read the whole run-time graph,
 /// DP-P's loose trigger reads less and `Topk-EN` the least. GD3 and
 /// GS3, T20, k = 10, closure edges read per engine off a private
@@ -277,15 +287,27 @@ fn lazy_engines_read_fewer_closure_edges() {
         let store: SharedSource = MemStore::new(ds.store.tables().clone()).into_shared();
         let mut totals = [0u64; 4];
         for q in ds.of_size(20) {
-            let read = |algo| {
+            // The baselines are no `Algo`: they are built directly, on
+            // the same fresh plan a served engine would get.
+            let read = |engine: Engine| {
                 store.reset_io();
                 let plan = QueryPlan::new(q.clone(), Arc::clone(&store));
-                let mut stream = build_stream(algo, &plan, &policy, Arc::clone(&pool));
+                let mut stream: BoxedMatchStream = match engine {
+                    Engine::Served(algo) => build_stream(algo, &plan, &policy, Arc::clone(&pool)),
+                    Engine::DpB => Box::new(DpBEnumerator::from_plan(&plan)),
+                    Engine::DpP => Box::new(DpPEnumerator::new(q, Arc::clone(&store))),
+                };
                 let mut out = Vec::new();
                 stream.next_batch(10, &mut out);
                 store.io().edges_read
             };
-            let [dpb, topk, dpp, en] = [Algo::DpB, Algo::Topk, Algo::DpP, Algo::TopkEn].map(read);
+            let [dpb, topk, dpp, en] = [
+                Engine::DpB,
+                Engine::Served(Algo::Topk),
+                Engine::DpP,
+                Engine::Served(Algo::TopkEn),
+            ]
+            .map(read);
             let m_r = RuntimeGraph::load(q, store.as_ref()).stats().edges as u64;
             let at = format!(
                 "{} T20 k = 10: DP-B {dpb}, Topk {topk}, DP-P {dpp}, Topk-EN {en}, m_R {m_r}",
@@ -319,7 +341,6 @@ fn mtree_and_mtree_plus_agree() {
     let store = MemStore::new(ClosureTables::compute(&g))
         .with_graph(g.clone())
         .into_shared();
-    let pool = Arc::new(WorkerPool::new(1));
     let mut patterns = 0;
     for (name, spec) in pattern_family() {
         let Some(q) = pattern_set(&ug, spec, 1, 100).pop() else {
@@ -328,19 +349,15 @@ fn mtree_and_mtree_plus_agree() {
         patterns += 1;
         let plan = QueryPlan::new_pattern(q, g.interner(), &store).expect("a pattern plan");
         for k in [10, 20, 100] {
-            let run = |engine| {
-                let policy = ParallelPolicy {
-                    shards: 1,
-                    engine,
-                    ..ParallelPolicy::default()
-                };
-                let mut stream = KgpmStream::from_plan(&plan, &policy, Arc::clone(&pool));
+            let run = |driver: BoxedMatchStream| {
+                let mut stream = KgpmStream::new(&plan, driver);
                 let mut out = Vec::new();
                 stream.next_batch(k, &mut out);
                 let scores: Vec<Score> = out.iter().map(|m| m.score).collect();
                 (scores, stream.stats())
             };
-            let (mtree, mtree_plus) = (run(ShardEngine::Full), run(ShardEngine::Lazy));
+            let mtree = run(Box::new(DpBEnumerator::from_plan(&plan)));
+            let mtree_plus = run(Box::new(TopkEnEnumerator::from_plan(&plan)));
             assert_eq!(mtree.0.len(), k, "{name} k = {k}: short stream");
             assert_eq!(mtree, mtree_plus, "{name} k = {k}: scores or work differ");
         }
@@ -349,8 +366,9 @@ fn mtree_and_mtree_plus_agree() {
 }
 
 /// Every tree engine of [`Algo::ALL`] (kGPM needs a pattern plan)
-/// produces matches through the one [`build_stream`] dispatch. GD3 and
-/// GS3, T10, k = 5.
+/// produces matches through the one [`build_stream`] dispatch, and so
+/// do the DP-B / DP-P baselines, built directly. GD3 and GS3, T10,
+/// k = 5.
 #[test]
 fn prepare_and_measure_smoke() {
     let pool = ktpm::exec::default_pool();
@@ -363,6 +381,15 @@ fn prepare_and_measure_smoke() {
                 let mut out = Vec::new();
                 stream.next_batch(5, &mut out);
                 assert!(!out.is_empty(), "{algo:?} produced nothing on {}", ds.name);
+            }
+            let baselines: [(&str, BoxedMatchStream); 2] = [
+                ("DP-B", Box::new(DpBEnumerator::from_plan(&plan))),
+                ("DP-P", Box::new(DpPEnumerator::new(q, ds.shared()))),
+            ];
+            for (name, mut stream) in baselines {
+                let mut out = Vec::new();
+                stream.next_batch(5, &mut out);
+                assert!(!out.is_empty(), "{name} produced nothing on {}", ds.name);
             }
         }
     }

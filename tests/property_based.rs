@@ -23,6 +23,7 @@
 //!   included, and on a `LiveStore` across deltas that empty and
 //!   create pair tables.
 
+use ktpm::core::baselines::{DpBEnumerator, DpPEnumerator};
 use ktpm::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -297,17 +298,15 @@ proptest! {
             let store = MemStore::with_block_edges(tables.clone(), 2);
             let want = topk_full(&resolved, &store, k);
             let shared: SharedSource = MemStore::with_block_edges(tables, 2).into_shared();
-            for engine in [ShardEngine::Full, ShardEngine::Lazy] {
-                let policy = ParallelPolicy { shards, batch, engine };
-                let got = par_topk(
-                    &resolved,
-                    Arc::clone(&shared),
-                    k,
-                    &policy,
-                    ktpm::exec::default_pool(),
-                );
-                prop_assert_eq!(&got, &want, "{:?} x{} batch {}", engine, shards, batch);
-            }
+            let policy = ParallelPolicy { shards, batch };
+            let got = par_topk(
+                &resolved,
+                Arc::clone(&shared),
+                k,
+                &policy,
+                ktpm::exec::default_pool(),
+            );
+            prop_assert_eq!(&got, &want, "x{} batch {}", shards, batch);
         }
     }
 
@@ -363,16 +362,14 @@ proptest! {
             let en = split(Box::new(TopkEnEnumerator::new(&resolved, store.into_shared())));
             prop_assert_eq!(&en, &want, "Topk-EN, k {} pause {}", k, j);
             let shared: SharedSource = MemStore::with_block_edges(tables, 2).into_shared();
-            for engine in [ShardEngine::Full, ShardEngine::Lazy] {
-                let policy = ParallelPolicy { shards, batch: 3, engine };
-                let par = split(Box::new(ParTopk::new(
-                    &resolved,
-                    Arc::clone(&shared),
-                    &policy,
-                    ktpm::exec::default_pool(),
-                )));
-                prop_assert_eq!(&par, &want, "{:?} x{} k {} pause {}", engine, shards, k, j);
-            }
+            let policy = ParallelPolicy { shards, batch: 3 };
+            let par = split(Box::new(ParTopk::new(
+                &resolved,
+                Arc::clone(&shared),
+                &policy,
+                ktpm::exec::default_pool(),
+            )));
+            prop_assert_eq!(&par, &want, "x{} k {} pause {}", shards, k, j);
         }
     }
 
@@ -382,7 +379,6 @@ proptest! {
         seed in 0..10_000u64,
         size in 2..5usize,
         shards in 1..7usize,
-        lazy_shards in 0..2u32,
         k in 1..60usize,
         pause in 0..60usize,
         chunk in 1..7usize,
@@ -418,8 +414,7 @@ proptest! {
             let shared: SharedSource = MemStore::with_block_edges(tables, 2).into_shared();
             let exec = Executor::new(g.interner().clone(), Arc::clone(&shared));
             let pool = ktpm::exec::default_pool();
-            let engine = if lazy_shards == 1 { ShardEngine::Lazy } else { ShardEngine::Full };
-            let policy = ParallelPolicy { shards, batch: 3, engine };
+            let policy = ParallelPolicy { shards, batch: 3 };
             // Kgpm runs over pattern plans, not tree queries; it has
             // its own facade cross-validation below.
             for algo in Algo::ALL.into_iter().filter(|&a| a != Algo::Kgpm) {
@@ -432,17 +427,14 @@ proptest! {
                     Algo::Par => ParTopk::from_plan(&plan, &policy, Arc::clone(&pool))
                         .take(k)
                         .collect(),
-                    Algo::DpB => DpBEnumerator::from_plan(&plan).take(k).collect(),
-                    Algo::DpP => DpPEnumerator::from_plan(&plan).take(k).collect(),
                     Algo::Kgpm => unreachable!("filtered out"),
                 };
                 let mut b = exec
                     .query_resolved(resolved.clone())
                     .algo(algo)
                     .k(k)
-                    .batch(3)
-                    .shard_engine(engine);
-                if algo.caps().sharded {
+                    .batch(3);
+                if algo.sharded() {
                     b = b.shards(shards);
                 }
                 let mut it = b.stream().unwrap();
@@ -550,42 +542,45 @@ proptest! {
                 .with_graph(g.clone())
                 .into_shared();
             let exec = Executor::new(g.interner().clone(), store);
-            for engine in [ShardEngine::Full, ShardEngine::Lazy] {
-                for s in [1, shards] {
-                    let mut it = exec
-                        .query_pattern(q.clone())
-                        .shard_engine(engine)
-                        .shards(s)
-                        .k(k)
-                        .stream()
-                        .unwrap();
-                    // Resume split: item pulls up to `pause`, then
-                    // batched pulls of `chunk`.
-                    let j = pause.min(k);
-                    let mut got: Vec<ScoredMatch> = Vec::new();
-                    while got.len() < j {
-                        match it.next() {
-                            Some(m) => got.push(m),
-                            None => break,
-                        }
+            // The served stream (the facade's `ParTopk` driver),
+            // sequential and sharded, then Fig. 9's mtree (DP-B) and
+            // mtree+ (`Topk-EN`) drivers built directly.
+            let plan = QueryPlan::new_pattern(q.clone(), g.interner(), exec.source()).unwrap();
+            let served = |s| exec.query_pattern(q.clone()).shards(s).k(k).stream().unwrap();
+            let direct = |driver| limit(Box::new(KgpmStream::new(&plan, driver)), k);
+            let streams: [(&str, usize, BoxedMatchStream); 4] = [
+                ("served", 1, served(1)),
+                ("served", shards, served(shards)),
+                ("mtree", 1, direct(Box::new(DpBEnumerator::from_plan(&plan)))),
+                ("mtree+", 1, direct(Box::new(TopkEnEnumerator::from_plan(&plan)))),
+            ];
+            for (driver, s, mut it) in streams {
+                // Resume split: item pulls up to `pause`, then
+                // batched pulls of `chunk`.
+                let j = pause.min(k);
+                let mut got: Vec<ScoredMatch> = Vec::new();
+                while got.len() < j {
+                    match it.next() {
+                        Some(m) => got.push(m),
+                        None => break,
                     }
-                    loop {
-                        let before = got.len();
-                        if it.next_batch(chunk, &mut got).is_done() {
-                            break;
-                        }
-                        prop_assert_eq!(got.len(), before + chunk, "{:?}", engine);
-                    }
-                    let got: Vec<(Score, Vec<NodeId>)> = got
-                        .into_iter()
-                        .map(|m| (m.score, m.assignment.to_vec()))
-                        .collect();
-                    prop_assert_eq!(
-                        &got, &want,
-                        "{:?} shards {} k {} pause {} chunk {} q {:?}",
-                        engine, s, k, j, chunk, q
-                    );
                 }
+                loop {
+                    let before = got.len();
+                    if it.next_batch(chunk, &mut got).is_done() {
+                        break;
+                    }
+                    prop_assert_eq!(got.len(), before + chunk, "{}", driver);
+                }
+                let got: Vec<(Score, Vec<NodeId>)> = got
+                    .into_iter()
+                    .map(|m| (m.score, m.assignment.to_vec()))
+                    .collect();
+                prop_assert_eq!(
+                    &got, &want,
+                    "{} shards {} k {} pause {} chunk {} q {:?}",
+                    driver, s, k, j, chunk, q
+                );
             }
         }
     }
@@ -784,7 +779,8 @@ proptest! {
     ) {
         // The paged tier must be observationally invisible: every
         // tree algorithm (`Algo::ALL` but kGPM, whose plans read the
-        // graph's undirected mirror, never the persisted closure) —
+        // graph's undirected mirror, never the persisted closure) and
+        // the DP-B / DP-P baselines —
         // streaming over a v5 PagedStore (tiny on-disk blocks, a cache
         // budget from "a handful of blocks" to unlimited, arbitrary
         // shard counts, a next/next_batch resume split) must be
@@ -839,7 +835,7 @@ proptest! {
             for algo in Algo::ALL.into_iter().filter(|&a| a != Algo::Kgpm) {
                 let build = |exec: &Executor| {
                     let mut b = exec.query_resolved(resolved.clone()).algo(algo).k(k);
-                    if algo.caps().sharded {
+                    if algo.sharded() {
                         b = b.shards(shards);
                     }
                     b.stream().unwrap()
@@ -850,6 +846,23 @@ proptest! {
                     &got, &want,
                     "{:?} be {} budget {} shards {} k {}",
                     algo, block_entries, budget, shards, k
+                );
+            }
+            // The paper's baselines are no `Algo`: built directly over
+            // each store, through the same resume split.
+            let baselines = |store: &SharedSource| -> [(&str, BoxedMatchStream); 2] {
+                let plan = QueryPlan::new(resolved.clone(), Arc::clone(store));
+                let dpp = DpPEnumerator::new(&resolved, Arc::clone(store));
+                [
+                    ("DP-B", limit(Box::new(DpBEnumerator::from_plan(&plan)), k)),
+                    ("DP-P", limit(Box::new(dpp), k)),
+                ]
+            };
+            for ((name, want), (_, got)) in baselines(&mem).into_iter().zip(baselines(&paged)) {
+                prop_assert_eq!(
+                    &drain(got), &drain(want),
+                    "{} be {} budget {} k {}",
+                    name, block_entries, budget, k
                 );
             }
         }
