@@ -316,22 +316,20 @@ pub(crate) struct LazySetup {
     /// closure tables, ascending — the cursors a loader opens for one
     /// of its candidates. Resolved with the rest of the half, so
     /// building a loader from a warm plan asks the store nothing.
-    pub(crate) src_labels: Arc<Vec<Vec<LabelId>>>,
+    pub(crate) src_labels: Vec<Vec<LabelId>>,
 }
 
 /// [`LazySetup::src_labels`] from a query's resolved edge pairs.
-fn src_labels_of(pairs: &[Vec<(LabelId, LabelId)>]) -> Arc<Vec<Vec<LabelId>>> {
-    Arc::new(
-        pairs
-            .iter()
-            .map(|edge| {
-                let mut ls: Vec<LabelId> = edge.iter().map(|&(a, _)| a).collect();
-                ls.sort_unstable();
-                ls.dedup();
-                ls
-            })
-            .collect(),
-    )
+fn src_labels_of(pairs: &[Vec<(LabelId, LabelId)>]) -> Vec<Vec<LabelId>> {
+    pairs
+        .iter()
+        .map(|edge| {
+            let mut ls: Vec<LabelId> = edge.iter().map(|&(a, _)| a).collect();
+            ls.sort_unstable();
+            ls.dedup();
+            ls
+        })
+        .collect()
 }
 
 impl QueryPlan {
@@ -1153,7 +1151,7 @@ mod tests {
                 assert_eq!(counted.calls(), built, "warm plan, query {text:?}");
                 assert_eq!(en, want, "Topk-EN stream, query {text:?}");
                 assert_eq!(full, want, "Topk stream, query {text:?}");
-                src_labels.push(Arc::clone(&plan.lazy().src_labels));
+                src_labels.push(plan.lazy().src_labels.clone());
             }
             assert_eq!(
                 src_labels[0], src_labels[1],

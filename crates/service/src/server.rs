@@ -4,6 +4,7 @@
 use crate::engine::{ServiceError, ServiceHandle};
 use crate::protocol::{parse_request, render_next, Request};
 use ktpm_core::Algo;
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -213,13 +214,9 @@ pub fn respond(handle: &ServiceHandle, line: &str) -> String {
         },
         Ok(Request::Stats) => {
             let s = handle.stats();
-            format!(
+            let mut out = format!(
                 "OK sessions_active={} cache_entries={} plan_entries={} plan_bytes={} \
-                 plan_largest_bytes={} plan_cache_bytes_limit={} workers={} graph_version={} \
-                 io_block_reads={} io_bytes_read={} io_edges_read={} io_d_entries={} \
-                 io_e_entries={} io_cache_hits={} io_cache_misses={} io_cache_evictions={} \
-                 io_cache_bytes_resident={} io_files_opened={} io_remote_fetches={} \
-                 io_remote_bytes={} io_remote_retries={} io_remote_errors={} {}\n",
+                 plan_largest_bytes={} plan_cache_bytes_limit={} workers={} graph_version={} ",
                 s.sessions_active,
                 s.cache_entries,
                 s.plan_entries,
@@ -228,22 +225,11 @@ pub fn respond(handle: &ServiceHandle, line: &str) -> String {
                 s.plan_bytes_limit,
                 s.workers,
                 s.graph_version,
-                s.io.block_reads,
-                s.io.bytes_read,
-                s.io.edges_read,
-                s.io.d_entries,
-                s.io.e_entries,
-                s.io.cache_hits,
-                s.io.cache_misses,
-                s.io.cache_evictions,
-                s.io.cache_bytes_resident,
-                s.io.files_opened,
-                s.io.remote_fetches,
-                s.io.remote_bytes,
-                s.io.remote_retries,
-                s.io.remote_errors,
-                s.metrics.to_wire()
-            )
+            );
+            for (name, n) in s.io.fields() {
+                let _ = write!(out, "io_{name}={n} ");
+            }
+            out + &s.metrics.to_wire() + "\n"
         }
         Ok(Request::Update { delta }) => match handle.apply_delta(&delta) {
             Ok(r) => format!(
@@ -322,6 +308,19 @@ mod tests {
         assert_eq!(field("io_cache_evictions"), 0, "default budget is ample");
         assert!(field("io_cache_bytes_resident") > 0);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn stats_io_keys_are_the_snapshot_fields_in_order() {
+        let stats = respond(&test_handle(), "STATS");
+        let keys: Vec<&str> = stats
+            .split_whitespace()
+            .filter_map(|kv| kv.split_once('=')?.0.strip_prefix("io_"))
+            .collect();
+        let names = ktpm_storage::IoSnapshot::default()
+            .fields()
+            .map(|(name, _)| name);
+        assert_eq!(keys, names, "{stats}");
     }
 
     #[test]

@@ -192,6 +192,28 @@ impl IoSnapshot {
             remote_errors: self.remote_errors - earlier.remote_errors,
         }
     }
+
+    /// Every counter with its field name, in declaration order: the one
+    /// list that a service's `STATS` (as `io_<name>=`) and `ktpm query
+    /// --iostats` render.
+    pub fn fields(&self) -> [(&'static str, u64); 14] {
+        [
+            ("block_reads", self.block_reads),
+            ("bytes_read", self.bytes_read),
+            ("edges_read", self.edges_read),
+            ("d_entries", self.d_entries),
+            ("e_entries", self.e_entries),
+            ("cache_hits", self.cache_hits),
+            ("cache_misses", self.cache_misses),
+            ("cache_evictions", self.cache_evictions),
+            ("cache_bytes_resident", self.cache_bytes_resident),
+            ("files_opened", self.files_opened),
+            ("remote_fetches", self.remote_fetches),
+            ("remote_bytes", self.remote_bytes),
+            ("remote_retries", self.remote_retries),
+            ("remote_errors", self.remote_errors),
+        ]
+    }
 }
 
 #[cfg(test)]

@@ -1,138 +1,30 @@
 //! The `ktpm` command-line tool: top-k tree matching from the shell.
+//! `ktpm closure` precomputes and persists the closure tables (one
+//! store file, or a sharded snapshot), `ktpm query` runs a top-k twig
+//! query, `ktpm serve` runs the TCP query service (protocol below),
+//! `ktpm blockd` serves a snapshot's raw blocks to stores opened as
+//! `--store tcp://host:port`, and `ktpm store verify` re-checks every
+//! checksum in a persisted store, naming the first corrupt file.
 //!
-//! ```text
-//! ktpm closure <graph.txt> <store.tc>          precompute + persist the closure
-//! ktpm closure <graph.txt> <dir> --shards <n>  ... as a sharded snapshot: n v5
-//!                                              shard files + a v6 MANIFEST
-//! ktpm query   <graph.txt> <query.txt> [opts]  run a top-k twig query
-//! ktpm serve   <graph.txt> [opts]              run the TCP query service
-//! ktpm blockd  --store <path> [--listen a]     serve a snapshot's raw blocks
-//!                                              over TCP for remote stores
-//!                                              (--store tcp://host:port)
-//! ktpm store verify <store>                    re-check every checksum in a
-//!                                              persisted store (single file,
-//!                                              or a sharded snapshot given its
-//!                                              MANIFEST/directory: manifest
-//!                                              CRC, per-file content hashes,
-//!                                              then a full per-shard scrub);
-//!                                              nonzero exit on corruption,
-//!                                              naming the corrupt file
-//!
-//! options for `query`:
-//!   -k <n>            number of matches (default 10)
-//!   --store <path>    use a persisted closure store instead of computing.
-//!                     A store file is read through the paged backend
-//!                     (lazy CRC-verified block fetch behind an LRU block
-//!                     cache). A sharded snapshot's MANIFEST (or
-//!                     directory) opens the sharded backend — only shard
-//!                     files the query's label pairs touch are opened.
-//!                     `tcp://host:port` connects to `ktpm blockd` and
-//!                     fetches blocks remotely on demand. Files in the
-//!                     retired v1/v2/v3 layouts are refused: re-run
-//!                     `ktpm closure`
-//!   --block-cache-bytes <n>
-//!                     byte budget for the block cache (default 8 MiB;
-//!                     0 = unlimited)
-//!   --iostats         print the store's I/O counters after the run:
-//!                     blocks/bytes/edges read, D/E entries, the
-//!                     block-cache hit/miss/eviction/resident-bytes set,
-//!                     files opened (sharded backend) and the remote
-//!                     fetch/bytes/retry/error counters (remote backend);
-//!                     then one `# timing:` line splitting the wall time:
-//!                     open= the store open (or the in-memory closure
-//!                     build), plan+stream= plan and stream construction,
-//!                     first= the first match, rest= the remaining k-1
-//!                     (of the last run under --repeat)
-//!   --algo <name>     any name in the shared `Algo` registry:
-//!                     topk | topk-en | par | kgpm
-//!                     (default topk-en). `kgpm` reads the query as an
-//!                     undirected graph pattern — cycles allowed, `=>`
-//!                     child edges not
-//!   --parallel <n>    shard count for sharded algorithms (implies
-//!                     --algo par when --algo is absent; default: CPU
-//!                     count, capped at 8)
-//!   --repeat <n>      run the query n times over ONE shared QueryPlan:
-//!                     run 1 is cold (pays setup), runs 2..n are warm
-//!                     (zero candidate discovery) — per-run timings show
-//!                     the amortization the plan cache buys a server
-//!   --on-demand       skip closure precomputation (lazy per-label SSSP)
-//!
-//! options for `serve`:
-//!   --addr <host:port>  listen address (default 127.0.0.1:7878)
-//!   --store <path>      use a persisted closure store instead of computing.
-//!                       Persisted and on-demand stores are snapshots:
-//!                       the `UPDATE` verb answers ERR update-unsupported
-//!                       on them. The default (compute in memory) serves
-//!                       a live store that accepts updates. Path
-//!                       resolution and --block-cache-bytes work as in
-//!                       `query`; STATS reports the store's io_* counters
-//!                       including the block-cache set.
-//!   --on-demand         skip closure precomputation (lazy per-label SSSP)
-//!   --workers <n>       worker threads (default: CPU count, capped at 16)
-//!   --event-loop        serve with the `ktpm-net` readiness loop instead
-//!                       of a thread per connection: one reactor thread
-//!                       multiplexes every socket, a fixed executor pool
-//!                       runs requests, parked connections hold no
-//!                       thread, and clients may pipeline requests
-//!                       (responses stream back in request order,
-//!                       byte-identical to the legacy path; workers take
-//!                       connections round-robin, one request at a
-//!                       time, so one client's burst does not hold up
-//!                       another's request). Overload is shed per
-//!                       request with `ERR overloaded`.
-//!   --net-workers <n>   event-loop executor threads (default: CPU
-//!                       count, clamped to 2..8; implies --event-loop)
-//!   --pipeline <n>      per-connection bound on queued pipelined
-//!                       requests before shedding (default 64; implies
-//!                       --event-loop)
-//!   --write-buf <bytes> per-connection bound on unflushed response
-//!                       bytes before shedding (default 262144; implies
-//!                       --event-loop)
-//!   --idle-timeout <secs>
-//!                       close connections silent for this long, on both
-//!                       front ends (default 300; 0 = never). Sessions
-//!                       survive their connection and can be resumed.
-//!   --sweep-interval-ms <n>
-//!                       janitor cadence for session-TTL eviction
-//!                       (default 200)
-//!   --parallel <n>      shard count for `par` sessions (default as above)
-//!   --ttl <secs>        idle-session eviction timeout (default 300)
-//!   --plan-cache <n>    cached query plans (default 256). Plans hold a
-//!                       query's whole setup — candidate discovery,
-//!                       run-time graph, bs pass, slot templates — keyed
-//!                       by canonical query text and the form it is read
-//!                       in (kgpm: pattern, every other algorithm: tree)
-//!                       and shared by all sessions of that query, so a
-//!                       warm OPEN repeats none of it. LRU-evicted; each warm
-//!                       entry costs O(m_R) memory, so size this to the
-//!                       hot-query working set.
-//!   --plan-cache-bytes <n>
-//!                       byte budget over the plan cache (default: off;
-//!                       n = 0 also means off): LRU plans are evicted
-//!                       once the summed plan footprint exceeds it; the
-//!                       entry-count cap above still applies. STATS
-//!                       reports the budget as plan_cache_bytes_limit
-//!                       (0 = off).
-//!   --warm <file>       pre-build plans for a query list before
-//!                       accepting connections: one query per line, `;`
-//!                       for newlines (the wire form). The first OPEN of
-//!                       a warmed query does zero candidate discovery.
-//! ```
-//!
+//! Bare `ktpm` prints every synopsis, then every option with its
+//! default. Both are generated from the table below (an `Opt` per
+//! option, a `Cmd` per subcommand), which the one parser also reads.
 //! Every subcommand checks its arguments before it reads a file: an
 //! option's missing or unparsable value is an error that names the
 //! option (`error: -k: invalid digit found in string`), and an
 //! argument starting with `-` that the subcommand does not know is
-//! refused by name (`error: unknown query option "--algoo"`).
+//! refused by name (`error: unknown query option "--algoo"`). So is
+//! an option that another would override: `--on-demand` beside
+//! `--store`, and `--block-cache-bytes` without `--store`.
 //!
 //! `ktpm query` runs every algorithm through the `ktpm::api` facade
 //! (`Executor`/`QueryBuilder` → one `MatchStream`): algorithm names
 //! come from the shared `Algo` registry (case-insensitive) — there is
-//! no CLI-only algorithm list and no per-algorithm construction here —
-//! and the tree-query stream is byte-identical whichever engine runs
-//! it. `--algo kgpm` answers the *pattern* reading of the same query
-//! text (undirected semantics, non-tree edges verified lazily), so its
-//! match set legitimately differs from the tree algorithms'.
+//! no per-algorithm construction here — and the tree-query stream is
+//! byte-identical whichever engine runs it. `--algo kgpm` answers the
+//! *pattern* reading of the same query text (undirected semantics,
+//! non-tree edges verified lazily), so its match set legitimately
+//! differs from the tree algorithms'.
 //!
 //! ## Parallel execution (`--algo par`, `--parallel N`)
 //!
@@ -192,17 +84,107 @@ use ktpm::api::Executor;
 use ktpm::net::{EventServer, NetConfig};
 use ktpm::prelude::*;
 use ktpm::service::{QueryEngine, Server, ServiceConfig};
+use std::fmt::Write as _;
 use std::io::{BufReader, ErrorKind};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-// One synopsis per subcommand: bare `ktpm` and the subcommand's own
-// argument error print the same line.
-const CLOSURE_USAGE: &str =
-    "ktpm closure <graph.txt> <store.tc|dir> [--shards n] [--block-entries n]";
-const QUERY_USAGE: &str = "ktpm query <graph.txt> <query.txt> [-k n] [--store p|tcp://host:port] [--algo a] [--parallel n] [--repeat n] [--on-demand] [--block-cache-bytes n] [--iostats]";
-const SERVE_USAGE: &str = "ktpm serve <graph.txt> [--addr host:port] [--store p|tcp://host:port] [--on-demand] [--block-cache-bytes n] [--workers n] [--parallel n] [--ttl secs] [--plan-cache n] [--plan-cache-bytes n] [--warm file] [--event-loop] [--net-workers n] [--pipeline n] [--write-buf bytes] [--idle-timeout secs] [--sweep-interval-ms n]";
+/// One option: its flag, its value's metavar (`None` for a switch) and
+/// one line of help that states the default. Code names an option by
+/// its `Opt`, so a flag is spelt once, where it is declared. What a
+/// `serve` option sets is documented on its `ServiceConfig` /
+/// `NetConfig` / `ParallelPolicy` field.
+struct Opt {
+    flag: &'static str,
+    value: Option<&'static str>,
+    help: &'static str,
+}
+
+/// Declares one `Opt` const per line: `NAME "flag" ["metavar"] "help";`,
+/// with no metavar for a switch.
+macro_rules! opts {
+    ($($name:ident $flag:literal $([$value:literal])? $help:literal;)*) => {
+        $(const $name: Opt = Opt { flag: $flag, value: opts!(@ $($value)?), help: $help };)*
+    };
+    (@) => { None };
+    (@ $value:literal) => { Some($value) };
+}
+
+opts! {
+    SHARDS "--shards" ["n"] "write n shard files and a MANIFEST (default: one store file)";
+    BLOCK_ENTRIES "--block-entries" ["n"] "closure edges per stored block (default 64)";
+    K "-k" ["n"] "number of matches (default 10)";
+    STORE "--store" ["p|tcp://host:port"] "read the closure from a store file, a snapshot's \
+        MANIFEST or directory, or a `ktpm blockd` (default: compute it in memory)";
+    ON_DEMAND "--on-demand" "compute each closure table when first read (default: all first)";
+    BLOCK_CACHE_BYTES "--block-cache-bytes" ["n"] "block-cache budget of a --store \
+        (default 8 MiB; 0 = unlimited)";
+    PARALLEL "--parallel" ["n"] "shards of a par or kgpm run; alone, `query` runs par \
+        (default: CPUs, at most 8)";
+    ALGO "--algo" ["a"] "topk | topk-en | par | kgpm, where kgpm reads the query as a graph \
+        pattern (default topk-en)";
+    REPEAT "--repeat" ["n"] "run n times over one plan: run 1 builds it (default 1)";
+    IOSTATS "--iostats" "print the store's I/O counters and a \
+        `# timing: open= plan+stream= first= rest=` line";
+    ADDR "--addr" ["host:port"] "listen address (default 127.0.0.1:7878)";
+    WORKERS "--workers" ["n"] "worker threads (default: CPUs, at most 16)";
+    TTL "--ttl" ["secs"] "idle-session eviction timeout (default 300)";
+    PLAN_CACHE "--plan-cache" ["n"] "cached query plans, LRU-evicted (default 256)";
+    PLAN_CACHE_BYTES "--plan-cache-bytes" ["n"] "byte budget of the cached plans (default 0 = off)";
+    WARM "--warm" ["file"] "build plans for these queries (one a line, `;` for newlines) \
+        before listening (default: none)";
+    EVENT_LOOP "--event-loop" "serve from one readiness loop, not a thread per connection \
+        (default: off)";
+    NET_WORKERS "--net-workers" ["n"] "event-loop executor threads (default: CPUs, 2..8; \
+        implies --event-loop)";
+    PIPELINE "--pipeline" ["n"] "queued requests per connection before shedding (default 64; \
+        implies --event-loop)";
+    WRITE_BUF "--write-buf" ["bytes"] "unflushed bytes per connection before shedding \
+        (default 262144; implies --event-loop)";
+    IDLE_TIMEOUT "--idle-timeout" ["secs"] "close connections silent this long \
+        (default 300; 0 = never)";
+    SWEEP_INTERVAL_MS "--sweep-interval-ms" ["n"] "janitor cadence of session-TTL eviction \
+        (default 200)";
+    // `blockd` serves local files only, so its `--store` is a path.
+    BLOCKD_STORE "--store" ["path"] "the snapshot to serve: a store file, or a snapshot's \
+        MANIFEST or directory";
+    LISTEN "--listen" ["host:port"] "listen address (default 127.0.0.1:7979)";
+}
+
+/// A subcommand: its operands, the options it must be given, and the
+/// options it may be given, each in synopsis order.
+struct Cmd {
+    name: &'static str,
+    operands: &'static [&'static str],
+    required: &'static [&'static Opt],
+    opts: &'static [&'static Opt],
+}
+
+/// Declares one `Cmd` const per entry:
+/// `NAME "name" <"operand" ...> [REQUIRED ...] [OPTIONAL ...];`.
+macro_rules! cmds {
+    ($($name:ident $cmd:literal <$($arg:literal)*> [$($req:ident)*] [$($opt:ident)*];)*) => {$(
+        const $name: Cmd = Cmd {
+            name: $cmd,
+            operands: &[$($arg),*],
+            required: &[$(&$req),*],
+            opts: &[$(&$opt),*],
+        };
+    )*};
+}
+
+cmds! {
+    CLOSURE "closure" <"graph.txt" "store.tc|dir"> [] [SHARDS BLOCK_ENTRIES];
+    QUERY "query" <"graph.txt" "query.txt"> []
+        [K STORE ALGO PARALLEL REPEAT ON_DEMAND BLOCK_CACHE_BYTES IOSTATS];
+    SERVE "serve" <"graph.txt"> [] [ADDR STORE ON_DEMAND BLOCK_CACHE_BYTES WORKERS PARALLEL TTL
+        PLAN_CACHE PLAN_CACHE_BYTES WARM EVENT_LOOP NET_WORKERS PIPELINE WRITE_BUF IDLE_TIMEOUT
+        SWEEP_INTERVAL_MS];
+    BLOCKD "blockd" <> [BLOCKD_STORE] [LISTEN];
+    STORE_VERIFY "store verify" <"store.tc|MANIFEST|dir"> [] [];
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -213,12 +195,8 @@ fn main() -> ExitCode {
         Some("blockd") => cmd_blockd(&args[1..]),
         Some("store") => cmd_store(&args[1..]),
         _ => {
-            eprintln!("usage: {CLOSURE_USAGE}");
-            eprintln!("       {QUERY_USAGE}");
-            eprintln!("         (--iostats prints the store's I/O counters and a `# timing: open= plan+stream= first= rest=` line)");
-            eprintln!("       {SERVE_USAGE}");
-            eprintln!("       ktpm blockd --store <path> [--listen host:port]");
-            eprintln!("       ktpm store verify <store.tc|MANIFEST|dir>");
+            let all = [&CLOSURE, &QUERY, &SERVE, &BLOCKD, &STORE_VERIFY];
+            eprintln!("{}", usage(&all, true));
             return ExitCode::from(2);
         }
     };
@@ -231,46 +209,130 @@ fn main() -> ExitCode {
     }
 }
 
-/// The arguments a subcommand walks, flag by flag.
-type Args<'a> = std::slice::Iter<'a, String>;
-
-/// The value after `flag`, parsed; a missing or unparsable value is an
-/// error that names the flag.
-fn value<T: std::str::FromStr>(it: &mut Args, flag: &str) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-    v.parse().map_err(|e| format!("{flag}: {e}"))
+/// `usage:` and each command's synopsis, a line each; with
+/// `reference`, then each command's options with their help.
+fn usage(cmds: &[&Cmd], reference: bool) -> String {
+    let spec = |o: &Opt| match o.value {
+        Some(v) => format!("{} {v}", o.flag),
+        None => o.flag.to_string(),
+    };
+    let mut out = String::new();
+    for (i, cmd) in cmds.iter().enumerate() {
+        out += if i == 0 {
+            "usage: ktpm "
+        } else {
+            "\n       ktpm "
+        };
+        out += cmd.name;
+        for operand in cmd.operands {
+            let _ = write!(out, " <{operand}>");
+        }
+        for o in cmd.required {
+            let _ = write!(out, " {} <{}>", o.flag, o.value.unwrap_or_default());
+        }
+        for &o in cmd.opts {
+            let _ = write!(out, " [{}]", spec(o));
+        }
+    }
+    for cmd in cmds
+        .iter()
+        .filter(|c| reference && c.required.len() + c.opts.len() > 0)
+    {
+        let _ = write!(out, "\n\n{} options:", cmd.name);
+        for &o in cmd.required.iter().chain(cmd.opts) {
+            let _ = write!(out, "\n  {:<25}  {}", spec(o), o.help);
+        }
+    }
+    out
 }
 
-/// `addr`, the value of the address option `flag`, resolved. An
+/// A subcommand's arguments as its table entry reads them: operands in
+/// order, and every option given with its value (`None` for a switch).
+struct Parsed<'a> {
+    cmd: &'static Cmd,
+    operands: Vec<&'a str>,
+    given: Vec<(&'static str, Option<&'a str>)>,
+}
+
+/// Sorts `args` into `cmd`'s operands and options. An argument starting
+/// with `-` that `cmd` does not list is refused by name, and so is a
+/// valued option at the end of the line.
+fn parse<'a>(cmd: &'static Cmd, args: &'a [String]) -> Result<Parsed<'a>, String> {
+    let (mut operands, mut given) = (Vec::new(), Vec::new());
+    let mut it = args.iter().map(String::as_str);
+    while let Some(arg) = it.next() {
+        if !arg.starts_with('-') {
+            operands.push(arg);
+            continue;
+        }
+        let Some(opt) = cmd.required.iter().chain(cmd.opts).find(|o| o.flag == arg) else {
+            return Err(format!("unknown {} option {arg:?}", cmd.name));
+        };
+        let value = match opt.value {
+            Some(_) => Some(
+                it.next()
+                    .ok_or_else(|| format!("{} needs a value", opt.flag))?,
+            ),
+            None => None,
+        };
+        given.push((opt.flag, value));
+    }
+    Ok(Parsed {
+        cmd,
+        operands,
+        given,
+    })
+}
+
+impl Parsed<'_> {
+    /// Whether `opt` was given.
+    fn has(&self, opt: &Opt) -> bool {
+        self.given.iter().any(|&(flag, _)| flag == opt.flag)
+    }
+
+    /// The last value given for `opt`, parsed; an unparsable value is an
+    /// error that names the flag.
+    fn value<T: std::str::FromStr>(&self, opt: &Opt) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        let given = self.given.iter().rev().find(|&&(flag, _)| flag == opt.flag);
+        given
+            .and_then(|&(_, v)| v)
+            .map(|v| v.parse().map_err(|e| format!("{}: {e}", opt.flag)))
+            .transpose()
+    }
+
+    /// Exactly `N` operands, or the usage line.
+    fn operands<const N: usize>(&self) -> Result<[&str; N], String> {
+        self.operands
+            .as_slice()
+            .try_into()
+            .map_err(|_| self.usage())
+    }
+
+    fn usage(&self) -> String {
+        usage(&[self.cmd], false)
+    }
+}
+
+/// `addr`, the value of the address option `opt`, resolved. An
 /// address that does not resolve is refused by its option before any
 /// file is read.
-fn socket_addrs(flag: &str, addr: &str) -> Result<Vec<SocketAddr>, String> {
-    addr.to_socket_addrs()
-        .map(Iterator::collect)
-        .map_err(|e| format!("{flag} {addr:?}: {e}"))
+fn socket_addrs(opt: &Opt, addr: &str) -> Result<Vec<SocketAddr>, String> {
+    let named = |e| format!("{} {addr:?}: {e}", opt.flag);
+    addr.to_socket_addrs().map(Iterator::collect).map_err(named)
 }
 
 /// A front end's start-up error, where a failure to bind names the
-/// address option `flag`.
-fn bind_error(flag: &str, addr: &str, e: std::io::Error) -> Box<dyn std::error::Error> {
+/// address option `opt`.
+fn bind_error(opt: &Opt, addr: &str, e: std::io::Error) -> Box<dyn std::error::Error> {
     match e.kind() {
         ErrorKind::AddrInUse | ErrorKind::AddrNotAvailable => {
-            format!("{flag} {addr:?}: {e}").into()
+            format!("{} {addr:?}: {e}", opt.flag).into()
         }
         _ => e.into(),
     }
-}
-
-/// `arg` as a positional argument of `cmd`; an argument that looks like
-/// an option `cmd` does not have is refused by name.
-fn operand(cmd: &str, arg: &str) -> Result<String, String> {
-    if arg.starts_with('-') {
-        return Err(format!("unknown {cmd} option {arg:?}"));
-    }
-    Ok(arg.to_string())
 }
 
 fn load_graph(path: &str) -> Result<LabeledGraph, Box<dyn std::error::Error>> {
@@ -278,48 +340,61 @@ fn load_graph(path: &str) -> Result<LabeledGraph, Box<dyn std::error::Error>> {
     Ok(ktpm::graph::io::read_graph(BufReader::new(f))?)
 }
 
-/// Picks the storage backend shared by `query` and `serve`. What
-/// `--store` names is resolved in one place (`open_store_uri`): a
-/// `tcp://` address connects to `ktpm blockd`, a sharded snapshot's
-/// MANIFEST (or directory) opens the sharded backend, and a store file
-/// goes through the paged reader (lazy verified block fetch behind the
-/// `--block-cache-bytes` LRU budget; 0 = unlimited).
+/// Where `query` and `serve` get their closure from.
+enum Backend {
+    /// Computed in memory from the graph.
+    Memory,
+    /// Computed per label pair on first use (`--on-demand`).
+    OnDemand,
+    /// A persisted store (`--store`) and its block-cache budget.
+    Store(String, Option<u64>),
+}
+
+/// `--store`, `--on-demand` and `--block-cache-bytes`, checked against
+/// each other: an option the chosen backend would ignore is refused.
+fn backend(p: &Parsed) -> Result<Backend, String> {
+    let cache_bytes = p.value(&BLOCK_CACHE_BYTES)?;
+    match (p.value(&STORE)?, p.has(&ON_DEMAND)) {
+        (Some(_), true) => Err(format!(
+            "{} cannot be combined with {}",
+            ON_DEMAND.flag, STORE.flag
+        )),
+        (Some(uri), false) => Ok(Backend::Store(uri, cache_bytes)),
+        (None, _) if cache_bytes.is_some() => {
+            Err(format!("{} needs {}", BLOCK_CACHE_BYTES.flag, STORE.flag))
+        }
+        (None, true) => Ok(Backend::OnDemand),
+        (None, false) => Ok(Backend::Memory),
+    }
+}
+
+/// Opens `backend` as `query` does (`serve` opens `Memory` as a live
+/// store). `open_store_uri` resolves what `--store` names.
 fn open_store(
     g: &LabeledGraph,
-    store_path: &Option<String>,
-    on_demand: bool,
-    block_cache_bytes: Option<u64>,
+    backend: Backend,
 ) -> Result<SharedSource, Box<dyn std::error::Error>> {
-    Ok(match (store_path, on_demand) {
-        (Some(p), _) => open_store_uri(p, block_cache_bytes)?,
-        (None, true) => OnDemandStore::new(g.clone()).into_shared(),
+    Ok(match backend {
+        Backend::Store(uri, cache_bytes) => open_store_uri(&uri, cache_bytes)?,
+        Backend::OnDemand => OnDemandStore::new(g.clone()).into_shared(),
         // Attach the graph so `--algo kgpm` / `OPEN kgpm` can derive
         // the undirected mirror; tree algorithms never look at it.
         // Persisted stores stay graph-less: kgpm over `--store` is an
         // explicit pattern-unsupported error.
-        (None, false) => MemStore::new(ClosureTables::compute(g))
+        Backend::Memory => MemStore::new(ClosureTables::compute(g))
             .with_graph(g.clone())
             .into_shared(),
     })
 }
 
 fn cmd_closure(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let mut positional = Vec::new();
-    let mut shards: Option<u32> = None;
-    let mut block_entries: Option<usize> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--shards" => shards = Some(value(&mut it, a)?),
-            "--block-entries" => block_entries = Some(value(&mut it, a)?),
-            other => positional.push(operand("closure", other)?),
-        }
-    }
-    let [graph_path, out_path] = positional.as_slice() else {
-        return Err(format!("usage: {CLOSURE_USAGE}").into());
-    };
+    let p = parse(&CLOSURE, args)?;
+    let shards: Option<u32> = p.value(&SHARDS)?;
+    let block_entries = p.value(&BLOCK_ENTRIES)?.unwrap_or(DEFAULT_BLOCK_EDGES);
+    let [graph_path, out_path] = p.operands()?;
+    let out = std::path::Path::new(out_path);
     let g = load_graph(graph_path)?;
-    let t = std::time::Instant::now();
+    let t = Instant::now();
     let tables = ClosureTables::compute(&g);
     let stats = tables.stats();
     let wrote = match shards {
@@ -328,12 +403,7 @@ fn cmd_closure(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         // it via the MANIFEST path.
         Some(n) if n > 0 => {
             let spec = ShardSpec::new(0, n);
-            let manifest = write_store_sharded(
-                &tables,
-                std::path::Path::new(out_path),
-                &spec,
-                block_entries.unwrap_or(DEFAULT_BLOCK_EDGES),
-            )?;
+            let manifest = write_store_sharded(&tables, out, &spec, block_entries)?;
             let show = |k: (LabelId, LabelId)| format!("({}, {})", k.0 .0, k.1 .0);
             let ranges: Vec<String> = (0..manifest.shards.len())
                 .map(|i| match manifest.range_of(i) {
@@ -348,17 +418,11 @@ fn cmd_closure(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 ranges.join(" ")
             )
         }
-        Some(_) => return Err("--shards needs a nonzero count".into()),
-        None => match block_entries {
-            Some(be) => {
-                write_store_v3(&tables, std::path::Path::new(out_path), be)?;
-                out_path.to_string()
-            }
-            None => {
-                write_store(&tables, std::path::Path::new(out_path))?;
-                out_path.to_string()
-            }
-        },
+        Some(_) => return Err(format!("{} needs a nonzero count", SHARDS.flag).into()),
+        None => {
+            write_store_v3(&tables, out, block_entries)?;
+            out_path.to_string()
+        }
     };
     println!(
         "closure of {} nodes / {} edges: {} closure edges (θ = {:.1}) in {:?} -> {}",
@@ -373,33 +437,13 @@ fn cmd_closure(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let mut positional = Vec::new();
-    let mut k = 10usize;
-    let mut store_path: Option<String> = None;
-    let mut algo: Option<String> = None;
-    let mut parallel: Option<usize> = None;
-    let mut repeat = 1usize;
-    let mut on_demand = false;
-    let mut block_cache_bytes: Option<u64> = None;
-    let mut iostats = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "-k" => k = value(&mut it, a)?,
-            "--store" => store_path = Some(value(&mut it, a)?),
-            "--algo" => algo = Some(value(&mut it, a)?),
-            "--parallel" => parallel = Some(value(&mut it, a)?),
-            "--repeat" => repeat = value(&mut it, a)?,
-            "--on-demand" => on_demand = true,
-            "--block-cache-bytes" => block_cache_bytes = Some(value(&mut it, a)?),
-            "--iostats" => iostats = true,
-            other => positional.push(operand("query", other)?),
-        }
-    }
-    let repeat = repeat.max(1);
-    let [graph_path, query_path] = positional.as_slice() else {
-        return Err(format!("usage: {QUERY_USAGE}").into());
-    };
+    let p = parse(&QUERY, args)?;
+    let k = p.value(&K)?.unwrap_or(10usize);
+    let algo: Option<String> = p.value(&ALGO)?;
+    let parallel: Option<usize> = p.value(&PARALLEL)?;
+    let repeat = p.value(&REPEAT)?.unwrap_or(1usize).max(1);
+    let backend = backend(&p)?;
+    let [graph_path, query_path] = p.operands()?;
     // --parallel alone selects parallel execution; pairing it with a
     // non-sharded --algo would silently ignore one of the two.
     let algo_name = match (&algo, parallel) {
@@ -407,8 +451,6 @@ fn cmd_query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         (None, None) => "topk-en",
         (Some(a), _) => a.as_str(),
     };
-    // One name registry for every front end: the CLI accepts exactly
-    // the algorithms `build_stream` dispatches — no CLI-only list.
     let Some(algo) = Algo::parse(algo_name) else {
         return Err(format!(
             "unknown algorithm {algo_name:?} (expected {})",
@@ -418,40 +460,32 @@ fn cmd_query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     };
     if parallel.is_some() && !algo.sharded() {
         return Err(format!(
-            "--parallel needs a sharded algorithm (got --algo {algo_name}); use par or kgpm"
+            "{} needs a sharded algorithm (got {} {algo_name}); use par or kgpm",
+            PARALLEL.flag, ALGO.flag
         )
         .into());
     }
     let g = load_graph(graph_path)?;
     let query_text = std::fs::read_to_string(query_path)?;
 
-    let t = std::time::Instant::now();
-    let store: SharedSource = open_store(&g, &store_path, on_demand, block_cache_bytes)?;
+    let t = Instant::now();
+    let store: SharedSource = open_store(&g, backend)?;
     let open = t.elapsed();
 
-    // Every algorithm runs behind the facade's single `MatchStream`
-    // surface — no per-algorithm construction here. With `--repeat n`
-    // every run shares one plan handle, as `ktpm serve` sessions of one
+    // With `--repeat n` every run shares one plan handle, as `ktpm serve` sessions of one
     // query do: the setup pipeline (candidate discovery, run-time
     // graph, bs pass, slot templates — or, for kgpm, the pattern
     // decomposition) is paid by run 1; runs 2..n are warm. Run 1's
     // clock starts before the plan is built, so it counts it.
     let exec = Executor::new(g.interner().clone(), Arc::clone(&store));
-    let run_one = std::time::Instant::now();
+    let run_one = Instant::now();
     let plan = exec.plan_for(&query_text, algo)?;
     let mut matches: Vec<ScoredMatch> = Vec::new();
-    let mut dt = std::time::Duration::ZERO;
+    let mut dt = Duration::ZERO;
     // The last run's split for `--iostats`: stream built, first match out.
     let (mut built, mut first) = (dt, dt);
     for run in 1..=repeat {
-        let t = if run == 1 {
-            run_one
-        } else {
-            std::time::Instant::now()
-        };
-        // Facade streams emit the canonical `(score, assignment)`
-        // order (ties deterministic, sharded engines byte-identical to
-        // their sequential runs for every shard count).
+        let t = if run == 1 { run_one } else { Instant::now() };
         let mut b = exec
             .query(&query_text)?
             .algo(algo)
@@ -485,27 +519,13 @@ fn cmd_query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         store.io().edges_read,
         if repeat > 1 { " across all runs" } else { "" }
     );
-    if iostats {
-        let io = exec.source().io();
-        println!(
-            "# iostats: block_reads={} bytes_read={} edges_read={} d_entries={} e_entries={} \
-             cache_hits={} cache_misses={} cache_evictions={} cache_bytes_resident={} \
-             files_opened={} remote_fetches={} remote_bytes={} remote_retries={} remote_errors={}",
-            io.block_reads,
-            io.bytes_read,
-            io.edges_read,
-            io.d_entries,
-            io.e_entries,
-            io.cache_hits,
-            io.cache_misses,
-            io.cache_evictions,
-            io.cache_bytes_resident,
-            io.files_opened,
-            io.remote_fetches,
-            io.remote_bytes,
-            io.remote_retries,
-            io.remote_errors
-        );
+    if p.has(&IOSTATS) {
+        let io = exec
+            .source()
+            .io()
+            .fields()
+            .map(|(name, n)| format!("{name}={n}"));
+        println!("# iostats: {}", io.join(" "));
         println!(
             "# timing: open={open:?} plan+stream={built:?} first={:?} rest={:?}",
             first - built,
@@ -535,70 +555,45 @@ fn cmd_query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let mut positional = Vec::new();
-    let mut addr = "127.0.0.1:7878".to_string();
-    let mut store_path: Option<String> = None;
-    let mut warm_path: Option<String> = None;
-    let mut on_demand = false;
-    let mut event_loop = false;
-    let mut block_cache_bytes: Option<u64> = None;
-    let mut config = ServiceConfig::default();
-    let mut net_config = NetConfig::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => addr = value(&mut it, a)?,
-            "--store" => store_path = Some(value(&mut it, a)?),
-            "--block-cache-bytes" => block_cache_bytes = Some(value(&mut it, a)?),
-            "--warm" => warm_path = Some(value(&mut it, a)?),
-            "--on-demand" => on_demand = true,
-            "--event-loop" => event_loop = true,
-            "--net-workers" => {
-                event_loop = true;
-                net_config.workers = value(&mut it, a)?;
-            }
-            "--pipeline" => {
-                event_loop = true;
-                net_config.max_pipeline = value(&mut it, a)?;
-            }
-            "--write-buf" => {
-                event_loop = true;
-                net_config.max_write_buffer = value(&mut it, a)?;
-            }
-            "--idle-timeout" => {
-                let secs: u64 = value(&mut it, a)?;
-                config.idle_timeout = (secs > 0).then(|| std::time::Duration::from_secs(secs));
-            }
-            "--sweep-interval-ms" => {
-                config.sweep_interval = std::time::Duration::from_millis(value(&mut it, a)?)
-            }
-            "--workers" => config.workers = value(&mut it, a)?,
-            "--parallel" => config.parallel.shards = value(&mut it, a)?,
-            "--ttl" => config.session_ttl = std::time::Duration::from_secs(value(&mut it, a)?),
-            "--plan-cache" => config.plan_cache_capacity = value(&mut it, a)?,
-            "--plan-cache-bytes" => {
-                // 0 means "off" here exactly as in STATS
-                // (plan_cache_bytes_limit=0): Some(0) would instead
-                // evict every plan but the one in use.
-                let bytes: u64 = value(&mut it, a)?;
-                config.plan_cache_max_bytes = (bytes > 0).then_some(bytes);
-            }
-            other => positional.push(operand("serve", other)?),
-        }
+    let p = parse(&SERVE, args)?;
+    let addr: String = p.value(&ADDR)?.unwrap_or("127.0.0.1:7878".into());
+    let warm_path: Option<String> = p.value(&WARM)?;
+    let (mut config, mut net_config) = (ServiceConfig::default(), NetConfig::default());
+    let c = &mut config;
+    c.workers = p.value(&WORKERS)?.unwrap_or(c.workers);
+    c.parallel.shards = p.value(&PARALLEL)?.unwrap_or(c.parallel.shards);
+    c.session_ttl = p.value(&TTL)?.map_or(c.session_ttl, Duration::from_secs);
+    c.sweep_interval = p
+        .value(&SWEEP_INTERVAL_MS)?
+        .map_or(c.sweep_interval, Duration::from_millis);
+    if let Some(secs) = p.value(&IDLE_TIMEOUT)? {
+        c.idle_timeout = (secs > 0).then(|| Duration::from_secs(secs));
     }
-    let [graph_path] = positional.as_slice() else {
-        return Err(format!("usage: {SERVE_USAGE}").into());
-    };
-    let addrs = socket_addrs("--addr", &addr)?;
+    c.plan_cache_capacity = p.value(&PLAN_CACHE)?.unwrap_or(c.plan_cache_capacity);
+    // 0 means "off" here exactly as in STATS (plan_cache_bytes_limit=0):
+    // Some(0) would instead evict every plan but the one in use.
+    if let Some(bytes) = p.value(&PLAN_CACHE_BYTES)? {
+        c.plan_cache_max_bytes = (bytes > 0).then_some(bytes);
+    }
+    let n = &mut net_config;
+    n.workers = p.value(&NET_WORKERS)?.unwrap_or(n.workers);
+    n.max_pipeline = p.value(&PIPELINE)?.unwrap_or(n.max_pipeline);
+    n.max_write_buffer = p.value(&WRITE_BUF)?.unwrap_or(n.max_write_buffer);
+    let event_loop = [&EVENT_LOOP, &NET_WORKERS, &PIPELINE, &WRITE_BUF]
+        .iter()
+        .any(|o| p.has(o));
+    let backend = backend(&p)?;
+    let [graph_path] = p.operands()?;
+    let addrs = socket_addrs(&ADDR, &addr)?;
     let g = load_graph(graph_path)?;
-    let t = std::time::Instant::now();
+    let t = Instant::now();
     // Unlike `query`, the default in-memory store here is a LiveStore:
     // same closure computation, but the UPDATE verb works. Persisted
     // and on-demand stores stay snapshots (UPDATE answers
     // ERR update-unsupported).
-    let source: ktpm::storage::SharedSource = match (&store_path, on_demand) {
-        (None, false) => LiveStore::new(g.clone()).into_shared(),
-        _ => open_store(&g, &store_path, on_demand, block_cache_bytes)?,
+    let source = match backend {
+        Backend::Memory => LiveStore::new(g.clone()).into_shared(),
+        backend => open_store(&g, backend)?,
     };
     let workers = config.workers;
     let handle = QueryEngine::new(g.interner().clone(), source, config);
@@ -606,7 +601,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     // request of a warmed query is a plan hit with zero discovery work.
     if let Some(path) = warm_path {
         let list = std::fs::read_to_string(&path)?;
-        let t = std::time::Instant::now();
+        let t = Instant::now();
         // One query per line, `;` standing in for newlines exactly as
         // on the wire (`OPEN <algo> <query>`).
         let queries: Vec<String> = list
@@ -625,7 +620,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
     // Either front end serves the same protocol over the same handle;
     // the boxed server is held only to keep its threads alive.
-    let named = |e| bind_error("--addr", &addr, e);
+    let named = |e| bind_error(&ADDR, &addr, e);
     let (local_addr, front_end, _server): (_, _, Box<dyn std::any::Any>) = if event_loop {
         let s = EventServer::spawn(handle, &addrs[..], net_config).map_err(named)?;
         (s.local_addr(), "event loop", Box::new(s))
@@ -646,31 +641,19 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     );
     // Serve until killed.
     loop {
-        std::thread::sleep(std::time::Duration::from_secs(3600));
+        std::thread::sleep(Duration::from_secs(3600));
     }
 }
 
-/// `ktpm blockd --store <path> [--listen host:port]`: serve a
-/// snapshot's raw blocks over TCP for `--store tcp://host:port`
-/// consumers. `--store` takes a sharded snapshot directory, its
-/// MANIFEST path, or a plain single-file store (announced as a
-/// synthesized one-file manifest).
 fn cmd_blockd(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let mut store: Option<String> = None;
-    let mut listen = "127.0.0.1:7979".to_string();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--store" => store = Some(value(&mut it, a)?),
-            "--listen" => listen = value(&mut it, a)?,
-            other => return Err(format!("unknown blockd option {other:?}").into()),
-        }
-    }
-    let store = store.ok_or("usage: ktpm blockd --store <path> [--listen host:port]")?;
-    let addrs = socket_addrs("--listen", &listen)?;
+    let p = parse(&BLOCKD, args)?;
+    let listen: String = p.value(&LISTEN)?.unwrap_or("127.0.0.1:7979".into());
+    let store: String = p.value(&BLOCKD_STORE)?.ok_or_else(|| p.usage())?;
+    p.operands::<0>()?;
+    let addrs = socket_addrs(&LISTEN, &listen)?;
     let server =
         BlockServer::spawn(std::path::Path::new(&store), &addrs[..]).map_err(|e| match e {
-            StorageError::Io(e) => bind_error("--listen", &listen, e),
+            StorageError::Io(e) => bind_error(&LISTEN, &listen, e),
             e => e.into(),
         })?;
     println!("blockd serving {} on {}", store, server.local_addr());
@@ -680,31 +663,24 @@ fn cmd_blockd(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     );
     // Serve until killed.
     loop {
-        std::thread::sleep(std::time::Duration::from_secs(3600));
+        std::thread::sleep(Duration::from_secs(3600));
     }
 }
 
-/// `ktpm store verify <store>`: re-checks every checksum in a
-/// persisted snapshot. A store file is opened (header and index head
-/// checksums) and scrubbed index page by page, section by section and
-/// block by block. A
-/// sharded snapshot (MANIFEST path or directory) checks the manifest
-/// CRC, then every shard file's length and whole-file content hash
-/// against it, then scrubs each shard; the first corrupt file is named
-/// in the error. What the path names is resolved by the same
+/// `ktpm store verify`. What the path names is resolved by the same
 /// `open_local_store` that `--store` goes through, so the error for a
-/// file this tool cannot read is the reader's own. Exits nonzero (via
-/// the `Err` path in `main`) on the first corruption.
+/// file this tool cannot read is the reader's own.
 fn cmd_store(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let [sub, store_arg] = args else {
-        return Err("usage: ktpm store verify <store.tc|MANIFEST|dir>".into());
+    let p = match args {
+        [sub, rest @ ..] if sub == "verify" => parse(&STORE_VERIFY, rest)?,
+        [sub, _] => {
+            return Err(format!("unknown store subcommand {sub:?} (expected verify)").into())
+        }
+        _ => return Err(usage(&[&STORE_VERIFY], false).into()),
     };
-    if sub != "verify" {
-        return Err(format!("unknown store subcommand {sub:?} (expected verify)").into());
-    }
-    let store_arg = operand("store verify", store_arg)?;
+    let [store_arg] = p.operands()?;
     let named = |e: StorageError| format!("{store_arg}: {e}");
-    let t = std::time::Instant::now();
+    let t = Instant::now();
     match open_local_store(std::path::Path::new(&store_arg), DEFAULT_BLOCK_CACHE_BYTES)
         .map_err(named)?
     {

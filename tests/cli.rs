@@ -523,3 +523,75 @@ fn every_subcommand_names_the_flag_of_a_bad_value_and_refuses_an_unknown_option(
         assert_eq!(String::from_utf8_lossy(&out.stderr), want, "ktpm {args:?}");
     }
 }
+
+#[test]
+fn query_and_serve_refuse_a_store_option_that_would_be_ignored() {
+    // Checked before any file is read, so the paths need not exist.
+    for cmd in [&["query", "g.txt", "q.txt"][..], &["serve", "g.txt"][..]] {
+        for (extra, want) in [
+            (
+                &["--store", "s.tc", "--on-demand"][..],
+                "error: --on-demand cannot be combined with --store\n",
+            ),
+            (
+                &["--block-cache-bytes", "5"][..],
+                "error: --block-cache-bytes needs --store\n",
+            ),
+        ] {
+            let args: Vec<&str> = cmd.iter().chain(extra).copied().collect();
+            let out = run(&args);
+            assert_eq!(out.status.code(), Some(1), "ktpm {args:?}");
+            assert_eq!(String::from_utf8_lossy(&out.stderr), want, "ktpm {args:?}");
+        }
+    }
+    let stray = ktpm_fails(&["blockd", "--store", "s.tc", "stray"]);
+    assert_eq!(
+        stray,
+        "error: usage: ktpm blockd --store <path> [--listen host:port]\n"
+    );
+}
+
+#[test]
+fn every_option_bare_ktpm_lists_is_accepted_and_listed_once() {
+    let overview = ktpm_fails(&[]);
+    assert!(overview.contains(&Algo::valid_names()), "{overview}");
+    let mut checked = 0;
+    for section in overview.split("\n\n").skip(1) {
+        let (head, body) = section.split_once('\n').unwrap_or((section, ""));
+        let cmd = head.strip_suffix(" options:").expect("an options section");
+        // The synopsis's `<operand>`s, up to its first option.
+        let synopsis = overview
+            .lines()
+            .find_map(|l| {
+                l.trim_start_matches("usage:")
+                    .trim()
+                    .strip_prefix(&format!("ktpm {cmd} "))
+            })
+            .expect("a synopsis");
+        let operands = synopsis
+            .split(' ')
+            .take_while(|w| w.starts_with('<'))
+            .count();
+        let mut seen = Vec::new();
+        for line in body.lines() {
+            let spec = line.trim().split("  ").next().unwrap_or_default();
+            let mut words = spec.split(' ');
+            let flag = words.next().unwrap_or_default();
+            assert!(!seen.contains(&flag), "`{cmd}` lists {flag} twice");
+            seen.push(flag);
+            let mut args: Vec<&str> = cmd.split(' ').collect();
+            args.extend(std::iter::repeat_n("/nonexistent/ktpm-cli", operands));
+            args.push(flag);
+            if words.next().is_some() {
+                args.push("1");
+            }
+            let err = ktpm_fails(&args);
+            assert!(
+                !err.contains(&format!("unknown {cmd} option")) && !err.contains("needs a value"),
+                "ktpm {args:?}: {err}"
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked > 20, "{overview}");
+}
